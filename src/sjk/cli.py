@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -41,9 +42,12 @@ class _Parser(argparse.ArgumentParser):
 def _max_order() -> int:
     raw = os.environ.get("SJK_MAX_ORDER", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
+        cap = int(raw) if raw else DEFAULT_MAX_ORDER
     except ValueError:
         raise UsageError(f"SJK_MAX_ORDER must be an integer, got {raw!r}")
+    if cap < 0:
+        raise UsageError(f"SJK_MAX_ORDER must be >= 0, got {raw!r}")
+    return cap
 
 
 def _check_cap(value: int, label: str):
@@ -51,6 +55,23 @@ def _check_cap(value: int, label: str):
     if value > cap:
         raise UsageError(f"{label} {value} exceeds SJK_MAX_ORDER = {cap}")
     return value
+
+
+# argparse treats only '-<digits>' and '-<digits>.<digits>' as negative
+# numbers, so the '-1/2' in '--beta -1/2' would be read as an option.
+_RATIONAL_OPTIONS = ("--alpha", "--beta", "--gamma")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _bind_negative_rationals(argv) -> list:
+    """Rewrite '--beta -1/2' as '--beta=-1/2' for the rational options."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _rat(text: str) -> Fraction:
@@ -84,13 +105,14 @@ def _cmd_poly(args, out):
     n = _check_cap(args.n, "degree")
     fam = args.family
     if fam == "sj":
-        p = families.sj_closed_mm(n, args.gamma)
+        # degree one is the only member with a free constant
+        p = Poly.var("x") + args.gamma if n == 1 else families.sj_family(n)
     elif fam == "sj-beta":
-        p = families.sj_closed_beta(n, args.beta)
+        p = families.sj_beta_family(n, args.beta)
     elif fam == "hermite":
         p = families.hermite_closed(n)
     else:  # jacobi
-        p = families.jacobi_classical(n, args.alpha, args.beta)
+        p = families.jacobi_family(n, args.alpha, args.beta)
     _emit_poly(p, args.format, out)
     return 0
 
@@ -268,7 +290,7 @@ def run(argv, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_rationals(argv))
         if getattr(args, "K", None) is not None and args.K < 1:
             raise UsageError("K must be >= 1")
         for attr in ("n", "order", "L", "M", "N0", "t_order", "max_n"):

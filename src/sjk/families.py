@@ -1,10 +1,15 @@
-"""Closed-form polynomial families and their exponential generating functions.
+"""Polynomial families and their exponential generating functions.
 
 Covers the classical Jacobi polynomials, both Sobolev-Jacobi families (the
 degenerate (-1,-1) case and the (-1, beta>-1) case), the two-variable
 Hermite polynomials, and the Tricomi-Bessel product form of the shifted
 EGF for the beta > -1 family.  Generalized binomials are Pochhammer
 quotients, so every coefficient is exact.
+
+The three Jacobi-type families are served by one O(n) coefficient
+recurrence, jacobi_monic; the closed forms (jacobi_classical,
+sj_closed_mm, sj_closed_beta) and the umbral construction stay as
+cross-checks for the tests and the verify suites.
 """
 
 from __future__ import annotations
@@ -29,11 +34,53 @@ def binom_general(a, k: int) -> Fraction:
     return pochhammer(Fraction(a) - k + 1, k) / factorial(k)
 
 
-def jacobi_classical(n: int, alpha, beta) -> Poly:
-    """Classical Jacobi polynomial of degree n, parameters > -1."""
+def _classical_params(alpha, beta):
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= -1 or beta <= -1:
         raise ParamError(f"classical Jacobi needs alpha, beta > -1, got ({alpha}, {beta})")
+    return alpha, beta
+
+
+def _beta_param(beta) -> Fraction:
+    beta = Fraction(beta)
+    if beta <= -1:
+        raise ParamError(f"needs beta > -1, got {beta}")
+    return beta
+
+
+def jacobi_monic(n: int, alpha, beta) -> Poly:
+    """Monic degree-n eigenpolynomial of the Jacobi operator at parameters
+    (alpha, beta), both >= -1.
+
+    The terminating resolvent (D-n)^{-1}(D+n+alpha+beta+1)^{-1}(d^2 +
+    (beta-alpha) d) acting on coefficients gives, from c_n = 1 down,
+        c_k (k-n)(k+n+alpha+beta+1) = (k+2)(k+1) c_{k+2} + (beta-alpha)(k+1) c_{k+1}.
+    A zero factor leaves the right-hand side unchanged (the identity-on-
+    kernel completion of opcalc.gp_series); that happens only at n = 1,
+    (-1, -1), where the right-hand side is zero.  Degree 0 is the constant
+    Poly with no variables, as the closed forms return it.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if alpha < -1 or beta < -1:
+        raise ParamError(f"parameters must be >= -1, got ({alpha}, {beta})")
+    if n < 0:
+        raise ParamError("degree must be >= 0")
+    if n == 0:
+        return Poly.const(1)
+    ba, shift = beta - alpha, n + alpha + beta + 1
+    c = [Fraction(0)] * (n + 2)
+    c[n] = Fraction(1)
+    for k in range(n - 1, -1, -1):
+        rhs = (k + 2) * (k + 1) * c[k + 2] + ba * (k + 1) * c[k + 1]
+        factor = (k - n) * (k + shift)
+        c[k] = rhs / factor if factor else rhs
+    return Poly(("x",), {(k,): c[k] for k in range(n + 1)})
+
+
+def jacobi_classical(n: int, alpha, beta) -> Poly:
+    """Classical Jacobi polynomial of degree n, parameters > -1, from its
+    closed form; cross-check for jacobi_family."""
+    alpha, beta = _classical_params(alpha, beta)
     if n < 0:
         raise ParamError("degree must be >= 0")
     x = Poly.var("x")
@@ -49,7 +96,7 @@ def jacobi_classical(n: int, alpha, beta) -> Poly:
 
 def sj_closed_mm(n: int, gamma=0) -> Poly:
     """Kwon-Littlejohn closed form at parameters (-1, -1); degree one keeps
-    the free constant gamma."""
+    the free constant gamma.  Cross-check for sj_family."""
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
@@ -67,10 +114,9 @@ def sj_closed_mm(n: int, gamma=0) -> Poly:
 
 def sj_closed_beta(n: int, beta) -> Poly:
     """Closed form at parameters (-1, beta) for beta > -1; coincides with
-    the monic classical Jacobi polynomial of the same parameters."""
-    beta = Fraction(beta)
-    if beta <= -1:
-        raise ParamError(f"needs beta > -1, got {beta}")
+    the monic classical Jacobi polynomial of the same parameters.
+    Cross-check for sj_beta_family."""
+    beta = _beta_param(beta)
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
@@ -159,7 +205,22 @@ def sj_egf_coeff(N: int, order_m=None) -> Poly:
 @lru_cache(maxsize=None)
 def sj_family(n: int) -> Poly:
     """(-1,-1) family with the degree-one constant fixed to zero."""
-    return sj_closed_mm(n, 0)
+    return jacobi_monic(n, -1, -1)
+
+
+def sj_beta_family(n: int, beta) -> Poly:
+    """(-1, beta) family for beta > -1."""
+    return jacobi_monic(n, -1, _beta_param(beta))
+
+
+def jacobi_family(n: int, alpha, beta) -> Poly:
+    """Classical Jacobi polynomial, parameters > -1: the monic one scaled
+    by its leading coefficient binomial(2n+alpha+beta, n) / 2^n."""
+    alpha, beta = _classical_params(alpha, beta)
+    monic = jacobi_monic(n, alpha, beta)
+    lead = binom_general(2 * n + alpha + beta, n) / 2**n
+    # the zero keeps the variable x at degree 0, as jacobi_classical does
+    return Poly.zero(("x",)) + monic * lead
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +250,7 @@ def tricomi_series(alpha, zpoly: Poly, order: int) -> CoeffSeries:
 def egf_beta_shifted(order: int, beta) -> CoeffSeries:
     """(x-1) C_1(-lambda(x-1)) C_beta(-lambda(x+1)): the 1-shifted EGF of
     the rescaled (-1, beta) family.  beta must be a half-integer > -1."""
-    beta = Fraction(beta)
-    if beta <= -1:
-        raise ParamError(f"needs beta > -1, got {beta}")
+    beta = _beta_param(beta)
     if beta.denominator not in (1, 2):
         raise ParamError(f"exact evaluation needs half-integer beta, got {beta}")
     x = Poly.var("x")

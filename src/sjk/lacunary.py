@@ -20,7 +20,13 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ParamError
-from .families import HERMITE_SECOND_VAR, binom_general, hermite_family, sj_family
+from .families import (
+    HERMITE_SECOND_VAR,
+    binom_general,
+    hermite_family,
+    matching_coeff,
+    sj_family,
+)
 from .hyper import HyperSpec, pfq_coeff, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar, HalfInt, gamma_ratio
@@ -59,12 +65,6 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
     )
 
 
-def _matching(n, k):
-    if k < 0 or 2 * k > n:
-        return 0
-    return factorial(n) // (factorial(n - 2 * k) * factorial(k))
-
-
 @dataclass(frozen=True)
 class _Cell:
     """One (beta, s) cell of a lacunary closed form.
@@ -101,7 +101,7 @@ def _hermite_cells(K: int, order: int):
         betas = range(K)
     for beta in betas:
         for s in range(order + 1):
-            h = _matching(K * s, beta)
+            h = matching_coeff(K * s, beta)
             if h == 0:
                 continue
             if K % 2 == 0:

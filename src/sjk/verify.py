@@ -69,6 +69,16 @@ def _suite_opcalc():
             if opcalc.gp_series(n, -1, -1) != families.sj_closed_mm(n, 0):
                 return f"resolvent vs closed form differ at n={n}"
 
+    def recurrence():
+        a, b = Fraction(1, 2), Fraction(-1, 3)
+        for n in range(6):
+            if families.sj_family(n) != families.sj_closed_mm(n, 0):
+                return f"(-1,-1) recurrence vs closed form differ at n={n}"
+            if families.sj_beta_family(n, a) != families.sj_closed_beta(n, a):
+                return f"(-1,{a}) recurrence vs closed form differ at n={n}"
+            if families.jacobi_family(n, a, b) != families.jacobi_classical(n, a, b):
+                return f"Jacobi recurrence vs closed form differ at n={n}"
+
     def eigen():
         for n in range(13):
             p = opcalc.gp_series(n, -1, -1)
@@ -87,6 +97,7 @@ def _suite_opcalc():
 
     return [
         Check("resolvent equals closed form", table_rows),
+        Check("coefficient recurrence equals closed forms", recurrence),
         Check("(1-x^2) d^2 eigenequation", eigen),
         Check("four-way construction equality", four_way),
     ]

@@ -5,13 +5,16 @@ where a runtime bound is stated it is measured and enforced.  Each test
 prints one pass/fail line (visible with pytest -s or in failure output).
 """
 
+import io
 import random
 import time
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
-from sjk import connect, families, hyper, lacunary, opcalc, scalar, umbral
+import pytest
+
+from sjk import cli, connect, families, hyper, lacunary, opcalc, scalar, umbral
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar, HalfInt
 
@@ -236,3 +239,25 @@ def test_criterion_10_reaction_demo():
         if any(not c.is_zero() for c in res.coeffs):
             bad.append(("evolution", N0))
     _report(10, "decay demo solves the evolution equation to t-order 6", bad)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "table --family sj --max-n 64",
+        "react --N0 64 --t-order 64",
+        "lacunary --family sj --K 2 --order 32 --check",
+    ],
+)
+def test_criterion_11_cold_runs_at_the_cap(line):
+    # cleared caches: what every shell invocation of sjk pays
+    families.sj_family.cache_clear()
+    families.hermite_family.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.monotonic()
+    code = cli.run(line.split(), out=out, err=err)
+    elapsed = time.monotonic() - t0
+    bad = [] if code == 0 else [(code, err.getvalue())]
+    if "--check" in line and "PASS" not in out.getvalue():
+        bad.append(out.getvalue())
+    _report(11, f"sjk {line}", bad, elapsed, 5.0)

@@ -4,15 +4,29 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from sjk import cli, jsonio, verify
+import pytest
+
+from sjk import cli, families, jsonio, lacunary, verify
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
+
+GRID = ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
+# every grid value once as alpha and once as beta
+JACOBI_PAIRS = tuple(zip(GRID, GRID[3:] + GRID[:3]))
+FORMATS = ("text", "latex", "json")
 
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def render(p, fmt):
+    """p as `sjk poly --format fmt` prints it."""
+    if fmt == "json":
+        return jsonio.dumps(jsonio.poly_to_obj(p)) + "\n"
+    return (p.latex() if fmt == "latex" else p.text()) + "\n"
 
 
 class TestPolyVerb:
@@ -47,6 +61,101 @@ class TestPolyVerb:
         )
         assert code == 0
         assert out.strip() == r"x^{4} - \frac{6}{5} x^{2} + \frac{1}{5}"
+
+
+class TestOutputMatchesClosedForms:
+    """poly and the lacunary oracle print byte for byte what the closed
+    forms render, degree-0 variable tuples included."""
+
+    @staticmethod
+    def check(options, closed, degrees=range(13)):
+        for n in degrees:
+            p = closed(n)
+            for fmt in FORMATS:
+                code, out, _ = run_cli(
+                    "poly", *options, "--n", str(n), "--format", fmt
+                )
+                assert (code, out) == (0, render(p, fmt)), (options, n, fmt)
+
+    def test_sj(self):
+        self.check(("--family", "sj"), lambda n: families.sj_closed_mm(n, 0))
+
+    @pytest.mark.parametrize("gamma", GRID)
+    def test_sj_degree_one_gamma(self, gamma):
+        self.check(
+            ("--family", "sj", f"--gamma={gamma}"),
+            lambda n: families.sj_closed_mm(n, Fraction(gamma)),
+            degrees=(0, 1, 2),
+        )
+
+    @pytest.mark.parametrize("beta", GRID)
+    def test_sj_beta(self, beta):
+        self.check(
+            ("--family", "sj-beta", f"--beta={beta}"),
+            lambda n: families.sj_closed_beta(n, Fraction(beta)),
+        )
+
+    @pytest.mark.parametrize("alpha, beta", JACOBI_PAIRS)
+    def test_jacobi(self, alpha, beta):
+        self.check(
+            ("--family", "jacobi", f"--alpha={alpha}", f"--beta={beta}"),
+            lambda n: families.jacobi_classical(n, Fraction(alpha), Fraction(beta)),
+        )
+
+    @pytest.mark.parametrize("L", (0, 1))
+    def test_lacunary_oracle_json(self, L):
+        closed = lacunary.multisection_oracle(
+            lambda n: families.sj_closed_mm(n, 0), lacunary.LacunaryParams(2, L, 4)
+        )
+        code, out, _ = run_cli(
+            "lacunary", "--family", "sj", "--K", "2", "--L", str(L),
+            "--order", "4", "--format", "json",
+        )
+        assert code == 0
+        assert out == jsonio.dumps(jsonio.series_to_obj(closed, "lambda")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [("0", "0"), ("1/2", "-1/3"), ("3/2", "2")]
+)
+def test_jacobi_matches_sympy(alpha, beta):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, b = sympy.Rational(alpha), sympy.Rational(beta)
+    for n in range(13):
+        code, out, _ = run_cli(
+            "poly", "--family", "jacobi", "--n", str(n), f"--alpha={alpha}",
+            f"--beta={beta}", "--format", "json",
+        )
+        assert code == 0
+        want = Poly.zero(("x",))
+        for (k,), c in sympy.Poly(sympy.jacobi(n, a, b, x), x).terms():
+            want = want + Poly.monomial(Fraction(int(c.p), int(c.q)), x=k)
+        assert jsonio.poly_from_obj(json.loads(out)) == want, n
+
+
+class TestNegativeRationals:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "poly --family sj-beta --n 2 --beta=-1/2",
+            "poly --family jacobi --n 3 --alpha=-1/3 --beta=-1/2",
+            "poly --family jacobi --n 2 --alpha=-.5 --format json",
+            "poly --family sj --n 1 --gamma=-3/4",
+            "egf --family sj-beta-shifted --order 2 --beta=-1/2",
+            "poly --family sj-beta --n 2 --beta=-1",
+        ],
+    )
+    def test_space_form_equals_equals_form(self, line):
+        joined = run_cli(*line.split())
+        spaced = run_cli(*line.replace("=", " ").split())
+        assert spaced == joined
+        assert spaced[0] == (1 if line.endswith("=-1") else 0)
+
+    def test_missing_value_still_rejected(self):
+        code, _, err = run_cli("poly", "--family", "sj-beta", "--n", "2", "--beta")
+        assert code == 1
+        assert "expected one argument" in err
 
 
 class TestJsonRoundTrip:
@@ -168,6 +277,14 @@ class TestMaxOrderCap:
         monkeypatch.setenv("SJK_MAX_ORDER", "lots")
         code, _, err = run_cli("egf", "--family", "sj", "--order", "2")
         assert code == 1
+
+    def test_negative_cap_value(self, monkeypatch):
+        monkeypatch.setenv("SJK_MAX_ORDER", "-1")
+        code, out, err = run_cli("poly", "--family", "sj", "--n", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: SJK_MAX_ORDER must be >= 0, got '-1'\n"
+        monkeypatch.setenv("SJK_MAX_ORDER", "0")
+        assert run_cli("poly", "--family", "sj", "--n", "0") == (0, "1\n", "")
 
 
 class TestOtherVerbs:

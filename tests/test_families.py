@@ -10,7 +10,10 @@ from sjk.families import (
     hermite_closed,
     hermite_egf,
     jacobi_classical,
+    jacobi_family,
+    jacobi_monic,
     matching_coeff,
+    sj_beta_family,
     sj_beta_rescaled,
     sj_closed_beta,
     sj_closed_mm,
@@ -30,6 +33,12 @@ from sjk.scalar import ExactScalar
 
 H = Fraction(1, 2)
 X = Poly.var("x")
+GRID = tuple(
+    Fraction(v) for v in ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
+)
+# every grid value once as alpha and once as beta
+PAIRS = tuple(zip(GRID, GRID[3:] + GRID[:3]))
+PAIR_IDS = [f"{a},{b}" for a, b in PAIRS]
 
 
 class TestGolden:
@@ -213,3 +222,56 @@ class TestBetaShiftedEgf:
 def test_family_sources_are_stable():
     assert sj_family(4).scalar_coeff(x=2) == ExactScalar(Fraction(-6, 5))
     assert sj_family(1) == X  # gamma fixed to zero
+
+
+class TestCoefficientRecurrence:
+    """The O(n) recurrence serves production; the closed forms are its
+    reference.  JSON output prints Poly.vars, so those must agree too."""
+
+    @staticmethod
+    def same(got, want):
+        return got == want and got.vars == want.vars
+
+    def test_sj_family_equals_closed_form(self):
+        for n in range(25):
+            assert self.same(sj_family(n), sj_closed_mm(n, 0)), n
+
+    @pytest.mark.parametrize("beta", GRID, ids=str)
+    def test_sj_beta_family_equals_closed_form(self, beta):
+        for n in range(25):
+            assert self.same(sj_beta_family(n, beta), sj_closed_beta(n, beta)), n
+
+    @pytest.mark.parametrize("alpha", GRID, ids=str)
+    def test_jacobi_family_equals_closed_form_on_grid(self, alpha):
+        for beta in GRID:
+            for n in range(13):
+                assert self.same(
+                    jacobi_family(n, alpha, beta), jacobi_classical(n, alpha, beta)
+                ), (n, beta)
+
+    @pytest.mark.parametrize("alpha, beta", PAIRS, ids=PAIR_IDS)
+    def test_jacobi_family_equals_closed_form_to_24(self, alpha, beta):
+        for n in range(13, 25):
+            assert self.same(
+                jacobi_family(n, alpha, beta), jacobi_classical(n, alpha, beta)
+            ), n
+
+    def test_rejects_bad_params(self):
+        with pytest.raises(ParamError):
+            jacobi_monic(2, Fraction(-3, 2), 0)
+        with pytest.raises(ParamError):
+            jacobi_monic(-1, 0, 0)
+        with pytest.raises(ParamError, match="needs beta > -1"):
+            sj_beta_family(2, -1)
+        with pytest.raises(ParamError, match="classical Jacobi"):
+            jacobi_family(2, -1, 0)
+
+    def test_eigenequation_at_cap(self):
+        n = 64
+        cases = [(sj_family(n), -1, -1)]
+        cases += [(sj_beta_family(n, b), -1, b) for b in (Fraction(0), H)]
+        cases += [(jacobi_family(n, a, b), a, b) for a, b in PAIRS[:3]]
+        for p, a, b in cases:
+            assert p.degree("x") == n
+            want = p * (-Fraction(n) * (n + a + b + 1))
+            assert jacobi_operator_apply(p, a, b) == want, (a, b)
