@@ -81,24 +81,25 @@ def _rat(text: str) -> Fraction:
         raise UsageError(f"expected a rational like '-3/2', got {text!r}")
 
 
+def _render(p: Poly, fmt: str) -> str:
+    """p as text or LaTeX; json output goes through jsonio instead."""
+    return p.latex() if fmt == "latex" else p.text()
+
+
 def _emit_poly(p: Poly, fmt: str, out):
     if fmt == "json":
         print(jsonio.dumps(jsonio.poly_to_obj(p)), file=out)
-    elif fmt == "latex":
-        print(p.latex(), file=out)
     else:
-        print(p.text(), file=out)
+        print(_render(p, fmt), file=out)
 
 
 def _emit_series(s: CoeffSeries, fmt: str, out, parameter="lambda"):
     if fmt == "json":
         print(jsonio.dumps(jsonio.series_to_obj(s, parameter)), file=out)
         return
+    power = "{%d}" if fmt == "latex" else "%d"
     for k, c in enumerate(s.coeffs):
-        if fmt == "latex":
-            print(f"{parameter}^{{{k}}}: {c.latex()}", file=out)
-        else:
-            print(f"{parameter}^{k}: {c.text()}", file=out)
+        print(f"{parameter}^{power % k}: {_render(c, fmt)}", file=out)
 
 
 def _cmd_poly(args, out):
@@ -171,9 +172,8 @@ def _cmd_connect(args, out):
     if args.format == "json":
         if fam == SJ_FAMILY:
             rows = [
-                {"n": n, "num": str(sj_connection(M, n).numerator),
-                 "den": str(sj_connection(M, n).denominator)}
-                for n in range(M + 1)
+                {"n": n, "num": str(w.numerator), "den": str(w.denominator)}
+                for n, w in enumerate(sj_connection(M, k) for k in range(M + 1))
             ]
         else:
             rows = [
@@ -186,8 +186,7 @@ def _cmd_connect(args, out):
         if fam == SJ_FAMILY:
             val = str(sj_connection(M, n))
         else:
-            c = hermite_connection(M, n)
-            val = c.latex() if args.format == "latex" else c.text()
+            val = _render(hermite_connection(M, n), args.format)
         print(f"A[{M},{n}] = {val}", file=out)
     return 0
 
@@ -204,16 +203,14 @@ def _cmd_table(args, out):
     top = _check_cap(args.max_n, "max-n")
     fn = families.sj_family if args.family == "sj" else families.hermite_family
     for n in range(top + 1):
-        p = fn(n)
-        body = p.latex() if args.format == "latex" else p.text()
-        print(f"{n}: {body}", file=out)
+        print(f"{n}: {_render(fn(n), args.format)}", file=out)
     return 0
 
 
 def _cmd_verify(args, out):
     names = args.suite or None
     try:
-        failures = verify.run_suites(names, jobs=args.jobs, out=out)
+        failures = verify.run_suites(names, out=out)
     except KeyError as exc:
         raise UsageError(
             f"unknown suite {exc.args[0]!r}; known: {', '.join(sorted(verify.SUITES))}"
@@ -279,7 +276,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run named invariant suites")
     p.add_argument("--suite", action="append",
                    help="suite name (repeatable); default: all")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

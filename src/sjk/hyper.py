@@ -14,19 +14,13 @@ from math import factorial
 from .errors import ParamError, PoleError
 from .scalar import (
     ExactScalar,
-    HalfInt,
+    _as_fraction,
     gamma_half,
     gamma_ratio,
     half,
     pochhammer,
     recip_gamma,
 )
-
-
-def _param(x) -> Fraction:
-    if isinstance(x, HalfInt):
-        return x.as_fraction
-    return Fraction(x)
 
 
 def _is_nonpos_int(q: Fraction) -> bool:
@@ -39,8 +33,8 @@ class HyperSpec:
     __slots__ = ("upper", "lower", "arg_scale")
 
     def __init__(self, upper, lower, arg_scale=1):
-        self.upper = tuple(_param(a) for a in upper)
-        self.lower = tuple(_param(b) for b in lower)
+        self.upper = tuple(_as_fraction(a) for a in upper)
+        self.lower = tuple(_as_fraction(b) for b in lower)
         for b in self.lower:
             if _is_nonpos_int(b):
                 raise ParamError(f"lower parameter {b} lies in Z_<=0")
@@ -133,7 +127,7 @@ def gamma_multiplication(n: int, s: int, x):
         raise ParamError("multiplication order must be >= 2")
     if s < 0:
         raise ParamError("shift must be >= 0")
-    x = _param(x)
+    x = _as_fraction(x)
     nx = n * x
     if nx.denominator not in (1, 2):
         raise ParamError(f"n*x = {nx} is not a half-integer")

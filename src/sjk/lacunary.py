@@ -138,25 +138,31 @@ def _hermite_cells(K: int, order: int):
     return cells
 
 
+def _sum_cells(terms, order: int, vars) -> CoeffSeries:
+    """Sum scale * pfq_coeff(spec, m) x^x_pow y^(beta + y_step m)
+    lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
+    up to lambda^order.  vars is ("x", y) for the Hermite forms and ("x",)
+    for the (-1,-1) forms, whose y the transform has integrated out."""
+    coeffs = [Poly.zero(vars) for _ in range(order + 1)]
+    for cell, spec, scale in terms:
+        m = 0
+        while cell.s + cell.lam_step * m <= order:
+            k = cell.s + cell.lam_step * m
+            key = (cell.x_pow, cell.beta + cell.y_step * m)[: len(vars)]
+            coeffs[k] = coeffs[k] + Poly(vars, {key: pfq_coeff(spec, m) * scale})
+            m += 1
+    return CoeffSeries(coeffs, order)
+
+
 def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
     """Closed hypergeometric form of the K-tuple Hermite lacunary series."""
     if K < 1:
         raise ParamError("K must be >= 1")
-    coeffs = [Poly.zero(("x", HERMITE_SECOND_VAR)) for _ in range(order + 1)]
-    for cell in _hermite_cells(K, order):
-        spec = HyperSpec(cell.upper, cell.lower, cell.hermite_arg)
-        m = 0
-        while cell.s + cell.lam_step * m <= order:
-            c = pfq_coeff(spec, m) * cell.base_scale
-            mono = Poly.monomial(
-                1,
-                x=cell.x_pow,
-                **{HERMITE_SECOND_VAR: cell.beta + cell.y_step * m},
-            )
-            k = cell.s + cell.lam_step * m
-            coeffs[k] = coeffs[k] + mono * c
-            m += 1
-    return CoeffSeries(coeffs, order)
+    terms = (
+        (cell, HyperSpec(cell.upper, cell.lower, cell.hermite_arg), cell.base_scale)
+        for cell in _hermite_cells(K, order)
+    )
+    return _sum_cells(terms, order, ("x", HERMITE_SECOND_VAR))
 
 
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
@@ -202,7 +208,7 @@ def _sj_cell_transformed(cell: _Cell, K: int):
     beta_p = HalfInt(2 * K * cell.s - 1)  # K s - 1/2
     pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, s_new, spec)
     scale = pref * ExactScalar(Fraction(-1, 4) ** cell.beta * cell.base_scale)
-    return scale, new_spec
+    return new_spec, scale
 
 
 def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -210,16 +216,8 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     Hermite cells via Pochhammer proliferation (K >= 2; K = 1 is the EGF)."""
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
-    coeffs = [Poly.zero(("x",)) for _ in range(order + 1)]
-    for cell in _hermite_cells(K, order):
-        scale, spec = _sj_cell_transformed(cell, K)
-        m = 0
-        while cell.s + cell.lam_step * m <= order:
-            c = pfq_coeff(spec, m) * scale
-            k = cell.s + cell.lam_step * m
-            coeffs[k] = coeffs[k] + Poly.var("x", cell.x_pow) * c
-            m += 1
-    return CoeffSeries(coeffs, order)
+    terms = ((cell, *_sj_cell_transformed(cell, K)) for cell in _hermite_cells(K, order))
+    return _sum_cells(terms, order, ("x",))
 
 
 def sj_lacunary_closed_printed(
@@ -235,7 +233,7 @@ def sj_lacunary_closed_printed(
     """
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
-    coeffs = [Poly.zero(("x",)) for _ in range(order + 1)]
+    terms = []
     for cell in _hermite_cells(K, order):
         if K % 2 == 1 and cell.beta < odd_beta_start:
             continue
@@ -258,19 +256,12 @@ def sj_lacunary_closed_printed(
                 Fraction(s, 2) + Fraction(2 * t - 1, 4 * K) for t in range(2 * K)
             )
             arg = Fraction(-1, 4 ** (K + 1))
-        spec = HyperSpec(upper, lower, arg)
         pref = gamma_ratio(
             HalfInt(2 * (K * s - beta) - 1), HalfInt(2 * K * s - 1)
         )
         scale = pref * ExactScalar(Fraction(-1, 4) ** beta * cell.base_scale)
-        m = 0
-        while s + cell.lam_step * m <= order:
-            k = s + cell.lam_step * m
-            coeffs[k] = coeffs[k] + Poly.var("x", cell.x_pow) * (
-                pfq_coeff(spec, m) * scale
-            )
-            m += 1
-    return CoeffSeries(coeffs, order)
+        terms.append((cell, HyperSpec(upper, lower, arg), scale))
+    return _sum_cells(terms, order, ("x",))
 
 
 def sj_lacunary_shift_gen(K: int, mu_order: int, order: int) -> CoeffSeries:

@@ -50,9 +50,6 @@ class DiagonalOp:
             self.completion,
         )
 
-    def with_completion(self, completion: str) -> "DiagonalOp":
-        return DiagonalOp(self.eval_fn, self.kernel, completion)
-
 
 def conjugate_shift(op: DiagonalOp, p: int, q: int) -> DiagonalOp:
     """Normal-ordering shift: f(D) x^p d^q = x^p d^q f(D + p - q)."""

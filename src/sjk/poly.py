@@ -12,17 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, inf
+from typing import Callable, NamedTuple
 
 from .scalar import ExactScalar, ZERO
 
-__all__ = [
-    "Poly",
-    "CoeffSeries",
-    "derivative",
-    "euler_apply",
-    "shift_var",
-    "series_product",
-]
+__all__ = ["Poly", "CoeffSeries", "series_product"]
 
 
 def _coerce(c) -> ExactScalar:
@@ -161,8 +155,15 @@ class Poly:
         return a == b
 
     def __hash__(self):
-        vars, terms = self.vars, self.terms
-        return hash((vars, frozenset(terms.items())))
+        # Equal Polys may differ in unused or reordered variables, and a
+        # constant equals its scalar, so hash the canonical form.
+        terms = {
+            tuple(sorted((v, e) for v, e in zip(self.vars, exps) if e)): c
+            for exps, c in self.terms.items()
+        }
+        if terms.keys() <= {()}:
+            return hash(terms.get((), ZERO))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -294,86 +295,33 @@ class Poly:
 
     # -- rendering ------------------------------------------------------------
 
-    def _monomial_text(self, exps):
-        parts = []
-        for v, e in zip(self.vars, exps):
-            if e == 0:
-                continue
-            parts.append(v if e == 1 else f"{v}^{e}")
-        return " ".join(parts)
-
-    @staticmethod
-    def _pi_text(k):
-        if k == 0:
-            return ""
-        if k % 2 == 0:
-            p = k // 2
-            return "pi" if p == 1 else f"pi^{p}"
-        return "sqrt(pi)" if k == 1 else f"sqrt(pi)^{k}"
-
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exps, c in self.sorted_terms():
-            mono = self._monomial_text(exps)
-            pi = self._pi_text(c.sqrt_pi_pow)
-            body = " ".join(x for x in (pi, mono) if x)
-            mag = abs(c.rat)
-            if body and mag == 1:
-                piece = body
-            elif body:
-                piece = f"{mag} {body}"
-            else:
-                piece = str(mag)
-            if not chunks:
-                sign = "-" if c.rat < 0 else ""
-                chunks.append(sign + piece)
-            else:
-                chunks.append(("- " if c.rat < 0 else "+ ") + piece)
-        return " ".join(chunks)
-
-    def _monomial_latex(self, exps):
-        parts = []
-        for v, e in zip(self.vars, exps):
-            if e == 0:
-                continue
-            name = {"mu": r"\mu", "lambda": r"\lambda"}.get(v, v)
-            parts.append(name if e == 1 else f"{name}^{{{e}}}")
-        return " ".join(parts)
-
-    @staticmethod
-    def _pi_latex(k):
-        if k == 0:
-            return ""
-        if k == 1:
-            return r"\sqrt{\pi}"
-        if k % 2 == 0:
-            p = k // 2
-            return r"\pi" if p == 1 else r"\pi^{%d}" % p
-        return r"\pi^{%d/2}" % k
-
-    @staticmethod
-    def _frac_latex(q):
-        if q.denominator == 1:
-            return str(q.numerator)
-        return r"\frac{%d}{%d}" % (q.numerator, q.denominator)
+        return self._render(_TEXT)
 
     def latex(self) -> str:
+        return self._render(_LATEX)
+
+    def _render(self, style) -> str:
         if not self.terms:
             return "0"
+        names = [style.names.get(v, v) for v in self.vars]
+        open_, close = style.power_open, style.power_close
+        pi, mag_text = style.pi, style.mag
         chunks = []
         for exps, c in self.sorted_terms():
-            mono = self._monomial_latex(exps)
-            pi = self._pi_latex(c.sqrt_pi_pow)
-            body = " ".join(x for x in (pi, mono) if x)
+            k = c.sqrt_pi_pow
+            parts = [pi(k)] if k else []
+            for name, e in zip(names, exps):
+                if e:
+                    parts.append(name if e == 1 else f"{name}{open_}{e}{close}")
+            body = " ".join(parts)
             mag = abs(c.rat)
             if body and mag == 1:
                 piece = body
             elif body:
-                piece = f"{self._frac_latex(mag)} {body}"
+                piece = f"{mag_text(mag)} {body}"
             else:
-                piece = self._frac_latex(mag)
+                piece = mag_text(mag)
             if not chunks:
                 chunks.append(("-" if c.rat < 0 else "") + piece)
             else:
@@ -382,6 +330,38 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.text()})"
+
+
+def _pi_text(k):
+    if k % 2:
+        return "sqrt(pi)" if k == 1 else f"sqrt(pi)^{k}"
+    return "pi" if k == 2 else f"pi^{k // 2}"
+
+
+def _pi_latex(k):
+    if k % 2:
+        return r"\sqrt{\pi}" if k == 1 else r"\pi^{%d/2}" % k
+    return r"\pi" if k == 2 else r"\pi^{%d}" % (k // 2)
+
+
+def _frac_latex(q):
+    if q.denominator == 1:
+        return str(q.numerator)
+    return r"\frac{%d}{%d}" % (q.numerator, q.denominator)
+
+
+class _Style(NamedTuple):
+    """How one output format writes a term of a Poly."""
+
+    names: dict  # variable name -> written name, where they differ
+    power_open: str  # written between a name and its exponent
+    power_close: str  # written after the exponent
+    pi: Callable  # nonzero sqrt(pi) power -> written factor
+    mag: Callable  # positive Fraction -> written magnitude
+
+
+_TEXT = _Style({}, "^", "", _pi_text, str)
+_LATEX = _Style({"mu": r"\mu", "lambda": r"\lambda"}, "^{", "}", _pi_latex, _frac_latex)
 
 
 class CoeffSeries:
@@ -469,20 +449,6 @@ class CoeffSeries:
     def __repr__(self):
         inner = ", ".join(c.text() for c in self.coeffs)
         return f"CoeffSeries(order={self.order}, [{inner}])"
-
-
-# Spec-facing functional aliases.
-
-def derivative(p: Poly, var: str) -> Poly:
-    return p.derivative(var)
-
-
-def euler_apply(p: Poly, vars) -> Poly:
-    return p.euler(vars)
-
-
-def shift_var(p: Poly, var: str, c) -> Poly:
-    return p.shift(var, c)
 
 
 def series_product(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:

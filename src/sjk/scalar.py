@@ -138,9 +138,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return self.rat == 0
 
-    def is_rational(self) -> bool:
-        return self.sqrt_pi_pow == 0
-
     def __bool__(self):
         return self.rat != 0
 
@@ -198,6 +195,9 @@ class ExactScalar:
         return self.rat == other.rat and self.sqrt_pi_pow == other.sqrt_pi_pow
 
     def __hash__(self):
+        # A rational value equals its Fraction, so it hashes as one.
+        if self.sqrt_pi_pow == 0:
+            return hash(self.rat)
         return hash((self.rat, self.sqrt_pi_pow))
 
     def __repr__(self):

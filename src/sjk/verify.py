@@ -1,27 +1,19 @@
 """Named verification suites behind the command-line `verify` verb.
 
-Each check re-derives an identity at desk scale and reports a
-counterexample string on failure.  These are quick spot checks; the full
-sweep lives in the test suite.
+A suite is a list of (label, fn) pairs.  Each fn re-derives an identity at
+desk scale and returns a counterexample string on failure, None on success.
+These are quick spot checks; the full sweep lives in the test suite.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from . import connect, families, hyper, lacunary, opcalc, scalar, umbral
 from .poly import Poly
 from .scalar import ExactScalar, HalfInt
-
-
-class Check:
-    def __init__(self, name, fn):
-        self.name = name
-        self.fn = fn
-
-    def run(self):
-        return self.fn()
 
 
 def _suite_scalar():
@@ -57,9 +49,9 @@ def _suite_scalar():
                 return f"duplication fails at z={z}"
 
     return [
-        Check("beta Pascal identity", pascal),
-        Check("gamma ratio telescopes to Pochhammer", ratio_poch),
-        Check("Legendre duplication at half-integers", duplication),
+        ("beta Pascal identity", pascal),
+        ("gamma ratio telescopes to Pochhammer", ratio_poch),
+        ("Legendre duplication at half-integers", duplication),
     ]
 
 
@@ -96,10 +88,10 @@ def _suite_opcalc():
                 return f"constructions disagree at n={n}"
 
     return [
-        Check("resolvent equals closed form", table_rows),
-        Check("coefficient recurrence equals closed forms", recurrence),
-        Check("(1-x^2) d^2 eigenequation", eigen),
-        Check("four-way construction equality", four_way),
+        ("resolvent equals closed form", table_rows),
+        ("coefficient recurrence equals closed forms", recurrence),
+        ("(1-x^2) d^2 eigenequation", eigen),
+        ("four-way construction equality", four_way),
     ]
 
 
@@ -144,9 +136,9 @@ def _suite_umbral():
                 return f"unit identity fails at N={N}"
 
     return [
-        Check("Bessel umbral image", bessel),
-        Check("two-letter null identity", appendix_null),
-        Check("two-letter unit identity", appendix_unit),
+        ("Bessel umbral image", bessel),
+        ("two-letter null identity", appendix_null),
+        ("two-letter unit identity", appendix_unit),
     ]
 
 
@@ -190,8 +182,8 @@ def _suite_hyper():
                 return f"proliferation mismatch at m={m}"
 
     return [
-        Check("Gauss-Legendre multiplication", multiplication),
-        Check("Pochhammer proliferation vs direct transform", proliferation),
+        ("Gauss-Legendre multiplication", multiplication),
+        ("Pochhammer proliferation vs direct transform", proliferation),
     ]
 
 
@@ -221,8 +213,8 @@ def _suite_lacunary():
                 return f"shifted generator != oracle at K={K}, L={L}"
 
     return [
-        Check("closed lacunary forms equal oracle", closed_vs_oracle),
-        Check("shift generators equal oracle", shifts),
+        ("closed lacunary forms equal oracle", closed_vs_oracle),
+        ("shift generators equal oracle", shifts),
     ]
 
 
@@ -264,10 +256,10 @@ def _suite_connect():
                 return f"evolution equation fails at N0={N0}"
 
     return [
-        Check("monomial reconstruction", reconstruction),
-        Check("biorthogonality", biortho),
-        Check("Gaussian pairing", pairing),
-        Check("decay-system evolution", reaction),
+        ("monomial reconstruction", reconstruction),
+        ("biorthogonality", biortho),
+        ("Gaussian pairing", pairing),
+        ("decay-system evolution", reaction),
     ]
 
 
@@ -281,43 +273,24 @@ SUITES = {
 }
 
 
-def run_suites(names=None, jobs=1, out=None):
+def run_suites(names=None, out=None):
     """Run the named suites (all by default); returns the failure count."""
-    import sys
-
     out = out or sys.stdout
-    names = list(names) if names else sorted(SUITES)
-    checks = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
-        for c in SUITES[name]():
-            checks.append((name, c))
-
-    def run_one(item):
-        name, check = item
+    checks = [
+        (name, label, fn)
+        for name in names or sorted(SUITES)
+        for label, fn in SUITES[name]()
+    ]
+    failures = 0
+    for suite, label, fn in checks:
         try:
-            detail = check.run()
+            detail = fn()
         except Exception as exc:  # surfaced as a failure with the message
             detail = f"raised {type(exc).__name__}: {exc}"
-        return name, check.name, detail
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(item) for item in checks]
-
-    failures = 0
-    for suite, label, detail in results:
         if detail is None:
             print(f"[PASS] {suite}: {label}", file=out)
         else:
             failures += 1
             print(f"[FAIL] {suite}: {label}: {detail}", file=out)
-    print(
-        f"{len(results) - failures}/{len(results)} checks passed", file=out
-    )
+    print(f"{len(checks) - failures}/{len(checks)} checks passed", file=out)
     return failures

@@ -246,7 +246,7 @@ class TestExitCodes:
 
     def test_verification_failure_exits_two(self, monkeypatch):
         def broken_suite():
-            return [verify.Check("always fails", lambda: "injected failure")]
+            return [("always fails", lambda: "injected failure")]
 
         monkeypatch.setitem(verify.SUITES, "scalar", broken_suite)
         code, out, _ = run_cli("verify", "--suite", "scalar")
@@ -316,9 +316,14 @@ class TestOtherVerbs:
         assert out.strip().splitlines()[4] == "4: " + golden[("hermite", 4)].text()
 
     def test_verify_all_green(self):
-        code, out, _ = run_cli("verify", "--jobs", "2")
+        code, out, _ = run_cli("verify")
         assert code == 0
         assert "[FAIL]" not in out
+
+    def test_verify_has_no_jobs_option(self):
+        code, out, err = run_cli("verify", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -220,3 +220,59 @@ class TestRendering:
     def test_latex(self):
         p = Poly.var("x", 4) + Poly.monomial(Fraction(-6, 5), x=2)
         assert p.latex() == r"x^{4} - \frac{6}{5} x^{2}"
+
+    # sqrt(pi) power -> (text, latex) spelling; 0 writes nothing
+    PI = {
+        -3: ("sqrt(pi)^-3", r"\pi^{-3/2}"),
+        -2: ("pi^-1", r"\pi^{-1}"),
+        -1: ("sqrt(pi)^-1", r"\pi^{-1/2}"),
+        0: ("", ""),
+        1: ("sqrt(pi)", r"\sqrt{\pi}"),
+        2: ("pi", r"\pi"),
+        3: ("sqrt(pi)^3", r"\pi^{3/2}"),
+        4: ("pi^2", r"\pi^{2}"),
+    }
+
+    @pytest.mark.parametrize("k", sorted(PI))
+    def test_pi_powers_magnitudes_and_names(self, k):
+        pt, pl = self.PI[k]
+        p = (
+            Poly.monomial(ExactScalar(Fraction(-3, 2), k), x=2, mu=1)
+            + Poly.monomial(ExactScalar(1, k), **{"lambda": 1})
+            + Poly.const(ExactScalar(Fraction(5, 7), k))
+        )
+        q = Poly.monomial(ExactScalar(-1, k), x=3) + Poly.const(ExactScalar(-2, k))
+        if k:
+            assert p.text() == f"-3/2 {pt} mu x^2 + {pt} lambda + 5/7 {pt}"
+            assert p.latex() == (
+                rf"-\frac{{3}}{{2}} {pl} \mu x^{{2}} + {pl} \lambda + \frac{{5}}{{7}} {pl}"
+            )
+            assert q.text() == f"-{pt} x^3 - 2 {pt}"
+            assert q.latex() == rf"-{pl} x^{{3}} - 2 {pl}"
+        else:
+            assert p.text() == "-3/2 mu x^2 + lambda + 5/7"
+            assert p.latex() == r"-\frac{3}{2} \mu x^{2} + \lambda + \frac{5}{7}"
+            assert q.text() == "-x^3 - 2"
+            assert q.latex() == "-x^{3} - 2"
+        assert Poly.const(ExactScalar(-1, k)).text() == "-" + (pt or "1")
+        assert Poly.const(ExactScalar(-1, k)).latex() == "-" + (pl or "1")
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Poly(("x", "y"), {(1, 0): 1}), Poly.var("x")),
+        (Poly(("y", "x"), {(2, 1): 3}), Poly.monomial(3, x=1, y=2)),
+        (Poly.zero(("x",)), Poly.const(0)),
+        (Poly.zero(("x",)), 0),
+        (Poly(("x",), {(0,): 3}), 3),
+        (Poly.const(3), 3),
+        (Poly.const(Fraction(1, 2)), Fraction(1, 2)),
+        (Poly.const(ExactScalar(2, 1)), ExactScalar(2, 1)),
+        (ExactScalar(1), 1),
+        (ExactScalar(Fraction(-3, 4)), Fraction(-3, 4)),
+    ],
+)
+def test_equal_values_hash_equal(a, b):
+    assert a == b
+    assert len({a, b}) == 1
