@@ -75,7 +75,11 @@ def _bind_negative_rationals(argv) -> list:
 
 
 def _rat(text: str) -> Fraction:
+    # Fraction would expand exponent notation such as '1e999999999' into
+    # an integer of unbounded size, so it is refused before parsing.
     try:
+        if "e" in text.lower():
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"expected a rational like '-3/2', got {text!r}")

@@ -13,7 +13,7 @@ from math import factorial
 
 from .errors import ParamError
 from .families import HERMITE_SECOND_VAR, hermite_family, sj_family
-from .hyper import HyperSpec, pfq_coeff
+from .hyper import HyperSpec, pfq_terms
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar
 
@@ -94,38 +94,25 @@ def gaussian_pair(F: Poly, G: Poly, w: str = "w", wbar: str = "wbar") -> Poly:
     return out
 
 
-def sj_pair_factors(order: int):
+def pair_factors(order: int, family: str):
     """Truncations of the two connection generating functions whose
     Gaussian pairing reproduces exp(alpha*beta):
 
     A(alpha, w) = sum A_{M,n} alpha^M w^n / M!
     B(wbar, beta) = sum wbar^n / n! p_n(beta)
+
+    For the Hermite family both carry z, which cancels in the pairing.
     """
+    source, conn = _family(family)
     A = Poly.zero(("alpha", "w"))
     for M in range(order + 1):
         for n in range(M % 2, M + 1, 2):
-            c = sj_connection(M, n) / factorial(M)
-            A = A + Poly.monomial(c, alpha=M, w=n)
+            mono = Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
+            A = A + conn(M, n) * mono
     B = Poly.zero(("beta", "wbar"))
     for n in range(order + 1):
-        pn = sj_family(n).substitute("x", Poly.var("beta"))
+        pn = source(n).substitute("x", Poly.var("beta"))
         B = B + pn * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
-    return A, B
-
-
-def hermite_pair_factors(order: int):
-    """Hermite analogue of sj_pair_factors; the z-dependence cancels in
-    the pairing."""
-    A = Poly.zero(("alpha", "w", HERMITE_SECOND_VAR))
-    for M in range(order + 1):
-        for n in range(M % 2, M + 1, 2):
-            A = A + hermite_connection(M, n) * Poly.monomial(
-                Fraction(1, factorial(M)), alpha=M, w=n
-            )
-    B = Poly.zero(("beta", "wbar", HERMITE_SECOND_VAR))
-    for n in range(order + 1):
-        hn = hermite_family(n).substitute("x", Poly.var("beta"))
-        B = B + hn * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
     return A, B
 
 
@@ -143,10 +130,8 @@ def connection_gf_coeff(M: int, order: int):
     lambda^M / M! 0F1(M + 1/2; lambda^2 / 4)."""
     spec = HyperSpec((), (Fraction(2 * M + 1, 2),), Fraction(1, 4))
     out = [ExactScalar(0)] * (order + 1)
-    k = 0
-    while M + 2 * k <= order:
-        out[M + 2 * k] = pfq_coeff(spec, k) * Fraction(1, factorial(M))
-        k += 1
+    for j, c in zip(range(M, order + 1, 2), pfq_terms(spec)):
+        out[j] = c * Fraction(1, factorial(M))
     return out
 
 

@@ -21,7 +21,15 @@ from math import factorial
 from .errors import ParamError
 from .hyper import tricomi_coeff
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, gamma_ratio, half, pochhammer, recip_gamma
+from .scalar import (
+    ZERO,
+    ExactScalar,
+    HalfInt,
+    gamma_ratio,
+    half,
+    pochhammer,
+    recip_gamma,
+)
 from .umbral import GenMonomial, GenSeries, itransform_scalar
 
 HERMITE_SECOND_VAR = "z"
@@ -181,14 +189,29 @@ def sj_umbral(n: int) -> Poly:
     return itransform_scalar(GenSeries(terms, lambda_order=0))
 
 
-def sj_egf_coeff(N: int, order_m=None) -> Poly:
+def hermite_image(p: Poly) -> Poly:
+    """The (-1,-1) image of a Hermite polynomial under the integral
+    transform: x^a z^m goes to (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a,
+    the transform of (uv)^(a+2m-1/2) x^a (-1/(4u))^m.  Other variables
+    (such as mu) are carried through; the image of H_N is p_N."""
+    rest = tuple(v for v in p.vars if v != HERMITE_SECOND_VAR)
+    out = {}
+    for exps, c in p.terms.items():
+        e = dict(zip(p.vars, exps))
+        a, m = e.get("x", 0), e.get(HERMITE_SECOND_VAR, 0)
+        key = tuple(e[v] for v in rest)
+        w = gamma_ratio(HalfInt(2 * (a + m) - 1), HalfInt(2 * (a + 2 * m) - 1))
+        out[key] = out.get(key, ZERO) + c * w * Fraction(-1, 4) ** m
+    return Poly(rest, out)
+
+
+def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
     (-1,-1) EGF double sum at y = 1; equals sj_umbral(N)/N!."""
     if N < 0:
         raise ParamError("order must be >= 0")
-    top = N // 2 if order_m is None else min(N // 2, order_m)
     out = Poly.zero(("x",))
-    for m in range(top + 1):
+    for m in range(N // 2 + 1):
         n = N - 2 * m
         ratio = gamma_ratio(half(Fraction(2 * (m + n) - 1, 2)), half(Fraction(2 * (2 * m + n) - 1, 2)))
         c = (

@@ -9,6 +9,7 @@ convergence questions arise and none are asked.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 from .errors import ParamError, PoleError
@@ -63,19 +64,27 @@ class HyperSpec:
         return f"HyperSpec({self.p}F{self.q}; [{up}]; [{lo}]; scale={self.arg_scale})"
 
 
+def pfq_terms(spec: HyperSpec):
+    """The series coefficients scale^m / m! * prod (a)_m / prod (b)_m for
+    m = 0, 1, 2, ... without end, each from the one before by the term
+    ratio scale * prod (a+m) / ((m+1) prod (b+m))."""
+    scale, pi_pow = spec.arg_scale.rat, spec.arg_scale.sqrt_pi_pow
+    t, m = Fraction(1), 0
+    while True:
+        yield ExactScalar(t, pi_pow * m)
+        t *= scale / (m + 1)
+        for a in spec.upper:
+            t *= a + m
+        for b in spec.lower:
+            t /= b + m
+        m += 1
+
+
 def pfq_coeff(spec: HyperSpec, m: int) -> ExactScalar:
     """m-th series coefficient: scale^m / m! * prod (a)_m / prod (b)_m."""
     if m < 0:
         raise ValueError("coefficient index must be >= 0")
-    num = Fraction(1)
-    for a in spec.upper:
-        num *= pochhammer(a, m)
-        if num == 0:
-            return ExactScalar(0)
-    den = Fraction(factorial(m))
-    for b in spec.lower:
-        den *= pochhammer(b, m)
-    return spec.arg_scale**m * ExactScalar(num / den)
+    return next(islice(pfq_terms(spec), m, None))
 
 
 def pfq_derivative(spec: HyperSpec, n: int):

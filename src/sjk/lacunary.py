@@ -5,7 +5,9 @@ p_{K n + L} from a per-degree family source.  Against it are checked the
 lacunary dilatation operator (index selection plus the factorial rescale
 Gamma(n+1)/Gamma(n/K+1)), the closed hypergeometric forms for the Hermite
 family, the closed forms for the (-1,-1) family obtained from the Hermite
-ones by Pochhammer proliferation, and the shifted generators for both.
+ones by Pochhammer proliferation, and the shifted generators for both; the
+(-1,-1) shifted generator is the termwise transform of the Hermite one
+(families.hermite_image, which also maps H_N to p_N).
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -22,15 +24,14 @@ from math import factorial
 from .errors import ParamError
 from .families import (
     HERMITE_SECOND_VAR,
-    binom_general,
     hermite_family,
+    hermite_image,
     matching_coeff,
     sj_family,
 )
-from .hyper import HyperSpec, pfq_coeff, pochhammer_proliferate
+from .hyper import HyperSpec, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar, HalfInt, gamma_ratio
-from .umbral import GenMonomial, GenSeries, expand_exponential, gen_product, itransform
 
 
 @dataclass(frozen=True)
@@ -139,18 +140,16 @@ def _hermite_cells(K: int, order: int):
 
 
 def _sum_cells(terms, order: int, vars) -> CoeffSeries:
-    """Sum scale * pfq_coeff(spec, m) x^x_pow y^(beta + y_step m)
+    """Sum scale * pfq_terms(spec)[m] x^x_pow y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
     up to lambda^order.  vars is ("x", y) for the Hermite forms and ("x",)
     for the (-1,-1) forms, whose y the transform has integrated out."""
     coeffs = [Poly.zero(vars) for _ in range(order + 1)]
     for cell, spec, scale in terms:
-        m = 0
-        while cell.s + cell.lam_step * m <= order:
-            k = cell.s + cell.lam_step * m
+        ks = range(cell.s, order + 1, cell.lam_step)
+        for m, (k, c) in enumerate(zip(ks, pfq_terms(spec))):
             key = (cell.x_pow, cell.beta + cell.y_step * m)[: len(vars)]
-            coeffs[k] = coeffs[k] + Poly(vars, {key: pfq_coeff(spec, m) * scale})
-            m += 1
+            coeffs[k] = coeffs[k] + Poly(vars, {key: c * scale})
     return CoeffSeries(coeffs, order)
 
 
@@ -266,51 +265,17 @@ def sj_lacunary_closed_printed(
 
 def sj_lacunary_shift_gen(K: int, mu_order: int, order: int) -> CoeffSeries:
     """Generating function of L-shifted (-1,-1) lacunary series: the
-    transform of (uv)^{-1/2} exp(mu uv x - mu^2 u v^2 / 4)
-    H_{K,0}(lambda (uv)^K; x - mu v / 2, -1/(4u)).
+    termwise transform (hermite_image) of the Hermite one.
 
-    Returns a series in lambda whose coefficients involve x and mu; the
-    coefficient of mu^L, times L!, is the (K, L) lacunary series.
+    The paper's generator is the transform of hermite_lacunary_shift after
+    lambda -> lambda (uv)^K, mu -> mu uv, z -> -1/(4u), times (uv)^{-1/2}.
+    In the coefficient of lambda^j mu^a every monomial x^b z^m has
+    b + 2m = Kj + a, so that substitution gives it the factor
+    (uv)^(b+2m-1/2) (-1/(4u))^m, and its transform depends on the monomial
+    alone.  The coefficient of mu^L, times L!, is the (K, L) lacunary series.
     """
-    if K < 1:
-        raise ParamError("K must be >= 1")
-    base = hermite_lacunary_closed(K, order)
-    sub_terms = []
-    for j in range(order + 1):
-        poly = base.coeffs[j]
-        for exps, c in poly.terms.items():
-            by_var = dict(zip(poly.vars, exps))
-            p = by_var.get("x", 0)
-            m = by_var.get(HERMITE_SECOND_VAR, 0)
-            for a in range(min(p, mu_order) + 1):
-                scalar = c * (
-                    binom_general(p, a) * Fraction(-1, 2) ** a * Fraction(-1, 4) ** m
-                )
-                sub_terms.append(
-                    GenMonomial(
-                        Poly.var("x", p - a) * scalar,
-                        u_exps={"u": K * j - m},
-                        v_exps={"v": K * j + a},
-                        lambda_pow=j,
-                        mu_pow=a,
-                    )
-                )
-    sub = GenSeries(sub_terms, lambda_order=order, mu_order=mu_order)
-    pref = GenSeries(
-        [GenMonomial(1, u_exps={"u": HalfInt(-1)}, v_exps={"v": HalfInt(-1)})],
-        lambda_order=order,
-        mu_order=mu_order,
-    )
-    e1 = expand_exponential(
-        GenMonomial(Poly.var("x"), u_exps={"u": 1}, v_exps={"v": 1}, mu_pow=1),
-        mu_order,
-    )
-    e2 = expand_exponential(
-        GenMonomial(Fraction(-1, 4), u_exps={"u": 1}, v_exps={"v": 2}, mu_pow=2),
-        mu_order // 2 if mu_order else 0,
-    )
-    full = gen_product(gen_product(gen_product(pref, e1), e2), sub)
-    return itransform(full)
+    base = hermite_lacunary_shift(K, mu_order, order)
+    return CoeffSeries([hermite_image(c) for c in base.coeffs], order)
 
 
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
@@ -325,15 +290,7 @@ def coeff_bridge_check(K: int, L: int, r: int, m: int):
     """Both sides of the coefficient bridge between the Hermite and
     (-1,-1) lacunary series: the x^r coefficient of the degree
     K(r+m)+L member, directly and through the integral transform of the
-    matching Hermite coefficient."""
+    matching Hermite member."""
     N = K * (r + m) + L
     g = sj_family(N).scalar_coeff(x=r)
-    h = hermite_family(N).coeff_of("x", r)  # polynomial in z
-    rhs = ExactScalar(0)
-    nh = HalfInt(2 * N - 1)  # N - 1/2
-    for exps, c in h.terms.items():
-        k = dict(zip(h.vars, exps)).get(HERMITE_SECOND_VAR, 0)
-        rhs = rhs + c * ExactScalar(Fraction(-1, 4) ** k) * gamma_ratio(
-            nh - k, nh
-        )
-    return g, rhs
+    return g, hermite_image(hermite_family(N)).scalar_coeff(x=r)

@@ -239,10 +239,10 @@ def _suite_connect():
                         return f"contraction != delta at (M,L)=({M},{L}), {fam}"
 
     def pairing():
-        A, B = connect.sj_pair_factors(4)
+        A, B = connect.pair_factors(4, connect.SJ_FAMILY)
         if connect.gaussian_pair(A, B) != connect.exp_product_truncation(4):
             return "Gaussian pairing misses exp(alpha beta) (sj)"
-        A, B = connect.hermite_pair_factors(4)
+        A, B = connect.pair_factors(4, connect.HERMITE_FAMILY)
         if connect.gaussian_pair(A, B) != connect.exp_product_truncation(4):
             return "Gaussian pairing misses exp(alpha beta) (hermite)"
 

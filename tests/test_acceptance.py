@@ -154,10 +154,10 @@ def test_criterion_07_connection_coefficients():
                 want = ExactScalar(1 if M == L else 0)
                 if connect.biorthogonality_check(M, L, family) != want:
                     bad.append(("biortho", family, M, L))
-    A, B = connect.sj_pair_factors(6)
+    A, B = connect.pair_factors(6, connect.SJ_FAMILY)
     if connect.gaussian_pair(A, B) != connect.exp_product_truncation(6):
         bad.append(("pairing", "sj"))
-    A, B = connect.hermite_pair_factors(6)
+    A, B = connect.pair_factors(6, connect.HERMITE_FAMILY)
     if connect.gaussian_pair(A, B) != connect.exp_product_truncation(6):
         bad.append(("pairing", "hermite"))
     _report(7, "reconstruction M<=20, biorthogonality M,L<=12, pairings", bad)

@@ -229,6 +229,13 @@ class TestExitCodes:
         assert code == 1
         assert "rational" in err
 
+    @pytest.mark.parametrize("beta", [["--beta=1e400"], ["--beta", "2E3"]])
+    def test_exponent_notation_refused(self, beta):
+        # Fraction would expand the exponent into an unbounded integer
+        code, out, err = run_cli("poly", "--family", "sj-beta", "--n", "2", *beta)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_domain_error_maps_to_one(self):
         code, _, err = run_cli(
             "poly", "--family", "jacobi", "--n", "2", "--alpha", "-1"

@@ -12,12 +12,11 @@ from sjk.connect import (
     exp_product_truncation,
     gaussian_pair,
     hermite_connection,
-    hermite_pair_factors,
+    pair_factors,
     reaction_residual,
     reaction_solve,
     reconstruct_monomial,
     sj_connection,
-    sj_pair_factors,
 )
 from sjk.errors import ParamError
 from sjk.poly import Poly
@@ -107,12 +106,12 @@ class TestGaussianPair:
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_sj_generating_functions_pair_to_exp(self, order):
-        A, B = sj_pair_factors(order)
+        A, B = pair_factors(order, SJ_FAMILY)
         assert gaussian_pair(A, B) == exp_product_truncation(order)
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_hermite_generating_functions_pair_to_exp(self, order):
-        A, B = hermite_pair_factors(order)
+        A, B = pair_factors(order, HERMITE_FAMILY)
         assert gaussian_pair(A, B) == exp_product_truncation(order)
 
 

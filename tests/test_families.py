@@ -9,6 +9,7 @@ from sjk.families import (
     egf_beta_shifted,
     hermite_closed,
     hermite_egf,
+    hermite_image,
     jacobi_classical,
     jacobi_family,
     jacobi_monic,
@@ -141,6 +142,11 @@ class TestSjUmbral:
         assert sj_umbral(2) == golden[("sj", 2)]
         assert sj_umbral(6) == golden[("sj", 6)]
         assert sj_umbral(1) == X
+
+    def test_hermite_image_equals_umbral(self):
+        # the termwise map against the independent itransform route
+        for n in range(31):
+            assert hermite_image(hermite_closed(n)) == sj_umbral(n), n
 
 
 class TestSjEgfCoeff:

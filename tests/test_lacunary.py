@@ -143,11 +143,15 @@ class TestSjShiftGen:
         assert sliced.coeffs[0] == golden[("sj", 1)]
         assert sliced.coeffs[1] == golden[("sj", 3)]
 
-    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
     @pytest.mark.parametrize("L", [0, 1, 2, 3])
     def test_slices_equal_oracle(self, K, L):
-        gen = sj_lacunary_shift_gen(K, 3, 3)
-        assert mu_slice(gen, L) == oracle("sj", K, L, 3), (K, L)
+        # (mu_order, order) = (3, 3), then the sizes `lacunary --L L` uses
+        # at family degree 16 (K * order + L <= 16)
+        sizes = [(3, 3)] + ([(L, (16 - L) // K)] if L else [])
+        for mu_order, order in sizes:
+            gen = sj_lacunary_shift_gen(K, mu_order, order)
+            assert mu_slice(gen, L) == oracle("sj", K, L, order), (K, L, order)
 
 
 class TestOperatorRelation:
