@@ -163,15 +163,14 @@ def matching_coeff(n: int, k: int) -> int:
 
 
 def hermite_closed(n: int) -> Poly:
-    """Two-variable Hermite polynomial, combinatorial closed form."""
+    """Two-variable Hermite polynomial, combinatorial closed form:
+    the sum over m of matching_coeff(n, m) x^(n-2m) z^m."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    out = Poly.zero(("x", HERMITE_SECOND_VAR))
-    for m in range(n // 2 + 1):
-        out = out + Poly.monomial(
-            matching_coeff(n, m), x=n - 2 * m, **{HERMITE_SECOND_VAR: m}
-        )
-    return out
+    return Poly(
+        ("x", HERMITE_SECOND_VAR),
+        {(n - 2 * m, m): matching_coeff(n, m) for m in range(n // 2 + 1)},
+    )
 
 
 def sj_umbral(n: int) -> Poly:
@@ -207,20 +206,11 @@ def hermite_image(p: Poly) -> Poly:
 
 def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
-    (-1,-1) EGF double sum at y = 1; equals sj_umbral(N)/N!."""
+    (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
+    sj_umbral(N)/N!."""
     if N < 0:
         raise ParamError("order must be >= 0")
-    out = Poly.zero(("x",))
-    for m in range(N // 2 + 1):
-        n = N - 2 * m
-        ratio = gamma_ratio(half(Fraction(2 * (m + n) - 1, 2)), half(Fraction(2 * (2 * m + n) - 1, 2)))
-        c = (
-            ExactScalar(Fraction(-1, 4) ** m)
-            * ratio
-            * Fraction(1, factorial(n) * factorial(m))
-        )
-        out = out + Poly.var("x", n) * c
-    return out
+    return hermite_image(hermite_family(N)) * Fraction(1, factorial(N))
 
 
 # Canonical per-degree sources used by the lacunary oracle and the CLI.

@@ -23,7 +23,14 @@ def _coerce(c) -> ExactScalar:
     return ExactScalar.coerce(c)
 
 
+_new = object.__new__
+
+
 class Poly:
+    """``Poly(vars, terms)`` checks every term; the results of arithmetic
+    on Polys are built by ``Poly._of`` from terms that are canonical by
+    construction and are not checked again."""
+
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars=(), terms=None):
@@ -38,11 +45,21 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in Poly")
                 c = _coerce(c)
-                if not c.is_zero():
-                    clean[exps] = clean.get(exps, ZERO) + c
-                    if clean[exps].is_zero():
-                        del clean[exps]
+                if exps in clean:
+                    c = clean.pop(exps) + c
+                if c:
+                    clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, vars: tuple, terms: dict) -> "Poly":
+        """A Poly over terms that are already canonical: keys are tuples of
+        width len(vars) with non-negative entries, values nonzero
+        ExactScalars.  The dict is taken over, not copied."""
+        p = _new(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     # -- construction -----------------------------------------------------
 
@@ -53,9 +70,7 @@ class Poly:
     @classmethod
     def const(cls, c):
         c = _coerce(c)
-        if c.is_zero():
-            return cls((), {})
-        return cls((), {(): c})
+        return cls._of((), {(): c} if c else {})
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1):
@@ -103,12 +118,12 @@ class Poly:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        return Poly(vars, out)
+        return Poly._of(vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -121,7 +136,9 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return Poly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            if not c:
+                return Poly._of(self.vars, {})
+            return Poly._of(self.vars, {e: cc * c for e, cc in self.terms.items()})
         vars, a, b = self._aligned(other)
         out = {}
         for e1, c1 in a.items():
@@ -132,7 +149,7 @@ class Poly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return Poly(vars, out)
+        return Poly._of(vars, out)
 
     __rmul__ = __mul__
 
@@ -188,7 +205,7 @@ class Poly:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, out)
 
     def euler(self, vars=None) -> "Poly":
         """Each monomial scaled by its total degree in the chosen variables."""
@@ -200,7 +217,7 @@ class Poly:
             d = sum(exps[i] for i in idx)
             if d:
                 out[exps] = c * d
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, out)
 
     def shift(self, var: str, c) -> "Poly":
         """Taylor shift: substitute var -> var + c (c free of var)."""
@@ -231,7 +248,7 @@ class Poly:
                     acc = acc * value
                     p += 1
                     powers[p] = acc
-            rest = Poly(rest_vars, {exps[:i] + exps[i + 1 :]: c})
+            rest = Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c})
             out = out + rest * powers[e]
         return out
 
@@ -266,7 +283,7 @@ class Poly:
         for exps, c in self.terms.items():
             if exps[i] == k:
                 out[exps[:i] + exps[i + 1 :]] = c
-        return Poly(rest, out)
+        return Poly._of(rest, out)
 
     def scalar_coeff(self, **exps) -> ExactScalar:
         """Coefficient of the stated monomial; unstated variables at power 0."""

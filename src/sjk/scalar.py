@@ -114,21 +114,32 @@ class ExactScalar:
     plain field-wise comparison.  Addition is only defined within one
     pi-grade (or with zero); a cross-grade sum is not representable and
     raises instead of silently degrading.
+
+    The constructor checks its input and refuses a float, which is not
+    exact; arithmetic results are built by ``_exact`` from the Fraction
+    they computed, without a second check.
     """
 
     __slots__ = ("rat", "sqrt_pi_pow")
 
     def __init__(self, rat, sqrt_pi_pow: int = 0):
+        if isinstance(rat, float):
+            raise TypeError(f"cannot interpret {rat!r} as an exact scalar")
         rat = Fraction(rat)
-        if rat == 0:
+        if not rat:
             sqrt_pi_pow = 0
         self.rat = rat
         self.sqrt_pi_pow = sqrt_pi_pow
 
     @classmethod
     def coerce(cls, x) -> "ExactScalar":
-        if isinstance(x, ExactScalar):
+        t = type(x)
+        if t is ExactScalar:
             return x
+        if t is int:
+            return _exact(Fraction(x), 0)
+        if t is Fraction:
+            return _exact(x, 0)
         if isinstance(x, (int, Fraction)):
             return cls(x)
         if isinstance(x, HalfInt):
@@ -136,28 +147,29 @@ class ExactScalar:
         raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
     def is_zero(self) -> bool:
-        return self.rat == 0
+        return not self.rat
 
     def __bool__(self):
-        return self.rat != 0
+        return bool(self.rat)
 
     def __add__(self, other):
-        other = ExactScalar.coerce(other)
-        if self.rat == 0:
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        if not self.rat:
             return other
-        if other.rat == 0:
+        if not other.rat:
             return self
         if self.sqrt_pi_pow != other.sqrt_pi_pow:
             raise ValueError(
                 "cannot add scalars carrying different powers of sqrt(pi): "
                 f"{self} + {other}"
             )
-        return ExactScalar(self.rat + other.rat, self.sqrt_pi_pow)
+        return _exact(self.rat + other.rat, self.sqrt_pi_pow)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.rat, self.sqrt_pi_pow)
+        return _exact(-self.rat, self.sqrt_pi_pow)
 
     def __sub__(self, other):
         return self + (-ExactScalar.coerce(other))
@@ -166,16 +178,17 @@ class ExactScalar:
         return ExactScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.rat * other.rat, self.sqrt_pi_pow + other.sqrt_pi_pow)
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        return _exact(self.rat * other.rat, self.sqrt_pi_pow + other.sqrt_pi_pow)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = ExactScalar.coerce(other)
-        if other.rat == 0:
+        if not other.rat:
             raise ZeroDivisionError("division by exact zero")
-        return ExactScalar(self.rat / other.rat, self.sqrt_pi_pow - other.sqrt_pi_pow)
+        return _exact(self.rat / other.rat, self.sqrt_pi_pow - other.sqrt_pi_pow)
 
     def __rtruediv__(self, other):
         return ExactScalar.coerce(other) / self
@@ -184,8 +197,8 @@ class ExactScalar:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return ExactScalar(1) / self ** (-k)
-        return ExactScalar(self.rat**k, self.sqrt_pi_pow * k)
+            return ONE / self ** (-k)
+        return _exact(self.rat**k, self.sqrt_pi_pow * k)
 
     def __eq__(self, other):
         try:
@@ -209,6 +222,17 @@ class ExactScalar:
         if self.sqrt_pi_pow == 0:
             return str(self.rat)
         return f"{self.rat}*pi^({Fraction(self.sqrt_pi_pow, 2)})"
+
+
+_new = object.__new__
+
+
+def _exact(rat: Fraction, sqrt_pi_pow: int) -> ExactScalar:
+    """An ExactScalar from a Fraction the caller computed; zero gets grade 0."""
+    s = _new(ExactScalar)
+    s.rat = rat
+    s.sqrt_pi_pow = sqrt_pi_pow if rat else 0
+    return s
 
 
 ZERO = ExactScalar(0)

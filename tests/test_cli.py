@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -331,6 +332,35 @@ class TestOtherVerbs:
         code, out, err = run_cli("verify", "--jobs", "2")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# SHA-256 of stdout of large outputs, so that a change to any digit, term
+# or term order in them shows.
+LARGE_OUTPUT_DIGESTS = {
+    "egf --family hermite --order 64 --format text":
+        "e7402e840caa178a6949ae26bf27c99d59ffcb62462906ee15488bd757a3d149",
+    "egf --family hermite --order 64 --format latex":
+        "97d3a1165a0ded2fddb3ee3ad9ce5dc9fe435f2841fe9f2c4441a61d57b622a1",
+    "egf --family hermite --order 64 --format json":
+        "7807e43aecce68f8463621ed3d3569316bff8897ab676c96e283b7625a686b23",
+    "table --family hermite --max-n 64":
+        "8d9af9fc9a3c4451c990ef46805fe93db2a9afccacca68a404c331bb5d8ba502",
+    "egf --family sj --order 24":
+        "ee7f1b87afce61936be4375fed2a718b9263fd038c1e0073eba9228602024329",
+    "connect --family hermite --M 64 --format text":
+        "5c51bac8748c25814e74ae8a0cc947468322a8dd143a0d01071b4256e05ad9c8",
+    "connect --family hermite --M 64 --format latex":
+        "f847041b29f20a44dff6a7adb1121499bf3def676301d75dfe1414ab366c6215",
+    "connect --family hermite --M 64 --format json":
+        "551940f9f51c3bdc6507c17dd78ac73fe533c7006d55081bebde74b54c6b565b",
+}
+
+
+@pytest.mark.parametrize("line", sorted(LARGE_OUTPUT_DIGESTS))
+def test_large_output_pinned(line):
+    code, out, err = run_cli(*line.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[line]
 
 
 def test_module_entry_point():

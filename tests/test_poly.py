@@ -168,6 +168,72 @@ def test_derivative_is_linear_against_doubling(p):
     assert (p + p).derivative("x") == p.derivative("x") * 2
 
 
+@st.composite
+def graded_polys(draw, pi_weight, varsets=(("x", "y"), ("y", "x"), ("x",), ("y",))):
+    """A Poly whose term x^a y^b carries sqrt(pi)^(pi_weight * b), so the
+    sum and product of two of them never add across grades."""
+    vars = draw(st.sampled_from(varsets))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = tuple(draw(st.integers(0, 3)) for _ in vars)
+        grade = pi_weight * dict(zip(vars, key)).get("y", 0)
+        terms[key] = ExactScalar(draw(small_fracs), grade)
+    return Poly(vars, terms)
+
+
+def assert_canonical(p):
+    """What the validating constructor would store, and nothing else."""
+    width = len(p.vars)
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == width
+        assert all(e >= 0 for e in exps)
+        assert type(c) is ExactScalar and c
+    again = Poly(p.vars, p.terms)
+    assert again.vars == p.vars and again.terms == p.terms
+    assert p == again and hash(p) == hash(again)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-2, 2), st.data())
+def test_arithmetic_results_are_canonical(w, data):
+    p, q = data.draw(graded_polys(w)), data.draw(graded_polys(w))
+    c = ExactScalar(data.draw(small_fracs), data.draw(st.integers(-3, 3)))
+    # a grade-0 value free of y keeps the y-weighted grades consistent
+    v = data.draw(graded_polys(0, (("t",), ("x", "t"), ("x",))))
+    results = [
+        p + q, p - q, p * q, p * c, 3 * p, -p, p + (-p), p * p,
+        (p + q) * (p - q),  # the p q cross terms cancel inside one product
+        p.derivative("x"), p.derivative("y"), p.euler(), p.euler(("y",)),
+        p.coeff_of("y", 1), p.coeff_of("x", 0), p.substitute("x", v),
+        p.substitute("x", 2), p.shift("x", v.substitute("x", 0)),
+    ]
+    for r in results:
+        assert_canonical(r)
+    assert (p + q) - q == p
+    assert (p * 0).terms == {} and (p * 0).vars == p.vars
+
+
+class TestConstructorValidates:
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError):
+            Poly(("x", "y"), {(1,): 1})
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError):
+            Poly(("x",), {(-1,): 1})
+
+    def test_inexact_coefficient(self):
+        with pytest.raises(TypeError):
+            Poly(("x",), {(1,): 0.5})
+
+    def test_repeated_keys_summed_and_zeros_dropped(self):
+        # range(1, -1, -1) is the exponent vector (1, 0) under another key
+        p = Poly(["x", "y"], {(1, 0): 2, range(1, -1, -1): 3, (0, 1): 0})
+        assert p.vars == ("x", "y") and p.terms == {(1, 0): ExactScalar(5)}
+        assert type(p.terms[(1, 0)]) is ExactScalar
+        assert Poly(("x",), {(1,): 2, range(1, 2): -2}).terms == {}
+
+
 class TestStructure:
     def test_zero_degree_sentinel(self):
         assert Poly.zero(("x",)).total_degree() == -math.inf

@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjk.errors import PoleError
 from sjk.scalar import (
+    ONE,
+    ZERO,
     ExactScalar,
     HalfInt,
     beta_fn,
@@ -56,6 +59,72 @@ class TestExactScalar:
         assert a / a == ExactScalar(1)
         assert a**3 == ExactScalar(Fraction(27, 64), 3)
         assert a ** (-1) == ExactScalar(Fraction(4, 3), -1)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.0, -2.5, float("inf")])
+    def test_float_refused(self, bad):
+        # a float is not exact: 0.1 would be stored as 3602879701896397/2^55
+        with pytest.raises(TypeError):
+            ExactScalar(bad)
+        with pytest.raises(TypeError):
+            ExactScalar(bad, 1)
+        with pytest.raises(TypeError):
+            ExactScalar.coerce(bad)
+
+    def test_exact_inputs_accepted(self):
+        assert ExactScalar(3).rat == 3
+        assert ExactScalar(True).rat == 1
+        assert ExactScalar(Fraction(-2, 6), 1) == ExactScalar(Fraction(-1, 3), 1)
+        assert ExactScalar("-3/4").rat == Fraction(-3, 4)
+        assert ExactScalar("0.1").rat == Fraction(1, 10)
+
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+grades = st.integers(-4, 4)
+
+
+def _plain(x):
+    """x as a plain (rational, grade) pair, after checking its form."""
+    assert type(x) is ExactScalar and type(x.rat) is Fraction
+    if not x.rat:
+        assert x.sqrt_pi_pow == 0  # zero is canonical
+    return x.rat, x.sqrt_pi_pow
+
+
+@settings(max_examples=150, deadline=None)
+@given(fracs, fracs, fracs, grades, grades)
+def test_ring_axioms_within_a_grade(a, b, c, k, j):
+    x, y, z = ExactScalar(a, k), ExactScalar(b, k), ExactScalar(c, k)
+    w = ExactScalar(c, j)
+    assert _plain(x + y) == _plain(ExactScalar(a + b, k))
+    assert _plain(x - y) == _plain(ExactScalar(a - b, k))
+    assert _plain(x * w) == _plain(ExactScalar(a * c, k + j))
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x + ZERO == x == ZERO + x
+    assert _plain(x + -x) == (0, 0)
+    assert (x - y) + y == x
+    assert x * w == w * x
+    assert (x * y) * w == x * (y * w)
+    assert w * (x + y) == w * x + w * y
+    assert x * ONE == x
+    assert x**2 == x * x
+    assert _plain(x**0) == (1, 0)
+    if b:
+        assert (x / y) * y == x
+        assert y ** -2 * y**2 == ONE
+
+
+@settings(max_examples=150, deadline=None)
+@given(fracs, grades, grades)
+def test_zero_is_canonical_across_grades(a, k, j):
+    x, z = ExactScalar(a, k), ExactScalar(0, j)
+    results = [x * z, z * x, z * 5, x - x, -z, z**3, z + z, z - z, x * 0, 0 * x]
+    if a:
+        results.append(z / x)
+    for r in results:
+        assert _plain(r) == (0, 0)
+        assert r == ZERO == 0 and hash(r) == hash(0)
+        assert not r and r.is_zero()
 
 
 class TestPochhammer:
@@ -186,3 +255,49 @@ def test_duplication_formula():
             * gamma_half(z + H)
         )
         assert lhs == rhs, f"z = {z}"
+
+
+# sympy evaluates gamma at integers and half-odd integers to a rational
+# times a power of sqrt(pi), and 1/Gamma to zero at the poles, so it is an
+# independent oracle for the closed forms above.
+HALVES = [HalfInt(t) for t in range(-13, 30)]
+
+
+def _sympy_check(got, want):
+    sp = pytest.importorskip("sympy")
+    _plain(got)
+    assert want / sp.sqrt(sp.pi) ** got.sqrt_pi_pow == sp.Rational(
+        got.rat.numerator, got.rat.denominator
+    ), (got, want)
+
+
+def _sympy_gamma(h):
+    sp = pytest.importorskip("sympy")
+    return sp.gamma(sp.Rational(h.twice, 2))
+
+
+@pytest.mark.parametrize("a", HALVES, ids=str)
+def test_gamma_half_and_recip_match_sympy(a):
+    want = _sympy_gamma(a)
+    if a.is_nonpositive_integer():
+        with pytest.raises(PoleError):
+            gamma_half(a)
+    else:
+        _sympy_check(gamma_half(a), want)
+    _sympy_check(recip_gamma(a), 1 / want)
+
+
+@pytest.mark.parametrize("a", HALVES[::3], ids=str)
+def test_gamma_ratio_and_beta_match_sympy(a):
+    for b in HALVES[::2]:
+        if a.is_nonpositive_integer():
+            with pytest.raises(PoleError):
+                gamma_ratio(a, b)
+        else:
+            _sympy_check(gamma_ratio(a, b), _sympy_gamma(a) / _sympy_gamma(b))
+        if any(h.is_nonpositive_integer() for h in (a, b, a + b)):
+            with pytest.raises(PoleError):
+                beta_fn(a, b)
+        else:
+            want = _sympy_gamma(a) * _sympy_gamma(b) / _sympy_gamma(a + b)
+            _sympy_check(beta_fn(a, b), want)
