@@ -64,10 +64,12 @@ from .lacunary import (
     coeff_bridge_check,
     hermite_lacunary_closed,
     hermite_lacunary_shift,
+    hermite_lacunary_slice,
     lacunary_dilate,
     multisection_oracle,
     sj_lacunary_closed,
     sj_lacunary_shift_gen,
+    sj_lacunary_slice,
 )
 from .connect import (
     biorthogonality_check,

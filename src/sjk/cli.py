@@ -138,15 +138,18 @@ def _lacunary_closed(family: str, K: int, L: int, order: int) -> CoeffSeries:
     if family == "sj":
         if L == 0 and K >= 2:
             return lacunary.sj_lacunary_closed(K, order)
-        return lacunary.mu_slice(lacunary.sj_lacunary_shift_gen(K, L, order), L)
+        return lacunary.sj_lacunary_slice(K, L, order)
     if L == 0:
         return lacunary.hermite_lacunary_closed(K, order)
-    return lacunary.mu_slice(lacunary.hermite_lacunary_shift(K, L, order), L)
+    return lacunary.hermite_lacunary_slice(K, L, order)
 
 
 def _cmd_lacunary(args, out):
     order = _check_cap(args.order, "order")
     _check_cap(args.K * order + args.L, "K*order+L")
+    if args.check and args.format != "text":
+        raise UsageError("--check prints a text PASS/FAIL line; --format applies "
+                         "only to the oracle table")
     source = families.sj_family if args.family == "sj" else families.hermite_family
     params = lacunary.LacunaryParams(args.K, args.L, order)
     oracle = lacunary.multisection_oracle(source, params)
@@ -188,10 +191,10 @@ def _cmd_connect(args, out):
         return 0
     for n in range(M + 1):
         if fam == SJ_FAMILY:
-            val = str(sj_connection(M, n))
+            w = Poly.const(sj_connection(M, n))
         else:
-            val = _render(hermite_connection(M, n), args.format)
-        print(f"A[{M},{n}] = {val}", file=out)
+            w = hermite_connection(M, n)
+        print(f"A[{M},{n}] = {_render(w, args.format)}", file=out)
     return 0
 
 

@@ -2,14 +2,16 @@
 
 Covers the classical Jacobi polynomials, both Sobolev-Jacobi families (the
 degenerate (-1,-1) case and the (-1, beta>-1) case), the two-variable
-Hermite polynomials, and the Tricomi-Bessel product form of the shifted
-EGF for the beta > -1 family.  Generalized binomials are Pochhammer
-quotients, so every coefficient is exact.
+Hermite polynomials, and the shifted EGF for the beta > -1 family.
+Generalized binomials are Pochhammer quotients, so every coefficient is
+exact.
 
-The three Jacobi-type families are served by one O(n) coefficient
-recurrence, jacobi_monic; the closed forms (jacobi_classical,
-sj_closed_mm, sj_closed_beta) and the umbral construction stay as
-cross-checks for the tests and the verify suites.
+The three Jacobi-type families, and the shifted beta EGF, are served by
+one O(n) coefficient recurrence, jacobi_monic; the closed forms
+(jacobi_classical, sj_closed_mm, sj_closed_beta), the umbral
+construction and the Tricomi-Bessel product form of the shifted EGF
+(egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
+verify suites.
 """
 
 from __future__ import annotations
@@ -260,12 +262,34 @@ def tricomi_series(alpha, zpoly: Poly, order: int) -> CoeffSeries:
     return CoeffSeries.build(lambda r: zpoly**r * tricomi_coeff(alpha, r), order)
 
 
-def egf_beta_shifted(order: int, beta) -> CoeffSeries:
-    """(x-1) C_1(-lambda(x-1)) C_beta(-lambda(x+1)): the 1-shifted EGF of
-    the rescaled (-1, beta) family.  beta must be a half-integer > -1."""
+def _half_int_beta(beta) -> Fraction:
     beta = _beta_param(beta)
     if beta.denominator not in (1, 2):
         raise ParamError(f"exact evaluation needs half-integer beta, got {beta}")
+    return beta
+
+
+def egf_beta_shifted(order: int, beta) -> CoeffSeries:
+    """The 1-shifted EGF of the rescaled (-1, beta) family: the coefficient
+    of lambda^n is sj_beta_rescaled(n+1, beta) / n!, built as
+    jacobi_monic(n+1, -1, beta) binom(2n+beta+1, n+1) / (n! Gamma(n+beta+2)).
+    beta must be a half-integer > -1."""
+    beta = _half_int_beta(beta)
+    hb = half(beta)
+
+    def coeff(n):
+        scale = ExactScalar(
+            binom_general(2 * n + beta + 1, n + 1) / factorial(n)
+        ) * recip_gamma(hb + (n + 2))
+        return jacobi_monic(n + 1, -1, beta) * scale
+
+    return CoeffSeries.build(coeff, order)
+
+
+def egf_beta_shifted_tricomi(order: int, beta) -> CoeffSeries:
+    """(x-1) C_1(-lambda(x-1)) C_beta(-lambda(x+1)), the Tricomi-Bessel
+    product form of egf_beta_shifted; a cross-check for the tests."""
+    beta = _half_int_beta(beta)
     x = Poly.var("x")
     c1 = tricomi_series(1, x - 1, order)
     cb = tricomi_series(half(beta), x + 1, order)

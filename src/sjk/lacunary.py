@@ -7,7 +7,11 @@ Gamma(n+1)/Gamma(n/K+1)), the closed hypergeometric forms for the Hermite
 family, the closed forms for the (-1,-1) family obtained from the Hermite
 ones by Pochhammer proliferation, and the shifted generators for both; the
 (-1,-1) shifted generator is the termwise transform of the Hermite one
-(families.hermite_image, which also maps H_N to p_N).
+(families.hermite_image, which also maps H_N to p_N).  The CLI checks
+the (K, L) series against the oracle through the mu^L slice of the
+shifted generator, built on its own (hermite_lacunary_slice and
+sj_lacunary_slice); the full generators and mu_slice stay as
+cross-checks for the tests and the verify suites.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import ParamError
 from .families import (
@@ -31,7 +35,7 @@ from .families import (
 )
 from .hyper import HyperSpec, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, HalfInt, gamma_ratio
+from .scalar import ZERO, ExactScalar, HalfInt, gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -164,31 +168,69 @@ def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
     return _sum_cells(terms, order, ("x", HERMITE_SECOND_VAR))
 
 
+def _shift_slice(base: CoeffSeries, L: int) -> CoeffSeries:
+    """L! times the coefficient of mu^L in exp(mu x + mu^2 z) base(x + 2 mu z, z),
+    built directly from the truncated Taylor shift and exponential:
+
+        L! sum_{j + a + 2b = L} (2z)^j / j! d_x^j c * x^a z^b / (a! b!)
+
+    for each coefficient c of base.  A term v x^e z^m of c goes to
+    v binom(e, j) 2^j L! / (a! b!) x^(e + L - 2t) z^(m + t) with t = j + b,
+    so its image has one term per t, whose integer weight (a + b <= L)
+    sums over the splits of t.
+    """
+    fL = factorial(L)
+    weights = {}
+
+    def weights_of(e):
+        # w[t] = sum over j + b = t, j <= e, a = L - j - 2b >= 0
+        w = [0] * (L + 1)
+        for j in range(min(e, L) + 1):
+            ej = comb(e, j) << j
+            for b in range((L - j) // 2 + 1):
+                w[j + b] += ej * fL // (factorial(L - j - 2 * b) * factorial(b))
+        return w
+
+    vars = ("x", HERMITE_SECOND_VAR)
+    out = []
+    for c in base.coeffs:
+        acc = {}
+        for (e, m), v in c.terms.items():
+            if e not in weights:
+                weights[e] = weights_of(e)
+            for t, w in enumerate(weights[e]):
+                if w:
+                    key = (e + L - 2 * t, m + t)
+                    acc[key] = acc.get(key, ZERO) + v * w
+        out.append(Poly._of(vars, {k: s for k, s in acc.items() if s}))
+    return CoeffSeries(out, base.order)
+
+
+def hermite_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
+    """The (K, L) Hermite lacunary series as L! times the coefficient of
+    mu^L in the shift generator (hermite_lacunary_shift), built without
+    the other powers of mu."""
+    return _shift_slice(hermite_lacunary_closed(K, order), L)
+
+
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     """Generating function of the L-shifted Hermite lacunary series:
-    exp(mu x + mu^2 z) H_{K,0}(lambda; x + 2 mu z, z), truncated in mu.
+    exp(mu x + mu^2 z) H_{K,0}(lambda; x + 2 mu z, z), truncated in mu,
+    as the sum over L <= mu_order of its slices times mu^L / L!.
 
     The coefficient of mu^L, times L!, is the (K, L) lacunary series.
     """
     base = hermite_lacunary_closed(K, order)
-    two_mu_z = Poly.monomial(2, mu=1, **{HERMITE_SECOND_VAR: 1})
-    shifted = [c.shift("x", two_mu_z) for c in base.coeffs]
-    pref = Poly.zero(("mu", "x", HERMITE_SECOND_VAR))
-    for a in range(mu_order + 1):
-        for b in range((mu_order - a) // 2 + 1):
-            pref = pref + Poly.monomial(
-                Fraction(1, factorial(a) * factorial(b)),
-                mu=a + 2 * b,
-                x=a,
-                **{HERMITE_SECOND_VAR: b},
-            )
+    slices = [_shift_slice(base, L) for L in range(mu_order + 1)]
+    vars = ("mu", "x", HERMITE_SECOND_VAR)
     out = []
-    for c in shifted:
-        full = pref * c
-        kept = full.coeff_of("mu", 0)
-        for k in range(1, mu_order + 1):
-            kept = kept + full.coeff_of("mu", k) * Poly.var("mu", k)
-        out.append(kept)
+    for k in range(order + 1):
+        terms = {}
+        for L, s in enumerate(slices):
+            w = Fraction(1, factorial(L))
+            for key, c in s.coeffs[k].terms.items():
+                terms[(L, *key)] = c * w
+        out.append(Poly._of(vars, terms))
     return CoeffSeries(out, order)
 
 
@@ -263,6 +305,10 @@ def sj_lacunary_closed_printed(
     return _sum_cells(terms, order, ("x",))
 
 
+def _image(series: CoeffSeries) -> CoeffSeries:
+    return CoeffSeries([hermite_image(c) for c in series.coeffs], series.order)
+
+
 def sj_lacunary_shift_gen(K: int, mu_order: int, order: int) -> CoeffSeries:
     """Generating function of L-shifted (-1,-1) lacunary series: the
     termwise transform (hermite_image) of the Hermite one.
@@ -274,8 +320,14 @@ def sj_lacunary_shift_gen(K: int, mu_order: int, order: int) -> CoeffSeries:
     (uv)^(b+2m-1/2) (-1/(4u))^m, and its transform depends on the monomial
     alone.  The coefficient of mu^L, times L!, is the (K, L) lacunary series.
     """
-    base = hermite_lacunary_shift(K, mu_order, order)
-    return CoeffSeries([hermite_image(c) for c in base.coeffs], order)
+    return _image(hermite_lacunary_shift(K, mu_order, order))
+
+
+def sj_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
+    """The (K, L) (-1,-1) lacunary series: the termwise transform of the
+    Hermite slice, since taking the mu^L coefficient and hermite_image
+    are both linear and termwise."""
+    return _image(hermite_lacunary_slice(K, L, order))
 
 
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:

@@ -154,7 +154,9 @@ class ExactScalar:
 
     def __add__(self, other):
         if type(other) is not ExactScalar:
-            other = ExactScalar.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return other
         if not self.rat:
             return other
         if not other.rat:
@@ -172,26 +174,39 @@ class ExactScalar:
         return _exact(-self.rat, self.sqrt_pi_pow)
 
     def __sub__(self, other):
-        return self + (-ExactScalar.coerce(other))
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
 
     def __rsub__(self, other):
-        return ExactScalar.coerce(other) + (-self)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return other + (-self)
 
     def __mul__(self, other):
         if type(other) is not ExactScalar:
-            other = ExactScalar.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return other
         return _exact(self.rat * other.rat, self.sqrt_pi_pow + other.sqrt_pi_pow)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = ExactScalar.coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if not other.rat:
             raise ZeroDivisionError("division by exact zero")
         return _exact(self.rat / other.rat, self.sqrt_pi_pow - other.sqrt_pi_pow)
 
     def __rtruediv__(self, other):
-        return ExactScalar.coerce(other) / self
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return other / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -225,6 +240,16 @@ class ExactScalar:
 
 
 _new = object.__new__
+
+
+def _operand(x):
+    """x as an ExactScalar for an arithmetic operator, or NotImplemented
+    when coerce cannot interpret it, so Python tries the other operand's
+    reflected method (Poly knows how to combine with an ExactScalar)."""
+    try:
+        return ExactScalar.coerce(x)
+    except TypeError:
+        return NotImplemented
 
 
 def _exact(rat: Fraction, sqrt_pi_pow: int) -> ExactScalar:

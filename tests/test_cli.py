@@ -212,6 +212,16 @@ class TestLacunaryVerb:
         assert lines[0] == "lambda^0: x"
         assert lines[1] == "lambda^1: " + golden[("sj", 3)].text()
 
+    @pytest.mark.parametrize("fmt", ["json", "latex"])
+    def test_check_refuses_other_formats(self, fmt):
+        # the verdict is one text line; --format applies to the oracle table
+        code, out, err = run_cli(
+            "lacunary", "--family", "sj", "--K", "2", "--L", "1",
+            "--order", "2", "--check", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --check ") and err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_unknown_family_is_usage_error(self):
@@ -301,6 +311,17 @@ class TestOtherVerbs:
         assert code == 0
         assert "A[3,1] = 1" in out
         assert "A[3,3] = 1" in out
+
+    def test_connect_sj_latex_weights(self):
+        code, out, _ = run_cli("connect", "--family", "sj", "--M", "4",
+                               "--format", "latex")
+        assert code == 0
+        assert out.splitlines() == [
+            "A[4,0] = 1", "A[4,1] = 0", r"A[4,2] = \frac{6}{5}",
+            "A[4,3] = 0", "A[4,4] = 1",
+        ]
+        code, text, _ = run_cli("connect", "--family", "sj", "--M", "4")
+        assert text == out.replace(r"\frac{6}{5}", "6/5")
 
     def test_connect_hermite_json(self):
         code, out, _ = run_cli(

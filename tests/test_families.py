@@ -7,6 +7,7 @@ from sjk.errors import ParamError
 from sjk.families import (
     binom_general,
     egf_beta_shifted,
+    egf_beta_shifted_tricomi,
     hermite_closed,
     hermite_egf,
     hermite_image,
@@ -224,6 +225,24 @@ class TestBetaShiftedEgf:
         with pytest.raises(ParamError):
             egf_beta_shifted(3, Fraction(1, 3))
 
+    @pytest.mark.parametrize("fn", [egf_beta_shifted, egf_beta_shifted_tricomi])
+    def test_bad_beta_messages(self, fn):
+        with pytest.raises(ParamError, match=r"^needs beta > -1, got -3/2$"):
+            fn(3, Fraction(-3, 2))
+        with pytest.raises(
+            ParamError, match=r"^exact evaluation needs half-integer beta, got 1/3$"
+        ):
+            fn(3, Fraction(1, 3))
+
+    @pytest.mark.parametrize("beta", ["-1/2", "0", "1/2", "1", "3/2", "3"])
+    def test_equals_tricomi_product(self, beta):
+        for order in (0, 1, 8):
+            got = egf_beta_shifted(order, Fraction(beta))
+            want = egf_beta_shifted_tricomi(order, Fraction(beta))
+            assert got.order == want.order == order
+            for g, w in zip(got.coeffs, want.coeffs):
+                assert (g.vars, g.terms) == (w.vars, w.terms), (beta, order)
+
 
 def test_family_sources_are_stable():
     assert sj_family(4).scalar_coeff(x=2) == ExactScalar(Fraction(-6, 5))
@@ -281,3 +300,36 @@ class TestCoefficientRecurrence:
             assert p.degree("x") == n
             want = p * (-Fraction(n) * (n + a + b + 1))
             assert jacobi_operator_apply(p, a, b) == want, (a, b)
+
+
+def _sympy_terms(sympy, expr, x):
+    """Exponent of x -> Fraction coefficient of a sympy polynomial in x."""
+    return {
+        k: Fraction(int(c.p), int(c.q)) for (k,), c in sympy.Poly(expr, x).terms()
+    }
+
+
+def _x_terms(p: Poly, n: int):
+    """Exponent of x -> Fraction coefficient of a Poly in x of degree <= n."""
+    coeffs = {k: p.scalar_coeff(x=k) for k in range(n + 1)}
+    return {k: c.rat for k, c in coeffs.items() if c}
+
+
+def test_sj_family_against_sympy_jacobi():
+    # Szego (4.22.2): the (-1,-1) member of degree n is (x^2-1) P_{n-2}^{(1,1)}
+    # up to a constant factor
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(2, 41):
+        want = sympy.Poly((x**2 - 1) * sympy.jacobi(n - 2, 1, 1, x), x).monic()
+        assert _x_terms(sj_family(n), n) == _sympy_terms(sympy, want.as_expr(), x), n
+
+
+def test_hermite_closed_against_sympy_hermite():
+    # DLMF 18.5: H_n(x) = sum_m n! / ((n-2m)! m!) (2x)^(n-2m) (-1)^m
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(41):
+        got = hermite_closed(n).substitute("x", X * 2).substitute("z", -1)
+        want = _sympy_terms(sympy, sympy.hermite(n, x), x)
+        assert _x_terms(got, n) == want, n

@@ -9,12 +9,14 @@ from sjk.lacunary import (
     coeff_bridge_check,
     hermite_lacunary_closed,
     hermite_lacunary_shift,
+    hermite_lacunary_slice,
     lacunary_dilate,
     multisection_oracle,
     mu_slice,
     sj_lacunary_closed,
     sj_lacunary_closed_printed,
     sj_lacunary_shift_gen,
+    sj_lacunary_slice,
 )
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
@@ -152,6 +154,21 @@ class TestSjShiftGen:
         for mu_order, order in sizes:
             gen = sj_lacunary_shift_gen(K, mu_order, order)
             assert mu_slice(gen, L) == oracle("sj", K, L, order), (K, L, order)
+
+
+SLICES = {"hermite": hermite_lacunary_slice, "sj": sj_lacunary_slice}
+# (K, L) at every size series-warm sends (family degree 16), then shapes
+# whose full mu-generator is too slow to build
+SLICE_SIZES = [(K, L, (16 - L) // K) for K in (1, 2, 3, 4) for L in (0, 1, 2, 3)]
+SLICE_SIZES += [(1, 1, 63), (1, 32, 32), (2, 20, 22), (4, 3, 15)]
+
+
+class TestShiftSlice:
+    @pytest.mark.parametrize("family", ["hermite", "sj"])
+    @pytest.mark.parametrize("K, L, order", SLICE_SIZES)
+    def test_slice_equals_oracle(self, family, K, L, order):
+        got = SLICES[family](K, L, order)
+        assert got == oracle(family, K, L, order), (family, K, L, order)
 
 
 class TestOperatorRelation:

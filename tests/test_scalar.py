@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sjk.errors import PoleError
+from sjk.poly import Poly
 from sjk.scalar import (
     ONE,
     ZERO,
@@ -76,6 +77,24 @@ class TestExactScalar:
         assert ExactScalar(Fraction(-2, 6), 1) == ExactScalar(Fraction(-1, 3), 1)
         assert ExactScalar("-3/4").rat == Fraction(-3, 4)
         assert ExactScalar("0.1").rat == Fraction(1, 10)
+
+    def test_unknown_operand_defers_to_its_reflected_method(self):
+        x = Poly.var("x")
+        assert ExactScalar(2) * x == x * 2
+        assert ExactScalar(2) + x == x + 2
+        assert ExactScalar(2) - x == 2 - x
+        assert isinstance(ExactScalar(2) * x, Poly)
+
+    @pytest.mark.parametrize("other", [object(), 0.5, "1"])
+    def test_operand_nobody_knows_still_raises(self, other):
+        one = ExactScalar(1)
+        for op in (
+            lambda: one + other, lambda: other + one, lambda: one - other,
+            lambda: other - one, lambda: one * other, lambda: other * one,
+            lambda: one / other, lambda: other / one,
+        ):
+            with pytest.raises(TypeError):
+                op()
 
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=9)
