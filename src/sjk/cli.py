@@ -10,6 +10,7 @@ verification failure.  The environment variable SJK_MAX_ORDER (default
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -225,7 +226,10 @@ def _cmd_verify(args, out):
     return 2 if failures else 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process.  parse_args keeps no state between
+    calls and returns a fresh Namespace each time, so it is built once."""
     parser = _Parser(prog="sjk", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

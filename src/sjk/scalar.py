@@ -46,17 +46,24 @@ class HalfInt:
         return self.is_integer and self.twice <= 0
 
     def __add__(self, other):
-        other = half(other)
+        other = _half_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         return HalfInt(self.twice + other.twice)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = half(other)
+        other = _half_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         return HalfInt(self.twice - other.twice)
 
     def __rsub__(self, other):
-        return half(other) - self
+        other = _half_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return HalfInt(other.twice - self.twice)
 
     def __neg__(self):
         return HalfInt(-self.twice)
@@ -75,10 +82,16 @@ class HalfInt:
             return NotImplemented
 
     def __lt__(self, other):
-        return self.twice < half(other).twice
+        other = _half_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.twice < other.twice
 
     def __le__(self, other):
-        return self.twice <= half(other).twice
+        other = _half_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.twice <= other.twice
 
     def __hash__(self):
         return hash(self.as_fraction)
@@ -105,6 +118,15 @@ def half(x) -> HalfInt:
             return HalfInt(x.numerator)
         raise ValueError(f"{x} is not a half-integer")
     raise TypeError(f"cannot interpret {x!r} as a half-integer")
+
+
+def _half_operand(x):
+    """x as a HalfInt for an operator, or NotImplemented for a type that half
+    does not know; a finer rational still raises ValueError."""
+    try:
+        return half(x)
+    except TypeError:
+        return NotImplemented
 
 
 class ExactScalar:

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjk import cli, families, jsonio, lacunary, verify
 from sjk.poly import Poly
@@ -392,3 +393,79 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^2 - 1"
+
+
+def run_fresh(*argv):
+    """argv as the first request of a new `python -m sjk` process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sjk", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSharedParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        # an append action after an earlier append
+        ("verify --suite scalar", "verify --suite hyper"),
+        # defaults after a request that set the option
+        ("poly --family sj --n 1 --gamma 1/2", "poly --family sj --n 1"),
+        ("egf --family sj-beta-shifted --order 3 --beta -1/2",
+         "egf --family sj-beta-shifted --order 3"),
+        # a valid request after a refused one
+        ("poly --family nope --n 2", "poly --family sj --n 2"),
+    ])
+    def test_no_state_between_calls(self, first, second):
+        for line in (first, second):
+            assert run_cli(*line.split()) == run_fresh(*line.split())
+
+
+# Random command lines: each verb with its required options, then a few
+# extra options, flags or stray tokens, with values valid or not.
+# -h/--help is left out: argparse prints the help to sys.stdout and raises
+# SystemExit(0) out of cli.run.
+FUZZ_INT = ("0", "1", "2", "3", "7", "-1", "x")
+FUZZ_RATIONAL = ("0", "1/2", "-1/2", "3", "1/0", "1e3", "x")
+FUZZ_VALUES = {
+    "--family": ("sj", "sj-beta", "hermite", "jacobi", "sj-beta-shifted", "nope"),
+    "--format": ("text", "json", "latex", "nope"),
+    "--suite": ("scalar", "hyper", "nope"),
+    **dict.fromkeys(("--n", "--order", "--K", "--L", "--M", "--N0", "--t-order",
+                     "--max-n"), FUZZ_INT),
+    **dict.fromkeys(("--alpha", "--beta", "--gamma"), FUZZ_RATIONAL),
+}
+FUZZ_REQUIRED = {
+    "poly": ("--family", "--n"), "egf": ("--family", "--order"),
+    "lacunary": ("--family", "--K", "--order"), "connect": ("--family", "--M"),
+    "react": ("--N0",), "table": ("--family", "--max-n"), "verify": (), "nope": (),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    verb = draw(st.sampled_from(sorted(FUZZ_REQUIRED)))
+    argv = [verb]
+    for option in FUZZ_REQUIRED[verb]:
+        argv += [option, draw(st.sampled_from(FUZZ_VALUES[option]))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        option = draw(st.sampled_from(sorted(FUZZ_VALUES)))
+        value = draw(st.sampled_from(FUZZ_VALUES[option]))
+        argv += draw(st.sampled_from((
+            [option, value], [f"{option}={value}"], ["--check"], [value], [option],
+        )))
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(fuzz_argv(), min_size=1, max_size=4))
+def test_fuzzed_command_lines_keep_the_exit_contract(argvs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SJK_MAX_ORDER", "6")
+        for argv in argvs:
+            code, out, err = run_cli(*argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv

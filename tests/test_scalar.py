@@ -40,6 +40,36 @@ class TestHalfInt:
         assert HalfInt(-4).is_nonpositive_integer()
         assert not HalfInt(-3).is_nonpositive_integer()
 
+    def test_sum_with_exact_scalar_either_way(self):
+        # HalfInt(1) is 1/2; an operand half() does not know is left to
+        # ExactScalar's reflected method.
+        three_halves = ExactScalar(Fraction(3, 2))
+        assert HalfInt(1) + ExactScalar(1) == ExactScalar(1) + HalfInt(1) == three_halves
+        assert HalfInt(1) - ExactScalar(1) == ExactScalar(Fraction(-1, 2))
+        assert ExactScalar(1) - HalfInt(1) == ExactScalar(H)
+
+    @pytest.mark.parametrize(
+        "method", ["__add__", "__radd__", "__sub__", "__rsub__", "__lt__", "__le__"]
+    )
+    def test_unknown_operand_returns_not_implemented(self, method):
+        assert getattr(HalfInt(1), method)(ExactScalar(1)) is NotImplemented
+        assert getattr(HalfInt(1), method)("x") is NotImplemented
+
+    def test_ordering_against_unknown_type_is_type_error(self):
+        with pytest.raises(TypeError):
+            HalfInt(1) < "x"
+
+    @pytest.mark.parametrize("method", ["__add__", "__sub__", "__rsub__", "__lt__", "__le__"])
+    def test_finer_rational_still_refused(self, method):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            getattr(HalfInt(1), method)(Fraction(1, 3))
+
+    def test_half_integer_arithmetic_unchanged(self):
+        assert HalfInt(1) + 1 == 1 + HalfInt(1) == HalfInt(3)
+        assert 1 - HalfInt(1) == HalfInt(1)
+        assert HalfInt(3) - H == HalfInt(2)
+        assert HalfInt(1) < 1 and HalfInt(2) <= 1
+
 
 class TestExactScalar:
     def test_canonical_zero(self):
