@@ -34,10 +34,19 @@ class UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """-h/--help was given; args[0] is the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2) on bad flags; remap to the declared contract.
     def error(self, message):
         raise UsageError(message)
+
+    # argparse's help action would print to sys.stdout and exit(0); run
+    # writes the text to its own out stream instead.
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _max_order() -> int:
@@ -305,6 +314,9 @@ def run(argv, out=None, err=None) -> int:
             if v is not None and v < 0:
                 raise UsageError(f"--{attr.replace('_', '-')} must be >= 0")
         return args.fn(args, out)
+    except _HelpRequested as exc:
+        out.write(exc.args[0])
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -12,13 +12,18 @@ one O(n) coefficient recurrence, jacobi_monic; the closed forms
 construction and the Tricomi-Bessel product form of the shifted EGF
 (egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
 verify suites.
+
+The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
+image under hermite_image) builds each coefficient from integers: the
+matching numbers by their integer ratio recurrence, and each image weight
+as one integer product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import ParamError
 from .hyper import tricomi_coeff
@@ -26,8 +31,7 @@ from .poly import CoeffSeries, Poly
 from .scalar import (
     ZERO,
     ExactScalar,
-    HalfInt,
-    gamma_ratio,
+    _exact,
     half,
     pochhammer,
     recip_gamma,
@@ -35,6 +39,7 @@ from .scalar import (
 from .umbral import GenMonomial, GenSeries, itransform_scalar
 
 HERMITE_SECOND_VAR = "z"
+_HERMITE_VARS = ("x", HERMITE_SECOND_VAR)
 
 
 def binom_general(a, k: int) -> Fraction:
@@ -164,15 +169,34 @@ def matching_coeff(n: int, k: int) -> int:
     return factorial(n) // (factorial(n - 2 * k) * factorial(k))
 
 
+def _matching_numbers(n: int):
+    """n!/((n-2m)! m!) for m = 0 .. n//2, each from the one before by the
+    integer ratio (n-2m)(n-2m-1)/(m+1)."""
+    c = 1
+    for m in range(n // 2 + 1):
+        yield c
+        c = c * (n - 2 * m) * (n - 2 * m - 1) // (m + 1)
+
+
 def hermite_closed(n: int) -> Poly:
     """Two-variable Hermite polynomial, combinatorial closed form:
     the sum over m of matching_coeff(n, m) x^(n-2m) z^m."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    return Poly(
-        ("x", HERMITE_SECOND_VAR),
-        {(n - 2 * m, m): matching_coeff(n, m) for m in range(n // 2 + 1)},
-    )
+    return Poly._of(_HERMITE_VARS, {
+        (n - 2 * m, m): _exact(Fraction(c), 0)
+        for m, c in enumerate(_matching_numbers(n))
+    })
+
+
+def _hermite_egf_coeff(n: int) -> Poly:
+    """H_n / n!, the sum over m of x^(n-2m) z^m / ((n-2m)! m!); each
+    denominator is the integer n! over a matching number."""
+    f = factorial(n)
+    return Poly._of(_HERMITE_VARS, {
+        (n - 2 * m, m): _exact(Fraction(1, f // c), 0)
+        for m, c in enumerate(_matching_numbers(n))
+    })
 
 
 def sj_umbral(n: int) -> Poly:
@@ -190,20 +214,29 @@ def sj_umbral(n: int) -> Poly:
     return itransform_scalar(GenSeries(terms, lambda_order=0))
 
 
+def _image_weight(a: int, m: int) -> Fraction:
+    """(-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2), as the one integer product
+    (-1)^m / (2^m prod_{j<m} (2a+2m-1+2j)); the factors are odd."""
+    den = prod(range(2 * a + 2 * m - 1, 2 * a + 4 * m - 1, 2)) << m
+    return Fraction(-1 if m % 2 else 1, den)
+
+
 def hermite_image(p: Poly) -> Poly:
     """The (-1,-1) image of a Hermite polynomial under the integral
     transform: x^a z^m goes to (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a,
     the transform of (uv)^(a+2m-1/2) x^a (-1/(4u))^m.  Other variables
     (such as mu) are carried through; the image of H_N is p_N."""
-    rest = tuple(v for v in p.vars if v != HERMITE_SECOND_VAR)
+    vars = p.vars
+    ia = vars.index("x") if "x" in vars else None
+    im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
+    keep = [i for i in range(len(vars)) if i != im]
     out = {}
     for exps, c in p.terms.items():
-        e = dict(zip(p.vars, exps))
-        a, m = e.get("x", 0), e.get(HERMITE_SECOND_VAR, 0)
-        key = tuple(e[v] for v in rest)
-        w = gamma_ratio(HalfInt(2 * (a + m) - 1), HalfInt(2 * (a + 2 * m) - 1))
-        out[key] = out.get(key, ZERO) + c * w * Fraction(-1, 4) ** m
-    return Poly(rest, out)
+        a = exps[ia] if ia is not None else 0
+        m = exps[im] if im is not None else 0
+        key = tuple(exps[i] for i in keep)
+        out[key] = out.get(key, ZERO) + c * _exact(_image_weight(a, m), 0)
+    return Poly._of(tuple(vars[i] for i in keep), {k: c for k, c in out.items() if c})
 
 
 def sj_egf_coeff(N: int) -> Poly:
@@ -212,7 +245,7 @@ def sj_egf_coeff(N: int) -> Poly:
     sj_umbral(N)/N!."""
     if N < 0:
         raise ParamError("order must be >= 0")
-    return hermite_image(hermite_family(N)) * Fraction(1, factorial(N))
+    return hermite_image(_hermite_egf_coeff(N))
 
 
 # Canonical per-degree sources used by the lacunary oracle and the CLI.
@@ -245,9 +278,7 @@ def hermite_family(n: int) -> Poly:
 
 def hermite_egf(order: int) -> CoeffSeries:
     """EGF truncation: coefficient of the n-th power is H_n / n!."""
-    return CoeffSeries.build(
-        lambda n: hermite_family(n) * Fraction(1, factorial(n)), order
-    )
+    return CoeffSeries.build(_hermite_egf_coeff, order)
 
 
 def sj_egf(order: int) -> CoeffSeries:

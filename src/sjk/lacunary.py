@@ -148,12 +148,14 @@ def _sum_cells(terms, order: int, vars) -> CoeffSeries:
     lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
     up to lambda^order.  vars is ("x", y) for the Hermite forms and ("x",)
     for the (-1,-1) forms, whose y the transform has integrated out."""
-    coeffs = [Poly.zero(vars) for _ in range(order + 1)]
+    acc = [{} for _ in range(order + 1)]
     for cell, spec, scale in terms:
         ks = range(cell.s, order + 1, cell.lam_step)
         for m, (k, c) in enumerate(zip(ks, pfq_terms(spec))):
             key = (cell.x_pow, cell.beta + cell.y_step * m)[: len(vars)]
-            coeffs[k] = coeffs[k] + Poly(vars, {key: c * scale})
+            d = acc[k]
+            d[key] = d.get(key, ZERO) + c * scale
+    coeffs = [Poly._of(vars, {e: c for e, c in d.items() if c}) for d in acc]
     return CoeffSeries(coeffs, order)
 
 

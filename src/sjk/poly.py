@@ -14,13 +14,24 @@ from fractions import Fraction
 from math import factorial, inf
 from typing import Callable, NamedTuple
 
-from .scalar import ExactScalar, ZERO
+from .scalar import ExactScalar, ZERO, _operand as _scalar_operand
 
 __all__ = ["Poly", "CoeffSeries", "series_product"]
 
 
 def _coerce(c) -> ExactScalar:
     return ExactScalar.coerce(c)
+
+
+def _operand(x):
+    """x as a Poly for a binary operator, or NotImplemented when
+    ExactScalar.coerce cannot interpret it: Python then tries the other
+    operand's reflected method, and failing that == gives False and
+    arithmetic raises its own TypeError."""
+    if isinstance(x, Poly):
+        return x
+    c = _scalar_operand(x)
+    return c if c is NotImplemented else Poly.const(c)
 
 
 _new = object.__new__
@@ -108,8 +119,9 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         vars, a, b = self._aligned(other)
         out = dict(a)
         for exps, c in b.items():
@@ -126,16 +138,22 @@ class Poly:
         return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
     def __rsub__(self, other):
-        return Poly.const(other) + (-self)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
+        return other + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = _coerce(other)
+            c = _scalar_operand(other)
+            if c is NotImplemented:
+                return c
             if not c:
                 return Poly._of(self.vars, {})
             return Poly._of(self.vars, {e: cc * c for e, cc in self.terms.items()})
@@ -166,8 +184,9 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         _, a, b = self._aligned(other)
         return a == b
 
@@ -332,17 +351,21 @@ class Poly:
                 if e:
                     parts.append(name if e == 1 else f"{name}{open_}{e}{close}")
             body = " ".join(parts)
-            mag = abs(c.rat)
-            if body and mag == 1:
+            q = c.rat
+            num, den = q.numerator, q.denominator
+            neg = num < 0
+            if neg:
+                num = -num
+            if body and num == 1 and den == 1:
                 piece = body
             elif body:
-                piece = f"{mag_text(mag)} {body}"
+                piece = f"{mag_text(num, den)} {body}"
             else:
-                piece = mag_text(mag)
+                piece = mag_text(num, den)
             if not chunks:
-                chunks.append(("-" if c.rat < 0 else "") + piece)
+                chunks.append(("-" if neg else "") + piece)
             else:
-                chunks.append(("- " if c.rat < 0 else "+ ") + piece)
+                chunks.append(("- " if neg else "+ ") + piece)
         return " ".join(chunks)
 
     def __repr__(self):
@@ -361,10 +384,12 @@ def _pi_latex(k):
     return r"\pi" if k == 2 else r"\pi^{%d}" % (k // 2)
 
 
-def _frac_latex(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return r"\frac{%d}{%d}" % (q.numerator, q.denominator)
+def _frac_text(num, den):
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _frac_latex(num, den):
+    return str(num) if den == 1 else r"\frac{%d}{%d}" % (num, den)
 
 
 class _Style(NamedTuple):
@@ -374,10 +399,10 @@ class _Style(NamedTuple):
     power_open: str  # written between a name and its exponent
     power_close: str  # written after the exponent
     pi: Callable  # nonzero sqrt(pi) power -> written factor
-    mag: Callable  # positive Fraction -> written magnitude
+    mag: Callable  # (numerator, denominator) > 0 in lowest terms -> written magnitude
 
 
-_TEXT = _Style({}, "^", "", _pi_text, str)
+_TEXT = _Style({}, "^", "", _pi_text, _frac_text)
 _LATEX = _Style({"mu": r"\mu", "lambda": r"\lambda"}, "^{", "}", _pi_latex, _frac_latex)
 
 

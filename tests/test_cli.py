@@ -422,10 +422,24 @@ class TestSharedParser:
             assert run_cli(*line.split()) == run_fresh(*line.split())
 
 
+class TestHelp:
+    @pytest.mark.parametrize("line", ["--help", "poly --help", "lacunary -h"])
+    def test_help_is_written_to_out(self, line, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+        code, out, err = run_cli(*line.split())
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: sjk")
+        # a shell call keeps its bytes and exit code
+        assert run_fresh(*line.split()) == (code, out, err)
+
+    def test_requests_after_help(self):
+        assert run_cli("poly", "--help")[0] == 0
+        assert run_cli("poly", "--family", "sj", "--n", "2") == (0, "x^2 - 1\n", "")
+
+
 # Random command lines: each verb with its required options, then a few
 # extra options, flags or stray tokens, with values valid or not.
-# -h/--help is left out: argparse prints the help to sys.stdout and raises
-# SystemExit(0) out of cli.run.
+# -h/--help is left out; TestHelp covers it.
 FUZZ_INT = ("0", "1", "2", "3", "7", "-1", "x")
 FUZZ_RATIONAL = ("0", "1/2", "-1/2", "3", "1/0", "1e3", "x")
 FUZZ_VALUES = {

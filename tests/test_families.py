@@ -31,7 +31,7 @@ from sjk.opcalc import (
     jacobi_operator_apply,
 )
 from sjk.poly import CoeffSeries, Poly
-from sjk.scalar import ExactScalar
+from sjk.scalar import ExactScalar, HalfInt, gamma_ratio
 
 H = Fraction(1, 2)
 X = Poly.var("x")
@@ -333,3 +333,98 @@ def test_hermite_closed_against_sympy_hermite():
         got = hermite_closed(n).substitute("x", X * 2).substitute("z", -1)
         want = _sympy_terms(sympy, sympy.hermite(n, x), x)
         assert _x_terms(got, n) == want, n
+
+
+def test_hermite_egf_against_sympy_exponential():
+    # exp(x lambda + z lambda^2) = sum_n H_n(x, z) lambda^n / n!
+    sympy = pytest.importorskip("sympy")
+    x, z, lam = sympy.symbols("x z lam")
+    order = 24
+    series = sympy.expand(
+        sympy.series(sympy.exp(x * lam + z * lam**2), lam, 0, order + 1).removeO()
+    )
+    got = hermite_egf(order)
+    for n in range(order + 1):
+        want = {
+            k: Fraction(int(c.p), int(c.q))
+            for k, c in sympy.Poly(series.coeff(lam, n), x, z).terms()
+        }
+        c = got.coeffs[n]
+        assert c.vars == ("x", "z"), n
+        assert {k: v.rat for k, v in c.terms.items()} == want, n
+
+
+def _assert_canonical(p):
+    """The terms are those the checking constructor would store."""
+    again = Poly(p.vars, p.terms)
+    assert again.vars == p.vars and again.terms == p.terms
+    assert all(type(c) is ExactScalar and c for c in p.terms.values())
+
+
+def test_hermite_path_against_the_matching_numbers():
+    # H_n, its EGF coefficient and its (-1,-1) image, built from integer
+    # ratios, against matching_coeff and the H_n / n! route, n <= 64
+    egf = hermite_egf(64)
+    for n in range(65):
+        h = hermite_closed(n)
+        assert h.vars == ("x", "z")
+        assert h.terms == {(n - 2 * m, m): matching_coeff(n, m) for m in range(n // 2 + 1)}
+        inv = Fraction(1, factorial(n))
+        assert egf.coeffs[n].vars == ("x", "z") and egf.coeffs[n] == h * inv, n
+        sj = sj_egf_coeff(n)
+        assert sj.vars == ("x",) and sj == hermite_image(h) * inv, n
+        for p in (h, egf.coeffs[n], sj):
+            _assert_canonical(p)
+
+
+def _image_weight(a, m):
+    """(-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2), through gamma_ratio."""
+    g = gamma_ratio(HalfInt(2 * (a + m) - 1), HalfInt(2 * (a + 2 * m) - 1))
+    return g * Fraction(-1, 4) ** m
+
+
+def test_hermite_image_weight_grid():
+    for a in range(65):
+        for m in range(33):
+            got = hermite_image(Poly(("x", "z"), {(a, m): 1}))
+            assert got.vars == ("x",) and got.terms == {(a,): _image_weight(a, m)}, (a, m)
+
+
+def _image_reference(p):
+    """hermite_image as the termwise gamma-ratio formula, summed through
+    the checking constructor."""
+    rest = tuple(v for v in p.vars if v != "z")
+    out = {}
+    for exps, c in p.terms.items():
+        e = dict(zip(p.vars, exps))
+        key = tuple(e[v] for v in rest)
+        out[key] = out.get(key, ExactScalar(0)) + c * _image_weight(e.get("x", 0), e.get("z", 0))
+    return Poly(rest, out)
+
+
+class TestHermiteImageTerms:
+    def test_colliding_terms_cancel(self):
+        # mu^2 x and 6 mu^2 x z both land on mu^2 x, with weights 1 and -1/6
+        p = Poly(("mu", "x", "z"), {
+            (2, 1, 0): 1, (2, 1, 1): 6, (1, 3, 2): Fraction(-2, 5),
+            (0, 0, 3): 7, (3, 2, 0): ExactScalar(Fraction(1, 3), 1),
+        })
+        got = hermite_image(p)
+        assert got.vars == ("mu", "x")
+        assert (2, 1) not in got.terms and len(got.terms) == 3
+        assert got.terms == _image_reference(p).terms
+        _assert_canonical(got)
+
+    @pytest.mark.parametrize("vars", [
+        ("mu", "x", "z"), ("z", "x", "mu"), ("x", "z"), ("z", "x"), ("x",), ("z",), ("mu",),
+    ])
+    def test_random_polys(self, rng, vars):
+        for _ in range(25):
+            terms = {
+                tuple(rng.randint(0, 6) for _ in vars): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(rng.randint(0, 8))
+            }
+            p = Poly(vars, terms)
+            got, want = hermite_image(p), _image_reference(p)
+            assert got.vars == want.vars and got.terms == want.terms
+            _assert_canonical(got)

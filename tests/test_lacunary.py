@@ -207,3 +207,16 @@ class TestCoeffBridge:
                     for m in range(4 - r):
                         g, rhs = coeff_bridge_check(K, L, r, m)
                         assert g == rhs, (K, L, r, m)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_closed_form_coefficients_are_canonical(K):
+    # _sum_cells fills one dict per coefficient and drops the zeros
+    forms = [hermite_lacunary_closed(K, 6)]
+    if K >= 2:
+        forms += [sj_lacunary_closed(K, 6), sj_lacunary_closed_printed(K, 6)]
+    for series in forms:
+        for c in series.coeffs:
+            again = Poly(c.vars, c.terms)
+            assert again.vars == c.vars and again.terms == c.terms
+            assert all(type(v) is ExactScalar and v for v in c.terms.values())

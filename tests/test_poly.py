@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -342,3 +343,115 @@ class TestRendering:
 def test_equal_values_hash_equal(a, b):
     assert a == b
     assert len({a, b}) == 1
+
+
+class TestOperandsOutsideTheRing:
+    """An operand ExactScalar.coerce cannot interpret makes the operator
+    return NotImplemented: == falls back to False, the other operand's
+    reflected method runs, and otherwise Python raises its own TypeError."""
+
+    FOREIGN = (None, 1.5, object())
+
+    def test_equality_is_false(self):
+        assert not (X == None)  # noqa: E711
+        assert X != object()
+        assert X not in [None, 1]
+        assert Poly.zero(("x",)) != 0.0
+        assert X == Poly.var("x") and Poly.const(0) == 0
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_arithmetic_raises_unsupported_operand(self, op):
+        for other in self.FOREIGN:
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(X, other)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(other, X)
+
+    def test_string_operand(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            X + "a"
+        with pytest.raises(TypeError, match="unsupported operand"):
+            X - "a"
+
+    def test_reflected_methods_of_the_other_operand_run(self):
+        class Other:
+            def __radd__(self, other):
+                return "radd"
+
+            def __rsub__(self, other):
+                return "rsub"
+
+            def __rmul__(self, other):
+                return "rmul"
+
+            def __eq__(self, other):
+                return "eq"
+
+            __hash__ = None
+
+        o = Other()
+        assert (X + o, X - o, X * o, X == o) == ("radd", "rsub", "rmul", "eq")
+
+    def test_exact_operands_still_combine(self):
+        assert X + 1 == 1 + X == Poly(("x",), {(1,): 1, (0,): 1})
+        assert 1 - X == -(X - 1)
+        assert ExactScalar(2) * X == X * ExactScalar(2) == X * 2
+
+
+# sqrt(pi) power -> (text, latex) spelling, as TestRendering pins it
+_PI_SPELLING = TestRendering.PI
+
+
+def _reference_render(p, latex):
+    """Poly.text() (latex=0) or Poly.latex() (latex=1) spelled out from
+    abs() and str() of each coefficient's Fraction."""
+    if not p.terms:
+        return "0"
+    names = {"mu": r"\mu", "lambda": r"\lambda"} if latex else {}
+    chunks = []
+    for exps, c in p.sorted_terms():
+        parts = [_PI_SPELLING[c.sqrt_pi_pow][latex]] if c.sqrt_pi_pow else []
+        for v, e in zip(p.vars, exps):
+            name = names.get(v, v)
+            if e == 1:
+                parts.append(name)
+            elif e:
+                parts.append(f"{name}^{{{e}}}" if latex else f"{name}^{e}")
+        mag = abs(c.rat)
+        if latex and mag.denominator != 1:
+            mag_s = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            mag_s = str(mag)
+        body = " ".join(parts)
+        piece = body if body and mag == 1 else " ".join(s for s in (mag_s, body) if s)
+        if chunks:
+            chunks.append(("- " if c.rat < 0 else "+ ") + piece)
+        else:
+            chunks.append(("-" if c.rat < 0 else "") + piece)
+    return " ".join(chunks)
+
+
+_render_rationals = st.one_of(
+    st.sampled_from((1, -1)),  # units
+    st.integers(-(10**6), 10**6),
+    small_fracs,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def render_polys(draw):
+    vars = draw(st.sampled_from(
+        ((), ("x",), ("x", "z"), ("z", "x"), ("mu", "x"), ("lambda", "mu", "x"))
+    ))
+    keys = st.tuples(*[st.integers(0, 3)] * len(vars))
+    coeffs = st.builds(ExactScalar, _render_rationals, st.sampled_from(sorted(_PI_SPELLING)))
+    return Poly(vars, draw(st.dictionaries(keys, coeffs, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(render_polys())
+def test_rendering_matches_fraction_reference(p):
+    assert p.text() == _reference_render(p, 0)
+    assert p.latex() == _reference_render(p, 1)
+    assert Poly.zero(p.vars).text() == Poly.zero(p.vars).latex() == "0"
