@@ -6,15 +6,21 @@ union, so polynomials over different alphabets combine freely.  A
 CoeffSeries is a list of Poly coefficients of one formal series parameter,
 truncated at an explicit order; every operation records the order that
 remains valid.
+
+A product of two Polys runs over integers: each operand's coefficients are
+brought over the lcm of their denominators, the integer numerators are
+multiplied and summed per exponent vector, and each result coefficient is
+made once, as in FLINT's fmpq_poly but inside the one product only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial, inf, lcm
+from operator import add
 from typing import Callable, NamedTuple
 
-from .scalar import ExactScalar, ZERO, _operand as _scalar_operand
+from .scalar import ExactScalar, ZERO, _exact, _operand as _scalar_operand
 
 __all__ = ["Poly", "CoeffSeries", "series_product"]
 
@@ -32,6 +38,16 @@ def _operand(x):
         return x
     c = _scalar_operand(x)
     return c if c is NotImplemented else Poly.const(c)
+
+
+def _over_common_den(terms: dict):
+    """(d, [(exps, numerator, sqrt_pi_pow)]): each coefficient as an integer
+    numerator over d, the lcm of the coefficient denominators."""
+    d = lcm(*[c.rat.denominator for c in terms.values()])
+    return d, [
+        (e, c.rat.numerator * (d // c.rat.denominator), c.sqrt_pi_pow)
+        for e, c in terms.items()
+    ]
 
 
 _new = object.__new__
@@ -158,29 +174,46 @@ class Poly:
                 return Poly._of(self.vars, {})
             return Poly._of(self.vars, {e: cc * c for e, cc in self.terms.items()})
         vars, a, b = self._aligned(other)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Poly._of(vars, out)
+        da, a = _over_common_den(a)
+        db, b = _over_common_den(b)
+        # Integer numerators summed per key; a key's sqrt(pi) grade is that
+        # of its first product, or of the next one after its sum cancels.
+        nums = {}
+        grades = {}
+        for e1, n1, g1 in a:
+            for e2, n2, g2 in b:
+                key = tuple(map(add, e1, e2))
+                g = g1 + g2
+                s = nums.get(key)
+                if s and grades[key] != g:
+                    raise ValueError(
+                        "cannot add scalars carrying different powers of "
+                        f"sqrt(pi): sqrt(pi)^{grades[key]} and sqrt(pi)^{g}"
+                    )
+                nums[key] = (s or 0) + n1 * n2
+                if not s:
+                    grades[key] = g
+        d = da * db
+        return Poly._of(
+            vars,
+            {k: _exact(Fraction(n, d), grades[k]) for k, n in nums.items() if n},
+        )
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
             raise ValueError("Poly powers must be non-negative integers")
         out = Poly.const(1)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -441,12 +474,16 @@ class CoeffSeries:
         return CoeffSeries(self.coeffs[: order + 1], order)
 
     def __add__(self, other):
+        if not isinstance(other, CoeffSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return CoeffSeries(
             [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order
         )
 
     def __sub__(self, other):
+        if not isinstance(other, CoeffSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return CoeffSeries(
             [self.coeffs[k] - other.coeffs[k] for k in range(order + 1)], order

@@ -297,10 +297,13 @@ def pochhammer(a, n: int) -> Fraction:
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     a = _as_fraction(a)
-    out = Fraction(1)
-    for j in range(n):
-        out *= a + j
-    return out
+    p, q = a.numerator, a.denominator
+    # a + j = (p + j q) / q: one integer product, one Fraction at the end
+    num = 1
+    for _ in range(n):
+        num *= p
+        p += q
+    return Fraction(num, q**n)
 
 
 def gamma_half(a) -> ExactScalar:

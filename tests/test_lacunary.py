@@ -71,6 +71,43 @@ class TestHermiteClosed:
         got = hermite_lacunary_closed(2, 5)
         assert got.coeffs[1] == golden[("hermite", 2)]
 
+    def test_k2_against_sympy_generating_function(self):
+        # sum_n H_2n(x, z) lambda^n / n! = (1-4z lambda)^(-1/2) exp(x^2 lambda/(1-4z lambda)),
+        # expanded in exact rationals from the binomial, geometric and
+        # exponential series, each truncated after lambda^N
+        sympy = pytest.importorskip("sympy")
+        x, z, lam = sympy.symbols("x z lam")
+        N = 12
+
+        def series(expr):
+            p = sympy.Poly(expr, lam, x, z, domain=sympy.QQ)
+            return sympy.Poly.from_dict(
+                {m: c for m, c in p.as_dict().items() if m[0] <= N}, lam, x, z,
+                domain=sympy.QQ,
+            )
+
+        half = sum(
+            sympy.binomial(sympy.Rational(-1, 2), k) * (-4 * z * lam) ** k
+            for k in range(N + 1)
+        )
+        w = series(x**2 * lam * sum((4 * z * lam) ** i for i in range(N + 1)))
+        exp_w, w_j = series(1), series(1)
+        for j in range(1, N + 1):
+            w_j = series(w_j * w)
+            exp_w += w_j * sympy.Rational(1, sympy.factorial(j))
+        want = series(series(half) * exp_w).as_dict()
+        got = hermite_lacunary_closed(2, N)
+        for n in range(N + 1):
+            c = got.coeffs[n]
+            assert c.vars == ("x", "z") and all(
+                v.sqrt_pi_pow == 0 for v in c.terms.values()
+            ), n
+            assert {k: v.rat for k, v in c.terms.items()} == {
+                (a, b): Fraction(int(q.numerator), int(q.denominator))
+                for (k, a, b), q in want.items()
+                if k == n
+            }, n
+
 
 class TestSjClosed:
     @pytest.mark.parametrize("K", [2, 3, 4])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sjk.poly import CoeffSeries, Poly, series_product
-from sjk.scalar import ExactScalar
+from sjk.scalar import ZERO, ExactScalar
 
 from conftest import rand_poly
 
@@ -214,6 +214,105 @@ def test_arithmetic_results_are_canonical(w, data):
     assert (p * 0).terms == {} and (p * 0).vars == p.vars
 
 
+def _reference_product(p, q):
+    """p * q by the schoolbook loop: one ExactScalar product and running
+    sum per pair of terms, a sum that cancels dropped at once."""
+    vars, a, b = p._aligned(q)
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(key, ZERO) + c1 * c2
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return Poly._of(vars, out)
+
+
+def assert_same_poly(got, want):
+    assert got.vars == want.vars and got.terms == want.terms
+    assert_canonical(got)
+
+
+# the zero Poly and constants over no variables, unsorted and differing tuples
+_PRODUCT_VARSETS = ((), ("x",), ("y",), ("x", "y"), ("y", "x"), ("t", "y", "x"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-2, 2), st.data())
+def test_product_matches_the_schoolbook_loop(w, data):
+    p = data.draw(graded_polys(w, _PRODUCT_VARSETS))
+    q = data.draw(graded_polys(w, _PRODUCT_VARSETS))
+    # (p + q)(p - q): the p q cross terms cancel to zero inside the product
+    for a, b in ((p, q), (q, p), (p, p), (p + q, p - q), (p, Poly.zero())):
+        assert_same_poly(a * b, _reference_product(a, b))
+
+
+@st.composite
+def mixed_grade_polys(draw):
+    """A Poly whose terms carry unrelated sqrt(pi) grades."""
+    vars = draw(st.sampled_from((("x",), ("x", "y"), ("y", "x"))))
+    keys = st.tuples(*[st.integers(0, 2)] * len(vars))
+    coeffs = st.builds(ExactScalar, small_fracs, st.integers(0, 1))
+    return Poly(vars, draw(st.dictionaries(keys, coeffs, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_grade_polys(), mixed_grade_polys())
+def test_product_meets_grades_as_the_schoolbook_loop(p, q):
+    try:
+        want = _reference_product(p, q)
+    except ValueError:
+        with pytest.raises(ValueError):
+            p * q
+    else:
+        assert_same_poly(p * q, want)
+
+
+class TestProductGrades:
+    def test_cross_grade_collision_raises(self):
+        # x * 1 and sqrt(pi) * x meet at x while the sum there is nonzero
+        p = Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
+        for f in (operator.mul, _reference_product):
+            with pytest.raises(ValueError, match="sqrt\\(pi\\)"):
+                f(p, X + 1)
+
+    def test_cancelled_sum_takes_the_next_grade(self):
+        # at x y: x * y, then y * (-x) cancel, then sqrt(pi) * x y arrives
+        p = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): ExactScalar(1, 1)})
+        q = Poly(("x", "y"), {(0, 1): 1, (1, 0): -1, (1, 1): 1})
+        got = p * q
+        assert_same_poly(got, _reference_product(p, q))
+        assert got.terms[(1, 1)] == ExactScalar(1, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-1, 1), st.data())
+def test_power_matches_repeated_multiplication(w, data):
+    p = data.draw(graded_polys(w, _PRODUCT_VARSETS))
+    want = Poly.const(1)
+    for k in range(10):
+        assert_same_poly(p**k, want)
+        want = want * p
+
+
+def test_power_squares_no_further_than_its_top_bit(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for k in range(1, 33):
+        calls.clear()
+        (X - 1) ** k
+        squares = k.bit_length() - 1
+        assert len(calls) == squares + bin(k).count("1"), k
+
+
 class TestConstructorValidates:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -391,6 +490,24 @@ class TestOperandsOutsideTheRing:
 
         o = Other()
         assert (X + o, X - o, X * o, X == o) == ("radd", "rsub", "rmul", "eq")
+
+    def test_non_integer_power_is_unsupported(self):
+        for k in (0.5, Fraction(1, 2), "2", None):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                X**k
+        with pytest.raises(ValueError, match="non-negative"):
+            X**-1
+        assert X ** Fraction(2) == X**2  # Fraction.__rpow__ hands back an int
+
+    def test_series_with_a_non_series_operand_is_unsupported(self):
+        s = CoeffSeries([X, Poly.const(1)])
+        for op in (operator.add, operator.sub):
+            for other in (1, Fraction(1, 2), X, None):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    op(s, other)
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    op(other, s)
+        assert (s + s).coeffs == [X * 2, Poly.const(2)] and (s - s) == s * 0
 
     def test_exact_operands_still_combine(self):
         assert X + 1 == 1 + X == Poly(("x",), {(1,): 1, (0,): 1})

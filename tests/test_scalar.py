@@ -188,6 +188,19 @@ class TestPochhammer:
     def test_integer_case(self):
         assert pochhammer(3, 2) == 12
 
+    @pytest.mark.parametrize(
+        "a",
+        [-1, -2, -5, Fraction(-7, 2), Fraction(1, 2), Fraction(5, 3), Fraction(17, 2)],
+    )
+    def test_matches_a_fraction_loop(self, a):
+        want = Fraction(1)
+        for n in range(31):
+            got = pochhammer(a, n)
+            assert type(got) is Fraction and got == want, n
+            want *= a + n
+        if a == int(a):  # the product passes through zero at a + j = 0
+            assert pochhammer(a, 1 - int(a)) == 0 == pochhammer(a, 30)
+
 
 class TestGammaHalf:
     def test_sqrt_pi(self):
