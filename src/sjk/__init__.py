@@ -26,14 +26,13 @@ from .scalar import (
     pochhammer,
     recip_gamma,
 )
-from .poly import CoeffSeries, Poly, series_product
+from .poly import CoeffSeries, Poly
 from .opcalc import (
     DiagonalOp,
     ERROR_ON_KERNEL,
     IDENTITY_ON_KERNEL,
     apply_diagonal,
     apply_inverse_diagonal,
-    conjugate_shift,
     exp_B_bivariate,
     exp_resolvent_sj,
     gp_series,

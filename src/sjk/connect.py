@@ -57,28 +57,24 @@ def _family(family: str):
 def reconstruct_monomial(M: int, family: str) -> Poly:
     """sum_n A_{M,n} p_n(x); must equal x^M exactly."""
     source, conn = _family(family)
-    out = Poly.zero(("x",))
-    for n in range(M + 1):
-        out = out + conn(M, n) * source(n)
-    return out
+    return Poly.sum((conn(M, n) * source(n) for n in range(M + 1)), ("x",))
 
 
 def biorthogonality_check(M: int, L: int, family: str) -> ExactScalar:
     """Contraction of backward (connection) against forward (expansion)
     coefficients; the defining identity forces delta_{M,L}."""
     source, conn = _family(family)
-    total = Poly.zero()
+    parts = []
     for n in range(M + 1):
         b = source(n).coeff_of("x", L)
-        if b.is_zero():
-            continue
-        total = total + conn(M, n) * b
-    return total.as_scalar()
+        if b:
+            parts.append(conn(M, n) * b)
+    return Poly.sum(parts).as_scalar()
 
 
 def gaussian_pair(F: Poly, G: Poly, w: str = "w", wbar: str = "wbar") -> Poly:
     """Formal Gaussian pairing: replace w^r wbar^s by r! delta_{r,s}."""
-    out = Poly.zero()
+    parts = []
     for ef, cf in F.terms.items():
         fr = dict(zip(F.vars, ef)).get(w, 0)
         rest_f = {v: e for v, e in zip(F.vars, ef) if v != w and e}
@@ -90,8 +86,8 @@ def gaussian_pair(F: Poly, G: Poly, w: str = "w", wbar: str = "wbar") -> Poly:
             merged = dict(rest_f)
             for v, e in rest_g.items():
                 merged[v] = merged.get(v, 0) + e
-            out = out + Poly.monomial(cf * cg * factorial(fr), **merged)
-    return out
+            parts.append(Poly.monomial(cf * cg * factorial(fr), **merged))
+    return Poly.sum(parts)
 
 
 def pair_factors(order: int, family: str):
@@ -104,24 +100,25 @@ def pair_factors(order: int, family: str):
     For the Hermite family both carry z, which cancels in the pairing.
     """
     source, conn = _family(family)
-    A = Poly.zero(("alpha", "w"))
-    for M in range(order + 1):
-        for n in range(M % 2, M + 1, 2):
-            mono = Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
-            A = A + conn(M, n) * mono
-    B = Poly.zero(("beta", "wbar"))
-    for n in range(order + 1):
-        pn = source(n).substitute("x", Poly.var("beta"))
-        B = B + pn * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
+    A = Poly.sum((
+        conn(M, n) * Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
+        for M in range(order + 1)
+        for n in range(M % 2, M + 1, 2)
+    ), ("alpha", "w"))
+    B = Poly.sum((
+        source(n).substitute("x", Poly.var("beta"))
+        * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
+        for n in range(order + 1)
+    ), ("beta", "wbar"))
     return A, B
 
 
 def exp_product_truncation(order: int) -> Poly:
     """sum_{k<=order} (alpha beta)^k / k!, the pairing's expected value."""
-    out = Poly.zero(("alpha", "beta"))
-    for k in range(order + 1):
-        out = out + Poly.monomial(Fraction(1, factorial(k)), alpha=k, beta=k)
-    return out
+    return Poly.sum((
+        Poly.monomial(Fraction(1, factorial(k)), alpha=k, beta=k)
+        for k in range(order + 1)
+    ), ("alpha", "beta"))
 
 
 def connection_gf_coeff(M: int, order: int):
@@ -155,12 +152,10 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
         a = sj_connection(N0, n)
         if a:
             modes.append((a, -Fraction(n * (n - 1)), sj_family(n)))
-    coeffs = []
-    for j in range(t_order + 1):
-        cj = Poly.zero(("x",))
-        for a, lam, pn in modes:
-            cj = cj + pn * (a * lam**j * Fraction(1, factorial(j)))
-        coeffs.append(cj)
+    coeffs = [
+        Poly.sum([pn * (a * lam**j / factorial(j)) for a, lam, pn in modes], ("x",))
+        for j in range(t_order + 1)
+    ]
     return CoeffSeries(coeffs, t_order)
 
 

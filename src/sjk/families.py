@@ -29,7 +29,6 @@ from .errors import ParamError
 from .hyper import tricomi_coeff
 from .poly import CoeffSeries, Poly
 from .scalar import (
-    ZERO,
     ExactScalar,
     _exact,
     half,
@@ -92,6 +91,18 @@ def jacobi_monic(n: int, alpha, beta) -> Poly:
     return Poly(("x",), {(k,): c[k] for k in range(n + 1)})
 
 
+def _binomial_basis_sum(n: int, a: Poly, b: Poly, coeff) -> Poly:
+    """sum_{k<=n} coeff(k) a^(n-k) b^k over x, skipping the k with
+    coeff(k) = 0; the powers of a and b are built once each, by repeated
+    multiplication."""
+    a_pows, b_pows = [Poly.const(1)], [Poly.const(1)]
+    for _ in range(n):
+        a_pows.append(a_pows[-1] * a)
+        b_pows.append(b_pows[-1] * b)
+    terms = ((k, coeff(k)) for k in range(n + 1))
+    return Poly.sum((a_pows[n - k] * b_pows[k] * c for k, c in terms if c), ("x",))
+
+
 def jacobi_classical(n: int, alpha, beta) -> Poly:
     """Classical Jacobi polynomial of degree n, parameters > -1, from its
     closed form; cross-check for jacobi_family."""
@@ -99,14 +110,10 @@ def jacobi_classical(n: int, alpha, beta) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     x = Poly.var("x")
-    xm = (x - 1) * Fraction(1, 2)
-    xp = (x + 1) * Fraction(1, 2)
-    out = Poly.zero(("x",))
-    for ell in range(n + 1):
-        c = binom_general(n + alpha, ell) * binom_general(n + beta, n - ell)
-        if c:
-            out = out + xm ** (n - ell) * xp**ell * c
-    return out
+    return _binomial_basis_sum(
+        n, (x - 1) * Fraction(1, 2), (x + 1) * Fraction(1, 2),
+        lambda k: binom_general(n + alpha, k) * binom_general(n + beta, n - k),
+    )
 
 
 def sj_closed_mm(n: int, gamma=0) -> Poly:
@@ -120,11 +127,11 @@ def sj_closed_mm(n: int, gamma=0) -> Poly:
     if n == 1:
         return x + Fraction(gamma)
     scale = 1 / binom_general(2 * n - 2, n)
-    out = Poly.zero(("x",))
-    for k in range(1, n):
-        c = binom_general(n - 1, k) * binom_general(n - 1, n - k)
-        out = out + (x - 1) ** (n - k) * (x + 1) ** k * c
-    return out * scale
+    # the k = 0 and k = n coefficients are binom(n-1, n) = 0
+    return _binomial_basis_sum(
+        n, x - 1, x + 1,
+        lambda k: binom_general(n - 1, k) * binom_general(n - 1, n - k),
+    ) * scale
 
 
 def sj_closed_beta(n: int, beta) -> Poly:
@@ -140,12 +147,10 @@ def sj_closed_beta(n: int, beta) -> Poly:
     if n == 1:
         return x - 1
     scale = 1 / binom_general(2 * n + beta - 1, n)
-    out = Poly.zero(("x",))
-    for k in range(n + 1):
-        c = binom_general(n - 1, k) * binom_general(n + beta, n - k)
-        if c:
-            out = out + (x - 1) ** (n - k) * (x + 1) ** k * c
-    return out * scale
+    return _binomial_basis_sum(
+        n, x - 1, x + 1,
+        lambda k: binom_general(n - 1, k) * binom_general(n + beta, n - k),
+    ) * scale
 
 
 def sj_beta_rescaled(n: int, beta) -> Poly:
@@ -230,13 +235,12 @@ def hermite_image(p: Poly) -> Poly:
     ia = vars.index("x") if "x" in vars else None
     im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
     keep = [i for i in range(len(vars)) if i != im]
-    out = {}
+    pairs = []
     for exps, c in p.terms.items():
         a = exps[ia] if ia is not None else 0
         m = exps[im] if im is not None else 0
-        key = tuple(exps[i] for i in keep)
-        out[key] = out.get(key, ZERO) + c * _exact(_image_weight(a, m), 0)
-    return Poly._of(tuple(vars[i] for i in keep), {k: c for k, c in out.items() if c})
+        pairs.append((tuple(exps[i] for i in keep), c * _exact(_image_weight(a, m), 0)))
+    return Poly._collect(tuple(vars[i] for i in keep), pairs)
 
 
 def sj_egf_coeff(N: int) -> Poly:
@@ -343,7 +347,7 @@ def load_golden(path) -> dict:
             head, _, body = line.partition(":")
             family, n_str = head.split()
             n = int(n_str)
-            poly = Poly.zero(("x",))
+            monomials = []
             for chunk in body.split():
                 exp_str, _, frac = chunk.partition(":")
                 exp = int(exp_str)
@@ -352,10 +356,10 @@ def load_golden(path) -> dict:
                 if family == "hermite":
                     if (n - exp) % 2:
                         raise ValueError(f"bad hermite exponent {exp} at n={n}")
-                    poly = poly + Poly.monomial(
+                    monomials.append(Poly.monomial(
                         c, x=exp, **{HERMITE_SECOND_VAR: (n - exp) // 2}
-                    )
+                    ))
                 else:
-                    poly = poly + Poly.monomial(c, x=exp)
-            rows[(family, n)] = poly
+                    monomials.append(Poly.monomial(c, x=exp))
+            rows[(family, n)] = Poly.sum(monomials, ("x",))
     return rows

@@ -35,7 +35,7 @@ from .families import (
 )
 from .hyper import HyperSpec, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
-from .scalar import ZERO, ExactScalar, HalfInt, gamma_ratio
+from .scalar import ExactScalar, HalfInt, gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,13 @@ def _sum_cells(terms, order: int, vars) -> CoeffSeries:
     lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
     up to lambda^order.  vars is ("x", y) for the Hermite forms and ("x",)
     for the (-1,-1) forms, whose y the transform has integrated out."""
-    acc = [{} for _ in range(order + 1)]
+    pairs = [[] for _ in range(order + 1)]
     for cell, spec, scale in terms:
         ks = range(cell.s, order + 1, cell.lam_step)
         for m, (k, c) in enumerate(zip(ks, pfq_terms(spec))):
             key = (cell.x_pow, cell.beta + cell.y_step * m)[: len(vars)]
-            d = acc[k]
-            d[key] = d.get(key, ZERO) + c * scale
-    coeffs = [Poly._of(vars, {e: c for e, c in d.items() if c}) for d in acc]
-    return CoeffSeries(coeffs, order)
+            pairs[k].append((key, c * scale))
+    return CoeffSeries([Poly._collect(vars, p) for p in pairs], order)
 
 
 def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -196,15 +194,14 @@ def _shift_slice(base: CoeffSeries, L: int) -> CoeffSeries:
     vars = ("x", HERMITE_SECOND_VAR)
     out = []
     for c in base.coeffs:
-        acc = {}
+        pairs = []
         for (e, m), v in c.terms.items():
             if e not in weights:
                 weights[e] = weights_of(e)
             for t, w in enumerate(weights[e]):
                 if w:
-                    key = (e + L - 2 * t, m + t)
-                    acc[key] = acc.get(key, ZERO) + v * w
-        out.append(Poly._of(vars, {k: s for k, s in acc.items() if s}))
+                    pairs.append(((e + L - 2 * t, m + t), v * w))
+        out.append(Poly._collect(vars, pairs))
     return CoeffSeries(out, base.order)
 
 

@@ -41,7 +41,10 @@ class DiagonalOp:
         return v
 
     def shifted(self, p: int, q: int) -> "DiagonalOp":
-        """The rule d -> eval(d + p - q), as produced by commuting past x^p d^q."""
+        """The rule d -> eval(d + p - q), as produced by commuting past x^p d^q:
+        the normal-ordering shift f(D) x^p d^q = x^p d^q f(D + p - q)."""
+        if p < 0 or q < 0:
+            raise ValueError("shift exponents must be non-negative")
         s = p - q
         fn = self.eval_fn
         return DiagonalOp(
@@ -49,13 +52,6 @@ class DiagonalOp:
             frozenset(k - s for k in self.kernel),
             self.completion,
         )
-
-
-def conjugate_shift(op: DiagonalOp, p: int, q: int) -> DiagonalOp:
-    """Normal-ordering shift: f(D) x^p d^q = x^p d^q f(D + p - q)."""
-    if p < 0 or q < 0:
-        raise ValueError("shift exponents must be non-negative")
-    return op.shifted(p, q)
 
 
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
@@ -118,13 +114,13 @@ def gp_series(n: int, alpha, beta, completion=IDENTITY_ON_KERNEL) -> Poly:
     fop = _resolvent_factor(n, alpha, beta, completion)
     ba = beta - alpha
     cur = Poly.var("x", n)
-    total = cur
+    terms = [cur]
     for _ in range(n + 2):
         cur = cur.derivative("x").derivative("x") + cur.derivative("x") * ba
         if cur.is_zero():
-            return total
+            return Poly.sum(terms)
         cur = apply_inverse_diagonal(fop, cur, ("x",))
-        total = total + cur
+        terms.append(cur)
     raise InternalError(f"resolvent sum failed to terminate for n={n}")
 
 
@@ -135,13 +131,13 @@ def exp_resolvent_sj(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
     kernel = {1 - n} if 1 - n >= 0 else set()
     op = DiagonalOp(lambda d: Fraction(d + n - 1), kernel, completion)
     term = Poly.var("x", n)
-    total = term
+    terms = [term]
     for m in range(1, n // 2 + 3):
         term = term.derivative("x").derivative("x")
         if term.is_zero():
-            return total
+            return Poly.sum(terms)
         term = apply_inverse_diagonal(op, term, ("x",)) * Fraction(-1, 2 * m)
-        total = total + term
+        terms.append(term)
     raise InternalError(f"exponential series failed to terminate for n={n}")
 
 
@@ -153,13 +149,13 @@ def exp_B_bivariate(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
         raise ParamError("degree must be >= 0")
     op = DiagonalOp(lambda d: Fraction(d - 1), {1}, completion)
     term = Poly.monomial(1, x=n, y=n) if n else Poly.const(1)
-    total = term
+    terms = [term]
     for m in range(1, n // 2 + 3):
         term = term.derivative("x").derivative("x")
         if term.is_zero():
-            return total
+            return Poly.sum(terms)
         term = apply_inverse_diagonal(op, term, ("x", "y")) * Fraction(-1, 2 * m)
-        total = total + term
+        terms.append(term)
     raise InternalError(f"bivariate exponential failed to terminate for n={n}")
 
 
@@ -169,13 +165,13 @@ def hermite_exp(n: int) -> Poly:
         raise ParamError("degree must be >= 0")
     z = Poly.var("z")
     term = Poly.var("x", n)
-    total = term
+    terms = [term]
     m = 1
     while True:
         term = term.derivative("x").derivative("x") * z * Fraction(1, m)
         if term.is_zero():
-            return total
-        total = total + term
+            return Poly.sum(terms)
+        terms.append(term)
         m += 1
 
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .scalar import ExactScalar, ZERO, _exact, _operand as _scalar_operand
 
-__all__ = ["Poly", "CoeffSeries", "series_product"]
+__all__ = ["Poly", "CoeffSeries"]
 
 
 def _coerce(c) -> ExactScalar:
@@ -62,7 +62,7 @@ class Poly:
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
-        clean = {}
+        pairs = []
         if terms:
             width = len(self.vars)
             for exps, c in terms.items():
@@ -71,12 +71,8 @@ class Poly:
                     raise ValueError("exponent vector width mismatch")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in Poly")
-                c = _coerce(c)
-                if exps in clean:
-                    c = clean.pop(exps) + c
-                if c:
-                    clean[exps] = c
-        self.terms = clean
+                pairs.append((exps, _coerce(c)))
+        self.terms = Poly._collect(self.vars, pairs).terms
 
     @classmethod
     def _of(cls, vars: tuple, terms: dict) -> "Poly":
@@ -88,11 +84,40 @@ class Poly:
         p.terms = terms
         return p
 
+    @classmethod
+    def _collect(cls, vars: tuple, pairs, start=()) -> "Poly":
+        """The Poly over vars whose terms are those of the dict start plus
+        each (exps, coefficient) pair, summed per key with ExactScalar
+        addition (so sqrt(pi) grades are checked) and a sum that cancels
+        dropped at once.  Every sum of coefficients at one key is made
+        here; start is copied, not taken over."""
+        out = dict(start)
+        for exps, c in pairs:
+            s = out.get(exps)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+        return cls._of(vars, out)
+
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls, vars=()):
         return cls(vars, {})
+
+    @classmethod
+    def sum(cls, polys, vars=()) -> "Poly":
+        """The sum of the Polys, equal to the left fold
+        Poly.zero(vars) + p1 + p2 + ...: over vars when every summand is,
+        else over the sorted union of all the variables; one dict is filled
+        for the whole sum."""
+        polys = list(polys)
+        vars = tuple(vars)
+        if any(p.vars != vars for p in polys):
+            vars = tuple(sorted(set(vars).union(*[p.vars for p in polys])))
+        return cls._collect(vars, (t for p in polys for t in p._remap(vars).items()))
 
     @classmethod
     def const(cls, c):
@@ -139,14 +164,7 @@ class Poly:
         if other is NotImplemented:
             return other
         vars, a, b = self._aligned(other)
-        out = dict(a)
-        for exps, c in b.items():
-            s = out.get(exps, ZERO) + c
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Poly._of(vars, out)
+        return Poly._collect(vars, b.items(), a)
 
     __radd__ = __add__
 
@@ -246,18 +264,12 @@ class Poly:
         if var not in self.vars:
             return Poly.zero(self.vars)
         i = self.vars.index(var)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            s = out.get(key, ZERO) + c * e
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly._of(self.vars, out)
+        # exps -> exps with e_i - 1 is one-to-one, so no two terms meet
+        return Poly._of(self.vars, {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i]
+            for exps, c in self.terms.items()
+            if exps[i]
+        })
 
     def euler(self, vars=None) -> "Poly":
         """Each monomial scaled by its total degree in the chosen variables."""
@@ -290,7 +302,7 @@ class Poly:
         i = self.vars.index(var)
         rest_vars = self.vars[:i] + self.vars[i + 1 :]
         powers = {0: Poly.const(1)}
-        out = Poly.zero(rest_vars)
+        parts = []
         for exps, c in sorted(self.terms.items(), key=lambda t: t[0][i]):
             e = exps[i]
             if e not in powers:
@@ -301,8 +313,8 @@ class Poly:
                     p += 1
                     powers[p] = acc
             rest = Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c})
-            out = out + rest * powers[e]
-        return out
+            parts.append(rest * powers[e])
+        return Poly.sum(parts, rest_vars)
 
     # -- structure ------------------------------------------------------------
 
@@ -491,17 +503,17 @@ class CoeffSeries:
 
     def __mul__(self, other):
         if not isinstance(other, CoeffSeries):
+            if not isinstance(other, Poly):
+                other = _scalar_operand(other)
+                if other is NotImplemented:
+                    return other
             return CoeffSeries([c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
-        out = [Poly.zero() for _ in range(order + 1)]
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return CoeffSeries(out, order)
+        a, b = self.coeffs, other.coeffs
+        return CoeffSeries([
+            Poly.sum(a[i] * b[k - i] for i in range(k + 1) if a[i] and b[k - i])
+            for k in range(order + 1)
+        ], order)
 
     __rmul__ = __mul__
 
@@ -528,7 +540,3 @@ class CoeffSeries:
     def __repr__(self):
         inner = ", ".join(c.text() for c in self.coeffs)
         return f"CoeffSeries(order={self.order}, [{inner}])"
-
-
-def series_product(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
-    return a * b

@@ -189,7 +189,7 @@ def itransform(s: GenSeries) -> CoeffSeries:
         order = s.lambda_order
     else:
         order = max((t.lambda_pow for t in s.terms), default=0)
-    coeffs = [Poly.zero() for _ in range(order + 1)]
+    parts = [[] for _ in range(order + 1)]
     for t in s.terms:
         scalar = ExactScalar(1)
         bad = None
@@ -216,14 +216,10 @@ def itransform(s: GenSeries) -> CoeffSeries:
         contrib = t.coeff * scalar
         if t.mu_pow:
             contrib = contrib * Poly.var(MU, t.mu_pow)
-        coeffs[t.lambda_pow] = coeffs[t.lambda_pow] + contrib
-    return CoeffSeries(coeffs, order)
+        parts[t.lambda_pow].append(contrib)
+    return CoeffSeries([Poly.sum(p) for p in parts], order)
 
 
 def itransform_scalar(s: GenSeries) -> Poly:
     """Transform of a series with trivial lambda grading, as a single Poly."""
-    out = itransform(s)
-    total = Poly.zero()
-    for c in out.coeffs:
-        total = total + c
-    return total
+    return Poly.sum(itransform(s).coeffs)

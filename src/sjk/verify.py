@@ -108,11 +108,12 @@ def _suite_umbral():
                 )
                 terms.append(umbral.GenMonomial(coeff, v_exps={"v": n + r + 1}))
             got = umbral.itransform_scalar(umbral.GenSeries(terms, lambda_order=0))
-            want = Poly.zero(("x",))
-            for r in range(r_top + 1):
-                want = want + Poly.var("x", n + 2 * r) * Fraction(
+            want = Poly.sum((
+                Poly.var("x", n + 2 * r) * Fraction(
                     (-1) ** r, factorial(n + r) * factorial(r) * 2 ** (n + 2 * r)
                 )
+                for r in range(r_top + 1)
+            ), ("x",))
             if got != want:
                 return f"Bessel image truncation fails at n={n}"
 

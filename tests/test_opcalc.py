@@ -9,7 +9,6 @@ from sjk.opcalc import (
     DiagonalOp,
     apply_diagonal,
     apply_inverse_diagonal,
-    conjugate_shift,
     exp_B_bivariate,
     exp_resolvent_sj,
     gp_series,
@@ -62,13 +61,18 @@ class TestApplyInverseDiagonal:
 class TestConjugateShift:
     def test_shift_up(self):
         op = DiagonalOp(lambda d: Fraction(d))
-        assert conjugate_shift(op, 1, 0).eval(3) == ExactScalar(4)
+        assert op.shifted(1, 0).eval(3) == ExactScalar(4)
 
     def test_shift_down(self):
         op = DiagonalOp(lambda d: Fraction(d), {0})
-        shifted = conjugate_shift(op, 0, 2)
+        shifted = op.shifted(0, 2)
         assert shifted.eval(3) == ExactScalar(1)
         assert shifted.kernel == frozenset({2})
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-2, -3)])
+    def test_negative_exponents_refused(self, p, q):
+        with pytest.raises(ValueError, match="non-negative"):
+            DiagonalOp(lambda d: Fraction(d)).shifted(p, q)
 
     @pytest.mark.parametrize("p", range(4))
     @pytest.mark.parametrize("q", range(4))

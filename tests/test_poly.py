@@ -1,11 +1,12 @@
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk.poly import CoeffSeries, Poly, series_product
+from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ZERO, ExactScalar
 
 from conftest import rand_poly
@@ -61,7 +62,7 @@ class TestShift:
 class TestSeriesProduct:
     def test_binomial_square(self):
         one_plus = CoeffSeries([Poly.const(1), Poly.const(1), Poly.zero()])
-        sq = series_product(one_plus, one_plus)
+        sq = one_plus * one_plus
         assert sq.coeffs == [Poly.const(1), Poly.const(2), Poly.const(1)]
 
     def test_inverse_exponentials(self):
@@ -207,6 +208,7 @@ def test_arithmetic_results_are_canonical(w, data):
         p.derivative("x"), p.derivative("y"), p.euler(), p.euler(("y",)),
         p.coeff_of("y", 1), p.coeff_of("x", 0), p.substitute("x", v),
         p.substitute("x", 2), p.shift("x", v.substitute("x", 0)),
+        Poly.sum([p, q, -p]),
     ]
     for r in results:
         assert_canonical(r)
@@ -250,9 +252,9 @@ def test_product_matches_the_schoolbook_loop(w, data):
 
 
 @st.composite
-def mixed_grade_polys(draw):
+def mixed_grade_polys(draw, varsets=(("x",), ("x", "y"), ("y", "x"))):
     """A Poly whose terms carry unrelated sqrt(pi) grades."""
-    vars = draw(st.sampled_from((("x",), ("x", "y"), ("y", "x"))))
+    vars = draw(st.sampled_from(varsets))
     keys = st.tuples(*[st.integers(0, 2)] * len(vars))
     coeffs = st.builds(ExactScalar, small_fracs, st.integers(0, 1))
     return Poly(vars, draw(st.dictionaries(keys, coeffs, max_size=4)))
@@ -268,6 +270,55 @@ def test_product_meets_grades_as_the_schoolbook_loop(p, q):
             p * q
     else:
         assert_same_poly(p * q, want)
+
+
+def _left_fold(polys, vars):
+    out = Poly.zero(vars)
+    for p in polys:
+        out = out + p
+    return out
+
+
+def assert_sum_is_the_left_fold(polys, vars):
+    """Poly.sum(polys, vars) is the fold in terms, .vars and hash, or
+    raises the fold's ValueError; returns whether the fold succeeded."""
+    try:
+        want = _left_fold(polys, vars)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            Poly.sum(polys, vars)
+        return False
+    got = Poly.sum(iter(polys), vars)  # one pass, as a generator gives
+    assert_same_poly(got, want)
+    assert hash(got) == hash(want)
+    return True
+
+
+# no variables, one, unsorted and differing tuples over x, z and mu
+_SUM_VARSETS = ((), ("x",), ("z",), ("mu",), ("x", "z"), ("z", "x"), ("mu", "x", "z"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SUM_VARSETS), st.booleans(), st.data())
+def test_sum_is_the_left_fold(vars, shared, data):
+    varsets = (vars,) if shared else _SUM_VARSETS
+    polys = data.draw(st.lists(mixed_grade_polys(varsets), max_size=5))
+    assert_sum_is_the_left_fold([], vars)
+    if assert_sum_is_the_left_fold(polys, vars):
+        # each summand taken back off, last first: the sum cancels to zero
+        cancelled = polys + [-p for p in reversed(polys)]
+        assert assert_sum_is_the_left_fold(cancelled, vars)
+        assert Poly.sum(cancelled, vars).is_zero()
+    for p in polys:
+        if p:  # p and sqrt(pi) p meet at every key of p with two grades
+            assert not assert_sum_is_the_left_fold([p, p * ExactScalar(1, 1)], vars)
+
+
+def test_sum_takes_the_next_grade_after_a_cancellation():
+    pi_x = Poly.monomial(ExactScalar(2, 1), x=1)
+    assert_same_poly(Poly.sum([X, -X, pi_x]), pi_x)
+    with pytest.raises(ValueError, match="sqrt\\(pi\\)"):
+        Poly.sum([X, pi_x])
 
 
 class TestProductGrades:
@@ -507,7 +558,21 @@ class TestOperandsOutsideTheRing:
                     op(s, other)
                 with pytest.raises(TypeError, match="unsupported operand"):
                     op(other, s)
+        for other in self.FOREIGN:
+            with pytest.raises(TypeError, match="unsupported operand.*'CoeffSeries'"):
+                s * other
+            with pytest.raises(TypeError, match="unsupported operand.*'CoeffSeries'"):
+                other * s
+
+        class Other:
+            def __rmul__(self, other):
+                return "rmul"
+
+        assert s * Other() == "rmul"
         assert (s + s).coeffs == [X * 2, Poly.const(2)] and (s - s) == s * 0
+        for c in (2, Fraction(2), ExactScalar(2), Poly.const(2)):
+            assert (s * c).coeffs == (c * s).coeffs == [X * 2, Poly.const(2)]
+        assert (s * X).coeffs == (X * s).coeffs == [X * X, X]
 
     def test_exact_operands_still_combine(self):
         assert X + 1 == 1 + X == Poly(("x",), {(1,): 1, (0,): 1})
