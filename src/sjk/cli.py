@@ -4,7 +4,9 @@ Verbs: poly, egf, lacunary, connect, react, table, verify.  Output goes
 to stdout in text (default), json, or latex form; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage or domain/parameter error, 2
 verification failure.  The environment variable SJK_MAX_ORDER (default
-64) caps every truncation order and degree accepted on the command line.
+64) caps every truncation order and degree accepted on the command line;
+--alpha, --beta and --gamma take numerators and denominators of at most 64
+bits, and egf --family sj-beta-shifted takes beta <= 1000.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from .errors import SjkError
 from .poly import CoeffSeries, Poly
 
 DEFAULT_MAX_ORDER = 64
+# The rational parameters' domain.  At the default cap its worst corners
+# print coefficients of about 2,560 digits (Jacobi, two 64-bit parameters)
+# and 3,150 digits (egf sj-beta-shifted, beta = 1999/2), under the 4,300
+# digits CPython converts to a decimal string; Gamma(n + beta + 2) at a
+# half-integer beta is an O(beta) product, so beta also bounds the work.
+RATIONAL_BITS = 64
+MAX_SHIFTED_BETA = 1000
 
 
 class UsageError(Exception):
@@ -90,9 +99,13 @@ def _rat(text: str) -> Fraction:
     try:
         if "e" in text.lower():
             raise ValueError(text)
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"expected a rational like '-3/2', got {text!r}")
+    if max(abs(q.numerator), q.denominator).bit_length() > RATIONAL_BITS:
+        raise UsageError(f"{text!r} has a numerator or denominator of more "
+                         f"than {RATIONAL_BITS} bits")
+    return q
 
 
 def _render(p: Poly, fmt: str) -> str:
@@ -139,6 +152,9 @@ def _cmd_egf(args, out):
     elif args.family == "hermite":
         s = families.hermite_egf(order)
     else:  # sj-beta-shifted
+        if args.beta > MAX_SHIFTED_BETA:
+            raise UsageError(f"--beta {args.beta} exceeds {MAX_SHIFTED_BETA} "
+                             "for --family sj-beta-shifted")
         s = families.egf_beta_shifted(order, args.beta)
     _emit_series(s, args.format, out)
     return 0

@@ -1,8 +1,10 @@
-"""Named verification suites behind the command-line `verify` verb.
+"""The identity registry behind the command-line `verify` verb.
 
-A suite is a list of (label, fn) pairs.  Each fn re-derives an identity at
-desk scale and returns a counterexample string on failure, None on success.
-These are quick spot checks; the full sweep lives in the test suite.
+Each public function below is the one definition of an identity of the
+paper.  It takes the inputs to check, sweeps them and returns a
+counterexample string on failure, None on success.  A suite is a list of
+(label, fn) pairs that call them at desk scale; the test suite calls the
+same functions at larger sizes.
 """
 
 from __future__ import annotations
@@ -10,257 +12,345 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import comb, factorial
 
 from . import connect, families, hyper, lacunary, opcalc, scalar, umbral
 from .poly import Poly
 from .scalar import ExactScalar, HalfInt
 
-
-def _suite_scalar():
-    def pascal():
-        rng = random.Random(7)
-        for _ in range(20):
-            a = HalfInt(rng.randrange(1, 20))
-            b = HalfInt(rng.randrange(1, 20))
-            lhs = scalar.beta_fn(a, b)
-            rhs = scalar.beta_fn(a + 1, b) + scalar.beta_fn(a, b + 1)
-            if lhs != rhs:
-                return f"B({a},{b}) != B({a}+1,{b}) + B({a},{b}+1)"
-
-    def ratio_poch():
-        for twice in range(1, 12):
-            a = HalfInt(twice)
-            for n in range(8):
-                if scalar.gamma_ratio(a + n, a) != ExactScalar(
-                    scalar.pochhammer(a, n)
-                ):
-                    return f"gamma_ratio({a}+{n},{a}) != ({a})_{n}"
-
-    def duplication():
-        for twice in range(1, 16):
-            z = HalfInt(twice)
-            lhs = scalar.gamma_half(z * 2)
-            rhs = (
-                ExactScalar(Fraction(2) ** (twice - 1), -1)
-                * scalar.gamma_half(z)
-                * scalar.gamma_half(z + Fraction(1, 2))
-            )
-            if lhs != rhs:
-                return f"duplication fails at z={z}"
-
-    return [
-        ("beta Pascal identity", pascal),
-        ("gamma ratio telescopes to Pochhammer", ratio_poch),
-        ("Legendre duplication at half-integers", duplication),
-    ]
+BOTH_FAMILIES = (connect.SJ_FAMILY, connect.HERMITE_FAMILY)
 
 
-def _suite_opcalc():
-    def table_rows():
-        for n in (2, 3, 4, 5, 8):
-            if opcalc.gp_series(n, -1, -1) != families.sj_closed_mm(n, 0):
-                return f"resolvent vs closed form differ at n={n}"
+# --- scalar ---------------------------------------------------------------
 
-    def recurrence():
-        a, b = Fraction(1, 2), Fraction(-1, 3)
-        for n in range(6):
-            if families.sj_family(n) != families.sj_closed_mm(n, 0):
-                return f"(-1,-1) recurrence vs closed form differ at n={n}"
-            if families.sj_beta_family(n, a) != families.sj_closed_beta(n, a):
-                return f"(-1,{a}) recurrence vs closed form differ at n={n}"
-            if families.jacobi_family(n, a, b) != families.jacobi_classical(n, a, b):
-                return f"Jacobi recurrence vs closed form differ at n={n}"
-
-    def eigen():
-        for n in range(13):
-            p = opcalc.gp_series(n, -1, -1)
-            lhs = (Poly.const(1) - Poly.var("x", 2)) * p.derivative("x").derivative("x")
-            if lhs != p * Fraction(-n * (n - 1)):
-                return f"eigenequation fails at n={n}"
-
-    def four_way():
-        for n in range(13):
-            a = opcalc.gp_series(n, -1, -1)
-            b = opcalc.exp_resolvent_sj(n)
-            c = families.sj_umbral(n)
-            d = opcalc.exp_B_bivariate(n).substitute("y", 1)
-            if not (a == b == c == d):
-                return f"constructions disagree at n={n}"
-
-    return [
-        ("resolvent equals closed form", table_rows),
-        ("coefficient recurrence equals closed forms", recurrence),
-        ("(1-x^2) d^2 eigenequation", eigen),
-        ("four-way construction equality", four_way),
-    ]
+def half_pairs(seed, count, lo, hi):
+    """count pairs (HalfInt(t), HalfInt(u)), t and u drawn by randint(lo, hi)
+    from Random(seed); pairs where B(a, b) has a pole are skipped."""
+    rng = random.Random(seed)
+    while count:
+        a, b = HalfInt(rng.randint(lo, hi)), HalfInt(rng.randint(lo, hi))
+        if not any(h.is_nonpositive_integer() for h in (a, b, a + b)):
+            count -= 1
+            yield a, b
 
 
-def _suite_umbral():
-    def bessel():
-        from math import factorial
+def beta_differences(cases):
+    """sum_k (-1)^k C(n,k) B(a+k, b) == B(a, b+n) for each (a, b, n);
+    n = 1 is the Pascal identity B(a, b) = B(a+1, b) + B(a, b+1)."""
+    for a, b, n in cases:
+        lhs = sum((ExactScalar((-1) ** k * comb(n, k)) * scalar.beta_fn(a + k, b)
+                   for k in range(n + 1)), ExactScalar(0))
+        if lhs != scalar.beta_fn(a, b + n):
+            return f"sum_k (-1)^k C({n},k) B({a}+k,{b}) != B({a},{b}+{n})"
 
-        for n in range(3):
-            r_top = 4
-            terms = []
-            for r in range(r_top + 1):
-                coeff = Poly.var("x", n + 2 * r) * Fraction(
-                    (-1) ** r, factorial(r) * 2 ** (n + 2 * r)
+
+def pochhammer_ratio(twices, n_top):
+    """Gamma(a+n)/Gamma(a) == (a)_n at a = twice/2, n < n_top."""
+    for twice in twices:
+        a = HalfInt(twice)
+        for n in range(n_top):
+            if scalar.gamma_ratio(a + n, a) != ExactScalar(scalar.pochhammer(a, n)):
+                return f"gamma_ratio({a}+{n},{a}) != ({a})_{n}"
+
+
+def duplication(twices):
+    """Gamma(2z) == 2^(2z-1) pi^(-1/2) Gamma(z) Gamma(z+1/2) at z = twice/2."""
+    for twice in twices:
+        z = HalfInt(twice)
+        lhs = scalar.gamma_half(z * 2)
+        rhs = (
+            ExactScalar(Fraction(2) ** (twice - 1), -1)
+            * scalar.gamma_half(z)
+            * scalar.gamma_half(z + Fraction(1, 2))
+        )
+        if lhs != rhs:
+            return f"duplication fails at z={z}"
+
+
+# --- opcalc ---------------------------------------------------------------
+
+def resolvent_closed_form(ns):
+    """The (-1,-1) resolvent series equals the closed form."""
+    for n in ns:
+        if opcalc.gp_series(n, -1, -1) != families.sj_closed_mm(n, 0):
+            return f"resolvent vs closed form differ at n={n}"
+
+
+def _recurrence_and_closed(n, alpha, beta):
+    if alpha != -1:
+        return families.jacobi_family(n, alpha, beta), families.jacobi_classical(
+            n, alpha, beta)
+    if beta == -1:
+        return families.sj_family(n), families.sj_closed_mm(n, 0)
+    return families.sj_beta_family(n, beta), families.sj_closed_beta(n, beta)
+
+
+def recurrence(ns, params):
+    """The production recurrence equals the closed form, variables included,
+    for each (alpha, beta): (-1, -1), (-1, beta) or classical Jacobi."""
+    for n in ns:
+        for alpha, beta in params:
+            got, want = _recurrence_and_closed(n, alpha, beta)
+            if got != want or got.vars != want.vars:
+                return (f"({alpha},{beta}) recurrence vs closed form differ "
+                        f"at n={n}")
+
+
+def eigenequation(ns, betas=(-1,)):
+    """The (-1, beta) resolvent series is an eigenfunction of the Jacobi
+    operator with eigenvalue -n(n+beta); at beta = -1 the operator is
+    (1-x^2) d^2."""
+    for beta in betas:
+        for n in ns:
+            p = opcalc.gp_series(n, -1, beta)
+            if opcalc.jacobi_operator_apply(p, -1, beta) != p * (
+                -Fraction(n) * (n + beta)
+            ):
+                return f"eigenequation fails at n={n}, beta={beta}"
+
+
+def four_way(ns):
+    """Resolvent, exponential resolvent, umbral and bivariate constructions
+    of the (-1,-1) family agree."""
+    for n in ns:
+        a = opcalc.gp_series(n, -1, -1)
+        b = opcalc.exp_resolvent_sj(n)
+        c = families.sj_umbral(n)
+        d = opcalc.exp_B_bivariate(n).substitute("y", 1)
+        if not (a == b == c == d):
+            return f"constructions disagree at n={n}"
+
+
+# --- umbral ---------------------------------------------------------------
+
+def _transform_value(terms):
+    return umbral.itransform_scalar(umbral.GenSeries(terms, lambda_order=0))
+
+
+def bessel_image(ns, tops):
+    """The transform of sum_{r <= top} (-1)^r (x/2)^(n+2r) v^(n+r+1) / r!
+    is the Bessel series J_n(x) truncated at r = top."""
+    for n in ns:
+        for top in tops:
+            terms = [
+                umbral.GenMonomial(
+                    Poly.var("x", n + 2 * r)
+                    * Fraction((-1) ** r, factorial(r) * 2 ** (n + 2 * r)),
+                    v_exps={"v": n + r + 1},
                 )
-                terms.append(umbral.GenMonomial(coeff, v_exps={"v": n + r + 1}))
-            got = umbral.itransform_scalar(umbral.GenSeries(terms, lambda_order=0))
+                for r in range(top + 1)
+            ]
             want = Poly.sum((
                 Poly.var("x", n + 2 * r) * Fraction(
                     (-1) ** r, factorial(n + r) * factorial(r) * 2 ** (n + 2 * r)
                 )
-                for r in range(r_top + 1)
+                for r in range(top + 1)
             ), ("x",))
-            if got != want:
-                return f"Bessel image truncation fails at n={n}"
+            if _transform_value(terms) != want:
+                return f"Bessel image truncation fails at n={n}, top={top}"
 
-    def appendix_null():
-        for p in (1, 2, 3):
-            for N in (HalfInt(1), HalfInt(3), HalfInt(4)):
-                if not _appendix_null_value(N, p).is_zero():
-                    return f"null identity fails at N={N}, p={p}"
 
-    def appendix_unit():
-        for N in (HalfInt(1), HalfInt(3), HalfInt(4)):
+def null_identity(ps, twices):
+    """The two-letter appendix sum over k <= p transforms to zero."""
+    for p in ps:
+        for twice in twices:
+            N = HalfInt(twice)
             terms = [
                 umbral.GenMonomial(
-                    1,
-                    u_exps={"u1": N + 1, "u2": N},
-                    v_exps={"v1": N + 1, "v2": N},
+                    Fraction((-1) ** k * comb(p, k)),
+                    u_exps={"u1": N + 1 + 2 * k, "u2": N + k},
+                    v_exps={"v1": N + 1 + p + k, "v2": N + 2 * k},
                 )
+                for k in range(p + 1)
             ]
-            val = umbral.itransform_scalar(umbral.GenSeries(terms, lambda_order=0))
-            if val != Poly.const(1):
-                return f"unit identity fails at N={N}"
+            if not _transform_value(terms).is_zero():
+                return f"null identity fails at N={N}, p={p}"
 
+
+def unit_identity(twices):
+    """u1^(N+1) u2^N v1^(N+1) v2^N transforms to one."""
+    for twice in twices:
+        N = HalfInt(twice)
+        term = umbral.GenMonomial(
+            1, u_exps={"u1": N + 1, "u2": N}, v_exps={"v1": N + 1, "v2": N}
+        )
+        if _transform_value([term]) != Poly.const(1):
+            return f"unit identity fails at N={N}"
+
+
+# --- hyper ----------------------------------------------------------------
+
+def multiplication_formula(ns, ss, nums):
+    """Gauss-Legendre multiplication at x = num/(2n), so n x is a half-integer."""
+    for n in ns:
+        for s in ss:
+            for num in nums:
+                x = Fraction(num, 2 * n)
+                lhs, rhs = hyper.gamma_multiplication(n, s, x)
+                if lhs != rhs:
+                    return f"multiplication formula fails at n={n}, s={s}, x={x}"
+
+
+def random_proliferation_cases(seed, count):
+    """count admissible (alpha, beta, r, s, spec) drawn from Random(seed)."""
+    rng = random.Random(seed)
+
+    def params():
+        return tuple(Fraction(rng.randint(1, 9), rng.choice((1, 2)))
+                     for _ in range(rng.randint(0, 2)))
+
+    while count:
+        at, bt = rng.randint(-7, 12), rng.randint(-7, 12)
+        if (at % 2 == 0 and at <= 0) or (bt % 2 == 0 and bt <= 0):
+            continue
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        spec = hyper.HyperSpec(params(), params())
+        count -= 1
+        yield HalfInt(at), HalfInt(bt), r, s, spec
+
+
+def proliferation(cases, ms):
+    """Pochhammer proliferation equals the term-by-term transform
+    Gamma(alpha + m r) / Gamma(beta + m s) of each pFq coefficient."""
+    for alpha, beta, r, s, spec in cases:
+        pref, new = hyper.pochhammer_proliferate(alpha, beta, r, s, spec)
+        for m in ms:
+            direct = (
+                hyper.pfq_coeff(spec, m)
+                * scalar.gamma_half(alpha + m * r)
+                * scalar.recip_gamma(beta + m * s)
+            )
+            if pref * hyper.pfq_coeff(new, m) != direct:
+                return (f"proliferation mismatch at alpha={alpha}, beta={beta}, "
+                        f"r={r}, s={s}, m={m}")
+
+
+# --- lacunary -------------------------------------------------------------
+
+def lacunary_oracle(family, K, L, order):
+    """sum_n lambda^n/n! p_{Kn+L} for family 'sj' or 'hermite'."""
+    source = families.sj_family if family == "sj" else families.hermite_family
+    return lacunary.multisection_oracle(source, lacunary.LacunaryParams(K, L, order))
+
+
+def lacunary_closed(cases):
+    """The closed lacunary form equals the oracle for each (family, K, order)."""
+    for family, K, order in cases:
+        build = (lacunary.sj_lacunary_closed if family == "sj"
+                 else lacunary.hermite_lacunary_closed)
+        if build(K, order) != lacunary_oracle(family, K, 0, order):
+            return f"{family} closed form != oracle at K={K}, order={order}"
+
+
+def lacunary_shifts(cases):
+    """The mu^L slice of the shift generator equals the oracle for each
+    (family, K, mu_order, order, L)."""
+    for family, K, mu_order, order, L in cases:
+        build = (lacunary.sj_lacunary_shift_gen if family == "sj"
+                 else lacunary.hermite_lacunary_shift)
+        got = lacunary.mu_slice(build(K, mu_order, order), L)
+        if got != lacunary_oracle(family, K, L, order):
+            return f"{family} shifted generator != oracle at K={K}, L={L}"
+
+
+# --- connect --------------------------------------------------------------
+
+def reconstruction(Ms, fams=BOTH_FAMILIES):
+    """sum_n A[M,n] p_n == x^M."""
+    for M in Ms:
+        for fam in fams:
+            if connect.reconstruct_monomial(M, fam) != Poly.var("x", M):
+                return f"x^{M} reconstruction fails ({fam})"
+
+
+def biorthogonality(top, fams=BOTH_FAMILIES):
+    """The contraction of the dual pair is the Kronecker delta for M, L < top."""
+    for M in range(top):
+        for L in range(top):
+            want = ExactScalar(1 if M == L else 0)
+            for fam in fams:
+                if connect.biorthogonality_check(M, L, fam) != want:
+                    return f"contraction != delta at (M,L)=({M},{L}), {fam}"
+
+
+def pairing(orders, fams=BOTH_FAMILIES):
+    """The Gaussian pairing of the generating functions is exp(alpha beta)."""
+    for order in orders:
+        for fam in fams:
+            A, B = connect.pair_factors(order, fam)
+            if connect.gaussian_pair(A, B) != connect.exp_product_truncation(order):
+                return f"Gaussian pairing misses exp(alpha beta) ({fam})"
+
+
+def reaction(N0s, t_order):
+    """The decay-system series starts at x^N0 and satisfies its evolution
+    equation to t_order."""
+    for N0 in N0s:
+        sol = connect.reaction_solve(N0, t_order)
+        if sol.coeffs[0] != Poly.var("x", N0):
+            return f"initial condition fails at N0={N0}"
+        res = connect.reaction_residual(sol)
+        if any(not c.is_zero() for c in res.coeffs):
+            return f"evolution equation fails at N0={N0}"
+
+
+# --- suites: the desk-scale sizes that `sjk verify` runs --------------------
+
+def _suite_scalar():
     return [
-        ("Bessel umbral image", bessel),
-        ("two-letter null identity", appendix_null),
-        ("two-letter unit identity", appendix_unit),
+        ("beta Pascal identity", lambda: beta_differences(
+            (a, b, 1) for a, b in half_pairs(7, 20, 1, 19))),
+        ("gamma ratio telescopes to Pochhammer",
+         lambda: pochhammer_ratio(range(1, 12), 8)),
+        ("Legendre duplication at half-integers", lambda: duplication(range(1, 16))),
     ]
 
 
-def _appendix_null_value(N, p):
-    from math import comb
+def _suite_opcalc():
+    a, b = Fraction(1, 2), Fraction(-1, 3)
+    return [
+        ("resolvent equals closed form",
+         lambda: resolvent_closed_form((2, 3, 4, 5, 8))),
+        ("coefficient recurrence equals closed forms",
+         lambda: recurrence(range(6), ((-1, -1), (-1, a), (a, b)))),
+        ("(1-x^2) d^2 eigenequation", lambda: eigenequation(range(13))),
+        ("four-way construction equality", lambda: four_way(range(13))),
+    ]
 
-    terms = []
-    for k in range(p + 1):
-        terms.append(
-            umbral.GenMonomial(
-                Fraction((-1) ** k * comb(p, k)),
-                u_exps={"u1": N + 1 + 2 * k, "u2": N + k},
-                v_exps={"v1": N + 1 + p + k, "v2": N + 2 * k},
-            )
-        )
-    return umbral.itransform_scalar(umbral.GenSeries(terms, lambda_order=0))
+
+def _suite_umbral():
+    return [
+        ("Bessel umbral image", lambda: bessel_image(range(3), (4,))),
+        ("two-letter null identity", lambda: null_identity((1, 2, 3), (1, 3, 4))),
+        ("two-letter unit identity", lambda: unit_identity((1, 3, 4))),
+    ]
 
 
 def _suite_hyper():
-    def multiplication():
-        for n in (2, 3):
-            for s in (0, 1, 2):
-                for xt in range(1, 7):
-                    x = Fraction(xt, 2 * n)  # guarantees n*x half-integer
-                    lhs, rhs = hyper.gamma_multiplication(n, s, x)
-                    if lhs != rhs:
-                        return f"multiplication formula fails at n={n}, s={s}, x={x}"
-
-    def proliferation():
-        spec = hyper.HyperSpec((Fraction(1, 2),), (Fraction(3, 2),))
-        pref, new = hyper.pochhammer_proliferate(
-            HalfInt(1), HalfInt(3), 1, 2, spec
-        )
-        for m in range(6):
-            direct = (
-                hyper.pfq_coeff(spec, m)
-                * scalar.gamma_half(HalfInt(1) + m)
-                * scalar.recip_gamma(HalfInt(3) + 2 * m)
-            )
-            if pref * hyper.pfq_coeff(new, m) != direct:
-                return f"proliferation mismatch at m={m}"
-
+    spec = hyper.HyperSpec((Fraction(1, 2),), (Fraction(3, 2),))
     return [
-        ("Gauss-Legendre multiplication", multiplication),
-        ("Pochhammer proliferation vs direct transform", proliferation),
+        ("Gauss-Legendre multiplication",
+         lambda: multiplication_formula((2, 3), (0, 1, 2), range(1, 7))),
+        ("Pochhammer proliferation vs direct transform", lambda: proliferation(
+            [(HalfInt(1), HalfInt(3), 1, 2, spec)], range(6))),
     ]
 
 
 def _suite_lacunary():
-    def closed_vs_oracle():
-        for K in (2, 3):
-            got = lacunary.sj_lacunary_closed(K, 3)
-            want = lacunary.multisection_oracle(
-                families.sj_family, lacunary.LacunaryParams(K, 0, 3)
-            )
-            if got != want:
-                return f"closed form != oracle at K={K}"
-            goth = lacunary.hermite_lacunary_closed(K, 3)
-            wanth = lacunary.multisection_oracle(
-                families.hermite_family, lacunary.LacunaryParams(K, 0, 3)
-            )
-            if goth != wanth:
-                return f"hermite closed form != oracle at K={K}"
-
-    def shifts():
-        for K, L in ((2, 1), (3, 2)):
-            got = lacunary.mu_slice(lacunary.sj_lacunary_shift_gen(K, L, 2), L)
-            want = lacunary.multisection_oracle(
-                families.sj_family, lacunary.LacunaryParams(K, L, 2)
-            )
-            if got != want:
-                return f"shifted generator != oracle at K={K}, L={L}"
-
     return [
-        ("closed lacunary forms equal oracle", closed_vs_oracle),
-        ("shift generators equal oracle", shifts),
+        ("closed lacunary forms equal oracle", lambda: lacunary_closed(
+            (family, K, 3) for K in (2, 3) for family in ("sj", "hermite"))),
+        ("shift generators equal oracle", lambda: lacunary_shifts(
+            ("sj", K, L, 2, L) for K, L in ((2, 1), (3, 2)))),
     ]
 
 
 def _suite_connect():
-    def reconstruction():
-        for M in range(11):
-            if connect.reconstruct_monomial(M, connect.SJ_FAMILY) != Poly.var(
-                "x", M
-            ):
-                return f"x^{M} reconstruction fails (sj)"
-            if connect.reconstruct_monomial(M, connect.HERMITE_FAMILY) != Poly.var(
-                "x", M
-            ):
-                return f"x^{M} reconstruction fails (hermite)"
-
-    def biortho():
-        for M in range(7):
-            for L in range(7):
-                want = ExactScalar(1 if M == L else 0)
-                for fam in (connect.SJ_FAMILY, connect.HERMITE_FAMILY):
-                    if connect.biorthogonality_check(M, L, fam) != want:
-                        return f"contraction != delta at (M,L)=({M},{L}), {fam}"
-
-    def pairing():
-        A, B = connect.pair_factors(4, connect.SJ_FAMILY)
-        if connect.gaussian_pair(A, B) != connect.exp_product_truncation(4):
-            return "Gaussian pairing misses exp(alpha beta) (sj)"
-        A, B = connect.pair_factors(4, connect.HERMITE_FAMILY)
-        if connect.gaussian_pair(A, B) != connect.exp_product_truncation(4):
-            return "Gaussian pairing misses exp(alpha beta) (hermite)"
-
-    def reaction():
-        for N0 in range(6):
-            sol = connect.reaction_solve(N0, 4)
-            if sol.coeffs[0] != Poly.var("x", N0):
-                return f"initial condition fails at N0={N0}"
-            res = connect.reaction_residual(sol)
-            if any(not c.is_zero() for c in res.coeffs):
-                return f"evolution equation fails at N0={N0}"
-
     return [
-        ("monomial reconstruction", reconstruction),
-        ("biorthogonality", biortho),
-        ("Gaussian pairing", pairing),
-        ("decay-system evolution", reaction),
+        ("monomial reconstruction", lambda: reconstruction(range(11))),
+        ("biorthogonality", lambda: biorthogonality(7)),
+        ("Gaussian pairing", lambda: pairing((4,))),
+        ("decay-system evolution", lambda: reaction(range(6), 4)),
     ]
 
 

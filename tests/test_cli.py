@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk import cli, families, jsonio, lacunary, verify
+from sjk import cli, families, jsonio, lacunary, opcalc, verify
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
 
@@ -272,6 +272,39 @@ class TestExitCodes:
         assert code == 2
         assert "[FAIL]" in out
 
+    def test_shared_check_catches_a_broken_construction(self, monkeypatch):
+        # verify and criterion 03 run one definition of the four-way check
+        real = opcalc.exp_resolvent_sj
+        monkeypatch.setattr(opcalc, "exp_resolvent_sj",
+                            lambda n: real(n) + 1 if n == 5 else real(n))
+        code, out, _ = run_cli("verify", "--suite", "opcalc")
+        assert code == 2
+        assert ("[FAIL] opcalc: four-way construction equality: constructions "
+                "disagree at n=5\n") in out
+        assert verify.four_way(range(31)) == "constructions disagree at n=5"
+
+
+LONG = "9" * 100 + "/" + "7" * 99 + "8"  # coprime, so it does not reduce
+TOP = 2**64 - 1  # the largest numerator or denominator accepted
+
+
+@pytest.mark.parametrize("line, code", [
+    # each of these three ended in CPython's 4300-digit ValueError
+    ("egf --family sj-beta-shifted --order 64 --beta 4001/2", 1),
+    (f"poly --family sj-beta --n 64 --beta {LONG}", 1),
+    (f"poly --family jacobi --n 64 --alpha {LONG} --beta 1/3", 1),
+    (f"poly --family sj --n 1 --gamma -{TOP}/{TOP - 1}", 0),
+    (f"poly --family sj --n 1 --gamma {TOP + 1}", 1),
+    (f"poly --family sj --n 1 --gamma 1/{TOP + 1}", 1),
+    ("egf --family sj-beta-shifted --order 2 --beta 1000", 0),
+    ("egf --family sj-beta-shifted --order 2 --beta 2001/2", 1),
+])
+def test_rational_parameter_domain(line, code):
+    got, out, err = run_cli(*line.split())
+    assert got == code, err
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMaxOrderCap:
     def test_env_cap_enforced(self, monkeypatch):
@@ -357,7 +390,8 @@ class TestOtherVerbs:
 
 
 # SHA-256 of stdout of large outputs, so that a change to any digit, term
-# or term order in them shows.
+# or term order in them shows, and of the verify report, whose checks the
+# tests also run at larger sizes.
 LARGE_OUTPUT_DIGESTS = {
     "egf --family hermite --order 64 --format text":
         "e7402e840caa178a6949ae26bf27c99d59ffcb62462906ee15488bd757a3d149",
@@ -375,6 +409,10 @@ LARGE_OUTPUT_DIGESTS = {
         "f847041b29f20a44dff6a7adb1121499bf3def676301d75dfe1414ab366c6215",
     "connect --family hermite --M 64 --format json":
         "551940f9f51c3bdc6507c17dd78ac73fe533c7006d55081bebde74b54c6b565b",
+    "verify":
+        "700cd671c18d20e834620348b9362a005426e09dd20868560821679616fd89c1",
+    "verify --suite lacunary --suite connect":
+        "cf7dc04d6536ae852feafcd8cf1f46e2619366ae9f27b2e852a12453d9835863",
 }
 
 
@@ -441,7 +479,8 @@ class TestHelp:
 # extra options, flags or stray tokens, with values valid or not.
 # -h/--help is left out; TestHelp covers it.
 FUZZ_INT = ("0", "1", "2", "3", "7", "-1", "x")
-FUZZ_RATIONAL = ("0", "1/2", "-1/2", "3", "1/0", "1e3", "x")
+FUZZ_RATIONAL = ("0", "1/2", "-1/2", "3", "1/0", "1e3", "x", "1000", "2001/2",
+                 f"-{TOP}/{TOP - 1}", str(TOP + 1), LONG)
 FUZZ_VALUES = {
     "--family": ("sj", "sj-beta", "hermite", "jacobi", "sj-beta-shifted", "nope"),
     "--format": ("text", "json", "latex", "nope"),

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from sjk import verify
 from sjk.errors import ParamError
 from sjk.families import (
     binom_general,
@@ -23,13 +24,7 @@ from sjk.families import (
     sj_family,
     sj_umbral,
 )
-from sjk.opcalc import (
-    exp_B_bivariate,
-    exp_resolvent_sj,
-    gp_series,
-    hermite_exp,
-    jacobi_operator_apply,
-)
+from sjk.opcalc import gp_series, hermite_exp, jacobi_operator_apply
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, gamma_ratio
 
@@ -161,17 +156,6 @@ class TestSjEgfCoeff:
             assert sj_egf_coeff(N) == sj_umbral(N) * Fraction(1, factorial(N))
 
 
-def test_four_way_equality_checkpoints():
-    # the full n <= 30 sweep runs in the acceptance suite; degree one is
-    # compared at gamma = 0
-    for n in (0, 1, 2, 7, 12, 15):
-        a = gp_series(n, -1, -1)
-        assert a == exp_resolvent_sj(n)
-        assert a == sj_umbral(n)
-        assert a == sj_closed_mm(n, 0)
-        assert a == exp_B_bivariate(n).substitute("y", 1)
-
-
 class TestHermiteStructure:
     def test_ladder_identities(self):
         for n in range(2, 21):
@@ -253,33 +237,20 @@ class TestCoefficientRecurrence:
     """The O(n) recurrence serves production; the closed forms are its
     reference.  JSON output prints Poly.vars, so those must agree too."""
 
-    @staticmethod
-    def same(got, want):
-        return got == want and got.vars == want.vars
-
     def test_sj_family_equals_closed_form(self):
-        for n in range(25):
-            assert self.same(sj_family(n), sj_closed_mm(n, 0)), n
+        assert verify.recurrence(range(25), [(-1, -1)]) is None
 
     @pytest.mark.parametrize("beta", GRID, ids=str)
     def test_sj_beta_family_equals_closed_form(self, beta):
-        for n in range(25):
-            assert self.same(sj_beta_family(n, beta), sj_closed_beta(n, beta)), n
+        assert verify.recurrence(range(25), [(-1, beta)]) is None
 
     @pytest.mark.parametrize("alpha", GRID, ids=str)
     def test_jacobi_family_equals_closed_form_on_grid(self, alpha):
-        for beta in GRID:
-            for n in range(13):
-                assert self.same(
-                    jacobi_family(n, alpha, beta), jacobi_classical(n, alpha, beta)
-                ), (n, beta)
+        assert verify.recurrence(range(13), [(alpha, beta) for beta in GRID]) is None
 
     @pytest.mark.parametrize("alpha, beta", PAIRS, ids=PAIR_IDS)
     def test_jacobi_family_equals_closed_form_to_24(self, alpha, beta):
-        for n in range(13, 25):
-            assert self.same(
-                jacobi_family(n, alpha, beta), jacobi_classical(n, alpha, beta)
-            ), n
+        assert verify.recurrence(range(13, 25), [(alpha, beta)]) is None
 
     def test_rejects_bad_params(self):
         with pytest.raises(ParamError):

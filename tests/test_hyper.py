@@ -1,9 +1,9 @@
-import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from sjk import verify
 from sjk.errors import ParamError, PoleError
 from sjk.hyper import (
     HyperSpec,
@@ -111,30 +111,8 @@ class TestProliferation:
             )
 
     def test_twenty_random_admissible_tuples(self):
-        rng = random.Random(2024)
-        done = 0
-        while done < 20:
-            at = rng.randint(-7, 12)
-            bt = rng.randint(-7, 12)
-            if (at % 2 == 0 and at <= 0) or (bt % 2 == 0 and bt <= 0):
-                continue
-            alpha, beta = HalfInt(at), HalfInt(bt)
-            r, s = rng.randint(1, 3), rng.randint(1, 3)
-            uppers = tuple(
-                Fraction(rng.randint(1, 9), rng.choice((1, 2)))
-                for _ in range(rng.randint(0, 2))
-            )
-            lowers = tuple(
-                Fraction(rng.randint(1, 9), rng.choice((1, 2)))
-                for _ in range(rng.randint(0, 2))
-            )
-            spec = HyperSpec(uppers, lowers)
-            pref, new = pochhammer_proliferate(alpha, beta, r, s, spec)
-            for m in range(9):
-                assert pref * pfq_coeff(new, m) == self._umbral_side(
-                    alpha, beta, r, s, spec, m
-                )
-            done += 1
+        cases = verify.random_proliferation_cases(2024, 20)
+        assert verify.proliferation(cases, range(9)) is None
 
     def test_rejects_poles(self):
         with pytest.raises(ParamError):
@@ -156,12 +134,7 @@ class TestGammaMultiplication:
         assert lhs == rhs == ExactScalar(120)  # Gamma(6) = 5!
 
     def test_grid(self):
-        for n in (2, 3, 4):
-            for s in range(4):
-                for num in range(1, 9):
-                    x = Fraction(num, 2 * n)  # n*x = num/2, half-integer
-                    lhs, rhs = gamma_multiplication(n, s, x)
-                    assert lhs == rhs, (n, s, x)
+        assert verify.multiplication_formula((2, 3, 4), range(4), range(1, 9)) is None
 
     def test_rejects_unevaluable(self):
         with pytest.raises(ParamError):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from sjk import verify
 from sjk.errors import ParamError
-from sjk.families import hermite_egf, hermite_family, sj_egf, sj_family
+from sjk.families import hermite_egf, sj_egf
 from sjk.lacunary import (
     LacunaryParams,
     coeff_bridge_check,
@@ -11,7 +12,6 @@ from sjk.lacunary import (
     hermite_lacunary_shift,
     hermite_lacunary_slice,
     lacunary_dilate,
-    multisection_oracle,
     mu_slice,
     sj_lacunary_closed,
     sj_lacunary_closed_printed,
@@ -20,13 +20,9 @@ from sjk.lacunary import (
 )
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
+from sjk.verify import lacunary_oracle as oracle
 
 X = Poly.var("x")
-
-
-def oracle(family, K, L, order):
-    src = sj_family if family == "sj" else hermite_family
-    return multisection_oracle(src, LacunaryParams(K, L, order))
 
 
 class TestOracle:
@@ -65,7 +61,7 @@ class TestDilate:
 class TestHermiteClosed:
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_equals_oracle(self, K):
-        assert hermite_lacunary_closed(K, 5) == oracle("hermite", K, 0, 5)
+        assert verify.lacunary_closed([("hermite", K, 5)]) is None
 
     def test_k2_lambda_one_slice(self, golden):
         got = hermite_lacunary_closed(2, 5)
@@ -112,7 +108,7 @@ class TestHermiteClosed:
 class TestSjClosed:
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_equals_oracle(self, K):
-        assert sj_lacunary_closed(K, 4) == oracle("sj", K, 0, 4)
+        assert verify.lacunary_closed([("sj", K, 4)]) is None
 
     def test_rows(self, golden):
         s2 = sj_lacunary_closed(2, 2)
@@ -156,8 +152,7 @@ class TestHermiteShift:
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("L", [0, 1, 2, 3])
     def test_slices_equal_oracle(self, K, L):
-        gen = hermite_lacunary_shift(K, 3, 3)
-        assert mu_slice(gen, L) == oracle("hermite", K, L, 3), (K, L)
+        assert verify.lacunary_shifts([("hermite", K, 3, 3, L)]) is None
 
     def test_mu_zero_is_unshifted(self):
         gen = hermite_lacunary_shift(2, 2, 4)
@@ -188,9 +183,8 @@ class TestSjShiftGen:
         # (mu_order, order) = (3, 3), then the sizes `lacunary --L L` uses
         # at family degree 16 (K * order + L <= 16)
         sizes = [(3, 3)] + ([(L, (16 - L) // K)] if L else [])
-        for mu_order, order in sizes:
-            gen = sj_lacunary_shift_gen(K, mu_order, order)
-            assert mu_slice(gen, L) == oracle("sj", K, L, order), (K, L, order)
+        assert verify.lacunary_shifts(
+            ("sj", K, mu_order, order, L) for mu_order, order in sizes) is None
 
 
 SLICES = {"hermite": hermite_lacunary_slice, "sj": sj_lacunary_slice}

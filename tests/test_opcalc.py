@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from sjk import verify
 from sjk.errors import InternalError, KernelHit, ParamError
-from sjk.families import jacobi_classical, sj_closed_mm
+from sjk.families import jacobi_classical
 from sjk.opcalc import (
     ERROR_ON_KERNEL,
     DiagonalOp,
@@ -13,7 +14,6 @@ from sjk.opcalc import (
     exp_resolvent_sj,
     gp_series,
     hermite_exp,
-    jacobi_operator_apply,
 )
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
@@ -155,16 +155,11 @@ class TestExpForms:
 class TestEigenEquations:
     @pytest.mark.parametrize("n", range(0, 16))
     def test_mm_eigen(self, n):
-        p = gp_series(n, -1, -1)
-        lhs = (Poly.const(1) - Poly.var("x", 2)) * p.derivative("x").derivative("x")
-        assert lhs == p * Fraction(-n * (n - 1))
+        assert verify.eigenequation([n]) is None
 
     @pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 2), Fraction(2)])
     def test_beta_eigen(self, beta):
-        for n in range(9):
-            p = gp_series(n, -1, beta)
-            lhs = jacobi_operator_apply(p, -1, beta)
-            assert lhs == p * (-Fraction(n) * (n + beta))
+        assert verify.eigenequation(range(9), [beta]) is None
 
     def test_classical_matches_monic_jacobi(self):
         for alpha, beta in ((Fraction(0), Fraction(0)),
@@ -175,11 +170,6 @@ class TestEigenEquations:
                 lead = cls.scalar_coeff(x=n)
                 monic = cls * (ExactScalar(1) / lead)
                 assert gp_series(n, alpha, beta) == monic
-
-
-def test_exp_equals_resolvent_up_to_30():
-    for n in range(31):
-        assert exp_resolvent_sj(n) == gp_series(n, -1, -1)
 
 
 def test_error_on_kernel_never_hit_in_sweeps():
@@ -220,8 +210,3 @@ def test_b_commutation_with_matched_powers(rng):
                     return poly * Poly.var("y", p) if p else poly
 
                 assert b(ypdxp(mono)) == ypdxp(b(mono))
-
-
-def test_gp_against_closed_form_sample():
-    for n in (2, 5, 9, 12):
-        assert gp_series(n, -1, -1) == sj_closed_mm(n, 0)

@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sjk import verify
 from sjk.errors import PoleError
 from sjk.poly import Poly
 from sjk.scalar import (
@@ -259,10 +258,7 @@ class TestGammaRatio:
         assert gamma_ratio(1, H) == ExactScalar(1, -1)
 
     def test_matches_pochhammer_up_to_20(self):
-        for twice in (-7, -3, -1, 1, 2, 3, 5, 8):
-            a = HalfInt(twice)
-            for n in range(21):
-                assert gamma_ratio(a + n, a) == ExactScalar(pochhammer(a, n))
+        assert verify.pochhammer_ratio((-7, -3, -1, 1, 2, 3, 5, 8), 21) is None
 
 
 class TestBeta:
@@ -282,41 +278,19 @@ class TestBeta:
             beta_fn(H, Fraction(-1, 2))  # a + b = 0
 
     def test_pascal_identity_random(self):
-        rng = random.Random(41)
-        done = 0
-        while done < 50:
-            a = HalfInt(rng.randint(-9, 40))
-            b = HalfInt(rng.randint(-9, 40))
-            try:
-                lhs = beta_fn(a, b)
-            except PoleError:
-                continue
-            assert lhs == beta_fn(a + 1, b) + beta_fn(a, b + 1)
-            done += 1
+        # negative half-integers too; pairs at a pole are skipped
+        pairs = verify.half_pairs(41, 50, -9, 40)
+        assert verify.beta_differences((a, b, 1) for a, b in pairs) is None
 
     @pytest.mark.parametrize("n", range(7))
     def test_iterated_difference_identity(self, n):
-        rng = random.Random(100 + n)
-        for _ in range(10):
-            a = HalfInt(rng.randint(1, 30))
-            b = HalfInt(rng.randint(1, 30))
-            acc = ExactScalar(0)
-            for k in range(n + 1):
-                acc = acc + ExactScalar((-1) ** k * comb(n, k)) * beta_fn(a + k, b)
-            assert acc == beta_fn(a, b + n)
+        pairs = verify.half_pairs(100 + n, 10, 1, 30)
+        assert verify.beta_differences((a, b, n) for a, b in pairs) is None
 
 
 def test_duplication_formula():
     # Gamma(2z) = 2^(2z-1) pi^(-1/2) Gamma(z) Gamma(z + 1/2), half-integer z
-    for twice in range(1, 17):
-        z = HalfInt(twice)
-        lhs = gamma_half(z * 2)
-        rhs = (
-            ExactScalar(Fraction(2) ** (twice - 1), -1)
-            * gamma_half(z)
-            * gamma_half(z + H)
-        )
-        assert lhs == rhs, f"z = {z}"
+    assert verify.duplication(range(1, 17)) is None
 
 
 # sympy evaluates gamma at integers and half-odd integers to a rational
