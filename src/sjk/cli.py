@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import re
 import sys
 from fractions import Fraction
 
 from . import families, jsonio, lacunary, verify
-from .connect import (
-    HERMITE_FAMILY,
-    SJ_FAMILY,
-    hermite_connection,
-    reaction_solve,
-    sj_connection,
-)
+from .connect import hermite_connection, reaction_solve, sj_connection
 from .errors import SjkError
 from .poly import CoeffSeries, Poly
 
@@ -183,44 +178,32 @@ def _cmd_lacunary(args, out):
         closed = _lacunary_closed(args.family, args.K, args.L, order)
         ok = closed == oracle
         print(f"closed-form == oracle: {'PASS' if ok else 'FAIL'}", file=out)
-        if not ok:
-            for k in range(order + 1):
-                a, b = closed.coeffs[k], oracle.coeffs[k]
-                if a != b:
-                    print(
-                        f"  first mismatch at lambda^{k}: closed={a.text()} "
-                        f"oracle={b.text()}",
-                        file=out,
-                    )
-                    break
-            return 2
-        return 0
+        if ok:
+            return 0
+        k = next(k for k in range(order + 1) if closed.coeffs[k] != oracle.coeffs[k])
+        print(f"  first mismatch at lambda^{k}: closed={closed.coeffs[k].text()} "
+              f"oracle={oracle.coeffs[k].text()}", file=out)
+        return 2
     _emit_series(oracle, args.format, out)
     return 0
 
 
 def _cmd_connect(args, out):
     M = _check_cap(args.M, "M")
-    fam = SJ_FAMILY if args.family == "sj" else HERMITE_FAMILY
+    sj = args.family == "sj"
+    connection = sj_connection if sj else hermite_connection
+    weights = [connection(M, n) for n in range(M + 1)]
     if args.format == "json":
-        if fam == SJ_FAMILY:
-            rows = [
-                {"n": n, "num": str(w.numerator), "den": str(w.denominator)}
-                for n, w in enumerate(sj_connection(M, k) for k in range(M + 1))
-            ]
-        else:
-            rows = [
-                {"n": n, "poly": jsonio.poly_to_obj(hermite_connection(M, n))}
-                for n in range(M + 1)
-            ]
+        rows = [
+            {"n": n, "num": str(w.numerator), "den": str(w.denominator)} if sj
+            else {"n": n, "poly": jsonio.poly_to_obj(w)}
+            for n, w in enumerate(weights)
+        ]
         print(jsonio.dumps({"family": args.family, "M": M, "weights": rows}), file=out)
-        return 0
-    for n in range(M + 1):
-        if fam == SJ_FAMILY:
-            w = Poly.const(sj_connection(M, n))
-        else:
-            w = hermite_connection(M, n)
-        print(f"A[{M},{n}] = {_render(w, args.format)}", file=out)
+    else:
+        for n, w in enumerate(weights):
+            w = Poly.const(w) if sj else w
+            print(f"A[{M},{n}] = {_render(w, args.format)}", file=out)
     return 0
 
 
@@ -318,9 +301,11 @@ def build_parser() -> _Parser:
 
 
 def run(argv, out=None, err=None) -> int:
+    """Run one request; a request refused with exit 1 leaves out untouched."""
     out = out or sys.stdout
     err = err or sys.stderr
     parser = build_parser()
+    buf = io.StringIO()
     try:
         args = parser.parse_args(_bind_negative_rationals(argv))
         if getattr(args, "K", None) is not None and args.K < 1:
@@ -329,16 +314,23 @@ def run(argv, out=None, err=None) -> int:
             v = getattr(args, attr, None)
             if v is not None and v < 0:
                 raise UsageError(f"--{attr.replace('_', '-')} must be >= 0")
-        return args.fn(args, out)
+        code = args.fn(args, buf)
     except _HelpRequested as exc:
         out.write(exc.args[0])
         return 0
-    except UsageError as exc:
+    except (UsageError, SjkError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except SjkError as exc:
-        print(f"error: {exc}", file=err)
+    except ValueError as exc:
+        # CPython's limit on int-to-text digits; only a raised cap reaches it
+        if "integer string conversion" not in str(exc):
+            raise
+        cap = os.environ.get("SJK_MAX_ORDER", DEFAULT_MAX_ORDER)
+        print(f"error: a coefficient has more than {sys.get_int_max_str_digits()} "
+              f"digits; lower SJK_MAX_ORDER (now {cap})", file=err)
         return 1
+    out.write(buf.getvalue())
+    return code
 
 
 def main():

@@ -14,6 +14,7 @@ from math import factorial
 from .errors import ParamError
 from .families import HERMITE_SECOND_VAR, hermite_family, sj_family
 from .hyper import HyperSpec, pfq_terms
+from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar
 
@@ -166,8 +167,6 @@ def reaction_residual(series: CoeffSeries) -> CoeffSeries:
         return CoeffSeries([Poly.zero()], 0)
     out = []
     for j in range(series.order):
-        lhs = series.coeffs[j + 1] * (j + 1)
-        p = series.coeffs[j]
-        rhs = (Poly.const(1) - Poly.var("x", 2)) * p.derivative("x").derivative("x")
-        out.append(lhs - rhs)
+        rhs = jacobi_operator_apply(series.coeffs[j], -1, -1)
+        out.append(series.coeffs[j + 1] * (j + 1) - rhs)
     return CoeffSeries(out, series.order - 1)

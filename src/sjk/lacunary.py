@@ -72,39 +72,32 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One (beta, s) cell of a lacunary closed form.
-
-    The inner hypergeometric factor contributes lambda^(lam_step * m) and
-    y^(y_step * m) per series index m on top of the cell's own
-    x^(K s - 2 beta) y^beta lambda^s.
-    """
+    """One (beta, s) cell of the closed Hermite lacunary series: base_scale
+    times the hypergeometric series in upper, lower, at
+    x^(K s - 2 beta) y^beta lambda^s; its argument and the powers of lambda
+    and y per series index depend on K alone (_steps)."""
 
     beta: int
     s: int
-    x_pow: int
-    lam_step: int
-    y_step: int
     base_scale: Fraction
     upper: tuple
     lower: tuple
-    hermite_arg: Fraction
+
+
+def _steps(K: int):
+    """(lam_step, y_step, arg) at K: index m of a Hermite cell's hypergeometric
+    series, at argument arg, carries lambda^(lam_step m) y^(y_step m)."""
+    if K % 2 == 0:
+        return 1, K // 2, Fraction((2 * K) ** (K // 2))
+    return 2, K, Fraction((4 * K) ** K, 4)
 
 
 def _hermite_cells(K: int, order: int):
     """The (beta, s) cells of the closed Hermite lacunary series, split by
     the parity of K (K = 2T or K = 2T + 1; K = 1 rides the odd branch)."""
     cells = []
-    if K % 2 == 0:
-        T = K // 2
-        lam_step, y_step = 1, T
-        arg = Fraction((2 * K) ** T)
-        betas = range(T)
-    else:
-        T = (K - 1) // 2
-        lam_step, y_step = 2, K
-        arg = Fraction((4 * K) ** K, 4)
-        betas = range(K)
-    for beta in betas:
+    T = K // 2
+    for beta in range(T if K % 2 == 0 else K):
         for s in range(order + 1):
             h = matching_coeff(K * s, beta)
             if h == 0:
@@ -127,32 +120,22 @@ def _hermite_cells(K: int, order: int):
                     for ell in range(K)
                     if ell != K - 1 - beta
                 )
-            cells.append(
-                _Cell(
-                    beta=beta,
-                    s=s,
-                    x_pow=K * s - 2 * beta,
-                    lam_step=lam_step,
-                    y_step=y_step,
-                    base_scale=Fraction(h, factorial(s)),
-                    upper=upper,
-                    lower=lower,
-                    hermite_arg=arg,
-                )
-            )
+            cells.append(_Cell(beta, s, Fraction(h, factorial(s)), upper, lower))
     return cells
 
 
-def _sum_cells(terms, order: int, vars) -> CoeffSeries:
-    """Sum scale * pfq_terms(spec)[m] x^x_pow y^(beta + y_step m)
+def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
+    """Sum scale * pfq_terms(spec)[m] x^(K s - 2 beta) y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
     up to lambda^order.  vars is ("x", y) for the Hermite forms and ("x",)
     for the (-1,-1) forms, whose y the transform has integrated out."""
+    lam_step, y_step, _ = _steps(K)
     pairs = [[] for _ in range(order + 1)]
     for cell, spec, scale in terms:
-        ks = range(cell.s, order + 1, cell.lam_step)
+        x_pow = K * cell.s - 2 * cell.beta
+        ks = range(cell.s, order + 1, lam_step)
         for m, (k, c) in enumerate(zip(ks, pfq_terms(spec))):
-            key = (cell.x_pow, cell.beta + cell.y_step * m)[: len(vars)]
+            key = (x_pow, cell.beta + y_step * m)[: len(vars)]
             pairs[k].append((key, c * scale))
     return CoeffSeries([Poly._collect(vars, p) for p in pairs], order)
 
@@ -161,11 +144,12 @@ def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
     """Closed hypergeometric form of the K-tuple Hermite lacunary series."""
     if K < 1:
         raise ParamError("K must be >= 1")
+    arg = _steps(K)[2]
     terms = (
-        (cell, HyperSpec(cell.upper, cell.lower, cell.hermite_arg), cell.base_scale)
+        (cell, HyperSpec(cell.upper, cell.lower, arg), cell.base_scale)
         for cell in _hermite_cells(K, order)
     )
-    return _sum_cells(terms, order, ("x", HERMITE_SECOND_VAR))
+    return _sum_cells(terms, K, order, ("x", HERMITE_SECOND_VAR))
 
 
 def _shift_slice(base: CoeffSeries, L: int) -> CoeffSeries:
@@ -233,22 +217,15 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     return CoeffSeries(out, order)
 
 
-def _sj_cell_transformed(cell: _Cell, K: int):
-    """Apply the proliferation transform to one Hermite cell after the
-    substitutions lambda -> lambda (u v)^K and y -> -1/(4u)."""
-    if K % 2 == 0:
-        T = K // 2
-        base_scale = Fraction(-K, 2) ** T
-        r, s_new = T, 2 * T
-    else:
-        base_scale = Fraction((-K) ** K, 4)
-        r, s_new = K, 2 * K
-    spec = HyperSpec(cell.upper, cell.lower, base_scale)
-    alpha = HalfInt(2 * (K * cell.s - cell.beta) - 1)  # K s - beta - 1/2
-    beta_p = HalfInt(2 * K * cell.s - 1)  # K s - 1/2
-    pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, s_new, spec)
-    scale = pref * ExactScalar(Fraction(-1, 4) ** cell.beta * cell.base_scale)
-    return new_spec, scale
+def _sj_cells(K: int, order: int):
+    """Each Hermite cell after the substitutions lambda -> lambda (u v)^K
+    and y -> -1/(4u), as (cell, alpha, beta', scale): the cell carries
+    u^alpha v^beta' and, before the transform's Gamma(alpha)/Gamma(beta'),
+    the scale (-1/4)^beta base_scale."""
+    for c in _hermite_cells(K, order):
+        alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
+        beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
+        yield c, alpha, beta_p, ExactScalar(Fraction(-1, 4) ** c.beta * c.base_scale)
 
 
 def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -256,8 +233,16 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     Hermite cells via Pochhammer proliferation (K >= 2; K = 1 is the EGF)."""
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
-    terms = ((cell, *_sj_cell_transformed(cell, K)) for cell in _hermite_cells(K, order))
-    return _sum_cells(terms, order, ("x",))
+    if K % 2 == 0:
+        r, arg = K // 2, Fraction(-K, 2) ** (K // 2)
+    else:
+        r, arg = K, Fraction((-K) ** K, 4)
+    terms = []
+    for cell, alpha, beta_p, scale in _sj_cells(K, order):
+        spec = HyperSpec(cell.upper, cell.lower, arg)
+        pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
+        terms.append((cell, new_spec, pref * scale))
+    return _sum_cells(terms, K, order, ("x",))
 
 
 def sj_lacunary_closed_printed(
@@ -274,7 +259,7 @@ def sj_lacunary_closed_printed(
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
     terms = []
-    for cell in _hermite_cells(K, order):
+    for cell, alpha, beta_p, scale in _sj_cells(K, order):
         if K % 2 == 1 and cell.beta < odd_beta_start:
             continue
         s, beta = cell.s, cell.beta
@@ -296,12 +281,9 @@ def sj_lacunary_closed_printed(
                 Fraction(s, 2) + Fraction(2 * t - 1, 4 * K) for t in range(2 * K)
             )
             arg = Fraction(-1, 4 ** (K + 1))
-        pref = gamma_ratio(
-            HalfInt(2 * (K * s - beta) - 1), HalfInt(2 * K * s - 1)
-        )
-        scale = pref * ExactScalar(Fraction(-1, 4) ** beta * cell.base_scale)
-        terms.append((cell, HyperSpec(upper, lower, arg), scale))
-    return _sum_cells(terms, order, ("x",))
+        spec = HyperSpec(upper, lower, arg)
+        terms.append((cell, spec, gamma_ratio(alpha, beta_p) * scale))
+    return _sum_cells(terms, K, order, ("x",))
 
 
 def _image(series: CoeffSeries) -> CoeffSeries:

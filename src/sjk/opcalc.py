@@ -54,40 +54,34 @@ class DiagonalOp:
         )
 
 
-def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
-    """Scale each monomial by op.eval(total degree in vars)."""
-    if vars is None:
-        vars = p.vars
-    chosen = set(vars)
+def _scale_by_degree(p: Poly, vars, scale) -> Poly:
+    """p with each term c m replaced by scale(c, d) m, d the degree of the
+    monomial m in vars (default: all of p's); zero results are dropped."""
+    chosen = set(p.vars if vars is None else vars)
     idx = [i for i, v in enumerate(p.vars) if v in chosen]
     out = {}
     for exps, c in p.terms.items():
-        d = sum(exps[i] for i in idx)
-        s = c * op.eval(d)
+        s = scale(c, sum(exps[i] for i in idx))
         if not s.is_zero():
             out[exps] = s
-    return Poly(p.vars, out)
+    return Poly._of(p.vars, out)
+
+
+def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
+    """Scale each monomial by op.eval(total degree in vars)."""
+    return _scale_by_degree(p, vars, lambda c, d: c * op.eval(d))
 
 
 def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     """Divide each monomial by op.eval(degree); kernel degrees follow the
     completion policy (pass through unchanged, or raise KernelHit)."""
-    if vars is None:
-        vars = p.vars
-    chosen = set(vars)
-    idx = [i for i, v in enumerate(p.vars) if v in chosen]
-    out = {}
-    for exps, c in p.terms.items():
-        d = sum(exps[i] for i in idx)
-        if d in op.kernel:
-            if op.completion == ERROR_ON_KERNEL:
-                raise KernelHit(
-                    f"kernel degree {d} carries nonzero coefficient {c}"
-                )
-            out[exps] = c
-        else:
-            out[exps] = c / op.eval(d)
-    return Poly(p.vars, out)
+    def divide(c, d):
+        if d not in op.kernel:
+            return c / op.eval(d)
+        if op.completion == ERROR_ON_KERNEL:
+            raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
+        return c
+    return _scale_by_degree(p, vars, divide)
 
 
 def _resolvent_factor(n: int, alpha: Fraction, beta: Fraction,
@@ -103,6 +97,18 @@ def _resolvent_factor(n: int, alpha: Fraction, beta: Fraction,
     )
 
 
+def _terminating_sum(term: Poly, step, steps: int, message: str) -> Poly:
+    """term + step(term, 1) + step(step(term, 1), 2) + ..., up to the first
+    zero term; InternalError(message) if none is zero within steps steps."""
+    terms = [term]
+    for m in range(1, steps + 1):
+        term = step(term, m)
+        if term.is_zero():
+            return Poly.sum(terms)
+        terms.append(term)
+    raise InternalError(message)
+
+
 def gp_series(n: int, alpha, beta, completion=IDENTITY_ON_KERNEL) -> Poly:
     """Terminating resolvent sum for the monic degree-n eigenpolynomial of
     the Jacobi-type operator at parameters (alpha, beta), both >= -1."""
@@ -113,15 +119,22 @@ def gp_series(n: int, alpha, beta, completion=IDENTITY_ON_KERNEL) -> Poly:
         raise ParamError("degree must be >= 0")
     fop = _resolvent_factor(n, alpha, beta, completion)
     ba = beta - alpha
-    cur = Poly.var("x", n)
-    terms = [cur]
-    for _ in range(n + 2):
-        cur = cur.derivative("x").derivative("x") + cur.derivative("x") * ba
-        if cur.is_zero():
-            return Poly.sum(terms)
-        cur = apply_inverse_diagonal(fop, cur, ("x",))
-        terms.append(cur)
-    raise InternalError(f"resolvent sum failed to terminate for n={n}")
+
+    def step(cur, _):
+        d1 = cur.derivative("x")
+        return apply_inverse_diagonal(fop, d1.derivative("x") + d1 * ba, ("x",))
+    message = f"resolvent sum failed to terminate for n={n}"
+    return _terminating_sum(Poly.var("x", n), step, n + 2, message)
+
+
+def _exp_series(term: Poly, op: DiagonalOp, vars, n: int, what: str) -> Poly:
+    """exp(-(1/2) op^{-1} dx^2) term, op acting on total degree in vars; the
+    series of a degree-n term ends within n // 2 + 2 steps."""
+    def step(t, m):
+        t = apply_inverse_diagonal(op, t.derivative("x").derivative("x"), vars)
+        return t * Fraction(-1, 2 * m)
+    message = f"{what} failed to terminate for n={n}"
+    return _terminating_sum(term, step, n // 2 + 2, message)
 
 
 def exp_resolvent_sj(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
@@ -130,15 +143,7 @@ def exp_resolvent_sj(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
         raise ParamError("degree must be >= 0")
     kernel = {1 - n} if 1 - n >= 0 else set()
     op = DiagonalOp(lambda d: Fraction(d + n - 1), kernel, completion)
-    term = Poly.var("x", n)
-    terms = [term]
-    for m in range(1, n // 2 + 3):
-        term = term.derivative("x").derivative("x")
-        if term.is_zero():
-            return Poly.sum(terms)
-        term = apply_inverse_diagonal(op, term, ("x",)) * Fraction(-1, 2 * m)
-        terms.append(term)
-    raise InternalError(f"exponential series failed to terminate for n={n}")
+    return _exp_series(Poly.var("x", n), op, ("x",), n, "exponential series")
 
 
 def exp_B_bivariate(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
@@ -149,14 +154,7 @@ def exp_B_bivariate(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
         raise ParamError("degree must be >= 0")
     op = DiagonalOp(lambda d: Fraction(d - 1), {1}, completion)
     term = Poly.monomial(1, x=n, y=n) if n else Poly.const(1)
-    terms = [term]
-    for m in range(1, n // 2 + 3):
-        term = term.derivative("x").derivative("x")
-        if term.is_zero():
-            return Poly.sum(terms)
-        term = apply_inverse_diagonal(op, term, ("x", "y")) * Fraction(-1, 2 * m)
-        terms.append(term)
-    raise InternalError(f"bivariate exponential failed to terminate for n={n}")
+    return _exp_series(term, op, ("x", "y"), n, "bivariate exponential")
 
 
 def hermite_exp(n: int) -> Poly:
@@ -164,23 +162,19 @@ def hermite_exp(n: int) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     z = Poly.var("z")
-    term = Poly.var("x", n)
-    terms = [term]
-    m = 1
-    while True:
-        term = term.derivative("x").derivative("x") * z * Fraction(1, m)
-        if term.is_zero():
-            return Poly.sum(terms)
-        terms.append(term)
-        m += 1
+    return _terminating_sum(
+        Poly.var("x", n),
+        lambda t, m: t.derivative("x").derivative("x") * z * Fraction(1, m),
+        n // 2 + 1,
+        f"operational Hermite series failed to terminate for n={n}",
+    )
 
 
 def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
     """(1 - x^2) p'' + (beta - alpha - (alpha + beta + 2) x) p'."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    x = Poly.var("x")
     d1 = p.derivative("x")
-    d2 = d1.derivative("x")
-    return (Poly.const(1) - x * x) * d2 + (
-        Poly.const(beta - alpha) - x * (alpha + beta + 2)
-    ) * d1
+    out = Poly(("x",), {(0,): 1, (2,): -1}) * d1.derivative("x")
+    if alpha == beta == -1:  # the only zero first-order coefficient
+        return out
+    return out + Poly(("x",), {(0,): beta - alpha, (1,): -(alpha + beta + 2)}) * d1

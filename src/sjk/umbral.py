@@ -106,24 +106,18 @@ class GenSeries:
     __slots__ = ("terms", "lambda_order", "mu_order")
 
     def __init__(self, terms, lambda_order=None, mu_order=None):
-        combined: dict = {}
+        groups: dict = {}
         for t in terms:
             if lambda_order is not None and t.lambda_pow > lambda_order:
                 continue
             if mu_order is not None and t.mu_pow > mu_order:
                 continue
-            k = t.key()
-            if k in combined:
-                combined[k] = GenMonomial(
-                    combined[k].coeff + t.coeff,
-                    t.u_exps,
-                    t.v_exps,
-                    t.lambda_pow,
-                    t.mu_pow,
-                )
-            else:
-                combined[k] = t
-        self.terms = [t for t in combined.values() if not t.coeff.is_zero()]
+            groups.setdefault(t.key(), []).append(t)
+        merged = (
+            g[0] if len(g) == 1 else GenMonomial(Poly.sum([t.coeff for t in g]), *k)
+            for k, g in groups.items()
+        )
+        self.terms = [t for t in merged if not t.coeff.is_zero()]
         self.lambda_order = lambda_order
         self.mu_order = mu_order
 
@@ -192,31 +186,22 @@ def itransform(s: GenSeries) -> CoeffSeries:
     parts = [[] for _ in range(order + 1)]
     for t in s.terms:
         scalar = ExactScalar(1)
-        bad = None
         for name, e in t.u_exps:
             if e.is_nonpositive_integer():
-                bad = (name, e)
-                break
-        if bad is not None:
-            raise DomainError(
-                f"u-exponent {bad[1]} of {bad[0]!r} lies in Z_<=0 in term {t!r}"
-            )
-        dropped = False
-        for name, e in t.v_exps:
-            if e.is_nonpositive_integer():
-                dropped = True
-                break
-        if dropped:
-            log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
-            continue
-        for _, e in t.u_exps:
+                raise DomainError(
+                    f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
+                )
             scalar = scalar * gamma_half(e)
         for _, e in t.v_exps:
+            if e.is_nonpositive_integer():
+                log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
+                break
             scalar = scalar * recip_gamma(e)
-        contrib = t.coeff * scalar
-        if t.mu_pow:
-            contrib = contrib * Poly.var(MU, t.mu_pow)
-        parts[t.lambda_pow].append(contrib)
+        else:
+            contrib = t.coeff * scalar
+            if t.mu_pow:
+                contrib = contrib * Poly.var(MU, t.mu_pow)
+            parts[t.lambda_pow].append(contrib)
     return CoeffSeries([Poly.sum(p) for p in parts], order)
 
 

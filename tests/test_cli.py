@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sjk import cli, families, jsonio, lacunary, opcalc, verify
-from sjk.poly import Poly
+from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar
 
 GRID = ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
@@ -213,6 +213,26 @@ class TestLacunaryVerb:
         assert lines[0] == "lambda^0: x"
         assert lines[1] == "lambda^1: " + golden[("sj", 3)].text()
 
+    def test_check_failure_reports_first_mismatch(self, monkeypatch):
+        real = lacunary.hermite_lacunary_closed
+
+        def one_wrong_coefficient(K, order):
+            s = real(K, order)
+            return CoeffSeries(
+                [c + 1 if k == 2 else c for k, c in enumerate(s.coeffs)], s.order
+            )
+
+        monkeypatch.setattr(lacunary, "hermite_lacunary_closed", one_wrong_coefficient)
+        code, out, err = run_cli(
+            "lacunary", "--family", "hermite", "--K", "2", "--order", "3", "--check"
+        )
+        assert (code, err) == (2, "")
+        assert out == (
+            "closed-form == oracle: FAIL\n"
+            "  first mismatch at lambda^2: closed=1/2 x^4 + 6 x^2 z + 6 z^2 + 1 "
+            "oracle=1/2 x^4 + 6 x^2 z + 6 z^2\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["json", "latex"])
     def test_check_refuses_other_formats(self, fmt):
         # the verdict is one text line; --format applies to the oracle table
@@ -338,6 +358,18 @@ class TestMaxOrderCap:
         monkeypatch.setenv("SJK_MAX_ORDER", "0")
         assert run_cli("poly", "--family", "sj", "--n", "0") == (0, "1\n", "")
 
+    def test_raised_cap_past_printable_digits(self, monkeypatch):
+        # a coefficient of more digits than CPython converts to text
+        monkeypatch.setenv("SJK_MAX_ORDER", "1000")
+        code, out, err = run_cli(
+            "poly", "--family", "jacobi", "--n", "220",
+            "--alpha", "18446744073709551615/18446744073709551614",
+            "--beta", "18446744073709551614/18446744073709551615",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "SJK_MAX_ORDER (now 1000)" in err
+
 
 class TestOtherVerbs:
     def test_connect_rows(self):
@@ -409,6 +441,12 @@ LARGE_OUTPUT_DIGESTS = {
         "f847041b29f20a44dff6a7adb1121499bf3def676301d75dfe1414ab366c6215",
     "connect --family hermite --M 64 --format json":
         "551940f9f51c3bdc6507c17dd78ac73fe533c7006d55081bebde74b54c6b565b",
+    "connect --family sj --M 64 --format text":
+        "c4cc90bf07061e5f107a345b6a07d56036d5b0102e743b471a3f0076fbd89cd6",
+    "connect --family sj --M 64 --format latex":
+        "7fcaf8a5ef026e3572ce41de360b54492ad8c927bcdc361b0e65a9264ec04a11",
+    "connect --family sj --M 64 --format json":
+        "3873c453bd926f562725d16c244229230a28ca9b864ceb5928d5db8629e4e9d1",
     "verify":
         "700cd671c18d20e834620348b9362a005426e09dd20868560821679616fd89c1",
     "verify --suite lacunary --suite connect":
