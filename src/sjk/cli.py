@@ -155,27 +155,17 @@ def _cmd_egf(args, out):
     return 0
 
 
-def _lacunary_closed(family: str, K: int, L: int, order: int) -> CoeffSeries:
-    if family == "sj":
-        if L == 0 and K >= 2:
-            return lacunary.sj_lacunary_closed(K, order)
-        return lacunary.sj_lacunary_slice(K, L, order)
-    if L == 0:
-        return lacunary.hermite_lacunary_closed(K, order)
-    return lacunary.hermite_lacunary_slice(K, L, order)
-
-
 def _cmd_lacunary(args, out):
     order = _check_cap(args.order, "order")
     _check_cap(args.K * order + args.L, "K*order+L")
     if args.check and args.format != "text":
         raise UsageError("--check prints a text PASS/FAIL line; --format applies "
                          "only to the oracle table")
-    source = families.sj_family if args.family == "sj" else families.hermite_family
-    params = lacunary.LacunaryParams(args.K, args.L, order)
-    oracle = lacunary.multisection_oracle(source, params)
+    oracle = verify.lacunary_oracle(args.family, args.K, args.L, order)
     if args.check:
-        closed = _lacunary_closed(args.family, args.K, args.L, order)
+        build = (lacunary.sj_lacunary_slice if args.family == "sj"
+                 else lacunary.hermite_lacunary_slice)
+        closed = build(args.K, args.L, order)
         ok = closed == oracle
         print(f"closed-form == oracle: {'PASS' if ok else 'FAIL'}", file=out)
         if ok:

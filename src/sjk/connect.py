@@ -36,15 +36,15 @@ def sj_connection(M: int, n: int) -> Fraction:
     )
 
 
-def hermite_connection(M: int, n: int, var: str = HERMITE_SECOND_VAR) -> Poly:
+def hermite_connection(M: int, n: int) -> Poly:
     """Weight of H_n in x^M: (-z)^k M! / (k! n!) with k = (M-n)/2."""
     if n > M or n < 0 or M < 0:
         raise IndexError(f"connection index n={n} outside 0..{M}")
     if (M - n) % 2:
-        return Poly.zero((var,))
+        return Poly.zero((HERMITE_SECOND_VAR,))
     k = (M - n) // 2
     c = Fraction(factorial(M), factorial(k) * factorial(n)) * Fraction(-1) ** k
-    return Poly.monomial(c, **{var: k})
+    return Poly.monomial(c, **{HERMITE_SECOND_VAR: k})
 
 
 def _family(family: str):
@@ -73,22 +73,14 @@ def biorthogonality_check(M: int, L: int, family: str) -> ExactScalar:
     return Poly.sum(parts).as_scalar()
 
 
-def gaussian_pair(F: Poly, G: Poly, w: str = "w", wbar: str = "wbar") -> Poly:
+def gaussian_pair(F: Poly, G: Poly) -> Poly:
     """Formal Gaussian pairing: replace w^r wbar^s by r! delta_{r,s}."""
-    parts = []
-    for ef, cf in F.terms.items():
-        fr = dict(zip(F.vars, ef)).get(w, 0)
-        rest_f = {v: e for v, e in zip(F.vars, ef) if v != w and e}
-        for eg, cg in G.terms.items():
-            gs = dict(zip(G.vars, eg)).get(wbar, 0)
-            if fr != gs:
-                continue
-            rest_g = {v: e for v, e in zip(G.vars, eg) if v != wbar and e}
-            merged = dict(rest_f)
-            for v, e in rest_g.items():
-                merged[v] = merged.get(v, 0) + e
-            parts.append(Poly.monomial(cf * cg * factorial(fr), **merged))
-    return Poly.sum(parts)
+    if not (F and G):
+        return Poly.zero()
+    return Poly.sum(
+        F.coeff_of("w", r) * G.coeff_of("wbar", r) * factorial(r)
+        for r in range(min(F.degree("w"), G.degree("wbar")) + 1)
+    )
 
 
 def pair_factors(order: int, family: str):

@@ -144,8 +144,6 @@ def sj_closed_beta(n: int, beta) -> Poly:
     if n == 0:
         return Poly.const(1)
     x = Poly.var("x")
-    if n == 1:
-        return x - 1
     scale = 1 / binom_general(2 * n + beta - 1, n)
     return _binomial_basis_sum(
         n, x - 1, x + 1,

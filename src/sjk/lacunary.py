@@ -8,10 +8,10 @@ family, the closed forms for the (-1,-1) family obtained from the Hermite
 ones by Pochhammer proliferation, and the shifted generators for both; the
 (-1,-1) shifted generator is the termwise transform of the Hermite one
 (families.hermite_image, which also maps H_N to p_N).  The CLI checks
-the (K, L) series against the oracle through the mu^L slice of the
-shifted generator, built on its own (hermite_lacunary_slice and
-sj_lacunary_slice); the full generators and mu_slice stay as
-cross-checks for the tests and the verify suites.
+every (K, L) series against the oracle through the mu^L slice of the
+shifted generator alone (hermite_lacunary_slice, the closed form at
+L = 0, and its image sj_lacunary_slice); sj_lacunary_closed, the full
+generators and mu_slice stay as cross-checks for tests and verify.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -192,8 +192,9 @@ def _shift_slice(base: CoeffSeries, L: int) -> CoeffSeries:
 def hermite_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
     """The (K, L) Hermite lacunary series as L! times the coefficient of
     mu^L in the shift generator (hermite_lacunary_shift), built without
-    the other powers of mu."""
-    return _shift_slice(hermite_lacunary_closed(K, order), L)
+    the other powers of mu; at L = 0 it is the closed form itself."""
+    closed = hermite_lacunary_closed(K, order)
+    return _shift_slice(closed, L) if L else closed
 
 
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:

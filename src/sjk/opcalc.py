@@ -54,22 +54,9 @@ class DiagonalOp:
         )
 
 
-def _scale_by_degree(p: Poly, vars, scale) -> Poly:
-    """p with each term c m replaced by scale(c, d) m, d the degree of the
-    monomial m in vars (default: all of p's); zero results are dropped."""
-    chosen = set(p.vars if vars is None else vars)
-    idx = [i for i, v in enumerate(p.vars) if v in chosen]
-    out = {}
-    for exps, c in p.terms.items():
-        s = scale(c, sum(exps[i] for i in idx))
-        if not s.is_zero():
-            out[exps] = s
-    return Poly._of(p.vars, out)
-
-
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     """Scale each monomial by op.eval(total degree in vars)."""
-    return _scale_by_degree(p, vars, lambda c, d: c * op.eval(d))
+    return p._scale_by_degree(vars, lambda c, d: c * op.eval(d))
 
 
 def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
@@ -81,7 +68,7 @@ def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
         if op.completion == ERROR_ON_KERNEL:
             raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
         return c
-    return _scale_by_degree(p, vars, divide)
+    return p._scale_by_degree(vars, divide)
 
 
 def _resolvent_factor(n: int, alpha: Fraction, beta: Fraction,

@@ -20,13 +20,10 @@ from math import factorial, inf, lcm
 from operator import add
 from typing import Callable, NamedTuple
 
-from .scalar import ExactScalar, ZERO, _exact, _operand as _scalar_operand
+from .scalar import ExactScalar, ZERO, _exact, _grade_clash
+from .scalar import _operand as _scalar_operand
 
 __all__ = ["Poly", "CoeffSeries"]
-
-
-def _coerce(c) -> ExactScalar:
-    return ExactScalar.coerce(c)
 
 
 def _operand(x):
@@ -71,7 +68,7 @@ class Poly:
                     raise ValueError("exponent vector width mismatch")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in Poly")
-                pairs.append((exps, _coerce(c)))
+                pairs.append((exps, ExactScalar.coerce(c)))
         self.terms = Poly._collect(self.vars, pairs).terms
 
     @classmethod
@@ -121,20 +118,20 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        c = _coerce(c)
+        c = ExactScalar.coerce(c)
         return cls._of((), {(): c} if c else {})
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1):
         if power == 0:
             return cls.const(coeff)
-        return cls((name,), {(power,): _coerce(coeff)})
+        return cls((name,), {(power,): ExactScalar.coerce(coeff)})
 
     @classmethod
     def monomial(cls, coeff, **exps):
         names = tuple(sorted(n for n, e in exps.items() if e))
         key = tuple(exps[n] for n in names)
-        return cls(names, {key: _coerce(coeff)})
+        return cls(names, {key: ExactScalar.coerce(coeff)})
 
     # -- alignment ---------------------------------------------------------
 
@@ -194,6 +191,7 @@ class Poly:
         vars, a, b = self._aligned(other)
         da, a = _over_common_den(a)
         db, b = _over_common_den(b)
+        d = da * db
         # Integer numerators summed per key; a key's sqrt(pi) grade is that
         # of its first product, or of the next one after its sum cancels.
         nums = {}
@@ -204,14 +202,13 @@ class Poly:
                 g = g1 + g2
                 s = nums.get(key)
                 if s and grades[key] != g:
-                    raise ValueError(
-                        "cannot add scalars carrying different powers of "
-                        f"sqrt(pi): sqrt(pi)^{grades[key]} and sqrt(pi)^{g}"
+                    raise _grade_clash(
+                        _exact(Fraction(s, d), grades[key]),
+                        _exact(Fraction(n1 * n2, d), g),
                     )
                 nums[key] = (s or 0) + n1 * n2
                 if not s:
                     grades[key] = g
-        d = da * db
         return Poly._of(
             vars,
             {k: _exact(Fraction(n, d), grades[k]) for k, n in nums.items() if n},
@@ -273,14 +270,18 @@ class Poly:
 
     def euler(self, vars=None) -> "Poly":
         """Each monomial scaled by its total degree in the chosen variables."""
-        if vars is None:
-            vars = self.vars
-        idx = [i for i, v in enumerate(self.vars) if v in set(vars)]
+        return self._scale_by_degree(vars, lambda c, d: c * d)
+
+    def _scale_by_degree(self, vars, scale) -> "Poly":
+        """Each term c m replaced by scale(c, d) m, d the degree of m in
+        vars (default: all); zero results are dropped.  Serves euler and
+        opcalc's diagonal operators."""
+        idx = self._positions(vars)
         out = {}
         for exps, c in self.terms.items():
-            d = sum(exps[i] for i in idx)
-            if d:
-                out[exps] = c * d
+            s = scale(c, sum(exps[i] for i in idx))
+            if s:
+                out[exps] = s
         return Poly._of(self.vars, out)
 
     def shift(self, var: str, c) -> "Poly":
@@ -318,15 +319,18 @@ class Poly:
 
     # -- structure ------------------------------------------------------------
 
+    def _positions(self, vars):
+        """Positions in self.vars of the variables in vars (default: all)."""
+        if vars is None:
+            return range(len(self.vars))
+        chosen = set(vars)
+        return [i for i, v in enumerate(self.vars) if v in chosen]
+
     def total_degree(self, vars=None):
         """Maximum total degree over the chosen variables; -inf for zero."""
         if not self.terms:
             return -inf
-        if vars is None:
-            idx = range(len(self.vars))
-        else:
-            chosen = set(vars)
-            idx = [i for i, v in enumerate(self.vars) if v in chosen]
+        idx = self._positions(vars)
         return max(sum(e[i] for i in idx) for e in self.terms)
 
     def degree(self, var: str):
@@ -496,10 +500,7 @@ class CoeffSeries:
     def __sub__(self, other):
         if not isinstance(other, CoeffSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return CoeffSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(order + 1)], order
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if not isinstance(other, CoeffSeries):

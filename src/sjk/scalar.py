@@ -184,10 +184,7 @@ class ExactScalar:
         if not other.rat:
             return self
         if self.sqrt_pi_pow != other.sqrt_pi_pow:
-            raise ValueError(
-                "cannot add scalars carrying different powers of sqrt(pi): "
-                f"{self} + {other}"
-            )
+            raise _grade_clash(self, other)
         return _exact(self.rat + other.rat, self.sqrt_pi_pow)
 
     __radd__ = __add__
@@ -272,6 +269,13 @@ def _operand(x):
         return ExactScalar.coerce(x)
     except TypeError:
         return NotImplemented
+
+
+def _grade_clash(a: ExactScalar, b: ExactScalar) -> ValueError:
+    """The error for a sum of two nonzero scalars of different sqrt(pi) powers."""
+    return ValueError(
+        f"cannot add scalars carrying different powers of sqrt(pi): {a} + {b}"
+    )
 
 
 def _exact(rat: Fraction, sqrt_pi_pow: int) -> ExactScalar:

@@ -121,11 +121,6 @@ class GenSeries:
         self.lambda_order = lambda_order
         self.mu_order = mu_order
 
-    def scaled(self, c) -> "GenSeries":
-        return GenSeries(
-            [t.scaled(c) for t in self.terms], self.lambda_order, self.mu_order
-        )
-
     def __repr__(self):
         return (
             f"GenSeries({len(self.terms)} terms, lambda_order="

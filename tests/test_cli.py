@@ -213,6 +213,19 @@ class TestLacunaryVerb:
         assert lines[0] == "lambda^0: x"
         assert lines[1] == "lambda^1: " + golden[("sj", 3)].text()
 
+    def test_check_builds_only_the_slice(self, monkeypatch):
+        # the L = 0 slice is the closed form; the proliferated sj closed
+        # form is a cross-check, never the production path
+        def refuse(K, order):
+            raise AssertionError("sj_lacunary_closed called")
+
+        monkeypatch.setattr(lacunary, "sj_lacunary_closed", refuse)
+        code, out, err = run_cli(
+            "lacunary", "--family", "sj", "--K", "3", "--L", "0",
+            "--order", "4", "--check",
+        )
+        assert (code, out, err) == (0, "closed-form == oracle: PASS\n", "")
+
     def test_check_failure_reports_first_mismatch(self, monkeypatch):
         real = lacunary.hermite_lacunary_closed
 

@@ -97,6 +97,16 @@ class TestGaussianPair:
         G = Poly.monomial(1, beta=2, wbar=1)
         assert gaussian_pair(F, G) == Poly.monomial(1, alpha=1, beta=2)
 
+    def test_zero_operand_gives_zero(self):
+        G = Poly.monomial(3, beta=1, wbar=2)
+        assert gaussian_pair(Poly.zero(), G) == Poly.zero()
+        assert gaussian_pair(G, Poly.zero(("wbar",))) == Poly.zero()
+
+    def test_operand_free_of_w_pairs_at_r_zero(self):
+        F = Poly.monomial(5, alpha=2)
+        G = Poly.monomial(3, beta=1) + Poly.monomial(7, beta=2, wbar=1)
+        assert gaussian_pair(F, G) == Poly.monomial(15, alpha=2, beta=1)
+
     @pytest.mark.parametrize("order", [4, 6])
     def test_sj_generating_functions_pair_to_exp(self, order):
         assert verify.pairing([order], [SJ_FAMILY]) is None

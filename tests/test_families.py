@@ -1,9 +1,11 @@
+import runpy
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from sjk import verify
+from sjk import families, verify
 from sjk.errors import ParamError
 from sjk.families import (
     binom_general,
@@ -84,8 +86,10 @@ class TestSjClosedMm:
 
 class TestSjClosedBeta:
     def test_degree_one(self):
-        for beta in (Fraction(0), H, Fraction(2)):
-            assert sj_closed_beta(1, beta) == X - 1
+        # the general sum gives x - 1 over ("x",); no special case
+        for beta in (Fraction(0), H, Fraction(2), Fraction(-1, 3), -H, Fraction(7)):
+            p = sj_closed_beta(1, beta)
+            assert (p.vars, p.terms) == (("x",), (X - 1).terms), beta
 
     def test_degree_zero(self):
         assert sj_closed_beta(0, H) == Poly.const(1)
@@ -231,6 +235,17 @@ class TestBetaShiftedEgf:
 def test_family_sources_are_stable():
     assert sj_family(4).scalar_coeff(x=2) == ExactScalar(Fraction(-6, 5))
     assert sj_family(1) == X  # gamma fixed to zero
+
+
+def test_benchmark_family_caches_exist():
+    # perfbench clears and fills these caches by name and skips a name it
+    # cannot find, so a rename in families would change its workloads
+    mix = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "mix.py"))
+    assert mix["FAMILY_CACHES"]
+    for name in mix["FAMILY_CACHES"]:
+        fn = getattr(families, name, None)
+        assert fn is not None and fn.__module__ == families.__name__, name
+        assert callable(fn.cache_clear) and callable(fn.cache_info), name
 
 
 class TestCoefficientRecurrence:

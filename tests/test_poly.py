@@ -637,3 +637,14 @@ def test_rendering_matches_fraction_reference(p):
     assert p.text() == _reference_render(p, 0)
     assert p.latex() == _reference_render(p, 1)
     assert Poly.zero(p.vars).text() == Poly.zero(p.vars).latex() == "0"
+
+
+def test_product_grade_clash_reads_as_the_sum():
+    # x^1 meets 1 from x * 1 and then sqrt(pi) from sqrt(pi) * x
+    p = Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
+    q = Poly(("x",), {(0,): 1, (1,): 1})
+    with pytest.raises(ValueError) as want:
+        ExactScalar(1) + ExactScalar(1, 1)
+    with pytest.raises(ValueError) as got:
+        p * q
+    assert str(got.value) == str(want.value)
