@@ -4,9 +4,10 @@ Verbs: poly, egf, lacunary, connect, react, table, verify.  Output goes
 to stdout in text (default), json, or latex form; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage or domain/parameter error, 2
 verification failure.  The environment variable SJK_MAX_ORDER (default
-64) caps every truncation order and degree accepted on the command line;
---alpha, --beta and --gamma take numerators and denominators of at most 64
-bits, and egf --family sj-beta-shifted takes beta <= 1000.
+64) caps every truncation order and degree accepted on the command line,
+lacunary's K included; --alpha, --beta and --gamma take numerators and
+denominators of at most 64 bits, and egf --family sj-beta-shifted takes
+beta <= 1000.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ def _cmd_egf(args, out):
 def _cmd_lacunary(args, out):
     order = _check_cap(args.order, "order")
     _check_cap(args.K * order + args.L, "K*order+L")
+    _check_cap(args.K, "K")
     if args.check and args.format != "text":
         raise UsageError("--check prints a text PASS/FAIL line; --format applies "
                          "only to the oracle table")

@@ -7,11 +7,12 @@ Gamma(n+1)/Gamma(n/K+1)), the closed hypergeometric forms for the Hermite
 family, the closed forms for the (-1,-1) family obtained from the Hermite
 ones by Pochhammer proliferation, and the shifted generators for both; the
 (-1,-1) shifted generator is the termwise transform of the Hermite one
-(families.hermite_image, which also maps H_N to p_N).  The CLI checks
-every (K, L) series against the oracle through the mu^L slice of the
-shifted generator alone (hermite_lacunary_slice, the closed form at
-L = 0, and its image sj_lacunary_slice); sj_lacunary_closed, the full
-generators and mu_slice stay as cross-checks for tests and verify.
+(families.hermite_image, which also maps H_N to p_N).  The shifted
+Hermite generator is exp(mu (x + 2z d/dx)) applied to the closed form, so
+its mu^L slice, which the CLI checks against the oracle, is the closed form
+raised L times by the Hermite raising operator (hermite_lacunary_slice,
+and its image sj_lacunary_slice); sj_lacunary_closed, the full generators
+and mu_slice stay as cross-checks for tests and verify.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import ParamError
 from .families import (
@@ -34,8 +35,8 @@ from .families import (
     sj_family,
 )
 from .hyper import HyperSpec, pfq_terms, pochhammer_proliferate
-from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, HalfInt, gamma_ratio
+from .poly import CoeffSeries, Poly, _over_common_den
+from .scalar import ExactScalar, HalfInt, _exact, gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -152,68 +153,54 @@ def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
     return _sum_cells(terms, K, order, ("x", HERMITE_SECOND_VAR))
 
 
-def _shift_slice(base: CoeffSeries, L: int) -> CoeffSeries:
-    """L! times the coefficient of mu^L in exp(mu x + mu^2 z) base(x + 2 mu z, z),
-    built directly from the truncated Taylor shift and exponential:
-
-        L! sum_{j + a + 2b = L} (2z)^j / j! d_x^j c * x^a z^b / (a! b!)
-
-    for each coefficient c of base.  A term v x^e z^m of c goes to
-    v binom(e, j) 2^j L! / (a! b!) x^(e + L - 2t) z^(m + t) with t = j + b,
-    so its image has one term per t, whose integer weight (a + b <= L)
-    sums over the splits of t.
-    """
-    fL = factorial(L)
-    weights = {}
-
-    def weights_of(e):
-        # w[t] = sum over j + b = t, j <= e, a = L - j - 2b >= 0
-        w = [0] * (L + 1)
-        for j in range(min(e, L) + 1):
-            ej = comb(e, j) << j
-            for b in range((L - j) // 2 + 1):
-                w[j + b] += ej * fL // (factorial(L - j - 2 * b) * factorial(b))
-        return w
-
-    vars = ("x", HERMITE_SECOND_VAR)
-    out = []
-    for c in base.coeffs:
-        pairs = []
-        for (e, m), v in c.terms.items():
-            if e not in weights:
-                weights[e] = weights_of(e)
-            for t, w in enumerate(weights[e]):
-                if w:
-                    pairs.append(((e + L - 2 * t, m + t), v * w))
-        out.append(Poly._collect(vars, pairs))
-    return CoeffSeries(out, base.order)
+def _hermite_raise(c: Poly, L: int) -> Poly:
+    """(x + 2z d/dx)^L c, the raising operator of H_{n+1} = (x + 2z d/dx) H_n
+    applied L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
+    c is a coefficient of the Hermite closed form, whose coefficients are
+    rational (sqrt(pi) grade 0); the steps run on integer numerators over
+    their common denominator, and one Fraction is made per output term."""
+    d, terms = _over_common_den(c.terms)
+    nums = {e: n for e, n, _ in terms}
+    for _ in range(L):
+        step = {(e + 1, m): n for (e, m), n in nums.items()}
+        for (e, m), n in nums.items():
+            if e:
+                k = e - 1, m + 1
+                step[k] = step.get(k, 0) + 2 * e * n
+        nums = step
+    return Poly._of(
+        ("x", HERMITE_SECOND_VAR),
+        {k: _exact(Fraction(n, d), 0) for k, n in nums.items() if n},
+    )
 
 
 def hermite_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
-    """The (K, L) Hermite lacunary series as L! times the coefficient of
-    mu^L in the shift generator (hermite_lacunary_shift), built without
-    the other powers of mu; at L = 0 it is the closed form itself."""
+    """The (K, L) Hermite lacunary series: L! times the mu^L coefficient of
+    hermite_lacunary_shift, which is exp(mu (x + 2z d/dx)) applied to the
+    closed form, so the closed form raised L times (_hermite_raise)."""
     closed = hermite_lacunary_closed(K, order)
-    return _shift_slice(closed, L) if L else closed
+    if not L:
+        return closed
+    return CoeffSeries([_hermite_raise(c, L) for c in closed.coeffs], order)
 
 
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
-    """Generating function of the L-shifted Hermite lacunary series:
-    exp(mu x + mu^2 z) H_{K,0}(lambda; x + 2 mu z, z), truncated in mu,
-    as the sum over L <= mu_order of its slices times mu^L / L!.
+    """Generating function of the L-shifted Hermite lacunary series,
+    exp(mu x + mu^2 z) H_{K,0}(lambda; x + 2 mu z, z) truncated in mu.
 
-    The coefficient of mu^L, times L!, is the (K, L) lacunary series.
+    Since [x, 2z d/dx] = -2z is central, it equals exp(mu (x + 2z d/dx))
+    H_{K,0}(lambda; x, z): L! times its coefficient of mu^L is the closed
+    form raised L times (_hermite_raise), the (K, L) lacunary series.
     """
-    base = hermite_lacunary_closed(K, order)
-    slices = [_shift_slice(base, L) for L in range(mu_order + 1)]
     vars = ("mu", "x", HERMITE_SECOND_VAR)
     out = []
-    for k in range(order + 1):
+    for c in hermite_lacunary_closed(K, order).coeffs:
         terms = {}
-        for L, s in enumerate(slices):
+        for L in range(mu_order + 1):
             w = Fraction(1, factorial(L))
-            for key, c in s.coeffs[k].terms.items():
-                terms[(L, *key)] = c * w
+            for key, v in c.terms.items():
+                terms[(L, *key)] = v * w
+            c = _hermite_raise(c, 1)
         out.append(Poly._of(vars, terms))
     return CoeffSeries(out, order)
 

@@ -353,6 +353,13 @@ class TestMaxOrderCap:
         )
         assert code == 1
 
+    def test_cap_bounds_lacunary_k_at_order_zero(self, monkeypatch):
+        # K * order + L is 0 here; K alone must still be capped
+        monkeypatch.delenv("SJK_MAX_ORDER", raising=False)
+        assert run_cli(
+            "lacunary", "--family", "hermite", "--K", "65", "--order", "0", "--check"
+        ) == (1, "", "error: K 65 exceeds SJK_MAX_ORDER = 64\n")
+
     def test_default_cap_allows_normal_use(self, monkeypatch):
         monkeypatch.delenv("SJK_MAX_ORDER", raising=False)
         code, _, _ = run_cli("egf", "--family", "sj", "--order", "8")

@@ -4,9 +4,10 @@ import pytest
 
 from sjk import verify
 from sjk.errors import ParamError
-from sjk.families import hermite_egf, sj_egf
+from sjk.families import hermite_closed, hermite_egf, sj_egf
 from sjk.lacunary import (
     LacunaryParams,
+    _hermite_raise,
     coeff_bridge_check,
     hermite_lacunary_closed,
     hermite_lacunary_shift,
@@ -200,6 +201,25 @@ class TestShiftSlice:
     def test_slice_equals_oracle(self, family, K, L, order):
         got = SLICES[family](K, L, order)
         assert got == oracle(family, K, L, order), (family, K, L, order)
+
+
+class TestHermiteRaise:
+    def test_raising_steps_through_the_family(self):
+        for n in range(25):
+            for L in range(7):
+                got = _hermite_raise(hermite_closed(n), L)
+                want = hermite_closed(n + L)
+                assert (got.vars, got.terms) == (want.vars, want.terms), (n, L)
+
+    def test_cancelled_terms_are_dropped(self):
+        # (x + 2z d/dx)(x^2 - 4z) = x^3 + 4xz - 4xz
+        c = Poly(("x", "z"), {(2, 0): 1, (0, 1): -4})
+        got = _hermite_raise(c, 1)
+        assert (got.vars, got.terms) == (("x", "z"), {(3, 0): ExactScalar(1)})
+
+    def test_zero_stays_zero(self):
+        got = _hermite_raise(Poly.zero(("x", "z")), 3)
+        assert (got.vars, got.terms) == (("x", "z"), {})
 
 
 class TestOperatorRelation:

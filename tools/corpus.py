@@ -13,7 +13,8 @@ environment settings that hold for that request only.  Diffing the output
 of two checkouts shows every request whose stdout, stderr or exit code
 changed.  The list covers every verb in every format, the alpha/beta grid
 (64-bit and half-integer values included), lacunary K 1-4 x L 0-3 with and
-without --check, verify with each suite, and the usage errors.
+without --check and --check at large L, verify with each suite, and the
+usage errors.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def requests() -> list:
                 reqs += [f"{base} --format {fmt}" for fmt in FORMATS]
                 reqs.append(f"{base} --check")
     reqs.append("lacunary --family sj --K 2 --L 1 --order 8 --check")
+    for fam in ("sj", "hermite"):
+        for K, L, order in ((1, 32, 32), (1, 63, 1), (2, 20, 22)):
+            base = f"lacunary --family {fam} --K {K} --L {L} --order {order}"
+            reqs.append(f"{base} --check")
     reqs.append("verify")
     reqs += [f"verify --suite {s}" for s in SUITES]
     reqs.append("verify --suite lacunary --suite connect")
@@ -94,6 +99,8 @@ def requests() -> list:
         "lacunary --family sj --K 0 --order 3",
         "lacunary --family sj --K 2 --L -1 --order 3",
         "lacunary --family sj --K 3 --order 30",
+        "lacunary --family hermite --K 65 --order 0 --check",
+        "lacunary --family sj --K 65 --order 0 --check",
         "lacunary --family sj --K 2 --order 3 --check --format json",
         "lacunary --family hermite --K 2 --order 3 --check --format latex",
         "connect --family sj --M 65",
