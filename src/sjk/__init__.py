@@ -18,7 +18,6 @@ from .errors import (
 from .scalar import (
     ExactScalar,
     HalfInt,
-    Rational,
     beta_fn,
     gamma_half,
     gamma_ratio,
@@ -59,7 +58,6 @@ from .families import (
     sj_umbral,
 )
 from .lacunary import (
-    LacunaryParams,
     coeff_bridge_check,
     hermite_lacunary_closed,
     hermite_lacunary_shift,

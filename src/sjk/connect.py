@@ -18,8 +18,8 @@ from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar
 
-SJ_FAMILY = "sj_mm"
-HERMITE_FAMILY = "hermite2"
+SJ_FAMILY = "sj"
+HERMITE_FAMILY = "hermite"
 
 
 def sj_connection(M: int, n: int) -> Fraction:

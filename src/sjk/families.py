@@ -51,7 +51,8 @@ def binom_general(a, k: int) -> Fraction:
 def _classical_params(alpha, beta):
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= -1 or beta <= -1:
-        raise ParamError(f"classical Jacobi needs alpha, beta > -1, got ({alpha}, {beta})")
+        raise ParamError(
+            f"classical Jacobi needs alpha, beta > -1, got ({alpha}, {beta})")
     return alpha, beta
 
 
@@ -285,9 +286,7 @@ def hermite_egf(order: int) -> CoeffSeries:
 
 def sj_egf(order: int) -> CoeffSeries:
     """EGF truncation of the (-1,-1) family."""
-    return CoeffSeries.build(
-        lambda n: sj_family(n) * Fraction(1, factorial(n)), order
-    )
+    return CoeffSeries.build(sj_egf_coeff, order)
 
 
 def tricomi_series(alpha, zpoly: Poly, order: int) -> CoeffSeries:

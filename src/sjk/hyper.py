@@ -41,14 +41,6 @@ class HyperSpec:
                 raise ParamError(f"lower parameter {b} lies in Z_<=0")
         self.arg_scale = ExactScalar.coerce(arg_scale)
 
-    @property
-    def p(self) -> int:
-        return len(self.upper)
-
-    @property
-    def q(self) -> int:
-        return len(self.lower)
-
     def __eq__(self, other):
         if not isinstance(other, HyperSpec):
             return NotImplemented
@@ -61,7 +53,8 @@ class HyperSpec:
     def __repr__(self):
         up = ", ".join(map(str, self.upper))
         lo = ", ".join(map(str, self.lower))
-        return f"HyperSpec({self.p}F{self.q}; [{up}]; [{lo}]; scale={self.arg_scale})"
+        pq = f"{len(self.upper)}F{len(self.lower)}"
+        return f"HyperSpec({pq}; [{up}]; [{lo}]; scale={self.arg_scale})"
 
 
 def pfq_terms(spec: HyperSpec):

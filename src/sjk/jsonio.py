@@ -45,10 +45,12 @@ def poly_from_obj(obj: dict) -> Poly:
     vars = tuple(obj["variables"])
     terms = {}
     for t in obj["terms"]:
-        c = ExactScalar(
-            Fraction(int(t["num"]), int(t["den"])), int(t.get("sqrt_pi_pow", 0))
+        exps = tuple(t["exps"])
+        if exps in terms:
+            raise ValueError(f"repeated exponent vector {list(exps)}")
+        terms[exps] = ExactScalar(
+            Fraction(int(t["num"]), int(t["den"])), t.get("sqrt_pi_pow", 0)
         )
-        terms[tuple(t["exps"])] = c
     return Poly(vars, terms)
 
 
@@ -119,7 +121,8 @@ def _poly(obj: dict, nl: str) -> str:
     ]
     names = [*map(_string, obj["variables"])]
     return _block(
-        ['"variables": ' + _block(names, i1, "[]"), '"terms": ' + _block(terms, i1, "[]")],
+        ['"variables": ' + _block(names, i1, "[]"),
+         '"terms": ' + _block(terms, i1, "[]")],
         nl,
         "{}",
     )

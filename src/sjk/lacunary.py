@@ -39,22 +39,12 @@ from .poly import CoeffSeries, Poly, _over_common_den
 from .scalar import ExactScalar, HalfInt, _exact, gamma_ratio
 
 
-@dataclass(frozen=True)
-class LacunaryParams:
-    K: int
-    L: int
-    order: int
-
-    def __post_init__(self):
-        if self.K < 1 or self.L < 0 or self.order < 0:
-            raise ParamError(f"bad lacunary parameters {self}")
-
-
-def multisection_oracle(source, params: LacunaryParams) -> CoeffSeries:
+def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
     """sum_n lambda^n / n! p_{K n + L}, by direct index selection."""
-    K, L = params.K, params.L
+    if K < 1 or L < 0 or order < 0:
+        raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
     return CoeffSeries.build(
-        lambda n: source(K * n + L) * Fraction(1, factorial(n)), params.order
+        lambda n: source(K * n + L) * Fraction(1, factorial(n)), order
     )
 
 

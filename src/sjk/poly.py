@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, inf, lcm
-from operator import add
+from operator import add, index
 from typing import Callable, NamedTuple
 
 from .scalar import ExactScalar, ZERO, _exact, _grade_clash
@@ -51,19 +51,21 @@ _new = object.__new__
 
 
 class Poly:
-    """``Poly(vars, terms)`` checks every term; the results of arithmetic
-    on Polys are built by ``Poly._of`` from terms that are canonical by
-    construction and are not checked again."""
+    """``Poly(vars, terms)`` checks the variables and every term; the
+    results of arithmetic on Polys are built by ``Poly._of`` from terms
+    that are canonical by construction and are not checked again."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"repeated variable in {self.vars}")
         pairs = []
         if terms:
             width = len(self.vars)
             for exps, c in terms.items():
-                exps = tuple(exps)
+                exps = tuple(map(index, exps))  # TypeError unless integers
                 if len(exps) != width:
                     raise ValueError("exponent vector width mismatch")
                 if any(e < 0 for e in exps):
@@ -123,13 +125,13 @@ class Poly:
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1):
-        if power == 0:
+        if index(power) == 0:
             return cls.const(coeff)
         return cls((name,), {(power,): ExactScalar.coerce(coeff)})
 
     @classmethod
     def monomial(cls, coeff, **exps):
-        names = tuple(sorted(n for n, e in exps.items() if e))
+        names = tuple(sorted(n for n, e in exps.items() if index(e)))
         key = tuple(exps[n] for n in names)
         return cls(names, {key: ExactScalar.coerce(coeff)})
 
@@ -286,11 +288,8 @@ class Poly:
 
     def shift(self, var: str, c) -> "Poly":
         """Taylor shift: substitute var -> var + c (c free of var)."""
-        if not isinstance(c, Poly):
-            c = Poly.const(c)
-        if var in c.vars and any(
-            e[c.vars.index(var)] for e in c.terms
-        ):
+        c = c if isinstance(c, Poly) else Poly.const(c)
+        if c.degree(var) > 0:
             raise ValueError(f"shift offset must not involve {var!r}")
         return self.substitute(var, Poly.var(var) + c)
 
@@ -298,24 +297,12 @@ class Poly:
         """Substitute var -> value (Poly or scalar), fully expanded."""
         if var not in self.vars:
             return self
-        if not isinstance(value, Poly):
-            value = Poly.const(value)
         i = self.vars.index(var)
         rest_vars = self.vars[:i] + self.vars[i + 1 :]
-        powers = {0: Poly.const(1)}
-        parts = []
-        for exps, c in sorted(self.terms.items(), key=lambda t: t[0][i]):
-            e = exps[i]
-            if e not in powers:
-                p = max(k for k in powers if k <= e)
-                acc = powers[p]
-                while p < e:
-                    acc = acc * value
-                    p += 1
-                    powers[p] = acc
-            rest = Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c})
-            parts.append(rest * powers[e])
-        return Poly.sum(parts, rest_vars)
+        return Poly.sum((
+            Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c}) * value ** exps[i]
+            for exps, c in self.terms.items()
+        ), rest_vars)
 
     # -- structure ------------------------------------------------------------
 
@@ -362,15 +349,11 @@ class Poly:
             return ZERO
         return self.terms.get(tuple(key), ZERO)
 
-    def constant_term(self) -> ExactScalar:
-        return self.terms.get((0,) * len(self.vars), ZERO)
-
     def as_scalar(self) -> ExactScalar:
         """The value of a constant polynomial; raises if non-constant."""
-        nonconst = [e for e in self.terms if any(e)]
-        if nonconst:
+        if any(any(e) for e in self.terms):
             raise ValueError(f"polynomial is not constant: {self}")
-        return self.constant_term()
+        return self.scalar_coeff()
 
     def sorted_terms(self):
         """Terms in graded-lexicographic descending order."""

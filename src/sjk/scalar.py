@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import index
 
 from .errors import PoleError
-
-Rational = Fraction
 
 
 class HalfInt:
@@ -32,7 +31,7 @@ class HalfInt:
     __slots__ = ("twice",)
 
     def __init__(self, twice: int):
-        self.twice = int(twice)
+        self.twice = index(twice)
 
     @property
     def as_fraction(self) -> Fraction:
@@ -137,9 +136,10 @@ class ExactScalar:
     pi-grade (or with zero); a cross-grade sum is not representable and
     raises instead of silently degrading.
 
-    The constructor checks its input and refuses a float, which is not
-    exact; arithmetic results are built by ``_exact`` from the Fraction
-    they computed, without a second check.
+    The constructor checks its input: it refuses a float, which is not
+    exact, and a sqrt(pi) power that is not an integer.  Arithmetic
+    results are built by ``_exact`` from the Fraction they computed,
+    without a second check.
     """
 
     __slots__ = ("rat", "sqrt_pi_pow")
@@ -148,10 +148,9 @@ class ExactScalar:
         if isinstance(rat, float):
             raise TypeError(f"cannot interpret {rat!r} as an exact scalar")
         rat = Fraction(rat)
-        if not rat:
-            sqrt_pi_pow = 0
+        sqrt_pi_pow = index(sqrt_pi_pow)
         self.rat = rat
-        self.sqrt_pi_pow = sqrt_pi_pow
+        self.sqrt_pi_pow = sqrt_pi_pow if rat else 0
 
     @classmethod
     def coerce(cls, x) -> "ExactScalar":

@@ -230,7 +230,7 @@ def proliferation(cases, ms):
 def lacunary_oracle(family, K, L, order):
     """sum_n lambda^n/n! p_{Kn+L} for family 'sj' or 'hermite'."""
     source = families.sj_family if family == "sj" else families.hermite_family
-    return lacunary.multisection_oracle(source, lacunary.LacunaryParams(K, L, order))
+    return lacunary.multisection_oracle(source, K, L, order)
 
 
 def lacunary_closed(cases):
@@ -240,6 +240,19 @@ def lacunary_closed(cases):
                  else lacunary.hermite_lacunary_closed)
         if build(K, order) != lacunary_oracle(family, K, 0, order):
             return f"{family} closed form != oracle at K={K}, order={order}"
+
+
+def lacunary_slices(cases):
+    """The mu^L slice that `lacunary --check` builds equals the oracle for
+    each (family, K, L, order), else the first coefficient that differs."""
+    for family, K, L, order in cases:
+        build = (lacunary.sj_lacunary_slice if family == "sj"
+                 else lacunary.hermite_lacunary_slice)
+        oracle = lacunary_oracle(family, K, L, order).coeffs
+        for k, c in enumerate(build(K, L, order).coeffs):
+            if c != oracle[k]:
+                return (f"first mismatch at lambda^{k}: closed={c.text()} "
+                        f"oracle={oracle[k].text()}")
 
 
 def lacunary_shifts(cases):

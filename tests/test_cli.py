@@ -107,7 +107,7 @@ class TestOutputMatchesClosedForms:
     @pytest.mark.parametrize("L", (0, 1))
     def test_lacunary_oracle_json(self, L):
         closed = lacunary.multisection_oracle(
-            lambda n: families.sj_closed_mm(n, 0), lacunary.LacunaryParams(2, L, 4)
+            lambda n: families.sj_closed_mm(n, 0), 2, L, 4
         )
         code, out, _ = run_cli(
             "lacunary", "--family", "sj", "--K", "2", "--L", str(L),

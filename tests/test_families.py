@@ -30,6 +30,8 @@ from sjk.opcalc import gp_series, hermite_exp, jacobi_operator_apply
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, gamma_ratio
 
+from conftest import assert_canonical
+
 H = Fraction(1, 2)
 X = Poly.var("x")
 GRID = tuple(
@@ -340,13 +342,6 @@ def test_hermite_egf_against_sympy_exponential():
         assert {k: v.rat for k, v in c.terms.items()} == want, n
 
 
-def _assert_canonical(p):
-    """The terms are those the checking constructor would store."""
-    again = Poly(p.vars, p.terms)
-    assert again.vars == p.vars and again.terms == p.terms
-    assert all(type(c) is ExactScalar and c for c in p.terms.values())
-
-
 def test_hermite_path_against_the_matching_numbers():
     # H_n, its EGF coefficient and its (-1,-1) image, built from integer
     # ratios, against matching_coeff and the H_n / n! route, n <= 64
@@ -360,7 +355,7 @@ def test_hermite_path_against_the_matching_numbers():
         sj = sj_egf_coeff(n)
         assert sj.vars == ("x",) and sj == hermite_image(h) * inv, n
         for p in (h, egf.coeffs[n], sj):
-            _assert_canonical(p)
+            assert_canonical(p)
 
 
 def _image_weight(a, m):
@@ -399,7 +394,7 @@ class TestHermiteImageTerms:
         assert got.vars == ("mu", "x")
         assert (2, 1) not in got.terms and len(got.terms) == 3
         assert got.terms == _image_reference(p).terms
-        _assert_canonical(got)
+        assert_canonical(got)
 
     @pytest.mark.parametrize("vars", [
         ("mu", "x", "z"), ("z", "x", "mu"), ("x", "z"), ("z", "x"), ("x",), ("z",), ("mu",),
@@ -413,4 +408,4 @@ class TestHermiteImageTerms:
             p = Poly(vars, terms)
             got, want = hermite_image(p), _image_reference(p)
             assert got.vars == want.vars and got.terms == want.terms
-            _assert_canonical(got)
+            assert_canonical(got)

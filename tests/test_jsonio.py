@@ -109,3 +109,19 @@ def test_empty_and_scalar_values(obj):
 def test_values_outside_the_schema_are_refused(bad):
     with pytest.raises(TypeError):
         jsonio.dumps({"value": bad})
+
+
+def _term(exps, num, sqrt_pi_pow=0):
+    return {"exps": exps, "num": str(num), "den": "1", "sqrt_pi_pow": sqrt_pi_pow}
+
+
+@pytest.mark.parametrize("obj, error", [
+    # a dict keyed by exponents would keep only the last: 2 x, not 3 x
+    ({"variables": ["x"], "terms": [_term([1], 1), _term([1], 2)]}, ValueError),
+    # int() would truncate the grade to 0
+    ({"variables": ["x"], "terms": [_term([1], 1, 0.5)]}, TypeError),
+    ({"variables": ["x", "x"], "terms": [_term([1, 2], 1)]}, ValueError),
+], ids=["repeated-exps", "float-grade", "repeated-variable"])
+def test_lossy_input_is_refused(obj, error):
+    with pytest.raises(error):
+        jsonio.poly_from_obj(obj)

@@ -4,24 +4,24 @@ import pytest
 
 from sjk import verify
 from sjk.errors import ParamError
-from sjk.families import hermite_closed, hermite_egf, sj_egf
+from sjk.families import hermite_closed, hermite_egf, hermite_family, sj_egf
 from sjk.lacunary import (
-    LacunaryParams,
     _hermite_raise,
     coeff_bridge_check,
     hermite_lacunary_closed,
     hermite_lacunary_shift,
-    hermite_lacunary_slice,
     lacunary_dilate,
     mu_slice,
+    multisection_oracle,
     sj_lacunary_closed,
     sj_lacunary_closed_printed,
     sj_lacunary_shift_gen,
-    sj_lacunary_slice,
 )
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
 from sjk.verify import lacunary_oracle as oracle
+
+from conftest import assert_canonical
 
 X = Poly.var("x")
 
@@ -39,8 +39,9 @@ class TestOracle:
         assert s.coeffs[1] == golden[("sj", 3)]
 
     def test_params_validated(self):
-        with pytest.raises(ParamError):
-            LacunaryParams(0, 0, 3)
+        for K, L, order in ((0, 0, 3), (1, -1, 3), (1, 0, -1)):
+            with pytest.raises(ParamError):
+                multisection_oracle(hermite_family, K, L, order)
 
 
 class TestDilate:
@@ -188,7 +189,6 @@ class TestSjShiftGen:
             ("sj", K, mu_order, order, L) for mu_order, order in sizes) is None
 
 
-SLICES = {"hermite": hermite_lacunary_slice, "sj": sj_lacunary_slice}
 # (K, L) at every size series-warm sends (family degree 16), then shapes
 # whose full mu-generator is too slow to build
 SLICE_SIZES = [(K, L, (16 - L) // K) for K in (1, 2, 3, 4) for L in (0, 1, 2, 3)]
@@ -199,8 +199,7 @@ class TestShiftSlice:
     @pytest.mark.parametrize("family", ["hermite", "sj"])
     @pytest.mark.parametrize("K, L, order", SLICE_SIZES)
     def test_slice_equals_oracle(self, family, K, L, order):
-        got = SLICES[family](K, L, order)
-        assert got == oracle(family, K, L, order), (family, K, L, order)
+        assert verify.lacunary_slices([(family, K, L, order)]) is None
 
 
 class TestHermiteRaise:
@@ -268,6 +267,4 @@ def test_closed_form_coefficients_are_canonical(K):
         forms += [sj_lacunary_closed(K, 6), sj_lacunary_closed_printed(K, 6)]
     for series in forms:
         for c in series.coeffs:
-            again = Poly(c.vars, c.terms)
-            assert again.vars == c.vars and again.terms == c.terms
-            assert all(type(v) is ExactScalar and v for v in c.terms.values())
+            assert_canonical(c)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ZERO, ExactScalar
 
-from conftest import rand_poly
+from conftest import assert_canonical, rand_poly
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -181,18 +181,6 @@ def graded_polys(draw, pi_weight, varsets=(("x", "y"), ("y", "x"), ("x",), ("y",
         grade = pi_weight * dict(zip(vars, key)).get("y", 0)
         terms[key] = ExactScalar(draw(small_fracs), grade)
     return Poly(vars, terms)
-
-
-def assert_canonical(p):
-    """What the validating constructor would store, and nothing else."""
-    width = len(p.vars)
-    for exps, c in p.terms.items():
-        assert type(exps) is tuple and len(exps) == width
-        assert all(e >= 0 for e in exps)
-        assert type(c) is ExactScalar and c
-    again = Poly(p.vars, p.terms)
-    assert again.vars == p.vars and again.terms == p.terms
-    assert p == again and hash(p) == hash(again)
 
 
 @settings(max_examples=120, deadline=None)
@@ -376,6 +364,24 @@ class TestConstructorValidates:
     def test_inexact_coefficient(self):
         with pytest.raises(TypeError):
             Poly(("x",), {(1,): 0.5})
+
+    @pytest.mark.parametrize("make", [
+        lambda: Poly.var("x", 1.5),
+        lambda: Poly.monomial(2, x=0.5),
+        lambda: Poly.var("x", 0.0),
+        lambda: Poly.monomial(2, x=0.0),
+    ], ids=["var", "monomial", "var-zero", "monomial-zero"])
+    def test_non_integer_exponent(self, make):
+        # a float is no exponent: x^1.5 would render as a term, and a zero
+        # float would pass as the integer 0
+        with pytest.raises(TypeError):
+            make()
+
+    def test_repeated_variable(self):
+        # over ("x", "x") the term x x^2 would differentiate to x^2 and
+        # differ from x^3
+        with pytest.raises(ValueError, match="repeated variable"):
+            Poly(("x", "x"), {(1, 2): 1})
 
     def test_repeated_keys_summed_and_zeros_dropped(self):
         # range(1, -1, -1) is the exponent vector (1, 0) under another key

@@ -23,6 +23,12 @@ H = Fraction(1, 2)
 
 
 class TestHalfInt:
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    def test_non_integer_twice_refused(self, bad):
+        # int() would turn 1.5 into HalfInt(1/2) and "3" into HalfInt(3/2)
+        with pytest.raises(TypeError):
+            HalfInt(bad)
+
     def test_coercion(self):
         assert half(3).twice == 6
         assert half(Fraction(5, 2)).twice == 5
@@ -89,6 +95,11 @@ class TestExactScalar:
         assert a / a == ExactScalar(1)
         assert a**3 == ExactScalar(Fraction(27, 64), 3)
         assert a ** (-1) == ExactScalar(Fraction(4, 3), -1)
+
+    def test_non_integer_grade_refused(self):
+        # the sqrt(pi) power is an integer; 0.5 would be stored as given
+        with pytest.raises(TypeError):
+            ExactScalar(1, 0.5)
 
     @pytest.mark.parametrize("bad", [0.1, 0.0, -2.5, float("inf")])
     def test_float_refused(self, bad):
