@@ -65,8 +65,6 @@ from .lacunary import (
     lacunary_dilate,
     multisection_oracle,
     sj_lacunary_closed,
-    sj_lacunary_shift_gen,
-    sj_lacunary_slice,
 )
 from .connect import (
     biorthogonality_check,

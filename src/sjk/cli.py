@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import families, jsonio, verify
-from .connect import hermite_connection, reaction_solve, sj_connection
+from .connect import FAMILIES, lookup, reaction_solve
 from .errors import SjkError
 from .poly import CoeffSeries, Poly
 
@@ -128,29 +128,27 @@ def _emit_series(s: CoeffSeries, fmt: str, out, parameter="lambda"):
 def _cmd_poly(args, out):
     n = _check_cap(args.n, "degree")
     fam = args.family
-    if fam == "sj":
+    if fam == "sj" and n == 1:
         # degree one is the only member with a free constant
-        p = Poly.var("x") + args.gamma if n == 1 else families.sj_family(n)
+        p = Poly.var("x") + args.gamma
     elif fam == "sj-beta":
         p = families.sj_beta_family(n, args.beta)
-    elif fam == "hermite":
-        p = families.hermite_closed(n)
-    else:  # jacobi
+    elif fam == "jacobi":
         p = families.jacobi_family(n, args.alpha, args.beta)
+    else:
+        p = lookup(fam).source(n)
     _emit_poly(p, args.format, out)
     return 0
 
 
 def _cmd_egf(args, out):
     order = _check_cap(args.order, "order")
-    if args.family == "sj":
-        s = families.sj_egf(order)
-    elif args.family == "hermite":
-        s = families.hermite_egf(order)
-    else:  # sj-beta-shifted
-        if args.beta > MAX_SHIFTED_BETA:
-            raise UsageError(f"--beta {args.beta} exceeds {MAX_SHIFTED_BETA} "
-                             "for --family sj-beta-shifted")
+    if args.family in FAMILIES:
+        s = lookup(args.family).egf(order)
+    elif args.beta > MAX_SHIFTED_BETA:
+        raise UsageError(f"--beta {args.beta} exceeds {MAX_SHIFTED_BETA} "
+                         "for --family sj-beta-shifted")
+    else:
         s = families.egf_beta_shifted(order, args.beta)
     _emit_series(s, args.format, out)
     return 0
@@ -176,19 +174,18 @@ def _cmd_lacunary(args, out):
 
 def _cmd_connect(args, out):
     M = _check_cap(args.M, "M")
-    sj = args.family == "sj"
-    connection = sj_connection if sj else hermite_connection
+    connection = lookup(args.family).connection
     weights = [connection(M, n) for n in range(M + 1)]
     if args.format == "json":
         rows = [
-            {"n": n, "num": str(w.numerator), "den": str(w.denominator)} if sj
-            else {"n": n, "poly": jsonio.poly_to_obj(w)}
+            {"n": n, "num": str(w.numerator), "den": str(w.denominator)}
+            if isinstance(w, Fraction) else {"n": n, "poly": jsonio.poly_to_obj(w)}
             for n, w in enumerate(weights)
         ]
         print(jsonio.dumps({"family": args.family, "M": M, "weights": rows}), file=out)
     else:
         for n, w in enumerate(weights):
-            w = Poly.const(w) if sj else w
+            w = Poly.const(w) if isinstance(w, Fraction) else w
             print(f"A[{M},{n}] = {_render(w, args.format)}", file=out)
     return 0
 
@@ -203,7 +200,7 @@ def _cmd_react(args, out):
 
 def _cmd_table(args, out):
     top = _check_cap(args.max_n, "max-n")
-    fn = families.sj_family if args.family == "sj" else families.hermite_family
+    fn = lookup(args.family).source
     for n in range(top + 1):
         print(f"{n}: {_render(fn(n), args.format)}", file=out)
     return 0
@@ -243,7 +240,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_poly)
 
     p = sub.add_parser("egf", help="print EGF coefficients")
-    p.add_argument("--family", choices=("sj", "hermite", "sj-beta-shifted"),
+    p.add_argument("--family", choices=(*FAMILIES, "sj-beta-shifted"),
                    required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--beta", type=_rat, default=Fraction(0))
@@ -252,7 +249,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lacunary", help="lacunary series; --check compares "
                                         "the closed form against the oracle")
-    p.add_argument("--family", choices=("sj", "hermite"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, default=0)
     p.add_argument("--order", type=int, required=True)
@@ -261,7 +258,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_lacunary)
 
     p = sub.add_parser("connect", help="connection coefficient row for x^M")
-    p.add_argument("--family", choices=("sj", "hermite"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--M", type=int, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_connect)
@@ -273,7 +270,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_react)
 
     p = sub.add_parser("table", help="family polynomials up to a degree")
-    p.add_argument("--family", choices=("sj", "hermite"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_table)

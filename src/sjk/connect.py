@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Callable, NamedTuple
 
+from . import lacunary
 from .errors import ParamError
-from .families import HERMITE_SECOND_VAR, hermite_family, sj_family
+from .families import HERMITE_SECOND_VAR, hermite_egf, hermite_family, hermite_image
+from .families import sj_egf, sj_family
 from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar
-
-SJ_FAMILY = "sj"
-HERMITE_FAMILY = "hermite"
 
 
 def sj_connection(M: int, n: int) -> Fraction:
@@ -47,29 +47,59 @@ def hermite_connection(M: int, n: int) -> Poly:
     return Poly.monomial(c, **{HERMITE_SECOND_VAR: k})
 
 
-def _family(family: str):
-    if family == SJ_FAMILY:
-        return sj_family, lambda M, n: Poly.const(sj_connection(M, n))
-    if family == HERMITE_FAMILY:
-        return hermite_family, hermite_connection
-    raise ParamError(f"unknown family {family!r}")
+class Family(NamedTuple):
+    """A row of the family table: the source n -> p_n, the EGF truncation,
+    the weight (M, n) -> A_{M,n} of p_n in x^M (a Fraction, or a Poly in z),
+    the closed lacunary form (a cross-check) and the image map H_n -> p_n."""
+
+    source: Callable
+    egf: Callable
+    connection: Callable
+    lacunary_closed: Callable
+    image: Callable
+
+    def image_of(self, series: CoeffSeries) -> CoeffSeries:
+        """The image of a Hermite series, such as a lacunary slice."""
+        return CoeffSeries([self.image(c) for c in series.coeffs], series.order)
+
+
+def _table() -> dict:
+    # built per lookup: a builder rebound in its module (a patch, a wrapper) is used
+    return {
+        "sj": Family(sj_family, sj_egf, sj_connection,
+                     lacunary.sj_lacunary_closed, hermite_image),
+        "hermite": Family(hermite_family, hermite_egf, hermite_connection,
+                          lacunary.hermite_lacunary_closed, lambda p: p),
+    }
+
+
+FAMILIES = tuple(_table())
+
+
+def lookup(family: str) -> Family:
+    """The table's row for a family name; ParamError for an unknown one."""
+    try:
+        return _table()[family]
+    except KeyError:
+        raise ParamError(f"unknown family {family!r}") from None
 
 
 def reconstruct_monomial(M: int, family: str) -> Poly:
     """sum_n A_{M,n} p_n(x); must equal x^M exactly."""
-    source, conn = _family(family)
-    return Poly.sum((conn(M, n) * source(n) for n in range(M + 1)), ("x",))
+    row = lookup(family)
+    terms = (row.connection(M, n) * row.source(n) for n in range(M + 1))
+    return Poly.sum(terms, ("x",))
 
 
 def biorthogonality_check(M: int, L: int, family: str) -> ExactScalar:
     """Contraction of backward (connection) against forward (expansion)
     coefficients; the defining identity forces delta_{M,L}."""
-    source, conn = _family(family)
+    row = lookup(family)
     parts = []
     for n in range(M + 1):
-        b = source(n).coeff_of("x", L)
+        b = row.source(n).coeff_of("x", L)
         if b:
-            parts.append(conn(M, n) * b)
+            parts.append(row.connection(M, n) * b)
     return Poly.sum(parts).as_scalar()
 
 
@@ -91,17 +121,18 @@ def pair_factors(order: int, family: str):
     B(wbar, beta) = sum wbar^n / n! p_n(beta)
 
     For the Hermite family both carry z, which cancels in the pairing.
+    p_n(beta) is p_n with x renamed, its terms shared.
     """
-    source, conn = _family(family)
+    row = lookup(family)
     A = Poly.sum((
-        conn(M, n) * Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
+        row.connection(M, n) * Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
         for M in range(order + 1)
         for n in range(M % 2, M + 1, 2)
     ), ("alpha", "w"))
     B = Poly.sum((
-        source(n).substitute("x", Poly.var("beta"))
+        Poly._of(tuple("beta" if v == "x" else v for v in p.vars), p.terms)
         * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
-        for n in range(order + 1)
+        for n, p in enumerate(map(row.source, range(order + 1)))
     ), ("beta", "wbar"))
     return A, B
 

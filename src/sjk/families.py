@@ -251,7 +251,7 @@ def sj_egf_coeff(N: int) -> Poly:
     return hermite_image(_hermite_egf_coeff(N))
 
 
-# Canonical per-degree sources used by the lacunary oracle and the CLI.
+# Canonical per-degree sources, the source column of connect's family table.
 
 @lru_cache(maxsize=None)
 def sj_family(n: int) -> Poly:

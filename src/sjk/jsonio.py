@@ -48,9 +48,10 @@ def poly_from_obj(obj: dict) -> Poly:
         exps = tuple(t["exps"])
         if exps in terms:
             raise ValueError(f"repeated exponent vector {list(exps)}")
-        terms[exps] = ExactScalar(
-            Fraction(int(t["num"]), int(t["den"])), t.get("sqrt_pi_pow", 0)
-        )
+        den = int(t["den"])
+        if not den:
+            raise ValueError(f"zero denominator at exponents {list(exps)}")
+        terms[exps] = ExactScalar(Fraction(int(t["num"]), den), t.get("sqrt_pi_pow", 0))
     return Poly(vars, terms)
 
 

@@ -5,14 +5,16 @@ p_{K n + L} from a per-degree family source.  Against it are checked the
 lacunary dilatation operator (index selection plus the factorial rescale
 Gamma(n+1)/Gamma(n/K+1)), the closed hypergeometric forms for the Hermite
 family, the closed forms for the (-1,-1) family obtained from the Hermite
-ones by Pochhammer proliferation, and the shifted generators for both; the
-(-1,-1) shifted generator is the termwise transform of the Hermite one
-(families.hermite_image, which also maps H_N to p_N).  The shifted
-Hermite generator is exp(mu (x + 2z d/dx)) applied to the closed form, so
-its mu^L slice, which the CLI checks against the oracle, is the closed form
-raised L times by the Hermite raising operator (hermite_lacunary_slice,
-and its image sj_lacunary_slice); sj_lacunary_closed, the full generators
-and mu_slice stay as cross-checks for tests and verify.
+ones by Pochhammer proliferation, and the shifted generators for both.
+The shifted Hermite generator is exp(mu (x + 2z d/dx)) applied to the
+closed form, so its mu^L slice, which the CLI checks against the oracle,
+is the closed form raised L times by the Hermite raising operator
+(hermite_lacunary_slice).  The (-1,-1) slice and shifted generator are the
+Hermite ones mapped termwise by families.hermite_image (the image column of
+connect's family table), the paper's transform after lambda -> lambda (uv)^K,
+mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a,
+so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
+generators and mu_slice stay as cross-checks for tests and verify.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -262,31 +264,6 @@ def sj_lacunary_closed_printed(
         spec = HyperSpec(upper, lower, arg)
         terms.append((cell, spec, gamma_ratio(alpha, beta_p) * scale))
     return _sum_cells(terms, K, order, ("x",))
-
-
-def _image(series: CoeffSeries) -> CoeffSeries:
-    return CoeffSeries([hermite_image(c) for c in series.coeffs], series.order)
-
-
-def sj_lacunary_shift_gen(K: int, mu_order: int, order: int) -> CoeffSeries:
-    """Generating function of L-shifted (-1,-1) lacunary series: the
-    termwise transform (hermite_image) of the Hermite one.
-
-    The paper's generator is the transform of hermite_lacunary_shift after
-    lambda -> lambda (uv)^K, mu -> mu uv, z -> -1/(4u), times (uv)^{-1/2}.
-    In the coefficient of lambda^j mu^a every monomial x^b z^m has
-    b + 2m = Kj + a, so that substitution gives it the factor
-    (uv)^(b+2m-1/2) (-1/(4u))^m, and its transform depends on the monomial
-    alone.  The coefficient of mu^L, times L!, is the (K, L) lacunary series.
-    """
-    return _image(hermite_lacunary_shift(K, mu_order, order))
-
-
-def sj_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
-    """The (K, L) (-1,-1) lacunary series: the termwise transform of the
-    Hermite slice, since taking the mu^L coefficient and hermite_image
-    are both linear and termwise."""
-    return _image(hermite_lacunary_slice(K, L, order))
 
 
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:

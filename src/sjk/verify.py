@@ -18,8 +18,6 @@ from . import connect, families, hyper, lacunary, opcalc, scalar, umbral
 from .poly import Poly
 from .scalar import ExactScalar, HalfInt
 
-BOTH_FAMILIES = (connect.SJ_FAMILY, connect.HERMITE_FAMILY)
-
 
 # --- scalar ---------------------------------------------------------------
 
@@ -228,17 +226,15 @@ def proliferation(cases, ms):
 # --- lacunary -------------------------------------------------------------
 
 def lacunary_oracle(family, K, L, order):
-    """sum_n lambda^n/n! p_{Kn+L} for family 'sj' or 'hermite'."""
-    source = families.sj_family if family == "sj" else families.hermite_family
-    return lacunary.multisection_oracle(source, K, L, order)
+    """sum_n lambda^n/n! p_{Kn+L} for a family of connect.FAMILIES."""
+    return lacunary.multisection_oracle(connect.lookup(family).source, K, L, order)
 
 
 def lacunary_closed(cases):
     """The closed lacunary form equals the oracle for each (family, K, order)."""
     for family, K, order in cases:
-        build = (lacunary.sj_lacunary_closed if family == "sj"
-                 else lacunary.hermite_lacunary_closed)
-        if build(K, order) != lacunary_oracle(family, K, 0, order):
+        closed = connect.lookup(family).lacunary_closed(K, order)
+        if closed != lacunary_oracle(family, K, 0, order):
             return f"{family} closed form != oracle at K={K}, order={order}"
 
 
@@ -246,10 +242,10 @@ def lacunary_slices(cases):
     """The mu^L slice that `lacunary --check` builds equals the oracle for
     each (family, K, L, order), else the first coefficient that differs."""
     for family, K, L, order in cases:
-        build = (lacunary.sj_lacunary_slice if family == "sj"
-                 else lacunary.hermite_lacunary_slice)
         oracle = lacunary_oracle(family, K, L, order).coeffs
-        for k, c in enumerate(build(K, L, order).coeffs):
+        got = connect.lookup(family).image_of(
+            lacunary.hermite_lacunary_slice(K, L, order))
+        for k, c in enumerate(got.coeffs):
             if c != oracle[k]:
                 return (f"first mismatch at lambda^{k}: closed={c.text()} "
                         f"oracle={oracle[k].text()}")
@@ -259,16 +255,15 @@ def lacunary_shifts(cases):
     """The mu^L slice of the shift generator equals the oracle for each
     (family, K, mu_order, order, L)."""
     for family, K, mu_order, order, L in cases:
-        build = (lacunary.sj_lacunary_shift_gen if family == "sj"
-                 else lacunary.hermite_lacunary_shift)
-        got = lacunary.mu_slice(build(K, mu_order, order), L)
+        gen = lacunary.hermite_lacunary_shift(K, mu_order, order)
+        got = lacunary.mu_slice(connect.lookup(family).image_of(gen), L)
         if got != lacunary_oracle(family, K, L, order):
             return f"{family} shifted generator != oracle at K={K}, L={L}"
 
 
 # --- connect --------------------------------------------------------------
 
-def reconstruction(Ms, fams=BOTH_FAMILIES):
+def reconstruction(Ms, fams=connect.FAMILIES):
     """sum_n A[M,n] p_n == x^M."""
     for M in Ms:
         for fam in fams:
@@ -276,7 +271,7 @@ def reconstruction(Ms, fams=BOTH_FAMILIES):
                 return f"x^{M} reconstruction fails ({fam})"
 
 
-def biorthogonality(top, fams=BOTH_FAMILIES):
+def biorthogonality(top, fams=connect.FAMILIES):
     """The contraction of the dual pair is the Kronecker delta for M, L < top."""
     for M in range(top):
         for L in range(top):
@@ -286,7 +281,7 @@ def biorthogonality(top, fams=BOTH_FAMILIES):
                     return f"contraction != delta at (M,L)=({M},{L}), {fam}"
 
 
-def pairing(orders, fams=BOTH_FAMILIES):
+def pairing(orders, fams=connect.FAMILIES):
     """The Gaussian pairing of the generating functions is exp(alpha beta)."""
     for order in orders:
         for fam in fams:
@@ -352,7 +347,7 @@ def _suite_hyper():
 def _suite_lacunary():
     return [
         ("closed lacunary forms equal oracle", lambda: lacunary_closed(
-            (family, K, 3) for K in (2, 3) for family in ("sj", "hermite"))),
+            (family, K, 3) for K in (2, 3) for family in connect.FAMILIES)),
         ("shift generators equal oracle", lambda: lacunary_shifts(
             ("sj", K, L, 2, L) for K, L in ((2, 1), (3, 2)))),
     ]

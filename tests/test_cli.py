@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk import cli, families, jsonio, lacunary, opcalc, verify
+from sjk import cli, connect, families, jsonio, lacunary, opcalc, verify
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar
 
@@ -429,6 +429,20 @@ class TestOtherVerbs:
         code, out, _ = run_cli("table", "--family", "hermite", "--max-n", "4")
         assert code == 0
         assert out.strip().splitlines()[4] == "4: " + golden[("hermite", 4)].text()
+
+    def test_table_looks_up_the_source_per_request(self, monkeypatch):
+        # a wrapper rebound in the module, as perfbench/spans.py installs
+        # its spans, sees every call: the family table keeps no reference
+        calls = []
+        real = connect.sj_family
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(connect, "sj_family", counting)
+        code, _, err = run_cli("table", "--family", "sj", "--max-n", "3")
+        assert (code, err, calls) == (0, "", [0, 1, 2, 3])
 
     def test_verify_all_green(self):
         code, out, _ = run_cli("verify")

@@ -5,12 +5,13 @@ import pytest
 
 from sjk import verify
 from sjk.connect import (
-    HERMITE_FAMILY,
-    SJ_FAMILY,
+    FAMILIES,
     connection_gf_coeff,
     connection_gf_coeff_direct,
     gaussian_pair,
     hermite_connection,
+    lookup,
+    pair_factors,
     reaction_solve,
     reconstruct_monomial,
     sj_connection,
@@ -62,13 +63,13 @@ class TestHermiteConnection:
 
 class TestReconstruction:
     def test_sj_small(self):
-        assert reconstruct_monomial(2, SJ_FAMILY) == Poly.var("x", 2)
-        assert reconstruct_monomial(0, SJ_FAMILY) == Poly.const(1)
+        assert reconstruct_monomial(2, "sj") == Poly.var("x", 2)
+        assert reconstruct_monomial(0, "sj") == Poly.const(1)
 
     def test_sj_degree_ten(self):
-        assert reconstruct_monomial(10, SJ_FAMILY) == Poly.var("x", 10)
+        assert reconstruct_monomial(10, "sj") == Poly.var("x", 10)
 
-    @pytest.mark.parametrize("family", [SJ_FAMILY, HERMITE_FAMILY])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_through_degree_twenty(self, family):
         assert verify.reconstruction(range(21), [family]) is None
 
@@ -78,7 +79,7 @@ class TestReconstruction:
 
 
 class TestBiorthogonality:
-    @pytest.mark.parametrize("family", [SJ_FAMILY, HERMITE_FAMILY])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_delta_through_twelve(self, family):
         assert verify.biorthogonality(13, [family]) is None
 
@@ -107,13 +108,27 @@ class TestGaussianPair:
         G = Poly.monomial(3, beta=1) + Poly.monomial(7, beta=2, wbar=1)
         assert gaussian_pair(F, G) == Poly.monomial(15, alpha=2, beta=1)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_beta_factor_equals_substitution(self, family):
+        # B renames x to beta in each p_n; substituting x -> beta gives
+        # the same terms over the same variables, at every order
+        source = lookup(family).source
+        for order in range(7):
+            want = Poly.sum((
+                source(n).substitute("x", Poly.var("beta"))
+                * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
+                for n in range(order + 1)
+            ), ("beta", "wbar"))
+            B = pair_factors(order, family)[1]
+            assert (B.vars, B.terms) == (want.vars, want.terms), order
+
     @pytest.mark.parametrize("order", [4, 6])
     def test_sj_generating_functions_pair_to_exp(self, order):
-        assert verify.pairing([order], [SJ_FAMILY]) is None
+        assert verify.pairing([order], ["sj"]) is None
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_hermite_generating_functions_pair_to_exp(self, order):
-        assert verify.pairing([order], [HERMITE_FAMILY]) is None
+        assert verify.pairing([order], ["hermite"]) is None
 
 
 class TestConnectionGf:

@@ -121,7 +121,9 @@ def _term(exps, num, sqrt_pi_pow=0):
     # int() would truncate the grade to 0
     ({"variables": ["x"], "terms": [_term([1], 1, 0.5)]}, TypeError),
     ({"variables": ["x", "x"], "terms": [_term([1, 2], 1)]}, ValueError),
-], ids=["repeated-exps", "float-grade", "repeated-variable"])
+    # Fraction would raise ZeroDivisionError
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "den": "0"}]}, ValueError),
+], ids=["repeated-exps", "float-grade", "repeated-variable", "zero-den"])
 def test_lossy_input_is_refused(obj, error):
     with pytest.raises(error):
         jsonio.poly_from_obj(obj)

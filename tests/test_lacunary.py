@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sjk import verify
+from sjk.connect import lookup
 from sjk.errors import ParamError
 from sjk.families import hermite_closed, hermite_egf, hermite_family, sj_egf
 from sjk.lacunary import (
@@ -15,7 +16,6 @@ from sjk.lacunary import (
     multisection_oracle,
     sj_lacunary_closed,
     sj_lacunary_closed_printed,
-    sj_lacunary_shift_gen,
 )
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
@@ -37,6 +37,16 @@ class TestOracle:
     def test_sj_k2_l1_first_coefficient(self, golden):
         s = oracle("sj", 2, 1, 2)
         assert s.coeffs[1] == golden[("sj", 3)]
+
+    @pytest.mark.parametrize("check", [
+        lambda: oracle("bogus", 2, 0, 2),
+        lambda: verify.lacunary_closed([("bogus", 2, 2)]),
+        lambda: verify.lacunary_slices([("bogus", 2, 1, 2)]),
+        lambda: verify.lacunary_shifts([("bogus", 2, 1, 2, 1)]),
+    ], ids=["oracle", "closed", "slices", "shifts"])
+    def test_unknown_family_is_refused(self, check):
+        with pytest.raises(ParamError, match="^unknown family 'bogus'$"):
+            check()
 
     def test_params_validated(self):
         for K, L, order in ((0, 0, 3), (1, -1, 3), (1, 0, -1)):
@@ -170,11 +180,11 @@ class TestHermiteShift:
 class TestSjShiftGen:
     def test_mu_zero_matches_closed(self):
         for K in (2, 3):
-            gen = sj_lacunary_shift_gen(K, 0, 4)
+            gen = lookup("sj").image_of(hermite_lacunary_shift(K, 0, 4))
             assert mu_slice(gen, 0) == sj_lacunary_closed(K, 4)
 
     def test_specific_values(self, golden):
-        gen = sj_lacunary_shift_gen(2, 1, 1)
+        gen = lookup("sj").image_of(hermite_lacunary_shift(2, 1, 1))
         sliced = mu_slice(gen, 1)
         assert sliced.coeffs[0] == golden[("sj", 1)]
         assert sliced.coeffs[1] == golden[("sj", 3)]
