@@ -19,7 +19,7 @@ from .families import sj_egf, sj_family
 from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar
+from .scalar import ExactScalar, _exact
 
 
 def sj_connection(M: int, n: int) -> Fraction:
@@ -167,8 +167,29 @@ def connection_gf_coeff_direct(M: int, order: int):
 
 def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
     """Taylor-in-time solution of d/dt P = (1 - x^2) d^2/dx^2 P with
-    monomial initial data x^N0, expanded over the (-1,-1) eigenfamily
-    with eigenvalues -n(n-1)."""
+    monomial initial data x^N0: the exponential operator exp(tG) x^N0 with
+    G = (1 - x^2) d^2/dx^2.  j! c_j = G^j x^N0 has integer coefficients,
+    each from the one before by G x^k = k(k-1) x^(k-2) - k(k-1) x^k, and
+    one Fraction is made per output term."""
+    if N0 < 0 or t_order < 0:
+        raise ParamError("need N0 >= 0 and t_order >= 0")
+    ks = range(N0, -1, -2)
+    nums = [1] + [0] * (len(ks) - 1)  # j! c_j, the x^k coefficient at k = ks[i]
+    coeffs, jf = [], 1
+    for j in range(t_order + 1):
+        jf *= j or 1
+        coeffs.append(Poly._of(("x",), {
+            (k,): _exact(Fraction(c, jf), 0) for k, c in zip(ks, nums) if c
+        }))
+        w = [k * (k - 1) * c for k, c in zip(ks, nums)]
+        nums = [lo - here for lo, here in zip([0, *w], w)]
+    return CoeffSeries(coeffs, t_order)
+
+
+def reaction_modes(N0: int, t_order: int) -> CoeffSeries:
+    """reaction_solve expanded over the (-1,-1) eigenfamily with eigenvalues
+    -n(n-1): x^N0 = sum_n A_{N0,n} p_n, so c_j = sum_n A_{N0,n}
+    (-n(n-1))^j / j! p_n.  A cross-check for verify.reaction."""
     if N0 < 0 or t_order < 0:
         raise ParamError("need N0 >= 0 and t_order >= 0")
     modes = []

@@ -7,7 +7,8 @@ Generalized binomials are Pochhammer quotients, so every coefficient is
 exact.
 
 The three Jacobi-type families, and the shifted beta EGF, are served by
-one O(n) coefficient recurrence, jacobi_monic; the closed forms
+one O(n) coefficient recurrence, jacobi_monic, which runs on integer
+numerators over one denominator; the closed forms
 (jacobi_classical, sj_closed_mm, sj_closed_beta), the umbral
 construction and the Tricomi-Bessel product form of the shifted EGF
 (egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import ParamError
 from .hyper import tricomi_coeff
@@ -74,6 +75,11 @@ def jacobi_monic(n: int, alpha, beta) -> Poly:
     kernel completion of opcalc.gp_series); that happens only at n = 1,
     (-1, -1), where the right-hand side is zero.  Degree 0 is the constant
     Poly with no variables, as the closed forms return it.
+
+    The steps run on integers: times q = lcm(den alpha, den beta) the
+    factor and the right-hand side have integer coefficients, c_{k+1} and
+    c_{k+2} are integer numerators over one denominator reduced by their
+    gcd at every step, and one Fraction is made per output term.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha < -1 or beta < -1:
@@ -82,14 +88,22 @@ def jacobi_monic(n: int, alpha, beta) -> Poly:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(1)
-    ba, shift = beta - alpha, n + alpha + beta + 1
-    c = [Fraction(0)] * (n + 2)
-    c[n] = Fraction(1)
+    q = lcm(alpha.denominator, beta.denominator)
+    ba, sh = int((beta - alpha) * q), int((alpha + beta + 1) * q)
+    # c_(k+1) = u / P and c_(k+2) = v / P with gcd(u, v, P) = 1, h = gcd(u, P)
+    u, v, P, h = 1, 0, 1, 1
+    terms = {(n,): _exact(Fraction(1), 0)}
     for k in range(n - 1, -1, -1):
-        rhs = (k + 2) * (k + 1) * c[k + 2] + ba * (k + 1) * c[k + 1]
-        factor = (k - n) * (k + shift)
-        c[k] = rhs / factor if factor else rhs
-    return Poly(("x",), {(k,): c[k] for k in range(n + 1)})
+        f = (k - n) * ((k + n) * q + sh) or q
+        u, v, P = q * (k + 2) * (k + 1) * v + ba * (k + 1) * u, u * f, P * f
+        g = gcd(u, f * h)  # gcd(v, P) = f h, so g = gcd(u, v, P) at small cost
+        u, v, P = u // g, v // g, P // g
+        h = P  # gcd(u, P): P itself at u = 0, else P over the reduced denominator
+        if u:
+            c = Fraction(u, P)
+            terms[(k,)] = _exact(c, 0)
+            h //= c.denominator
+    return Poly._of(("x",), terms)
 
 
 def _binomial_basis_sum(n: int, a: Poly, b: Poly, coeff) -> Poly:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, prod
 
 from .errors import ParamError, PoleError
 from .scalar import (
     ExactScalar,
     _as_fraction,
+    _exact,
     gamma_half,
     gamma_ratio,
     half,
@@ -60,16 +61,22 @@ class HyperSpec:
 def pfq_terms(spec: HyperSpec):
     """The series coefficients scale^m / m! * prod (a)_m / prod (b)_m for
     m = 0, 1, 2, ... without end, each from the one before by the term
-    ratio scale * prod (a+m) / ((m+1) prod (b+m))."""
+    ratio scale * prod (a+m) / ((m+1) prod (b+m)).  The ratio is taken on
+    integers, with a + m = (num a + m den a) / den a: the term's numerator
+    and denominator are multiplied by integer products, and the one
+    Fraction made per term reduces them by their gcd."""
     scale, pi_pow = spec.arg_scale.rat, spec.arg_scale.sqrt_pi_pow
+    up = [(a.numerator, a.denominator) for a in spec.upper]
+    lo = [(b.numerator, b.denominator) for b in spec.lower]
+    num_k = scale.numerator * prod(d for _, d in lo)
+    den_k = scale.denominator * prod(d for _, d in up)
     t, m = Fraction(1), 0
     while True:
-        yield ExactScalar(t, pi_pow * m)
-        t *= scale / (m + 1)
-        for a in spec.upper:
-            t *= a + m
-        for b in spec.lower:
-            t /= b + m
+        yield _exact(t, pi_pow * m)
+        t = Fraction(
+            t.numerator * num_k * prod(p + m * d for p, d in up),
+            t.denominator * den_k * (m + 1) * prod(p + m * d for p, d in lo),
+        )
         m += 1
 
 

@@ -291,12 +291,16 @@ def pairing(orders, fams=connect.FAMILIES):
 
 
 def reaction(N0s, t_order):
-    """The decay-system series starts at x^N0 and satisfies its evolution
+    """The decay-system series starts at x^N0, equals its expansion over the
+    (-1,-1) eigenfamily (variables included) and satisfies its evolution
     equation to t_order."""
     for N0 in N0s:
         sol = connect.reaction_solve(N0, t_order)
         if sol.coeffs[0] != Poly.var("x", N0):
             return f"initial condition fails at N0={N0}"
+        modes = connect.reaction_modes(N0, t_order).coeffs
+        if any(p != m or p.vars != m.vars for p, m in zip(sol.coeffs, modes)):
+            return f"series differs from its eigenfamily expansion at N0={N0}"
         res = connect.reaction_residual(sol)
         if any(not c.is_zero() for c in res.coeffs):
             return f"evolution equation fails at N0={N0}"

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from sjk import verify
+from sjk import connect, verify
 from sjk.connect import (
     FAMILIES,
     connection_gf_coeff,
@@ -12,13 +12,16 @@ from sjk.connect import (
     hermite_connection,
     lookup,
     pair_factors,
+    reaction_modes,
     reaction_solve,
     reconstruct_monomial,
     sj_connection,
 )
 from sjk.errors import ParamError
-from sjk.poly import Poly
+from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar
+
+from conftest import assert_canonical
 
 X = Poly.var("x")
 
@@ -174,3 +177,30 @@ class TestReaction:
     @pytest.mark.parametrize("N0", range(9))
     def test_satisfies_evolution_equation(self, N0):
         assert verify.reaction([N0], 6) is None
+
+    @pytest.mark.parametrize("N0", range(21))
+    def test_equals_eigenfamily_expansion(self, N0):
+        for t in range(11):
+            got, want = reaction_solve(N0, t), reaction_modes(N0, t)
+            assert got.order == want.order == t
+            for p, m in zip(got.coeffs, want.coeffs, strict=True):
+                assert p == m and p.vars == m.vars == ("x",), t
+                assert_canonical(p)
+
+    def test_verify_catches_one_altered_coefficient(self, monkeypatch):
+        def altered(N0, t_order):
+            sol = reaction_solve(N0, t_order)
+            coeffs = list(sol.coeffs)
+            coeffs[-1] = coeffs[-1] + Poly.var("x", N0 % 2) * Fraction(1, 7)
+            return CoeffSeries(coeffs, t_order)
+
+        monkeypatch.setattr(connect, "reaction_solve", altered)
+        found = verify.reaction(range(6), 4)
+        assert found == "series differs from its eigenfamily expansion at N0=0"
+
+    def test_rejects_negative_sizes(self):
+        for fn in (reaction_solve, reaction_modes):
+            with pytest.raises(ParamError):
+                fn(-1, 3)
+            with pytest.raises(ParamError):
+                fn(2, -1)

@@ -269,6 +269,20 @@ class TestCoefficientRecurrence:
     def test_jacobi_family_equals_closed_form_to_24(self, alpha, beta):
         assert verify.recurrence(range(13, 25), [(alpha, beta)]) is None
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(Fraction(7, 11), Fraction(-5, 13)), (-1, Fraction(9, 17)),
+         (Fraction(-1, 7), Fraction(-1, 7))],
+        ids=str,
+    )
+    def test_coprime_denominators(self, alpha, beta):
+        # q = lcm(den alpha, den beta) is 143, 17 and 7, past the grid's 6
+        assert verify.recurrence([*range(41), 64], [(alpha, beta)]) is None
+        for n in (1, 2, 17, 40, 64):
+            p = jacobi_monic(n, alpha, beta)
+            assert_canonical(p)
+            assert p.vars == ("x",) and p.coeff_of("x", n) == ExactScalar(1)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ParamError):
             jacobi_monic(2, Fraction(-3, 2), 0)

@@ -1,7 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from itertools import islice
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjk import verify
 from sjk.errors import ParamError, PoleError
@@ -10,10 +12,11 @@ from sjk.hyper import (
     gamma_multiplication,
     pfq_coeff,
     pfq_derivative,
+    pfq_terms,
     pochhammer_proliferate,
     tricomi_coeff,
 )
-from sjk.scalar import ExactScalar, HalfInt, gamma_half
+from sjk.scalar import ExactScalar, HalfInt, gamma_half, pochhammer
 from sjk.umbral import GenMonomial, GenSeries, itransform
 
 H = Fraction(1, 2)
@@ -44,6 +47,31 @@ class TestPfqCoeff:
     def test_terminating_upper(self):
         spec = HyperSpec((-2,), (H,))
         assert pfq_coeff(spec, 3) == ExactScalar(0)
+
+
+# rationals that include negative non-integers; a lower parameter avoids Z_<=0
+params = st.fractions(min_value=-9, max_value=9, max_denominator=13)
+lower_params = params.filter(lambda b: not (b.denominator == 1 and b <= 0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    upper=st.lists(params, max_size=3),
+    stop=st.one_of(st.none(), st.integers(-12, 0)),
+    lower=st.lists(lower_params, max_size=3),
+    scale=st.fractions(min_value=-5, max_value=5, max_denominator=11),
+    grade=st.integers(-3, 3),
+)
+def test_pfq_terms_equal_pochhammer_quotients(upper, stop, lower, scale, grade):
+    # the integer term ratio against scale^m / m! prod (a)_m / prod (b)_m; an
+    # upper parameter at a non-positive integer terminates the series
+    upper = upper if stop is None else [*upper, Fraction(stop)]
+    spec = HyperSpec(upper, lower, ExactScalar(scale, grade))
+    for m, c in enumerate(islice(pfq_terms(spec), 30)):
+        want = scale**m / factorial(m) * prod(pochhammer(a, m) for a in upper)
+        want /= prod(pochhammer(b, m) for b in lower)
+        assert c == ExactScalar(want, grade * m), m
+        assert type(c.rat) is Fraction and type(c.sqrt_pi_pow) is int
 
 
 class TestPfqDerivative:
