@@ -151,8 +151,9 @@ def connection_gf_coeff(M: int, order: int):
     lambda^M / M! 0F1(M + 1/2; lambda^2 / 4)."""
     spec = HyperSpec((), (Fraction(2 * M + 1, 2),), Fraction(1, 4))
     out = [ExactScalar(0)] * (order + 1)
-    for j, c in zip(range(M, order + 1, 2), pfq_terms(spec)):
-        out[j] = c * Fraction(1, factorial(M))
+    terms = pfq_terms(spec, Fraction(1, factorial(M)))
+    for j, c in zip(range(M, order + 1, 2), terms):
+        out[j] = c
     return out
 
 

@@ -16,8 +16,8 @@ verify suites.
 
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
-matching numbers by their integer ratio recurrence, and each image weight
-as one integer product.
+matching numbers by their integer ratio recurrence, and each image term
+as one Fraction over its denominator times an integer weight.
 """
 
 from __future__ import annotations
@@ -232,18 +232,21 @@ def sj_umbral(n: int) -> Poly:
     return itransform_scalar(GenSeries(terms, lambda_order=0))
 
 
-def _image_weight(a: int, m: int) -> Fraction:
-    """(-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2), as the one integer product
-    (-1)^m / (2^m prod_{j<m} (2a+2m-1+2j)); the factors are odd."""
-    den = prod(range(2 * a + 2 * m - 1, 2 * a + 4 * m - 1, 2)) << m
-    return Fraction(-1 if m % 2 else 1, den)
+def _image_weight(a: int, m: int) -> int:
+    """The signed integer W = 1 / ((-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2))
+    = (-1)^m 2^m prod_{j<m} (2a+2m-1+2j); the factors are odd."""
+    w = prod(range(2 * a + 2 * m - 1, 2 * a + 4 * m - 1, 2)) << m
+    return -w if m % 2 else w
 
 
 def hermite_image(p: Poly) -> Poly:
     """The (-1,-1) image of a Hermite polynomial under the integral
     transform: x^a z^m goes to (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a,
     the transform of (uv)^(a+2m-1/2) x^a (-1/(4u))^m.  Other variables
-    (such as mu) are carried through; the image of H_N is p_N."""
+    (such as mu) are carried through; the image of H_N is p_N.  Each term
+    is one Fraction, its numerator over its denominator times the integer
+    _image_weight, and keeps its sqrt(pi) grade; the terms that land on
+    one key are summed by Poly._collect."""
     vars = p.vars
     ia = vars.index("x") if "x" in vars else None
     im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
@@ -252,7 +255,9 @@ def hermite_image(p: Poly) -> Poly:
     for exps, c in p.terms.items():
         a = exps[ia] if ia is not None else 0
         m = exps[im] if im is not None else 0
-        pairs.append((tuple(exps[i] for i in keep), c * _exact(_image_weight(a, m), 0)))
+        q = c.rat
+        r = Fraction(q.numerator, q.denominator * _image_weight(a, m))
+        pairs.append((tuple(exps[i] for i in keep), _exact(r, c.sqrt_pi_pow)))
     return Poly._collect(tuple(vars[i] for i in keep), pairs)
 
 

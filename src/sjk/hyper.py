@@ -3,7 +3,8 @@
 A HyperSpec is a (upper parameters, lower parameters, argument scale)
 descriptor; coefficients are Pochhammer quotients and always exact
 rationals times powers of the scale.  Series are purely formal: no
-convergence questions arise and none are asked.
+convergence questions arise and none are asked.  pfq_terms takes an
+optional first term, so a scaled series is made with one Fraction per term.
 """
 
 from __future__ import annotations
@@ -58,21 +59,24 @@ class HyperSpec:
         return f"HyperSpec({pq}; [{up}]; [{lo}]; scale={self.arg_scale})"
 
 
-def pfq_terms(spec: HyperSpec):
-    """The series coefficients scale^m / m! * prod (a)_m / prod (b)_m for
-    m = 0, 1, 2, ... without end, each from the one before by the term
-    ratio scale * prod (a+m) / ((m+1) prod (b+m)).  The ratio is taken on
-    integers, with a + m = (num a + m den a) / den a: the term's numerator
-    and denominator are multiplied by integer products, and the one
-    Fraction made per term reduces them by their gcd."""
+def pfq_terms(spec: HyperSpec, start=1):
+    """The series coefficients start * scale^m / m! * prod (a)_m / prod (b)_m
+    for m = 0, 1, 2, ... without end, each from the one before by the term
+    ratio scale * prod (a+m) / ((m+1) prod (b+m)).  start is the m = 0
+    term, an ExactScalar (or an int or Fraction), whose sqrt(pi) grade is
+    added to every term's.  The ratio is taken on integers, with a + m =
+    (num a + m den a) / den a: the term's numerator and denominator are
+    multiplied by integer products, and the one Fraction made per term
+    reduces them by their gcd."""
+    start = ExactScalar.coerce(start)
     scale, pi_pow = spec.arg_scale.rat, spec.arg_scale.sqrt_pi_pow
     up = [(a.numerator, a.denominator) for a in spec.upper]
     lo = [(b.numerator, b.denominator) for b in spec.lower]
     num_k = scale.numerator * prod(d for _, d in lo)
     den_k = scale.denominator * prod(d for _, d in up)
-    t, m = Fraction(1), 0
+    t, g, m = start.rat, start.sqrt_pi_pow, 0
     while True:
-        yield _exact(t, pi_pow * m)
+        yield _exact(t, g + pi_pow * m)
         t = Fraction(
             t.numerator * num_k * prod(p + m * d for p, d in up),
             t.denominator * den_k * (m + 1) * prod(p + m * d for p, d in lo),

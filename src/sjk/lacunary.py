@@ -16,6 +16,11 @@ mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a,
 so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
 generators and mu_slice stay as cross-checks for tests and verify.
 
+Every stage of that check makes each output term as one Fraction from
+integer products: the closed form starts each cell's hypergeometric series
+at the cell's scale, the raising runs on integer numerators, the image
+divides each term by an integer weight and the oracle each term by n!.
+
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
 their final printed shape; sj_lacunary_closed_printed evaluates the
@@ -42,12 +47,20 @@ from .scalar import ExactScalar, HalfInt, _exact, gamma_ratio
 
 
 def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
-    """sum_n lambda^n / n! p_{K n + L}, by direct index selection."""
+    """sum_n lambda^n / n! p_{K n + L}, by direct index selection; each
+    term of p_{K n + L} is divided by n! as one Fraction and keeps its
+    sqrt(pi) grade and the Poly its variables."""
     if K < 1 or L < 0 or order < 0:
         raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
-    return CoeffSeries.build(
-        lambda n: source(K * n + L) * Fraction(1, factorial(n)), order
-    )
+
+    def coeff(n):
+        p, f = source(K * n + L), factorial(n)
+        return Poly._of(p.vars, {
+            e: _exact(Fraction(c.rat.numerator, c.rat.denominator * f), c.sqrt_pi_pow)
+            for e, c in p.terms.items()
+        })
+
+    return CoeffSeries.build(coeff, order)
 
 
 def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
@@ -95,16 +108,16 @@ def _hermite_cells(K: int, order: int):
             h = matching_coeff(K * s, beta)
             if h == 0:
                 continue
-            if K % 2 == 0:
-                upper = tuple(s + Fraction(j + 1, K) for j in range(K - 1))
+            if K % 2 == 0:  # upper s + (j + 1)/K
+                upper = tuple(Fraction(K * s + j + 1, K) for j in range(K - 1))
                 lower = tuple(
                     Fraction(beta + ell + 1, T)
                     for ell in range(T)
                     if ell != T - 1 - beta
                 )
-            else:
+            else:  # upper s/2 + (j + 1)/(2K)
                 upper = tuple(
-                    Fraction(s, 2) + Fraction(j + 1, 2 * K)
+                    Fraction(K * s + j + 1, 2 * K)
                     for j in range(2 * K - 1)
                     if j != K - 1
                 )
@@ -118,18 +131,19 @@ def _hermite_cells(K: int, order: int):
 
 
 def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
-    """Sum scale * pfq_terms(spec)[m] x^(K s - 2 beta) y^(beta + y_step m)
+    """Sum pfq_terms(spec, scale)[m] x^(K s - 2 beta) y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
-    up to lambda^order.  vars is ("x", y) for the Hermite forms and ("x",)
-    for the (-1,-1) forms, whose y the transform has integrated out."""
+    up to lambda^order: the scale is each series' first term, so every
+    term is one Fraction.  vars is ("x", y) for the Hermite forms and
+    ("x",) for the (-1,-1) forms, whose y the transform has integrated out."""
     lam_step, y_step, _ = _steps(K)
     pairs = [[] for _ in range(order + 1)]
     for cell, spec, scale in terms:
         x_pow = K * cell.s - 2 * cell.beta
         ks = range(cell.s, order + 1, lam_step)
-        for m, (k, c) in enumerate(zip(ks, pfq_terms(spec))):
+        for m, (k, c) in enumerate(zip(ks, pfq_terms(spec, scale))):
             key = (x_pow, cell.beta + y_step * m)[: len(vars)]
-            pairs[k].append((key, c * scale))
+            pairs[k].append((key, c))
     return CoeffSeries([Poly._collect(vars, p) for p in pairs], order)
 
 

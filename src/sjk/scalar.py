@@ -10,6 +10,8 @@ half-odd-integer arguments, where
 and negative half-odd arguments follow by downward recursion from
 Gamma(a) = Gamma(a+1)/a.  Rationals are ``fractions.Fraction`` throughout:
 the stdlib type already guarantees lowest terms and a positive denominator.
+A float is refused wherever a rational is taken, since its binary value is
+not the decimal one written.
 """
 
 from __future__ import annotations
@@ -234,10 +236,11 @@ class ExactScalar:
         return _exact(self.rat**k, self.sqrt_pi_pow * k)
 
     def __eq__(self, other):
-        try:
-            other = ExactScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not ExactScalar:
+            try:
+                other = ExactScalar.coerce(other)
+            except TypeError:
+                return NotImplemented
         return self.rat == other.rat and self.sqrt_pi_pow == other.sqrt_pi_pow
 
     def __hash__(self):
@@ -290,8 +293,14 @@ ONE = ExactScalar(1)
 
 
 def _as_fraction(a) -> Fraction:
+    """a as a Fraction: a Fraction is returned as it is; a float is refused,
+    as ExactScalar refuses it, since its binary value is not the one meant."""
+    if type(a) is Fraction:
+        return a
     if isinstance(a, HalfInt):
         return a.as_fraction
+    if isinstance(a, float):
+        raise TypeError(f"cannot interpret {a!r} as an exact rational")
     return Fraction(a)
 
 

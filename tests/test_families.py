@@ -410,6 +410,15 @@ class TestHermiteImageTerms:
         assert got.terms == _image_reference(p).terms
         assert_canonical(got)
 
+    def test_cross_grade_collision_refused(self):
+        # x z and x both land on x; a sum across sqrt(pi) powers is refused
+        p = Poly(("x", "z"), {(1, 1): ExactScalar(6, 1), (1, 0): ExactScalar(1)})
+        with pytest.raises(ValueError, match=r"different powers of sqrt\(pi\)"):
+            hermite_image(p)
+        # one grade per key is kept as it is
+        got = hermite_image(Poly(("x", "z"), {(1, 1): ExactScalar(6, 1)}))
+        assert got.terms == {(1,): ExactScalar(-1, 1)}
+
     @pytest.mark.parametrize("vars", [
         ("mu", "x", "z"), ("z", "x", "mu"), ("x", "z"), ("z", "x"), ("x",), ("z",), ("mu",),
     ])

@@ -40,6 +40,19 @@ class TestPfqCoeff:
         with pytest.raises(ParamError):
             HyperSpec((1,), (-1,))
 
+    @pytest.mark.parametrize("bad", [0.1, 0.0, -2.5, float("inf")])
+    def test_float_parameter_refused(self, bad):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            HyperSpec((bad,), ())
+        with pytest.raises(TypeError):
+            HyperSpec((), (bad,))
+
+    def test_parameters_kept_exact(self):
+        spec = HyperSpec((Fraction(1, 3), 2, HalfInt(3), "1/10"), ())
+        assert spec.upper == (Fraction(1, 3), 2, Fraction(3, 2), Fraction(1, 10))
+        assert all(type(a) is Fraction for a in spec.upper)
+
     def test_arg_scale_powers(self):
         spec = HyperSpec((), (), Fraction(2))
         assert pfq_coeff(spec, 3) == ExactScalar(Fraction(8, 6))
@@ -61,17 +74,40 @@ lower_params = params.filter(lambda b: not (b.denominator == 1 and b <= 0))
     lower=st.lists(lower_params, max_size=3),
     scale=st.fractions(min_value=-5, max_value=5, max_denominator=11),
     grade=st.integers(-3, 3),
+    start=st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6)),
+    start_grade=st.integers(-3, 3),
 )
-def test_pfq_terms_equal_pochhammer_quotients(upper, stop, lower, scale, grade):
+def test_pfq_terms_equal_pochhammer_quotients(
+    upper, stop, lower, scale, grade, start, start_grade
+):
     # the integer term ratio against scale^m / m! prod (a)_m / prod (b)_m; an
     # upper parameter at a non-positive integer terminates the series
     upper = upper if stop is None else [*upper, Fraction(stop)]
     spec = HyperSpec(upper, lower, ExactScalar(scale, grade))
-    for m, c in enumerate(islice(pfq_terms(spec), 30)):
+    first = ExactScalar(start, start_grade)
+    scaled = pfq_terms(spec, first)
+    for m, (c, d) in enumerate(islice(zip(pfq_terms(spec), scaled), 30)):
         want = scale**m / factorial(m) * prod(pochhammer(a, m) for a in upper)
         want /= prod(pochhammer(b, m) for b in lower)
         assert c == ExactScalar(want, grade * m), m
-        assert type(c.rat) is Fraction and type(c.sqrt_pi_pow) is int
+        # the start is the m = 0 term: every term is start times the unscaled one
+        assert d == first * c, m
+        for t in (c, d):
+            assert type(t.rat) is Fraction and type(t.sqrt_pi_pow) is int
+            assert t or t.sqrt_pi_pow == 0
+
+
+@pytest.mark.parametrize("start", [
+    ExactScalar(0), ExactScalar(0, 3), 0, ExactScalar(Fraction(-2, 7), -3),
+    ExactScalar(5, 3), Fraction(3, 4), 2,
+])
+def test_pfq_terms_start_is_the_first_term(start):
+    spec = HyperSpec(
+        (Fraction(-5, 2), Fraction(1, 3)), (Fraction(7, 4),), ExactScalar(-3, 1)
+    )
+    for c, d in islice(zip(pfq_terms(spec), pfq_terms(spec, start)), 12):
+        want = c * start
+        assert d == want and d.sqrt_pi_pow == want.sqrt_pi_pow
 
 
 class TestPfqDerivative:
@@ -171,6 +207,12 @@ class TestGammaMultiplication:
     def test_pole(self):
         with pytest.raises(PoleError):
             gamma_multiplication(2, 0, Fraction(-1, 2))  # nx = -1
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, 0.1])
+    def test_float_refused(self, bad):
+        # 0.5 and 1.0 are exact in binary, but a float is refused all the same
+        with pytest.raises(TypeError):
+            gamma_multiplication(2, 1, bad)
 
 
 class TestTricomi:

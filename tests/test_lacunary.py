@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -52,6 +53,34 @@ class TestOracle:
         for K, L, order in ((0, 0, 3), (1, -1, 3), (1, 0, -1)):
             with pytest.raises(ParamError):
                 multisection_oracle(hermite_family, K, L, order)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3])
+    @pytest.mark.parametrize("family", ["sj", "hermite"])
+    def test_terms_over_n_factorial(self, family, K, L):
+        # each term divided by n! once equals the Poly product by 1/n!
+        source = lookup(family).source
+        got = multisection_oracle(source, K, L, 6)
+        for n, c in enumerate(got.coeffs):
+            want = source(K * n + L) * Fraction(1, factorial(n))
+            assert c.vars == want.vars and c.terms == want.terms, n
+            assert_canonical(c)
+
+    def test_terms_keep_their_grade(self):
+        # a source whose terms carry different powers of sqrt(pi), over (z, x)
+        def source(n):
+            return Poly(("z", "x"), {
+                (0, n): ExactScalar(Fraction(n + 1, 3), n % 3 - 1),
+                (1, 0): ExactScalar(Fraction(-4, 5), 2),
+                (2, n): ExactScalar(-7),
+            })
+
+        got = multisection_oracle(source, 3, 2, 7)
+        for n, c in enumerate(got.coeffs):
+            want = source(3 * n + 2) * Fraction(1, factorial(n))
+            assert c.vars == want.vars == ("z", "x") and c.terms == want.terms, n
+            assert {t.sqrt_pi_pow for t in c.terms.values()} == {0, 1, 2}
+            assert_canonical(c)
 
 
 class TestDilate:

@@ -186,6 +186,24 @@ def test_zero_is_canonical_across_grades(a, k, j):
         assert not r and r.is_zero()
 
 
+@settings(max_examples=150, deadline=None)
+@given(fracs, grades, grades)
+def test_equality_and_hash_agree(a, k, j):
+    # two ExactScalars compare field by field, a Fraction or an int after
+    # coercion; equal values hash equal either way
+    x, y = ExactScalar(a, k), ExactScalar(a, k) * 1
+    assert x is not y and x == y and not x != y and hash(x) == hash(y)
+    rational = not a or not k
+    assert (x == a) is rational and (a == x) is rational
+    if rational:
+        assert hash(x) == hash(a)
+        if a.denominator == 1:
+            n = a.numerator
+            assert x == n and n == x and hash(x) == hash(n)
+    if a and j != k:
+        assert x != ExactScalar(a, j) and not x == ExactScalar(a, j)
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(Fraction(17, 2), 0) == 1
@@ -210,6 +228,13 @@ class TestPochhammer:
             want *= a + n
         if a == int(a):  # the product passes through zero at a + j = 0
             assert pochhammer(a, 1 - int(a)) == 0 == pochhammer(a, 30)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.0, -2.5, float("inf")])
+    def test_float_refused(self, bad):
+        # (0.1)_2 would be the product of 3602879701896397/2^55 and its successor
+        for n in (0, 2):
+            with pytest.raises(TypeError):
+                pochhammer(bad, n)
 
 
 class TestGammaHalf:
