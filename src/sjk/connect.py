@@ -4,6 +4,9 @@ The connection coefficients expand x^M over a polynomial family; the
 defining identity x^M = sum_n A_{M,n} p_n(x) is the arbiter for every
 formula here.  The complex-Gaussian moment integral is never integrated:
 the pairing rule w^r wbar^s -> r! delta_{r,s} is taken as the definition.
+The sums over n visit only the n whose weight is not zero by parity (and,
+for the contraction, the n >= L whose p_n has an x^L term); a negative
+index names no polynomial and is refused with ParamError.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ def hermite_connection(M: int, n: int) -> Poly:
     if (M - n) % 2:
         return Poly.zero((HERMITE_SECOND_VAR,))
     k = (M - n) // 2
-    c = Fraction(factorial(M), factorial(k) * factorial(n)) * Fraction(-1) ** k
-    return Poly.monomial(c, **{HERMITE_SECOND_VAR: k})
+    w = factorial(M) // (factorial(k) * factorial(n))  # C(M, n) (2k)! / k!
+    c = _exact(Fraction(-w if k % 2 else w), 0)
+    return Poly._of((HERMITE_SECOND_VAR,), {(k,): c}) if k else Poly.const(c)
 
 
 class Family(NamedTuple):
@@ -84,19 +88,30 @@ def lookup(family: str) -> Family:
         raise ParamError(f"unknown family {family!r}") from None
 
 
+def _check_index(name: str, value: int) -> None:
+    if value < 0:
+        raise ParamError(f"{name} must be >= 0, got {value}")
+
+
 def reconstruct_monomial(M: int, family: str) -> Poly:
-    """sum_n A_{M,n} p_n(x); must equal x^M exactly."""
+    """sum_n A_{M,n} p_n(x) over the n of M's parity (the other weights
+    are zero); must equal x^M exactly."""
+    _check_index("M", M)
     row = lookup(family)
-    terms = (row.connection(M, n) * row.source(n) for n in range(M + 1))
+    terms = (row.connection(M, n) * row.source(n) for n in range(M % 2, M + 1, 2))
     return Poly.sum(terms, ("x",))
 
 
 def biorthogonality_check(M: int, L: int, family: str) -> ExactScalar:
     """Contraction of backward (connection) against forward (expansion)
-    coefficients; the defining identity forces delta_{M,L}."""
+    coefficients; the defining identity forces delta_{M,L}.  Only the n
+    of M's parity with L <= n <= M can contribute: the other weights are
+    zero, and p_n has no x^L term below degree L."""
+    _check_index("M", M)
+    _check_index("L", L)
     row = lookup(family)
     parts = []
-    for n in range(M + 1):
+    for n in range(L + (M - L) % 2, M + 1, 2):
         b = row.source(n).coeff_of("x", L)
         if b:
             parts.append(row.connection(M, n) * b)
@@ -123,6 +138,7 @@ def pair_factors(order: int, family: str):
     For the Hermite family both carry z, which cancels in the pairing.
     p_n(beta) is p_n with x renamed, its terms shared.
     """
+    _check_index("order", order)
     row = lookup(family)
     A = Poly.sum((
         row.connection(M, n) * Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
@@ -139,6 +155,7 @@ def pair_factors(order: int, family: str):
 
 def exp_product_truncation(order: int) -> Poly:
     """sum_{k<=order} (alpha beta)^k / k!, the pairing's expected value."""
+    _check_index("order", order)
     return Poly.sum((
         Poly.monomial(Fraction(1, factorial(k)), alpha=k, beta=k)
         for k in range(order + 1)
@@ -149,6 +166,8 @@ def connection_gf_coeff(M: int, order: int):
     """Coefficients (by power of the first GF variable) of the mu^M slice
     of the connection generating function, from its hypergeometric form
     lambda^M / M! 0F1(M + 1/2; lambda^2 / 4)."""
+    _check_index("M", M)
+    _check_index("order", order)
     spec = HyperSpec((), (Fraction(2 * M + 1, 2),), Fraction(1, 4))
     out = [ExactScalar(0)] * (order + 1)
     terms = pfq_terms(spec, Fraction(1, factorial(M)))

@@ -12,7 +12,10 @@ numerators over one denominator; the closed forms
 (jacobi_classical, sj_closed_mm, sj_closed_beta), the umbral
 construction and the Tricomi-Bessel product form of the shifted EGF
 (egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
-verify suites.
+verify suites.  The closed forms share _binomial_basis_sum, which sums the
+integer binomial rows of (x-1)^(n-k) (x+1)^k with the coefficients put
+over one denominator, the caller's outer scale folded into it, and makes
+one Fraction per output term.
 
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import ParamError
 from .hyper import tricomi_coeff
@@ -106,16 +109,27 @@ def jacobi_monic(n: int, alpha, beta) -> Poly:
     return Poly._of(("x",), terms)
 
 
-def _binomial_basis_sum(n: int, a: Poly, b: Poly, coeff) -> Poly:
-    """sum_{k<=n} coeff(k) a^(n-k) b^k over x, skipping the k with
-    coeff(k) = 0; the powers of a and b are built once each, by repeated
-    multiplication."""
-    a_pows, b_pows = [Poly.const(1)], [Poly.const(1)]
-    for _ in range(n):
-        a_pows.append(a_pows[-1] * a)
-        b_pows.append(b_pows[-1] * b)
-    terms = ((k, coeff(k)) for k in range(n + 1))
-    return Poly.sum((a_pows[n - k] * b_pows[k] * c for k, c in terms if c), ("x",))
+def _binomial_basis_sum(n: int, coeff, scale: Fraction) -> Poly:
+    """scale * sum_{k<=n} coeff(k) (x-1)^(n-k) (x+1)^k over x, on integers.
+
+    The coeff(k) are put over their lcm q, and the integer numerators are
+    summed by Horner's rule T_k = (x-1) T_(k-1) + q coeff(k) (x+1)^k, the
+    binomial row of (x+1)^k built from the one before; scale is folded into
+    the one denominator, and one Fraction is made per output term.
+    """
+    cs = [Fraction(coeff(k)) for k in range(n + 1)]
+    q = lcm(*[c.denominator for c in cs])
+    row, acc = [1], [cs[0].numerator * (q // cs[0].denominator)]
+    for c in cs[1:]:
+        row = [lo + hi for lo, hi in zip([0, *row], [*row, 0])]
+        acc = [lo - hi for lo, hi in zip([0, *acc], [*acc, 0])]
+        if c:
+            m = c.numerator * (q // c.denominator)
+            acc = [a + m * r for a, r in zip(acc, row)]
+    num, den = scale.numerator, q * scale.denominator
+    return Poly._of(("x",), {
+        (j,): _exact(Fraction(a * num, den), 0) for j, a in enumerate(acc) if a
+    })
 
 
 def jacobi_classical(n: int, alpha, beta) -> Poly:
@@ -124,10 +138,9 @@ def jacobi_classical(n: int, alpha, beta) -> Poly:
     alpha, beta = _classical_params(alpha, beta)
     if n < 0:
         raise ParamError("degree must be >= 0")
-    x = Poly.var("x")
     return _binomial_basis_sum(
-        n, (x - 1) * Fraction(1, 2), (x + 1) * Fraction(1, 2),
-        lambda k: binom_general(n + alpha, k) * binom_general(n + beta, n - k),
+        n, lambda k: binom_general(n + alpha, k) * binom_general(n + beta, n - k),
+        Fraction(1, 2**n),
     )
 
 
@@ -138,15 +151,13 @@ def sj_closed_mm(n: int, gamma=0) -> Poly:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(1)
-    x = Poly.var("x")
     if n == 1:
-        return x + Fraction(gamma)
-    scale = 1 / binom_general(2 * n - 2, n)
+        return Poly.var("x") + Fraction(gamma)
     # the k = 0 and k = n coefficients are binom(n-1, n) = 0
     return _binomial_basis_sum(
-        n, x - 1, x + 1,
-        lambda k: binom_general(n - 1, k) * binom_general(n - 1, n - k),
-    ) * scale
+        n, lambda k: comb(n - 1, k) * comb(n - 1, n - k),
+        1 / binom_general(2 * n - 2, n),
+    )
 
 
 def sj_closed_beta(n: int, beta) -> Poly:
@@ -158,12 +169,10 @@ def sj_closed_beta(n: int, beta) -> Poly:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(1)
-    x = Poly.var("x")
-    scale = 1 / binom_general(2 * n + beta - 1, n)
     return _binomial_basis_sum(
-        n, x - 1, x + 1,
-        lambda k: binom_general(n - 1, k) * binom_general(n + beta, n - k),
-    ) * scale
+        n, lambda k: comb(n - 1, k) * binom_general(n + beta, n - k),
+        1 / binom_general(2 * n + beta - 1, n),
+    )
 
 
 def sj_beta_rescaled(n: int, beta) -> Poly:

@@ -5,7 +5,11 @@ they act on a monomial by a scalar determined by its degree.  Inverses are
 defined after completing the kernel, either by the identity map or by
 raising.  On top of these sit the terminating resolvent construction for
 the Jacobi-type eigenproblem and the exponential-operator forms of the
-Sobolev-Jacobi and two-variable Hermite polynomials.
+Sobolev-Jacobi and two-variable Hermite polynomials.  Each step of the
+resolvent and of the exponential (-1,-1) forms is one pass over the terms,
+op^{-1}(scale (d^2 + (beta - alpha) d)), making one Fraction per output
+term from the integer numerators and denominators of the coefficient, the
+scale and the operator's value.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InternalError, KernelHit, ParamError
 from .poly import Poly
-from .scalar import ExactScalar
+from .scalar import ExactScalar, _exact
 
 IDENTITY_ON_KERNEL = "identity_on_kernel"
 ERROR_ON_KERNEL = "error_on_kernel"
@@ -71,6 +75,43 @@ def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     return p._scale_by_degree(vars, divide)
 
 
+def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
+    """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
+    degree in vars, in one pass over the terms of t: the contributions
+    c e (e-1) and ba c e of each term c x^e are summed per key by
+    Poly._collect (so a clash of sqrt(pi) grades raises), and each output
+    term is one Fraction, scale over op.eval(degree) times that sum; a
+    kernel degree follows op's completion policy, the sum passing through
+    unchanged (then scaled) or raising KernelHit."""
+    if "x" not in t.vars:
+        return Poly.zero(t.vars)
+    i = t.vars.index("x")
+    seconds, firsts = [], []
+    for exps, c in t.terms.items():
+        e = exps[i]
+        if e > 1:
+            key = exps[:i] + (e - 2,) + exps[i + 1 :]
+            seconds.append((key, _exact(c.rat * (e * (e - 1)), c.sqrt_pi_pow)))
+        if e and ba:
+            key = exps[:i] + (e - 1,) + exps[i + 1 :]
+            firsts.append((key, _exact(c.rat * (ba * e), c.sqrt_pi_pow)))
+    summed = Poly._collect(t.vars, seconds + firsts)
+    idx = t._positions(vars)
+    sn, sd = scale.numerator, scale.denominator
+    out = {}
+    for exps, c in summed.terms.items():
+        d = sum(exps[j] for j in idx)
+        vn, vd, g = 1, 1, c.sqrt_pi_pow
+        if d not in op.kernel:
+            v = op.eval(d)
+            vn, vd, g = v.rat.numerator, v.rat.denominator, g - v.sqrt_pi_pow
+        elif op.completion == ERROR_ON_KERNEL:
+            raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
+        q = c.rat
+        out[exps] = _exact(Fraction(q.numerator * sn * vd, q.denominator * sd * vn), g)
+    return Poly._of(t.vars, out)
+
+
 def _resolvent_factor(n: int, alpha: Fraction, beta: Fraction,
                       completion=IDENTITY_ON_KERNEL) -> DiagonalOp:
     """(d - n)(d + n + alpha + beta + 1), with its kernel read off the factors."""
@@ -108,8 +149,7 @@ def gp_series(n: int, alpha, beta, completion=IDENTITY_ON_KERNEL) -> Poly:
     ba = beta - alpha
 
     def step(cur, _):
-        d1 = cur.derivative("x")
-        return apply_inverse_diagonal(fop, d1.derivative("x") + d1 * ba, ("x",))
+        return _inverse_step(fop, cur, ("x",), ba, Fraction(1))
     message = f"resolvent sum failed to terminate for n={n}"
     return _terminating_sum(Poly.var("x", n), step, n + 2, message)
 
@@ -118,8 +158,7 @@ def _exp_series(term: Poly, op: DiagonalOp, vars, n: int, what: str) -> Poly:
     """exp(-(1/2) op^{-1} dx^2) term, op acting on total degree in vars; the
     series of a degree-n term ends within n // 2 + 2 steps."""
     def step(t, m):
-        t = apply_inverse_diagonal(op, t.derivative("x").derivative("x"), vars)
-        return t * Fraction(-1, 2 * m)
+        return _inverse_step(op, t, vars, 0, Fraction(-1, 2 * m))
     message = f"{what} failed to terminate for n={n}"
     return _terminating_sum(term, step, n // 2 + 2, message)
 

@@ -8,16 +8,19 @@ half-odd-integer arguments, where
     Gamma(k+1/2) = (1/2)_k * sqrt(pi)       integer k >= 0,
 
 and negative half-odd arguments follow by downward recursion from
-Gamma(a) = Gamma(a+1)/a.  Rationals are ``fractions.Fraction`` throughout:
-the stdlib type already guarantees lowest terms and a positive denominator.
-A float is refused wherever a rational is taken, since its binary value is
-not the decimal one written.
+Gamma(a) = Gamma(a+1)/a.  These values are one integer table,
+_gamma_parts, giving a numerator, a denominator and a sqrt(pi) grade;
+gamma_half, recip_gamma and the umbral transform's weights read it.
+Rationals are ``fractions.Fraction`` throughout: the stdlib type already
+guarantees lowest terms and a positive denominator.  A float is refused
+wherever a rational is taken, since its binary value is not the decimal
+one written.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import index
 
 from .errors import PoleError
@@ -318,22 +321,31 @@ def pochhammer(a, n: int) -> Fraction:
     return Fraction(num, q**n)
 
 
+def _gamma_parts(h: HalfInt):
+    """The one table of Gamma values: Gamma(h) = num / den * sqrt(pi)^grade
+    as the integers (num, den, grade), den > 0 and gcd(num, den) = 1.  It
+    is (m-1)! at an integer m >= 1, (2k-1)!! / 2^k at k + 1/2 for k >= 0,
+    and (-2)^j / (2j-1)!! at -j + 1/2 for j >= 1, from Gamma(a) =
+    Gamma(a+1) / a.  PoleError on the poles (non-positive integers)."""
+    t = h.twice
+    if t % 2 == 0:
+        if t <= 0:
+            raise PoleError(f"Gamma pole at {t // 2}")
+        return factorial(t // 2 - 1), 1, 0
+    if t > 0:
+        k = (t - 1) // 2
+        return prod(range(1, 2 * k, 2)), 1 << k, 1
+    j = (1 - t) // 2
+    return (-2) ** j, prod(range(1, 2 * j, 2)), 1
+
+
 def gamma_half(a) -> ExactScalar:
     """Gamma at an integer or half-odd-integer argument.
 
     Raises PoleError on the poles (non-positive integers).
     """
-    h = half(a)
-    if h.is_integer:
-        v = h.twice // 2
-        if v <= 0:
-            raise PoleError(f"Gamma pole at {v}")
-        return ExactScalar(factorial(v - 1))
-    k = (h.twice - 1) // 2  # a = k + 1/2
-    if k >= 0:
-        return ExactScalar(pochhammer(Fraction(1, 2), k), 1)
-    # Gamma(a) = Gamma(1/2) / (a)_{-k} by upward telescoping
-    return ExactScalar(1 / pochhammer(h.as_fraction, -k), 1)
+    num, den, grade = _gamma_parts(half(a))
+    return _exact(Fraction(num, den), grade)
 
 
 def recip_gamma(a) -> ExactScalar:
@@ -341,8 +353,8 @@ def recip_gamma(a) -> ExactScalar:
     h = half(a)
     if h.is_nonpositive_integer():
         return ZERO
-    g = gamma_half(h)
-    return ExactScalar(1 / g.rat, -g.sqrt_pi_pow)
+    num, den, grade = _gamma_parts(h)
+    return _exact(Fraction(den, num), -grade)
 
 
 def gamma_ratio(a, b) -> ExactScalar:

@@ -6,7 +6,9 @@ lambda and mu.  The transform replaces each u^a by Gamma(a) and each v^b
 by 1/Gamma(b); it is realized as exact exponent bookkeeping, never as an
 integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
-error.
+error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
+an integer numerator, denominator and sqrt(pi) grade built from scalar's
+one Gamma table, and each transformed term is one Fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import factorial
 
 from .errors import DomainError, ExpansionError
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, HalfInt, gamma_half, half, recip_gamma
+from .scalar import HalfInt, _exact, _gamma_parts, half
 
 log = logging.getLogger(__name__)
 
@@ -168,11 +170,34 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
     return GenSeries(terms, lam, mu)
 
 
+def _weight(t: GenMonomial):
+    """The transform's weight prod Gamma(a) / prod Gamma(b) over the u- and
+    v-exponents of t, as integers (num, den, grade) from scalar's Gamma
+    table; None when a v-exponent lies on a zero of 1/Gamma."""
+    num, den, grade = 1, 1, 0
+    for name, e in t.u_exps:
+        if e.is_nonpositive_integer():
+            raise DomainError(
+                f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
+            )
+        a, b, g = _gamma_parts(e)
+        num, den, grade = num * a, den * b, grade + g
+    for _, e in t.v_exps:
+        if e.is_nonpositive_integer():
+            log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
+            return None
+        a, b, g = _gamma_parts(e)
+        num, den, grade = num * b, den * a, grade - g
+    return num, den, grade
+
+
 def itransform(s: GenSeries) -> CoeffSeries:
     """Apply the transform to every term and collect by lambda power.
 
     mu powers are folded into the coefficient polynomials as the variable
-    ``mu``.  Returns a series exact through s.lambda_order.
+    ``mu``.  Returns a series exact through s.lambda_order.  Each term of a
+    transformed coefficient is one Fraction, the coefficient's numerator
+    and denominator times those of the integer weight.
     """
     if s.lambda_order is not None:
         order = s.lambda_order
@@ -180,23 +205,18 @@ def itransform(s: GenSeries) -> CoeffSeries:
         order = max((t.lambda_pow for t in s.terms), default=0)
     parts = [[] for _ in range(order + 1)]
     for t in s.terms:
-        scalar = ExactScalar(1)
-        for name, e in t.u_exps:
-            if e.is_nonpositive_integer():
-                raise DomainError(
-                    f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
-                )
-            scalar = scalar * gamma_half(e)
-        for _, e in t.v_exps:
-            if e.is_nonpositive_integer():
-                log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
-                break
-            scalar = scalar * recip_gamma(e)
-        else:
-            contrib = t.coeff * scalar
-            if t.mu_pow:
-                contrib = contrib * Poly.var(MU, t.mu_pow)
-            parts[t.lambda_pow].append(contrib)
+        w = _weight(t)
+        if w is None:
+            continue
+        num, den, grade = w
+        contrib = Poly._of(t.coeff.vars, {
+            exps: _exact(Fraction(c.rat.numerator * num, c.rat.denominator * den),
+                         c.sqrt_pi_pow + grade)
+            for exps, c in t.coeff.terms.items()
+        })
+        if t.mu_pow:
+            contrib = contrib * Poly.var(MU, t.mu_pow)
+        parts[t.lambda_pow].append(contrib)
     return CoeffSeries([Poly.sum(p) for p in parts], order)
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk import cli, connect, families, jsonio, lacunary, opcalc, verify
+from sjk import cli, connect, families, jsonio, lacunary, opcalc, umbral, verify
 from sjk.poly import CoeffSeries, Poly
-from sjk.scalar import ExactScalar
+from sjk.scalar import ExactScalar, HalfInt
 
 GRID = ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
 # every grid value once as alpha and once as beta
@@ -315,6 +315,49 @@ class TestExitCodes:
         assert ("[FAIL] opcalc: four-way construction equality: constructions "
                 "disagree at n=5\n") in out
         assert verify.four_way(range(31)) == "constructions disagree at n=5"
+
+    # a one-coefficient error in each integer kernel that verify checks
+    def test_verify_catches_a_broken_binomial_basis_sum(self, monkeypatch):
+        real = families._binomial_basis_sum
+
+        def broken(n, coeff, scale):
+            p = real(n, coeff, scale)
+            return p + Poly.var("x", n - 1) if n == 3 else p
+
+        monkeypatch.setattr(families, "_binomial_basis_sum", broken)
+        code, out, _ = run_cli("verify", "--suite", "opcalc")
+        assert code == 2
+        assert ("[FAIL] opcalc: resolvent equals closed form: resolvent vs closed "
+                "form differ at n=3\n") in out
+
+    def test_verify_catches_a_broken_inverse_step(self, monkeypatch):
+        real = opcalc._inverse_step
+
+        def broken(op, t, vars, ba, scale):
+            p = real(op, t, vars, ba, scale)
+            return p * 2 if t == Poly.var("x", 5) else p  # x^5 -> one x^3 term
+
+        monkeypatch.setattr(opcalc, "_inverse_step", broken)
+        code, out, _ = run_cli("verify", "--suite", "opcalc")
+        assert code == 2
+        assert ("[FAIL] opcalc: resolvent equals closed form: resolvent vs closed "
+                "form differ at n=5\n") in out
+
+    def test_verify_catches_a_broken_transform_weight(self, monkeypatch):
+        real = umbral._weight
+
+        def broken(t):
+            w = real(t)
+            if w is None or HalfInt(6) not in dict(t.v_exps).values():
+                return w
+            num, den, grade = w
+            return num + den, den, grade  # the weight of v^3 is off by one
+
+        monkeypatch.setattr(umbral, "_weight", broken)
+        code, out, _ = run_cli("verify", "--suite", "umbral")
+        assert code == 2
+        assert ("[FAIL] umbral: Bessel umbral image: Bessel image truncation "
+                "fails at n=0, top=4\n") in out
 
 
 LONG = "9" * 100 + "/" + "7" * 99 + "8"  # coprime, so it does not reduce

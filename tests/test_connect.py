@@ -6,8 +6,10 @@ import pytest
 from sjk import connect, verify
 from sjk.connect import (
     FAMILIES,
+    biorthogonality_check,
     connection_gf_coeff,
     connection_gf_coeff_direct,
+    exp_product_truncation,
     gaussian_pair,
     hermite_connection,
     lookup,
@@ -62,6 +64,17 @@ class TestHermiteConnection:
     def test_index_error(self):
         with pytest.raises(IndexError):
             hermite_connection(2, 5)
+
+    def test_same_terms_as_checked_monomial(self):
+        # the one-Fraction term against the checked construction it replaced
+        for M in range(21):
+            for n in range(M % 2, M + 1, 2):
+                k = (M - n) // 2
+                want = Poly.monomial(
+                    Fraction(factorial(M), factorial(k) * factorial(n))
+                    * Fraction(-1) ** k, z=k)
+                got = hermite_connection(M, n)
+                assert (got.vars, got.terms) == (want.vars, want.terms), (M, n)
 
 
 class TestReconstruction:
@@ -204,3 +217,29 @@ class TestReaction:
                 fn(-1, 3)
             with pytest.raises(ParamError):
                 fn(2, -1)
+
+
+class TestNegativeIndices:
+    # an index below zero names no polynomial, so each is refused
+
+    def test_reconstruct_monomial(self):
+        with pytest.raises(ParamError, match="M must be >= 0, got -1"):
+            reconstruct_monomial(-1, "sj")
+
+    def test_biorthogonality_check(self):
+        with pytest.raises(ParamError, match="L must be >= 0, got -1"):
+            biorthogonality_check(2, -1, "sj")
+        with pytest.raises(ParamError, match="M must be >= 0, got -3"):
+            biorthogonality_check(-3, 0, "hermite")
+
+    def test_connection_gf_coeff(self):
+        with pytest.raises(ParamError, match="M must be >= 0, got -1"):
+            connection_gf_coeff(-1, 3)
+
+    def test_pair_factors(self):
+        with pytest.raises(ParamError, match="order must be >= 0, got -1"):
+            pair_factors(-1, "sj")
+
+    def test_exp_product_truncation(self):
+        with pytest.raises(ParamError, match="order must be >= 0, got -2"):
+            exp_product_truncation(-2)

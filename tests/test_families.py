@@ -4,6 +4,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjk import families, verify
 from sjk.errors import ParamError
@@ -432,3 +433,22 @@ class TestHermiteImageTerms:
             got, want = hermite_image(p), _image_reference(p)
             assert got.vars == want.vars and got.terms == want.terms
             assert_canonical(got)
+
+
+# rationals with numerator and denominator of up to 64 bits, as cli._rat takes
+RAT64 = st.builds(Fraction, st.integers(-(2**64 - 1), 2**64 - 1),
+                  st.integers(1, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 24), scale=RAT64.filter(bool))
+def test_binomial_basis_sum_matches_power_products(data, n, scale):
+    # the integer Horner sum against the Poly products it replaced
+    cs = data.draw(st.lists(st.one_of(st.just(Fraction(0)), RAT64),
+                            min_size=n + 1, max_size=n + 1))
+    got = families._binomial_basis_sum(n, cs.__getitem__, scale)
+    want = Poly.sum((
+        (X - 1) ** (n - k) * (X + 1) ** k * c for k, c in enumerate(cs) if c
+    ), ("x",)) * scale
+    assert got == want and got.vars == ("x",)
+    assert_canonical(got)

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjk import verify
 from sjk.errors import InternalError, KernelHit, ParamError
 from sjk.families import jacobi_classical
 from sjk.opcalc import (
     ERROR_ON_KERNEL,
+    IDENTITY_ON_KERNEL,
     DiagonalOp,
+    _inverse_step,
     apply_diagonal,
     apply_inverse_diagonal,
     exp_B_bivariate,
@@ -210,3 +213,69 @@ def test_b_commutation_with_matched_powers(rng):
                     return poly * Poly.var("y", p) if p else poly
 
                 assert b(ypdxp(mono)) == ypdxp(b(mono))
+
+
+def _outcome(fn):
+    """fn()'s Poly with its variables, or the type and text of its error."""
+    try:
+        p = fn()
+    except (KernelHit, InternalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return p.vars, p.terms
+
+
+def _step_oracle(op, t, vars, ba, scale):
+    # the composition the one-pass step replaced
+    d1 = t.derivative("x")
+    return apply_inverse_diagonal(op, d1.derivative("x") + d1 * ba, vars) * scale
+
+
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def _step_cases(draw):
+    vars = draw(st.sampled_from([("x",), ("x", "y")]))
+    grades = draw(st.sampled_from([(0,), (1,), (0, 1)]))  # (0, 1) may clash
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 7) for _ in vars]),
+        st.tuples(SMALL.filter(bool), st.sampled_from(grades)), max_size=6))
+    t = Poly(vars, {e: ExactScalar(c, g) for e, (c, g) in terms.items()})
+    k = draw(st.integers(0, 6))
+    # declared kernel: the true one, a missing one (InternalError when met)
+    # or one degree too many (never evaluated, as before)
+    kernel = draw(st.sampled_from([{k}, set(), {k, k + 1}]))
+    w = draw(SMALL.filter(bool))
+    completion = draw(st.sampled_from([IDENTITY_ON_KERNEL, ERROR_ON_KERNEL]))
+    op = DiagonalOp(lambda d: Fraction(d - k) * w, kernel, completion)
+    return op, t, vars, draw(SMALL), draw(SMALL.filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_step_cases())
+def test_inverse_step_matches_composition(case):
+    op, t, vars, ba, scale = case
+    got = _outcome(lambda: _inverse_step(op, t, vars, ba, scale))
+    assert got == _outcome(lambda: _step_oracle(op, t, vars, ba, scale))
+
+
+@pytest.mark.parametrize("kernel, completion, error", [
+    ({2}, ERROR_ON_KERNEL, KernelHit),  # names the unscaled coefficient 12
+    (set(), IDENTITY_ON_KERNEL, InternalError),  # declared kernel is wrong
+])
+def test_inverse_step_errors_as_composition(kernel, completion, error):
+    op = DiagonalOp(lambda d: Fraction(d - 2), kernel, completion)
+    t = Poly.var("x", 4)
+    got = _outcome(lambda: _inverse_step(op, t, ("x",), 0, Fraction(-1, 2)))
+    assert got[0] is error
+    assert got == _outcome(lambda: _step_oracle(op, t, ("x",), 0, Fraction(-1, 2)))
+
+
+def test_inverse_step_grade_clash_as_composition():
+    # x^3 (grade 0) and x^2 sqrt(pi) both land on x^1
+    t = Poly.var("x", 3) + Poly.monomial(ExactScalar(1, 1), x=2)
+    op = DiagonalOp(lambda d: Fraction(d + 1))
+    got = _outcome(lambda: _inverse_step(op, t, ("x",), Fraction(1, 3), Fraction(1)))
+    assert got[0] is ValueError and "different powers of sqrt(pi)" in got[1]
+    assert got == _outcome(
+        lambda: _step_oracle(op, t, ("x",), Fraction(1, 3), Fraction(1)))

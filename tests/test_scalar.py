@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from sjk.scalar import (
     ZERO,
     ExactScalar,
     HalfInt,
+    _gamma_parts,
     beta_fn,
     gamma_half,
     gamma_ratio,
@@ -272,6 +274,33 @@ class TestRecipGamma:
         for twice in (-5, -3, -1, 1, 2, 3, 7, 8):
             a = HalfInt(twice)
             assert gamma_half(a) * recip_gamma(a) == ExactScalar(1)
+
+
+def _gamma_by_pochhammer(twice):
+    """Gamma(twice/2) as gamma_half built it before the integer table:
+    (m-1)!, (1/2)_k sqrt(pi), or sqrt(pi) / (a)_(-k) below 1/2."""
+    if twice % 2 == 0:
+        return ExactScalar(factorial(twice // 2 - 1))
+    k = (twice - 1) // 2
+    if k >= 0:
+        return ExactScalar(pochhammer(H, k), 1)
+    return ExactScalar(1 / pochhammer(Fraction(twice, 2), -k), 1)
+
+
+@pytest.mark.parametrize("twice", range(-41, 42))
+def test_gamma_table_matches_pochhammer_construction(twice):
+    a = HalfInt(twice)
+    if a.is_nonpositive_integer():
+        with pytest.raises(PoleError, match=f"Gamma pole at {twice // 2}$"):
+            _gamma_parts(a)
+        assert recip_gamma(a) == ZERO
+        return
+    want = _gamma_by_pochhammer(twice)
+    num, den, grade = _gamma_parts(a)
+    assert (num, den, grade) == (want.rat.numerator, want.rat.denominator,
+                                 want.sqrt_pi_pow)
+    assert gamma_half(a) == want
+    assert recip_gamma(a) == ExactScalar(1 / want.rat, -want.sqrt_pi_pow)
 
 
 class TestGammaRatio:
