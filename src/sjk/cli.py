@@ -111,14 +111,15 @@ def _render(p: Poly, fmt: str) -> str:
 
 def _emit_poly(p: Poly, fmt: str, out):
     if fmt == "json":
-        print(jsonio.dumps(jsonio.poly_to_obj(p)), file=out)
+        print(jsonio.dumps(p), file=out)
     else:
         print(_render(p, fmt), file=out)
 
 
 def _emit_series(s: CoeffSeries, fmt: str, out, parameter="lambda"):
     if fmt == "json":
-        print(jsonio.dumps(jsonio.series_to_obj(s, parameter)), file=out)
+        envelope = {"parameter": parameter, "order": s.order, "coefficients": s.coeffs}
+        print(jsonio.dumps(envelope), file=out)
         return
     power = "{%d}" if fmt == "latex" else "%d"
     for k, c in enumerate(s.coeffs):
@@ -179,7 +180,7 @@ def _cmd_connect(args, out):
     if args.format == "json":
         rows = [
             {"n": n, "num": str(w.numerator), "den": str(w.denominator)}
-            if isinstance(w, Fraction) else {"n": n, "poly": jsonio.poly_to_obj(w)}
+            if isinstance(w, Fraction) else {"n": n, "poly": w}
             for n, w in enumerate(weights)
         ]
         print(jsonio.dumps({"family": args.family, "M": M, "weights": rows}), file=out)

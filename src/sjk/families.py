@@ -33,6 +33,7 @@ from .errors import ParamError
 from .hyper import tricomi_coeff
 from .poly import CoeffSeries, Poly
 from .scalar import (
+    ONE,
     ExactScalar,
     _exact,
     half,
@@ -67,9 +68,9 @@ def _beta_param(beta) -> Fraction:
     return beta
 
 
-def jacobi_monic(n: int, alpha, beta) -> Poly:
+def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     """Monic degree-n eigenpolynomial of the Jacobi operator at parameters
-    (alpha, beta), both >= -1.
+    (alpha, beta), both >= -1, times lead, a nonzero ExactScalar.
 
     The terminating resolvent (D-n)^{-1}(D+n+alpha+beta+1)^{-1}(d^2 +
     (beta-alpha) d) acting on coefficients gives, from c_n = 1 down,
@@ -82,7 +83,9 @@ def jacobi_monic(n: int, alpha, beta) -> Poly:
     The steps run on integers: times q = lcm(den alpha, den beta) the
     factor and the right-hand side have integer coefficients, c_{k+1} and
     c_{k+2} are integer numerators over one denominator reduced by their
-    gcd at every step, and one Fraction is made per output term.
+    gcd at every step, and one Fraction is made per output term.  The
+    recurrence is linear, so it starts from c_n = lead and each term comes
+    out scaled, in its one Fraction, with lead's sqrt(pi) grade.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha < -1 or beta < -1:
@@ -90,22 +93,25 @@ def jacobi_monic(n: int, alpha, beta) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
-        return Poly.const(1)
+        return Poly.const(lead)
     q = lcm(alpha.denominator, beta.denominator)
     ba, sh = int((beta - alpha) * q), int((alpha + beta + 1) * q)
     # c_(k+1) = u / P and c_(k+2) = v / P with gcd(u, v, P) = 1, h = gcd(u, P)
-    u, v, P, h = 1, 0, 1, 1
-    terms = {(n,): _exact(Fraction(1), 0)}
+    # lead's numerator starts the recurrence and its denominator d joins
+    # each term's Fraction; gcd(u, P) divides the gcd that Fraction takes
+    u, d = lead.rat.as_integer_ratio()
+    v, P, h, grade = 0, 1, 1, lead.sqrt_pi_pow
+    terms = {(n,): lead}
     for k in range(n - 1, -1, -1):
         f = (k - n) * ((k + n) * q + sh) or q
         u, v, P = q * (k + 2) * (k + 1) * v + ba * (k + 1) * u, u * f, P * f
         g = gcd(u, f * h)  # gcd(v, P) = f h, so g = gcd(u, v, P) at small cost
         u, v, P = u // g, v // g, P // g
-        h = P  # gcd(u, P): P itself at u = 0, else P over the reduced denominator
+        h = P  # gcd(u, P): P itself at u = 0
         if u:
-            c = Fraction(u, P)
-            terms[(k,)] = _exact(c, 0)
-            h //= c.denominator
+            c = Fraction(u, P * d)
+            terms[(k,)] = _exact(c, grade)
+            h = gcd(u // c.numerator, P)
     return Poly._of(("x",), terms)
 
 
@@ -273,10 +279,16 @@ def hermite_image(p: Poly) -> Poly:
 def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
     (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
-    sj_umbral(N)/N!."""
+    sj_umbral(N)/N!.  The image of each term x^(N-2m) z^m c_m / N! is
+    made at once, as the one Fraction 1 / ((N!/c_m) W(N-2m, m)) with
+    c_m the matching number and W the _image_weight."""
     if N < 0:
         raise ParamError("order must be >= 0")
-    return hermite_image(_hermite_egf_coeff(N))
+    f = factorial(N)
+    return Poly._of(("x",), {
+        (N - 2 * m,): _exact(Fraction(1, f // c * _image_weight(N - 2 * m, m)), 0)
+        for m, c in enumerate(_matching_numbers(N))
+    })
 
 
 # Canonical per-degree sources, the source column of connect's family table.
@@ -341,7 +353,7 @@ def egf_beta_shifted(order: int, beta) -> CoeffSeries:
         scale = ExactScalar(
             binom_general(2 * n + beta + 1, n + 1) / factorial(n)
         ) * recip_gamma(hb + (n + 2))
-        return jacobi_monic(n + 1, -1, beta) * scale
+        return jacobi_monic(n + 1, -1, beta, scale)
 
     return CoeffSeries.build(coeff, order)
 

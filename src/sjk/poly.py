@@ -11,16 +11,25 @@ A product of two Polys runs over integers: each operand's coefficients are
 brought over the lcm of their denominators, the integer numerators are
 multiplied and summed per exponent vector, and each result coefficient is
 made once, as in FLINT's fmpq_poly but inside the one product only.
+
+Every output format reads one accessor, Poly._rows: the terms in
+graded-lexicographic descending order as (exps, numerator, denominator,
+sqrt_pi_pow).  The text and LaTeX renderers here and jsonio's writer
+take each term's integers from it; a denominator of more than 600 digits
+comes as its decimal string, converted over the gcd of the Poly's long
+denominators (_decimal_dens).
 """
 
 from __future__ import annotations
 
+import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
 from fractions import Fraction
-from math import factorial, inf, lcm
+from math import factorial, gcd, inf, lcm
 from operator import add, index
 from typing import Callable, NamedTuple
 
-from .scalar import ExactScalar, ZERO, _exact, _grade_clash
+from .scalar import ONE, ExactScalar, ZERO, _exact, _grade_clash
 from .scalar import _operand as _scalar_operand
 
 __all__ = ["Poly", "CoeffSeries"]
@@ -48,6 +57,39 @@ def _over_common_den(terms: dict):
 
 
 _new = object.__new__
+
+
+def _grlex(term):
+    """Sort key of a (exps, coefficient) pair: total degree, then exponents."""
+    return sum(term[0]), term[0]
+
+
+# Poly._rows writes a denominator of more than 600 digits through
+# _decimal_dens: below that plain str was as fast or faster on the
+# sj-beta-shifted and Hermite EGF coefficients, above it the route won by
+# up to 4x (2-core x86_64, CPython 3.11.7).
+_DECIMAL_FLOOR = 10**600
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def _decimal_dens(dens: list) -> list:
+    """dens with each one of more than 600 digits replaced by its str(),
+    made from one conversion of G, the gcd of those long ones.  CPython
+    writes an int in decimal in quadratic time, and so does Decimal(int);
+    the long denominators of one Poly share most of their digits in G, so
+    each is written as the exact decimal product of G and its short
+    cofactor.  One of more than sys.get_int_max_str_digits() digits is
+    refused by str(d) itself, with the ValueError that str(d) raises."""
+    g = gcd(*[d for d in dens if d >= _DECIMAL_FLOOR])
+    g_dec = _EXACT.create_decimal(g)
+    limit = sys.get_int_max_str_digits()
+    out = []
+    for d in dens:
+        if d >= _DECIMAL_FLOOR:
+            s = str(_EXACT.multiply(g_dec, _EXACT.create_decimal(d // g)))
+            d = str(d) if limit and len(s) > limit else s  # str(d) raises
+        out.append(d)
+    return out
 
 
 class Poly:
@@ -294,15 +336,27 @@ class Poly:
         return self.substitute(var, Poly.var(var) + c)
 
     def substitute(self, var: str, value) -> "Poly":
-        """Substitute var -> value (Poly or scalar), fully expanded."""
+        """Substitute var -> value (Poly or scalar), fully expanded; a
+        scalar value scales each coefficient by its power."""
         if var not in self.vars:
             return self
         i = self.vars.index(var)
         rest_vars = self.vars[:i] + self.vars[i + 1 :]
-        return Poly.sum((
-            Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c}) * value ** exps[i]
-            for exps, c in self.terms.items()
-        ), rest_vars)
+        if isinstance(value, Poly):
+            return Poly.sum((
+                Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c}) * value ** exps[i]
+                for exps, c in self.terms.items()
+            ), rest_vars)
+        value = ExactScalar.coerce(value)
+        scale = {}  # exponent -> value ** exponent, or None where that is one
+        for e in {exps[i] for exps in self.terms}:
+            p = value**e
+            scale[e] = None if p == ONE else p
+        pairs = []
+        for exps, c in self.terms.items():
+            p = scale[exps[i]]
+            pairs.append((exps[:i] + exps[i + 1 :], c if p is None else c * p))
+        return Poly._collect(rest_vars, pairs)
 
     # -- structure ------------------------------------------------------------
 
@@ -355,11 +409,23 @@ class Poly:
             raise ValueError(f"polynomial is not constant: {self}")
         return self.scalar_coeff()
 
-    def sorted_terms(self):
-        """Terms in graded-lexicographic descending order."""
-        return sorted(
-            self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True
-        )
+    def _rows(self) -> list:
+        """Each term once, in graded-lexicographic descending order, as
+        (exps, numerator, denominator, sqrt_pi_pow): the one walk that the
+        text, LaTeX and JSON writers read.  The denominator is a positive
+        int, or its decimal string from _decimal_dens when it has more than
+        600 digits; either formats the same under str, %s and f-strings."""
+        rows = []
+        top = 0
+        for exps, c in sorted(self.terms.items(), key=_grlex, reverse=True):
+            num, den = c.rat.as_integer_ratio()
+            rows.append((exps, num, den, c.sqrt_pi_pow))
+            if den > top:
+                top = den
+        if top >= _DECIMAL_FLOOR:
+            dens = _decimal_dens([r[2] for r in rows])
+            rows = [(e, n, d, g) for (e, n, _, g), d in zip(rows, dens)]
+        return rows
 
     # -- rendering ------------------------------------------------------------
 
@@ -370,21 +436,19 @@ class Poly:
         return self._render(_LATEX)
 
     def _render(self, style) -> str:
-        if not self.terms:
+        rows = self._rows()
+        if not rows:
             return "0"
         names = [style.names.get(v, v) for v in self.vars]
         open_, close = style.power_open, style.power_close
         pi, mag_text = style.pi, style.mag
         chunks = []
-        for exps, c in self.sorted_terms():
-            k = c.sqrt_pi_pow
+        for exps, num, den, k in rows:
             parts = [pi(k)] if k else []
             for name, e in zip(names, exps):
                 if e:
                     parts.append(name if e == 1 else f"{name}{open_}{e}{close}")
             body = " ".join(parts)
-            q = c.rat
-            num, den = q.numerator, q.denominator
             neg = num < 0
             if neg:
                 num = -num
@@ -421,7 +485,7 @@ def _frac_text(num, den):
 
 
 def _frac_latex(num, den):
-    return str(num) if den == 1 else r"\frac{%d}{%d}" % (num, den)
+    return str(num) if den == 1 else r"\frac{%d}{%s}" % (num, den)
 
 
 class _Style(NamedTuple):
@@ -431,7 +495,7 @@ class _Style(NamedTuple):
     power_open: str  # written between a name and its exponent
     power_close: str  # written after the exponent
     pi: Callable  # nonzero sqrt(pi) power -> written factor
-    mag: Callable  # (numerator, denominator) > 0 in lowest terms -> written magnitude
+    mag: Callable  # numerator > 0 and its row's denominator -> written magnitude
 
 
 _TEXT = _Style({}, "^", "", _pi_text, _frac_text)

@@ -29,7 +29,7 @@ from sjk.families import (
 )
 from sjk.opcalc import gp_series, hermite_exp, jacobi_operator_apply
 from sjk.poly import CoeffSeries, Poly
-from sjk.scalar import ExactScalar, HalfInt, gamma_ratio
+from sjk.scalar import ExactScalar, HalfInt, gamma_ratio, half, recip_gamma
 
 from conftest import assert_canonical
 
@@ -158,6 +158,13 @@ class TestSjEgfCoeff:
         assert sj_egf_coeff(2) == golden[("sj", 2)] * H
         assert sj_egf_coeff(5) == golden[("sj", 5)] * Fraction(1, 120)
 
+    def test_equals_image_of_hermite_coefficient(self):
+        for N in range(65):
+            got = sj_egf_coeff(N)
+            want = hermite_image(families._hermite_egf_coeff(N))
+            assert got.vars == want.vars == ("x",) and got.terms == want.terms, N
+            assert_canonical(got)
+
     def test_equals_umbral_over_factorial(self):
         for N in range(13):
             assert sj_egf_coeff(N) == sj_umbral(N) * Fraction(1, factorial(N))
@@ -225,6 +232,30 @@ class TestBetaShiftedEgf:
         ):
             fn(3, Fraction(1, 3))
 
+    @pytest.mark.parametrize("beta", ["-1/2", "0", "3/2", "1999/2"])
+    def test_equals_scaled_monic_family(self, beta):
+        # the scale is folded into each term's one Fraction: it must equal
+        # the monic polynomial times the scale, term for term and in grade
+        beta = Fraction(beta)
+        s = egf_beta_shifted(12, beta)
+        for n, c in enumerate(s.coeffs):
+            scale = ExactScalar(
+                binom_general(2 * n + beta + 1, n + 1) / factorial(n)
+            ) * recip_gamma(half(beta) + (n + 2))
+            want = jacobi_monic(n + 1, -1, beta) * scale
+            assert (c.vars, c.terms) == (want.vars, want.terms), (beta, n)
+            assert_canonical(c)
+
+    def test_one_scalar_product_per_coefficient(self, monkeypatch):
+        calls = []
+        mul = ExactScalar.__mul__
+        monkeypatch.setattr(
+            ExactScalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b)
+        )
+        s = egf_beta_shifted(16, H)
+        assert sum(len(c.terms) for c in s.coeffs) > 150
+        assert len(calls) == 17
+
     @pytest.mark.parametrize("beta", ["-1/2", "0", "1/2", "1", "3/2", "3"])
     def test_equals_tricomi_product(self, beta):
         for order in (0, 1, 8):
@@ -283,6 +314,22 @@ class TestCoefficientRecurrence:
             p = jacobi_monic(n, alpha, beta)
             assert_canonical(p)
             assert p.vars == ("x",) and p.coeff_of("x", n) == ExactScalar(1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 24),
+        st.sampled_from([
+            (-1, -1), (Fraction(7, 11), Fraction(-5, 13)), (-1, Fraction(9, 2)),
+        ]),
+        st.fractions(max_denominator=10**30).filter(bool),
+        st.integers(-3, 3),
+    )
+    def test_lead_scales_every_term(self, n, params, lead, grade):
+        lead = ExactScalar(lead, grade)
+        got = jacobi_monic(n, *params, lead)
+        want = jacobi_monic(n, *params) * lead
+        assert (got.vars, got.terms) == (want.vars, want.terms)
+        assert_canonical(got)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ParamError):

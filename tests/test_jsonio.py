@@ -81,6 +81,43 @@ def test_connect_bytes_equal_the_oracle(obj):
     assert jsonio.dumps(obj) == oracle(obj)
 
 
+def _objects(tree):
+    """tree with every Poly leaf replaced by its poly_to_obj block."""
+    if isinstance(tree, Poly):
+        return jsonio.poly_to_obj(tree)
+    if isinstance(tree, list):
+        return [_objects(v) for v in tree]
+    if isinstance(tree, dict):
+        return {k: _objects(v) for k, v in tree.items()}
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(
+    polys() | st.text(max_size=3) | st.integers(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+))
+def test_poly_leaves_are_written_as_their_object_form(tree):
+    assert jsonio.dumps(tree) == oracle(_objects(tree))
+
+
+@pytest.mark.parametrize("p", [
+    Poly(),
+    Poly(("x", "z")),
+    Poly.const(ExactScalar(Fraction(-3, 7), 1)),
+    Poly.const(1),
+    Poly(("x", "z"), {(2, 0): -1, (0, 1): ExactScalar(Fraction(5, 3), -2)}),
+    Poly(("mu",), {(3,): ExactScalar(Fraction(-10**40, 3**50), 3), (0,): 2}),
+], ids=["zero", "zero-over-variables", "graded-constant", "one", "negative-lead",
+        "graded-long-terms"])
+def test_poly_leaf_cases(p):
+    tree = {"coefficients": [p, p], "poly": p}
+    assert jsonio.dumps(p) == oracle(jsonio.poly_to_obj(p))
+    assert jsonio.dumps(tree) == oracle(_objects(tree))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.recursive(
     st.text() | st.integers(),
@@ -123,7 +160,13 @@ def _term(exps, num, sqrt_pi_pow=0):
     ({"variables": ["x", "x"], "terms": [_term([1, 2], 1)]}, ValueError),
     # Fraction would raise ZeroDivisionError
     ({"variables": ["x"], "terms": [{**_term([1], 1), "den": "0"}]}, ValueError),
-], ids=["repeated-exps", "float-grade", "repeated-variable", "zero-den"])
+    # dumps could not write the variable back
+    ({"variables": [1], "terms": [_term([1], 1)]}, TypeError),
+    # JSON true would be read as the integer 1
+    ({"variables": ["x"], "terms": [_term([True], 1)]}, TypeError),
+    ({"variables": ["x"], "terms": [_term([1], 1, True)]}, TypeError),
+], ids=["repeated-exps", "float-grade", "repeated-variable", "zero-den",
+        "non-string-variable", "boolean-exps", "boolean-grade"])
 def test_lossy_input_is_refused(obj, error):
     with pytest.raises(error):
         jsonio.poly_from_obj(obj)

@@ -1,12 +1,13 @@
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk.poly import CoeffSeries, Poly
+from sjk.poly import CoeffSeries, Poly, _decimal_dens
 from sjk.scalar import ZERO, ExactScalar
 
 from conftest import assert_canonical, rand_poly
@@ -597,7 +598,8 @@ def _reference_render(p, latex):
         return "0"
     names = {"mu": r"\mu", "lambda": r"\lambda"} if latex else {}
     chunks = []
-    for exps, c in p.sorted_terms():
+    grlex = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    for exps, c in grlex:
         parts = [_PI_SPELLING[c.sqrt_pi_pow][latex]] if c.sqrt_pi_pow else []
         for v, e in zip(p.vars, exps):
             name = names.get(v, v)
@@ -643,6 +645,94 @@ def test_rendering_matches_fraction_reference(p):
     assert p.text() == _reference_render(p, 0)
     assert p.latex() == _reference_render(p, 1)
     assert Poly.zero(p.vars).text() == Poly.zero(p.vars).latex() == "0"
+
+
+def _grlex_dens(p):
+    """str() of each denominator of p, in graded-lexicographic descending order."""
+    keys = sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+    return [str(p.terms[e].rat.denominator) for e in keys]
+
+
+class TestLongDenominators:
+    """Poly._rows writes the denominators of a Poly that has one of more
+    than 600 digits as decimal products over their gcd; they must read as
+    str() of each, and past CPython's digit limit raise str()'s ValueError."""
+
+    @staticmethod
+    def shared(digits):
+        # denominators sharing a factor of `digits` digits, with short
+        # cofactors, beside one unrelated denominator
+        g = 10 ** (digits - 1) + 7
+        return Poly(("x", "z"), {
+            (3, 0): Fraction(-5, g * 3),
+            (1, 1): Fraction(2, g * 11),
+            (0, 2): ExactScalar(Fraction(1, g), 1),
+            (0, 0): Fraction(1, 7),
+        })
+
+    @pytest.mark.parametrize("digits", [2, 598, 599, 600, 601, 602, 1500, 4299])
+    def test_rows_read_as_str(self, digits):
+        p = self.shared(digits)
+        dens = [d for _, _, d, _ in p._rows()]
+        assert [str(d) for d in dens] == _grlex_dens(p)
+        assert [type(d) for d in dens] == [
+            str if len(d) > 600 else int for d in _grlex_dens(p)
+        ]
+        assert p.text() == _reference_render(p, 0)
+        assert p.latex() == _reference_render(p, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10**900), st.lists(st.integers(1, 10**60), min_size=1,
+                                             max_size=6))
+    def test_decimal_route_equals_str(self, g, cofactors):
+        dens = [g * c for c in cofactors] + cofactors
+        got = _decimal_dens(dens)
+        assert [str(d) for d in got] == [str(d) for d in dens]
+        assert [type(d) for d in got] == [str if d >= 10**600 else int for d in dens]
+
+    def test_digit_limit_raises_as_str_does(self):
+        limit = sys.get_int_max_str_digits()  # 4,300 unless configured
+        assert limit > 600
+        at_limit = Poly(("x",), {(1,): Fraction(1, 10 ** (limit - 1) + 1), (0,): 1})
+        assert _grlex_dens(at_limit) == [str(d) for _, _, d, _ in at_limit._rows()]
+        assert at_limit.text() == _reference_render(at_limit, 0)
+        over = 10**limit + 1  # limit + 1 digits
+        with pytest.raises(ValueError) as want:
+            str(over)
+        p = Poly(("x",), {(2,): Fraction(1, 3 * over), (1,): Fraction(1, over)})
+        for write in (p.text, p.latex, p._rows):
+            with pytest.raises(ValueError) as got:
+                write()
+            assert str(got.value) == str(want.value)
+
+
+class TestScalarSubstitute:
+    P = Poly(("z", "y", "x"), {
+        (1, 2, 0): Fraction(3, 4), (1, 0, 0): -2, (0, 1, 3): ExactScalar(5, 1),
+        (0, 3, 3): ExactScalar(Fraction(-1, 6), 1), (0, 0, 1): 1,
+    })
+
+    @pytest.mark.parametrize("value", [1, 0, -2, Fraction(3, 5), ExactScalar(2)])
+    def test_equals_the_poly_valued_path(self, value):
+        got = self.P.substitute("y", value)
+        assert got.vars == ("z", "x")
+        assert got == self.P.substitute("y", Poly.const(value))
+        assert_canonical(got)
+
+    def test_graded_value(self):
+        p = Poly(("x", "y"), {(1, 2): 3, (0, 0): 1})
+        got = p.substitute("y", ExactScalar(2, 1))
+        assert got.terms == {(1,): ExactScalar(12, 2), (0,): ExactScalar(1)}
+
+    def test_grade_clash_still_raises(self):
+        # x y and sqrt(pi) x both land on x
+        p = Poly(("x", "y"), {(1, 1): 1, (1, 0): ExactScalar(1, 1)})
+        with pytest.raises(ValueError, match=r"different powers of sqrt\(pi\)"):
+            p.substitute("y", 1)
+
+    def test_cancelling_terms_are_dropped(self):
+        p = Poly(("x", "y"), {(1, 1): 2, (1, 0): -4, (0, 0): 1})
+        assert p.substitute("y", 2).terms == {(0,): ExactScalar(1)}
 
 
 def test_product_grade_clash_reads_as_the_sum():
