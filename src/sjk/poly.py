@@ -441,28 +441,30 @@ class Poly:
             return "0"
         names = [style.names.get(v, v) for v in self.vars]
         open_, close = style.power_open, style.power_close
-        pi, mag_text = style.pi, style.mag
-        chunks = []
+        pi, frac = style.pi, style.frac
+        # every term is written with a leading " + " or " - ", which the
+        # first term trades for "" or "-" at the end
+        out = []
         for exps, num, den, k in rows:
-            parts = [pi(k)] if k else []
+            body = " " + pi(k) if k else ""
             for name, e in zip(names, exps):
-                if e:
-                    parts.append(name if e == 1 else f"{name}{open_}{e}{close}")
-            body = " ".join(parts)
-            neg = num < 0
-            if neg:
+                if e == 1:
+                    body += " " + name
+                elif e:
+                    body += f" {name}{open_}{e}{close}"
+            if num < 0:
+                sign = " - "
                 num = -num
-            if body and num == 1 and den == 1:
-                piece = body
-            elif body:
-                piece = f"{mag_text(num, den)} {body}"
             else:
-                piece = mag_text(num, den)
-            if not chunks:
-                chunks.append(("-" if neg else "") + piece)
+                sign = " + "
+            if den != 1:
+                out.append(f"{sign}{frac % (num, den)}{body}")
+            elif num != 1 or not body:
+                out.append(f"{sign}{num}{body}")
             else:
-                chunks.append(("- " if neg else "+ ") + piece)
-        return " ".join(chunks)
+                out.append(sign + body[1:])
+        text = "".join(out)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"Poly({self.text()})"
@@ -480,14 +482,6 @@ def _pi_latex(k):
     return r"\pi" if k == 2 else r"\pi^{%d}" % (k // 2)
 
 
-def _frac_text(num, den):
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _frac_latex(num, den):
-    return str(num) if den == 1 else r"\frac{%d}{%s}" % (num, den)
-
-
 class _Style(NamedTuple):
     """How one output format writes a term of a Poly."""
 
@@ -495,11 +489,13 @@ class _Style(NamedTuple):
     power_open: str  # written between a name and its exponent
     power_close: str  # written after the exponent
     pi: Callable  # nonzero sqrt(pi) power -> written factor
-    mag: Callable  # numerator > 0 and its row's denominator -> written magnitude
+    frac: str  # %-template of a numerator > 0 over a denominator other than 1
 
 
-_TEXT = _Style({}, "^", "", _pi_text, _frac_text)
-_LATEX = _Style({"mu": r"\mu", "lambda": r"\lambda"}, "^{", "}", _pi_latex, _frac_latex)
+_TEXT = _Style({}, "^", "", _pi_text, "%d/%s")
+_LATEX = _Style(
+    {"mu": r"\mu", "lambda": r"\lambda"}, "^{", "}", _pi_latex, r"\frac{%d}{%s}"
+)
 
 
 class CoeffSeries:
