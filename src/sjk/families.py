@@ -97,21 +97,19 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     q = lcm(alpha.denominator, beta.denominator)
     ba, sh = int((beta - alpha) * q), int((alpha + beta + 1) * q)
     # c_(k+1) = u / P and c_(k+2) = v / P with gcd(u, v, P) = 1, h = gcd(u, P)
-    # lead's numerator starts the recurrence and its denominator d joins
-    # each term's Fraction; gcd(u, P) divides the gcd that Fraction takes
-    u, d = lead.rat.as_integer_ratio()
-    v, P, h, grade = 0, 1, 1, lead.sqrt_pi_pow
+    u, P = lead.rat.as_integer_ratio()
+    v, h, grade = 0, 1, lead.sqrt_pi_pow
     terms = {(n,): lead}
     for k in range(n - 1, -1, -1):
         f = (k - n) * ((k + n) * q + sh) or q
         u, v, P = q * (k + 2) * (k + 1) * v + ba * (k + 1) * u, u * f, P * f
         g = gcd(u, f * h)  # gcd(v, P) = f h, so g = gcd(u, v, P) at small cost
         u, v, P = u // g, v // g, P // g
-        h = P  # gcd(u, P): P itself at u = 0
+        h = P  # gcd(u, P): P itself at u = 0, else P over the reduced denominator
         if u:
-            c = Fraction(u, P * d)
+            c = Fraction(u, P)
             terms[(k,)] = _exact(c, grade)
-            h = gcd(u // c.numerator, P)
+            h //= c.denominator
     return Poly._of(("x",), terms)
 
 

@@ -436,8 +436,7 @@ class Poly:
         return self._render(_LATEX)
 
     def _render(self, style) -> str:
-        rows = self._rows()
-        if not rows:
+        if not self.terms:
             return "0"
         names = [style.names.get(v, v) for v in self.vars]
         open_, close = style.power_open, style.power_close
@@ -445,7 +444,7 @@ class Poly:
         # every term is written with a leading " + " or " - ", which the
         # first term trades for "" or "-" at the end
         out = []
-        for exps, num, den, k in rows:
+        for exps, num, den, k in self._rows():
             body = " " + pi(k) if k else ""
             for name, e in zip(names, exps):
                 if e == 1:
