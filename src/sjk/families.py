@@ -21,6 +21,9 @@ The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
 matching numbers by their integer ratio recurrence, and each image term
 as one Fraction over its denominator times an integer weight.
+
+The reference rows that these families reproduce, tests/data/table_a1.txt,
+are parsed by the test suite (tests/conftest.py), not by this package.
 """
 
 from __future__ import annotations
@@ -364,37 +367,3 @@ def egf_beta_shifted_tricomi(order: int, beta) -> CoeffSeries:
     c1 = tricomi_series(1, x - 1, order)
     cb = tricomi_series(half(beta), x + 1, order)
     return (c1 * cb) * (x - 1)
-
-
-# Golden-data file support: one record per line,
-#     <family> <n>: <exp>:<num>/<den> <exp>:<num>/<den> ...
-# where <exp> is the x-exponent.  For the hermite family the second
-# variable's exponent is implied: z-power = (n - exp) / 2.
-
-def load_golden(path) -> dict:
-    """Parse a golden polynomial table; keys are (family, n) pairs."""
-    rows = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, body = line.partition(":")
-            family, n_str = head.split()
-            n = int(n_str)
-            monomials = []
-            for chunk in body.split():
-                exp_str, _, frac = chunk.partition(":")
-                exp = int(exp_str)
-                num_str, _, den_str = frac.partition("/")
-                c = Fraction(int(num_str), int(den_str))
-                if family == "hermite":
-                    if (n - exp) % 2:
-                        raise ValueError(f"bad hermite exponent {exp} at n={n}")
-                    monomials.append(Poly.monomial(
-                        c, x=exp, **{HERMITE_SECOND_VAR: (n - exp) // 2}
-                    ))
-                else:
-                    monomials.append(Poly.monomial(c, x=exp))
-            rows[(family, n)] = Poly.sum(monomials, ("x",))
-    return rows

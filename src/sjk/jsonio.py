@@ -27,6 +27,7 @@ poly_to_obj dict, to the same bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
@@ -41,10 +42,29 @@ def poly_to_obj(p: Poly) -> dict:
     ]}
 
 
+# the forms poly_to_obj writes; int() would also take " 1_0 ", "+1" or
+# non-ASCII digits
+_NUM = re.compile("-?[0-9]+")
+_DEN = re.compile("[0-9]+")
+
+
+def _decimal(t: dict, key: str, form) -> int:
+    """t[key], a decimal string in the given form, as an int."""
+    s = t[key]
+    if not isinstance(s, str):
+        raise TypeError(f"{key} must be a decimal string, got {s!r}")
+    if not form.fullmatch(s):
+        raise ValueError(f"{key} is not a decimal integer: {s!r}")
+    return int(s)
+
+
 def poly_from_obj(obj: dict) -> Poly:
-    vars = tuple(obj["variables"])
+    names = obj["variables"]
+    if not isinstance(names, list):
+        raise TypeError(f"variables must be a list, got {names!r}")
+    vars = tuple(names)
     if not all(isinstance(v, str) for v in vars):
-        raise TypeError(f"variable names must be strings, got {list(vars)}")
+        raise TypeError(f"variable names must be strings, got {names}")
     terms = {}
     for t in obj["terms"]:
         exps = tuple(t["exps"])
@@ -54,10 +74,10 @@ def poly_from_obj(obj: dict) -> Poly:
         # a JSON true or false would pass as the integer 1 or 0
         if bool in map(type, (*exps, grade)):
             raise TypeError(f"boolean exponent or grade at exponents {list(exps)}")
-        den = int(t["den"])
+        den = _decimal(t, "den", _DEN)
         if not den:
             raise ValueError(f"zero denominator at exponents {list(exps)}")
-        terms[exps] = ExactScalar(Fraction(int(t["num"]), den), grade)
+        terms[exps] = ExactScalar(Fraction(_decimal(t, "num", _NUM), den), grade)
     return Poly(vars, terms)
 
 

@@ -1,15 +1,17 @@
 """Euler-operator calculus.
 
 Diagonal operators are rational functions of the total-degree operator:
-they act on a monomial by a scalar determined by its degree.  Inverses are
-defined after completing the kernel, either by the identity map or by
-raising.  On top of these sit the terminating resolvent construction for
-the Jacobi-type eigenproblem and the exponential-operator forms of the
-Sobolev-Jacobi and two-variable Hermite polynomials.  Each step of the
-resolvent and of the exponential (-1,-1) forms is one pass over the terms,
-op^{-1}(scale (d^2 + (beta - alpha) d)), making one Fraction per output
-term from the integer numerators and denominators of the coefficient, the
-scale and the operator's value.
+they act on a monomial by a scalar determined by its degree.  This module
+holds the one degree map, _scale_by_degree, that applies them; the Euler
+operator D itself is apply_diagonal of the rule d -> d with kernel {0}.
+Inverses are defined after completing the kernel, either by the identity
+map or by raising.  On top of these sit the terminating resolvent
+construction for the Jacobi-type eigenproblem and the exponential-operator
+forms of the Sobolev-Jacobi and two-variable Hermite polynomials.  Each
+step of the resolvent and of the exponential (-1,-1) forms is one pass
+over the terms, op^{-1}(scale (d^2 + (beta - alpha) d)), making one
+Fraction per output term from the integer numerators and denominators of
+the coefficient, the scale and the operator's value.
 """
 
 from __future__ import annotations
@@ -58,9 +60,29 @@ class DiagonalOp:
         )
 
 
+def _positions(p: Poly, vars):
+    """Positions in p.vars of the variables in vars (default: all)."""
+    if vars is None:
+        return range(len(p.vars))
+    chosen = set(vars)
+    return [i for i, v in enumerate(p.vars) if v in chosen]
+
+
+def _scale_by_degree(p: Poly, vars, scale) -> Poly:
+    """Each term c m of p replaced by scale(c, d) m, d the degree of m in
+    vars (default: all); zero results are dropped."""
+    idx = _positions(p, vars)
+    out = {}
+    for exps, c in p.terms.items():
+        s = scale(c, sum(exps[i] for i in idx))
+        if s:
+            out[exps] = s
+    return Poly._of(p.vars, out)
+
+
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     """Scale each monomial by op.eval(total degree in vars)."""
-    return p._scale_by_degree(vars, lambda c, d: c * op.eval(d))
+    return _scale_by_degree(p, vars, lambda c, d: c * op.eval(d))
 
 
 def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
@@ -72,7 +94,7 @@ def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
         if op.completion == ERROR_ON_KERNEL:
             raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
         return c
-    return p._scale_by_degree(vars, divide)
+    return _scale_by_degree(p, vars, divide)
 
 
 def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
@@ -96,7 +118,7 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
             firsts.append((key, _exact(c.rat * (ba * e), c.sqrt_pi_pow)))
     summed = Poly._collect(t.vars, seconds + firsts)
-    idx = t._positions(vars)
+    idx = _positions(t, vars)
     sn, sd = scale.numerator, scale.denominator
     out = {}
     for exps, c in summed.terms.items():

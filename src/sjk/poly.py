@@ -5,7 +5,8 @@ nonzero ExactScalar coefficients.  Binary operations align variable sets by
 union, so polynomials over different alphabets combine freely.  A
 CoeffSeries is a list of Poly coefficients of one formal series parameter,
 truncated at an explicit order; every operation records the order that
-remains valid.
+remains valid.  Scaling each term by a function of its degree, the Euler
+operator among them, is opcalc's diagonal-operator map.
 
 A product of two Polys runs over integers: each operand's coefficients are
 brought over the lcm of their denominators, the integer numerators are
@@ -31,8 +32,6 @@ from typing import Callable, NamedTuple
 
 from .scalar import ONE, ExactScalar, ZERO, _exact, _grade_clash
 from .scalar import _operand as _scalar_operand
-
-__all__ = ["Poly", "CoeffSeries"]
 
 
 def _operand(x):
@@ -312,22 +311,6 @@ class Poly:
             if exps[i]
         })
 
-    def euler(self, vars=None) -> "Poly":
-        """Each monomial scaled by its total degree in the chosen variables."""
-        return self._scale_by_degree(vars, lambda c, d: c * d)
-
-    def _scale_by_degree(self, vars, scale) -> "Poly":
-        """Each term c m replaced by scale(c, d) m, d the degree of m in
-        vars (default: all); zero results are dropped.  Serves euler and
-        opcalc's diagonal operators."""
-        idx = self._positions(vars)
-        out = {}
-        for exps, c in self.terms.items():
-            s = scale(c, sum(exps[i] for i in idx))
-            if s:
-                out[exps] = s
-        return Poly._of(self.vars, out)
-
     def shift(self, var: str, c) -> "Poly":
         """Taylor shift: substitute var -> var + c (c free of var)."""
         c = c if isinstance(c, Poly) else Poly.const(c)
@@ -359,20 +342,6 @@ class Poly:
         return Poly._collect(rest_vars, pairs)
 
     # -- structure ------------------------------------------------------------
-
-    def _positions(self, vars):
-        """Positions in self.vars of the variables in vars (default: all)."""
-        if vars is None:
-            return range(len(self.vars))
-        chosen = set(vars)
-        return [i for i, v in enumerate(self.vars) if v in chosen]
-
-    def total_degree(self, vars=None):
-        """Maximum total degree over the chosen variables; -inf for zero."""
-        if not self.terms:
-            return -inf
-        idx = self._positions(vars)
-        return max(sum(e[i] for i in idx) for e in self.terms)
 
     def degree(self, var: str):
         if not self.terms:
@@ -520,16 +489,6 @@ class CoeffSeries:
     @classmethod
     def build(cls, fn, order: int) -> "CoeffSeries":
         return cls([fn(k) for k in range(order + 1)], order)
-
-    def coefficient(self, k: int) -> Poly:
-        if k < 0 or k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def truncated(self, order: int) -> "CoeffSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return CoeffSeries(self.coeffs[: order + 1], order)
 
     def __add__(self, other):
         if not isinstance(other, CoeffSeries):

@@ -69,9 +69,6 @@ class HalfInt:
             return NotImplemented
         return HalfInt(other.twice - self.twice)
 
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
     def __mul__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented

@@ -189,24 +189,6 @@ def multiplication_formula(ns, ss, nums):
                     return f"multiplication formula fails at n={n}, s={s}, x={x}"
 
 
-def random_proliferation_cases(seed, count):
-    """count admissible (alpha, beta, r, s, spec) drawn from Random(seed)."""
-    rng = random.Random(seed)
-
-    def params():
-        return tuple(Fraction(rng.randint(1, 9), rng.choice((1, 2)))
-                     for _ in range(rng.randint(0, 2)))
-
-    while count:
-        at, bt = rng.randint(-7, 12), rng.randint(-7, 12)
-        if (at % 2 == 0 and at <= 0) or (bt % 2 == 0 and bt <= 0):
-            continue
-        r, s = rng.randint(1, 3), rng.randint(1, 3)
-        spec = hyper.HyperSpec(params(), params())
-        count -= 1
-        yield HalfInt(at), HalfInt(bt), r, s, spec
-
-
 def proliferation(cases, ms):
     """Pochhammer proliferation equals the term-by-term transform
     Gamma(alpha + m r) / Gamma(beta + m s) of each pFq coefficient."""

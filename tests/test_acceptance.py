@@ -13,14 +13,14 @@ import io
 import time
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import pytest
 
 from sjk import cli, families, opcalc, verify
 from sjk.scalar import HalfInt
 
-DATA = Path(__file__).parent / "data" / "table_a1.txt"
+from conftest import random_proliferation_cases
+
 BETAS = (Fraction(0), Fraction(1, 2), Fraction(2))
 
 
@@ -36,9 +36,8 @@ def _report(num, label, found, elapsed=None, bound=None):
     assert ok, f"criterion {num}: {label}; first failures: {failures[:3]}"
 
 
-def test_criterion_01_table_a1_reproduction():
+def test_criterion_01_table_a1_reproduction(golden):
     t0 = time.monotonic()
-    golden = families.load_golden(DATA)
     bad = []
     for n in range(11):
         if opcalc.gp_series(n, -1, -1) != golden[("sj", n)]:
@@ -85,8 +84,7 @@ def test_criterion_05_lacunary_closed_forms():
 
 
 def test_criterion_06_pochhammer_proliferation():
-    found = [verify.proliferation(verify.random_proliferation_cases(60657, 20),
-                                  range(9))]
+    found = [verify.proliferation(random_proliferation_cases(60657, 20), range(9))]
     _report(6, "proliferation matches the term-by-term transform oracle", found)
 
 

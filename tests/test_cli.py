@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -546,6 +548,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^2 - 1"
+
+
+def test_package_root_holds_only_the_version():
+    # a fresh process, so no submodule imported by another test is counted
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(root / 'src')!r}); import sjk; "
+        "print(json.dumps([sjk.__file__, sjk.__version__, "
+        "sorted(n for n in vars(sjk) if not n.startswith('_'))]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    path, version, public = json.loads(proc.stdout)
+    assert Path(path).parent == root / "src" / "sjk"
+    assert public == []
+    pyproject = (root / "pyproject.toml").read_text()
+    assert version == re.search(r'^version = "(.*)"$', pyproject, re.M)[1]
 
 
 def run_fresh(*argv):

@@ -19,6 +19,8 @@ from sjk.hyper import (
 from sjk.scalar import ExactScalar, HalfInt, gamma_half, pochhammer
 from sjk.umbral import GenMonomial, GenSeries, itransform
 
+from conftest import random_proliferation_cases
+
 H = Fraction(1, 2)
 
 
@@ -175,7 +177,7 @@ class TestProliferation:
             )
 
     def test_twenty_random_admissible_tuples(self):
-        cases = verify.random_proliferation_cases(2024, 20)
+        cases = random_proliferation_cases(2024, 20)
         assert verify.proliferation(cases, range(9)) is None
 
     def test_rejects_poles(self):

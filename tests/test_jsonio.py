@@ -165,8 +165,25 @@ def _term(exps, num, sqrt_pi_pow=0):
     # JSON true would be read as the integer 1
     ({"variables": ["x"], "terms": [_term([True], 1)]}, TypeError),
     ({"variables": ["x"], "terms": [_term([1], 1, True)]}, TypeError),
+    # int() would truncate a float, read true as 1 and take any int
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "num": 1.5}]}, TypeError),
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "den": 2.9}]}, TypeError),
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "num": True}]}, TypeError),
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "num": 3}]}, TypeError),
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "den": 2}]}, TypeError),
+    # int() would read each of these strings, which the writer never emits
+    ({"variables": ["x"], "terms": [_term([1], " 1_0 ")]}, ValueError),
+    ({"variables": ["x"], "terms": [_term([1], "+1")]}, ValueError),
+    ({"variables": ["x"], "terms": [_term([1], "\uff11")]}, ValueError),
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "den": "-2"}]}, ValueError),
+    ({"variables": ["x"], "terms": [{**_term([1], 1), "den": "2\n"}]}, ValueError),
+    # tuple() would read the string as the variables x and y
+    ({"variables": "xy", "terms": [_term([1, 1], 1)]}, TypeError),
 ], ids=["repeated-exps", "float-grade", "repeated-variable", "zero-den",
-        "non-string-variable", "boolean-exps", "boolean-grade"])
+        "non-string-variable", "boolean-exps", "boolean-grade", "float-num",
+        "float-den", "boolean-num", "int-num", "int-den", "underscore-num",
+        "plus-num", "fullwidth-num", "negative-den", "newline-den",
+        "string-variables"])
 def test_lossy_input_is_refused(obj, error):
     with pytest.raises(error):
         jsonio.poly_from_obj(obj)

@@ -270,7 +270,7 @@ class TestOperatorRelation:
             lhs = lacunary_dilate(egf, K).lambda_derivative(L)
             rhs = lacunary_dilate(egf.lambda_derivative(K * L), K)
             order = min(lhs.order, rhs.order)
-            assert lhs.truncated(order) == rhs.truncated(order), (K, L)
+            assert lhs.coeffs[: order + 1] == rhs.coeffs[: order + 1], (K, L)
 
 
 class TestCoeffBridge:
