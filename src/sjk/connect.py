@@ -22,7 +22,7 @@ from .families import sj_egf, sj_family
 from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, _exact
+from .scalar import ExactScalar, _pair, _ratio
 
 
 def sj_connection(M: int, n: int) -> Fraction:
@@ -47,7 +47,7 @@ def hermite_connection(M: int, n: int) -> Poly:
         return Poly.zero((HERMITE_SECOND_VAR,))
     k = (M - n) // 2
     w = factorial(M) // (factorial(k) * factorial(n))  # C(M, n) (2k)! / k!
-    c = _exact(Fraction(-w if k % 2 else w), 0)
+    c = _pair(-w if k % 2 else w, 1, 0)
     return Poly._of((HERMITE_SECOND_VAR,), {(k,): c}) if k else Poly.const(c)
 
 
@@ -190,7 +190,7 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
     monomial initial data x^N0: the exponential operator exp(tG) x^N0 with
     G = (1 - x^2) d^2/dx^2.  j! c_j = G^j x^N0 has integer coefficients,
     each from the one before by G x^k = k(k-1) x^(k-2) - k(k-1) x^k, and
-    one Fraction is made per output term."""
+    one reduced integer pair is made per output term."""
     if N0 < 0 or t_order < 0:
         raise ParamError("need N0 >= 0 and t_order >= 0")
     ks = range(N0, -1, -2)
@@ -199,7 +199,7 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
     for j in range(t_order + 1):
         jf *= j or 1
         coeffs.append(Poly._of(("x",), {
-            (k,): _exact(Fraction(c, jf), 0) for k, c in zip(ks, nums) if c
+            (k,): _ratio(c, jf, 0) for k, c in zip(ks, nums) if c
         }))
         w = [k * (k - 1) * c for k, c in zip(ks, nums)]
         nums = [lo - here for lo, here in zip([0, *w], w)]

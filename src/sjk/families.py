@@ -15,12 +15,12 @@ construction and the Tricomi-Bessel product form of the shifted EGF
 verify suites.  The closed forms share _binomial_basis_sum, which sums the
 integer binomial rows of (x-1)^(n-k) (x+1)^k with the coefficients put
 over one denominator, the caller's outer scale folded into it, and makes
-one Fraction per output term.
+one reduced integer pair per output term.
 
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
 matching numbers by their integer ratio recurrence, and each image term
-as one Fraction over its denominator times an integer weight.
+as one reduced integer pair, its denominator times an integer weight.
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -38,7 +38,9 @@ from .poly import CoeffSeries, Poly
 from .scalar import (
     ONE,
     ExactScalar,
-    _exact,
+    HalfInt,
+    _pair,
+    _ratio,
     half,
     pochhammer,
     recip_gamma,
@@ -86,21 +88,23 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     The steps run on integers: times q = lcm(den alpha, den beta) the
     factor and the right-hand side have integer coefficients, c_{k+1} and
     c_{k+2} are integer numerators over one denominator reduced by their
-    gcd at every step, and one Fraction is made per output term.  The
-    recurrence is linear, so it starts from c_n = lead and each term comes
-    out scaled, in its one Fraction, with lead's sqrt(pi) grade.
+    gcd at every step, and one reduced integer pair is made per output
+    term.  The recurrence is linear, so it starts from c_n = lead and each
+    term comes out scaled, in its one pair, with lead's sqrt(pi) grade.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha < -1 or beta < -1:
+    q = lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (q // alpha.denominator)  # q alpha and q beta
+    b = beta.numerator * (q // beta.denominator)
+    if a < -q or b < -q:
         raise ParamError(f"parameters must be >= -1, got ({alpha}, {beta})")
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(lead)
-    q = lcm(alpha.denominator, beta.denominator)
-    ba, sh = int((beta - alpha) * q), int((alpha + beta + 1) * q)
+    ba, sh = b - a, a + b + q
     # c_(k+1) = u / P and c_(k+2) = v / P with gcd(u, v, P) = 1, h = gcd(u, P)
-    u, P = lead.rat.as_integer_ratio()
+    u, P = lead.num, lead.den
     v, h, grade = 0, 1, lead.sqrt_pi_pow
     terms = {(n,): lead}
     for k in range(n - 1, -1, -1):
@@ -110,9 +114,9 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
         u, v, P = u // g, v // g, P // g
         h = P  # gcd(u, P): P itself at u = 0, else P over the reduced denominator
         if u:
-            c = Fraction(u, P)
-            terms[(k,)] = _exact(c, grade)
-            h //= c.denominator
+            c = _ratio(u, P, grade)
+            terms[(k,)] = c
+            h //= c.den
     return Poly._of(("x",), terms)
 
 
@@ -122,7 +126,8 @@ def _binomial_basis_sum(n: int, coeff, scale: Fraction) -> Poly:
     The coeff(k) are put over their lcm q, and the integer numerators are
     summed by Horner's rule T_k = (x-1) T_(k-1) + q coeff(k) (x+1)^k, the
     binomial row of (x+1)^k built from the one before; scale is folded into
-    the one denominator, and one Fraction is made per output term.
+    the one denominator, and one reduced integer pair is made per output
+    term.
     """
     cs = [Fraction(coeff(k)) for k in range(n + 1)]
     q = lcm(*[c.denominator for c in cs])
@@ -135,7 +140,7 @@ def _binomial_basis_sum(n: int, coeff, scale: Fraction) -> Poly:
             acc = [a + m * r for a, r in zip(acc, row)]
     num, den = scale.numerator, q * scale.denominator
     return Poly._of(("x",), {
-        (j,): _exact(Fraction(a * num, den), 0) for j, a in enumerate(acc) if a
+        (j,): _ratio(a * num, den, 0) for j, a in enumerate(acc) if a
     })
 
 
@@ -218,8 +223,7 @@ def hermite_closed(n: int) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     return Poly._of(_HERMITE_VARS, {
-        (n - 2 * m, m): _exact(Fraction(c), 0)
-        for m, c in enumerate(_matching_numbers(n))
+        (n - 2 * m, m): _pair(c, 1, 0) for m, c in enumerate(_matching_numbers(n))
     })
 
 
@@ -228,7 +232,7 @@ def _hermite_egf_coeff(n: int) -> Poly:
     denominator is the integer n! over a matching number."""
     f = factorial(n)
     return Poly._of(_HERMITE_VARS, {
-        (n - 2 * m, m): _exact(Fraction(1, f // c), 0)
+        (n - 2 * m, m): _pair(1, f // c, 0)
         for m, c in enumerate(_matching_numbers(n))
     })
 
@@ -239,9 +243,10 @@ def sj_umbral(n: int) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     terms = []
-    nh = half(Fraction(2 * n - 1, 2))  # n - 1/2
-    for m in range(n // 2 + 1):
-        coeff = Poly.var("x", n - 2 * m) * Fraction(-1, 4) ** m * matching_coeff(n, m)
+    nh = HalfInt(2 * n - 1)  # n - 1/2
+    for m, c in enumerate(_matching_numbers(n)):
+        # the one term (-1)^m c_m / 4^m x^(n-2m), c_m the matching number
+        coeff = Poly.var("x", n - 2 * m, _ratio(-c if m % 2 else c, 4**m, 0))
         terms.append(
             GenMonomial(coeff, u_exps={"u": nh - m}, v_exps={"v": nh})
         )
@@ -260,9 +265,9 @@ def hermite_image(p: Poly) -> Poly:
     transform: x^a z^m goes to (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a,
     the transform of (uv)^(a+2m-1/2) x^a (-1/(4u))^m.  Other variables
     (such as mu) are carried through; the image of H_N is p_N.  Each term
-    is one Fraction, its numerator over its denominator times the integer
-    _image_weight, and keeps its sqrt(pi) grade; the terms that land on
-    one key are summed by Poly._collect."""
+    is one reduced integer pair, its numerator over its denominator times
+    the integer _image_weight, and keeps its sqrt(pi) grade; the terms that
+    land on one key are summed by Poly._collect."""
     vars = p.vars
     ia = vars.index("x") if "x" in vars else None
     im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
@@ -271,9 +276,8 @@ def hermite_image(p: Poly) -> Poly:
     for exps, c in p.terms.items():
         a = exps[ia] if ia is not None else 0
         m = exps[im] if im is not None else 0
-        q = c.rat
-        r = Fraction(q.numerator, q.denominator * _image_weight(a, m))
-        pairs.append((tuple(exps[i] for i in keep), _exact(r, c.sqrt_pi_pow)))
+        r = _ratio(c.num, c.den * _image_weight(a, m), c.sqrt_pi_pow)
+        pairs.append((tuple(exps[i] for i in keep), r))
     return Poly._collect(tuple(vars[i] for i in keep), pairs)
 
 
@@ -281,13 +285,13 @@ def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
     (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
     sj_umbral(N)/N!.  The image of each term x^(N-2m) z^m c_m / N! is
-    made at once, as the one Fraction 1 / ((N!/c_m) W(N-2m, m)) with
+    made at once, as the one pair 1 / ((N!/c_m) W(N-2m, m)) with
     c_m the matching number and W the _image_weight."""
     if N < 0:
         raise ParamError("order must be >= 0")
     f = factorial(N)
     return Poly._of(("x",), {
-        (N - 2 * m,): _exact(Fraction(1, f // c * _image_weight(N - 2 * m, m)), 0)
+        (N - 2 * m,): _ratio(1, f // c * _image_weight(N - 2 * m, m), 0)
         for m, c in enumerate(_matching_numbers(N))
     })
 

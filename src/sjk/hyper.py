@@ -4,7 +4,8 @@ A HyperSpec is a (upper parameters, lower parameters, argument scale)
 descriptor; coefficients are Pochhammer quotients and always exact
 rationals times powers of the scale.  Series are purely formal: no
 convergence questions arise and none are asked.  pfq_terms takes an
-optional first term, so a scaled series is made with one Fraction per term.
+optional first term, so a scaled series is made with one reduced integer
+pair per term.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from .errors import ParamError, PoleError
 from .scalar import (
     ExactScalar,
     _as_fraction,
-    _exact,
+    _pair,
+    _ratio,
     gamma_half,
     gamma_ratio,
     half,
@@ -66,20 +68,21 @@ def pfq_terms(spec: HyperSpec, start=1):
     term, an ExactScalar (or an int or Fraction), whose sqrt(pi) grade is
     added to every term's.  The ratio is taken on integers, with a + m =
     (num a + m den a) / den a: the term's numerator and denominator are
-    multiplied by integer products, and the one Fraction made per term
-    reduces them by their gcd."""
-    start = ExactScalar.coerce(start)
-    scale, pi_pow = spec.arg_scale.rat, spec.arg_scale.sqrt_pi_pow
+    multiplied by integer products, and the one reduced pair made per term
+    divides them by their gcd."""
+    t = ExactScalar.coerce(start)
+    scale = spec.arg_scale
     up = [(a.numerator, a.denominator) for a in spec.upper]
     lo = [(b.numerator, b.denominator) for b in spec.lower]
-    num_k = scale.numerator * prod(d for _, d in lo)
-    den_k = scale.denominator * prod(d for _, d in up)
-    t, g, m = start.rat, start.sqrt_pi_pow, 0
+    num_k = scale.num * prod(d for _, d in lo)
+    den_k = scale.den * prod(d for _, d in up)
+    g, pi_pow, m = t.sqrt_pi_pow, scale.sqrt_pi_pow, 0
     while True:
-        yield _exact(t, g + pi_pow * m)
-        t = Fraction(
-            t.numerator * num_k * prod(p + m * d for p, d in up),
-            t.denominator * den_k * (m + 1) * prod(p + m * d for p, d in lo),
+        yield t
+        t = _ratio(
+            t.num * num_k * prod(p + m * d for p, d in up),
+            t.den * den_k * (m + 1) * prod(p + m * d for p, d in lo),
+            g + pi_pow * (m + 1),
         )
         m += 1
 
@@ -120,13 +123,10 @@ def pochhammer_proliferate(alpha, beta, r: int, s: int, spec: HyperSpec):
     ha, hb = half(alpha), half(beta)
     if ha.is_nonpositive_integer() or hb.is_nonpositive_integer():
         raise ParamError(f"parameters ({ha}, {hb}) must avoid Z_<=0")
-    new_upper = list(spec.upper) + [
-        (ha.as_fraction + k) / r for k in range(r)
-    ]
-    new_lower = list(spec.lower) + [
-        (hb.as_fraction + t) / s for t in range(s)
-    ]
-    scale = spec.arg_scale * ExactScalar(Fraction(r**r, s**s))
+    # (alpha + k) / r = (2 alpha + 2k) / 2r, read from alpha's twice
+    new_upper = [*spec.upper, *(Fraction(ha.twice + 2 * k, 2 * r) for k in range(r))]
+    new_lower = [*spec.lower, *(Fraction(hb.twice + 2 * t, 2 * s) for t in range(s))]
+    scale = spec.arg_scale * _ratio(r**r, s**s, 0)
     return gamma_ratio(ha, hb), HyperSpec(new_upper, new_lower, scale)
 
 
@@ -159,4 +159,4 @@ def tricomi_coeff(alpha, r: int) -> ExactScalar:
     ha = half(alpha)
     if ha.is_integer and ha.twice < 0:
         raise PoleError(f"Tricomi parameter {ha} lies in Z_<0")
-    return recip_gamma(ha + (r + 1)) * ExactScalar(Fraction(1, factorial(r)))
+    return recip_gamma(ha + (r + 1)) * _pair(1, factorial(r), 0)

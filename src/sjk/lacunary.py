@@ -16,8 +16,8 @@ mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a,
 so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
 generators and mu_slice stay as cross-checks for tests and verify.
 
-Every stage of that check makes each output term as one Fraction from
-integer products: the closed form starts each cell's hypergeometric series
+Every stage of that check makes each output term as one reduced integer
+pair from integer products: the closed form starts each cell's hypergeometric series
 at the cell's scale, the raising runs on integer numerators, the image
 divides each term by an integer weight and the oracle each term by n!.
 
@@ -43,12 +43,12 @@ from .families import (
 )
 from .hyper import HyperSpec, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries, Poly, _over_common_den
-from .scalar import ExactScalar, HalfInt, _exact, gamma_ratio
+from .scalar import ExactScalar, HalfInt, _ratio, gamma_ratio
 
 
 def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
     """sum_n lambda^n / n! p_{K n + L}, by direct index selection; each
-    term of p_{K n + L} is divided by n! as one Fraction and keeps its
+    term of p_{K n + L} is divided by n! as one reduced pair and keeps its
     sqrt(pi) grade and the Poly its variables."""
     if K < 1 or L < 0 or order < 0:
         raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
@@ -56,7 +56,7 @@ def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
     def coeff(n):
         p, f = source(K * n + L), factorial(n)
         return Poly._of(p.vars, {
-            e: _exact(Fraction(c.rat.numerator, c.rat.denominator * f), c.sqrt_pi_pow)
+            e: _ratio(c.num, c.den * f, c.sqrt_pi_pow)
             for e, c in p.terms.items()
         })
 
@@ -134,7 +134,7 @@ def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
     """Sum pfq_terms(spec, scale)[m] x^(K s - 2 beta) y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
     up to lambda^order: the scale is each series' first term, so every
-    term is one Fraction.  vars is ("x", y) for the Hermite forms and
+    term is one reduced pair.  vars is ("x", y) for the Hermite forms and
     ("x",) for the (-1,-1) forms, whose y the transform has integrated out."""
     lam_step, y_step, _ = _steps(K)
     pairs = [[] for _ in range(order + 1)]
@@ -164,7 +164,7 @@ def _hermite_raise(c: Poly, L: int) -> Poly:
     applied L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
     c is a coefficient of the Hermite closed form, whose coefficients are
     rational (sqrt(pi) grade 0); the steps run on integer numerators over
-    their common denominator, and one Fraction is made per output term."""
+    their common denominator, and one reduced pair is made per output term."""
     d, terms = _over_common_den(c.terms)
     nums = {e: n for e, n, _ in terms}
     for _ in range(L):
@@ -176,7 +176,7 @@ def _hermite_raise(c: Poly, L: int) -> Poly:
         nums = step
     return Poly._of(
         ("x", HERMITE_SECOND_VAR),
-        {k: _exact(Fraction(n, d), 0) for k, n in nums.items() if n},
+        {k: _ratio(n, d, 0) for k, n in nums.items() if n},
     )
 
 

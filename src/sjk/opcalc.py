@@ -10,17 +10,19 @@ construction for the Jacobi-type eigenproblem and the exponential-operator
 forms of the Sobolev-Jacobi and two-variable Hermite polynomials.  Each
 step of the resolvent and of the exponential (-1,-1) forms is one pass
 over the terms, op^{-1}(scale (d^2 + (beta - alpha) d)), making one
-Fraction per output term from the integer numerators and denominators of
-the coefficient, the scale and the operator's value.
+reduced integer pair per output term from the integer numerators and
+denominators of the coefficient, the scale and the operator's value; the
+Jacobi operator itself is applied in one such pass too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalError, KernelHit, ParamError
 from .poly import Poly
-from .scalar import ExactScalar, _exact
+from .scalar import ExactScalar, _ratio
 
 IDENTITY_ON_KERNEL = "identity_on_kernel"
 ERROR_ON_KERNEL = "error_on_kernel"
@@ -102,21 +104,22 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     degree in vars, in one pass over the terms of t: the contributions
     c e (e-1) and ba c e of each term c x^e are summed per key by
     Poly._collect (so a clash of sqrt(pi) grades raises), and each output
-    term is one Fraction, scale over op.eval(degree) times that sum; a
-    kernel degree follows op's completion policy, the sum passing through
-    unchanged (then scaled) or raising KernelHit."""
+    term is one reduced integer pair, scale over op.eval(degree) times
+    that sum; a kernel degree follows op's completion policy, the sum
+    passing through unchanged (then scaled) or raising KernelHit."""
     if "x" not in t.vars:
         return Poly.zero(t.vars)
     i = t.vars.index("x")
+    bn, bd = ba.numerator, ba.denominator
     seconds, firsts = [], []
     for exps, c in t.terms.items():
         e = exps[i]
         if e > 1:
             key = exps[:i] + (e - 2,) + exps[i + 1 :]
-            seconds.append((key, _exact(c.rat * (e * (e - 1)), c.sqrt_pi_pow)))
+            seconds.append((key, _ratio(c.num * (e * (e - 1)), c.den, c.sqrt_pi_pow)))
         if e and ba:
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            firsts.append((key, _exact(c.rat * (ba * e), c.sqrt_pi_pow)))
+            firsts.append((key, _ratio(c.num * bn * e, c.den * bd, c.sqrt_pi_pow)))
     summed = Poly._collect(t.vars, seconds + firsts)
     idx = _positions(t, vars)
     sn, sd = scale.numerator, scale.denominator
@@ -126,11 +129,10 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
         vn, vd, g = 1, 1, c.sqrt_pi_pow
         if d not in op.kernel:
             v = op.eval(d)
-            vn, vd, g = v.rat.numerator, v.rat.denominator, g - v.sqrt_pi_pow
+            vn, vd, g = v.num, v.den, g - v.sqrt_pi_pow
         elif op.completion == ERROR_ON_KERNEL:
             raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
-        q = c.rat
-        out[exps] = _exact(Fraction(q.numerator * sn * vd, q.denominator * sd * vn), g)
+        out[exps] = _ratio(c.num * sn * vd, c.den * sd * vn, g)
     return Poly._of(t.vars, out)
 
 
@@ -219,10 +221,22 @@ def hermite_exp(n: int) -> Poly:
 
 
 def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
-    """(1 - x^2) p'' + (beta - alpha - (alpha + beta + 2) x) p'."""
+    """(1 - x^2) p'' + (beta - alpha - (alpha + beta + 2) x) p', over the
+    sorted union of ("x",) and p.vars, in one pass over the terms: c x^e
+    gives c e(e-1) x^(e-2) + c (beta - alpha) e x^(e-1) - c e(e + alpha +
+    beta + 1) x^e.  Times q = lcm(den alpha, den beta) the three weights
+    are integers, each contribution is one reduced integer pair over q,
+    and Poly._collect sums them per key."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    d1 = p.derivative("x")
-    out = Poly(("x",), {(0,): 1, (2,): -1}) * d1.derivative("x")
-    if alpha == beta == -1:  # the only zero first-order coefficient
-        return out
-    return out + Poly(("x",), {(0,): beta - alpha, (1,): -(alpha + beta + 2)}) * d1
+    vars = tuple(sorted({"x", *p.vars}))
+    i = vars.index("x")
+    q = lcm(alpha.denominator, beta.denominator)
+    ba, sh = int((beta - alpha) * q), int((alpha + beta + 1) * q)
+    pairs = []
+    for exps, c in p._remap(vars).items():
+        e = exps[i]
+        for k, w in ((e - 2, q * e * (e - 1)), (e - 1, ba * e), (e, -e * (e * q + sh))):
+            if w:
+                key = exps[:i] + (k,) + exps[i + 1 :]
+                pairs.append((key, _ratio(c.num * w, c.den * q, c.sqrt_pi_pow)))
+    return Poly._collect(vars, pairs)

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
-from fractions import Fraction
 from math import factorial, gcd, inf, lcm
 from operator import add, index
 from typing import Callable, NamedTuple
 
-from .scalar import ONE, ExactScalar, ZERO, _exact, _grade_clash
+from .scalar import ONE, ExactScalar, ZERO, _grade_clash, _ratio
 from .scalar import _operand as _scalar_operand
 
 
@@ -48,11 +47,8 @@ def _operand(x):
 def _over_common_den(terms: dict):
     """(d, [(exps, numerator, sqrt_pi_pow)]): each coefficient as an integer
     numerator over d, the lcm of the coefficient denominators."""
-    d = lcm(*[c.rat.denominator for c in terms.values()])
-    return d, [
-        (e, c.rat.numerator * (d // c.rat.denominator), c.sqrt_pi_pow)
-        for e, c in terms.items()
-    ]
+    d = lcm(*[c.den for c in terms.values()])
+    return d, [(e, c.num * (d // c.den), c.sqrt_pi_pow) for e, c in terms.items()]
 
 
 _new = object.__new__
@@ -246,15 +242,13 @@ class Poly:
                 s = nums.get(key)
                 if s and grades[key] != g:
                     raise _grade_clash(
-                        _exact(Fraction(s, d), grades[key]),
-                        _exact(Fraction(n1 * n2, d), g),
+                        _ratio(s, d, grades[key]), _ratio(n1 * n2, d, g)
                     )
                 nums[key] = (s or 0) + n1 * n2
                 if not s:
                     grades[key] = g
         return Poly._of(
-            vars,
-            {k: _exact(Fraction(n, d), grades[k]) for k, n in nums.items() if n},
+            vars, {k: _ratio(n, d, grades[k]) for k, n in nums.items() if n}
         )
 
     __rmul__ = __mul__
@@ -306,7 +300,8 @@ class Poly:
         i = self.vars.index(var)
         # exps -> exps with e_i - 1 is one-to-one, so no two terms meet
         return Poly._of(self.vars, {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i]
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]:
+            _ratio(c.num * exps[i], c.den, c.sqrt_pi_pow)
             for exps, c in self.terms.items()
             if exps[i]
         })
@@ -387,8 +382,8 @@ class Poly:
         rows = []
         top = 0
         for exps, c in sorted(self.terms.items(), key=_grlex, reverse=True):
-            num, den = c.rat.as_integer_ratio()
-            rows.append((exps, num, den, c.sqrt_pi_pow))
+            den = c.den
+            rows.append((exps, c.num, den, c.sqrt_pi_pow))
             if den > top:
                 top = den
         if top >= _DECIMAL_FLOOR:
@@ -528,7 +523,7 @@ class CoeffSeries:
         order = self.order - L
         out = []
         for k in range(order + 1):
-            scale = Fraction(factorial(k + L), factorial(k))
+            scale = factorial(k + L) // factorial(k)
             out.append(self.coeffs[k + L] * scale)
         return CoeffSeries(out, order)
 

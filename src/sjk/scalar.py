@@ -11,8 +11,12 @@ and negative half-odd arguments follow by downward recursion from
 Gamma(a) = Gamma(a+1)/a.  These values are one integer table,
 _gamma_parts, giving a numerator, a denominator and a sqrt(pi) grade;
 gamma_half, recip_gamma and the umbral transform's weights read it.
-Rationals are ``fractions.Fraction`` throughout: the stdlib type already
-guarantees lowest terms and a positive denominator.  A float is refused
+An ExactScalar stores its rational as one reduced integer pair, num over
+den > 0, and does its arithmetic on those ints with math.gcd, by the
+cross-gcd product and sum of the stdlib's Fraction; the kernels build
+their terms from integers through _ratio, which reduces, or _pair, for a
+pair coprime by construction.  Fraction parses the public constructor's
+input and is the type of the family parameters.  A float is refused
 wherever a rational is taken, since its binary value is not the decimal
 one written.
 """
@@ -20,7 +24,7 @@ one written.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import index
 
 from .errors import PoleError
@@ -131,28 +135,34 @@ def _half_operand(x):
 
 
 class ExactScalar:
-    """A rational number times pi^(sqrt_pi_pow/2).
+    """A rational number num/den times pi^(sqrt_pi_pow/2).
 
-    Zero is canonical: rat == 0 forces sqrt_pi_pow == 0, so equality is a
-    plain field-wise comparison.  Addition is only defined within one
-    pi-grade (or with zero); a cross-grade sum is not representable and
-    raises instead of silently degrading.
+    The pair is in lowest terms with den > 0, and zero is canonical: it is
+    (0, 1) at sqrt_pi_pow == 0, so equality is a plain field-wise
+    comparison.  Addition is only defined within one pi-grade (or with
+    zero); a cross-grade sum is not representable and raises instead of
+    silently degrading.
 
     The constructor checks its input: it refuses a float, which is not
     exact, and a sqrt(pi) power that is not an integer.  Arithmetic
-    results are built by ``_exact`` from the Fraction they computed,
+    results are built by ``_pair`` from the integers they computed,
     without a second check.
     """
 
-    __slots__ = ("rat", "sqrt_pi_pow")
+    __slots__ = ("num", "den", "sqrt_pi_pow")
 
     def __init__(self, rat, sqrt_pi_pow: int = 0):
         if isinstance(rat, float):
             raise TypeError(f"cannot interpret {rat!r} as an exact scalar")
         rat = Fraction(rat)
         sqrt_pi_pow = index(sqrt_pi_pow)
-        self.rat = rat
-        self.sqrt_pi_pow = sqrt_pi_pow if rat else 0
+        self.num, self.den = rat.numerator, rat.denominator
+        self.sqrt_pi_pow = sqrt_pi_pow if self.num else 0
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational factor as a Fraction, built on each read."""
+        return Fraction(self.num, self.den)
 
     @classmethod
     def coerce(cls, x) -> "ExactScalar":
@@ -160,38 +170,51 @@ class ExactScalar:
         if t is ExactScalar:
             return x
         if t is int:
-            return _exact(Fraction(x), 0)
+            return _pair(x, 1, 0)
         if t is Fraction:
-            return _exact(x, 0)
+            return _pair(x.numerator, x.denominator, 0)
         if isinstance(x, (int, Fraction)):
             return cls(x)
         if isinstance(x, HalfInt):
-            return cls(x.as_fraction)
+            return _ratio(x.twice, 2, 0)
         raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
     def is_zero(self) -> bool:
-        return not self.rat
+        return not self.num
 
     def __bool__(self):
-        return bool(self.rat)
+        return bool(self.num)
 
     def __add__(self, other):
         if type(other) is not ExactScalar:
             other = _operand(other)
             if other is NotImplemented:
                 return other
-        if not self.rat:
+        na, nb = self.num, other.num
+        if not na:
             return other
-        if not other.rat:
+        if not nb:
             return self
-        if self.sqrt_pi_pow != other.sqrt_pi_pow:
+        grade = self.sqrt_pi_pow
+        if grade != other.sqrt_pi_pow:
             raise _grade_clash(self, other)
-        return _exact(self.rat + other.rat, self.sqrt_pi_pow)
+        da, db = self.den, other.den
+        # over lcm(da, db) = s db with g = gcd(da, db), s = da / g; the sum
+        # is coprime to s and to db / g, so only g can divide it
+        g = gcd(da, db)
+        if g == 1:
+            return _pair(na * db + da * nb, da * db, grade)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = gcd(t, g)
+        if g == 1:
+            return _pair(t, s * db, grade)
+        return _pair(t // g, s * (db // g), grade)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _exact(-self.rat, self.sqrt_pi_pow)
+        return _pair(-self.num, self.den, self.sqrt_pi_pow)
 
     def __sub__(self, other):
         other = _operand(other)
@@ -210,7 +233,19 @@ class ExactScalar:
             other = _operand(other)
             if other is NotImplemented:
                 return other
-        return _exact(self.rat * other.rat, self.sqrt_pi_pow + other.sqrt_pi_pow)
+        na, nb = self.num, other.num
+        if not (na and nb):
+            return ZERO
+        da, db = self.den, other.den
+        # each numerator is coprime to its own denominator, so cancelling
+        # it against the other one leaves the product in lowest terms
+        g = gcd(na, db)
+        if g != 1:
+            na, db = na // g, db // g
+        g = gcd(nb, da)
+        if g != 1:
+            nb, da = nb // g, da // g
+        return _pair(na * nb, da * db, self.sqrt_pi_pow + other.sqrt_pi_pow)
 
     __rmul__ = __mul__
 
@@ -218,9 +253,22 @@ class ExactScalar:
         other = _operand(other)
         if other is NotImplemented:
             return other
-        if not other.rat:
+        nb = other.num
+        if not nb:
             raise ZeroDivisionError("division by exact zero")
-        return _exact(self.rat / other.rat, self.sqrt_pi_pow - other.sqrt_pi_pow)
+        na = self.num
+        if not na:
+            return ZERO
+        da, db = self.den, other.den
+        g = gcd(na, nb)
+        if g != 1:
+            na, nb = na // g, nb // g
+        g = gcd(da, db)
+        if g != 1:
+            da, db = da // g, db // g
+        if nb < 0:
+            na, nb = -na, -nb
+        return _pair(na * db, da * nb, self.sqrt_pi_pow - other.sqrt_pi_pow)
 
     def __rtruediv__(self, other):
         other = _operand(other)
@@ -233,7 +281,7 @@ class ExactScalar:
             return NotImplemented
         if k < 0:
             return ONE / self ** (-k)
-        return _exact(self.rat**k, self.sqrt_pi_pow * k)
+        return _pair(self.num**k, self.den**k, self.sqrt_pi_pow * k)
 
     def __eq__(self, other):
         if type(other) is not ExactScalar:
@@ -241,23 +289,30 @@ class ExactScalar:
                 other = ExactScalar.coerce(other)
             except TypeError:
                 return NotImplemented
-        return self.rat == other.rat and self.sqrt_pi_pow == other.sqrt_pi_pow
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and self.sqrt_pi_pow == other.sqrt_pi_pow
+        )
 
     def __hash__(self):
         # A rational value equals its Fraction, so it hashes as one.
         if self.sqrt_pi_pow == 0:
             return hash(self.rat)
-        return hash((self.rat, self.sqrt_pi_pow))
+        return hash((self.num, self.den, self.sqrt_pi_pow))
+
+    def _rat_text(self) -> str:
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
     def __repr__(self):
         if self.sqrt_pi_pow == 0:
-            return f"ExactScalar({self.rat})"
-        return f"ExactScalar({self.rat}, sqrt_pi_pow={self.sqrt_pi_pow})"
+            return f"ExactScalar({self._rat_text()})"
+        return f"ExactScalar({self._rat_text()}, sqrt_pi_pow={self.sqrt_pi_pow})"
 
     def __str__(self):
         if self.sqrt_pi_pow == 0:
-            return str(self.rat)
-        return f"{self.rat}*pi^({Fraction(self.sqrt_pi_pow, 2)})"
+            return self._rat_text()
+        return f"{self._rat_text()}*pi^({Fraction(self.sqrt_pi_pow, 2)})"
 
 
 _new = object.__new__
@@ -280,11 +335,26 @@ def _grade_clash(a: ExactScalar, b: ExactScalar) -> ValueError:
     )
 
 
-def _exact(rat: Fraction, sqrt_pi_pow: int) -> ExactScalar:
-    """An ExactScalar from a Fraction the caller computed; zero gets grade 0."""
+def _pair(num: int, den: int, sqrt_pi_pow: int) -> ExactScalar:
+    """num/den times sqrt(pi)^sqrt_pi_pow from a pair the caller knows to be
+    in lowest terms with den > 0; zero gets grade 0."""
     s = _new(ExactScalar)
-    s.rat = rat
-    s.sqrt_pi_pow = sqrt_pi_pow if rat else 0
+    s.num = num
+    s.den = den
+    s.sqrt_pi_pow = sqrt_pi_pow if num else 0
+    return s
+
+
+def _ratio(num: int, den: int, sqrt_pi_pow: int) -> ExactScalar:
+    """num/den times sqrt(pi)^sqrt_pi_pow for any ints with den != 0,
+    reduced by their gcd with the sign on num; zero is (0, 1) at grade 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    s = _new(ExactScalar)
+    s.num = num // g
+    s.den = den // g
+    s.sqrt_pi_pow = sqrt_pi_pow if num else 0
     return s
 
 
@@ -292,30 +362,46 @@ ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 
 
+def _parts(a) -> tuple:
+    """a as (numerator, denominator) in lowest terms, denominator > 0: a
+    HalfInt is read from twice; a float is refused, as ExactScalar refuses
+    it, since its binary value is not the one meant."""
+    t = type(a)
+    if t is int:
+        return a, 1
+    if t is not Fraction:
+        if isinstance(a, HalfInt):
+            t = a.twice
+            return (t // 2, 1) if t % 2 == 0 else (t, 2)
+        if isinstance(a, float):
+            raise TypeError(f"cannot interpret {a!r} as an exact rational")
+        a = Fraction(a)
+    return a.numerator, a.denominator
+
+
 def _as_fraction(a) -> Fraction:
-    """a as a Fraction: a Fraction is returned as it is; a float is refused,
-    as ExactScalar refuses it, since its binary value is not the one meant."""
+    """a as a Fraction: a Fraction is returned as it is; see _parts."""
     if type(a) is Fraction:
         return a
-    if isinstance(a, HalfInt):
-        return a.as_fraction
-    if isinstance(a, float):
-        raise TypeError(f"cannot interpret {a!r} as an exact rational")
-    return Fraction(a)
+    return Fraction(*_parts(a))
 
 
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0."""
+def _pochhammer_parts(a, n: int) -> tuple:
+    """(a)_n as an integer pair (num, den), den > 0 and not reduced:
+    a + j = (p + j q) / q gives one integer product over q^n."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    a = _as_fraction(a)
-    p, q = a.numerator, a.denominator
-    # a + j = (p + j q) / q: one integer product, one Fraction at the end
+    p, q = _parts(a)
     num = 1
     for _ in range(n):
         num *= p
         p += q
-    return Fraction(num, q**n)
+    return num, q**n
+
+
+def pochhammer(a, n: int) -> Fraction:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0."""
+    return Fraction(*_pochhammer_parts(a, n))
 
 
 def _gamma_parts(h: HalfInt):
@@ -341,8 +427,7 @@ def gamma_half(a) -> ExactScalar:
 
     Raises PoleError on the poles (non-positive integers).
     """
-    num, den, grade = _gamma_parts(half(a))
-    return _exact(Fraction(num, den), grade)
+    return _pair(*_gamma_parts(half(a)))
 
 
 def recip_gamma(a) -> ExactScalar:
@@ -351,7 +436,7 @@ def recip_gamma(a) -> ExactScalar:
     if h.is_nonpositive_integer():
         return ZERO
     num, den, grade = _gamma_parts(h)
-    return _exact(Fraction(den, num), -grade)
+    return _ratio(den, num, -grade)
 
 
 def gamma_ratio(a, b) -> ExactScalar:
@@ -363,8 +448,10 @@ def gamma_ratio(a, b) -> ExactScalar:
     if d % 2 == 0:
         n = d // 2
         if n >= 0:
-            return ExactScalar(pochhammer(hb.as_fraction, n))
-        return ExactScalar(1 / pochhammer(ha.as_fraction, -n))
+            return _ratio(*_pochhammer_parts(hb, n), 0)
+        # (a)_(-n) is not zero: a is not a non-positive integer
+        num, den = _pochhammer_parts(ha, -n)
+        return _ratio(den, num, 0)
     return gamma_half(ha) * recip_gamma(hb)
 
 

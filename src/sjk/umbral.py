@@ -8,18 +8,17 @@ integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
 error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
 an integer numerator, denominator and sqrt(pi) grade built from scalar's
-one Gamma table, and each transformed term is one Fraction.
+one Gamma table, and each transformed term is one reduced integer pair.
 """
 
 from __future__ import annotations
 
 import logging
-from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, ExpansionError
 from .poly import CoeffSeries, Poly
-from .scalar import HalfInt, _exact, _gamma_parts, half
+from .scalar import HalfInt, _gamma_parts, _pair, _ratio, half
 
 log = logging.getLogger(__name__)
 
@@ -164,7 +163,7 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
         raise ExpansionError("exponential base carries no lambda/mu grading")
     terms = []
     for k in range(order + 1):
-        terms.append((base**k).scaled(Fraction(1, factorial(k))))
+        terms.append((base**k).scaled(_pair(1, factorial(k), 0)))
     lam = (order + 1) * base.lambda_pow - 1 if base.lambda_pow else None
     mu = (order + 1) * base.mu_pow - 1 if base.mu_pow else None
     return GenSeries(terms, lam, mu)
@@ -196,8 +195,8 @@ def itransform(s: GenSeries) -> CoeffSeries:
 
     mu powers are folded into the coefficient polynomials as the variable
     ``mu``.  Returns a series exact through s.lambda_order.  Each term of a
-    transformed coefficient is one Fraction, the coefficient's numerator
-    and denominator times those of the integer weight.
+    transformed coefficient is one reduced integer pair, the coefficient's
+    numerator and denominator times those of the integer weight.
     """
     if s.lambda_order is not None:
         order = s.lambda_order
@@ -210,8 +209,7 @@ def itransform(s: GenSeries) -> CoeffSeries:
             continue
         num, den, grade = w
         contrib = Poly._of(t.coeff.vars, {
-            exps: _exact(Fraction(c.rat.numerator * num, c.rat.denominator * den),
-                         c.sqrt_pi_pow + grade)
+            exps: _ratio(c.num * num, c.den * den, c.sqrt_pi_pow + grade)
             for exps, c in t.coeff.terms.items()
         })
         if t.mu_pow:

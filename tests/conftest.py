@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -73,13 +74,26 @@ def rand_fraction(rng, span=9):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
+def assert_reduced(c):
+    """c stores its value as the validating constructor would: a reduced
+    integer pair with a positive denominator, zero as (0, 1) at grade 0.
+    Equality is field-wise, so an unreduced pair would make equal values
+    compare unequal."""
+    assert type(c) is ExactScalar
+    assert type(c.num) is int and type(c.den) is int and type(c.sqrt_pi_pow) is int
+    assert c.den > 0 and gcd(c.num, c.den) == 1
+    if not c.num:
+        assert (c.den, c.sqrt_pi_pow) == (1, 0)
+
+
 def assert_canonical(p):
     """What the validating constructor would store, and nothing else."""
     width = len(p.vars)
     for exps, c in p.terms.items():
         assert type(exps) is tuple and len(exps) == width
         assert all(e >= 0 for e in exps)
-        assert type(c) is ExactScalar and c
+        assert_reduced(c)
+        assert c
     again = Poly(p.vars, p.terms)
     assert again.vars == p.vars and again.terms == p.terms
     assert p == again and hash(p) == hash(again)

@@ -30,6 +30,7 @@ from sjk.families import (
 from sjk.opcalc import gp_series, hermite_exp, jacobi_operator_apply
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, gamma_ratio, half, recip_gamma
+from sjk.umbral import GenMonomial, GenSeries, itransform_scalar
 
 from conftest import assert_canonical
 
@@ -145,6 +146,25 @@ class TestSjUmbral:
         assert sj_umbral(2) == golden[("sj", 2)]
         assert sj_umbral(6) == golden[("sj", 6)]
         assert sj_umbral(1) == X
+
+    def test_one_term_coefficients_equal_scalar_products(self):
+        # each GenMonomial coefficient is built as its one term; the result
+        # equals the construction from Poly.var times two scalar products,
+        # variables included
+        for n in range(31):
+            nh = half(Fraction(2 * n - 1, 2))
+            terms = [
+                GenMonomial(
+                    Poly.var("x", n - 2 * m) * Fraction(-1, 4) ** m
+                    * matching_coeff(n, m),
+                    u_exps={"u": nh - m}, v_exps={"v": nh},
+                )
+                for m in range(n // 2 + 1)
+            ]
+            want = itransform_scalar(GenSeries(terms, lambda_order=0))
+            got = sj_umbral(n)
+            assert (got.vars, got.terms) == (want.vars, want.terms), n
+            assert_canonical(got)
 
     def test_hermite_image_equals_umbral(self):
         # the termwise map against the independent itransform route

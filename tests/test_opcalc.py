@@ -17,9 +17,12 @@ from sjk.opcalc import (
     exp_resolvent_sj,
     gp_series,
     hermite_exp,
+    jacobi_operator_apply,
 )
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar
+
+from conftest import assert_canonical
 
 X = Poly.var("x")
 
@@ -279,3 +282,41 @@ def test_inverse_step_grade_clash_as_composition():
     assert got[0] is ValueError and "different powers of sqrt(pi)" in got[1]
     assert got == _outcome(
         lambda: _step_oracle(op, t, ("x",), Fraction(1, 3), Fraction(1)))
+
+
+def _jacobi_operator_oracle(p, alpha, beta):
+    # the two Poly products that the one-pass map replaced
+    d1 = p.derivative("x")
+    out = Poly(("x",), {(0,): 1, (2,): -1}) * d1.derivative("x")
+    return out + Poly(("x",), {(0,): beta - alpha, (1,): -(alpha + beta + 2)}) * d1
+
+
+@st.composite
+def _operator_cases(draw):
+    vars = draw(st.sampled_from([("x",), ("x", "y"), ("z", "x"), ("y",), ()]))
+    grades = draw(st.sampled_from([(0,), (1,), (-2,), (0, 1)]))  # (0, 1) may clash
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 7) for _ in vars]),
+        st.tuples(SMALL.filter(bool), st.sampled_from(grades)), max_size=6))
+    p = Poly(vars, {e: ExactScalar(c, g) for e, (c, g) in terms.items()})
+    alpha, beta = draw(st.sampled_from([(-1, -1), (-1, 0), (-1, Fraction(1, 2))])
+                       | st.tuples(SMALL, SMALL))
+    return p, alpha, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_operator_cases())
+def test_jacobi_operator_apply_matches_products(case):
+    # same terms and the same .vars, the sorted union of ("x",) and p.vars;
+    # a clash of sqrt(pi) grades raises ValueError on both paths
+    p, alpha, beta = case
+    try:
+        want = _jacobi_operator_oracle(p, alpha, beta)
+    except ValueError:
+        with pytest.raises(ValueError, match="different powers of sqrt"):
+            jacobi_operator_apply(p, alpha, beta)
+        return
+    got = jacobi_operator_apply(p, alpha, beta)
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    assert got.vars == tuple(sorted({"x", *p.vars}))
+    assert_canonical(got)

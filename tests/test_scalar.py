@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk import verify
+from sjk import connect, families, hyper, lacunary, opcalc, umbral, verify
 from sjk.errors import PoleError
 from sjk.poly import Poly
 from sjk.scalar import (
@@ -13,6 +14,7 @@ from sjk.scalar import (
     ExactScalar,
     HalfInt,
     _gamma_parts,
+    _ratio,
     beta_fn,
     gamma_half,
     gamma_ratio,
@@ -20,6 +22,8 @@ from sjk.scalar import (
     pochhammer,
     recip_gamma,
 )
+
+from conftest import assert_canonical, assert_reduced
 
 H = Fraction(1, 2)
 
@@ -144,10 +148,10 @@ grades = st.integers(-4, 4)
 
 
 def _plain(x):
-    """x as a plain (rational, grade) pair, after checking its form."""
-    assert type(x) is ExactScalar and type(x.rat) is Fraction
-    if not x.rat:
-        assert x.sqrt_pi_pow == 0  # zero is canonical
+    """x as a plain (rational, grade) pair, after checking its stored form:
+    a reduced integer pair, den > 0, zero as (0, 1) at grade 0."""
+    assert_reduced(x)
+    assert type(x.rat) is Fraction
     return x.rat, x.sqrt_pi_pow
 
 
@@ -204,6 +208,61 @@ def test_equality_and_hash_agree(a, k, j):
             assert x == n and n == x and hash(x) == hash(n)
     if a and j != k:
         assert x != ExactScalar(a, j) and not x == ExactScalar(a, j)
+
+
+# Values whose denominators share factors of every size with each other,
+# so the cross-gcd product and the lcm sum meet every reduction they make.
+_SHARED = st.sampled_from([1, 2, 6, 9, 30, 2**40, 3**25 * 5, 10**18])
+pairs_fracs = st.builds(
+    lambda n, d, k, j: Fraction(n * k, d * j),
+    st.integers(-60, 60), st.integers(1, 60), _SHARED, _SHARED,
+)
+
+
+def _checked(got, q, grade):
+    """got is q sqrt(pi)^grade, stored as a reduced pair, and hashes as q
+    when it is rational."""
+    assert_reduced(got)
+    assert (got.rat, got.sqrt_pi_pow) == (q, grade if q else 0)
+    if not got.sqrt_pi_pow:
+        assert got == q and hash(got) == hash(q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs_fracs, pairs_fracs, grades, grades, st.integers(-4, 4),
+       st.integers(-9, 9))
+def test_stored_pair_matches_fraction_arithmetic(a, b, k, j, e, twice):
+    x, y = ExactScalar(a, k), ExactScalar(b, j)
+    _checked(x * y, a * b, k + j)
+    _checked(x * b, a * b, k)
+    _checked(-x, -a, k)
+    _checked(ExactScalar.coerce(a), a, 0)
+    _checked(ExactScalar.coerce(a.numerator), Fraction(a.numerator), 0)
+    _checked(ExactScalar.coerce(HalfInt(twice)), Fraction(twice, 2), 0)
+    if b:
+        _checked(x / y, a / b, k - j)
+        _checked(a / y, a / b, -j)
+    if a or e >= 0:
+        _checked(x**e, a**e, k * e)
+    if a and b and k != j:
+        with pytest.raises(ValueError, match="different powers of sqrt"):
+            x + y
+    else:
+        grade = k if a else j
+        _checked(x + y, a + b, grade)
+        _checked(x - y, a - b, grade)
+        if not k:
+            _checked(x + b, a + b, 0)
+            _checked(b - x, b - a, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool),
+       _SHARED, grades)
+def test_ratio_reduces_any_pair(n, d, k, grade):
+    got = _ratio(n * k, d * k, grade)
+    _checked(got, Fraction(n, d), grade)
+    assert got == ExactScalar(Fraction(n, d), grade)
 
 
 class TestPochhammer:
@@ -402,3 +461,57 @@ def test_gamma_ratio_and_beta_match_sympy(a):
         else:
             want = _sympy_gamma(a) * _sympy_gamma(b) / _sympy_gamma(a + b)
             _sympy_check(beta_fn(a, b), want)
+
+
+def _kernel_outputs(name):
+    """What one production kernel makes, on inputs with large, shared and
+    negative denominators and with sqrt(pi) grades."""
+    if name == "jacobi_monic":
+        lead = ExactScalar(Fraction(10**30 + 1, 3**40), 3)
+        return [*families.egf_beta_shifted(8, Fraction(1999, 2)).coeffs,
+                families.jacobi_monic(12, Fraction(1, 3), Fraction(-2, 7), lead)]
+    if name == "hermite_image":
+        slice_ = lacunary.hermite_lacunary_slice(3, 2, 5)
+        return [*map(families.hermite_image, slice_.coeffs),
+                *(families.hermite_image(families.hermite_family(n)) for n in range(13))]
+    if name == "pfq_terms":
+        spec = hyper.HyperSpec((H, Fraction(-7)), (Fraction(3, 2),),
+                               ExactScalar(Fraction(-3, 8), 1))
+        return list(islice(hyper.pfq_terms(spec, ExactScalar(Fraction(5, 6), -1)), 20))
+    if name == "itransform":
+        terms = [
+            umbral.GenMonomial(Poly.monomial(Fraction(4, 21), x=2, z=1),
+                               {"u": HalfInt(5)}, {"v": HalfInt(-3)}, 1),
+            umbral.GenMonomial(Poly.var("x", 3, Fraction(-5, 6)),
+                               {"u": HalfInt(7)}, {"v": HalfInt(9)}, 2),
+            umbral.GenMonomial(Poly.var("x", 1, Fraction(10, 3)),
+                               {"u": HalfInt(7)}, {"v": HalfInt(9)}, 3, 1),
+            umbral.GenMonomial(Fraction(9, 4), {"u": HalfInt(4)}, {"v": HalfInt(1)}),
+        ]
+        return umbral.itransform(umbral.GenSeries(terms)).coeffs
+    if name == "multisection_oracle":
+        return [*lacunary.multisection_oracle(families.sj_family, 2, 1, 6).coeffs,
+                *lacunary.multisection_oracle(families.hermite_family, 3, 0, 5).coeffs]
+    if name == "reaction_solve":
+        return connect.reaction_solve(12, 8).coeffs
+    assert name == "_inverse_step"
+    op = opcalc._resolvent_factor(9, Fraction(1, 3), Fraction(-2, 7))
+    t = Poly(("x", "y"), {(9, 0): Fraction(7, 12), (6, 2): Fraction(-5, 18),
+                          (3, 1): Fraction(11, 4)})
+    return [opcalc._inverse_step(op, t, ("x",), Fraction(-13, 21), Fraction(-1, 6)),
+            opcalc._inverse_step(op, t, ("x", "y"), 0, Fraction(4, 15))]
+
+
+@pytest.mark.parametrize("name", [
+    "jacobi_monic", "hermite_image", "pfq_terms", "itransform",
+    "multisection_oracle", "reaction_solve", "_inverse_step",
+])
+def test_kernel_terms_are_reduced_pairs(name):
+    out = _kernel_outputs(name)
+    assert out
+    for item in out:
+        if isinstance(item, Poly):
+            assert item, name
+            assert_canonical(item)
+        else:
+            assert_reduced(item)
