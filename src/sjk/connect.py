@@ -25,18 +25,22 @@ from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar, _pair, _ratio
 
 
+def _sj_weight(M: int, n: int) -> tuple:
+    """The (-1,-1) weight of p_n in x^M for 0 <= n <= M of M's parity, as an
+    integer pair (num, den), den > 0 and not reduced."""
+    return (
+        factorial(2 * n) * factorial(M) * factorial((M + n) // 2),
+        factorial(n) ** 2 * factorial(M + n) * factorial((M - n) // 2),
+    )
+
+
 def sj_connection(M: int, n: int) -> Fraction:
     """Weight of the degree-n (-1,-1) polynomial in x^M; zero for odd M+n."""
     if n > M or n < 0 or M < 0:
         raise IndexError(f"connection index n={n} outside 0..{M}")
     if (M + n) % 2:
         return Fraction(0)
-    half_sum = (M + n) // 2
-    half_diff = (M - n) // 2
-    return Fraction(
-        factorial(2 * n) * factorial(M) * factorial(half_sum),
-        factorial(n) ** 2 * factorial(M + n) * factorial(half_diff),
-    )
+    return Fraction(*_sj_weight(M, n))
 
 
 def hermite_connection(M: int, n: int) -> Poly:
@@ -141,13 +145,13 @@ def pair_factors(order: int, family: str):
     _check_index("order", order)
     row = lookup(family)
     A = Poly.sum((
-        row.connection(M, n) * Poly.monomial(Fraction(1, factorial(M)), alpha=M, w=n)
+        row.connection(M, n) * Poly.monomial(_pair(1, factorial(M), 0), alpha=M, w=n)
         for M in range(order + 1)
         for n in range(M % 2, M + 1, 2)
     ), ("alpha", "w"))
     B = Poly.sum((
         Poly._of(tuple("beta" if v == "x" else v for v in p.vars), p.terms)
-        * Poly.monomial(Fraction(1, factorial(n)), wbar=n)
+        * Poly.monomial(_pair(1, factorial(n), 0), wbar=n)
         for n, p in enumerate(map(row.source, range(order + 1)))
     ), ("beta", "wbar"))
     return A, B
@@ -157,7 +161,7 @@ def exp_product_truncation(order: int) -> Poly:
     """sum_{k<=order} (alpha beta)^k / k!, the pairing's expected value."""
     _check_index("order", order)
     return Poly.sum((
-        Poly.monomial(Fraction(1, factorial(k)), alpha=k, beta=k)
+        Poly.monomial(_pair(1, factorial(k), 0), alpha=k, beta=k)
         for k in range(order + 1)
     ), ("alpha", "beta"))
 
@@ -168,9 +172,9 @@ def connection_gf_coeff(M: int, order: int):
     lambda^M / M! 0F1(M + 1/2; lambda^2 / 4)."""
     _check_index("M", M)
     _check_index("order", order)
-    spec = HyperSpec((), (Fraction(2 * M + 1, 2),), Fraction(1, 4))
+    spec = HyperSpec((), (Fraction(2 * M + 1, 2),), _pair(1, 4, 0))
     out = [ExactScalar(0)] * (order + 1)
-    terms = pfq_terms(spec, Fraction(1, factorial(M)))
+    terms = pfq_terms(spec, _pair(1, factorial(M), 0))
     for j, c in zip(range(M, order + 1, 2), terms):
         out[j] = c
     return out
@@ -181,7 +185,8 @@ def connection_gf_coeff_direct(M: int, order: int):
     out = [ExactScalar(0)] * (order + 1)
     for j in range(M, order + 1):
         if (j - M) % 2 == 0:
-            out[j] = ExactScalar(sj_connection(j, M) * Fraction(1, factorial(j)))
+            num, den = _sj_weight(j, M)
+            out[j] = _ratio(num, den * factorial(j), 0)
     return out
 
 
@@ -212,13 +217,15 @@ def reaction_modes(N0: int, t_order: int) -> CoeffSeries:
     (-n(n-1))^j / j! p_n.  A cross-check for verify.reaction."""
     if N0 < 0 or t_order < 0:
         raise ParamError("need N0 >= 0 and t_order >= 0")
-    modes = []
-    for n in range(N0 % 2, N0 + 1, 2):
-        a = sj_connection(N0, n)
-        if a:
-            modes.append((a, -Fraction(n * (n - 1)), sj_family(n)))
+    modes = [
+        (*_sj_weight(N0, n), -n * (n - 1), sj_family(n))
+        for n in range(N0 % 2, N0 + 1, 2)
+    ]
     coeffs = [
-        Poly.sum([pn * (a * lam**j / factorial(j)) for a, lam, pn in modes], ("x",))
+        Poly.sum([
+            pn * _ratio(num * lam**j, den * factorial(j), 0)
+            for num, den, lam, pn in modes
+        ], ("x",))
         for j in range(t_order + 1)
     ]
     return CoeffSeries(coeffs, t_order)

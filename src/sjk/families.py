@@ -4,7 +4,10 @@ Covers the classical Jacobi polynomials, both Sobolev-Jacobi families (the
 degenerate (-1,-1) case and the (-1, beta>-1) case), the two-variable
 Hermite polynomials, and the shifted EGF for the beta > -1 family.
 Generalized binomials are Pochhammer quotients, so every coefficient is
-exact.
+exact.  Each rational parameter is read once as a reduced integer pair
+(scalar._parts, which refuses a float), and the binomials, the closed
+forms' coefficients and the EGF scales are integer pairs built from it
+(_binom_parts).
 
 The three Jacobi-type families, and the shifted beta EGF, are served by
 one O(n) coefficient recurrence, jacobi_monic, which runs on integer
@@ -13,9 +16,9 @@ numerators over one denominator; the closed forms
 construction and the Tricomi-Bessel product form of the shifted EGF
 (egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
 verify suites.  The closed forms share _binomial_basis_sum, which sums the
-integer binomial rows of (x-1)^(n-k) (x+1)^k with the coefficients put
-over one denominator, the caller's outer scale folded into it, and makes
-one reduced integer pair per output term.
+integer binomial rows of (x-1)^(n-k) (x+1)^k with integer coefficient
+numerators over one denominator, the caller's outer scale folded into it,
+and makes one reduced integer pair per output term.
 
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
@@ -30,19 +33,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 
 from .errors import ParamError
 from .hyper import tricomi_coeff
+from .opcalc import _jacobi_weights
 from .poly import CoeffSeries, Poly
 from .scalar import (
     ONE,
     ExactScalar,
     HalfInt,
+    _over_lcm,
     _pair,
+    _parts,
     _ratio,
-    half,
-    pochhammer,
+    _text,
     recip_gamma,
 )
 from .umbral import GenMonomial, GenSeries, itransform_scalar
@@ -51,26 +56,45 @@ HERMITE_SECOND_VAR = "z"
 _HERMITE_VARS = ("x", HERMITE_SECOND_VAR)
 
 
+def _falling(p: int, q: int, k: int) -> list:
+    """The integer numerators of binomial(p/q, i) over q^i i!, i = 0 .. k:
+    the products prod_{j<i} (p - j q)."""
+    out = [1]
+    for j in range(k):
+        out.append(out[-1] * (p - j * q))
+    return out
+
+
+def _binom_parts(p: int, q: int, k: int) -> tuple:
+    """binomial(p/q, k) = (p/q - k + 1)_k / k! as an integer pair (num, den),
+    den > 0 and not reduced: the _falling product over q^k k!; (0, 1) for
+    k < 0."""
+    if k < 0:
+        return 0, 1
+    return _falling(p, q, k)[k], q**k * factorial(k)
+
+
 def binom_general(a, k: int) -> Fraction:
     """binomial(a, k) for arbitrary rational a: (a-k+1)_k / k!."""
-    if k < 0:
-        return Fraction(0)
-    return pochhammer(Fraction(a) - k + 1, k) / factorial(k)
+    return Fraction(*_binom_parts(*_parts(a), k))
 
 
-def _classical_params(alpha, beta):
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= -1 or beta <= -1:
-        raise ParamError(
-            f"classical Jacobi needs alpha, beta > -1, got ({alpha}, {beta})")
-    return alpha, beta
+def _classical_params(alpha, beta) -> tuple:
+    """(q, q alpha, q beta), q the lcm of the denominators; ParamError
+    unless both are > -1."""
+    q, a, b = _over_lcm(alpha, beta)
+    if a <= -q or b <= -q:
+        raise ParamError("classical Jacobi needs alpha, beta > -1, got "
+                         f"({_text(*_parts(alpha))}, {_text(*_parts(beta))})")
+    return q, a, b
 
 
-def _beta_param(beta) -> Fraction:
-    beta = Fraction(beta)
-    if beta <= -1:
-        raise ParamError(f"needs beta > -1, got {beta}")
-    return beta
+def _beta_param(beta) -> tuple:
+    """beta as a reduced pair (p, q); ParamError unless beta > -1."""
+    p, q = _parts(beta)
+    if p <= -q:
+        raise ParamError(f"needs beta > -1, got {_text(p, q)}")
+    return p, q
 
 
 def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
@@ -86,23 +110,18 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     Poly with no variables, as the closed forms return it.
 
     The steps run on integers: times q = lcm(den alpha, den beta) the
-    factor and the right-hand side have integer coefficients, c_{k+1} and
-    c_{k+2} are integer numerators over one denominator reduced by their
-    gcd at every step, and one reduced integer pair is made per output
-    term.  The recurrence is linear, so it starts from c_n = lead and each
-    term comes out scaled, in its one pair, with lead's sqrt(pi) grade.
+    factor and the right-hand side have integer coefficients, read by
+    opcalc._jacobi_weights, c_{k+1} and c_{k+2} are integer numerators over
+    one denominator reduced by their gcd at every step, and one reduced
+    integer pair is made per output term.  The recurrence is linear, so it
+    starts from c_n = lead and each term comes out scaled, in its one pair,
+    with lead's sqrt(pi) grade.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    q = lcm(alpha.denominator, beta.denominator)
-    a = alpha.numerator * (q // alpha.denominator)  # q alpha and q beta
-    b = beta.numerator * (q // beta.denominator)
-    if a < -q or b < -q:
-        raise ParamError(f"parameters must be >= -1, got ({alpha}, {beta})")
+    q, ba, sh = _jacobi_weights(alpha, beta, check=True)
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(lead)
-    ba, sh = b - a, a + b + q
     # c_(k+1) = u / P and c_(k+2) = v / P with gcd(u, v, P) = 1, h = gcd(u, P)
     u, P = lead.num, lead.den
     v, h, grade = 0, 1, lead.sqrt_pi_pow
@@ -120,40 +139,38 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     return Poly._of(("x",), terms)
 
 
-def _binomial_basis_sum(n: int, coeff, scale: Fraction) -> Poly:
-    """scale * sum_{k<=n} coeff(k) (x-1)^(n-k) (x+1)^k over x, on integers.
+def _binomial_basis_sum(n: int, nums, den: int) -> Poly:
+    """sum_{k<=n} nums[k] (x-1)^(n-k) (x+1)^k / den over x, on integers.
 
-    The coeff(k) are put over their lcm q, and the integer numerators are
-    summed by Horner's rule T_k = (x-1) T_(k-1) + q coeff(k) (x+1)^k, the
-    binomial row of (x+1)^k built from the one before; scale is folded into
-    the one denominator, and one reduced integer pair is made per output
-    term.
+    The integer numerators nums[k] are summed by Horner's rule T_k =
+    (x-1) T_(k-1) + nums[k] (x+1)^k, the binomial row of (x+1)^k built
+    from the one before, and one reduced integer pair over the nonzero den
+    is made per output term.
     """
-    cs = [Fraction(coeff(k)) for k in range(n + 1)]
-    q = lcm(*[c.denominator for c in cs])
-    row, acc = [1], [cs[0].numerator * (q // cs[0].denominator)]
-    for c in cs[1:]:
+    row, acc = [1], [nums[0]]
+    for m in nums[1 : n + 1]:
         row = [lo + hi for lo, hi in zip([0, *row], [*row, 0])]
         acc = [lo - hi for lo, hi in zip([0, *acc], [*acc, 0])]
-        if c:
-            m = c.numerator * (q // c.denominator)
+        if m:
             acc = [a + m * r for a, r in zip(acc, row)]
-    num, den = scale.numerator, q * scale.denominator
     return Poly._of(("x",), {
-        (j,): _ratio(a * num, den, 0) for j, a in enumerate(acc) if a
+        (j,): _ratio(a, den, 0) for j, a in enumerate(acc) if a
     })
 
 
 def jacobi_classical(n: int, alpha, beta) -> Poly:
     """Classical Jacobi polynomial of degree n, parameters > -1, from its
-    closed form; cross-check for jacobi_family."""
-    alpha, beta = _classical_params(alpha, beta)
+    closed form 2^-n sum_k binom(n+alpha, k) binom(n+beta, n-k)
+    (x-1)^(n-k) (x+1)^k; cross-check for jacobi_family.  Over q^n n! 2^n,
+    q the parameters' common denominator, the k-th coefficient has the
+    integer numerator A_k B_(n-k) C(n, k), A and B the _falling products
+    of n + alpha and n + beta."""
+    q, a, b = _classical_params(alpha, beta)
     if n < 0:
         raise ParamError("degree must be >= 0")
-    return _binomial_basis_sum(
-        n, lambda k: binom_general(n + alpha, k) * binom_general(n + beta, n - k),
-        Fraction(1, 2**n),
-    )
+    A, B = _falling(n * q + a, q, n), _falling(n * q + b, q, n)
+    nums = [A[k] * B[n - k] * comb(n, k) for k in range(n + 1)]
+    return _binomial_basis_sum(n, nums, q**n * factorial(n) << n)
 
 
 def sj_closed_mm(n: int, gamma=0) -> Poly:
@@ -164,39 +181,46 @@ def sj_closed_mm(n: int, gamma=0) -> Poly:
     if n == 0:
         return Poly.const(1)
     if n == 1:
-        return Poly.var("x") + Fraction(gamma)
+        return Poly.var("x") + _pair(*_parts(gamma), 0)
     # the k = 0 and k = n coefficients are binom(n-1, n) = 0
     return _binomial_basis_sum(
-        n, lambda k: comb(n - 1, k) * comb(n - 1, n - k),
-        1 / binom_general(2 * n - 2, n),
+        n, [comb(n - 1, k) * comb(n - 1, n - k) for k in range(n + 1)],
+        comb(2 * n - 2, n),
     )
 
 
 def sj_closed_beta(n: int, beta) -> Poly:
     """Closed form at parameters (-1, beta) for beta > -1; coincides with
     the monic classical Jacobi polynomial of the same parameters.
-    Cross-check for sj_beta_family."""
-    beta = _beta_param(beta)
+    Cross-check for sj_beta_family.  It is sum_k C(n-1, k) binom(n+beta,
+    n-k) (x-1)^(n-k) (x+1)^k / binom(2n+beta-1, n); with beta = p/q the
+    common q^n n! cancels, leaving the integer numerators C(n-1, k)
+    B_(n-k) q^k n!/(n-k)! over S, B and S the _falling products of
+    n + beta and 2n + beta - 1."""
+    p, q = _beta_param(beta)
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(1)
-    return _binomial_basis_sum(
-        n, lambda k: comb(n - 1, k) * binom_general(n + beta, n - k),
-        1 / binom_general(2 * n + beta - 1, n),
-    )
+    B = _falling(n * q + p, q, n)
+    nums = [
+        comb(n - 1, k) * B[n - k] * q**k * (factorial(n) // factorial(n - k))
+        for k in range(n + 1)
+    ]
+    return _binomial_basis_sum(n, nums, _falling((2 * n - 1) * q + p, q, n)[n])
 
 
 def sj_beta_rescaled(n: int, beta) -> Poly:
     """The rescaled variant binom(2n+beta-1, n) / Gamma(n+beta+1) times the
     closed form; beta must be a half-integer so the gamma value is exact."""
-    beta = Fraction(beta)
-    if beta.denominator not in (1, 2):
-        raise ParamError(f"rescaling needs half-integer beta, got {beta}")
+    p, q = _parts(beta)
+    if q not in (1, 2):
+        raise ParamError(f"rescaling needs half-integer beta, got {_text(p, q)}")
     if n == 0:
         return Poly.const(1)
-    scale = ExactScalar(binom_general(2 * n + beta - 1, n)) * recip_gamma(
-        half(beta) + (n + 1)
+    twice = p * (2 // q)
+    scale = _ratio(*_binom_parts((2 * n - 1) * q + p, q, n), 0) * recip_gamma(
+        HalfInt(twice + 2 * (n + 1))
     )
     return sj_closed_beta(n, beta) * scale
 
@@ -306,17 +330,21 @@ def sj_family(n: int) -> Poly:
 
 def sj_beta_family(n: int, beta) -> Poly:
     """(-1, beta) family for beta > -1."""
-    return jacobi_monic(n, -1, _beta_param(beta))
+    _beta_param(beta)
+    return jacobi_monic(n, -1, beta)
 
 
 def jacobi_family(n: int, alpha, beta) -> Poly:
     """Classical Jacobi polynomial, parameters > -1: the monic one scaled
-    by its leading coefficient binomial(2n+alpha+beta, n) / 2^n."""
-    alpha, beta = _classical_params(alpha, beta)
-    monic = jacobi_monic(n, alpha, beta)
-    lead = binom_general(2 * n + alpha + beta, n) / 2**n
+    by its leading coefficient binomial(2n+alpha+beta, n) / 2^n, which
+    jacobi_monic takes as its lead."""
+    q, a, b = _classical_params(alpha, beta)
+    if n < 0:
+        raise ParamError("degree must be >= 0")
+    num, den = _binom_parts(2 * n * q + a + b, q, n)
+    monic = jacobi_monic(n, alpha, beta, _ratio(num, den << n, 0))
     # the zero keeps the variable x at degree 0, as jacobi_classical does
-    return Poly.zero(("x",)) + monic * lead
+    return Poly.zero(("x",)) + monic
 
 
 @lru_cache(maxsize=None)
@@ -339,25 +367,28 @@ def tricomi_series(alpha, zpoly: Poly, order: int) -> CoeffSeries:
     return CoeffSeries.build(lambda r: zpoly**r * tricomi_coeff(alpha, r), order)
 
 
-def _half_int_beta(beta) -> Fraction:
-    beta = _beta_param(beta)
-    if beta.denominator not in (1, 2):
-        raise ParamError(f"exact evaluation needs half-integer beta, got {beta}")
-    return beta
+def _half_int_beta(beta) -> int:
+    """Twice beta; ParamError unless beta is a half-integer > -1."""
+    p, q = _beta_param(beta)
+    if q not in (1, 2):
+        raise ParamError(
+            f"exact evaluation needs half-integer beta, got {_text(p, q)}")
+    return p * (2 // q)
 
 
 def egf_beta_shifted(order: int, beta) -> CoeffSeries:
     """The 1-shifted EGF of the rescaled (-1, beta) family: the coefficient
     of lambda^n is sj_beta_rescaled(n+1, beta) / n!, built as
     jacobi_monic(n+1, -1, beta) binom(2n+beta+1, n+1) / (n! Gamma(n+beta+2)).
-    beta must be a half-integer > -1."""
-    beta = _half_int_beta(beta)
-    hb = half(beta)
+    beta must be a half-integer > -1.  With beta = t/2 the binomial over
+    n! is one integer pair, and the scale one product of it with the
+    reciprocal Gamma value."""
+    t = _half_int_beta(beta)
 
     def coeff(n):
-        scale = ExactScalar(
-            binom_general(2 * n + beta + 1, n + 1) / factorial(n)
-        ) * recip_gamma(hb + (n + 2))
+        num, den = _binom_parts(4 * n + 2 + t, 2, n + 1)
+        scale = _ratio(num, den * factorial(n), 0) * recip_gamma(
+            HalfInt(t + 2 * (n + 2)))
         return jacobi_monic(n + 1, -1, beta, scale)
 
     return CoeffSeries.build(coeff, order)
@@ -366,8 +397,8 @@ def egf_beta_shifted(order: int, beta) -> CoeffSeries:
 def egf_beta_shifted_tricomi(order: int, beta) -> CoeffSeries:
     """(x-1) C_1(-lambda(x-1)) C_beta(-lambda(x+1)), the Tricomi-Bessel
     product form of egf_beta_shifted; a cross-check for the tests."""
-    beta = _half_int_beta(beta)
+    t = _half_int_beta(beta)
     x = Poly.var("x")
     c1 = tricomi_series(1, x - 1, order)
-    cb = tricomi_series(half(beta), x + 1, order)
+    cb = tricomi_series(HalfInt(t), x + 1, order)
     return (c1 * cb) * (x - 1)

@@ -5,21 +5,26 @@ descriptor; coefficients are Pochhammer quotients and always exact
 rationals times powers of the scale.  Series are purely formal: no
 convergence questions arise and none are asked.  pfq_terms takes an
 optional first term, so a scaled series is made with one reduced integer
-pair per term.
+pair per term.  Its recurrence is _pair_terms, which takes the parameters
+as integer pairs; the lacunary cells call it directly, without a HyperSpec.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .errors import ParamError, PoleError
 from .scalar import (
     ExactScalar,
+    HalfInt,
     _as_fraction,
     _pair,
+    _parts,
+    _pochhammer_parts,
     _ratio,
+    _text,
     gamma_half,
     gamma_ratio,
     half,
@@ -63,17 +68,26 @@ class HyperSpec:
 
 def pfq_terms(spec: HyperSpec, start=1):
     """The series coefficients start * scale^m / m! * prod (a)_m / prod (b)_m
-    for m = 0, 1, 2, ... without end, each from the one before by the term
-    ratio scale * prod (a+m) / ((m+1) prod (b+m)).  start is the m = 0
+    for m = 0, 1, 2, ... without end (_pair_terms).  start is the m = 0
     term, an ExactScalar (or an int or Fraction), whose sqrt(pi) grade is
-    added to every term's.  The ratio is taken on integers, with a + m =
-    (num a + m den a) / den a: the term's numerator and denominator are
-    multiplied by integer products, and the one reduced pair made per term
-    divides them by their gcd."""
-    t = ExactScalar.coerce(start)
-    scale = spec.arg_scale
-    up = [(a.numerator, a.denominator) for a in spec.upper]
-    lo = [(b.numerator, b.denominator) for b in spec.lower]
+    added to every term's."""
+    yield from _pair_terms(
+        [(a.numerator, a.denominator) for a in spec.upper],
+        [(b.numerator, b.denominator) for b in spec.lower],
+        spec.arg_scale,
+        ExactScalar.coerce(start),
+    )
+
+
+def _pair_terms(up, lo, scale: ExactScalar, t: ExactScalar):
+    """The terms t * scale^m / m! * prod (a)_m / prod (b)_m of pfq_terms,
+    the parameters given as integer pairs (num, den), den > 0 and not
+    necessarily reduced, and the lower ones off Z_<=0; each term from the
+    one before by the ratio scale * prod (a+m) / ((m+1) prod (b+m)).  The
+    ratio is taken on integers, with a + m = (num a + m den a) / den a:
+    the term's numerator and denominator are multiplied by integer
+    products, and the one reduced pair made per term divides them by
+    their gcd."""
     num_k = scale.num * prod(d for _, d in lo)
     den_k = scale.den * prod(d for _, d in up)
     g, pi_pow, m = t.sqrt_pi_pow, scale.sqrt_pi_pow, 0
@@ -140,15 +154,19 @@ def gamma_multiplication(n: int, s: int, x):
         raise ParamError("multiplication order must be >= 2")
     if s < 0:
         raise ParamError("shift must be >= 0")
-    x = _as_fraction(x)
-    nx = n * x
-    if nx.denominator not in (1, 2):
-        raise ParamError(f"n*x = {nx} is not a half-integer")
-    lhs = gamma_half(nx + n * s)
-    rhs = ExactScalar(Fraction(n) ** (s * n)) * gamma_half(nx)
+    p, q = _parts(x)
+    g = gcd(n, q)
+    N, D = n // g * p, q // g  # n x, reduced
+    if D not in (1, 2):
+        raise ParamError(f"n*x = {_text(N, D)} is not a half-integer")
+    twice = N * (2 // D)
+    lhs = gamma_half(HalfInt(twice + 2 * n * s))
+    # x + j/n = (n p + j q) / (n q)
+    num, den = n ** (s * n), 1
     for j in range(n):
-        rhs = rhs * ExactScalar(pochhammer(x + Fraction(j, n), s))
-    return lhs, rhs
+        a, b = _pochhammer_parts(n * p + j * q, n * q, s)
+        num, den = num * a, den * b
+    return lhs, _ratio(num, den, 0) * gamma_half(HalfInt(twice))
 
 
 def tricomi_coeff(alpha, r: int) -> ExactScalar:

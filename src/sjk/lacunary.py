@@ -20,6 +20,9 @@ Every stage of that check makes each output term as one reduced integer
 pair from integer products: the closed form starts each cell's hypergeometric series
 at the cell's scale, the raising runs on integer numerators, the image
 divides each term by an integer weight and the oracle each term by n!.
+A cell's parameters are integer pairs, fed to hyper's pair-level term
+generator; a HyperSpec is built from them only for the (-1,-1) closed
+forms, which are cross-checks.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -41,9 +44,9 @@ from .families import (
     matching_coeff,
     sj_family,
 )
-from .hyper import HyperSpec, pfq_terms, pochhammer_proliferate
+from .hyper import HyperSpec, _pair_terms, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries, Poly, _over_common_den
-from .scalar import ExactScalar, HalfInt, _ratio, gamma_ratio
+from .scalar import ExactScalar, HalfInt, _pair, _ratio, gamma_ratio
 
 
 def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
@@ -70,8 +73,7 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
         raise ParamError("K must be >= 1")
     out_order = egf.order // K
     return CoeffSeries.build(
-        lambda r: egf.coeffs[r * K]
-        * Fraction(factorial(r * K), factorial(r)),
+        lambda r: egf.coeffs[r * K] * (factorial(r * K) // factorial(r)),
         out_order,
     )
 
@@ -81,21 +83,27 @@ class _Cell:
     """One (beta, s) cell of the closed Hermite lacunary series: base_scale
     times the hypergeometric series in upper, lower, at
     x^(K s - 2 beta) y^beta lambda^s; its argument and the powers of lambda
-    and y per series index depend on K alone (_steps)."""
+    and y per series index depend on K alone (_steps).  The parameters are
+    integer pairs (num, den), den > 0, not reduced."""
 
     beta: int
     s: int
-    base_scale: Fraction
+    base_scale: ExactScalar
     upper: tuple
     lower: tuple
+
+    def spec(self, arg) -> HyperSpec:
+        """The cell's series as a HyperSpec at argument arg."""
+        return HyperSpec([Fraction(*a) for a in self.upper],
+                         [Fraction(*b) for b in self.lower], arg)
 
 
 def _steps(K: int):
     """(lam_step, y_step, arg) at K: index m of a Hermite cell's hypergeometric
     series, at argument arg, carries lambda^(lam_step m) y^(y_step m)."""
     if K % 2 == 0:
-        return 1, K // 2, Fraction((2 * K) ** (K // 2))
-    return 2, K, Fraction((4 * K) ** K, 4)
+        return 1, K // 2, _pair((2 * K) ** (K // 2), 1, 0)
+    return 2, K, _ratio((4 * K) ** K, 4, 0)
 
 
 def _hermite_cells(K: int, order: int):
@@ -109,39 +117,34 @@ def _hermite_cells(K: int, order: int):
             if h == 0:
                 continue
             if K % 2 == 0:  # upper s + (j + 1)/K
-                upper = tuple(Fraction(K * s + j + 1, K) for j in range(K - 1))
+                upper = tuple((K * s + j + 1, K) for j in range(K - 1))
                 lower = tuple(
-                    Fraction(beta + ell + 1, T)
-                    for ell in range(T)
-                    if ell != T - 1 - beta
+                    (beta + ell + 1, T) for ell in range(T) if ell != T - 1 - beta
                 )
             else:  # upper s/2 + (j + 1)/(2K)
                 upper = tuple(
-                    Fraction(K * s + j + 1, 2 * K)
-                    for j in range(2 * K - 1)
-                    if j != K - 1
+                    (K * s + j + 1, 2 * K) for j in range(2 * K - 1) if j != K - 1
                 )
                 lower = tuple(
-                    Fraction(beta + ell + 1, K)
-                    for ell in range(K)
-                    if ell != K - 1 - beta
+                    (beta + ell + 1, K) for ell in range(K) if ell != K - 1 - beta
                 )
-            cells.append(_Cell(beta, s, Fraction(h, factorial(s)), upper, lower))
+            cells.append(_Cell(beta, s, _ratio(h, factorial(s), 0), upper, lower))
     return cells
 
 
 def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
-    """Sum pfq_terms(spec, scale)[m] x^(K s - 2 beta) y^(beta + y_step m)
-    lambda^(s + lam_step m) over the (cell, spec, scale) terms and over m,
-    up to lambda^order: the scale is each series' first term, so every
-    term is one reduced pair.  vars is ("x", y) for the Hermite forms and
-    ("x",) for the (-1,-1) forms, whose y the transform has integrated out."""
+    """Sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
+    lambda^(s + lam_step m) over the (cell, series) terms and over m, up to
+    lambda^order, series being the cell's hypergeometric terms started at
+    its scale, so every term is one reduced pair.  vars is ("x", y) for the
+    Hermite forms and ("x",) for the (-1,-1) forms, whose y the transform
+    has integrated out."""
     lam_step, y_step, _ = _steps(K)
     pairs = [[] for _ in range(order + 1)]
-    for cell, spec, scale in terms:
+    for cell, series in terms:
         x_pow = K * cell.s - 2 * cell.beta
         ks = range(cell.s, order + 1, lam_step)
-        for m, (k, c) in enumerate(zip(ks, pfq_terms(spec, scale))):
+        for m, (k, c) in enumerate(zip(ks, series)):
             key = (x_pow, cell.beta + y_step * m)[: len(vars)]
             pairs[k].append((key, c))
     return CoeffSeries([Poly._collect(vars, p) for p in pairs], order)
@@ -153,7 +156,7 @@ def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
         raise ParamError("K must be >= 1")
     arg = _steps(K)[2]
     terms = (
-        (cell, HyperSpec(cell.upper, cell.lower, arg), cell.base_scale)
+        (cell, _pair_terms(cell.upper, cell.lower, arg, cell.base_scale))
         for cell in _hermite_cells(K, order)
     )
     return _sum_cells(terms, K, order, ("x", HERMITE_SECOND_VAR))
@@ -203,7 +206,7 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     for c in hermite_lacunary_closed(K, order).coeffs:
         terms = {}
         for L in range(mu_order + 1):
-            w = Fraction(1, factorial(L))
+            w = _pair(1, factorial(L), 0)
             for key, v in c.terms.items():
                 terms[(L, *key)] = v * w
             c = _hermite_raise(c, 1)
@@ -219,7 +222,7 @@ def _sj_cells(K: int, order: int):
     for c in _hermite_cells(K, order):
         alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
         beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
-        yield c, alpha, beta_p, ExactScalar(Fraction(-1, 4) ** c.beta * c.base_scale)
+        yield c, alpha, beta_p, c.base_scale * _pair((-1) ** c.beta, 4**c.beta, 0)
 
 
 def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -228,14 +231,13 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
     if K % 2 == 0:
-        r, arg = K // 2, Fraction(-K, 2) ** (K // 2)
+        r, arg = K // 2, _ratio((-K) ** (K // 2), 2 ** (K // 2), 0)
     else:
-        r, arg = K, Fraction((-K) ** K, 4)
+        r, arg = K, _ratio((-K) ** K, 4, 0)
     terms = []
     for cell, alpha, beta_p, scale in _sj_cells(K, order):
-        spec = HyperSpec(cell.upper, cell.lower, arg)
-        pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
-        terms.append((cell, new_spec, pref * scale))
+        pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, 2 * r, cell.spec(arg))
+        terms.append((cell, pfq_terms(new_spec, pref * scale)))
     return _sum_cells(terms, K, order, ("x",))
 
 
@@ -257,32 +259,33 @@ def sj_lacunary_closed_printed(
         if K % 2 == 1 and cell.beta < odd_beta_start:
             continue
         s, beta = cell.s, cell.beta
+        base = cell.spec(1)
         if K % 2 == 0:
             T = K // 2
             mult = 2 if even_beta_doubled else 1
-            upper = cell.upper + tuple(
+            upper = base.upper + tuple(
                 2 * s + Fraction(2 * m - mult * beta - 1, K) for m in range(T)
             )
-            lower = cell.lower + tuple(
+            lower = base.lower + tuple(
                 s + Fraction(2 * t - 1, 2 * K) for t in range(K)
             )
             arg = Fraction(-1, 4) ** T
         else:
-            upper = cell.upper + tuple(
+            upper = base.upper + tuple(
                 s + Fraction(2 * m - 2 * beta - 1, 2 * K) for m in range(K)
             )
-            lower = cell.lower + tuple(
+            lower = base.lower + tuple(
                 Fraction(s, 2) + Fraction(2 * t - 1, 4 * K) for t in range(2 * K)
             )
             arg = Fraction(-1, 4 ** (K + 1))
         spec = HyperSpec(upper, lower, arg)
-        terms.append((cell, spec, gamma_ratio(alpha, beta_p) * scale))
+        terms.append((cell, pfq_terms(spec, gamma_ratio(alpha, beta_p) * scale)))
     return _sum_cells(terms, K, order, ("x",))
 
 
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
     """L! times the coefficient of mu^L, coefficient-wise."""
-    scale = Fraction(factorial(L))
+    scale = factorial(L)
     return CoeffSeries(
         [c.coeff_of("mu", L) * scale for c in series.coeffs], series.order
     )

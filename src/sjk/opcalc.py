@@ -12,17 +12,17 @@ step of the resolvent and of the exponential (-1,-1) forms is one pass
 over the terms, op^{-1}(scale (d^2 + (beta - alpha) d)), making one
 reduced integer pair per output term from the integer numerators and
 denominators of the coefficient, the scale and the operator's value; the
-Jacobi operator itself is applied in one such pass too.
+Jacobi operator itself is applied in one such pass too.  The parameters
+are read once, by _jacobi_weights, as the integer weights q (beta - alpha)
+and q (alpha + beta + 1) over their common denominator q; families'
+coefficient recurrence reads them there too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .errors import InternalError, KernelHit, ParamError
 from .poly import Poly
-from .scalar import ExactScalar, _ratio
+from .scalar import ExactScalar, _over_lcm, _pair, _parts, _ratio, _text
 
 IDENTITY_ON_KERNEL = "identity_on_kernel"
 ERROR_ON_KERNEL = "error_on_kernel"
@@ -99,6 +99,24 @@ def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     return _scale_by_degree(p, vars, divide)
 
 
+def _jacobi_weights(alpha, beta, check: bool = False) -> tuple:
+    """(q, q (beta - alpha), q (alpha + beta + 1)) as ints, q the lcm of
+    the denominators of the rationals alpha and beta: the weights of the
+    Jacobi operator's d and of its eigenvalue factor over q.  With check,
+    ParamError unless both parameters are >= -1."""
+    q, a, b = _over_lcm(alpha, beta)
+    if check and (a < -q or b < -q):
+        raise ParamError(f"parameters must be >= -1, got "
+                         f"({_text(*_parts(alpha))}, {_text(*_parts(beta))})")
+    return q, b - a, a + b + q
+
+
+def _rational(x) -> tuple:
+    """x, an integer pair (num, den) with den > 0 or a rational read by
+    _parts, as such a pair."""
+    return x if type(x) is tuple else _parts(x)
+
+
 def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
     degree in vars, in one pass over the terms of t: the contributions
@@ -106,23 +124,25 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     Poly._collect (so a clash of sqrt(pi) grades raises), and each output
     term is one reduced integer pair, scale over op.eval(degree) times
     that sum; a kernel degree follows op's completion policy, the sum
-    passing through unchanged (then scaled) or raising KernelHit."""
+    passing through unchanged (then scaled) or raising KernelHit.  ba and
+    scale are rationals or integer pairs (num, den), den > 0, not
+    necessarily reduced."""
     if "x" not in t.vars:
         return Poly.zero(t.vars)
     i = t.vars.index("x")
-    bn, bd = ba.numerator, ba.denominator
+    bn, bd = _rational(ba)
+    sn, sd = _rational(scale)
     seconds, firsts = [], []
     for exps, c in t.terms.items():
         e = exps[i]
         if e > 1:
             key = exps[:i] + (e - 2,) + exps[i + 1 :]
             seconds.append((key, _ratio(c.num * (e * (e - 1)), c.den, c.sqrt_pi_pow)))
-        if e and ba:
+        if e and bn:
             key = exps[:i] + (e - 1,) + exps[i + 1 :]
             firsts.append((key, _ratio(c.num * bn * e, c.den * bd, c.sqrt_pi_pow)))
     summed = Poly._collect(t.vars, seconds + firsts)
     idx = _positions(t, vars)
-    sn, sd = scale.numerator, scale.denominator
     out = {}
     for exps, c in summed.terms.items():
         d = sum(exps[j] for j in idx)
@@ -136,16 +156,18 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     return Poly._of(t.vars, out)
 
 
-def _resolvent_factor(n: int, alpha: Fraction, beta: Fraction,
+def _resolvent_factor(n: int, alpha, beta,
                       completion=IDENTITY_ON_KERNEL) -> DiagonalOp:
-    """(d - n)(d + n + alpha + beta + 1), with its kernel read off the factors."""
-    shift = alpha + beta + 1
+    """(d - n)(d + n + alpha + beta + 1), with its kernel read off the
+    factors; with q (alpha + beta + 1) = sh, its value at d is
+    (d - n)((d + n) q + sh) / q."""
+    q, _, sh = _jacobi_weights(alpha, beta)
     kernel = {n}
-    other = -(n + shift)
-    if other.denominator == 1 and other >= 0:
-        kernel.add(int(other))
+    other = -(n * q + sh)  # q times the second factor's root
+    if other >= 0 and other % q == 0:
+        kernel.add(other // q)
     return DiagonalOp(
-        lambda d: Fraction(d - n) * (d + n + shift), kernel, completion
+        lambda d: _ratio((d - n) * ((d + n) * q + sh), q, 0), kernel, completion
     )
 
 
@@ -164,16 +186,13 @@ def _terminating_sum(term: Poly, step, steps: int, message: str) -> Poly:
 def gp_series(n: int, alpha, beta, completion=IDENTITY_ON_KERNEL) -> Poly:
     """Terminating resolvent sum for the monic degree-n eigenpolynomial of
     the Jacobi-type operator at parameters (alpha, beta), both >= -1."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha < -1 or beta < -1:
-        raise ParamError(f"parameters must be >= -1, got ({alpha}, {beta})")
+    q, ba, _ = _jacobi_weights(alpha, beta, check=True)
     if n < 0:
         raise ParamError("degree must be >= 0")
     fop = _resolvent_factor(n, alpha, beta, completion)
-    ba = beta - alpha
 
     def step(cur, _):
-        return _inverse_step(fop, cur, ("x",), ba, Fraction(1))
+        return _inverse_step(fop, cur, ("x",), (ba, q), 1)
     message = f"resolvent sum failed to terminate for n={n}"
     return _terminating_sum(Poly.var("x", n), step, n + 2, message)
 
@@ -182,7 +201,7 @@ def _exp_series(term: Poly, op: DiagonalOp, vars, n: int, what: str) -> Poly:
     """exp(-(1/2) op^{-1} dx^2) term, op acting on total degree in vars; the
     series of a degree-n term ends within n // 2 + 2 steps."""
     def step(t, m):
-        return _inverse_step(op, t, vars, 0, Fraction(-1, 2 * m))
+        return _inverse_step(op, t, vars, 0, (-1, 2 * m))
     message = f"{what} failed to terminate for n={n}"
     return _terminating_sum(term, step, n // 2 + 2, message)
 
@@ -192,7 +211,7 @@ def exp_resolvent_sj(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     kernel = {1 - n} if 1 - n >= 0 else set()
-    op = DiagonalOp(lambda d: Fraction(d + n - 1), kernel, completion)
+    op = DiagonalOp(lambda d: d + n - 1, kernel, completion)
     return _exp_series(Poly.var("x", n), op, ("x",), n, "exponential series")
 
 
@@ -202,7 +221,7 @@ def exp_B_bivariate(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
     exp_resolvent_sj(n)."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    op = DiagonalOp(lambda d: Fraction(d - 1), {1}, completion)
+    op = DiagonalOp(lambda d: d - 1, {1}, completion)
     term = Poly.monomial(1, x=n, y=n) if n else Poly.const(1)
     return _exp_series(term, op, ("x", "y"), n, "bivariate exponential")
 
@@ -214,7 +233,7 @@ def hermite_exp(n: int) -> Poly:
     z = Poly.var("z")
     return _terminating_sum(
         Poly.var("x", n),
-        lambda t, m: t.derivative("x").derivative("x") * z * Fraction(1, m),
+        lambda t, m: t.derivative("x").derivative("x") * z * _pair(1, m, 0),
         n // 2 + 1,
         f"operational Hermite series failed to terminate for n={n}",
     )
@@ -225,13 +244,11 @@ def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
     sorted union of ("x",) and p.vars, in one pass over the terms: c x^e
     gives c e(e-1) x^(e-2) + c (beta - alpha) e x^(e-1) - c e(e + alpha +
     beta + 1) x^e.  Times q = lcm(den alpha, den beta) the three weights
-    are integers, each contribution is one reduced integer pair over q,
-    and Poly._collect sums them per key."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    are integers (_jacobi_weights), each contribution is one reduced
+    integer pair over q, and Poly._collect sums them per key."""
+    q, ba, sh = _jacobi_weights(alpha, beta)
     vars = tuple(sorted({"x", *p.vars}))
     i = vars.index("x")
-    q = lcm(alpha.denominator, beta.denominator)
-    ba, sh = int((beta - alpha) * q), int((alpha + beta + 1) * q)
     pairs = []
     for exps, c in p._remap(vars).items():
         e = exps[i]

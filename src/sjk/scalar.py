@@ -15,16 +15,23 @@ An ExactScalar stores its rational as one reduced integer pair, num over
 den > 0, and does its arithmetic on those ints with math.gcd, by the
 cross-gcd product and sum of the stdlib's Fraction; the kernels build
 their terms from integers through _ratio, which reduces, or _pair, for a
-pair coprime by construction.  Fraction parses the public constructor's
-input and is the type of the family parameters.  A float is refused
-wherever a rational is taken, since its binary value is not the decimal
-one written.
+pair coprime by construction.  A rational parameter (an int, a Fraction or
+a HalfInt) is read once, where it enters the package, as a reduced integer
+pair by _parts, and all parameter arithmetic is done on ints.  Fraction
+parses only input that is none of these, such as a decimal string, and is
+built once from ints where a public type is one: the values of pochhammer,
+families.binom_general and connect.sj_connection, and a HyperSpec's
+parameters.  A float is refused wherever a rational is taken, since its
+binary value is not the decimal one written.  HalfInt and a rational
+ExactScalar hash as the equal Fraction does, by CPython's rule for
+rationals computed from the integers (_rat_hash).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import index
 
 from .errors import PoleError
@@ -41,10 +48,6 @@ class HalfInt:
 
     def __init__(self, twice: int):
         self.twice = index(twice)
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
 
     @property
     def is_integer(self) -> bool:
@@ -99,7 +102,8 @@ class HalfInt:
         return self.twice <= other.twice
 
     def __hash__(self):
-        return hash(self.as_fraction)
+        t = self.twice
+        return hash(t // 2) if t % 2 == 0 else _rat_hash(t, 2)
 
     def __repr__(self):
         if self.is_integer:
@@ -107,7 +111,7 @@ class HalfInt:
         return "HalfInt(%d/2)" % self.twice
 
     def __str__(self):
-        return str(self.as_fraction)
+        return _text(*_parts(self))
 
 
 def half(x) -> HalfInt:
@@ -152,12 +156,19 @@ class ExactScalar:
     __slots__ = ("num", "den", "sqrt_pi_pow")
 
     def __init__(self, rat, sqrt_pi_pow: int = 0):
-        if isinstance(rat, float):
+        t = type(rat)
+        if t is int:
+            num, den = rat, 1
+        elif t is Fraction:
+            num, den = rat.numerator, rat.denominator
+        elif isinstance(rat, float):
             raise TypeError(f"cannot interpret {rat!r} as an exact scalar")
-        rat = Fraction(rat)
+        else:
+            rat = Fraction(rat)
+            num, den = rat.numerator, rat.denominator
         sqrt_pi_pow = index(sqrt_pi_pow)
-        self.num, self.den = rat.numerator, rat.denominator
-        self.sqrt_pi_pow = sqrt_pi_pow if self.num else 0
+        self.num, self.den = num, den
+        self.sqrt_pi_pow = sqrt_pi_pow if num else 0
 
     @property
     def rat(self) -> Fraction:
@@ -298,11 +309,11 @@ class ExactScalar:
     def __hash__(self):
         # A rational value equals its Fraction, so it hashes as one.
         if self.sqrt_pi_pow == 0:
-            return hash(self.rat)
+            return _rat_hash(self.num, self.den)
         return hash((self.num, self.den, self.sqrt_pi_pow))
 
     def _rat_text(self) -> str:
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        return _text(self.num, self.den)
 
     def __repr__(self):
         if self.sqrt_pi_pow == 0:
@@ -361,6 +372,30 @@ def _ratio(num: int, den: int, sqrt_pi_pow: int) -> ExactScalar:
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 
+_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _rat_hash(num: int, den: int) -> int:
+    """hash(Fraction(num, den)) for a reduced pair with den > 0, from the
+    ints: CPython hashes a rational as num times the inverse of den modulo
+    the prime sys.hash_info.modulus, with the sign of num, and an integer
+    as itself."""
+    if den == 1:
+        return hash(num)
+    try:
+        h = hash(hash(abs(num)) * pow(den, -1, _MODULUS))
+    except ValueError:  # den is a multiple of the modulus
+        h = _HASH_INF
+    if num < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+def _text(num: int, den: int) -> str:
+    """A reduced pair written as str(Fraction(num, den)) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
 
 def _parts(a) -> tuple:
     """a as (numerator, denominator) in lowest terms, denominator > 0: a
@@ -379,6 +414,15 @@ def _parts(a) -> tuple:
     return a.numerator, a.denominator
 
 
+def _over_lcm(a, b) -> tuple:
+    """(q, q a, q b) as ints: the rationals a and b, read by _parts, over q,
+    the lcm of their denominators."""
+    an, ad = _parts(a)
+    bn, bd = _parts(b)
+    q = lcm(ad, bd)
+    return q, an * (q // ad), bn * (q // bd)
+
+
 def _as_fraction(a) -> Fraction:
     """a as a Fraction: a Fraction is returned as it is; see _parts."""
     if type(a) is Fraction:
@@ -386,12 +430,11 @@ def _as_fraction(a) -> Fraction:
     return Fraction(*_parts(a))
 
 
-def _pochhammer_parts(a, n: int) -> tuple:
-    """(a)_n as an integer pair (num, den), den > 0 and not reduced:
-    a + j = (p + j q) / q gives one integer product over q^n."""
+def _pochhammer_parts(p: int, q: int, n: int) -> tuple:
+    """(p/q)_n as an integer pair (num, den), den > 0 and not reduced:
+    p/q + j = (p + j q) / q gives one integer product over q^n."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    p, q = _parts(a)
     num = 1
     for _ in range(n):
         num *= p
@@ -401,7 +444,7 @@ def _pochhammer_parts(a, n: int) -> tuple:
 
 def pochhammer(a, n: int) -> Fraction:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0."""
-    return Fraction(*_pochhammer_parts(a, n))
+    return Fraction(*_pochhammer_parts(*_parts(a), n))
 
 
 def _gamma_parts(h: HalfInt):
@@ -448,9 +491,9 @@ def gamma_ratio(a, b) -> ExactScalar:
     if d % 2 == 0:
         n = d // 2
         if n >= 0:
-            return _ratio(*_pochhammer_parts(hb, n), 0)
+            return _ratio(*_pochhammer_parts(*_parts(hb), n), 0)
         # (a)_(-n) is not zero: a is not a non-positive integer
-        num, den = _pochhammer_parts(ha, -n)
+        num, den = _pochhammer_parts(*_parts(ha), -n)
         return _ratio(den, num, 0)
     return gamma_half(ha) * recip_gamma(hb)
 

@@ -57,9 +57,9 @@ def duplication(twices):
         z = HalfInt(twice)
         lhs = scalar.gamma_half(z * 2)
         rhs = (
-            ExactScalar(Fraction(2) ** (twice - 1), -1)
+            ExactScalar(1, -1) * ExactScalar(2) ** (twice - 1)
             * scalar.gamma_half(z)
-            * scalar.gamma_half(z + Fraction(1, 2))
+            * scalar.gamma_half(z + HalfInt(1))
         )
         if lhs != rhs:
             return f"duplication fails at z={z}"
@@ -101,9 +101,7 @@ def eigenequation(ns, betas=(-1,)):
     for beta in betas:
         for n in ns:
             p = opcalc.gp_series(n, -1, beta)
-            if opcalc.jacobi_operator_apply(p, -1, beta) != p * (
-                -Fraction(n) * (n + beta)
-            ):
+            if opcalc.jacobi_operator_apply(p, -1, beta) != p * (-n * (n + beta)):
                 return f"eigenequation fails at n={n}, beta={beta}"
 
 
@@ -155,7 +153,7 @@ def null_identity(ps, twices):
             N = HalfInt(twice)
             terms = [
                 umbral.GenMonomial(
-                    Fraction((-1) ** k * comb(p, k)),
+                    (-1) ** k * comb(p, k),
                     u_exps={"u1": N + 1 + 2 * k, "u2": N + k},
                     v_exps={"v1": N + 1 + p + k, "v2": N + 2 * k},
                 )

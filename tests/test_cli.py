@@ -533,6 +533,39 @@ LARGE_OUTPUT_DIGESTS = {
 }
 
 
+# Requests whose parameters are all integers: every rational they meet is
+# an integer pair, so none of them makes a Fraction.
+FRACTION_FREE = [
+    *(("lacunary", "--family", family, "--K", str(K), "--L", str(L),
+       "--order", str((16 - L) // K), "--check")
+      for family in connect.FAMILIES for K in (1, 2, 3, 4) for L in range(4)),
+    *((verb, "--family", family, size, "12", "--format", fmt)
+      for verb, size in (("poly", "--n"), ("egf", "--order"), ("table", "--max-n"))
+      for family in ("sj", "hermite") for fmt in FORMATS),
+    ("poly", "--family", "sj", "--n", "1"),
+    *(("react", "--N0", "10", "--t-order", "6", "--format", fmt) for fmt in FORMATS),
+]
+
+
+@pytest.mark.parametrize("argv", FRACTION_FREE, ids=" ".join)
+def test_request_makes_no_fraction(argv, monkeypatch):
+    cli.build_parser()  # its Fraction defaults are made once per process
+    families.sj_family.cache_clear()
+    families.hermite_family.cache_clear()
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    code, out, err = run_cli(*argv)
+    monkeypatch.undo()
+    assert (code, err) == (0, "") and out
+    assert made == []
+
+
 @pytest.mark.parametrize("line", sorted(LARGE_OUTPUT_DIGESTS))
 def test_large_output_pinned(line):
     code, out, err = run_cli(*line.split())

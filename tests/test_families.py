@@ -502,20 +502,44 @@ class TestHermiteImageTerms:
             assert_canonical(got)
 
 
-# rationals with numerator and denominator of up to 64 bits, as cli._rat takes
-RAT64 = st.builds(Fraction, st.integers(-(2**64 - 1), 2**64 - 1),
-                  st.integers(1, 2**64 - 1))
+# integer numerators and denominators of the size the closed forms make
+BIG = st.integers(-(2**128 - 1), 2**128 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(0, 24), scale=RAT64.filter(bool))
-def test_binomial_basis_sum_matches_power_products(data, n, scale):
+@given(data=st.data(), n=st.integers(0, 24), den=BIG.filter(bool))
+def test_binomial_basis_sum_matches_power_products(data, n, den):
     # the integer Horner sum against the Poly products it replaced
-    cs = data.draw(st.lists(st.one_of(st.just(Fraction(0)), RAT64),
-                            min_size=n + 1, max_size=n + 1))
-    got = families._binomial_basis_sum(n, cs.__getitem__, scale)
+    nums = data.draw(st.lists(st.one_of(st.just(0), BIG),
+                              min_size=n + 1, max_size=n + 1))
+    got = families._binomial_basis_sum(n, nums, den)
     want = Poly.sum((
-        (X - 1) ** (n - k) * (X + 1) ** k * c for k, c in enumerate(cs) if c
-    ), ("x",)) * scale
+        (X - 1) ** (n - k) * (X + 1) ** k * m for k, m in enumerate(nums) if m
+    ), ("x",)) * Fraction(1, den)
     assert got == want and got.vars == ("x",)
     assert_canonical(got)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jacobi_monic(3, 0.5, 0),
+    lambda: jacobi_monic(3, 0, 0.5),
+    lambda: jacobi_family(3, 0.5, 0),
+    lambda: jacobi_classical(3, 0, 0.5),
+    lambda: sj_beta_family(3, 0.5),
+    lambda: sj_closed_beta(3, 0.5),
+    lambda: sj_beta_rescaled(3, 0.5),
+    lambda: sj_closed_mm(1, 0.5),
+    lambda: binom_general(0.5, 3),
+    lambda: egf_beta_shifted(3, 0.5),
+    lambda: gp_series(3, -1, 0.5),
+    lambda: jacobi_operator_apply(X**2, 0.5, 0),
+], ids=[
+    "jacobi_monic-alpha", "jacobi_monic-beta", "jacobi_family", "jacobi_classical",
+    "sj_beta_family", "sj_closed_beta", "sj_beta_rescaled", "sj_closed_mm-gamma",
+    "binom_general", "egf_beta_shifted", "gp_series", "jacobi_operator_apply",
+])
+def test_float_parameter_refused(call):
+    # a float's binary value is not the decimal one written: 0.1 would be
+    # read as 3602879701896397/2^55
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+        call()

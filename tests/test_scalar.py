@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -26,6 +27,7 @@ from sjk.scalar import (
 from conftest import assert_canonical, assert_reduced
 
 H = Fraction(1, 2)
+MODULUS = sys.hash_info.modulus
 
 
 class TestHalfInt:
@@ -80,6 +82,23 @@ class TestHalfInt:
         assert 1 - HalfInt(1) == HalfInt(1)
         assert HalfInt(3) - H == HalfInt(2)
         assert HalfInt(1) < 1 and HalfInt(2) <= 1
+
+    # twice next to 0 and next to plus and minus twice the hash modulus
+    @pytest.mark.parametrize("twice", [
+        *range(-41, 42),
+        *(s * 2 * MODULUS + d for s in (1, -1) for d in range(-3, 4)),
+    ])
+    def test_hash_is_the_fraction_hash(self, twice):
+        assert hash(HalfInt(twice)) == hash(Fraction(twice, 2))
+
+    def test_dict_keyed_by_int_or_fraction_finds_equal_half_int(self):
+        table = {3: "three", Fraction(5, 2): "five halves", Fraction(-7, 2): "-7/2"}
+        assert table[HalfInt(6)] == "three"
+        assert table[HalfInt(5)] == "five halves"
+        assert table[HalfInt(-7)] == "-7/2"
+        assert HalfInt(9) not in table
+        by_half = {HalfInt(6): "three", HalfInt(-1): "-1/2"}
+        assert by_half[3] == "three" and by_half[Fraction(-1, 2)] == "-1/2"
 
 
 class TestExactScalar:
@@ -208,6 +227,18 @@ def test_equality_and_hash_agree(a, k, j):
             assert x == n and n == x and hash(x) == hash(n)
     if a and j != k:
         assert x != ExactScalar(a, j) and not x == ExactScalar(a, j)
+
+
+@pytest.mark.parametrize("q", [
+    Fraction(n, d)
+    for n in (0, 1, -1, 2, -(MODULUS + 2), MODULUS, MODULUS + 1, -(MODULUS - 1), 10**40)
+    for d in (1, 2, 3, MODULUS - 1, MODULUS, 2 * MODULUS, MODULUS + 1, 7**30)
+])
+def test_rational_hash_is_the_fraction_hash(q):
+    # next to the modulus, at its multiples (the infinite hash) and at -1,
+    # which is written -2
+    assert hash(ExactScalar(q)) == hash(q)
+    assert hash(_ratio(q.numerator * 3, q.denominator * 3, 0)) == hash(q)
 
 
 # Values whose denominators share factors of every size with each other,
