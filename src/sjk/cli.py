@@ -24,6 +24,7 @@ from . import families, jsonio, verify
 from .connect import FAMILIES, lookup, reaction_solve
 from .errors import SjkError
 from .poly import CoeffSeries, Poly
+from .scalar import ExactScalar
 
 DEFAULT_MAX_ORDER = 64
 # The rational parameters' domain.  At the default cap its worst corners
@@ -179,14 +180,14 @@ def _cmd_connect(args, out):
     weights = [connection(M, n) for n in range(M + 1)]
     if args.format == "json":
         rows = [
-            {"n": n, "num": str(w.numerator), "den": str(w.denominator)}
-            if isinstance(w, Fraction) else {"n": n, "poly": w}
+            {"n": n, "num": str(w.num), "den": str(w.den)}
+            if isinstance(w, ExactScalar) else {"n": n, "poly": w}
             for n, w in enumerate(weights)
         ]
         print(jsonio.dumps({"family": args.family, "M": M, "weights": rows}), file=out)
     else:
         for n, w in enumerate(weights):
-            w = Poly.const(w) if isinstance(w, Fraction) else w
+            w = Poly.const(w) if isinstance(w, ExactScalar) else w
             print(f"A[{M},{n}] = {_render(w, args.format)}", file=out)
     return 0
 

@@ -22,7 +22,7 @@ from .families import sj_egf, sj_family
 from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, _pair, _ratio
+from .scalar import ExactScalar, ZERO, _pair, _ratio
 
 
 def _sj_weight(M: int, n: int) -> tuple:
@@ -36,11 +36,17 @@ def _sj_weight(M: int, n: int) -> tuple:
 
 def sj_connection(M: int, n: int) -> Fraction:
     """Weight of the degree-n (-1,-1) polynomial in x^M; zero for odd M+n."""
+    return _sj_connection(M, n).rat
+
+
+def _sj_connection(M: int, n: int) -> ExactScalar:
+    """sj_connection as an ExactScalar, made from the integer pair: the
+    family table's connection column."""
     if n > M or n < 0 or M < 0:
         raise IndexError(f"connection index n={n} outside 0..{M}")
     if (M + n) % 2:
-        return Fraction(0)
-    return Fraction(*_sj_weight(M, n))
+        return ZERO
+    return _ratio(*_sj_weight(M, n), 0)
 
 
 def hermite_connection(M: int, n: int) -> Poly:
@@ -51,13 +57,14 @@ def hermite_connection(M: int, n: int) -> Poly:
         return Poly.zero((HERMITE_SECOND_VAR,))
     k = (M - n) // 2
     w = factorial(M) // (factorial(k) * factorial(n))  # C(M, n) (2k)! / k!
-    c = _pair(-w if k % 2 else w, 1, 0)
-    return Poly._of((HERMITE_SECOND_VAR,), {(k,): c}) if k else Poly.const(c)
+    w = -w if k % 2 else w
+    return Poly._of((HERMITE_SECOND_VAR,), ((0, 1, {(k,): w}),)) if k else Poly.const(w)
 
 
 class Family(NamedTuple):
     """A row of the family table: the source n -> p_n, the EGF truncation,
-    the weight (M, n) -> A_{M,n} of p_n in x^M (a Fraction, or a Poly in z),
+    the weight (M, n) -> A_{M,n} of p_n in x^M (an ExactScalar, or a Poly
+    in z),
     the closed lacunary form (a cross-check) and the image map H_n -> p_n."""
 
     source: Callable
@@ -74,7 +81,7 @@ class Family(NamedTuple):
 def _table() -> dict:
     # built per lookup: a builder rebound in its module (a patch, a wrapper) is used
     return {
-        "sj": Family(sj_family, sj_egf, sj_connection,
+        "sj": Family(sj_family, sj_egf, _sj_connection,
                      lacunary.sj_lacunary_closed, hermite_image),
         "hermite": Family(hermite_family, hermite_egf, hermite_connection,
                           lacunary.hermite_lacunary_closed, lambda p: p),
@@ -102,7 +109,7 @@ def reconstruct_monomial(M: int, family: str) -> Poly:
     are zero); must equal x^M exactly."""
     _check_index("M", M)
     row = lookup(family)
-    terms = (row.connection(M, n) * row.source(n) for n in range(M % 2, M + 1, 2))
+    terms = (row.source(n) * row.connection(M, n) for n in range(M % 2, M + 1, 2))
     return Poly.sum(terms, ("x",))
 
 
@@ -118,7 +125,7 @@ def biorthogonality_check(M: int, L: int, family: str) -> ExactScalar:
     for n in range(L + (M - L) % 2, M + 1, 2):
         b = row.source(n).coeff_of("x", L)
         if b:
-            parts.append(row.connection(M, n) * b)
+            parts.append(b * row.connection(M, n))
     return Poly.sum(parts).as_scalar()
 
 
@@ -140,17 +147,17 @@ def pair_factors(order: int, family: str):
     B(wbar, beta) = sum wbar^n / n! p_n(beta)
 
     For the Hermite family both carry z, which cancels in the pairing.
-    p_n(beta) is p_n with x renamed, its terms shared.
+    p_n(beta) is p_n with x renamed, its stored integers shared.
     """
     _check_index("order", order)
     row = lookup(family)
     A = Poly.sum((
-        row.connection(M, n) * Poly.monomial(_pair(1, factorial(M), 0), alpha=M, w=n)
+        Poly.monomial(_pair(1, factorial(M), 0), alpha=M, w=n) * row.connection(M, n)
         for M in range(order + 1)
         for n in range(M % 2, M + 1, 2)
     ), ("alpha", "w"))
     B = Poly.sum((
-        Poly._of(tuple("beta" if v == "x" else v for v in p.vars), p.terms)
+        Poly._of(tuple("beta" if v == "x" else v for v in p.vars), p._parts)
         * Poly.monomial(_pair(1, factorial(n), 0), wbar=n)
         for n, p in enumerate(map(row.source, range(order + 1)))
     ), ("beta", "wbar"))
@@ -195,7 +202,7 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
     monomial initial data x^N0: the exponential operator exp(tG) x^N0 with
     G = (1 - x^2) d^2/dx^2.  j! c_j = G^j x^N0 has integer coefficients,
     each from the one before by G x^k = k(k-1) x^(k-2) - k(k-1) x^k, and
-    one reduced integer pair is made per output term."""
+    c_j is those integers over j!."""
     if N0 < 0 or t_order < 0:
         raise ParamError("need N0 >= 0 and t_order >= 0")
     ks = range(N0, -1, -2)
@@ -203,9 +210,7 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
     coeffs, jf = [], 1
     for j in range(t_order + 1):
         jf *= j or 1
-        coeffs.append(Poly._of(("x",), {
-            (k,): _ratio(c, jf, 0) for k, c in zip(ks, nums) if c
-        }))
+        coeffs.append(Poly._over(("x",), 0, jf, {(k,): c for k, c in zip(ks, nums)}))
         w = [k * (k - 1) * c for k, c in zip(ks, nums)]
         nums = [lo - here for lo, here in zip([0, *w], w)]
     return CoeffSeries(coeffs, t_order)

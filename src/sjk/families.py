@@ -17,13 +17,14 @@ construction and the Tricomi-Bessel product form of the shifted EGF
 (egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
 verify suites.  The closed forms share _binomial_basis_sum, which sums the
 integer binomial rows of (x-1)^(n-k) (x+1)^k with integer coefficient
-numerators over one denominator, the caller's outer scale folded into it,
-and makes one reduced integer pair per output term.
+numerators over one denominator, the caller's outer scale folded into it.
+Each kernel hands Poly its integer numerators over one denominator, and
+Poly brings them to lowest terms once.
 
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
-matching numbers by their integer ratio recurrence, and each image term
-as one reduced integer pair, its denominator times an integer weight.
+matching numbers by their integer ratio recurrence over n!, and the image
+as those numerators times integer weights over one denominator.
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, lcm, prod
 
 from .errors import ParamError
 from .hyper import tricomi_coeff
 from .opcalc import _jacobi_weights
-from .poly import CoeffSeries, Poly
+from .poly import CoeffSeries, Poly, _reduced, _scaled
 from .scalar import (
     ONE,
     ExactScalar,
@@ -104,39 +105,41 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     The terminating resolvent (D-n)^{-1}(D+n+alpha+beta+1)^{-1}(d^2 +
     (beta-alpha) d) acting on coefficients gives, from c_n = 1 down,
         c_k (k-n)(k+n+alpha+beta+1) = (k+2)(k+1) c_{k+2} + (beta-alpha)(k+1) c_{k+1}.
-    A zero factor leaves the right-hand side unchanged (the identity-on-
-    kernel completion of opcalc.gp_series); that happens only at n = 1,
-    (-1, -1), where the right-hand side is zero.  Degree 0 is the constant
-    Poly with no variables, as the closed forms return it.
+    At beta = alpha only c_{k+2} enters, so c_{n-1}, c_{n-3}, ... are zero
+    and only every other step is taken; the one zero factor, at n = 1,
+    (-1, -1), k = 0, is then never met.  Degree 0 is the constant Poly
+    with no variables, as the closed forms return it.
 
     The steps run on integers: times q = lcm(den alpha, den beta) the
-    factor and the right-hand side have integer coefficients, read by
-    opcalc._jacobi_weights, c_{k+1} and c_{k+2} are integer numerators over
-    one denominator reduced by their gcd at every step, and one reduced
-    integer pair is made per output term.  The recurrence is linear, so it
-    starts from c_n = lead and each term comes out scaled, in its one pair,
-    with lead's sqrt(pi) grade.
+    factor f_k and the right-hand side have integer coefficients, read by
+    opcalc._jacobi_weights, and every c_k is an integer numerator over P,
+    the product of the factors of the steps taken, the k-th one the
+    right-hand side's numerator divided exactly by f_k.  The Poly is those
+    numerators over P, brought to lowest terms once, then scaled by lead,
+    so lead's numerator and denominator meet only the gcds of that
+    scaling.
     """
     q, ba, sh = _jacobi_weights(alpha, beta, check=True)
     if n < 0:
         raise ParamError("degree must be >= 0")
     if n == 0:
         return Poly.const(lead)
-    # c_(k+1) = u / P and c_(k+2) = v / P with gcd(u, v, P) = 1, h = gcd(u, P)
-    u, P = lead.num, lead.den
-    v, h, grade = 0, 1, lead.sqrt_pi_pow
-    terms = {(n,): lead}
-    for k in range(n - 1, -1, -1):
-        f = (k - n) * ((k + n) * q + sh) or q
-        u, v, P = q * (k + 2) * (k + 1) * v + ba * (k + 1) * u, u * f, P * f
-        g = gcd(u, f * h)  # gcd(v, P) = f h, so g = gcd(u, v, P) at small cost
-        u, v, P = u // g, v // g, P // g
-        h = P  # gcd(u, P): P itself at u = 0, else P over the reduced denominator
-        if u:
-            c = _ratio(u, P, grade)
-            terms[(k,)] = c
-            h //= c.den
-    return Poly._of(("x",), terms)
+    ks = range(n - 1, -1, -1) if ba else range(n - 2, -1, -2)
+    f = {k: (k - n) * ((k + n) * q + sh) for k in ks}
+    P = prod(f.values())
+    nums = {(n,): P}
+    if ba:
+        u, v = P, 0  # the numerators of c_(k+1) and c_(k+2) over P
+        for k in ks:
+            u, v = (q * (k + 2) * (k + 1) * v + ba * (k + 1) * u) // f[k], u
+            nums[(k,)] = u
+    else:
+        u = P  # the numerator of c_(k+2) over P
+        for k in ks:
+            u = q * (k + 2) * (k + 1) * u // f[k]
+            nums[(k,)] = u
+    parts = _reduced(0, P, nums)
+    return Poly._of(("x",), parts if lead is ONE else _scaled(parts, lead))
 
 
 def _binomial_basis_sum(n: int, nums, den: int) -> Poly:
@@ -144,8 +147,8 @@ def _binomial_basis_sum(n: int, nums, den: int) -> Poly:
 
     The integer numerators nums[k] are summed by Horner's rule T_k =
     (x-1) T_(k-1) + nums[k] (x+1)^k, the binomial row of (x+1)^k built
-    from the one before, and one reduced integer pair over the nonzero den
-    is made per output term.
+    from the one before, and the Poly is the sums over the nonzero den,
+    brought to lowest terms once.
     """
     row, acc = [1], [nums[0]]
     for m in nums[1 : n + 1]:
@@ -153,9 +156,7 @@ def _binomial_basis_sum(n: int, nums, den: int) -> Poly:
         acc = [lo - hi for lo, hi in zip([0, *acc], [*acc, 0])]
         if m:
             acc = [a + m * r for a, r in zip(acc, row)]
-    return Poly._of(("x",), {
-        (j,): _ratio(a, den, 0) for j, a in enumerate(acc) if a
-    })
+    return Poly._over(("x",), 0, den, {(j,): a for j, a in enumerate(acc)})
 
 
 def jacobi_classical(n: int, alpha, beta) -> Poly:
@@ -246,19 +247,17 @@ def hermite_closed(n: int) -> Poly:
     the sum over m of matching_coeff(n, m) x^(n-2m) z^m."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    return Poly._of(_HERMITE_VARS, {
-        (n - 2 * m, m): _pair(c, 1, 0) for m, c in enumerate(_matching_numbers(n))
-    })
+    return Poly._of(_HERMITE_VARS, ((0, 1, {
+        (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
+    }),))
 
 
 def _hermite_egf_coeff(n: int) -> Poly:
-    """H_n / n!, the sum over m of x^(n-2m) z^m / ((n-2m)! m!); each
-    denominator is the integer n! over a matching number."""
-    f = factorial(n)
-    return Poly._of(_HERMITE_VARS, {
-        (n - 2 * m, m): _pair(1, f // c, 0)
-        for m, c in enumerate(_matching_numbers(n))
-    })
+    """H_n / n!, the sum over m of x^(n-2m) z^m / ((n-2m)! m!): the
+    matching numbers over n!, in lowest terms since the first is 1."""
+    return Poly._of(_HERMITE_VARS, ((0, factorial(n), {
+        (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
+    }),))
 
 
 def sj_umbral(n: int) -> Poly:
@@ -288,36 +287,50 @@ def hermite_image(p: Poly) -> Poly:
     """The (-1,-1) image of a Hermite polynomial under the integral
     transform: x^a z^m goes to (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a,
     the transform of (uv)^(a+2m-1/2) x^a (-1/(4u))^m.  Other variables
-    (such as mu) are carried through; the image of H_N is p_N.  Each term
-    is one reduced integer pair, its numerator over its denominator times
-    the integer _image_weight, and keeps its sqrt(pi) grade; the terms that
-    land on one key are summed by Poly._collect."""
+    (such as mu) are carried through; the image of H_N is p_N.  That
+    factor is 1 / W, W the integer _image_weight, so per sqrt(pi) grade the
+    image is the numerators times w / W over the denominator times w, w the
+    lcm of the W of the grade's terms; the terms that land on one key are
+    summed there, and the grades are summed as Poly.sum sums them."""
     vars = p.vars
     ia = vars.index("x") if "x" in vars else None
     im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
-    keep = [i for i in range(len(vars)) if i != im]
-    pairs = []
-    for exps, c in p.terms.items():
-        a = exps[ia] if ia is not None else 0
-        m = exps[im] if im is not None else 0
-        r = _ratio(c.num, c.den * _image_weight(a, m), c.sqrt_pi_pow)
-        pairs.append((tuple(exps[i] for i in keep), r))
-    return Poly._collect(tuple(vars[i] for i in keep), pairs)
+    out_vars = vars if im is None else vars[:im] + vars[im + 1 :]
+    images = []
+    for g, d, nums in p._parts:
+        terms = []
+        for exps, n in nums.items():
+            a = 0 if ia is None else exps[ia]
+            if im is None:
+                terms.append((exps, n, _image_weight(a, 0)))
+            else:
+                key = exps[:im] + exps[im + 1 :]
+                terms.append((key, n, _image_weight(a, exps[im])))
+        w = lcm(*[t[2] for t in terms])
+        image = {}
+        for key, n, W in terms:
+            image[key] = image.get(key, 0) + n * (w // W)
+        images.append(Poly._over(out_vars, g, d * w, image))
+    return Poly.sum(images, out_vars)
 
 
 def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
     (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
-    sj_umbral(N)/N!.  The image of each term x^(N-2m) z^m c_m / N! is
-    made at once, as the one pair 1 / ((N!/c_m) W(N-2m, m)) with
-    c_m the matching number and W the _image_weight."""
+    sj_umbral(N)/N!.  The image of its term x^(N-2m) z^m c_m / N!, c_m the
+    matching number, is c_m / (N! W_m) x^(N-2m), W_m = _image_weight(N-2m,
+    m); W_m = -2 (2N-2m-1) W_(m-1), so with M = N // 2 the coefficient is
+    the c_m W_M / W_m over N! W_M."""
     if N < 0:
         raise ParamError("order must be >= 0")
-    f = factorial(N)
-    return Poly._of(("x",), {
-        (N - 2 * m,): _ratio(1, f // c * _image_weight(N - 2 * m, m), 0)
-        for m, c in enumerate(_matching_numbers(N))
-    })
+    M = N // 2
+    c = list(_matching_numbers(N))
+    nums = {}
+    r = 1  # W_M / W_m
+    for m in range(M, -1, -1):
+        nums[(N - 2 * m,)] = c[m] * r
+        r *= -2 * (2 * N - 2 * m - 1)
+    return Poly._over(("x",), 0, factorial(N) * _image_weight(N - 2 * M, M), nums)
 
 
 # Canonical per-degree sources, the source column of connect's family table.

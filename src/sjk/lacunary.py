@@ -16,13 +16,14 @@ mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a,
 so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
 generators and mu_slice stay as cross-checks for tests and verify.
 
-Every stage of that check makes each output term as one reduced integer
-pair from integer products: the closed form starts each cell's hypergeometric series
-at the cell's scale, the raising runs on integer numerators, the image
-divides each term by an integer weight and the oracle each term by n!.
-A cell's parameters are integer pairs, fed to hyper's pair-level term
-generator; a HyperSpec is built from them only for the (-1,-1) closed
-forms, which are cross-checks.
+Every stage of that check runs on integers: the closed form starts each
+cell's hypergeometric series at the cell's scale and sums each
+coefficient's terms over the lcm of their denominators, the raising runs
+on the stored integer numerators, the image multiplies them by integer
+weights and the oracle scales each source by 1/n!.  A cell's parameters
+are integer pairs, fed to hyper's pair-level term generator; a HyperSpec
+is built from them only for the (-1,-1) closed forms, which are
+cross-checks.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -45,25 +46,18 @@ from .families import (
     sj_family,
 )
 from .hyper import HyperSpec, _pair_terms, pfq_terms, pochhammer_proliferate
-from .poly import CoeffSeries, Poly, _over_common_den
+from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar, HalfInt, _pair, _ratio, gamma_ratio
 
 
 def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
     """sum_n lambda^n / n! p_{K n + L}, by direct index selection; each
-    term of p_{K n + L} is divided by n! as one reduced pair and keeps its
-    sqrt(pi) grade and the Poly its variables."""
+    p_{K n + L} is scaled by 1/n! on its stored integers, keeping its
+    sqrt(pi) grades and its variables."""
     if K < 1 or L < 0 or order < 0:
         raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
-
-    def coeff(n):
-        p, f = source(K * n + L), factorial(n)
-        return Poly._of(p.vars, {
-            e: _ratio(c.num, c.den * f, c.sqrt_pi_pow)
-            for e, c in p.terms.items()
-        })
-
-    return CoeffSeries.build(coeff, order)
+    return CoeffSeries.build(
+        lambda n: source(K * n + L) * _pair(1, factorial(n), 0), order)
 
 
 def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
@@ -136,9 +130,10 @@ def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
     """Sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, series) terms and over m, up to
     lambda^order, series being the cell's hypergeometric terms started at
-    its scale, so every term is one reduced pair.  vars is ("x", y) for the
-    Hermite forms and ("x",) for the (-1,-1) forms, whose y the transform
-    has integrated out."""
+    its scale; each coefficient is its terms over the lcm of their
+    denominators, summed per key.  vars is ("x", y) for the Hermite forms
+    and ("x",) for the (-1,-1) forms, whose y the transform has integrated
+    out."""
     lam_step, y_step, _ = _steps(K)
     pairs = [[] for _ in range(order + 1)]
     for cell, series in terms:
@@ -147,7 +142,7 @@ def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
         for m, (k, c) in enumerate(zip(ks, series)):
             key = (x_pow, cell.beta + y_step * m)[: len(vars)]
             pairs[k].append((key, c))
-    return CoeffSeries([Poly._collect(vars, p) for p in pairs], order)
+    return CoeffSeries([Poly._from_terms(vars, p) for p in pairs], order)
 
 
 def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -162,25 +157,26 @@ def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
     return _sum_cells(terms, K, order, ("x", HERMITE_SECOND_VAR))
 
 
+_RAISE_VARS = ("x", HERMITE_SECOND_VAR)
+
+
 def _hermite_raise(c: Poly, L: int) -> Poly:
     """(x + 2z d/dx)^L c, the raising operator of H_{n+1} = (x + 2z d/dx) H_n
     applied L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
-    c is a coefficient of the Hermite closed form, whose coefficients are
-    rational (sqrt(pi) grade 0); the steps run on integer numerators over
-    their common denominator, and one reduced pair is made per output term."""
-    d, terms = _over_common_den(c.terms)
-    nums = {e: n for e, n, _ in terms}
-    for _ in range(L):
-        step = {(e + 1, m): n for (e, m), n in nums.items()}
-        for (e, m), n in nums.items():
-            if e:
-                k = e - 1, m + 1
-                step[k] = step.get(k, 0) + 2 * e * n
-        nums = step
-    return Poly._of(
-        ("x", HERMITE_SECOND_VAR),
-        {k: _ratio(n, d, 0) for k, n in nums.items() if n},
-    )
+    c is a Poly over (x, z), such as a coefficient of the Hermite closed
+    form; the steps run on its stored integer numerators, over its
+    denominator, one sqrt(pi) grade at a time."""
+    raised = []
+    for g, d, nums in c._parts:
+        for _ in range(L):
+            step = {(e + 1, m): n for (e, m), n in nums.items()}
+            for (e, m), n in nums.items():
+                if e:
+                    k = e - 1, m + 1
+                    step[k] = step.get(k, 0) + 2 * e * n
+            nums = step
+        raised.append(Poly._over(_RAISE_VARS, g, d, nums))
+    return Poly.sum(raised, _RAISE_VARS)
 
 
 def hermite_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
@@ -204,13 +200,15 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     vars = ("mu", "x", HERMITE_SECOND_VAR)
     out = []
     for c in hermite_lacunary_closed(K, order).coeffs:
-        terms = {}
+        slices = []
         for L in range(mu_order + 1):
-            w = _pair(1, factorial(L), 0)
-            for key, v in c.terms.items():
-                terms[(L, *key)] = v * w
+            scaled = c * _pair(1, factorial(L), 0)
+            slices.append(Poly._of(vars, tuple(
+                (g, d, {(L, *key): n for key, n in nums.items()})
+                for g, d, nums in scaled._parts
+            )))
             c = _hermite_raise(c, 1)
-        out.append(Poly._of(vars, terms))
+        out.append(Poly.sum(slices, vars))
     return CoeffSeries(out, order)
 
 

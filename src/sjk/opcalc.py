@@ -8,11 +8,12 @@ Inverses are defined after completing the kernel, either by the identity
 map or by raising.  On top of these sit the terminating resolvent
 construction for the Jacobi-type eigenproblem and the exponential-operator
 forms of the Sobolev-Jacobi and two-variable Hermite polynomials.  Each
-step of the resolvent and of the exponential (-1,-1) forms is one pass
-over the terms, op^{-1}(scale (d^2 + (beta - alpha) d)), making one
-reduced integer pair per output term from the integer numerators and
-denominators of the coefficient, the scale and the operator's value; the
-Jacobi operator itself is applied in one such pass too.  The parameters
+step of the resolvent and of the exponential (-1,-1) forms is
+op^{-1}(scale (d^2 + (beta - alpha) d)) on a Poly's stored integer
+numerators: the derivatives, then one pass of the degree map, which puts
+each grade's numerators times the factors' numerators over the
+denominator times the lcm of the factors' denominators; the Jacobi
+operator itself is applied in one such pass too.  The parameters
 are read once, by _jacobi_weights, as the integer weights q (beta - alpha)
 and q (alpha + beta + 1) over their common denominator q; families'
 coefficient recurrence reads them there too.
@@ -20,8 +21,10 @@ coefficient recurrence reads them there too.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import InternalError, KernelHit, ParamError
-from .poly import Poly
+from .poly import Poly, _reduced
 from .scalar import ExactScalar, _over_lcm, _pair, _parts, _ratio, _text
 
 IDENTITY_ON_KERNEL = "identity_on_kernel"
@@ -63,40 +66,87 @@ class DiagonalOp:
 
 
 def _positions(p: Poly, vars):
-    """Positions in p.vars of the variables in vars (default: all)."""
-    if vars is None:
-        return range(len(p.vars))
+    """Positions in p.vars of the variables in vars, or None for all of
+    them (vars None or p.vars)."""
+    if vars is None or vars == p.vars:
+        return None
     chosen = set(vars)
     return [i for i, v in enumerate(p.vars) if v in chosen]
 
 
-def _scale_by_degree(p: Poly, vars, scale) -> Poly:
-    """Each term c m of p replaced by scale(c, d) m, d the degree of m in
-    vars (default: all); zero results are dropped."""
+def _scale_by_degree(p: Poly, vars, factor) -> Poly:
+    """Each term c m of p times factor(d), d the degree of m in vars
+    (default: all); see _scale_part, which runs on each sqrt(pi) grade."""
     idx = _positions(p, vars)
-    out = {}
-    for exps, c in p.terms.items():
-        s = scale(c, sum(exps[i] for i in idx))
-        if s:
-            out[exps] = s
-    return Poly._of(p.vars, out)
+    return Poly.sum([
+        Poly._of(p.vars, _scale_part(g, d, nums, idx, factor))
+        for g, d, nums in p._parts
+    ], p.vars)
+
+
+def _scale_part(g: int, den: int, nums: dict, idx, factor) -> tuple:
+    """The parts of the terms nums[e] / den x^e at grade g, each times
+    factor(d), d the sum of the exponents at positions idx (None: all of
+    them): an integer triple (num, den, grade), den nonzero and the pair
+    not necessarily reduced, asked once per degree in the order of nums,
+    whose zero drops the term; (), for a kernel degree under
+    ERROR_ON_KERNEL, raises KernelHit naming the term's coefficient.  A
+    zero numerator is skipped.  Per grade of the result, the numerators
+    times the factors' numerators go over den times the lcm of the
+    factors' denominators."""
+    made = {}
+    terms = []  # (exps, numerator, factor's den, factor's grade)
+    grades = set()
+    for exps, n in nums.items():
+        if n:
+            d = sum(exps) if idx is None else sum([exps[i] for i in idx])
+            f = made.get(d)
+            if f is None:
+                f = made[d] = factor(d)
+            if not f:
+                c = _ratio(n, den, g)
+                raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
+            if f[0]:
+                terms.append((exps, n * f[0], f[1], f[2]))
+                grades.add(f[2])
+    if len(terms) == 1:  # the one term in lowest terms
+        (e, x, fd, h), = terms
+        fd *= den
+        r = gcd(x, fd) if fd > 0 else -gcd(x, fd)
+        return ((g + h, fd // r, {e: x // r}),)
+    parts = []
+    for h in sorted(grades):
+        group = terms if len(grades) == 1 else [t for t in terms if t[3] == h]
+        m = lcm(*[t[2] for t in group])
+        nums = {e: x * (m // fd) for e, x, fd, _ in group}
+        parts += _reduced(g + h, den * m, nums)
+    return tuple(parts)
 
 
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     """Scale each monomial by op.eval(total degree in vars)."""
-    return _scale_by_degree(p, vars, lambda c, d: c * op.eval(d))
+    def factor(d):
+        v = op.eval(d)
+        return v.num, v.den, v.sqrt_pi_pow
+    return _scale_by_degree(p, vars, factor)
+
+
+def _inverse_factor(op: DiagonalOp, sn: int, sd: int):
+    """d -> sn / sd over op.eval(d) as an integer triple for _scale_part,
+    with op's completion at a kernel degree: sn / sd itself, or () for
+    KernelHit."""
+    def factor(d):
+        if d not in op.kernel:
+            v = op.eval(d)
+            return sn * v.den, sd * v.num, -v.sqrt_pi_pow
+        return () if op.completion == ERROR_ON_KERNEL else (sn, sd, 0)
+    return factor
 
 
 def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     """Divide each monomial by op.eval(degree); kernel degrees follow the
     completion policy (pass through unchanged, or raise KernelHit)."""
-    def divide(c, d):
-        if d not in op.kernel:
-            return c / op.eval(d)
-        if op.completion == ERROR_ON_KERNEL:
-            raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
-        return c
-    return _scale_by_degree(p, vars, divide)
+    return _scale_by_degree(p, vars, _inverse_factor(op, 1, 1))
 
 
 def _jacobi_weights(alpha, beta, check: bool = False) -> tuple:
@@ -119,41 +169,37 @@ def _rational(x) -> tuple:
 
 def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
-    degree in vars, in one pass over the terms of t: the contributions
-    c e (e-1) and ba c e of each term c x^e are summed per key by
-    Poly._collect (so a clash of sqrt(pi) grades raises), and each output
-    term is one reduced integer pair, scale over op.eval(degree) times
-    that sum; a kernel degree follows op's completion policy, the sum
-    passing through unchanged (then scaled) or raising KernelHit.  ba and
-    scale are rationals or integer pairs (num, den), den > 0, not
-    necessarily reduced."""
-    if "x" not in t.vars:
-        return Poly.zero(t.vars)
-    i = t.vars.index("x")
+    degree in vars: t'' + ba t' on the stored integers, then each term
+    times scale over op.eval(degree) (_scale_part); a kernel degree
+    follows op's completion policy, the term passing through scaled or
+    raising KernelHit with its unscaled coefficient.  ba and scale are
+    rationals or integer pairs (num, den), den > 0, not necessarily
+    reduced.  At one sqrt(pi) grade the sum is one pass over the
+    numerators, its keys in the order that t'' + ba t' gives them; over
+    several grades it is that sum, so a clash of grades raises as the sum
+    raises it."""
     bn, bd = _rational(ba)
-    sn, sd = _rational(scale)
-    seconds, firsts = [], []
-    for exps, c in t.terms.items():
+    factor = _inverse_factor(op, *_rational(scale))
+    if len(t._parts) != 1 or "x" not in t.vars:
+        d1 = t.derivative("x")
+        summed = d1.derivative("x") + d1 * _ratio(bn, bd, 0)
+        return _scale_by_degree(summed, vars, factor)
+    (g, den, nums), = t._parts
+    i = t.vars.index("x")
+    out = {}
+    for exps, n in nums.items():
         e = exps[i]
         if e > 1:
-            key = exps[:i] + (e - 2,) + exps[i + 1 :]
-            seconds.append((key, _ratio(c.num * (e * (e - 1)), c.den, c.sqrt_pi_pow)))
-        if e and bn:
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            firsts.append((key, _ratio(c.num * bn * e, c.den * bd, c.sqrt_pi_pow)))
-    summed = Poly._collect(t.vars, seconds + firsts)
+            out[exps[:i] + (e - 2,) + exps[i + 1 :]] = n * e * (e - 1) * bd
+    if bn:
+        get = out.get
+        for exps, n in nums.items():
+            e = exps[i]
+            if e:
+                key = exps[:i] + (e - 1,) + exps[i + 1 :]
+                out[key] = get(key, 0) + n * e * bn
     idx = _positions(t, vars)
-    out = {}
-    for exps, c in summed.terms.items():
-        d = sum(exps[j] for j in idx)
-        vn, vd, g = 1, 1, c.sqrt_pi_pow
-        if d not in op.kernel:
-            v = op.eval(d)
-            vn, vd, g = v.num, v.den, g - v.sqrt_pi_pow
-        elif op.completion == ERROR_ON_KERNEL:
-            raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
-        out[exps] = _ratio(c.num * sn * vd, c.den * sd * vn, g)
-    return Poly._of(t.vars, out)
+    return Poly._of(t.vars, _scale_part(g, den * bd, out, idx, factor))
 
 
 def _resolvent_factor(n: int, alpha, beta,
@@ -244,16 +290,22 @@ def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
     sorted union of ("x",) and p.vars, in one pass over the terms: c x^e
     gives c e(e-1) x^(e-2) + c (beta - alpha) e x^(e-1) - c e(e + alpha +
     beta + 1) x^e.  Times q = lcm(den alpha, den beta) the three weights
-    are integers (_jacobi_weights), each contribution is one reduced
-    integer pair over q, and Poly._collect sums them per key."""
+    are integers (_jacobi_weights), so per sqrt(pi) grade the stored
+    numerators times the weights, summed per key, go over the denominator
+    times q; the grades are summed as Poly.sum sums them."""
     q, ba, sh = _jacobi_weights(alpha, beta)
     vars = tuple(sorted({"x", *p.vars}))
     i = vars.index("x")
-    pairs = []
-    for exps, c in p._remap(vars).items():
-        e = exps[i]
-        for k, w in ((e - 2, q * e * (e - 1)), (e - 1, ba * e), (e, -e * (e * q + sh))):
-            if w:
-                key = exps[:i] + (k,) + exps[i + 1 :]
-                pairs.append((key, _ratio(c.num * w, c.den * q, c.sqrt_pi_pow)))
-    return Poly._collect(vars, pairs)
+    pieces = []
+    for g, den, nums in p._remap(vars):
+        out = {}
+        get = out.get
+        for exps, n in nums.items():
+            e = exps[i]
+            weights = (e - 2, q * e * (e - 1)), (e - 1, ba * e), (e, -e * (e * q + sh))
+            for k, w in weights:
+                if w:
+                    key = exps[:i] + (k,) + exps[i + 1 :]
+                    out[key] = get(key, 0) + n * w
+        pieces.append(Poly._over(vars, g, den * q, out))
+    return Poly.sum(pieces, vars)

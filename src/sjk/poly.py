@@ -1,24 +1,38 @@
-"""Sparse multivariate polynomials over ExactScalar, plus truncated series.
+"""Sparse multivariate polynomials with exact coefficients, plus truncated series.
 
-A Poly keeps an explicit variable tuple and a map from exponent vectors to
-nonzero ExactScalar coefficients.  Binary operations align variable sets by
-union, so polynomials over different alphabets combine freely.  A
-CoeffSeries is a list of Poly coefficients of one formal series parameter,
-truncated at an explicit order; every operation records the order that
-remains valid.  Scaling each term by a function of its degree, the Euler
-operator among them, is opcalc's diagonal-operator map.
+A Poly keeps an explicit variable tuple and stores its coefficients as
+FLINT's fmpq_poly stores one variable's: integers over one denominator.
+For each sqrt(pi) grade present it holds one positive integer denominator
+and a map from exponent vectors to nonzero integer numerators, with the
+gcd of the denominator and all the numerators equal to one; no exponent
+vector appears in two grades.  These parts are sorted by grade, so equal
+Polys over one variable tuple store equal parts.
 
-A product of two Polys runs over integers: each operand's coefficients are
-brought over the lcm of their denominators, the integer numerators are
-multiplied and summed per exponent vector, and each result coefficient is
-made once, as in FLINT's fmpq_poly but inside the one product only.
+Binary operations align variable sets by union, so polynomials over
+different alphabets combine freely.  Arithmetic runs on the stored
+integers: a sum is one lcm and one integer sum per grade, a scaling one
+product of the numerators, a product one integer convolution, and each
+result is brought to lowest terms by one gcd of its denominator and
+numerators.  Two grades meeting at one exponent vector raise the
+ValueError that ExactScalar addition raises; a sum or product over
+several grades meets them as the left fold of its summands and the
+schoolbook loop over its pairs of terms do (Poly.sum, Poly.__mul__).
+
+``Poly(vars, terms)`` checks its input, a map from exponent vectors to
+exact scalars, and ``Poly.terms`` gives such a map back: a new dict of
+ExactScalars, each term reduced as it is read, for readers outside the
+integer kernels.  A CoeffSeries is a list of Poly coefficients of one
+formal series parameter, truncated at an explicit order; every operation
+records the order that remains valid.  Scaling each term by a function of
+its degree, the Euler operator among them, is opcalc's diagonal-operator
+map.
 
 Every output format reads one accessor, Poly._rows: the terms in
 graded-lexicographic descending order as (exps, numerator, denominator,
-sqrt_pi_pow).  The text and LaTeX renderers here and jsonio's writer
-take each term's integers from it; a denominator of more than 600 digits
-comes as its decimal string, converted over the gcd of the Poly's long
-denominators (_decimal_dens).
+sqrt_pi_pow), each reduced as it is written.  The text and LaTeX renderers
+here and jsonio's writer take each term's integers from it; a denominator
+of more than 600 digits comes as its decimal string, converted over the
+gcd of the Poly's long denominators (_decimal_dens).
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from math import factorial, gcd, inf, lcm
 from operator import add, index
 from typing import Callable, NamedTuple
 
-from .scalar import ONE, ExactScalar, ZERO, _grade_clash, _ratio
+from .scalar import ExactScalar, ZERO, _grade_clash, _ratio
 from .scalar import _operand as _scalar_operand
 
 
@@ -44,19 +58,190 @@ def _operand(x):
     return c if c is NotImplemented else Poly.const(c)
 
 
-def _over_common_den(terms: dict):
-    """(d, [(exps, numerator, sqrt_pi_pow)]): each coefficient as an integer
-    numerator over d, the lcm of the coefficient denominators."""
-    d = lcm(*[c.den for c in terms.values()])
-    return d, [(e, c.num * (d // c.den), c.sqrt_pi_pow) for e, c in terms.items()]
+def _reduced(grade: int, den: int, nums: dict) -> tuple:
+    """The parts of the Poly sum nums[e] / den x^e at one sqrt(pi) grade:
+    () when every numerator is zero, else the one part (grade, den, nums)
+    with the zeros dropped, den > 0 and the gcd of den and the numerators
+    divided out.  den is a nonzero int; nums may be kept as it is, so the
+    caller hands it over."""
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
+    if not nums:
+        return ()
+    g = gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    elif g == 1:
+        return ((grade, den, nums),)
+    return ((grade, den // g, {e: n // g for e, n in nums.items()}),)
+
+
+def _grlex(row):
+    """Sort key of a (exps, ...) row: total degree, then exponents."""
+    return sum(row[0]), row[0]
+
+
+def _term(exps: tuple, c: ExactScalar) -> tuple:
+    """The parts of the one term c x^exps."""
+    return ((c.sqrt_pi_pow, c.den, {exps: c.num}),) if c.num else ()
+
+
+def _sum_part(grade: int, da: int, na: dict, db: int, nb: dict) -> tuple:
+    """The parts of the numerators na over da plus nb over db at one
+    grade, brought over d = lcm(da, db) and summed per key.  Where no key
+    of nb meets one of na this is in lowest terms as it stands (see
+    _sum_parts)."""
+    if da == db:
+        d, ma, mb = da, 1, 1
+    else:
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        d = da * ma
+    out = dict(na) if ma == 1 else {e: n * ma for e, n in na.items()}
+    get = out.get
+    met = False
+    for e, n in nb.items():
+        s = get(e)
+        if s is None:
+            out[e] = n * mb
+        else:
+            out[e] = s + n * mb
+            met = True
+    return _reduced(grade, d, out) if met else ((grade, d, out),)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """The parts of the sum of two Polys over one variable tuple, given as
+    their parts.  A key of b that a holds at another grade raises the
+    ValueError of ExactScalar addition for the two coefficients there; the
+    first such key in b's order is the one named."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) == len(b) == 1 and a[0][0] == b[0][0]:
+        return _sum_part(a[0][0], a[0][1], a[0][2], b[0][1], b[0][2])
+    held = {e: (g, d, n) for g, d, nums in a for e, n in nums.items()}
+    for g, d, nums in b:
+        for e, n in nums.items():
+            h = held.get(e)
+            if h is not None and h[0] != g:
+                raise _grade_clash(_ratio(h[2], h[1], h[0]), _ratio(n, d, g))
+    out = {g: ((g, d, nums),) for g, d, nums in a}
+    for g, d, nums in b:
+        out[g] = _sum_part(g, *out[g][0][1:], d, nums) if g in out else ((g, d, nums),)
+    return tuple(p for g in sorted(out) for p in out[g])
+
+
+def _sum_parts(summands: list) -> tuple:
+    """The parts of the sum of Polys over one variable tuple, given as
+    their parts.  Summands of one grade are brought over the lcm of their
+    denominators and added in one dict; over several grades the left fold
+    of _add runs, so grades meet and raise as it meets them.
+
+    Where no two summands share a key, the union needs no gcd: a prime's
+    top power in the lcm is that of one summand's denominator, and that
+    summand, in lowest terms, has a numerator the prime does not divide."""
+    dens = []
+    grade = None
+    for t in summands:
+        if t:
+            if len(t) != 1 or grade not in (None, t[0][0]):
+                dens = None
+                break
+            grade = t[0][0]
+            dens.append(t[0][1])
+    if dens is None or len(dens) < 3:
+        out = ()
+        for t in summands:
+            out = _add(out, t)
+        return out
+    den = lcm(*dens)
+    nums = {}
+    get = nums.get
+    met = False
+    for (_, d, ns), in filter(None, summands):
+        m = den // d
+        for e, n in ns.items():
+            s = get(e)
+            if s is None:
+                nums[e] = n * m
+            else:
+                nums[e] = s + n * m
+                met = True
+    return _reduced(grade, den, nums) if met else ((grade, den, nums),)
+
+
+def _scaled(parts: tuple, c: ExactScalar) -> tuple:
+    """The parts of a Poly times the scalar c: per grade, c's numerator is
+    cancelled against the denominator and c's denominator against the
+    numerators, which leaves the product in lowest terms."""
+    cn, cd, cg = c.num, c.den, c.sqrt_pi_pow
+    if not cn:
+        return ()
+    out = []
+    for g, d, nums in parts:
+        g1 = gcd(cn, d)
+        g2 = gcd(cd, *nums.values()) if cd != 1 else 1
+        m = cn // g1
+        if g2 != 1:
+            nums = {e: n // g2 * m for e, n in nums.items()}
+        elif m != 1:
+            nums = {e: n * m for e, n in nums.items()}
+        out.append((g + cg, d // g1 * (cd // g2), nums))
+    return tuple(out)
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The parts of the product of two Polys over one variable tuple, given
+    as their parts.  Over several grades, each operand's numerators are
+    brought over the lcm of its denominators and the products are summed
+    per key in the schoolbook order, pairs of terms in the operands'
+    order: a key takes the grade of its first product, or of the next one
+    after its sum cancels, and a product of another grade at a key whose
+    sum is not zero raises the ValueError of ExactScalar addition."""
+    if not (a and b):
+        return ()
+    nums = {}
+    get = nums.get
+    if len(a) == len(b) == 1:
+        (ga, da, na), = a
+        (gb, db, nb), = b
+        for e1, n1 in na.items():
+            for e2, n2 in nb.items():
+                key = tuple(map(add, e1, e2))
+                nums[key] = get(key, 0) + n1 * n2
+        return _reduced(ga + gb, da * db, nums)
+    da, ta = _common(a)
+    db, tb = _common(b)
+    d = da * db
+    grades = {}
+    for e1, n1, g1 in ta:
+        for e2, n2, g2 in tb:
+            key = tuple(map(add, e1, e2))
+            g = g1 + g2
+            s = get(key)
+            if s and grades[key] != g:
+                raise _grade_clash(_ratio(s, d, grades[key]), _ratio(n1 * n2, d, g))
+            nums[key] = (s or 0) + n1 * n2
+            if not s:
+                grades[key] = g
+    by_grade = {}
+    for key, n in nums.items():
+        by_grade.setdefault(grades[key], {})[key] = n
+    return tuple(p for g in sorted(by_grade) for p in _reduced(g, d, by_grade[g]))
+
+
+def _common(parts: tuple) -> tuple:
+    """(d, [(exps, numerator, grade)]): every term of the parts as an
+    integer numerator over d, the lcm of their denominators."""
+    d = lcm(*[den for _, den, _ in parts])
+    return d, [
+        (e, n * (d // den), g) for g, den, nums in parts for e, n in nums.items()
+    ]
 
 
 _new = object.__new__
-
-
-def _grlex(term):
-    """Sort key of a (exps, coefficient) pair: total degree, then exponents."""
-    return sum(term[0]), term[0]
 
 
 # Poly._rows writes a denominator of more than 600 digits through
@@ -65,6 +250,10 @@ def _grlex(term):
 # up to 4x (2-core x86_64, CPython 3.11.7).
 _DECIMAL_FLOOR = 10**600
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+# Poly._rows divides a part's numerators by their content first when its
+# denominator has more than 100 digits; below that the content's gcd cost
+# more than it saved.
+_CONTENT_FLOOR = 10**100
 
 
 def _decimal_dens(dens: list) -> list:
@@ -89,18 +278,19 @@ def _decimal_dens(dens: list) -> list:
 
 class Poly:
     """``Poly(vars, terms)`` checks the variables and every term; the
-    results of arithmetic on Polys are built by ``Poly._of`` from terms
+    results of arithmetic on Polys are built by ``Poly._of`` from parts
     that are canonical by construction and are not checked again."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_parts")
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError(f"repeated variable in {self.vars}")
-        pairs = []
+        self._parts = ()
         if terms:
             width = len(self.vars)
+            pairs = []
             for exps, c in terms.items():
                 exps = tuple(map(index, exps))  # TypeError unless integers
                 if len(exps) != width:
@@ -108,88 +298,123 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in Poly")
                 pairs.append((exps, ExactScalar.coerce(c)))
-        self.terms = Poly._collect(self.vars, pairs).terms
+            self._parts = Poly._from_terms(self.vars, pairs)._parts
 
-    @classmethod
-    def _of(cls, vars: tuple, terms: dict) -> "Poly":
-        """A Poly over terms that are already canonical: keys are tuples of
-        width len(vars) with non-negative entries, values nonzero
-        ExactScalars.  The dict is taken over, not copied."""
-        p = _new(cls)
+    @staticmethod
+    def _of(vars: tuple, parts: tuple) -> "Poly":
+        """A Poly over parts that are already canonical: a tuple, sorted by
+        grade, of (grade, den, nums) with den > 0 and nums a nonempty dict
+        from exponent tuples of width len(vars) to nonzero ints, coprime
+        to den as a whole, no key in two parts.  The dicts are shared, not
+        copied: no Poly changes its parts."""
+        p = _new(Poly)
         p.vars = vars
-        p.terms = terms
+        p._parts = parts
         return p
 
     @classmethod
-    def _collect(cls, vars: tuple, pairs, start=()) -> "Poly":
-        """The Poly over vars whose terms are those of the dict start plus
-        each (exps, coefficient) pair, summed per key with ExactScalar
-        addition (so sqrt(pi) grades are checked) and a sum that cancels
-        dropped at once.  Every sum of coefficients at one key is made
-        here; start is copied, not taken over."""
-        out = dict(start)
-        for exps, c in pairs:
-            s = out.get(exps)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(exps, None)
+    def _over(cls, vars: tuple, grade: int, den: int, nums: dict) -> "Poly":
+        """The Poly sum nums[e] / den x^e at one sqrt(pi) grade, from any
+        integer numerators (zeros allowed) over a nonzero den; nums is
+        taken over."""
+        return cls._of(vars, _reduced(grade, den, nums))
+
+    @staticmethod
+    def _from_terms(vars: tuple, pairs: list) -> "Poly":
+        """The sum of the (exps, ExactScalar) pairs over vars, the exponent
+        tuples already checked: at one grade, the numerators over the lcm
+        of the denominators summed in one dict (see _sum_parts); over
+        several, the sum of the one-term Polys, so a repeated key meets
+        grades as ExactScalar addition does."""
+        grades = {c.sqrt_pi_pow for _, c in pairs if c.num}
+        if len(grades) > 1:
+            return Poly._of(vars, _sum_parts([_term(*t) for t in pairs]))
+        den = lcm(*{c.den for _, c in pairs})
+        nums = {}
+        get = nums.get
+        met = False
+        for e, c in pairs:
+            n = c.num * (den // c.den)
+            s = get(e)
+            if s is None:
+                nums[e] = n
             else:
-                out[exps] = s
-        return cls._of(vars, out)
+                nums[e] = s + n
+                met = True
+        grade = grades.pop() if grades else 0
+        if met or not nums or 0 in nums.values():
+            return Poly._over(vars, grade, den, nums)
+        return Poly._of(vars, ((grade, den, nums),))
+
+    @property
+    def terms(self) -> dict:
+        """A new dict from exponent tuples to nonzero ExactScalars, each
+        coefficient reduced as it is read; the view for readers outside
+        the integer kernels."""
+        return {
+            e: _ratio(n, d, g) for g, d, nums in self._parts for e, n in nums.items()
+        }
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls, vars=()):
-        return cls(vars, {})
+        return cls(vars)
 
     @classmethod
     def sum(cls, polys, vars=()) -> "Poly":
         """The sum of the Polys, equal to the left fold
         Poly.zero(vars) + p1 + p2 + ...: over vars when every summand is,
-        else over the sorted union of all the variables; one dict is filled
-        for the whole sum."""
+        else over the sorted union of all the variables (see _sum_parts)."""
         polys = list(polys)
         vars = tuple(vars)
-        if any(p.vars != vars for p in polys):
-            vars = tuple(sorted(set(vars).union(*[p.vars for p in polys])))
-        return cls._collect(vars, (t for p in polys for t in p._remap(vars).items()))
+        for p in polys:
+            if p.vars != vars:
+                vars = tuple(sorted(set(vars).union(*[p.vars for p in polys])))
+                break
+        return cls._of(vars, _sum_parts([p._remap(vars) for p in polys]))
 
     @classmethod
     def const(cls, c):
-        c = ExactScalar.coerce(c)
-        return cls._of((), {(): c} if c else {})
+        return cls._of((), _term((), ExactScalar.coerce(c)))
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1):
-        if index(power) == 0:
-            return cls.const(coeff)
-        return cls((name,), {(power,): ExactScalar.coerce(coeff)})
+        power = index(power)
+        if power < 0:
+            raise ValueError("negative exponent in Poly")
+        c = ExactScalar.coerce(coeff)
+        if not power:
+            return cls._of((), _term((), c))
+        return cls._of((name,), _term((power,), c))
 
     @classmethod
     def monomial(cls, coeff, **exps):
-        names = tuple(sorted(n for n, e in exps.items() if index(e)))
-        key = tuple(exps[n] for n in names)
-        return cls(names, {key: ExactScalar.coerce(coeff)})
+        names = tuple(sorted([n for n, e in exps.items() if index(e)]))
+        key = tuple([index(exps[n]) for n in names])
+        if min(key, default=0) < 0:
+            raise ValueError("negative exponent in Poly")
+        return cls._of(names, _term(key, ExactScalar.coerce(coeff)))
 
     # -- alignment ---------------------------------------------------------
 
-    def _remap(self, vars):
-        """Terms re-keyed onto a superset variable tuple."""
+    def _remap(self, vars) -> tuple:
+        """The parts re-keyed onto a superset variable tuple."""
         if vars == self.vars:
-            return self.terms
-        pos = {v: i for i, v in enumerate(vars)}
-        out = {}
-        for exps, c in self.terms.items():
-            key = [0] * len(vars)
-            for v, e in zip(self.vars, exps):
-                key[pos[v]] = e
-            out[tuple(key)] = c
-        return out
+            return self._parts
+        # position of each new variable in an old key padded by one 0
+        src = [self.vars.index(v) if v in self.vars else -1 for v in vars]
+        return tuple(
+            (g, d, {tuple(map((e + (0,)).__getitem__, src)): n
+                    for e, n in nums.items()})
+            for g, d, nums in self._parts
+        )
 
     def _aligned(self, other):
+        """(vars, parts of self, parts of other) over the sorted union of
+        their variables, or over their one variable tuple."""
         if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
+            return self.vars, self._parts, other._parts
         vars = tuple(sorted(set(self.vars) | set(other.vars)))
         return vars, self._remap(vars), other._remap(vars)
 
@@ -200,12 +425,14 @@ class Poly:
         if other is NotImplemented:
             return other
         vars, a, b = self._aligned(other)
-        return Poly._collect(vars, b.items(), a)
+        return Poly._of(vars, _add(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, tuple(
+            (g, d, {e: -n for e, n in nums.items()}) for g, d, nums in self._parts
+        ))
 
     def __sub__(self, other):
         other = _operand(other)
@@ -224,32 +451,9 @@ class Poly:
             c = _scalar_operand(other)
             if c is NotImplemented:
                 return c
-            if not c:
-                return Poly._of(self.vars, {})
-            return Poly._of(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return Poly._of(self.vars, _scaled(self._parts, c))
         vars, a, b = self._aligned(other)
-        da, a = _over_common_den(a)
-        db, b = _over_common_den(b)
-        d = da * db
-        # Integer numerators summed per key; a key's sqrt(pi) grade is that
-        # of its first product, or of the next one after its sum cancels.
-        nums = {}
-        grades = {}
-        for e1, n1, g1 in a:
-            for e2, n2, g2 in b:
-                key = tuple(map(add, e1, e2))
-                g = g1 + g2
-                s = nums.get(key)
-                if s and grades[key] != g:
-                    raise _grade_clash(
-                        _ratio(s, d, grades[key]), _ratio(n1 * n2, d, g)
-                    )
-                nums[key] = (s or 0) + n1 * n2
-                if not s:
-                    grades[key] = g
-        return Poly._of(
-            vars, {k: _ratio(n, d, grades[k]) for k, n in nums.items() if n}
-        )
+        return Poly._of(vars, _product(a, b))
 
     __rmul__ = __mul__
 
@@ -277,20 +481,22 @@ class Poly:
 
     def __hash__(self):
         # Equal Polys may differ in unused or reordered variables, and a
-        # constant equals its scalar, so hash the canonical form.
-        terms = {
-            tuple(sorted((v, e) for v, e in zip(self.vars, exps) if e)): c
-            for exps, c in self.terms.items()
-        }
-        if terms.keys() <= {()}:
-            return hash(terms.get((), ZERO))
-        return hash(frozenset(terms.items()))
+        # constant equals its scalar, so hash the canonical form: the
+        # stored integers are canonical within a grade.
+        if not any(any(e) for _, _, nums in self._parts for e in nums):
+            return hash(self.scalar_coeff())
+        vars = self.vars
+        return hash(frozenset(
+            (tuple(sorted((v, e) for v, e in zip(vars, exps) if e)), g, d, n)
+            for g, d, nums in self._parts
+            for exps, n in nums.items()
+        ))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._parts)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._parts
 
     # -- calculus ------------------------------------------------------------
 
@@ -299,12 +505,15 @@ class Poly:
             return Poly.zero(self.vars)
         i = self.vars.index(var)
         # exps -> exps with e_i - 1 is one-to-one, so no two terms meet
-        return Poly._of(self.vars, {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]:
-            _ratio(c.num * exps[i], c.den, c.sqrt_pi_pow)
-            for exps, c in self.terms.items()
-            if exps[i]
-        })
+        return Poly._of(self.vars, tuple(
+            p
+            for g, d, nums in self._parts
+            for p in _reduced(g, d, {
+                exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: n * exps[i]
+                for exps, n in nums.items()
+                if exps[i]
+            })
+        ))
 
     def shift(self, var: str, c) -> "Poly":
         """Taylor shift: substitute var -> var + c (c free of var)."""
@@ -314,49 +523,54 @@ class Poly:
         return self.substitute(var, Poly.var(var) + c)
 
     def substitute(self, var: str, value) -> "Poly":
-        """Substitute var -> value (Poly or scalar), fully expanded; a
-        scalar value scales each coefficient by its power."""
+        """Substitute var -> value (Poly or scalar), fully expanded.  A Poly
+        value gives the sum over the powers e of var of the coefficient of
+        var^e times value^e.  A scalar p/q scales each term's numerator by
+        p^e q^(E-e) over its grade's denominator times q^E, E the grade's
+        top power of var, and shifts its grade by e times the value's."""
         if var not in self.vars:
             return self
         i = self.vars.index(var)
-        rest_vars = self.vars[:i] + self.vars[i + 1 :]
+        rest = self.vars[:i] + self.vars[i + 1 :]
         if isinstance(value, Poly):
-            return Poly.sum((
-                Poly._of(rest_vars, {exps[:i] + exps[i + 1 :]: c}) * value ** exps[i]
-                for exps, c in self.terms.items()
-            ), rest_vars)
+            powers = dict.fromkeys(e[i] for _, _, nums in self._parts for e in nums)
+            return Poly.sum((self.coeff_of(var, e) * value**e for e in powers), rest)
         value = ExactScalar.coerce(value)
-        scale = {}  # exponent -> value ** exponent, or None where that is one
-        for e in {exps[i] for exps in self.terms}:
-            p = value**e
-            scale[e] = None if p == ONE else p
-        pairs = []
-        for exps, c in self.terms.items():
-            p = scale[exps[i]]
-            pairs.append((exps[:i] + exps[i + 1 :], c if p is None else c * p))
-        return Poly._collect(rest_vars, pairs)
+        vn, vd, vg = value.num, value.den, value.sqrt_pi_pow
+        pieces = []
+        for g, d, nums in self._parts:
+            top = max(exps[i] for exps in nums)
+            by_grade = {}
+            for exps, n in nums.items():
+                e = exps[i]
+                out = by_grade.setdefault(g + vg * e, {})
+                key = exps[:i] + exps[i + 1 :]
+                out[key] = out.get(key, 0) + n * vn**e * vd ** (top - e)
+            for h, out in by_grade.items():
+                pieces.append(Poly._over(rest, h, d * vd**top, out))
+        return Poly.sum(pieces, rest)
 
     # -- structure ------------------------------------------------------------
 
     def degree(self, var: str):
-        if not self.terms:
+        if not self._parts:
             return -inf
         if var not in self.vars:
             return 0
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for _, _, nums in self._parts for e in nums)
 
     def coeff_of(self, var: str, k: int) -> "Poly":
         """Polynomial coefficient of var**k, as a Poly in the other variables."""
         if var not in self.vars:
             return self if k == 0 else Poly.zero(self.vars)
         i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1 :]
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == k:
-                out[exps[:i] + exps[i + 1 :]] = c
-        return Poly._of(rest, out)
+        parts = []
+        for g, d, nums in self._parts:
+            parts += _reduced(g, d, {
+                exps[:i] + exps[i + 1 :]: n for exps, n in nums.items() if exps[i] == k
+            })
+        return Poly._of(self.vars[:i] + self.vars[i + 1 :], tuple(parts))
 
     def scalar_coeff(self, **exps) -> ExactScalar:
         """Coefficient of the stated monomial; unstated variables at power 0."""
@@ -365,27 +579,55 @@ class Poly:
             key.append(exps.pop(v, 0))
         if any(exps.values()):
             return ZERO
-        return self.terms.get(tuple(key), ZERO)
+        key = tuple(key)
+        for g, d, nums in self._parts:
+            n = nums.get(key)
+            if n is not None:
+                return _ratio(n, d, g)
+        return ZERO
 
     def as_scalar(self) -> ExactScalar:
         """The value of a constant polynomial; raises if non-constant."""
-        if any(any(e) for e in self.terms):
+        if any(any(e) for _, _, nums in self._parts for e in nums):
             raise ValueError(f"polynomial is not constant: {self}")
         return self.scalar_coeff()
 
     def _rows(self) -> list:
         """Each term once, in graded-lexicographic descending order, as
-        (exps, numerator, denominator, sqrt_pi_pow): the one walk that the
-        text, LaTeX and JSON writers read.  The denominator is a positive
-        int, or its decimal string from _decimal_dens when it has more than
-        600 digits; either formats the same under str, %s and f-strings."""
+        (exps, numerator, denominator, sqrt_pi_pow) in lowest terms: the
+        one walk that the text, LaTeX and JSON writers read.  The
+        denominator is a positive int, or its decimal string from
+        _decimal_dens when it has more than 600 digits; either formats the
+        same under str, %s and f-strings.
+
+        A term n / d of a part reduces by gcd(n, d); the one term of a
+        one-term part is in lowest terms already.  Over a long d, the
+        content c of the part's numerators, which is coprime to d, is
+        divided out first: gcd(n / c, d) is much cheaper where the
+        numerators share a long factor, as the coefficients of a family
+        scaled by a long lead do."""
         rows = []
         top = 0
-        for exps, c in sorted(self.terms.items(), key=_grlex, reverse=True):
-            den = c.den
-            rows.append((exps, c.num, den, c.sqrt_pi_pow))
-            if den > top:
-                top = den
+        for g, d, nums in self._parts:
+            top = max(top, d)
+            if d == 1 or len(nums) == 1:
+                rows += [(e, n, d, g) for e, n in nums.items()]
+                continue
+            if d < _CONTENT_FLOOR:
+                rows += [
+                    (e, n, d, g) if (r := gcd(n, d)) == 1 else (e, n // r, d // r, g)
+                    for e, n in nums.items()
+                ]
+                continue
+            c = gcd(*nums.values())
+            rows += [
+                (e, n, d, g) if (r := gcd(n // c, d)) == 1 else (e, n // r, d // r, g)
+                for e, n in nums.items()
+            ]
+        if len(self.vars) > 1:
+            rows.sort(key=_grlex, reverse=True)
+        else:  # one variable: its exponent alone orders the terms
+            rows.sort(reverse=True)
         if top >= _DECIMAL_FLOOR:
             dens = _decimal_dens([r[2] for r in rows])
             rows = [(e, n, d, g) for (e, n, _, g), d in zip(rows, dens)]
@@ -400,7 +642,7 @@ class Poly:
         return self._render(_LATEX)
 
     def _render(self, style) -> str:
-        if not self.terms:
+        if not self._parts:
             return "0"
         names = [style.names.get(v, v) for v in self.vars]
         open_, close = style.power_open, style.power_close

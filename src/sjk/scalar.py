@@ -13,11 +13,14 @@ _gamma_parts, giving a numerator, a denominator and a sqrt(pi) grade;
 gamma_half, recip_gamma and the umbral transform's weights read it.
 An ExactScalar stores its rational as one reduced integer pair, num over
 den > 0, and does its arithmetic on those ints with math.gcd, by the
-cross-gcd product and sum of the stdlib's Fraction; the kernels build
-their terms from integers through _ratio, which reduces, or _pair, for a
-pair coprime by construction.  A rational parameter (an int, a Fraction or
-a HalfInt) is read once, where it enters the package, as a reduced integer
-pair by _parts, and all parameter arithmetic is done on ints.  Fraction
+cross-gcd product and sum of the stdlib's Fraction; results are built
+from integers through _ratio, which reduces, or _pair, for a pair coprime
+by construction.  ExactScalar is the public coefficient type of a Poly,
+which stores integer numerators over one denominator per sqrt(pi) grade
+and makes an ExactScalar only where one is read.  A rational parameter
+(an int, a Fraction or a HalfInt) is read once, where it enters the
+package, as a reduced integer pair by _parts, and all parameter
+arithmetic is done on ints.  Fraction
 parses only input that is none of these, such as a decimal string, and is
 built once from ints where a public type is one: the values of pochhammer,
 families.binom_general and connect.sj_connection, and a HyperSpec's
@@ -374,6 +377,7 @@ ONE = ExactScalar(1)
 
 _MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
+_INV2 = pow(2, -1, _MODULUS)  # the half-integers' denominator, inverted once
 
 
 def _rat_hash(num: int, den: int) -> int:
@@ -384,7 +388,7 @@ def _rat_hash(num: int, den: int) -> int:
     if den == 1:
         return hash(num)
     try:
-        h = hash(hash(abs(num)) * pow(den, -1, _MODULUS))
+        h = hash(hash(abs(num)) * (_INV2 if den == 2 else pow(den, -1, _MODULUS)))
     except ValueError:  # den is a multiple of the modulus
         h = _HASH_INF
     if num < 0:

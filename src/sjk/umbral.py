@@ -8,7 +8,8 @@ integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
 error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
 an integer numerator, denominator and sqrt(pi) grade built from scalar's
-one Gamma table, and each transformed term is one reduced integer pair.
+one Gamma table, and the term's coefficient Poly is scaled by it on its
+stored integers.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import logging
 from math import factorial
 
 from .errors import DomainError, ExpansionError
-from .poly import CoeffSeries, Poly
-from .scalar import HalfInt, _gamma_parts, _pair, _ratio, half
+from .poly import CoeffSeries, Poly, _reduced
+from .scalar import HalfInt, _gamma_parts, _pair, half
 
 log = logging.getLogger(__name__)
 
@@ -194,9 +195,10 @@ def itransform(s: GenSeries) -> CoeffSeries:
     """Apply the transform to every term and collect by lambda power.
 
     mu powers are folded into the coefficient polynomials as the variable
-    ``mu``.  Returns a series exact through s.lambda_order.  Each term of a
-    transformed coefficient is one reduced integer pair, the coefficient's
-    numerator and denominator times those of the integer weight.
+    ``mu``.  Returns a series exact through s.lambda_order.  Each
+    transformed coefficient is the term's coefficient times its integer
+    weight: the stored numerators times the weight's numerator over the
+    denominator times the weight's, in lowest terms.
     """
     if s.lambda_order is not None:
         order = s.lambda_order
@@ -208,10 +210,11 @@ def itransform(s: GenSeries) -> CoeffSeries:
         if w is None:
             continue
         num, den, grade = w
-        contrib = Poly._of(t.coeff.vars, {
-            exps: _ratio(c.num * num, c.den * den, c.sqrt_pi_pow + grade)
-            for exps, c in t.coeff.terms.items()
-        })
+        scaled = []
+        for g, d, nums in t.coeff._parts:
+            nums = {e: n * num for e, n in nums.items()}
+            scaled += _reduced(g + grade, d * den, nums)
+        contrib = Poly._of(t.coeff.vars, tuple(scaled))
         if t.mu_pow:
             contrib = contrib * Poly.var(MU, t.mu_pow)
         parts[t.lambda_pow].append(contrib)

@@ -86,8 +86,28 @@ def assert_reduced(c):
         assert (c.den, c.sqrt_pi_pow) == (1, 0)
 
 
+def assert_stored_form(p):
+    """The stored integers: for each sqrt(pi) grade, in increasing order,
+    one positive denominator and nonzero integer numerators whose gcd with
+    it is 1; no exponent vector in two grades."""
+    width = len(p.vars)
+    grades = [g for g, _, _ in p._parts]
+    assert grades == sorted(set(grades))
+    keys = set()
+    for g, den, nums in p._parts:
+        assert type(g) is int and type(den) is int and den > 0
+        assert type(nums) is dict and nums
+        for exps, n in nums.items():
+            assert type(exps) is tuple and len(exps) == width
+            assert type(n) is int and n
+        assert gcd(den, *nums.values()) == 1
+        assert keys.isdisjoint(nums)
+        keys.update(nums)
+
+
 def assert_canonical(p):
     """What the validating constructor would store, and nothing else."""
+    assert_stored_form(p)
     width = len(p.vars)
     for exps, c in p.terms.items():
         assert type(exps) is tuple and len(exps) == width
@@ -96,6 +116,7 @@ def assert_canonical(p):
         assert c
     again = Poly(p.vars, p.terms)
     assert again.vars == p.vars and again.terms == p.terms
+    assert again._parts == p._parts
     assert p == again and hash(p) == hash(again)
 
 

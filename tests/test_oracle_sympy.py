@@ -1,4 +1,4 @@
-"""sympy as an independent oracle for the rational-parameter paths.
+"""sympy as an independent oracle for the CLI's verbs.
 
 Each output is read as a user reads it, through ``sjk.cli.run`` with
 ``--format json`` and ``jsonio.poly_from_obj``, and compared exactly with
@@ -73,3 +73,55 @@ def test_shifted_beta_egf_equals_jacobi_oracle(beta):
     for n, c in enumerate(obj["coefficients"]):
         want = _as_poly(_monic_sj_beta(n + 1, b), _shifted_scale(n, b))
         assert jsonio.poly_from_obj(c) == want, n
+
+
+def _monic_sj(n):
+    """The (-1,-1) Sobolev-Jacobi polynomial: 1, x, then monic
+    (x^2 - 1) P^(1,1)_(n-2) for n >= 2, as a sympy Poly over QQ."""
+    if n < 2:
+        return sympy.Poly(X**n, X, domain="QQ")
+    p = sympy.Poly(X**2 - 1, X, domain="QQ") * jacobi_poly(n - 2, 1, 1, X, polys=True)
+    return p.monic()
+
+
+def _to_sympy(p):
+    """A Poly in x with rational coefficients as a sympy Poly over QQ."""
+    assert p.vars in ((), ("x",)), p.vars
+    expr = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        assert c.sqrt_pi_pow == 0, c
+        expr += sympy.Rational(c.num, c.den) * X ** (exps[0] if exps else 0)
+    return sympy.Poly(expr, X, domain="QQ")
+
+
+def test_sj_egf_equals_jacobi_oracle():
+    obj = _json("egf", "--family", "sj", "--order", "16")
+    assert obj["order"] == 16
+    for n, c in enumerate(obj["coefficients"]):
+        want = _monic_sj(n) * sympy.Rational(1, sympy.factorial(n))
+        assert _to_sympy(jsonio.poly_from_obj(c)) == want, n
+
+
+@pytest.mark.parametrize("M", [*range(25), 32, 40, 64])
+def test_sj_connection_rebuilds_the_monomial(M):
+    # sum_n w_n p_n = x^M, with the weights read from the JSON row and the
+    # p_n built by sympy
+    obj = _json("connect", "--family", "sj", "--M", str(M))
+    assert [w["n"] for w in obj["weights"]] == list(range(M + 1))
+    total = sympy.Poly(0, X, domain="QQ")
+    for w in obj["weights"]:
+        total += _monic_sj(w["n"]) * sympy.Rational(int(w["num"]), int(w["den"]))
+    assert total == sympy.Poly(X**M, X, domain="QQ")
+
+
+@pytest.mark.parametrize("N0", [0, 1, 2, 5, 8, 13, 16])
+def test_react_solves_its_equation(N0):
+    # P(0) = x^N0 and, t-coefficient by t-coefficient, dP/dt = (1 - x^2) P''
+    t_order = 8
+    obj = _json("react", "--N0", str(N0), "--t-order", str(t_order))
+    assert (obj["parameter"], obj["order"]) == ("t", t_order)
+    c = [_to_sympy(jsonio.poly_from_obj(p)) for p in obj["coefficients"]]
+    assert c[0] == sympy.Poly(X**N0, X, domain="QQ")
+    one_minus_x2 = sympy.Poly(1 - X**2, X, domain="QQ")
+    for j in range(t_order):
+        assert c[j + 1] * (j + 1) == one_minus_x2 * c[j].diff(X).diff(X), j

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sjk import jsonio
 from sjk.opcalc import DiagonalOp, apply_diagonal
 from sjk.poly import CoeffSeries, Poly, _decimal_dens
 from sjk.scalar import ZERO, ExactScalar
@@ -207,8 +208,10 @@ def test_arithmetic_results_are_canonical(w, data):
 
 def _reference_product(p, q):
     """p * q by the schoolbook loop: one ExactScalar product and running
-    sum per pair of terms, a sum that cancels dropped at once."""
-    vars, a, b = p._aligned(q)
+    sum per pair of terms, a sum that cancels dropped at once, the terms
+    of each operand in the order Poly.terms gives them."""
+    vars = p.vars if p.vars == q.vars else tuple(sorted({*p.vars, *q.vars}))
+    a, b = Poly.sum([p], vars).terms, Poly.sum([q], vars).terms
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -218,7 +221,7 @@ def _reference_product(p, q):
                 out.pop(key, None)
             else:
                 out[key] = s
-    return Poly._of(vars, out)
+    return Poly(vars, out)
 
 
 def assert_same_poly(got, want):
@@ -301,6 +304,27 @@ def test_sum_is_the_left_fold(vars, shared, data):
     for p in polys:
         if p:  # p and sqrt(pi) p meet at every key of p with two grades
             assert not assert_sum_is_the_left_fold([p, p * ExactScalar(1, 1)], vars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-2, 2), st.booleans(), st.data())
+def test_stored_form_is_rebuilt_by_every_path(w, mixed, data):
+    # the checking constructor, arithmetic and the JSON round trip all
+    # arrive at the one stored form: equal, hashing equal, same terms
+    # (a Poly operand over other variables would realign an unsorted tuple)
+    p = data.draw(mixed_grade_polys() if mixed else graded_polys(w))
+    rebuilt = [
+        Poly(p.vars, p.terms),
+        jsonio.poly_from_obj(jsonio.poly_to_obj(p)),
+        -(-p), p * 1, p - Poly.zero(p.vars), Poly.sum([p], p.vars),
+        (p * 3) * Fraction(1, 3), (p + p) * Fraction(1, 2),
+        Poly.sum([p, p, -p], p.vars), p * Poly(p.vars, {(0,) * len(p.vars): 1}),
+        p * ExactScalar(5, 1) * ExactScalar(Fraction(1, 5), -1),
+    ]
+    for r in rebuilt:
+        assert r == p and hash(r) == hash(p)
+        assert r.vars == p.vars and r.terms == p.terms and r._parts == p._parts
+        assert_canonical(r)
 
 
 def test_sum_takes_the_next_grade_after_a_cancellation():
@@ -390,6 +414,10 @@ class TestConstructorValidates:
         assert p.vars == ("x", "y") and p.terms == {(1, 0): ExactScalar(5)}
         assert type(p.terms[(1, 0)]) is ExactScalar
         assert Poly(("x",), {(1,): 2, range(1, 2): -2}).terms == {}
+        # 1/4 + 1/4 over their common 4 is 2/4, stored as 1/2
+        half = Poly(("x",), {(1,): Fraction(1, 4), range(1, 2): Fraction(1, 4)})
+        assert half.terms == {(1,): ExactScalar(Fraction(1, 2))}
+        assert_canonical(half)
 
 
 class TestStructure:
