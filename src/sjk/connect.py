@@ -22,7 +22,7 @@ from .families import sj_egf, sj_family
 from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, ZERO, _pair, _ratio
+from .scalar import ZERO, ExactScalar, _pair, _ratio
 
 
 def _sj_weight(M: int, n: int) -> tuple:
@@ -34,14 +34,8 @@ def _sj_weight(M: int, n: int) -> tuple:
     )
 
 
-def sj_connection(M: int, n: int) -> Fraction:
+def sj_connection(M: int, n: int) -> ExactScalar:
     """Weight of the degree-n (-1,-1) polynomial in x^M; zero for odd M+n."""
-    return _sj_connection(M, n).rat
-
-
-def _sj_connection(M: int, n: int) -> ExactScalar:
-    """sj_connection as an ExactScalar, made from the integer pair: the
-    family table's connection column."""
     if n > M or n < 0 or M < 0:
         raise IndexError(f"connection index n={n} outside 0..{M}")
     if (M + n) % 2:
@@ -58,7 +52,7 @@ def hermite_connection(M: int, n: int) -> Poly:
     k = (M - n) // 2
     w = factorial(M) // (factorial(k) * factorial(n))  # C(M, n) (2k)! / k!
     w = -w if k % 2 else w
-    return Poly._of((HERMITE_SECOND_VAR,), ((0, 1, {(k,): w}),)) if k else Poly.const(w)
+    return Poly._term_over((HERMITE_SECOND_VAR,), 0, (k,), w, 1) if k else Poly.const(w)
 
 
 class Family(NamedTuple):
@@ -81,7 +75,7 @@ class Family(NamedTuple):
 def _table() -> dict:
     # built per lookup: a builder rebound in its module (a patch, a wrapper) is used
     return {
-        "sj": Family(sj_family, sj_egf, _sj_connection,
+        "sj": Family(sj_family, sj_egf, sj_connection,
                      lacunary.sj_lacunary_closed, hermite_image),
         "hermite": Family(hermite_family, hermite_egf, hermite_connection,
                           lacunary.hermite_lacunary_closed, lambda p: p),
@@ -157,7 +151,7 @@ def pair_factors(order: int, family: str):
         for n in range(M % 2, M + 1, 2)
     ), ("alpha", "w"))
     B = Poly.sum((
-        Poly._of(tuple("beta" if v == "x" else v for v in p.vars), p._parts)
+        p._renamed(tuple("beta" if v == "x" else v for v in p.vars))
         * Poly.monomial(_pair(1, factorial(n), 0), wbar=n)
         for n, p in enumerate(map(row.source, range(order + 1)))
     ), ("beta", "wbar"))

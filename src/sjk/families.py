@@ -39,7 +39,7 @@ from math import comb, factorial, lcm, prod
 from .errors import ParamError
 from .hyper import tricomi_coeff
 from .opcalc import _jacobi_weights
-from .poly import CoeffSeries, Poly, _reduced, _scaled
+from .poly import CoeffSeries, Poly
 from .scalar import (
     ONE,
     ExactScalar,
@@ -138,8 +138,8 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
         for k in ks:
             u = q * (k + 2) * (k + 1) * u // f[k]
             nums[(k,)] = u
-    parts = _reduced(0, P, nums)
-    return Poly._of(("x",), parts if lead is ONE else _scaled(parts, lead))
+    monic = Poly._over(("x",), 0, P, nums)
+    return monic if lead is ONE else monic * lead
 
 
 def _binomial_basis_sum(n: int, nums, den: int) -> Poly:
@@ -247,17 +247,17 @@ def hermite_closed(n: int) -> Poly:
     the sum over m of matching_coeff(n, m) x^(n-2m) z^m."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    return Poly._of(_HERMITE_VARS, ((0, 1, {
+    return Poly._over(_HERMITE_VARS, 0, 1, {
         (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
-    }),))
+    })
 
 
 def _hermite_egf_coeff(n: int) -> Poly:
     """H_n / n!, the sum over m of x^(n-2m) z^m / ((n-2m)! m!): the
-    matching numbers over n!, in lowest terms since the first is 1."""
-    return Poly._of(_HERMITE_VARS, ((0, factorial(n), {
+    matching numbers over n!."""
+    return Poly._over(_HERMITE_VARS, 0, factorial(n), {
         (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
-    }),))
+    })
 
 
 def sj_umbral(n: int) -> Poly:
@@ -297,7 +297,7 @@ def hermite_image(p: Poly) -> Poly:
     im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
     out_vars = vars if im is None else vars[:im] + vars[im + 1 :]
     images = []
-    for g, d, nums in p._parts:
+    for g, d, nums in p._by_grade():
         terms = []
         for exps, n in nums.items():
             a = 0 if ia is None else exps[ia]

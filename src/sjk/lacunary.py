@@ -163,11 +163,11 @@ _RAISE_VARS = ("x", HERMITE_SECOND_VAR)
 def _hermite_raise(c: Poly, L: int) -> Poly:
     """(x + 2z d/dx)^L c, the raising operator of H_{n+1} = (x + 2z d/dx) H_n
     applied L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
-    c is a Poly over (x, z), such as a coefficient of the Hermite closed
+    c is a Poly in x and z, such as a coefficient of the Hermite closed
     form; the steps run on its stored integer numerators, over its
     denominator, one sqrt(pi) grade at a time."""
     raised = []
-    for g, d, nums in c._parts:
+    for g, d, nums in c._by_grade(_RAISE_VARS):
         for _ in range(L):
             step = {(e + 1, m): n for (e, m), n in nums.items()}
             for (e, m), n in nums.items():
@@ -202,11 +202,11 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     for c in hermite_lacunary_closed(K, order).coeffs:
         slices = []
         for L in range(mu_order + 1):
-            scaled = c * _pair(1, factorial(L), 0)
-            slices.append(Poly._of(vars, tuple(
-                (g, d, {(L, *key): n for key, n in nums.items()})
-                for g, d, nums in scaled._parts
-            )))
+            f = factorial(L)
+            slices += [
+                Poly._over(vars, g, d * f, {(L, *key): n for key, n in nums.items()})
+                for g, d, nums in c._by_grade(_RAISE_VARS)
+            ]
             c = _hermite_raise(c, 1)
         out.append(Poly.sum(slices, vars))
     return CoeffSeries(out, order)

@@ -21,10 +21,10 @@ coefficient recurrence reads them there too.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InternalError, KernelHit, ParamError
-from .poly import Poly, _reduced
+from .poly import Poly
 from .scalar import ExactScalar, _over_lcm, _pair, _parts, _ratio, _text
 
 IDENTITY_ON_KERNEL = "identity_on_kernel"
@@ -79,13 +79,12 @@ def _scale_by_degree(p: Poly, vars, factor) -> Poly:
     (default: all); see _scale_part, which runs on each sqrt(pi) grade."""
     idx = _positions(p, vars)
     return Poly.sum([
-        Poly._of(p.vars, _scale_part(g, d, nums, idx, factor))
-        for g, d, nums in p._parts
+        _scale_part(p.vars, g, d, nums, idx, factor) for g, d, nums in p._by_grade()
     ], p.vars)
 
 
-def _scale_part(g: int, den: int, nums: dict, idx, factor) -> tuple:
-    """The parts of the terms nums[e] / den x^e at grade g, each times
+def _scale_part(vars: tuple, g: int, den: int, nums: dict, idx, factor) -> Poly:
+    """The terms nums[e] / den x^e at grade g, over vars, each times
     factor(d), d the sum of the exponents at positions idx (None: all of
     them): an integer triple (num, den, grade), den nonzero and the pair
     not necessarily reduced, asked once per degree in the order of nums,
@@ -96,7 +95,6 @@ def _scale_part(g: int, den: int, nums: dict, idx, factor) -> tuple:
     factors' denominators."""
     made = {}
     terms = []  # (exps, numerator, factor's den, factor's grade)
-    grades = set()
     for exps, n in nums.items():
         if n:
             d = sum(exps) if idx is None else sum([exps[i] for i in idx])
@@ -108,19 +106,19 @@ def _scale_part(g: int, den: int, nums: dict, idx, factor) -> tuple:
                 raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
             if f[0]:
                 terms.append((exps, n * f[0], f[1], f[2]))
-                grades.add(f[2])
-    if len(terms) == 1:  # the one term in lowest terms
+    if len(terms) < 2:  # no lcm to take: the resolvent steps at (-1, -1)
+        if not terms:
+            return Poly.zero(vars)
         (e, x, fd, h), = terms
-        fd *= den
-        r = gcd(x, fd) if fd > 0 else -gcd(x, fd)
-        return ((g + h, fd // r, {e: x // r}),)
-    parts = []
-    for h in sorted(grades):
+        return Poly._term_over(vars, g + h, e, x, den * fd)
+    grades = sorted({t[3] for t in terms})
+    pieces = []
+    for h in grades:
         group = terms if len(grades) == 1 else [t for t in terms if t[3] == h]
         m = lcm(*[t[2] for t in group])
-        nums = {e: x * (m // fd) for e, x, fd, _ in group}
-        parts += _reduced(g + h, den * m, nums)
-    return tuple(parts)
+        out = {e: x * (m // fd) for e, x, fd, _ in group}
+        pieces.append(Poly._over(vars, g + h, den * m, out))
+    return pieces[0] if len(pieces) == 1 else Poly.sum(pieces, vars)
 
 
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
@@ -180,11 +178,12 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     raises it."""
     bn, bd = _rational(ba)
     factor = _inverse_factor(op, *_rational(scale))
-    if len(t._parts) != 1 or "x" not in t.vars:
+    parts = t._by_grade()
+    if len(parts) != 1 or "x" not in t.vars:
         d1 = t.derivative("x")
         summed = d1.derivative("x") + d1 * _ratio(bn, bd, 0)
         return _scale_by_degree(summed, vars, factor)
-    (g, den, nums), = t._parts
+    (g, den, nums), = parts
     i = t.vars.index("x")
     out = {}
     for exps, n in nums.items():
@@ -199,7 +198,7 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
                 key = exps[:i] + (e - 1,) + exps[i + 1 :]
                 out[key] = get(key, 0) + n * e * bn
     idx = _positions(t, vars)
-    return Poly._of(t.vars, _scale_part(g, den * bd, out, idx, factor))
+    return _scale_part(t.vars, g, den * bd, out, idx, factor)
 
 
 def _resolvent_factor(n: int, alpha, beta,
@@ -297,7 +296,7 @@ def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
     vars = tuple(sorted({"x", *p.vars}))
     i = vars.index("x")
     pieces = []
-    for g, den, nums in p._remap(vars):
+    for g, den, nums in p._by_grade(vars):
         out = {}
         get = out.get
         for exps, n in nums.items():

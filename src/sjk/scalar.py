@@ -20,14 +20,13 @@ which stores integer numerators over one denominator per sqrt(pi) grade
 and makes an ExactScalar only where one is read.  A rational parameter
 (an int, a Fraction or a HalfInt) is read once, where it enters the
 package, as a reduced integer pair by _parts, and all parameter
-arithmetic is done on ints.  Fraction
-parses only input that is none of these, such as a decimal string, and is
-built once from ints where a public type is one: the values of pochhammer,
-families.binom_general and connect.sj_connection, and a HyperSpec's
-parameters.  A float is refused wherever a rational is taken, since its
-binary value is not the decimal one written.  HalfInt and a rational
-ExactScalar hash as the equal Fraction does, by CPython's rule for
-rationals computed from the integers (_rat_hash).
+arithmetic is done on ints.  Fraction parses only input that is none of
+these, such as a decimal string, and is built once from ints where a
+public type is one: the values of pochhammer and families.binom_general,
+and a HyperSpec's parameters.  A float is refused wherever a rational is
+taken, since its binary value is not the decimal one written.  HalfInt
+and a rational ExactScalar hash as the equal Fraction does, by CPython's
+rule for rationals computed from the integers (_rat_hash).
 """
 
 from __future__ import annotations
@@ -377,7 +376,6 @@ ONE = ExactScalar(1)
 
 _MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
-_INV2 = pow(2, -1, _MODULUS)  # the half-integers' denominator, inverted once
 
 
 def _rat_hash(num: int, den: int) -> int:
@@ -388,7 +386,7 @@ def _rat_hash(num: int, den: int) -> int:
     if den == 1:
         return hash(num)
     try:
-        h = hash(hash(abs(num)) * (_INV2 if den == 2 else pow(den, -1, _MODULUS)))
+        h = hash(hash(abs(num)) * pow(den, -1, _MODULUS))
     except ValueError:  # den is a multiple of the modulus
         h = _HASH_INF
     if num < 0:

@@ -18,8 +18,8 @@ import logging
 from math import factorial
 
 from .errors import DomainError, ExpansionError
-from .poly import CoeffSeries, Poly, _reduced
-from .scalar import HalfInt, _gamma_parts, _pair, half
+from .poly import CoeffSeries, Poly
+from .scalar import HalfInt, _gamma_parts, _pair, _ratio, half
 
 log = logging.getLogger(__name__)
 
@@ -196,9 +196,8 @@ def itransform(s: GenSeries) -> CoeffSeries:
 
     mu powers are folded into the coefficient polynomials as the variable
     ``mu``.  Returns a series exact through s.lambda_order.  Each
-    transformed coefficient is the term's coefficient times its integer
-    weight: the stored numerators times the weight's numerator over the
-    denominator times the weight's, in lowest terms.
+    transformed coefficient is the term's coefficient Poly times its
+    weight, a scaling of the stored integers.
     """
     if s.lambda_order is not None:
         order = s.lambda_order
@@ -210,11 +209,7 @@ def itransform(s: GenSeries) -> CoeffSeries:
         if w is None:
             continue
         num, den, grade = w
-        scaled = []
-        for g, d, nums in t.coeff._parts:
-            nums = {e: n * num for e, n in nums.items()}
-            scaled += _reduced(g + grade, d * den, nums)
-        contrib = Poly._of(t.coeff.vars, tuple(scaled))
+        contrib = t.coeff * _ratio(num, den, grade)
         if t.mu_pow:
             contrib = contrib * Poly.var(MU, t.mu_pow)
         parts[t.lambda_pow].append(contrib)

@@ -1,10 +1,12 @@
-"""The two reads of sjk internals that the benchmark makes.
+"""The reads of sjk internals that the benchmark makes.
 
 perfbench/spans.py sizes each traced family result by reading every value
 of ``Poly.terms`` through ``getattr(c, "rat", c)``, and perfbench's scalar
 probe builds ``ExactScalar(Fraction)`` and times ``*`` and ``+`` on it.
-The benchmark is frozen, so a change to either read would change what it
-measures; these tests hold both to what the package writes.
+The tracer also wraps public functions by module name, so a function that
+production calls under another name drops out of its spans.  The
+benchmark is frozen, so a change to any of these would change what it
+measures; these tests hold them to what the package does.
 """
 
 import runpy
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from sjk import connect
 from sjk.families import egf_beta_shifted, hermite_egf, sj_family
+from sjk.poly import Poly
 from sjk.scalar import ExactScalar
 
 SPANS = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "spans.py"))
@@ -47,3 +51,20 @@ def test_scalar_probe_operations():
     x, y = ExactScalar(a), ExactScalar(b)
     assert x * y == ExactScalar(a * b) and x + y == ExactScalar(a + b)
     assert (x * y).rat == a * b and (x + y).rat == a + b
+
+
+@pytest.mark.parametrize("family, name", [
+    ("sj", "sj_connection"), ("hermite", "hermite_connection"),
+])
+def test_connection_column_calls_the_public_name(monkeypatch, family, name):
+    # the family table reads its connection column from the module global,
+    # where the tracer puts its wrapper
+    calls = []
+    inner = getattr(connect, name)
+
+    def wrapper(M, n):
+        calls.append((M, n))
+        return inner(M, n)
+    monkeypatch.setattr(connect, name, wrapper)
+    assert connect.reconstruct_monomial(4, family) == Poly.var("x", 4)
+    assert calls == [(4, 0), (4, 2), (4, 4)]

@@ -419,6 +419,19 @@ class TestConstructorValidates:
         assert half.terms == {(1,): ExactScalar(Fraction(1, 2))}
         assert_canonical(half)
 
+    def test_builders_reduce_and_drop_zeros(self):
+        # the kernels' builders bring any integers over any nonzero
+        # denominator to lowest terms with a positive denominator
+        p = Poly._over(("x",), 1, -6, {(2,): 4, (1,): 0, (0,): -10})
+        assert p == Poly(("x",), {(2,): ExactScalar(Fraction(-2, 3), 1),
+                                  (0,): ExactScalar(Fraction(5, 3), 1)})
+        assert_canonical(p)
+        q = Poly._term_over(("x", "z"), 0, (1, 2), 6, -4)
+        assert q == Poly.monomial(Fraction(-3, 2), x=1, z=2)
+        assert_canonical(q)
+        assert Poly._term_over(("x",), 0, (1,), 0, 7).is_zero()
+        assert Poly._over(("x",), 0, 3, {(1,): 0}).is_zero()
+
 
 class TestStructure:
     def test_zero_degree_sentinel(self):

@@ -529,8 +529,11 @@ def _kernel_outputs(name):
     op = opcalc._resolvent_factor(9, Fraction(1, 3), Fraction(-2, 7))
     t = Poly(("x", "y"), {(9, 0): Fraction(7, 12), (6, 2): Fraction(-5, 18),
                           (3, 1): Fraction(11, 4)})
+    one = Poly.var("x", 9, Fraction(7, 12))  # one term in, one term out
     return [opcalc._inverse_step(op, t, ("x",), Fraction(-13, 21), Fraction(-1, 6)),
-            opcalc._inverse_step(op, t, ("x", "y"), 0, Fraction(4, 15))]
+            opcalc._inverse_step(op, t, ("x", "y"), 0, Fraction(4, 15)),
+            opcalc._inverse_step(op, one, ("x",), 0, Fraction(-1, 6)),
+            *(opcalc.gp_series(n, -1, -1) for n in range(9))]
 
 
 @pytest.mark.parametrize("name", [
