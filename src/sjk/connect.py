@@ -72,25 +72,36 @@ class Family(NamedTuple):
         return CoeffSeries([self.image(c) for c in series.coeffs], series.order)
 
 
-def _table() -> dict:
-    # built per lookup: a builder rebound in its module (a patch, a wrapper) is used
-    return {
-        "sj": Family(sj_family, sj_egf, sj_connection,
-                     lacunary.sj_lacunary_closed, hermite_image),
-        "hermite": Family(hermite_family, hermite_egf, hermite_connection,
-                          lacunary.hermite_lacunary_closed, lambda p: p),
-    }
+# Each row is built on each lookup from the module globals, so a builder
+# rebound in its module (a patch, a wrapper) is used; only the row asked
+# for is built.
+
+def _sj_row() -> Family:
+    return Family(sj_family, sj_egf, sj_connection,
+                  lacunary.sj_lacunary_closed, hermite_image)
 
 
-FAMILIES = tuple(_table())
+def _hermite_row() -> Family:
+    return Family(hermite_family, hermite_egf, hermite_connection,
+                  lacunary.hermite_lacunary_closed, _same)
+
+
+def _same(p: Poly) -> Poly:
+    return p
+
+
+_ROWS = {"sj": _sj_row, "hermite": _hermite_row}
+
+FAMILIES = tuple(_ROWS)
 
 
 def lookup(family: str) -> Family:
     """The table's row for a family name; ParamError for an unknown one."""
     try:
-        return _table()[family]
+        row = _ROWS[family]
     except KeyError:
         raise ParamError(f"unknown family {family!r}") from None
+    return row()
 
 
 def _check_index(name: str, value: int) -> None:

@@ -9,10 +9,6 @@ class PoleError(SjkError):
     """A gamma-type function was evaluated at a non-positive integer."""
 
 
-class KernelHit(SjkError):
-    """An inverse diagonal operator met its kernel under error_on_kernel."""
-
-
 class DomainError(SjkError):
     """A generalized series lies outside the domain of the integral transform."""
 

@@ -266,13 +266,14 @@ def sj_umbral(n: int) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     terms = []
-    nh = HalfInt(2 * n - 1)  # n - 1/2
+    vars = ("x",) if n else ()  # sj_umbral(0) is the constant 1, over no variable
+    v_exps = {"v": HalfInt(2 * n - 1)}  # n - 1/2
     for m, c in enumerate(_matching_numbers(n)):
         # the one term (-1)^m c_m / 4^m x^(n-2m), c_m the matching number
-        coeff = Poly.var("x", n - 2 * m, _ratio(-c if m % 2 else c, 4**m, 0))
-        terms.append(
-            GenMonomial(coeff, u_exps={"u": nh - m}, v_exps={"v": nh})
-        )
+        exps = (n - 2 * m,) if n else ()
+        coeff = Poly._term_over(vars, 0, exps, -c if m % 2 else c, 4**m)
+        u_exps = {"u": HalfInt(2 * n - 1 - 2 * m)}  # n - 1/2 - m
+        terms.append(GenMonomial(coeff, u_exps=u_exps, v_exps=v_exps))
     return itransform_scalar(GenSeries(terms, lambda_order=0))
 
 

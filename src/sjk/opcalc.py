@@ -2,50 +2,54 @@
 
 Diagonal operators are rational functions of the total-degree operator:
 they act on a monomial by a scalar determined by its degree.  This module
-holds the one degree map, _scale_by_degree, that applies them; the Euler
-operator D itself is apply_diagonal of the rule d -> d with kernel {0}.
-Inverses are defined after completing the kernel, either by the identity
-map or by raising.  On top of these sit the terminating resolvent
-construction for the Jacobi-type eigenproblem and the exponential-operator
-forms of the Sobolev-Jacobi and two-variable Hermite polynomials.  Each
-step of the resolvent and of the exponential (-1,-1) forms is
-op^{-1}(scale (d^2 + (beta - alpha) d)) on a Poly's stored integer
-numerators: the derivatives, then one pass of the degree map, which puts
-each grade's numerators times the factors' numerators over the
-denominator times the lcm of the factors' denominators; the Jacobi
-operator itself is applied in one such pass too.  The parameters
-are read once, by _jacobi_weights, as the integer weights q (beta - alpha)
-and q (alpha + beta + 1) over their common denominator q; families'
-coefficient recurrence reads them there too.
+holds the one degree map, _scale_by_degree, that applies them on a Poly's
+stored integers; the Euler operator D itself is apply_diagonal of the
+rule d -> d with kernel {0}.  An inverse is completed by the identity on
+the operator's kernel: a term of a kernel degree passes through.
+
+On top of these sit the terminating resolvent construction for the
+Jacobi-type eigenproblem and the exponential-operator forms of the
+Sobolev-Jacobi and two-variable Hermite polynomials: gp_series,
+exp_resolvent_sj, exp_B_bivariate and hermite_exp are one loop, _series.
+Its term t_m = s_m op^{-1}((d^2 + (beta - alpha) d) t_(m-1)) is carried
+as integers, a denominator and {x exponent: numerator}, and each step,
+_step, maps those numerators and takes op's value at each degree it
+reaches as an integer triple, so no Poly is made until the sum; the
+denominators grow as multiples of each other, so the sum is one integer
+pass over the last one and one reduction.  _inverse_step is that step on
+a Poly.  The Jacobi operator itself is applied in one pass on the stored
+integers too.  The parameters are read once, by _jacobi_weights, as the
+integer weights q (beta - alpha) and q (alpha + beta + 1) over their
+common denominator q; families' coefficient recurrence reads them there
+too.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import lcm
 
-from .errors import InternalError, KernelHit, ParamError
+from .errors import InternalError, ParamError
 from .poly import Poly
-from .scalar import ExactScalar, _over_lcm, _pair, _parts, _ratio, _text
-
-IDENTITY_ON_KERNEL = "identity_on_kernel"
-ERROR_ON_KERNEL = "error_on_kernel"
+from .scalar import ExactScalar, _over_lcm, _parts, _ratio, _text
 
 
 class DiagonalOp:
-    """d -> scalar rule with an explicit kernel set and completion policy."""
+    """d -> scalar rule with an explicit kernel set.  Its inverse is
+    completed by the identity on the kernel: a term of a kernel degree
+    passes through unchanged."""
 
-    __slots__ = ("eval_fn", "kernel", "completion")
+    __slots__ = ("eval_fn", "kernel")
 
-    def __init__(self, eval_fn, kernel=(), completion=IDENTITY_ON_KERNEL):
-        if completion not in (IDENTITY_ON_KERNEL, ERROR_ON_KERNEL):
-            raise ValueError(f"unknown completion policy {completion!r}")
+    def __init__(self, eval_fn, kernel=()):
         self.eval_fn = eval_fn
         self.kernel = frozenset(kernel)
-        self.completion = completion
 
     def eval(self, d: int) -> ExactScalar:
-        v = ExactScalar.coerce(self.eval_fn(d))
-        if v.is_zero() != (d in self.kernel):
+        v = self.eval_fn(d)
+        if type(v) is not ExactScalar:
+            v = ExactScalar.coerce(v)
+        if (not v.num) != (d in self.kernel):
             raise InternalError(
                 f"declared kernel {set(self.kernel)} disagrees with eval({d}) = {v}"
             )
@@ -61,7 +65,6 @@ class DiagonalOp:
         return DiagonalOp(
             lambda d, _fn=fn, _s=s: _fn(d + _s),
             frozenset(k - s for k in self.kernel),
-            self.completion,
         )
 
 
@@ -74,51 +77,46 @@ def _positions(p: Poly, vars):
     return [i for i, v in enumerate(p.vars) if v in chosen]
 
 
-def _scale_by_degree(p: Poly, vars, factor) -> Poly:
-    """Each term c m of p times factor(d), d the degree of m in vars
-    (default: all); see _scale_part, which runs on each sqrt(pi) grade."""
-    idx = _positions(p, vars)
-    return Poly.sum([
-        _scale_part(p.vars, g, d, nums, idx, factor) for g, d, nums in p._by_grade()
-    ], p.vars)
-
-
-def _scale_part(vars: tuple, g: int, den: int, nums: dict, idx, factor) -> Poly:
-    """The terms nums[e] / den x^e at grade g, over vars, each times
-    factor(d), d the sum of the exponents at positions idx (None: all of
-    them): an integer triple (num, den, grade), den nonzero and the pair
-    not necessarily reduced, asked once per degree in the order of nums,
-    whose zero drops the term; (), for a kernel degree under
-    ERROR_ON_KERNEL, raises KernelHit naming the term's coefficient.  A
-    zero numerator is skipped.  Per grade of the result, the numerators
-    times the factors' numerators go over den times the lcm of the
-    factors' denominators."""
-    made = {}
-    terms = []  # (exps, numerator, factor's den, factor's grade)
-    for exps, n in nums.items():
-        if n:
-            d = sum(exps) if idx is None else sum([exps[i] for i in idx])
-            f = made.get(d)
-            if f is None:
-                f = made[d] = factor(d)
-            if not f:
-                c = _ratio(n, den, g)
-                raise KernelHit(f"kernel degree {d} carries nonzero coefficient {c}")
-            if f[0]:
-                terms.append((exps, n * f[0], f[1], f[2]))
-    if len(terms) < 2:  # no lcm to take: the resolvent steps at (-1, -1)
+def _assemble(den: int, terms: list) -> list:
+    """[(h, den_h, nums_h)], one entry per sqrt(pi) grade h of the terms
+    (key, numerator, den', h) over den den': at grade h the numerators go
+    over den times the lcm of the den', integers not in lowest terms."""
+    if len(terms) < 2:  # no lcm to take: the series steps at (-1, -1)
         if not terms:
-            return Poly.zero(vars)
+            return []
         (e, x, fd, h), = terms
-        return Poly._term_over(vars, g + h, e, x, den * fd)
+        return [(h, den * fd, {e: x})]
     grades = sorted({t[3] for t in terms})
     pieces = []
     for h in grades:
         group = terms if len(grades) == 1 else [t for t in terms if t[3] == h]
         m = lcm(*[t[2] for t in group])
-        out = {e: x * (m // fd) for e, x, fd, _ in group}
-        pieces.append(Poly._over(vars, g + h, den * m, out))
-    return pieces[0] if len(pieces) == 1 else Poly.sum(pieces, vars)
+        pieces.append((h, den * m, {e: x * (m // fd) for e, x, fd, _ in group}))
+    return pieces
+
+
+def _scale_by_degree(p: Poly, vars, factor) -> Poly:
+    """Each term c m of p times factor(d), d the degree of m in vars
+    (default: all), on the stored integers.  factor(d) is an integer
+    triple (num, den, grade), den nonzero, asked once per degree; its zero
+    drops the term.  Per sqrt(pi) grade of p the products go through
+    _assemble, and the pieces are summed as Poly.sum sums them."""
+    idx = _positions(p, vars)
+    made = {}
+    pieces = []
+    for g, den, nums in p._by_grade():
+        terms = []  # (exps, numerator, factor's den, factor's grade)
+        for exps, n in nums.items():
+            d = sum(exps) if idx is None else sum([exps[i] for i in idx])
+            f = made.get(d)
+            if f is None:
+                f = made[d] = factor(d)
+            if f[0]:
+                terms.append((exps, n * f[0], f[1], f[2]))
+        pieces += [
+            Poly._over(p.vars, g + h, dh, nh) for h, dh, nh in _assemble(den, terms)
+        ]
+    return Poly.sum(pieces, p.vars)
 
 
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
@@ -129,22 +127,21 @@ def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     return _scale_by_degree(p, vars, factor)
 
 
-def _inverse_factor(op: DiagonalOp, sn: int, sd: int):
-    """d -> sn / sd over op.eval(d) as an integer triple for _scale_part,
-    with op's completion at a kernel degree: sn / sd itself, or () for
-    KernelHit."""
+def _inverse_factor(op: DiagonalOp):
+    """d -> 1 / op.eval(d) as an integer triple (num, den, grade), and 1 at
+    a kernel degree, where op is not evaluated: the identity completion."""
     def factor(d):
-        if d not in op.kernel:
-            v = op.eval(d)
-            return sn * v.den, sd * v.num, -v.sqrt_pi_pow
-        return () if op.completion == ERROR_ON_KERNEL else (sn, sd, 0)
+        if d in op.kernel:
+            return 1, 1, 0
+        v = op.eval(d)
+        return v.den, v.num, -v.sqrt_pi_pow
     return factor
 
 
 def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
-    """Divide each monomial by op.eval(degree); kernel degrees follow the
-    completion policy (pass through unchanged, or raise KernelHit)."""
-    return _scale_by_degree(p, vars, _inverse_factor(op, 1, 1))
+    """Divide each monomial by op.eval(degree); a monomial of a kernel
+    degree passes through unchanged."""
+    return _scale_by_degree(p, vars, _inverse_factor(op))
 
 
 def _jacobi_weights(alpha, beta, check: bool = False) -> tuple:
@@ -159,50 +156,110 @@ def _jacobi_weights(alpha, beta, check: bool = False) -> tuple:
     return q, b - a, a + b + q
 
 
-def _rational(x) -> tuple:
-    """x, an integer pair (num, den) with den > 0 or a rational read by
-    _parts, as such a pair."""
-    return x if type(x) is tuple else _parts(x)
+def _step(nums: dict, r: int, w2: int, w1: int, made: dict, factor) -> list:
+    """w2 t'' + w1 t' for t the sum of nums[e] x^e, each term then times
+    factor(e + r), as [(e, numerator, factor's den, factor's grade)]: the
+    one step of the resolvent and exponential series, on the numerators
+    of the x-part of a group of terms whose other exponents are fixed and
+    of degree r.  factor(d) is an integer triple (num, den, grade), asked
+    once per degree and kept in made; a zero numerator (a sum that
+    cancels) or factor drops the term."""
+    out = {}
+    for e, n in nums.items():
+        if e > 1:
+            out[e - 2] = n * e * (e - 1) * w2
+    if w1:
+        get = out.get
+        for e, n in nums.items():
+            if e:
+                out[e - 1] = get(e - 1, 0) + n * e * w1
+    terms = []
+    for e, n in out.items():
+        if n:
+            d = e + r
+            f = made.get(d)
+            if f is None:
+                f = made[d] = factor(d)
+            if f[0]:
+                terms.append((e, n * f[0], f[1], f[2]))
+    return terms
 
 
 def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
-    degree in vars: t'' + ba t' on the stored integers, then each term
-    times scale over op.eval(degree) (_scale_part); a kernel degree
-    follows op's completion policy, the term passing through scaled or
-    raising KernelHit with its unscaled coefficient.  ba and scale are
-    rationals or integer pairs (num, den), den > 0, not necessarily
-    reduced.  At one sqrt(pi) grade the sum is one pass over the
-    numerators, its keys in the order that t'' + ba t' gives them; over
-    several grades it is that sum, so a clash of grades raises as the sum
+    degree in vars, for the rationals ba and scale, scale nonzero: the
+    step of _series on a Poly.  At one sqrt(pi) grade, with x among the
+    variables in vars, the terms are grouped by their other exponents and
+    each group takes _step, as the series does; otherwise it is the
+    composition, so a clash of grades raises as the sum t'' + ba t'
     raises it."""
-    bn, bd = _rational(ba)
-    factor = _inverse_factor(op, *_rational(scale))
+    bn, bd = _parts(ba)
+    sn, sd = _parts(scale)
     parts = t._by_grade()
-    if len(parts) != 1 or "x" not in t.vars:
+    idx = _positions(t, vars)
+    if len(parts) != 1 or "x" not in t.vars or (vars is not None and "x" not in vars):
         d1 = t.derivative("x")
-        summed = d1.derivative("x") + d1 * _ratio(bn, bd, 0)
-        return _scale_by_degree(summed, vars, factor)
+        summed = (d1.derivative("x") + d1 * _ratio(bn, bd, 0)) * _ratio(sn, sd, 0)
+        return apply_inverse_diagonal(op, summed, vars)
     (g, den, nums), = parts
     i = t.vars.index("x")
-    out = {}
+    groups = {}  # other exponents -> (their degree in vars, {x exponent: numerator})
     for exps, n in nums.items():
-        e = exps[i]
-        if e > 1:
-            out[exps[:i] + (e - 2,) + exps[i + 1 :]] = n * e * (e - 1) * bd
-    if bn:
-        get = out.get
-        for exps, n in nums.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out[key] = get(key, 0) + n * e * bn
-    idx = _positions(t, vars)
-    return _scale_part(t.vars, g, den * bd, out, idx, factor)
+        rest = exps[:i] + exps[i + 1 :]
+        group = groups.get(rest)
+        if group is None:
+            d = sum(exps) if idx is None else sum([exps[j] for j in idx])
+            group = groups[rest] = (d - exps[i], {})
+        group[1][exps[i]] = n
+    made, factor = {}, _inverse_factor(op)
+    terms = [
+        (rest[:i] + (e,) + rest[i:], x, fd, h)
+        for rest, (r, sub) in groups.items()
+        for e, x, fd, h in _step(sub, r, bd * sn, bn * sn, made, factor)
+    ]
+    pieces = _assemble(den * bd * sd, terms)
+    return Poly.sum([Poly._over(t.vars, g + h, dh, nh) for h, dh, nh in pieces], t.vars)
 
 
-def _resolvent_factor(n: int, alpha, beta,
-                      completion=IDENTITY_ON_KERNEL) -> DiagonalOp:
+def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
+            what: str, tag: bool = False) -> Poly:
+    """The terminating sum t_0 + t_1 + ... over vars, on integers: t_0 =
+    x^start, x the first of vars, and t_m = s_m op^{-1}((d^2 + ba d)
+    t_(m-1)), d = d/dx, op acting on the total degree and completed by the
+    identity on its kernel (_step), ba = (num, den) and s_m the m-th pair
+    of scales, integer pairs with den > 0.  Each term is kept as (den,
+    {x exponent: numerator}), not in lowest terms, each den a multiple of
+    the one before; the series' operators take rational values, so each
+    term is one part, at grade 0.  The sum brings every term over the last
+    den, adds per key and reduces once.  With tag the m-th term's keys
+    gain m as a last exponent (hermite_exp's power of z).  InternalError
+    ("<what> failed to terminate") unless a zero term comes within the
+    steps that scales gives."""
+    bn, bd = ba
+    r = sum(start[1:])
+    made, factor = {}, _inverse_factor(op)
+    den, nums = 1, {start[0]: 1}
+    terms = [(den, nums)]
+    for sn, sd in scales:
+        step = _step(nums, r, bd * sn, bn * sn, made, factor)
+        if not step:
+            break
+        (_, den, nums), = _assemble(den * bd * sd, step)
+        terms.append((den, nums))
+    else:
+        raise InternalError(f"{what} failed to terminate for n={start[0]}")
+    total = {}
+    get = total.get
+    for m, (d, nums) in enumerate(terms):
+        k = den // d
+        tail = start[1:] + (m,) if tag else start[1:]
+        for e, n in nums.items():
+            key = (e,) + tail
+            total[key] = get(key, 0) + n * k
+    return Poly._over(vars, 0, den, total)
+
+
+def _resolvent_factor(n: int, alpha, beta) -> DiagonalOp:
     """(d - n)(d + n + alpha + beta + 1), with its kernel read off the
     factors; with q (alpha + beta + 1) = sh, its value at d is
     (d - n)((d + n) q + sh) / q."""
@@ -211,77 +268,56 @@ def _resolvent_factor(n: int, alpha, beta,
     other = -(n * q + sh)  # q times the second factor's root
     if other >= 0 and other % q == 0:
         kernel.add(other // q)
-    return DiagonalOp(
-        lambda d: _ratio((d - n) * ((d + n) * q + sh), q, 0), kernel, completion
-    )
+    return DiagonalOp(lambda d: _ratio((d - n) * ((d + n) * q + sh), q, 0), kernel)
 
 
-def _terminating_sum(term: Poly, step, steps: int, message: str) -> Poly:
-    """term + step(term, 1) + step(step(term, 1), 2) + ..., up to the first
-    zero term; InternalError(message) if none is zero within steps steps."""
-    terms = [term]
-    for m in range(1, steps + 1):
-        term = step(term, m)
-        if term.is_zero():
-            return Poly.sum(terms)
-        terms.append(term)
-    raise InternalError(message)
-
-
-def gp_series(n: int, alpha, beta, completion=IDENTITY_ON_KERNEL) -> Poly:
+def gp_series(n: int, alpha, beta) -> Poly:
     """Terminating resolvent sum for the monic degree-n eigenpolynomial of
-    the Jacobi-type operator at parameters (alpha, beta), both >= -1."""
+    the Jacobi-type operator at parameters (alpha, beta), both >= -1:
+    x^n + t_1 + t_2 + ..., t_m = op^{-1}((d^2 + (beta - alpha) d) t_(m-1))
+    with op the _resolvent_factor."""
     q, ba, _ = _jacobi_weights(alpha, beta, check=True)
     if n < 0:
         raise ParamError("degree must be >= 0")
-    fop = _resolvent_factor(n, alpha, beta, completion)
-
-    def step(cur, _):
-        return _inverse_step(fop, cur, ("x",), (ba, q), 1)
-    message = f"resolvent sum failed to terminate for n={n}"
-    return _terminating_sum(Poly.var("x", n), step, n + 2, message)
+    op = _resolvent_factor(n, alpha, beta)
+    return _series(op, ("x",), (n,), (ba, q), repeat((1, 1), n + 2), "resolvent sum")
 
 
-def _exp_series(term: Poly, op: DiagonalOp, vars, n: int, what: str) -> Poly:
-    """exp(-(1/2) op^{-1} dx^2) term, op acting on total degree in vars; the
-    series of a degree-n term ends within n // 2 + 2 steps."""
-    def step(t, m):
-        return _inverse_step(op, t, vars, 0, (-1, 2 * m))
-    message = f"{what} failed to terminate for n={n}"
-    return _terminating_sum(term, step, n // 2 + 2, message)
+def _exp_series(op: DiagonalOp, vars: tuple, start: tuple, n: int, what: str) -> Poly:
+    """exp(-(1/2) op^{-1} dx^2) x^start, op acting on the total degree: its
+    m-th term is -(1/(2m)) op^{-1} dx^2 of the one before, and the series
+    of a degree-n term ends within n // 2 + 2 steps."""
+    scales = zip(repeat(-1), range(2, n + 5, 2))  # -1/(2m) for m <= n // 2 + 2
+    return _series(op, vars, start, (0, 1), scales, what)
 
 
-def exp_resolvent_sj(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
+def exp_resolvent_sj(n: int) -> Poly:
     """exp(-(1/2) (D+n-1)^{-1} d^2) x^n, the exponential form at (-1, -1)."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    kernel = {1 - n} if 1 - n >= 0 else set()
-    op = DiagonalOp(lambda d: d + n - 1, kernel, completion)
-    return _exp_series(Poly.var("x", n), op, ("x",), n, "exponential series")
+    op = DiagonalOp(lambda d: d + n - 1, {1 - n} if 1 - n >= 0 else ())
+    return _exp_series(op, ("x",), (n,), n, "exponential series")
 
 
-def exp_B_bivariate(n: int, completion=IDENTITY_ON_KERNEL) -> Poly:
+def exp_B_bivariate(n: int) -> Poly:
     """exp(B) (x y)^n with B = -(1/2) (Dx + Dy - 1)^{-1} dx^2; the diagonal
     acts on total degree in {x, y}.  Specializing y -> 1 recovers
     exp_resolvent_sj(n)."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    op = DiagonalOp(lambda d: d - 1, {1}, completion)
-    term = Poly.monomial(1, x=n, y=n) if n else Poly.const(1)
-    return _exp_series(term, op, ("x", "y"), n, "bivariate exponential")
+    op = DiagonalOp(lambda d: d - 1, {1})
+    return _exp_series(op, ("x", "y"), (n, n), n, "bivariate exponential")
 
 
 def hermite_exp(n: int) -> Poly:
-    """exp(z dx^2) x^n, the operational two-variable Hermite polynomial."""
+    """exp(z dx^2) x^n, the operational two-variable Hermite polynomial: its
+    m-th term is (z / m) dx^2 of the one before, _series with the unit
+    operator and each term tagged with its power of z."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    z = Poly.var("z")
-    return _terminating_sum(
-        Poly.var("x", n),
-        lambda t, m: t.derivative("x").derivative("x") * z * _pair(1, m, 0),
-        n // 2 + 1,
-        f"operational Hermite series failed to terminate for n={n}",
-    )
+    scales = zip(repeat(1), range(1, n // 2 + 2))
+    return _series(DiagonalOp(lambda d: 1), ("x", "z"), (n,), (0, 1), scales,
+                   "operational Hermite series", True)
 
 
 def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:

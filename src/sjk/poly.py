@@ -307,8 +307,8 @@ class Poly:
     def _term_over(vars: tuple, grade: int, exps: tuple, num: int, den: int) -> "Poly":
         """The one-term Poly num / den x^exps at one sqrt(pi) grade, from
         any integer num over a nonzero den: _over without the dict scans,
-        for the kernels that make one term per step (through _over, the
-        resolvent steps of gp_series at (-1, -1) took about 13% longer)."""
+        for the kernels that make one term at a time (the coefficients of
+        families.sj_umbral, connect.hermite_connection)."""
         p = _new(Poly)
         p.vars = vars
         if num:
@@ -557,7 +557,7 @@ class Poly:
         vn, vd, vg = value.num, value.den, value.sqrt_pi_pow
         pieces = []
         for g, d, nums in self._parts:
-            top = max(exps[i] for exps in nums)
+            top = max([exps[i] for exps in nums])
             by_grade = {}
             for exps, n in nums.items():
                 e = exps[i]
@@ -566,7 +566,7 @@ class Poly:
                 out[key] = out.get(key, 0) + n * vn**e * vd ** (top - e)
             for h, out in by_grade.items():
                 pieces.append(Poly._over(rest, h, d * vd**top, out))
-        return Poly.sum(pieces, rest)
+        return pieces[0] if len(pieces) == 1 else Poly.sum(pieces, rest)
 
     # -- structure ------------------------------------------------------------
 

@@ -15,33 +15,49 @@ stored integers.
 from __future__ import annotations
 
 import logging
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import itemgetter
 
 from .errors import DomainError, ExpansionError
 from .poly import CoeffSeries, Poly
-from .scalar import HalfInt, _gamma_parts, _pair, _ratio, half
+from .scalar import HalfInt, _gamma_parts, _pair, half
 
 log = logging.getLogger(__name__)
 
 MU = "mu"  # variable name carrying the mu grading after transforming
 
+_new = object.__new__
+
 
 def _clean_exps(exps) -> tuple:
-    """Normalize an exponent map to a sorted tuple of (name, HalfInt),
-    dropping zero entries (minimal support)."""
+    """(pairs, key): an exponent map as a tuple of (name, HalfInt) sorted
+    by name, zero entries dropped (minimal support), and the same pairs
+    with each exponent as its int twice, the form that GenSeries groups
+    by.  A dict is read as it is, and a HalfInt exponent is taken without
+    coercion."""
+    if not exps:
+        return (), ()
     out = []
-    for name, e in dict(exps).items():
-        e = half(e)
-        if e.twice != 0:
+    key = []
+    for name, e in (exps if type(exps) is dict else dict(exps)).items():
+        if type(e) is not HalfInt:
+            e = half(e)
+        if e.twice:
             out.append((name, e))
-    out.sort(key=lambda t: t[0])
-    return tuple(out)
+            key.append((name, e.twice))
+    if len(out) > 1:
+        out.sort(key=_name)
+        key.sort(key=_name)
+    return tuple(out), tuple(key)
+
+
+_name = itemgetter(0)
 
 
 class GenMonomial:
     """coeff * u1^a1... * v1^b1... * lambda^k * mu^l with half-integer a, b."""
 
-    __slots__ = ("coeff", "u_exps", "v_exps", "lambda_pow", "mu_pow")
+    __slots__ = ("coeff", "u_exps", "v_exps", "lambda_pow", "mu_pow", "_key")
 
     def __init__(self, coeff, u_exps=(), v_exps=(), lambda_pow=0, mu_pow=0):
         if not isinstance(coeff, Poly):
@@ -49,13 +65,16 @@ class GenMonomial:
         if lambda_pow < 0 or mu_pow < 0:
             raise ValueError("grading powers must be non-negative")
         self.coeff = coeff
-        self.u_exps = _clean_exps(u_exps)
-        self.v_exps = _clean_exps(v_exps)
+        self.u_exps, u_key = _clean_exps(u_exps)
+        self.v_exps, v_key = _clean_exps(v_exps)
         self.lambda_pow = lambda_pow
         self.mu_pow = mu_pow
+        self._key = (u_key, v_key, lambda_pow, mu_pow)
 
     def key(self):
-        return (self.u_exps, self.v_exps, self.lambda_pow, self.mu_pow)
+        """The letters' exponents (as twice their values) and the grading
+        powers: equal for terms that combine."""
+        return self._key
 
     def __mul__(self, other: "GenMonomial") -> "GenMonomial":
         def merge(a, b):
@@ -84,9 +103,11 @@ class GenMonomial:
         )
 
     def scaled(self, c) -> "GenMonomial":
-        return GenMonomial(
-            self.coeff * c, self.u_exps, self.v_exps, self.lambda_pow, self.mu_pow
-        )
+        t = _new(GenMonomial)
+        t.coeff = self.coeff * c
+        t.u_exps, t.v_exps = self.u_exps, self.v_exps
+        t.lambda_pow, t.mu_pow, t._key = self.lambda_pow, self.mu_pow, self._key
+        return t
 
     def __repr__(self):
         us = " ".join(f"{n}^{e}" for n, e in self.u_exps)
@@ -108,18 +129,28 @@ class GenSeries:
     __slots__ = ("terms", "lambda_order", "mu_order")
 
     def __init__(self, terms, lambda_order=None, mu_order=None):
-        groups: dict = {}
+        groups: dict = {}  # key -> its one term, or the list of its terms
         for t in terms:
             if lambda_order is not None and t.lambda_pow > lambda_order:
                 continue
             if mu_order is not None and t.mu_pow > mu_order:
                 continue
-            groups.setdefault(t.key(), []).append(t)
-        merged = (
-            g[0] if len(g) == 1 else GenMonomial(Poly.sum([t.coeff for t in g]), *k)
-            for k, g in groups.items()
-        )
-        self.terms = [t for t in merged if not t.coeff.is_zero()]
+            k = t._key
+            g = groups.get(k)
+            if g is None:
+                groups[k] = t
+            elif type(g) is list:
+                g.append(t)
+            else:
+                groups[k] = [g, t]
+        self.terms = []
+        for g in groups.values():
+            if type(g) is list:
+                t = g[0]
+                g = GenMonomial(Poly.sum([t.coeff for t in g]), t.u_exps, t.v_exps,
+                                t.lambda_pow, t.mu_pow)
+            if g.coeff:
+                self.terms.append(g)
         self.lambda_order = lambda_order
         self.mu_order = mu_order
 
@@ -172,50 +203,102 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
 
 def _weight(t: GenMonomial):
     """The transform's weight prod Gamma(a) / prod Gamma(b) over the u- and
-    v-exponents of t, as integers (num, den, grade) from scalar's Gamma
-    table; None when a v-exponent lies on a zero of 1/Gamma."""
+    v-exponents of t, as integers (num, den, grade) in lowest terms from
+    scalar's Gamma table; None when a v-exponent lies on a zero of
+    1/Gamma."""
     num, den, grade = 1, 1, 0
     for name, e in t.u_exps:
-        if e.is_nonpositive_integer():
+        if e.twice <= 0 and not e.twice % 2:
             raise DomainError(
                 f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
             )
         a, b, g = _gamma_parts(e)
-        num, den, grade = num * a, den * b, grade + g
+        num *= a
+        den *= b
+        grade += g
     for _, e in t.v_exps:
-        if e.is_nonpositive_integer():
+        if e.twice <= 0 and not e.twice % 2:
             log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
             return None
         a, b, g = _gamma_parts(e)
-        num, den, grade = num * b, den * a, grade - g
-    return num, den, grade
+        num *= b
+        den *= a
+        grade -= g
+    g = gcd(num, den)
+    return num // g, den // g, grade
 
 
 def itransform(s: GenSeries) -> CoeffSeries:
     """Apply the transform to every term and collect by lambda power.
 
     mu powers are folded into the coefficient polynomials as the variable
-    ``mu``.  Returns a series exact through s.lambda_order.  Each
-    transformed coefficient is the term's coefficient Poly times its
-    weight, a scaling of the stored integers.
+    ``mu``.  Returns a series exact through s.lambda_order.  Each lambda
+    power's coefficient is summed in one pass over its terms' stored
+    integers (_weighted_sum).
     """
     if s.lambda_order is not None:
         order = s.lambda_order
     else:
         order = max((t.lambda_pow for t in s.terms), default=0)
-    parts = [[] for _ in range(order + 1)]
+    rows = [[] for _ in range(order + 1)]
     for t in s.terms:
         w = _weight(t)
-        if w is None:
-            continue
-        num, den, grade = w
-        contrib = t.coeff * _ratio(num, den, grade)
+        if w is not None:
+            rows[t.lambda_pow].append((t, w))
+    return CoeffSeries([_weighted_sum(r) for r in rows], order)
+
+
+def _weighted_sum(rows: list) -> Poly:
+    """The sum of c w mu^l over the (term, weight) rows, c the term's
+    coefficient Poly, w = (num, den, grade) its weight and l its mu power,
+    over the sorted union of the coefficients' variables and, where some
+    l > 0, mu.  Each part of c contributes its numerators times num over
+    its denominator times den at its grade plus the weight's.  At one
+    grade the sum is one pass: the numerators brought over the lcm of the
+    denominators, added per key and reduced once.  Over several it is the
+    sum of the one-part Polys in the rows' order, so a clash of grades
+    raises as Poly.sum raises it."""
+    names = set()
+    mu = False
+    for t, _ in rows:
+        names.update(t.coeff.vars)
         if t.mu_pow:
-            contrib = contrib * Poly.var(MU, t.mu_pow)
-        parts[t.lambda_pow].append(contrib)
-    return CoeffSeries([Poly.sum(p) for p in parts], order)
+            mu = True
+    if mu:
+        names.add(MU)
+    vars = tuple(sorted(names))
+    j = vars.index(MU) if mu else None
+    parts = []  # (grade, den, nums, weight's numerator)
+    for t, (wn, wd, wg) in rows:
+        k = t.mu_pow
+        for g, d, nums in t.coeff._by_grade(vars):
+            if k:
+                nums = {e[:j] + (e[j] + k,) + e[j + 1 :]: n for e, n in nums.items()}
+            parts.append((g + wg, d * wd, nums, wn))
+    if not parts:
+        return Poly.zero(vars)
+    grade = parts[0][0]
+    dens = []
+    for p in parts:
+        if p[0] != grade:
+            return Poly.sum([
+                Poly._over(vars, g, d, {e: n * wn for e, n in nums.items()})
+                for g, d, nums, wn in parts
+            ], vars)
+        dens.append(p[1])
+    den = lcm(*dens)
+    total = {}
+    get = total.get
+    for _, d, nums, wn in parts:
+        m = den // d * wn
+        for e, n in nums.items():
+            total[e] = get(e, 0) + n * m
+    return Poly._over(vars, grade, den, total)
 
 
 def itransform_scalar(s: GenSeries) -> Poly:
-    """Transform of a series with trivial lambda grading, as a single Poly."""
-    return Poly.sum(itransform(s).coeffs)
+    """Transform of a series with trivial lambda grading, as a single Poly:
+    the sum of itransform's coefficients, the one coefficient itself when
+    the series is exact through lambda^0 only."""
+    coeffs = itransform(s).coeffs
+    return coeffs[0] if len(coeffs) == 1 else Poly.sum(coeffs)

@@ -68,3 +68,23 @@ def test_connection_column_calls_the_public_name(monkeypatch, family, name):
     monkeypatch.setattr(connect, name, wrapper)
     assert connect.reconstruct_monomial(4, family) == Poly.var("x", 4)
     assert calls == [(4, 0), (4, 2), (4, 4)]
+
+
+def test_tracer_targets_exist_but_four():
+    # the tracer wraps its targets by module name and skips a name that
+    # is gone, so a renamed function would drop out of the spans unseen;
+    # these four are absent from the package today
+    import sjk.cli  # noqa: F401  imports every module the tracer wraps
+
+    tracer = SPANS["Tracer"]()
+    tracer.install()
+    try:
+        absent = set(tracer.absent)
+    finally:
+        tracer.uninstall()
+    assert absent == {
+        "sjk.lacunary.sj_lacunary_shift_gen",
+        "sjk.connect.sj_pair_factors",
+        "sjk.connect.hermite_pair_factors",
+        "sjk.opcalc.conjugate_shift",
+    }

@@ -333,13 +333,14 @@ class TestExitCodes:
                 "form differ at n=3\n") in out
 
     def test_verify_catches_a_broken_inverse_step(self, monkeypatch):
-        real = opcalc._inverse_step
+        # the series' step on the stored integers, from the first term x^5
+        real = opcalc._step
 
-        def broken(op, t, vars, ba, scale):
-            p = real(op, t, vars, ba, scale)
-            return p * 2 if t == Poly.var("x", 5) else p  # x^5 -> one x^3 term
+        def broken(nums, r, w2, w1, made, factor):
+            out = real(nums, r, w2, w1, made, factor)
+            return [(e, 2 * x, *f) for e, x, *f in out] if nums == {5: 1} else out
 
-        monkeypatch.setattr(opcalc, "_inverse_step", broken)
+        monkeypatch.setattr(opcalc, "_step", broken)
         code, out, _ = run_cli("verify", "--suite", "opcalc")
         assert code == 2
         assert ("[FAIL] opcalc: resolvent equals closed form: resolvent vs closed "

@@ -3,12 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sjk import verify
-from sjk.errors import InternalError, KernelHit, ParamError
+from sjk import opcalc, verify
+from sjk.errors import InternalError, ParamError
 from sjk.families import jacobi_classical
 from sjk.opcalc import (
-    ERROR_ON_KERNEL,
-    IDENTITY_ON_KERNEL,
     DiagonalOp,
     _inverse_step,
     apply_diagonal,
@@ -57,11 +55,6 @@ class TestApplyInverseDiagonal:
         op = DiagonalOp(lambda d: Fraction((d - 4) * (d + 3)), {4})
         p = Poly.var("x", 4)
         assert apply_inverse_diagonal(op, p) == p
-
-    def test_error_completion_raises(self):
-        op = DiagonalOp(lambda d: Fraction(d - 1), {1}, ERROR_ON_KERNEL)
-        with pytest.raises(KernelHit):
-            apply_inverse_diagonal(op, X)
 
 
 class TestConjugateShift:
@@ -178,19 +171,44 @@ class TestEigenEquations:
                 assert gp_series(n, alpha, beta) == monic
 
 
-def test_error_on_kernel_never_hit_in_sweeps():
-    # the degree-lowering argument keeps nonzero coefficients off kernel
-    # degrees; running the strict completion documents it
+def _sweeps():
+    """The series sweeps whose kernel degrees the audit below watches."""
+    out = []
     for n in range(31):
-        assert gp_series(n, -1, -1, completion=ERROR_ON_KERNEL) == gp_series(
-            n, -1, -1
-        )
-        assert exp_resolvent_sj(n, completion=ERROR_ON_KERNEL) == exp_resolvent_sj(n)
+        out += [gp_series(n, -1, -1), exp_resolvent_sj(n), exp_B_bivariate(n)]
     for beta in (Fraction(0), Fraction(1, 2), Fraction(2)):
-        for n in range(16):
-            assert gp_series(n, -1, beta, completion=ERROR_ON_KERNEL) == gp_series(
-                n, -1, beta
-            )
+        out += [gp_series(n, -1, beta) for n in range(16)]
+    return out
+
+
+def test_error_on_kernel_never_hit_in_sweeps(monkeypatch):
+    # the degree-lowering argument keeps nonzero coefficients off kernel
+    # degrees, so the identity completion never acts: every series operator
+    # built with no declared kernel evaluates only degrees where it is
+    # nonzero, and a coefficient at a kernel degree makes eval raise
+    want = _sweeps()
+    monkeypatch.setattr(opcalc, "DiagonalOp", lambda fn, kernel=(): DiagonalOp(fn))
+    assert _sweeps() == want
+
+
+def test_kernel_audit_sees_a_kernel_hit(monkeypatch):
+    # a first step that keeps an x^4 term in the resolvent series of degree
+    # 4, whose factor vanishes there: the library's identity completion
+    # passes it through to a wrong sum, the audit's operator raises
+    real = opcalc._step
+
+    def broken(nums, r, w2, w1, made, factor):
+        out = real(nums, r, w2, w1, made, factor)
+        if nums == {4: 1}:
+            f = factor(4 + r)
+            out.append((4, w2 * f[0], f[1], f[2]))
+        return out
+
+    monkeypatch.setattr(opcalc, "_step", broken)
+    assert gp_series(4, -1, -1) != verify.families.sj_closed_mm(4, 0)
+    monkeypatch.setattr(opcalc, "DiagonalOp", lambda fn, kernel=(): DiagonalOp(fn))
+    with pytest.raises(InternalError, match="declared kernel"):
+        gp_series(4, -1, -1)
 
 
 def test_b_commutation_with_matched_powers(rng):
@@ -222,7 +240,7 @@ def _outcome(fn):
     """fn()'s Poly with its variables, or the type and text of its error."""
     try:
         p = fn()
-    except (KernelHit, InternalError, ValueError) as exc:
+    except (InternalError, ValueError) as exc:
         return type(exc), str(exc)
     return p.vars, p.terms
 
@@ -249,8 +267,7 @@ def _step_cases(draw):
     # or one degree too many (never evaluated, as before)
     kernel = draw(st.sampled_from([{k}, set(), {k, k + 1}]))
     w = draw(SMALL.filter(bool))
-    completion = draw(st.sampled_from([IDENTITY_ON_KERNEL, ERROR_ON_KERNEL]))
-    op = DiagonalOp(lambda d: Fraction(d - k) * w, kernel, completion)
+    op = DiagonalOp(lambda d: Fraction(d - k) * w, kernel)
     return op, t, vars, draw(SMALL), draw(SMALL.filter(bool))
 
 
@@ -262,15 +279,20 @@ def test_inverse_step_matches_composition(case):
     assert got == _outcome(lambda: _step_oracle(op, t, vars, ba, scale))
 
 
-@pytest.mark.parametrize("kernel, completion, error", [
-    ({2}, ERROR_ON_KERNEL, KernelHit),  # names the unscaled coefficient 12
-    (set(), IDENTITY_ON_KERNEL, InternalError),  # declared kernel is wrong
-])
-def test_inverse_step_errors_as_composition(kernel, completion, error):
-    op = DiagonalOp(lambda d: Fraction(d - 2), kernel, completion)
+def test_inverse_step_errors_as_composition():
+    op = DiagonalOp(lambda d: Fraction(d - 2), set())  # declared kernel is wrong
     t = Poly.var("x", 4)
     got = _outcome(lambda: _inverse_step(op, t, ("x",), 0, Fraction(-1, 2)))
-    assert got[0] is error
+    assert got[0] is InternalError
+    assert got == _outcome(lambda: _step_oracle(op, t, ("x",), 0, Fraction(-1, 2)))
+
+
+def test_inverse_step_passes_kernel_terms_as_composition():
+    # x^4 lands on x^2, the kernel degree: it passes through, scaled
+    op = DiagonalOp(lambda d: Fraction(d - 2), {2})
+    t = Poly.var("x", 4)
+    got = _outcome(lambda: _inverse_step(op, t, ("x",), 0, Fraction(-1, 2)))
+    assert got == (("x",), {(2,): ExactScalar(-6)})
     assert got == _outcome(lambda: _step_oracle(op, t, ("x",), 0, Fraction(-1, 2)))
 
 

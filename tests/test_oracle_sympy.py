@@ -4,7 +4,10 @@ Each output is read as a user reads it, through ``sjk.cli.run`` with
 ``--format json`` and ``jsonio.poly_from_obj``, and compared exactly with
 a polynomial that sympy builds from the classical Jacobi polynomial
 P^(1,beta): for n >= 1 the (-1, beta) Sobolev-Jacobi polynomial is the
-monic (x - 1) P^(1,beta)_(n-1).  The module skips itself when sympy is
+monic (x - 1) P^(1,beta)_(n-1).  The cross-check constructions that
+``sjk verify`` compares (the resolvent and exponential series of opcalc
+and the umbral transform) have no verb; they are compared with the same
+sympy polynomials directly.  The module skips itself when sympy is
 absent.
 """
 
@@ -18,6 +21,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.orthopolys import jacobi_poly  # noqa: E402
 
 from sjk import cli, jsonio  # noqa: E402
+from sjk.families import sj_umbral  # noqa: E402
+from sjk.opcalc import exp_B_bivariate, exp_resolvent_sj, gp_series  # noqa: E402
 from sjk.poly import Poly  # noqa: E402
 from sjk.scalar import ExactScalar  # noqa: E402
 
@@ -125,3 +130,40 @@ def test_react_solves_its_equation(N0):
     one_minus_x2 = sympy.Poly(1 - X**2, X, domain="QQ")
     for j in range(t_order):
         assert c[j + 1] * (j + 1) == one_minus_x2 * c[j].diff(X).diff(X), j
+
+
+@pytest.mark.parametrize("beta", ["-1", "-1/2", "1/3", "2"])
+def test_resolvent_series_equals_jacobi_oracle(beta):
+    # gp_series(n, -1, beta) is the (-1, beta) polynomial that
+    # poly --family sj-beta prints
+    b = sympy.Rational(beta)
+    for n in range(2, 17):
+        assert gp_series(n, -1, Fraction(beta)) == _as_poly(_monic_sj_beta(n, b)), n
+
+
+def test_four_way_constructions_equal_jacobi_oracle():
+    # the exponential resolvent, the umbral transform and the bivariate
+    # exponential at y = 1 each give the (-1,-1) polynomial
+    for n in range(2, 17):
+        want = _monic_sj(n)
+        assert _to_sympy(exp_resolvent_sj(n)) == want, n
+        assert _to_sympy(sj_umbral(n)) == want, n
+        assert _to_sympy(exp_B_bivariate(n).substitute("y", 1)) == want, n
+
+
+@pytest.mark.parametrize("K, L, order", [(3, 0, 21), (2, 1, 31), (3, 2, 20)])
+def test_sj_lacunary_equals_multisection_oracle(K, L, order):
+    # the lacunary series sum_n lambda^n / n! p_(K n + L) against the
+    # multisection of sympy's polynomials; --check holds its closed form
+    # to the same series
+    obj = _json("lacunary", "--family", "sj", "--K", str(K), "--L", str(L),
+                "--order", str(order))
+    assert (obj["parameter"], obj["order"]) == ("lambda", order)
+    for n, c in enumerate(obj["coefficients"]):
+        want = _monic_sj(K * n + L) * sympy.Rational(1, sympy.factorial(n))
+        assert _to_sympy(jsonio.poly_from_obj(c)) == want, n
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["lacunary", "--family", "sj", "--K", str(K), "--L", str(L),
+            "--order", str(order), "--check"]
+    assert cli.run(argv, out=out, err=err) == 0, out.getvalue() + err.getvalue()
+    assert out.getvalue() == "closed-form == oracle: PASS\n"
