@@ -77,30 +77,35 @@ def _positions(p: Poly, vars):
     return [i for i, v in enumerate(p.vars) if v in chosen]
 
 
-def _assemble(den: int, terms: list) -> list:
-    """[(h, den_h, nums_h)], one entry per sqrt(pi) grade h of the terms
-    (key, numerator, den', h) over den den': at grade h the numerators go
-    over den times the lcm of the den', integers not in lowest terms."""
-    if len(terms) < 2:  # no lcm to take: the series steps at (-1, -1)
-        if not terms:
-            return []
-        (e, x, fd, h), = terms
-        return [(h, den * fd, {e: x})]
+def _gather(den: int, terms: list) -> tuple:
+    """(den', nums): the terms (key, numerator, den_t, grade) of one sqrt(pi)
+    grade, each numerator over den den_t, brought over den' = den times
+    the lcm of the den_t; integers not in lowest terms."""
+    if len(terms) == 1:  # no lcm to take: the series steps at (-1, -1)
+        (e, x, fd, _), = terms
+        return den * fd, {e: x}
+    m = lcm(*[t[2] for t in terms])
+    return den * m, {e: x * (m // fd) for e, x, fd, _ in terms}
+
+
+def _polys(vars: tuple, g: int, den: int, terms: list) -> list:
+    """The terms (key, numerator, den_t, h), each numerator over den den_t
+    at sqrt(pi) grade g + h, as one Poly over vars per grade h, gathered
+    by _gather, in increasing order of h."""
     grades = sorted({t[3] for t in terms})
-    pieces = []
-    for h in grades:
-        group = terms if len(grades) == 1 else [t for t in terms if t[3] == h]
-        m = lcm(*[t[2] for t in group])
-        pieces.append((h, den * m, {e: x * (m // fd) for e, x, fd, _ in group}))
-    return pieces
+    return [
+        Poly._over(vars, g + h, *_gather(
+            den, terms if len(grades) == 1 else [t for t in terms if t[3] == h]))
+        for h in grades
+    ]
 
 
 def _scale_by_degree(p: Poly, vars, factor) -> Poly:
     """Each term c m of p times factor(d), d the degree of m in vars
     (default: all), on the stored integers.  factor(d) is an integer
     triple (num, den, grade), den nonzero, asked once per degree; its zero
-    drops the term.  Per sqrt(pi) grade of p the products go through
-    _assemble, and the pieces are summed as Poly.sum sums them."""
+    drops the term.  Per sqrt(pi) grade of p the products are gathered by
+    _polys, and the pieces are summed as Poly.sum sums them."""
     idx = _positions(p, vars)
     made = {}
     pieces = []
@@ -113,9 +118,7 @@ def _scale_by_degree(p: Poly, vars, factor) -> Poly:
                 f = made[d] = factor(d)
             if f[0]:
                 terms.append((exps, n * f[0], f[1], f[2]))
-        pieces += [
-            Poly._over(p.vars, g + h, dh, nh) for h, dh, nh in _assemble(den, terms)
-        ]
+        pieces += _polys(p.vars, g, den, terms)
     return Poly.sum(pieces, p.vars)
 
 
@@ -196,13 +199,13 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
     bn, bd = _parts(ba)
     sn, sd = _parts(scale)
     parts = t._by_grade()
-    idx = _positions(t, vars)
     if len(parts) != 1 or "x" not in t.vars or (vars is not None and "x" not in vars):
         d1 = t.derivative("x")
         summed = (d1.derivative("x") + d1 * _ratio(bn, bd, 0)) * _ratio(sn, sd, 0)
         return apply_inverse_diagonal(op, summed, vars)
     (g, den, nums), = parts
     i = t.vars.index("x")
+    idx = _positions(t, vars)
     groups = {}  # other exponents -> (their degree in vars, {x exponent: numerator})
     for exps, n in nums.items():
         rest = exps[:i] + exps[i + 1 :]
@@ -217,8 +220,7 @@ def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
         for rest, (r, sub) in groups.items()
         for e, x, fd, h in _step(sub, r, bd * sn, bn * sn, made, factor)
     ]
-    pieces = _assemble(den * bd * sd, terms)
-    return Poly.sum([Poly._over(t.vars, g + h, dh, nh) for h, dh, nh in pieces], t.vars)
+    return Poly.sum(_polys(t.vars, g, den * bd * sd, terms), t.vars)
 
 
 def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
@@ -244,7 +246,7 @@ def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
         step = _step(nums, r, bd * sn, bn * sn, made, factor)
         if not step:
             break
-        (_, den, nums), = _assemble(den * bd * sd, step)
+        den, nums = _gather(den * bd * sd, step)
         terms.append((den, nums))
     else:
         raise InternalError(f"{what} failed to terminate for n={start[0]}")

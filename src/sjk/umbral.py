@@ -37,6 +37,11 @@ def _clean_exps(exps) -> tuple:
     coercion."""
     if not exps:
         return (), ()
+    if len(exps) == 1 and type(exps) is dict:  # the common one-letter map
+        (name, e), = exps.items()
+        if type(e) is not HalfInt:
+            e = half(e)
+        return (((name, e),), ((name, e.twice),)) if e.twice else ((), ())
     out = []
     key = []
     for name, e in (exps if type(exps) is dict else dict(exps)).items():
