@@ -46,10 +46,8 @@ class DiagonalOp:
         self.kernel = frozenset(kernel)
 
     def eval(self, d: int) -> ExactScalar:
-        v = self.eval_fn(d)
-        if type(v) is not ExactScalar:
-            v = ExactScalar.coerce(v)
-        if (not v.num) != (d in self.kernel):
+        v = ExactScalar.coerce(self.eval_fn(d))
+        if v.is_zero() != (d in self.kernel):
             raise InternalError(
                 f"declared kernel {set(self.kernel)} disagrees with eval({d}) = {v}"
             )

@@ -8,8 +8,10 @@ integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
 error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
 an integer numerator, denominator and sqrt(pi) grade built from scalar's
-one Gamma table, and the term's coefficient Poly is scaled by it on its
-stored integers.
+one Gamma table, and each power of lambda is summed in one pass over its
+terms' stored integers times their weights, with no Poly per term.  A
+generalized monomial keeps its exponents as sorted (name, HalfInt) pairs
+and, for GenSeries to combine like terms by, as (name, twice) int pairs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ log = logging.getLogger(__name__)
 
 MU = "mu"  # variable name carrying the mu grading after transforming
 
-_new = object.__new__
-
 
 def _clean_exps(exps) -> tuple:
     """(pairs, key): an exponent map as a tuple of (name, HalfInt) sorted
@@ -35,13 +35,6 @@ def _clean_exps(exps) -> tuple:
     with each exponent as its int twice, the form that GenSeries groups
     by.  A dict is read as it is, and a HalfInt exponent is taken without
     coercion."""
-    if not exps:
-        return (), ()
-    if len(exps) == 1 and type(exps) is dict:  # the common one-letter map
-        (name, e), = exps.items()
-        if type(e) is not HalfInt:
-            e = half(e)
-        return (((name, e),), ((name, e.twice),)) if e.twice else ((), ())
     out = []
     key = []
     for name, e in (exps if type(exps) is dict else dict(exps)).items():
@@ -108,11 +101,9 @@ class GenMonomial:
         )
 
     def scaled(self, c) -> "GenMonomial":
-        t = _new(GenMonomial)
-        t.coeff = self.coeff * c
-        t.u_exps, t.v_exps = self.u_exps, self.v_exps
-        t.lambda_pow, t.mu_pow, t._key = self.lambda_pow, self.mu_pow, self._key
-        return t
+        return GenMonomial(
+            self.coeff * c, self.u_exps, self.v_exps, self.lambda_pow, self.mu_pow
+        )
 
     def __repr__(self):
         us = " ".join(f"{n}^{e}" for n, e in self.u_exps)
@@ -134,28 +125,19 @@ class GenSeries:
     __slots__ = ("terms", "lambda_order", "mu_order")
 
     def __init__(self, terms, lambda_order=None, mu_order=None):
-        groups: dict = {}  # key -> its one term, or the list of its terms
+        groups: dict = {}
         for t in terms:
             if lambda_order is not None and t.lambda_pow > lambda_order:
                 continue
             if mu_order is not None and t.mu_pow > mu_order:
                 continue
-            k = t._key
-            g = groups.get(k)
-            if g is None:
-                groups[k] = t
-            elif type(g) is list:
-                g.append(t)
-            else:
-                groups[k] = [g, t]
-        self.terms = []
-        for g in groups.values():
-            if type(g) is list:
-                t = g[0]
-                g = GenMonomial(Poly.sum([t.coeff for t in g]), t.u_exps, t.v_exps,
-                                t.lambda_pow, t.mu_pow)
-            if g.coeff:
-                self.terms.append(g)
+            groups.setdefault(t.key(), []).append(t)
+        merged = (
+            g[0] if len(g) == 1 else GenMonomial(
+                Poly.sum([t.coeff for t in g]), g[0].u_exps, g[0].v_exps, *k[2:])
+            for k, g in groups.items()
+        )
+        self.terms = [t for t in merged if not t.coeff.is_zero()]
         self.lambda_order = lambda_order
         self.mu_order = mu_order
 
@@ -213,22 +195,18 @@ def _weight(t: GenMonomial):
     1/Gamma."""
     num, den, grade = 1, 1, 0
     for name, e in t.u_exps:
-        if e.twice <= 0 and not e.twice % 2:
+        if e.twice <= 0 and not e.twice % 2:  # a non-positive integer
             raise DomainError(
                 f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
             )
         a, b, g = _gamma_parts(e)
-        num *= a
-        den *= b
-        grade += g
+        num, den, grade = num * a, den * b, grade + g
     for _, e in t.v_exps:
         if e.twice <= 0 and not e.twice % 2:
             log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
             return None
         a, b, g = _gamma_parts(e)
-        num *= b
-        den *= a
-        grade -= g
+        num, den, grade = num * b, den * a, grade - g
     g = gcd(num, den)
     return num // g, den // g, grade
 
