@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 
 MU = "mu"  # variable name carrying the mu grading after transforming
 
+_name = itemgetter(0)  # sort key of a (name, exponent) pair
+
 
 def _clean_exps(exps) -> tuple:
     """(pairs, key): an exponent map as a tuple of (name, HalfInt) sorted
@@ -47,9 +49,6 @@ def _clean_exps(exps) -> tuple:
         out.sort(key=_name)
         key.sort(key=_name)
     return tuple(out), tuple(key)
-
-
-_name = itemgetter(0)
 
 
 class GenMonomial:

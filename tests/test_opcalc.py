@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sjk import opcalc, verify
 from sjk.errors import InternalError, ParamError
-from sjk.families import jacobi_classical
+from sjk.families import jacobi_classical, sj_closed_mm
 from sjk.opcalc import (
     DiagonalOp,
     _inverse_step,
@@ -205,7 +205,7 @@ def test_kernel_audit_sees_a_kernel_hit(monkeypatch):
         return out
 
     monkeypatch.setattr(opcalc, "_step", broken)
-    assert gp_series(4, -1, -1) != verify.families.sj_closed_mm(4, 0)
+    assert gp_series(4, -1, -1) != sj_closed_mm(4, 0)
     monkeypatch.setattr(opcalc, "DiagonalOp", lambda fn, kernel=(): DiagonalOp(fn))
     with pytest.raises(InternalError, match="declared kernel"):
         gp_series(4, -1, -1)
