@@ -83,11 +83,7 @@ def _sj_row() -> Family:
 
 def _hermite_row() -> Family:
     return Family(hermite_family, hermite_egf, hermite_connection,
-                  lacunary.hermite_lacunary_closed, _same)
-
-
-def _same(p: Poly) -> Poly:
-    return p
+                  lacunary.hermite_lacunary_closed, lambda p: p)
 
 
 _ROWS = {"sj": _sj_row, "hermite": _hermite_row}
