@@ -14,20 +14,20 @@ exp_resolvent_sj, exp_B_bivariate and hermite_exp are one loop, _series.
 Its term t_m = s_m op^{-1}((d^2 + (beta - alpha) d) t_(m-1)) is carried
 as integers, a denominator and {x exponent: numerator}, and each step,
 _step, maps those numerators and takes op's value at each degree it
-reaches as an integer triple, so no Poly is made until the sum; the
-denominators grow as multiples of each other, so the sum is one integer
-pass over the last one and one reduction.  _inverse_step is that step on
-a Poly.  The Jacobi operator itself is applied in one pass on the stored
-integers too.  The parameters are read once, by _jacobi_weights, as the
-integer weights q (beta - alpha) and q (alpha + beta + 1) over their
-common denominator q; families' coefficient recurrence reads them there
-too.
+reaches as an integer triple, so no Poly is made until the sum, one
+integer pass over the lcm of the terms' denominators and one reduction.
+_inverse_step is that step on a Poly.  The Jacobi operator itself is
+applied in one pass on the stored integers too.  The parameters are read
+once, by _jacobi_weights, as the integer weights q (beta - alpha) and
+q (alpha + beta + 1) over their common denominator q; families'
+coefficient recurrence reads them there too.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import InternalError, ParamError
 from .poly import Poly
@@ -76,14 +76,21 @@ def _positions(p: Poly, vars):
 
 
 def _gather(den: int, terms: list) -> tuple:
-    """(den', nums): the terms (key, numerator, den_t, grade) of one sqrt(pi)
-    grade, each numerator over den den_t, brought over den' = den times
-    the lcm of the den_t; integers not in lowest terms."""
+    """(den', nums) in lowest terms: the terms (key, numerator, den_t,
+    grade) of one sqrt(pi) grade, each numerator over den den_t, brought
+    over den times the lcm of the den_t and reduced by one gcd."""
     if len(terms) == 1:  # no lcm to take: the series steps at (-1, -1)
         (e, x, fd, _), = terms
-        return den * fd, {e: x}
+        d = den * fd
+        g = gcd(d, x)
+        return d // g, {e: x // g}
     m = lcm(*[t[2] for t in terms])
-    return den * m, {e: x * (m // fd) for e, x, fd, _ in terms}
+    d = den * m
+    nums = {e: x * (m // fd) for e, x, fd, _ in terms}
+    g = gcd(d, *nums.values())
+    if g == 1:
+        return d, nums
+    return d // g, {e: n // g for e, n in nums.items()}
 
 
 def _polys(vars: tuple, g: int, den: int, terms: list) -> list:
@@ -228,13 +235,13 @@ def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
     t_(m-1)), d = d/dx, op acting on the total degree and completed by the
     identity on its kernel (_step), ba = (num, den) and s_m the m-th pair
     of scales, integer pairs with den > 0.  Each term is kept as (den,
-    {x exponent: numerator}), not in lowest terms, each den a multiple of
-    the one before; the series' operators take rational values, so each
-    term is one part, at grade 0.  The sum brings every term over the last
-    den, adds per key and reduces once.  With tag the m-th term's keys
-    gain m as a last exponent (hermite_exp's power of z).  InternalError
-    ("<what> failed to terminate") unless a zero term comes within the
-    steps that scales gives."""
+    {x exponent: numerator}) in lowest terms (_gather); the series'
+    operators take rational values, so each term is one part, at grade 0.
+    The sum brings every term over the lcm of the dens, adds per key and
+    reduces once.  With tag the m-th term's keys gain m as a last exponent
+    (hermite_exp's power of z).  InternalError ("<what> failed to
+    terminate") unless a zero term comes within the steps that scales
+    gives."""
     bn, bd = ba
     r = sum(start[1:])
     made, factor = {}, _inverse_factor(op)
@@ -248,15 +255,16 @@ def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
         terms.append((den, nums))
     else:
         raise InternalError(f"{what} failed to terminate for n={start[0]}")
+    top = lcm(*map(itemgetter(0), terms))
     total = {}
     get = total.get
     for m, (d, nums) in enumerate(terms):
-        k = den // d
+        k = top // d
         tail = start[1:] + (m,) if tag else start[1:]
         for e, n in nums.items():
             key = (e,) + tail
             total[key] = get(key, 0) + n * k
-    return Poly._over(vars, 0, den, total)
+    return Poly._over(vars, 0, top, total)
 
 
 def _resolvent_factor(n: int, alpha, beta) -> DiagonalOp:
