@@ -12,13 +12,11 @@ beta <= 1000.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import os
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import families, jsonio, verify
 from .connect import FAMILIES, lookup, reaction_solve
@@ -40,21 +38,6 @@ class UsageError(Exception):
     pass
 
 
-class _HelpRequested(Exception):
-    """-h/--help was given; args[0] is the help text."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse would exit(2) on bad flags; remap to the declared contract.
-    def error(self, message):
-        raise UsageError(message)
-
-    # argparse's help action would print to sys.stdout and exit(0); run
-    # writes the text to its own out stream instead.
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
-
-
 def _max_order() -> int:
     raw = os.environ.get("SJK_MAX_ORDER", "")
     try:
@@ -71,23 +54,6 @@ def _check_cap(value: int, label: str):
     if value > cap:
         raise UsageError(f"{label} {value} exceeds SJK_MAX_ORDER = {cap}")
     return value
-
-
-# argparse treats only '-<digits>' and '-<digits>.<digits>' as negative
-# numbers, so the '-1/2' in '--beta -1/2' would be read as an option.
-_RATIONAL_OPTIONS = ("--alpha", "--beta", "--gamma")
-_NEGATIVE_VALUE = re.compile(r"-[\d.]")
-
-
-def _bind_negative_rationals(argv) -> list:
-    """Rewrite '--beta -1/2' as '--beta=-1/2' for the rational options."""
-    out = []
-    for tok in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(tok):
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
-    return out
 
 
 def _rat(text: str) -> Fraction:
@@ -219,80 +185,148 @@ def _cmd_verify(args, out):
     return 2 if failures else 0
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The one parser of this process.  parse_args keeps no state between
-    calls and returns a fresh Namespace each time, so it is built once."""
-    parser = _Parser(prog="sjk", description=__doc__)
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _cmd_help(args, out):
+    """-h/--help: the usage of sjk, or of one verb, written from the tables."""
+    if args.verb is None:
+        print(f"usage: sjk [-h] {{{','.join(_VERBS)}}} ...\n\n{__doc__}", file=out)
+        for verb, (_, line, _) in _VERBS.items():
+            print(f"  {verb:10}{line}", file=out)
+        return 0
+    _, line, opts = _VERBS[args.verb]
+    print(f"usage: sjk {args.verb} [-h] OPTION ...\n\n{line}\n", file=out)
+    for name, kind in opts.items():
+        value = "{%s}" % ",".join(kind) if type(kind) is tuple else name[2:].upper()
+        form = name if kind is bool else f"{name} {value}"
+        print(f"  [{form}]" if name in _DEFAULTS else f"  {form}", file=out)
+    return 0
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "json", "latex"), default="text"
-        )
 
-    p = sub.add_parser("poly", help="print one family polynomial")
-    p.add_argument("--family", choices=("sj", "sj-beta", "hermite", "jacobi"),
-                   required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=_rat, default=Fraction(0))
-    p.add_argument("--beta", type=_rat, default=Fraction(0))
-    p.add_argument("--gamma", type=_rat, default=Fraction(0))
-    add_format(p)
-    p.set_defaults(fn=_cmd_poly)
+# Each verb's options, in the order errors list them.  An option takes a str
+# from a tuple of choices, or a value that int or _rat converts, or a str that
+# may repeat (list); bool marks a flag.  It is required unless it has a default.
+_ZERO = Fraction(0)
+_FORMAT = ("text", "json", "latex")
+_DEFAULTS = {"--alpha": _ZERO, "--beta": _ZERO, "--gamma": _ZERO, "--L": 0,
+             "--t-order": 6, "--check": False, "--format": "text", "--suite": None}
+_VERBS = {
+    "poly": (_cmd_poly, "print one family polynomial", {
+        "--family": ("sj", "sj-beta", "hermite", "jacobi"), "--n": int,
+        "--alpha": _rat, "--beta": _rat, "--gamma": _rat, "--format": _FORMAT}),
+    "egf": (_cmd_egf, "print EGF coefficients", {
+        "--family": (*FAMILIES, "sj-beta-shifted"), "--order": int, "--beta": _rat,
+        "--format": _FORMAT}),
+    "lacunary": (_cmd_lacunary, "lacunary series; --check compares the closed "
+                 "form against the oracle", {"--family": FAMILIES, "--K": int,
+                 "--L": int, "--order": int, "--check": bool, "--format": _FORMAT}),
+    "connect": (_cmd_connect, "connection coefficient row for x^M",
+                {"--family": FAMILIES, "--M": int, "--format": _FORMAT}),
+    "react": (_cmd_react, "decay-system solution as a t-series",
+              {"--N0": int, "--t-order": int, "--format": _FORMAT}),
+    "table": (_cmd_table, "family polynomials up to a degree",
+              {"--family": FAMILIES, "--max-n": int, "--format": _FORMAT}),
+    "verify": (_cmd_verify, "run named invariant suites (--suite repeats; "
+               "default: all)", {"--suite": list}),
+}
+_HELP = {"-h": None, "--help": None}  # the options before the verb; None is help
 
-    p = sub.add_parser("egf", help="print EGF coefficients")
-    p.add_argument("--family", choices=(*FAMILIES, "sj-beta-shifted"),
-                   required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--beta", type=_rat, default=Fraction(0))
-    add_format(p)
-    p.set_defaults(fn=_cmd_egf)
 
-    p = sub.add_parser("lacunary", help="lacunary series; --check compares "
-                                        "the closed form against the oracle")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, default=0)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--check", action="store_true")
-    add_format(p)
-    p.set_defaults(fn=_cmd_lacunary)
+def _choice(label, value, choices):
+    if value not in choices:
+        raise UsageError(f"argument {label}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
-    p = sub.add_parser("connect", help="connection coefficient row for x^M")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--M", type=int, required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_connect)
 
-    p = sub.add_parser("react", help="decay-system solution as a t-series")
-    p.add_argument("--N0", type=int, required=True)
-    p.add_argument("--t-order", dest="t_order", type=int, default=6)
-    add_format(p)
-    p.set_defaults(fn=_cmd_react)
+def _classify(tok: str, names: dict):
+    """tok, before any '--', as argparse reads it: None for a value, else the
+    option string it names (None if none) and the text after '=' (or None).
+    A unique prefix names a '--' option; no option is a prefix of another."""
+    if tok in names:
+        return tok, None
+    if tok[:2] == "--":
+        head, eq, value = tok.partition("=")
+        hits = [head] if head in names else [n for n in names if n.startswith(head)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {tok} could match "
+                             f"{', '.join(hits)}")
+        return hits[0] if hits else None, value if eq else None
+    whole, dot, frac = tok[1:].partition(".")
+    negative = (whole + frac).isdecimal() and (frac or not dot)  # -1, -.5, -1.5
+    return None if tok[:1] != "-" or tok == "-" or negative else (None, None)
 
-    p = sub.add_parser("table", help="family polynomials up to a degree")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_table)
 
-    p = sub.add_parser("verify", help="run named invariant suites")
-    p.add_argument("--suite", action="append",
-                   help="suite name (repeatable); default: all")
-    p.set_defaults(fn=_cmd_verify)
-
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """argv read against the option tables as argparse read it: UsageError
+    for a refused request, _cmd_help's namespace for -h/--help."""
+    tokens = []
+    for tok in argv:  # '--beta -1/2' is '--beta=-1/2', as for --alpha and --gamma
+        if (tok[:1] == "-" and (tok[1:2] == "." or tok[1:2].isdecimal())
+                and tokens and tokens[-1] in ("--alpha", "--beta", "--gamma")):
+            tokens[-1] += "=" + tok
+        else:
+            tokens.append(tok)
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    verb, names, marks, values, extras, i = None, _HELP, [None] * end, {}, [], 0
+    while i < end:
+        tok = tokens[i]
+        mark = marks[i] if verb else _classify(tok, _HELP)
+        i += 1
+        if mark is None and verb is None:  # the verb, whose table reads the rest
+            verb = _choice("verb", tok, _VERBS)
+            names = {**_HELP, **_VERBS[verb][2]}  # in the order '--f' lists them
+            values = {name: _DEFAULTS.get(name) for name in _VERBS[verb][2]}
+            marks[i:] = [_classify(t, names) for t in tokens[i:end]]
+            continue
+        if mark is None or mark[0] is None:
+            extras.append(tok)
+            continue
+        name, value = mark
+        kind = names[name]
+        if kind in (None, bool):  # -h/--help or a flag
+            if value is not None:
+                raise UsageError(f"argument {name if kind else '-h/--help'}: "
+                                 f"ignored explicit argument {value!r}")
+            if kind is None:
+                return SimpleNamespace(verb=verb, fn=_cmd_help)
+            values[name] = True
+            continue
+        if value is None:
+            if i == end or marks[i] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            value, i = tokens[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid int value: {value!r}")
+        elif kind is _rat:
+            value = _rat(value)
+        elif kind is list:
+            value = [*(values[name] or ()), value]
+        else:
+            _choice(name, value, kind)
+        values[name] = value
+    if verb is None and len(tokens) > end + 1:  # argparse's verb in '-- x' is '--'
+        _choice("verb", "--", _VERBS)
+    missing = [name for name in values
+               if values[name] is None and name not in _DEFAULTS]
+    if verb is None or missing:
+        raise UsageError(f"the following arguments are required: "
+                         f"{', '.join(missing or ['verb'])}")
+    extras += tokens[end:]
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(verb=verb, fn=_VERBS[verb][0], **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def run(argv, out=None, err=None) -> int:
     """Run one request; a request refused with exit 1 leaves out untouched."""
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     buf = io.StringIO()
     try:
-        args = parser.parse_args(_bind_negative_rationals(argv))
+        args = _parse(argv)
         if getattr(args, "K", None) is not None and args.K < 1:
             raise UsageError("K must be >= 1")
         for attr in ("n", "order", "L", "M", "N0", "t_order", "max_n"):
@@ -300,9 +334,6 @@ def run(argv, out=None, err=None) -> int:
             if v is not None and v < 0:
                 raise UsageError(f"--{attr.replace('_', '-')} must be >= 0")
         code = args.fn(args, buf)
-    except _HelpRequested as exc:
-        out.write(exc.args[0])
-        return 0
     except (UsageError, SjkError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_oracle
 from sjk import cli, connect, families, jsonio, lacunary, opcalc, umbral, verify
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt
@@ -550,7 +552,6 @@ FRACTION_FREE = [
 
 @pytest.mark.parametrize("argv", FRACTION_FREE, ids=" ".join)
 def test_request_makes_no_fraction(argv, monkeypatch):
-    cli.build_parser()  # its Fraction defaults are made once per process
     families.sj_family.cache_clear()
     families.hermite_family.cache_clear()
     made = []
@@ -609,10 +610,47 @@ def run_fresh(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-class TestSharedParser:
-    def test_built_once_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
+@pytest.mark.parametrize("line, want", [
+    ("poly --fam sj --n 3", (0, "x^3 - x\n", "")),
+    ("poly --family=sj --n=2 --n 3", (0, "x^3 - x\n", "")),
+    ("poly --f sj --n 3",
+     (1, "", "error: ambiguous option: --f could match --family, --format\n")),
+    ("lacunary --family sj --K 2 --order 3 --check=1",
+     (1, "", "error: argument --check: ignored explicit argument '1'\n")),
+    ("poly --family --n 3",
+     (1, "", "error: argument --family: expected one argument\n")),
+    ("poly --family sj-beta --n 2 --beta -x",
+     (1, "", "error: argument --beta: expected one argument\n")),
+    ("poly --family sj --n -1", (1, "", "error: --n must be >= 0\n")),
+    ("poly --family sj --n 2 -- 3", (1, "", "error: unrecognized arguments: -- 3\n")),
+    ("poly -x --family sj --n 2 -hx",
+     (1, "", "error: unrecognized arguments: -x -hx\n")),
+])
+def test_command_line_forms(line, want):
+    # the forms the README lists
+    assert run_cli(*line.split()) == want
 
+
+def test_no_option_string_is_a_prefix_of_another():
+    # cli._classify reads '--help=x' and '--n=3' by prefix, so such a pair of
+    # option strings would make the first one ambiguous
+    for _, _, opts in cli._VERBS.values():
+        names = ["-h", "--help", *opts]
+        pairs = [(a, b) for a in names for b in names if a != b and b.startswith(a)]
+        assert pairs == []
+
+
+def test_cli_does_not_import_argparse():
+    root = Path(__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(root / 'src')!r}); import sjk.cli; "
+            "print('argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+class TestSharedParser:
+    # the option tables are shared; each call gets a fresh --suite list
+    # and the defaults
     @pytest.mark.parametrize("first, second", [
         # an append action after an earlier append
         ("verify --suite scalar", "verify --suite hyper"),
@@ -630,13 +668,27 @@ class TestSharedParser:
 
 class TestHelp:
     @pytest.mark.parametrize("line", ["--help", "poly --help", "lacunary -h"])
-    def test_help_is_written_to_out(self, line, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    def test_help_is_written_to_out(self, line):
         code, out, err = run_cli(*line.split())
         assert (code, err) == (0, "")
         assert out.startswith("usage: sjk")
         # a shell call keeps its bytes and exit code
         assert run_fresh(*line.split()) == (code, out, err)
+
+    @pytest.mark.parametrize("verb", sorted(cli._VERBS))
+    def test_help_names_every_option(self, verb):
+        code, out, _ = run_cli(verb, "-h")
+        assert code == 0
+        assert [name for name in cli._VERBS[verb][2] if name not in out] == []
+
+    @pytest.mark.parametrize("line", ["-h", "poly -h"])
+    def test_help_does_not_depend_on_the_terminal_width(self, line):
+        def shell_call(columns):
+            env = {**os.environ, "COLUMNS": columns}
+            return subprocess.run([sys.executable, "-m", "sjk", *line.split()],
+                                  capture_output=True, text=True, env=env).stdout
+
+        assert shell_call("40") == shell_call("200")
 
     def test_requests_after_help(self):
         assert run_cli("poly", "--help")[0] == 0
@@ -644,11 +696,12 @@ class TestHelp:
 
 
 # Random command lines: each verb with its required options, then a few
-# extra options, flags or stray tokens, with values valid or not.
-# -h/--help is left out; TestHelp covers it.
+# extra options, flags or stray tokens, with values valid or not, and a few
+# such tokens before the verb.  An option may be spelled as a prefix: "--fam"
+# is --family, "--f" is --family or --format, ambiguous where both are options.
 FUZZ_INT = ("0", "1", "2", "3", "7", "-1", "x")
 FUZZ_RATIONAL = ("0", "1/2", "-1/2", "3", "1/0", "1e3", "x", "1000", "2001/2",
-                 f"-{TOP}/{TOP - 1}", str(TOP + 1), LONG)
+                 f"-{TOP}/{TOP - 1}", str(TOP + 1), LONG, "-.5", "-x")
 FUZZ_VALUES = {
     "--family": ("sj", "sj-beta", "hermite", "jacobi", "sj-beta-shifted", "nope"),
     "--format": ("text", "json", "latex", "nope"),
@@ -657,6 +710,16 @@ FUZZ_VALUES = {
                      "--max-n"), FUZZ_INT),
     **dict.fromkeys(("--alpha", "--beta", "--gamma"), FUZZ_RATIONAL),
 }
+FUZZ_PREFIXES = {"--fam": "--family", "--f": "--family", "--o": "--order",
+                 "--bet": "--beta", "--t": "--t-order", "--s": "--suite"}
+FUZZ_OPTIONS = {
+    "poly": ("--family", "--n", "--alpha", "--beta", "--gamma", "--format"),
+    "egf": ("--family", "--order", "--beta", "--format"),
+    "lacunary": ("--family", "--K", "--L", "--order", "--format"),
+    "connect": ("--family", "--M", "--format"),
+    "react": ("--N0", "--t-order", "--format"),
+    "table": ("--family", "--max-n", "--format"), "verify": ("--suite",), "nope": (),
+}
 FUZZ_REQUIRED = {
     "poly": ("--family", "--n"), "egf": ("--family", "--order"),
     "lacunary": ("--family", "--K", "--order"), "connect": ("--family", "--M"),
@@ -664,27 +727,50 @@ FUZZ_REQUIRED = {
 }
 
 
+def fuzz_extra(draw, verb) -> list:
+    """An option of verb, or any option or prefix, with a value, repeated, or
+    alone; a value alone; a flag; '--'; or --help."""
+    anything = sorted(FUZZ_VALUES) + sorted(FUZZ_PREFIXES)
+    option = draw(st.sampled_from(FUZZ_OPTIONS.get(verb) or anything)
+                  | st.sampled_from(anything))
+    values = st.sampled_from(FUZZ_VALUES[FUZZ_PREFIXES.get(option, option)])
+    value, again = draw(values), draw(values)
+    return draw(st.sampled_from((
+        [option, value], [f"{option}={value}"], [option, value, option, again],
+        ["--check"], ["--check=1"], [value], [option], ["--"], ["--help"],
+    )))
+
+
 @st.composite
 def fuzz_argv(draw):
     verb = draw(st.sampled_from(sorted(FUZZ_REQUIRED)))
-    argv = [verb]
+    argv = []
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1)))):
+        argv += fuzz_extra(draw, None)
+    argv.append(verb)
     for option in FUZZ_REQUIRED[verb]:
         argv += [option, draw(st.sampled_from(FUZZ_VALUES[option]))]
-    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
-        option = draw(st.sampled_from(sorted(FUZZ_VALUES)))
-        value = draw(st.sampled_from(FUZZ_VALUES[option]))
-        argv += draw(st.sampled_from((
-            [option, value], [f"{option}={value}"], ["--check"], [value], [option],
-        )))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        argv += fuzz_extra(draw, verb)
     return argv
 
 
-@settings(max_examples=40, deadline=None)
+def parsed(parse, argv):
+    """The fields of the namespace that parse makes of argv, or its error."""
+    try:
+        return vars(parse(argv))
+    except cli.UsageError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(fuzz_argv(), min_size=1, max_size=4))
 def test_fuzzed_command_lines_keep_the_exit_contract(argvs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SJK_MAX_ORDER", "6")
         for argv in argvs:
+            # the argparse parser the option tables replaced reads it alike
+            assert parsed(cli._parse, argv) == parsed(cli_oracle.parse, argv), argv
             code, out, err = run_cli(*argv)
             assert code in (0, 1, 2), argv
             if code == 1:
