@@ -7,12 +7,21 @@ the pairing rule w^r wbar^s -> r! delta_{r,s} is taken as the definition.
 The sums over n visit only the n whose weight is not zero by parity (and,
 for the contraction, the n >= L whose p_n has an x^L term); a negative
 index names no polynomial and is refused with ParamError.
+
+The checks run on stored integers: a weight is read from the row's
+public connection(M, n) as its integers, a member's terms through
+Poly._by_grade, and each result is one integer pass, Poly._sum_over, with
+no Poly product or Poly.sum per member or term.  The contraction reads
+each weight and each p_n once for a whole family and size, and the
+Gaussian pairing groups each side's stored terms by their exponent of w
+and of wbar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Callable, NamedTuple
 
 from . import lacunary
@@ -105,39 +114,136 @@ def _check_index(name: str, value: int) -> None:
         raise ParamError(f"{name} must be >= 0, got {value}")
 
 
+def _weight_term(w, vars: tuple):
+    """A weight A_{M,n} as a row's connection gives it, an ExactScalar or
+    a Poly of one term, as that term's integers (key over vars, num, den,
+    grade), or None when it is zero."""
+    if not isinstance(w, Poly):
+        return ((0,) * len(vars), w.num, w.den, w.sqrt_pi_pow) if w.num else None
+    parts = w._by_grade()
+    if not parts:
+        return None
+    (g, d, nums), = parts
+    (e, num), = nums.items()
+    exps = dict(zip(w.vars, e))
+    return tuple([exps.get(v, 0) for v in vars]), num, d, g
+
+
+def _vars_of(*names, polys=()) -> tuple:
+    """The sorted union of names and the variables of the Polys among
+    polys."""
+    out = set(names)
+    for p in polys:
+        if isinstance(p, Poly):
+            out.update(p.vars)
+    return tuple(sorted(out))
+
+
+def _shifted(nums: dict, key: tuple) -> dict:
+    """nums with key added to every exponent tuple: the terms times the
+    monomial of exponents key."""
+    if not any(key):
+        return nums
+    return {tuple(map(add, e, key)): n for e, n in nums.items()}
+
+
 def reconstruct_monomial(M: int, family: str) -> Poly:
     """sum_n A_{M,n} p_n(x) over the n of M's parity (the other weights
-    are zero); must equal x^M exactly."""
+    are zero); must equal x^M exactly.  One integer pass: each weight's
+    integers times each member's numerators, summed over the lcm
+    (Poly._sum_over)."""
     _check_index("M", M)
     row = lookup(family)
-    terms = (row.source(n) * row.connection(M, n) for n in range(M % 2, M + 1, 2))
-    return Poly.sum(terms, ("x",))
+    members = [(row.source(n), row.connection(M, n)) for n in range(M % 2, M + 1, 2)]
+    vars = _vars_of("x", polys=[q for pair in members for q in pair])
+    pieces = []
+    for p, w in members:
+        w = _weight_term(w, vars)
+        if w is not None:
+            key, num, den, wg = w
+            for g, d, nums in p._by_grade(vars):
+                pieces.append((g + wg, d * den, _shifted(nums, key), num))
+    return Poly._sum_over(vars, pieces)
 
 
-def biorthogonality_check(M: int, L: int, family: str) -> ExactScalar:
+def biorthogonality_check(top: int, family: str) -> list:
     """Contraction of backward (connection) against forward (expansion)
-    coefficients; the defining identity forces delta_{M,L}.  Only the n
-    of M's parity with L <= n <= M can contribute: the other weights are
-    zero, and p_n has no x^L term below degree L."""
-    _check_index("M", M)
-    _check_index("L", L)
+    coefficients: the rows M < top of sum_n A_{M,n} [x^L] p_n for L < top,
+    as ExactScalars; the defining identity forces delta_{M,L}.  Each
+    A_{M,n} and each p_n is read once, and each [x^L] p_n is taken from
+    its stored terms.  Only the n of M's parity with L <= n <= M can
+    contribute: the other weights are zero, and p_n has no x^L term below
+    degree L.  An entry that keeps a power of another variable raises the
+    ValueError of Poly.as_scalar: the Hermite family's z powers cancel."""
+    _check_index("top", top)
     row = lookup(family)
-    parts = []
-    for n in range(L + (M - L) % 2, M + 1, 2):
-        b = row.source(n).coeff_of("x", L)
-        if b:
-            parts.append(b * row.connection(M, n))
-    return Poly.sum(parts).as_scalar()
+    sources = [row.source(n) for n in range(top)]
+    weights = [[row.connection(M, n) for n in range(M % 2, M + 1, 2)]
+               for M in range(top)]
+    vars = _vars_of("x", polys=[*sources, *(w for ws in weights for w in ws)])
+    i = vars.index("x")
+    cols = []  # cols[n]: (L, grade, den, the terms of [x^L] p_n with x^0)
+    for p in sources:
+        col = []
+        for g, d, nums in p._by_grade(vars):
+            by_power = {}
+            for e, num in nums.items():
+                by_power.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = num
+            col += [(L, g, d, terms) for L, terms in by_power.items()]
+        cols.append(col)
+    out = []
+    for M in range(top):
+        pieces = [[] for _ in range(top)]  # per L, the pieces of Poly._sum_over
+        for n, w in zip(range(M % 2, M + 1, 2), weights[M]):
+            w = _weight_term(w, vars)
+            if w is not None:
+                key, num, den, wg = w
+                for L, g, d, terms in cols[n]:
+                    pieces[L].append((g + wg, d * den, _shifted(terms, key), num))
+        out.append([Poly._sum_over(vars, ps).as_scalar() if ps else ZERO
+                    for ps in pieces])
+    return out
+
+
+def _by_exponent(p: Poly, var: str, vars: tuple) -> list:
+    """p's stored terms grouped by their exponent of var, the other
+    exponents re-keyed onto vars: per sqrt(pi) grade, (grade, den,
+    {exponent of var: [(key, numerator)]})."""
+    src = [p.vars.index(v) if v in p.vars else -1 for v in vars]
+    i = p.vars.index(var) if var in p.vars else -1
+    out = []
+    for g, d, nums in p._by_grade():
+        by = {}
+        for e, n in nums.items():
+            read = (e + (0,)).__getitem__  # position -1 reads an absent variable's 0
+            by.setdefault(read(i), []).append((tuple(map(read, src)), n))
+        out.append((g, d, by))
+    return out
 
 
 def gaussian_pair(F: Poly, G: Poly) -> Poly:
-    """Formal Gaussian pairing: replace w^r wbar^s by r! delta_{r,s}."""
+    """Formal Gaussian pairing: replace w^r wbar^s by r! delta_{r,s}, over
+    the sorted union of the other variables.  Each side's stored terms are
+    grouped by their exponent of w and of wbar, and each r gives r! times
+    the integer products of its two groups."""
     if not (F and G):
         return Poly.zero()
-    return Poly.sum(
-        F.coeff_of("w", r) * G.coeff_of("wbar", r) * factorial(r)
-        for r in range(min(F.degree("w"), G.degree("wbar")) + 1)
-    )
+    vars = tuple(sorted((set(F.vars) - {"w"}) | (set(G.vars) - {"wbar"})))
+    pieces = []
+    for gf, df, fs in _by_exponent(F, "w", vars):
+        for gg, dg, gs in _by_exponent(G, "wbar", vars):
+            nums = {}
+            get = nums.get
+            for r, f_terms in fs.items():
+                g_terms = gs.get(r)
+                if g_terms:
+                    k = factorial(r)
+                    for e1, n1 in f_terms:
+                        for e2, n2 in g_terms:
+                            key = tuple(map(add, e1, e2))
+                            nums[key] = get(key, 0) + k * n1 * n2
+            pieces.append((gf + gg, df * dg, nums, 1))
+    return Poly._sum_over(vars, pieces)
 
 
 def pair_factors(order: int, family: str):
@@ -148,30 +254,44 @@ def pair_factors(order: int, family: str):
     B(wbar, beta) = sum wbar^n / n! p_n(beta)
 
     For the Hermite family both carry z, which cancels in the pairing.
-    p_n(beta) is p_n with x renamed, its stored integers shared.
+    Each is one integer pass (Poly._sum_over): A over the weights'
+    integers, B over the stored integers of each p_n with x renamed beta.
     """
     _check_index("order", order)
     row = lookup(family)
-    A = Poly.sum((
-        Poly.monomial(_pair(1, factorial(M), 0), alpha=M, w=n) * row.connection(M, n)
-        for M in range(order + 1)
-        for n in range(M % 2, M + 1, 2)
-    ), ("alpha", "w"))
-    B = Poly.sum((
+    weights = [(M, n, row.connection(M, n))
+               for M in range(order + 1) for n in range(M % 2, M + 1, 2)]
+    vars = _vars_of("alpha", "w", polys=[w for _, _, w in weights])
+    ia, iw = vars.index("alpha"), vars.index("w")
+    pieces = []
+    for M, n, w in weights:
+        w = _weight_term(w, vars)
+        if w is not None:
+            key, num, den, g = w
+            key = list(key)
+            key[ia], key[iw] = M, n
+            pieces.append((g, den * factorial(M), {tuple(key): num}, 1))
+    A = Poly._sum_over(vars, pieces)
+    sources = [
         p._renamed(tuple("beta" if v == "x" else v for v in p.vars))
-        * Poly.monomial(_pair(1, factorial(n), 0), wbar=n)
-        for n, p in enumerate(map(row.source, range(order + 1)))
-    ), ("beta", "wbar"))
-    return A, B
+        for p in map(row.source, range(order + 1))
+    ]
+    vars = _vars_of("beta", "wbar", polys=sources)
+    pieces = []
+    for n, p in enumerate(sources):
+        key = tuple(n if v == "wbar" else 0 for v in vars)
+        pieces += [(g, d * factorial(n), _shifted(nums, key), 1)
+                   for g, d, nums in p._by_grade(vars)]
+    return A, Poly._sum_over(vars, pieces)
 
 
 def exp_product_truncation(order: int) -> Poly:
     """sum_{k<=order} (alpha beta)^k / k!, the pairing's expected value."""
     _check_index("order", order)
-    return Poly.sum((
-        Poly.monomial(_pair(1, factorial(k), 0), alpha=k, beta=k)
-        for k in range(order + 1)
-    ), ("alpha", "beta"))
+    top = factorial(order)
+    return Poly._over(("alpha", "beta"), 0, top, {
+        (k, k): top // factorial(k) for k in range(order + 1)
+    })
 
 
 def connection_gf_coeff(M: int, order: int):
@@ -220,30 +340,33 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
 def reaction_modes(N0: int, t_order: int) -> CoeffSeries:
     """reaction_solve expanded over the (-1,-1) eigenfamily with eigenvalues
     -n(n-1): x^N0 = sum_n A_{N0,n} p_n, so c_j = sum_n A_{N0,n}
-    (-n(n-1))^j / j! p_n.  A cross-check for verify.reaction."""
+    (-n(n-1))^j / j! p_n.  Each c_j is one integer pass over the stored
+    integers of the p_n (Poly._sum_over).  A cross-check for
+    verify.reaction."""
     if N0 < 0 or t_order < 0:
         raise ParamError("need N0 >= 0 and t_order >= 0")
-    modes = [
-        (*_sj_weight(N0, n), -n * (n - 1), sj_family(n))
-        for n in range(N0 % 2, N0 + 1, 2)
-    ]
+    modes = []  # (den, {(k,): numerator}, A_{N0,n}'s numerator, -n(n-1))
+    for n in range(N0 % 2, N0 + 1, 2):
+        (_, d, nums), = sj_family(n)._by_grade(("x",))  # monic, so one part
+        num, den = _sj_weight(N0, n)
+        modes.append((d * den, nums, num, -n * (n - 1)))
+    top = lcm(*[m[0] for m in modes])
+    modes = [(nums, num * (top // d), lam) for d, nums, num, lam in modes]
     coeffs = [
-        Poly.sum([
-            pn * _ratio(num * lam**j, den * factorial(j), 0)
-            for num, den, lam, pn in modes
-        ], ("x",))
+        Poly._sum_over(("x",), [(0, top * factorial(j), nums, m * lam**j)
+                                for nums, m, lam in modes])
         for j in range(t_order + 1)
     ]
     return CoeffSeries(coeffs, t_order)
 
 
-def reaction_residual(series: CoeffSeries) -> CoeffSeries:
-    """d/dt of the solution minus the generator applied to it, per t-order;
-    identically zero is the verification target."""
-    if series.order == 0:
-        return CoeffSeries([Poly.zero()], 0)
-    out = []
+def reaction_residual(series: CoeffSeries):
+    """The first t-order j at which the series breaks its evolution
+    equation, (j+1) c_(j+1) against G c_j with G = (1 - x^2) d^2/dx^2
+    applied by opcalc.jacobi_operator_apply, an implementation of G
+    independent of reaction_solve's; None when every order holds."""
+    c = series.coeffs
     for j in range(series.order):
-        rhs = jacobi_operator_apply(series.coeffs[j], -1, -1)
-        out.append(series.coeffs[j + 1] * (j + 1) - rhs)
-    return CoeffSeries(out, series.order - 1)
+        if jacobi_operator_apply(c[j], -1, -1) != c[j + 1] * (j + 1):
+            return j
+    return None

@@ -1,11 +1,14 @@
 """Euler-operator calculus.
 
 Diagonal operators are rational functions of the total-degree operator:
-they act on a monomial by a scalar determined by its degree.  This module
-holds the one degree map, _scale_by_degree, that applies them on a Poly's
+they act on a monomial by a rational number determined by its degree.  A
+DiagonalOp holds that as an integer rule, d -> (num, den), and checks its
+declared kernel against the rule's zeros on that pair.  This module holds
+the one degree map, _scale_by_degree, that applies them on a Poly's
 stored integers; the Euler operator D itself is apply_diagonal of the
-rule d -> d with kernel {0}.  An inverse is completed by the identity on
-the operator's kernel: a term of a kernel degree passes through.
+rule d -> (d, 1) with kernel {0}.  An inverse is completed by the
+identity on the operator's kernel: a term of a kernel degree passes
+through.
 
 On top of these sit the terminating resolvent construction for the
 Jacobi-type eigenproblem and the exponential-operator forms of the
@@ -14,9 +17,9 @@ exp_resolvent_sj, exp_B_bivariate and hermite_exp are one loop, _series.
 Its term t_m = s_m op^{-1}((d^2 + (beta - alpha) d) t_(m-1)) is carried
 as integers, a denominator and {x exponent: numerator}, and each step,
 _step, maps those numerators and takes op's value at each degree it
-reaches as an integer triple, so no Poly is made until the sum, one
-integer pass over the lcm of the terms' denominators and one reduction.
-_inverse_step is that step on a Poly.  The Jacobi operator itself is
+reaches as the rule's integer pair, so no Poly and no scalar is made
+until the sum, one integer pass over the lcm of the terms' denominators
+and one reduction.  The Jacobi operator itself is
 applied in one pass on the stored integers too.  The parameters are read
 once, by _jacobi_weights, as the integer weights q (beta - alpha) and
 q (alpha + beta + 1) over their common denominator q; families'
@@ -31,25 +34,29 @@ from operator import itemgetter
 
 from .errors import InternalError, ParamError
 from .poly import Poly
-from .scalar import ExactScalar, _over_lcm, _parts, _ratio, _text
+from .scalar import _over_lcm, _parts, _text
 
 
 class DiagonalOp:
-    """d -> scalar rule with an explicit kernel set.  Its inverse is
-    completed by the identity on the kernel: a term of a kernel degree
-    passes through unchanged."""
+    """An integer rule d -> (num, den), den nonzero, with an explicit
+    kernel set: the operator scales a term of degree d by num / den.  Its
+    inverse is completed by the identity on the kernel: a term of a kernel
+    degree passes through unchanged."""
 
-    __slots__ = ("eval_fn", "kernel")
+    __slots__ = ("rule", "kernel")
 
-    def __init__(self, eval_fn, kernel=()):
-        self.eval_fn = eval_fn
+    def __init__(self, rule, kernel=()):
+        self.rule = rule
         self.kernel = frozenset(kernel)
 
-    def eval(self, d: int) -> ExactScalar:
-        v = ExactScalar.coerce(self.eval_fn(d))
-        if v.is_zero() != (d in self.kernel):
+    def eval(self, d: int) -> tuple:
+        """The rule's (num, den) at d; InternalError where a zero value and
+        the declared kernel disagree."""
+        num, den = v = self.rule(d)
+        if (not num) != (d in self.kernel):
             raise InternalError(
-                f"declared kernel {set(self.kernel)} disagrees with eval({d}) = {v}"
+                f"declared kernel {set(self.kernel)} disagrees with eval({d}) = "
+                f"{num}/{den}"
             )
         return v
 
@@ -59,9 +66,9 @@ class DiagonalOp:
         if p < 0 or q < 0:
             raise ValueError("shift exponents must be non-negative")
         s = p - q
-        fn = self.eval_fn
+        rule = self.rule
         return DiagonalOp(
-            lambda d, _fn=fn, _s=s: _fn(d + _s),
+            lambda d, _rule=rule, _s=s: _rule(d + _s),
             frozenset(k - s for k in self.kernel),
         )
 
@@ -76,73 +83,59 @@ def _positions(p: Poly, vars):
 
 
 def _gather(den: int, terms: list) -> tuple:
-    """(den', nums) in lowest terms: the terms (key, numerator, den_t,
-    grade) of one sqrt(pi) grade, each numerator over den den_t, brought
-    over den times the lcm of the den_t and reduced by one gcd."""
+    """(den', nums) in lowest terms: the terms (key, numerator, den_t),
+    each numerator over den den_t, brought over den times the lcm of the
+    den_t and reduced by one gcd."""
     if len(terms) == 1:  # no lcm to take: the series steps at (-1, -1)
-        (e, x, fd, _), = terms
+        (e, x, fd), = terms
         d = den * fd
         g = gcd(d, x)
         return d // g, {e: x // g}
     m = lcm(*[t[2] for t in terms])
     d = den * m
-    nums = {e: x * (m // fd) for e, x, fd, _ in terms}
+    nums = {e: x * (m // fd) for e, x, fd in terms}
     g = gcd(d, *nums.values())
     if g == 1:
         return d, nums
     return d // g, {e: n // g for e, n in nums.items()}
 
 
-def _polys(vars: tuple, g: int, den: int, terms: list) -> list:
-    """The terms (key, numerator, den_t, h), each numerator over den den_t
-    at sqrt(pi) grade g + h, as one Poly over vars per grade h, gathered
-    by _gather, in increasing order of h."""
-    grades = sorted({t[3] for t in terms})
-    return [
-        Poly._over(vars, g + h, *_gather(
-            den, terms if len(grades) == 1 else [t for t in terms if t[3] == h]))
-        for h in grades
-    ]
-
-
 def _scale_by_degree(p: Poly, vars, factor) -> Poly:
     """Each term c m of p times factor(d), d the degree of m in vars
-    (default: all), on the stored integers.  factor(d) is an integer
-    triple (num, den, grade), den nonzero, asked once per degree; its zero
-    drops the term.  Per sqrt(pi) grade of p the products are gathered by
-    _polys, and the pieces are summed as Poly.sum sums them."""
+    (default: all), on the stored integers.  factor(d) is an integer pair
+    (num, den), den nonzero, asked once per degree; its zero drops the
+    term.  Per sqrt(pi) grade of p the products are gathered by _gather,
+    and the grades are summed as Poly.sum sums them."""
     idx = _positions(p, vars)
     made = {}
     pieces = []
     for g, den, nums in p._by_grade():
-        terms = []  # (exps, numerator, factor's den, factor's grade)
+        terms = []  # (exps, numerator, factor's den)
         for exps, n in nums.items():
             d = sum(exps) if idx is None else sum([exps[i] for i in idx])
             f = made.get(d)
             if f is None:
                 f = made[d] = factor(d)
             if f[0]:
-                terms.append((exps, n * f[0], f[1], f[2]))
-        pieces += _polys(p.vars, g, den, terms)
+                terms.append((exps, n * f[0], f[1]))
+        if terms:
+            pieces.append(Poly._over(p.vars, g, *_gather(den, terms)))
     return Poly.sum(pieces, p.vars)
 
 
 def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
     """Scale each monomial by op.eval(total degree in vars)."""
-    def factor(d):
-        v = op.eval(d)
-        return v.num, v.den, v.sqrt_pi_pow
-    return _scale_by_degree(p, vars, factor)
+    return _scale_by_degree(p, vars, op.eval)
 
 
 def _inverse_factor(op: DiagonalOp):
-    """d -> 1 / op.eval(d) as an integer triple (num, den, grade), and 1 at
-    a kernel degree, where op is not evaluated: the identity completion."""
+    """d -> 1 / op.eval(d) as an integer pair (num, den), and 1 at a kernel
+    degree, where op is not evaluated: the identity completion."""
     def factor(d):
         if d in op.kernel:
-            return 1, 1, 0
-        v = op.eval(d)
-        return v.den, v.num, -v.sqrt_pi_pow
+            return 1, 1
+        num, den = op.eval(d)
+        return den, num
     return factor
 
 
@@ -166,12 +159,11 @@ def _jacobi_weights(alpha, beta, check: bool = False) -> tuple:
 
 def _step(nums: dict, r: int, w2: int, w1: int, made: dict, factor) -> list:
     """w2 t'' + w1 t' for t the sum of nums[e] x^e, each term then times
-    factor(e + r), as [(e, numerator, factor's den, factor's grade)]: the
-    one step of the resolvent and exponential series, on the numerators
-    of the x-part of a group of terms whose other exponents are fixed and
-    of degree r.  factor(d) is an integer triple (num, den, grade), asked
-    once per degree and kept in made; a zero numerator (a sum that
-    cancels) or factor drops the term."""
+    factor(e + r), as [(e, numerator, factor's den)]: the one step of the
+    resolvent and exponential series, on the numerators of the x-part of
+    terms whose other exponents are fixed and of degree r.  factor(d) is
+    an integer pair (num, den), asked once per degree and kept in made; a
+    zero numerator (a sum that cancels) or factor drops the term."""
     out = {}
     for e, n in nums.items():
         if e > 1:
@@ -189,43 +181,8 @@ def _step(nums: dict, r: int, w2: int, w1: int, made: dict, factor) -> list:
             if f is None:
                 f = made[d] = factor(d)
             if f[0]:
-                terms.append((e, n * f[0], f[1], f[2]))
+                terms.append((e, n * f[0], f[1]))
     return terms
-
-
-def _inverse_step(op: DiagonalOp, t: Poly, vars, ba, scale) -> Poly:
-    """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
-    degree in vars, for the rationals ba and scale, scale nonzero: the
-    step of _series on a Poly.  At one sqrt(pi) grade, with x among the
-    variables in vars, the terms are grouped by their other exponents and
-    each group takes _step, as the series does; otherwise it is the
-    composition, so a clash of grades raises as the sum t'' + ba t'
-    raises it."""
-    bn, bd = _parts(ba)
-    sn, sd = _parts(scale)
-    parts = t._by_grade()
-    if len(parts) != 1 or "x" not in t.vars or (vars is not None and "x" not in vars):
-        d1 = t.derivative("x")
-        summed = (d1.derivative("x") + d1 * _ratio(bn, bd, 0)) * _ratio(sn, sd, 0)
-        return apply_inverse_diagonal(op, summed, vars)
-    (g, den, nums), = parts
-    i = t.vars.index("x")
-    idx = _positions(t, vars)
-    groups = {}  # other exponents -> (their degree in vars, {x exponent: numerator})
-    for exps, n in nums.items():
-        rest = exps[:i] + exps[i + 1 :]
-        group = groups.get(rest)
-        if group is None:
-            d = sum(exps) if idx is None else sum([exps[j] for j in idx])
-            group = groups[rest] = (d - exps[i], {})
-        group[1][exps[i]] = n
-    made, factor = {}, _inverse_factor(op)
-    terms = [
-        (rest[:i] + (e,) + rest[i:], x, fd, h)
-        for rest, (r, sub) in groups.items()
-        for e, x, fd, h in _step(sub, r, bd * sn, bn * sn, made, factor)
-    ]
-    return Poly.sum(_polys(t.vars, g, den * bd * sd, terms), t.vars)
 
 
 def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
@@ -235,8 +192,7 @@ def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
     t_(m-1)), d = d/dx, op acting on the total degree and completed by the
     identity on its kernel (_step), ba = (num, den) and s_m the m-th pair
     of scales, integer pairs with den > 0.  Each term is kept as (den,
-    {x exponent: numerator}) in lowest terms (_gather); the series'
-    operators take rational values, so each term is one part, at grade 0.
+    {x exponent: numerator}) in lowest terms (_gather), at grade 0.
     The sum brings every term over the lcm of the dens, adds per key and
     reduces once.  With tag the m-th term's keys gain m as a last exponent
     (hermite_exp's power of z).  InternalError ("<what> failed to
@@ -276,7 +232,7 @@ def _resolvent_factor(n: int, alpha, beta) -> DiagonalOp:
     other = -(n * q + sh)  # q times the second factor's root
     if other >= 0 and other % q == 0:
         kernel.add(other // q)
-    return DiagonalOp(lambda d: _ratio((d - n) * ((d + n) * q + sh), q, 0), kernel)
+    return DiagonalOp(lambda d: ((d - n) * ((d + n) * q + sh), q), kernel)
 
 
 def gp_series(n: int, alpha, beta) -> Poly:
@@ -303,7 +259,7 @@ def exp_resolvent_sj(n: int) -> Poly:
     """exp(-(1/2) (D+n-1)^{-1} d^2) x^n, the exponential form at (-1, -1)."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    op = DiagonalOp(lambda d: d + n - 1, {1 - n} if 1 - n >= 0 else ())
+    op = DiagonalOp(lambda d: (d + n - 1, 1), {1 - n} if 1 - n >= 0 else ())
     return _exp_series(op, ("x",), (n,), n, "exponential series")
 
 
@@ -313,7 +269,7 @@ def exp_B_bivariate(n: int) -> Poly:
     exp_resolvent_sj(n)."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    op = DiagonalOp(lambda d: d - 1, {1})
+    op = DiagonalOp(lambda d: (d - 1, 1), {1})
     return _exp_series(op, ("x", "y"), (n, n), n, "bivariate exponential")
 
 
@@ -324,7 +280,7 @@ def hermite_exp(n: int) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     scales = zip(repeat(1), range(1, n // 2 + 2))
-    return _series(DiagonalOp(lambda d: 1), ("x", "z"), (n,), (0, 1), scales,
+    return _series(DiagonalOp(lambda d: (1, 1)), ("x", "z"), (n,), (0, 1), scales,
                    "operational Hermite series", True)
 
 
@@ -351,4 +307,4 @@ def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
                     key = exps[:i] + (k,) + exps[i + 1 :]
                     out[key] = get(key, 0) + n * w
         pieces.append(Poly._over(vars, g, den * q, out))
-    return Poly.sum(pieces, vars)
+    return pieces[0] if len(pieces) == 1 else Poly.sum(pieces, vars)

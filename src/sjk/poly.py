@@ -23,8 +23,9 @@ exact scalars, and ``Poly.terms`` gives such a map back: a new dict of
 ExactScalars, each term reduced as it is read, for readers outside the
 integer kernels.  Only this module reads or writes the stored parts: the
 integer kernels of the other modules read them through Poly._by_grade
-and build their results through Poly._over and Poly._term_over, which
-bring any integers over any nonzero denominator to lowest terms.
+and build their results through Poly._over, Poly._term_over and
+Poly._sum_over (a sum of scaled pieces in one pass), which bring any
+integers over any nonzero denominator to lowest terms.
 
 A CoeffSeries is a list of Poly coefficients of one formal series
 parameter, truncated at an explicit order; every operation records the
@@ -47,7 +48,7 @@ from math import factorial, gcd, inf, lcm
 from operator import add, index, itemgetter
 from typing import Callable, NamedTuple
 
-from .scalar import ExactScalar, ZERO, _grade_clash, _ratio
+from .scalar import ExactScalar, ZERO, _grade_clash, _pair, _ratio
 from .scalar import _operand as _scalar_operand
 
 
@@ -317,6 +318,31 @@ class Poly:
         else:
             p._parts = ()
         return p
+
+    @staticmethod
+    def _sum_over(vars: tuple, pieces: list) -> "Poly":
+        """The sum over vars of the pieces (grade, den, nums, m), each the
+        terms nums[e] m / den x^e at that sqrt(pi) grade, from integers
+        over a nonzero den, a key free to recur in several pieces; the
+        dicts are only read.  At one grade it is one pass: every numerator
+        times its m brought over the lcm of the dens, summed per key and
+        reduced once.  Over several it is the sum of the one-piece Polys
+        in the pieces' order, so a clash of grades raises as Poly.sum
+        raises it."""
+        grade = pieces[0][0] if pieces else 0
+        den = lcm(*[p[1] for p in pieces])
+        total = {}
+        get = total.get
+        for g, d, nums, m in pieces:
+            if g != grade:
+                return Poly.sum([
+                    Poly._over(vars, g, d, {e: n * m for e, n in nums.items()})
+                    for g, d, nums, m in pieces
+                ], vars)
+            m *= den // d
+            for e, n in nums.items():
+                total[e] = get(e, 0) + n * m
+        return Poly._over(vars, grade, den, total)
 
     @staticmethod
     def _from_terms(vars: tuple, pairs: list) -> "Poly":
@@ -605,10 +631,15 @@ class Poly:
         return ZERO
 
     def as_scalar(self) -> ExactScalar:
-        """The value of a constant polynomial; raises if non-constant."""
+        """The value of a constant polynomial; raises if non-constant.  A
+        nonzero constant is one stored term, already in lowest terms."""
         if any(any(e) for _, _, nums in self._parts for e in nums):
             raise ValueError(f"polynomial is not constant: {self}")
-        return self.scalar_coeff()
+        if not self._parts:
+            return ZERO
+        (g, d, nums), = self._parts
+        (n,) = nums.values()
+        return _pair(n, d, g)
 
     def _rows(self) -> list:
         """Each term once, in graded-lexicographic descending order, as

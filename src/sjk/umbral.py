@@ -8,16 +8,18 @@ integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
 error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
 an integer numerator, denominator and sqrt(pi) grade built from scalar's
-one Gamma table, and each power of lambda is summed in one pass over its
+one Gamma table, its v-part made once per transform for each set of
+v-exponents, and each power of lambda is summed in one pass over its
 terms' stored integers times their weights, with no Poly per term.  A
 generalized monomial keeps its exponents as sorted (name, HalfInt) pairs
-and, for GenSeries to combine like terms by, as (name, twice) int pairs.
+and, for GenSeries to combine like terms by, as (name, twice) int pairs;
+a map is cleaned into that form once (_clean_exps, GenMonomial._made).
 """
 
 from __future__ import annotations
 
 import logging
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import itemgetter
 
 from .errors import DomainError, ExpansionError
@@ -29,6 +31,7 @@ log = logging.getLogger(__name__)
 MU = "mu"  # variable name carrying the mu grading after transforming
 
 _name = itemgetter(0)  # sort key of a (name, exponent) pair
+_new = object.__new__
 
 
 def _clean_exps(exps) -> tuple:
@@ -61,12 +64,25 @@ class GenMonomial:
             coeff = Poly.const(coeff)
         if lambda_pow < 0 or mu_pow < 0:
             raise ValueError("grading powers must be non-negative")
+        self._set(coeff, _clean_exps(u_exps), _clean_exps(v_exps), lambda_pow, mu_pow)
+
+    def _set(self, coeff: Poly, u: tuple, v: tuple, lambda_pow: int, mu_pow: int):
         self.coeff = coeff
-        self.u_exps, u_key = _clean_exps(u_exps)
-        self.v_exps, v_key = _clean_exps(v_exps)
+        self.u_exps, u_key = u
+        self.v_exps, v_key = v
         self.lambda_pow = lambda_pow
         self.mu_pow = mu_pow
         self._key = (u_key, v_key, lambda_pow, mu_pow)
+
+    @classmethod
+    def _made(cls, coeff: Poly, u: tuple, v: tuple, lambda_pow: int = 0,
+              mu_pow: int = 0) -> "GenMonomial":
+        """The term over exponent maps already cleaned, u and v each the
+        (pairs, key) of _clean_exps, and a Poly coeff: no map is cleaned
+        twice, and one cleaned map may serve many terms."""
+        t = _new(cls)
+        t._set(coeff, u, v, lambda_pow, mu_pow)
+        return t
 
     def key(self):
         """The letters' exponents (as twice their values) and the grading
@@ -130,10 +146,11 @@ class GenSeries:
                 continue
             if mu_order is not None and t.mu_pow > mu_order:
                 continue
-            groups.setdefault(t.key(), []).append(t)
+            groups.setdefault(t._key, []).append(t)
         merged = (
-            g[0] if len(g) == 1 else GenMonomial(
-                Poly.sum([t.coeff for t in g]), g[0].u_exps, g[0].v_exps, *k[2:])
+            g[0] if len(g) == 1 else GenMonomial._made(
+                Poly.sum([t.coeff for t in g]), (g[0].u_exps, k[0]),
+                (g[0].v_exps, k[1]), *k[2:])
             for k, g in groups.items()
         )
         self.terms = [t for t in merged if not t.coeff.is_zero()]
@@ -187,11 +204,10 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
     return GenSeries(terms, lam, mu)
 
 
-def _weight(t: GenMonomial):
-    """The transform's weight prod Gamma(a) / prod Gamma(b) over the u- and
-    v-exponents of t, as integers (num, den, grade) in lowest terms from
-    scalar's Gamma table; None when a v-exponent lies on a zero of
-    1/Gamma."""
+def _u_weight(t: GenMonomial) -> tuple:
+    """prod Gamma(a) over the u-exponents a of t, as integers (num, den,
+    grade) from scalar's Gamma table; DomainError where an a lies in
+    Z_<=0."""
     num, den, grade = 1, 1, 0
     for name, e in t.u_exps:
         if e.twice <= 0 and not e.twice % 2:  # a non-positive integer
@@ -200,33 +216,51 @@ def _weight(t: GenMonomial):
             )
         a, b, g = _gamma_parts(e)
         num, den, grade = num * a, den * b, grade + g
+    return num, den, grade
+
+
+def _v_weight(t: GenMonomial):
+    """prod 1 / Gamma(b) over the v-exponents b of t, as integers (num,
+    den, grade) from scalar's Gamma table; None when a b lies on a zero of
+    1/Gamma."""
+    num, den, grade = 1, 1, 0
     for _, e in t.v_exps:
         if e.twice <= 0 and not e.twice % 2:
             log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
             return None
         a, b, g = _gamma_parts(e)
         num, den, grade = num * b, den * a, grade - g
-    g = gcd(num, den)
-    return num // g, den // g, grade
+    return num, den, grade
 
 
 def itransform(s: GenSeries) -> CoeffSeries:
     """Apply the transform to every term and collect by lambda power.
 
     mu powers are folded into the coefficient polynomials as the variable
-    ``mu``.  Returns a series exact through s.lambda_order.  Each lambda
-    power's coefficient is summed in one pass over its terms' stored
-    integers (_weighted_sum).
+    ``mu``.  Returns a series exact through s.lambda_order.  A term's
+    weight, the product of its Gamma(a) over its Gamma(b), is its
+    u-weight times the v-weight of its v-exponents, the latter made once
+    per call for each set of v-exponents met, and is taken in lowest
+    terms; each lambda power's coefficient is summed in one pass over its
+    terms' stored integers (_weighted_sum).
     """
     if s.lambda_order is not None:
         order = s.lambda_order
     else:
         order = max((t.lambda_pow for t in s.terms), default=0)
     rows = [[] for _ in range(order + 1)]
+    v_weights = {}  # v-exponent key -> v-weight, or None where it vanishes
     for t in s.terms:
-        w = _weight(t)
-        if w is not None:
-            rows[t.lambda_pow].append((t, w))
+        un, ud, ug = _u_weight(t)
+        key = t._key[1]
+        if key in v_weights:
+            v = v_weights[key]
+        else:
+            v = v_weights[key] = _v_weight(t)
+        if v is not None:
+            num, den = un * v[0], ud * v[1]
+            g = gcd(num, den)
+            rows[t.lambda_pow].append((t, (num // g, den // g, ug + v[2])))
     return CoeffSeries([_weighted_sum(r) for r in rows], order)
 
 
@@ -234,12 +268,9 @@ def _weighted_sum(rows: list) -> Poly:
     """The sum of c w mu^l over the (term, weight) rows, c the term's
     coefficient Poly, w = (num, den, grade) its weight and l its mu power,
     over the sorted union of the coefficients' variables and, where some
-    l > 0, mu.  Each part of c contributes its numerators times num over
-    its denominator times den at its grade plus the weight's.  At one
-    grade the sum is one pass: the numerators brought over the lcm of the
-    denominators, added per key and reduced once.  Over several it is the
-    sum of the one-part Polys in the rows' order, so a clash of grades
-    raises as Poly.sum raises it."""
+    l > 0, mu: each part of c is a piece of Poly._sum_over, its numerators
+    times num over its denominator times den at its grade plus the
+    weight's."""
     names = set()
     mu = False
     for t, _ in rows:
@@ -250,32 +281,14 @@ def _weighted_sum(rows: list) -> Poly:
         names.add(MU)
     vars = tuple(sorted(names))
     j = vars.index(MU) if mu else None
-    parts = []  # (grade, den, nums, weight's numerator)
+    pieces = []
     for t, (wn, wd, wg) in rows:
         k = t.mu_pow
         for g, d, nums in t.coeff._by_grade(vars):
             if k:
                 nums = {e[:j] + (e[j] + k,) + e[j + 1 :]: n for e, n in nums.items()}
-            parts.append((g + wg, d * wd, nums, wn))
-    if not parts:
-        return Poly.zero(vars)
-    grade = parts[0][0]
-    dens = []
-    for p in parts:
-        if p[0] != grade:
-            return Poly.sum([
-                Poly._over(vars, g, d, {e: n * wn for e, n in nums.items()})
-                for g, d, nums, wn in parts
-            ], vars)
-        dens.append(p[1])
-    den = lcm(*dens)
-    total = {}
-    get = total.get
-    for _, d, nums, wn in parts:
-        m = den // d * wn
-        for e, n in nums.items():
-            total[e] = get(e, 0) + n * m
-    return Poly._over(vars, grade, den, total)
+            pieces.append((g + wg, d * wd, nums, wn))
+    return Poly._sum_over(vars, pieces)
 
 
 def itransform_scalar(s: GenSeries) -> Poly:

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from sjk import opcalc
 from sjk.families import HERMITE_SECOND_VAR
 from sjk.hyper import HyperSpec
 from sjk.poly import Poly
-from sjk.scalar import ExactScalar, HalfInt
+from sjk.scalar import ExactScalar, HalfInt, _parts
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,3 +132,41 @@ def rand_poly(rng, vars=("x",), max_terms=4, max_exp=5):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def inverse_step(op, t, vars, ba, scale):
+    """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
+    degree in vars, for the rationals ba and scale, scale nonzero: the
+    step of opcalc._series on a Poly, which the tests hold to the
+    composition it replaced.  At one sqrt(pi) grade, with x among the
+    variables in vars, the terms are grouped by their other exponents and
+    each group takes opcalc._step, as the series does; otherwise it is the
+    composition, so a clash of grades raises as the sum t'' + ba t'
+    raises it."""
+    bn, bd = _parts(ba)
+    sn, sd = _parts(scale)
+    parts = t._by_grade()
+    if len(parts) != 1 or "x" not in t.vars or (vars is not None and "x" not in vars):
+        d1 = t.derivative("x")
+        summed = (d1.derivative("x") + d1 * Fraction(bn, bd)) * Fraction(sn, sd)
+        return opcalc.apply_inverse_diagonal(op, summed, vars)
+    (g, den, nums), = parts
+    i = t.vars.index("x")
+    idx = opcalc._positions(t, vars)
+    groups = {}  # other exponents -> (their degree in vars, {x exponent: numerator})
+    for exps, n in nums.items():
+        rest = exps[:i] + exps[i + 1 :]
+        group = groups.get(rest)
+        if group is None:
+            d = sum(exps) if idx is None else sum([exps[j] for j in idx])
+            group = groups[rest] = (d - exps[i], {})
+        group[1][exps[i]] = n
+    made, factor = {}, opcalc._inverse_factor(op)
+    terms = [
+        (rest[:i] + (e,) + rest[i:], x, fd)
+        for rest, (r, sub) in groups.items()
+        for e, x, fd in opcalc._step(sub, r, bd * sn, bn * sn, made, factor)
+    ]
+    if not terms:
+        return Poly.zero(t.vars)
+    return Poly._over(t.vars, g, *opcalc._gather(den * bd * sd, terms))

@@ -348,8 +348,86 @@ class TestExitCodes:
         assert ("[FAIL] opcalc: resolvent equals closed form: resolvent vs closed "
                 "form differ at n=5\n") in out
 
+    def test_verify_catches_a_broken_sj_weight(self, monkeypatch):
+        # A_{4,2} = 6/5 read one numerator off: 3457/2880
+        real = connect._sj_weight
+
+        def broken(M, n):
+            num, den = real(M, n)
+            return (num + 1, den) if (M, n) == (4, 2) else (num, den)
+
+        monkeypatch.setattr(connect, "_sj_weight", broken)
+        code, out, _ = run_cli("verify", "--suite", "connect")
+        assert code == 2
+        assert "[FAIL] connect: monomial reconstruction: x^4 reconstruction fails (sj)\n" in out
+        assert ("[FAIL] connect: biorthogonality: contraction != delta at "
+                "(M,L)=(4,0), sj\n") in out
+        assert ("[FAIL] connect: Gaussian pairing: Gaussian pairing misses "
+                "exp(alpha beta) (sj)\n") in out
+
+    def test_verify_catches_a_broken_hermite_weight(self, monkeypatch):
+        # A_{4,2} = -12 z read as -11 z: the z^2 terms of the contraction at
+        # (4, 0) no longer cancel
+        real = connect.hermite_connection
+
+        def broken(M, n):
+            w = real(M, n)
+            return w + Poly.var("z") if (M, n) == (4, 2) else w
+
+        monkeypatch.setattr(connect, "hermite_connection", broken)
+        code, out, _ = run_cli("verify", "--suite", "connect")
+        assert code == 2
+        assert ("[FAIL] connect: monomial reconstruction: x^4 reconstruction "
+                "fails (hermite)\n") in out
+        assert ("[FAIL] connect: biorthogonality: raised ValueError: polynomial "
+                "is not constant: Poly(2 z^2)\n") in out
+        assert ("[FAIL] connect: Gaussian pairing: Gaussian pairing misses "
+                "exp(alpha beta) (hermite)\n") in out
+
+    def test_verify_catches_a_broken_diagonal_rule(self, monkeypatch):
+        # the resolvent factor of degree 4 at (-1, -1) takes -9 for -10 at d = 2
+        real = opcalc._resolvent_factor
+
+        def broken(n, alpha, beta):
+            op = real(n, alpha, beta)
+            if n != 4:
+                return op
+
+            def rule(d):
+                num, den = op.rule(d)
+                return (num + den, den) if d == 2 else (num, den)
+
+            return opcalc.DiagonalOp(rule, op.kernel)
+
+        monkeypatch.setattr(opcalc, "_resolvent_factor", broken)
+        code, out, _ = run_cli("verify", "--suite", "opcalc")
+        assert code == 2
+        assert ("[FAIL] opcalc: resolvent equals closed form: resolvent vs closed "
+                "form differ at n=4\n") in out
+        assert ("[FAIL] opcalc: (1-x^2) d^2 eigenequation: eigenequation fails "
+                "at n=4, beta=-1\n") in out
+        assert ("[FAIL] opcalc: four-way construction equality: constructions "
+                "disagree at n=4\n") in out
+
+    def test_verify_catches_a_broken_umbral_v_weight(self, monkeypatch):
+        # 1/Gamma(9/2), the v-weight of every term of sj_umbral(5), off by one
+        real = umbral._v_weight
+
+        def broken(t):
+            w = real(t)
+            if w is None or dict(t.v_exps).get("v") != HalfInt(9):
+                return w
+            num, den, grade = w
+            return num + den, den, grade
+
+        monkeypatch.setattr(umbral, "_v_weight", broken)
+        code, out, _ = run_cli("verify", "--suite", "opcalc")
+        assert code == 2
+        assert ("[FAIL] opcalc: four-way construction equality: constructions "
+                "disagree at n=5\n") in out
+
     def test_verify_catches_a_broken_transform_weight(self, monkeypatch):
-        real = umbral._weight
+        real = umbral._v_weight
 
         def broken(t):
             w = real(t)
@@ -358,7 +436,7 @@ class TestExitCodes:
             num, den, grade = w
             return num + den, den, grade  # the weight of v^3 is off by one
 
-        monkeypatch.setattr(umbral, "_weight", broken)
+        monkeypatch.setattr(umbral, "_v_weight", broken)
         code, out, _ = run_cli("verify", "--suite", "umbral")
         assert code == 2
         assert ("[FAIL] umbral: Bessel umbral image: Bessel image truncation "

@@ -227,10 +227,11 @@ class TestNegativeIndices:
             reconstruct_monomial(-1, "sj")
 
     def test_biorthogonality_check(self):
-        with pytest.raises(ParamError, match="L must be >= 0, got -1"):
-            biorthogonality_check(2, -1, "sj")
-        with pytest.raises(ParamError, match="M must be >= 0, got -3"):
-            biorthogonality_check(-3, 0, "hermite")
+        # one contraction per family and size: the size is the one index
+        with pytest.raises(ParamError, match="top must be >= 0, got -1"):
+            biorthogonality_check(-1, "sj")
+        with pytest.raises(ParamError, match="top must be >= 0, got -3"):
+            biorthogonality_check(-3, "hermite")
 
     def test_connection_gf_coeff(self):
         with pytest.raises(ParamError, match="M must be >= 0, got -1"):

@@ -7,18 +7,23 @@ P^(1,beta): for n >= 1 the (-1, beta) Sobolev-Jacobi polynomial is the
 monic (x - 1) P^(1,beta)_(n-1).  The cross-check constructions that
 ``sjk verify`` compares (the resolvent and exponential series of opcalc
 and the umbral transform) have no verb; they are compared with the same
-sympy polynomials directly.  The module skips itself when sympy is
-absent.
+sympy polynomials directly.  The two-variable Hermite polynomials are
+taken from their generating function exp(x lambda + z lambda^2), sympy's
+ring series exponential.  The module skips itself when sympy is absent.
 """
 
 import io
 import json
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orthopolys import jacobi_poly  # noqa: E402
+from sympy.polys.ring_series import rs_exp  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
 
 from sjk import cli, jsonio  # noqa: E402
 from sjk.families import sj_umbral  # noqa: E402
@@ -117,6 +122,45 @@ def test_sj_connection_rebuilds_the_monomial(M):
     for w in obj["weights"]:
         total += _monic_sj(w["n"]) * sympy.Rational(int(w["num"]), int(w["den"]))
     assert total == sympy.Poly(X**M, X, domain="QQ")
+
+
+@lru_cache(maxsize=None)
+def _hermite_ring(top):
+    """(R, H): H[n] = H_n(x, z) for n <= top in sympy's ring R = QQ[x, z,
+    lambda], n! times the lambda^n coefficient of exp(x lambda + z
+    lambda^2), the ring series exponential truncated past lambda^top."""
+    R, x, z, lam = ring("x z lambda", sympy.QQ)
+    H = [R(0)] * (top + 1)
+    for (a, b, n), c in rs_exp(x * lam + z * lam**2, lam, top + 1).terms():
+        H[n] += c * factorial(n) * x**a * z**b
+    return R, H
+
+
+def _in_ring(R, p):
+    """A Poly with rational coefficients over some of R's variables, as an
+    element of R."""
+    gens = {str(g): g for g in R.gens}
+    out = R(0)
+    for exps, c in p.terms.items():
+        assert c.sqrt_pi_pow == 0, c
+        term = R(sympy.QQ(c.num, c.den))
+        for v, e in zip(p.vars, exps):
+            term *= gens[v] ** e
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("M", range(21))
+def test_hermite_connection_rebuilds_the_monomial(M):
+    # sum_n w_n H_n = x^M, with the weights, polynomials in z, read from the
+    # JSON row and the H_n built by sympy from their generating function
+    R, H = _hermite_ring(20)
+    obj = _json("connect", "--family", "hermite", "--M", str(M))
+    assert [w["n"] for w in obj["weights"]] == list(range(M + 1))
+    total = R(0)
+    for w in obj["weights"]:
+        total += _in_ring(R, jsonio.poly_from_obj(w["poly"])) * H[w["n"]]
+    assert total == R.gens[0] ** M
 
 
 @pytest.mark.parametrize("N0", [0, 1, 2, 5, 8, 13, 16])

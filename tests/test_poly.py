@@ -17,7 +17,7 @@ from conftest import assert_canonical, rand_poly
 X = Poly.var("x")
 Y = Poly.var("y")
 # the Euler operator D: each monomial scaled by its degree
-EULER = DiagonalOp(lambda d: d, {0})
+EULER = DiagonalOp(lambda d: (d, 1), {0})
 
 
 class TestDerivative:

@@ -24,7 +24,7 @@ from sjk.scalar import (
     recip_gamma,
 )
 
-from conftest import assert_canonical, assert_reduced
+from conftest import assert_canonical, assert_reduced, inverse_step
 
 H = Fraction(1, 2)
 MODULUS = sys.hash_info.modulus
@@ -530,9 +530,9 @@ def _kernel_outputs(name):
     t = Poly(("x", "y"), {(9, 0): Fraction(7, 12), (6, 2): Fraction(-5, 18),
                           (3, 1): Fraction(11, 4)})
     one = Poly.var("x", 9, Fraction(7, 12))  # one term in, one term out
-    return [opcalc._inverse_step(op, t, ("x",), Fraction(-13, 21), Fraction(-1, 6)),
-            opcalc._inverse_step(op, t, ("x", "y"), 0, Fraction(4, 15)),
-            opcalc._inverse_step(op, one, ("x",), 0, Fraction(-1, 6)),
+    return [inverse_step(op, t, ("x",), Fraction(-13, 21), Fraction(-1, 6)),
+            inverse_step(op, t, ("x", "y"), 0, Fraction(4, 15)),
+            inverse_step(op, one, ("x",), 0, Fraction(-1, 6)),
             *(opcalc.gp_series(n, -1, -1) for n in range(9))]
 
 
