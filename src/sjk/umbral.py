@@ -13,7 +13,8 @@ v-exponents, and each power of lambda is summed in one pass over its
 terms' stored integers times their weights, with no Poly per term.  A
 generalized monomial keeps its exponents as sorted (name, HalfInt) pairs
 and, for GenSeries to combine like terms by, as (name, twice) int pairs;
-a map is cleaned into that form once (_clean_exps, GenMonomial._made).
+a map is cleaned into that form once (_clean_exps or _letter, and
+GenMonomial._made).
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def _clean_exps(exps) -> tuple:
     return tuple(out), tuple(key)
 
 
+def _letter(name: str, twice: int) -> tuple:
+    """The map {name: twice / 2} as _clean_exps cleans it."""
+    if not twice:
+        return (), ()
+    return ((name, HalfInt(twice)),), ((name, twice),)
+
+
 class GenMonomial:
     """coeff * u1^a1... * v1^b1... * lambda^k * mu^l with half-integer a, b."""
 
@@ -64,12 +72,9 @@ class GenMonomial:
             coeff = Poly.const(coeff)
         if lambda_pow < 0 or mu_pow < 0:
             raise ValueError("grading powers must be non-negative")
-        self._set(coeff, _clean_exps(u_exps), _clean_exps(v_exps), lambda_pow, mu_pow)
-
-    def _set(self, coeff: Poly, u: tuple, v: tuple, lambda_pow: int, mu_pow: int):
         self.coeff = coeff
-        self.u_exps, u_key = u
-        self.v_exps, v_key = v
+        self.u_exps, u_key = _clean_exps(u_exps)
+        self.v_exps, v_key = _clean_exps(v_exps)
         self.lambda_pow = lambda_pow
         self.mu_pow = mu_pow
         self._key = (u_key, v_key, lambda_pow, mu_pow)
@@ -78,10 +83,15 @@ class GenMonomial:
     def _made(cls, coeff: Poly, u: tuple, v: tuple, lambda_pow: int = 0,
               mu_pow: int = 0) -> "GenMonomial":
         """The term over exponent maps already cleaned, u and v each the
-        (pairs, key) of _clean_exps, and a Poly coeff: no map is cleaned
-        twice, and one cleaned map may serve many terms."""
+        (pairs, key) of _clean_exps or _letter, and a Poly coeff: no map
+        is cleaned twice, and one cleaned map may serve many terms."""
         t = _new(cls)
-        t._set(coeff, u, v, lambda_pow, mu_pow)
+        t.coeff = coeff
+        t.u_exps, u_key = u
+        t.v_exps, v_key = v
+        t.lambda_pow = lambda_pow
+        t.mu_pow = mu_pow
+        t._key = (u_key, v_key, lambda_pow, mu_pow)
         return t
 
     def key(self):
@@ -204,21 +214,6 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
     return GenSeries(terms, lam, mu)
 
 
-def _u_weight(t: GenMonomial) -> tuple:
-    """prod Gamma(a) over the u-exponents a of t, as integers (num, den,
-    grade) from scalar's Gamma table; DomainError where an a lies in
-    Z_<=0."""
-    num, den, grade = 1, 1, 0
-    for name, e in t.u_exps:
-        if e.twice <= 0 and not e.twice % 2:  # a non-positive integer
-            raise DomainError(
-                f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
-            )
-        a, b, g = _gamma_parts(e)
-        num, den, grade = num * a, den * b, grade + g
-    return num, den, grade
-
-
 def _v_weight(t: GenMonomial):
     """prod 1 / Gamma(b) over the v-exponents b of t, as integers (num,
     den, grade) from scalar's Gamma table; None when a b lies on a zero of
@@ -239,28 +234,33 @@ def itransform(s: GenSeries) -> CoeffSeries:
     mu powers are folded into the coefficient polynomials as the variable
     ``mu``.  Returns a series exact through s.lambda_order.  A term's
     weight, the product of its Gamma(a) over its Gamma(b), is its
-    u-weight times the v-weight of its v-exponents, the latter made once
-    per call for each set of v-exponents met, and is taken in lowest
-    terms; each lambda power's coefficient is summed in one pass over its
-    terms' stored integers (_weighted_sum).
+    u-weight (DomainError where an a lies in Z_<=0) times its v-weight
+    (_v_weight), taken in lowest terms; terms in a row
+    that share one cleaned v-map (GenMonomial._made), as sj_umbral's do,
+    share one v-weight, made once.  Each lambda power's coefficient is
+    summed in one pass over its terms' stored integers (_weighted_sum).
     """
     if s.lambda_order is not None:
         order = s.lambda_order
     else:
         order = max((t.lambda_pow for t in s.terms), default=0)
     rows = [[] for _ in range(order + 1)]
-    v_weights = {}  # v-exponent key -> v-weight, or None where it vanishes
+    v_exps = v = None  # the v-map of the term before and its v-weight
     for t in s.terms:
-        un, ud, ug = _u_weight(t)
-        key = t._key[1]
-        if key in v_weights:
-            v = v_weights[key]
-        else:
-            v = v_weights[key] = _v_weight(t)
+        num, den, grade = 1, 1, 0  # the u-weight, prod Gamma(a)
+        for name, e in t.u_exps:
+            if e.twice <= 0 and not e.twice % 2:  # a non-positive integer
+                raise DomainError(
+                    f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
+                )
+            a, b, g = _gamma_parts(e)
+            num, den, grade = num * a, den * b, grade + g
+        if t.v_exps is not v_exps:
+            v_exps, v = t.v_exps, _v_weight(t)
         if v is not None:
-            num, den = un * v[0], ud * v[1]
+            num, den = num * v[0], den * v[1]
             g = gcd(num, den)
-            rows[t.lambda_pow].append((t, (num // g, den // g, ug + v[2])))
+            rows[t.lambda_pow].append((t, (num // g, den // g, grade + v[2])))
     return CoeffSeries([_weighted_sum(r) for r in rows], order)
 
 

@@ -9,7 +9,10 @@ tree and makes --passes passes over every check of every suite, in the
 order `sjk verify` runs them, with the family caches cleared at the start
 of each pass; a check's time in the round is its least CPU time
 (time.thread_time) over the passes, so a later check finds the caches
-that the earlier ones of its pass filled, as in one `sjk verify`.
+that the earlier ones of its pass filled, as in one `sjk verify`.  The
+garbage collector is off in the child: a collection falls wherever the
+allocation count happens to cross its threshold, so with it on, a change
+that allocates less in one check moves collections into another.
 
 Prints a markdown table: per check, per suite (the sum of its checks) and
 for all checks, the median over the rounds on each tree in microseconds,
@@ -26,9 +29,11 @@ import subprocess
 import sys
 
 CHILD = """\
-import json, sys, time
+import gc, json, sys, time
 sys.path.insert(0, {src!r})
 from sjk import families, verify
+
+gc.disable()
 
 checks = [(f"{{name}}: {{label}}", fn)
           for name in sorted(verify.SUITES) for label, fn in verify.SUITES[name]()]
