@@ -132,11 +132,8 @@ def _weight_term(w, vars: tuple):
 def _vars_of(*names, polys=()) -> tuple:
     """The sorted union of names and the variables of the Polys among
     polys."""
-    out = set(names)
-    for p in polys:
-        if isinstance(p, Poly):
-            out.update(p.vars)
-    return tuple(sorted(out))
+    used = [p.vars for p in polys if isinstance(p, Poly)]
+    return tuple(sorted(set(names).union(*used)))
 
 
 def _shifted(nums: dict, key: tuple) -> dict:

@@ -8,8 +8,8 @@ integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
 error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
 an integer numerator, denominator and sqrt(pi) grade built from scalar's
-one Gamma table, its v-part made once per transform for each set of
-v-exponents, and each power of lambda is summed in one pass over its
+one Gamma table, its v-part made once for the terms that share one
+cleaned v-map, and each power of lambda is summed in one pass over its
 terms' stored integers times their weights, with no Poly per term.  A
 generalized monomial keeps its exponents as sorted (name, HalfInt) pairs
 and, for GenSeries to combine like terms by, as (name, twice) int pairs;
@@ -235,10 +235,10 @@ def itransform(s: GenSeries) -> CoeffSeries:
     ``mu``.  Returns a series exact through s.lambda_order.  A term's
     weight, the product of its Gamma(a) over its Gamma(b), is its
     u-weight (DomainError where an a lies in Z_<=0) times its v-weight
-    (_v_weight), taken in lowest terms; terms in a row
-    that share one cleaned v-map (GenMonomial._made), as sj_umbral's do,
-    share one v-weight, made once.  Each lambda power's coefficient is
-    summed in one pass over its terms' stored integers (_weighted_sum).
+    (_v_weight), taken in lowest terms; terms in a row that share one
+    cleaned v-map (GenMonomial._made), as sj_umbral's do, share one
+    v-weight, made once.  Each lambda power's coefficient is summed in
+    one pass over its terms' stored integers (_weighted_sum).
     """
     if s.lambda_order is not None:
         order = s.lambda_order
