@@ -1,11 +1,11 @@
 """Per-check times of `sjk verify` on two source trees.
 
-    python3 tools/checktimes.py PARENT_SRC CHANGE_SRC [--rounds 25] [--passes 3]
+    python3 tools/checktimes.py PARENT_SRC CHANGE_SRC [--rounds 25]
 
 PARENT_SRC and CHANGE_SRC are directories that hold the package (for
 example ``src`` of two checkouts).  Each round starts one child process
 per tree, alternating which tree runs first.  A child imports sjk from its
-tree and makes --passes passes over every check of every suite, in the
+tree and makes PASSES (5) passes over every check of every suite, in the
 order `sjk verify` runs them, with the family caches cleared at the start
 of each pass; a check's time in the round is its least CPU time
 (time.thread_time) over the passes, so a later check finds the caches
@@ -29,6 +29,8 @@ import json
 import statistics
 import subprocess
 import sys
+
+PASSES = 5
 
 CHILD = """\
 import gc, json, sys, time
@@ -55,8 +57,8 @@ print(json.dumps(best))
 """
 
 
-def _child(src: str, passes: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", CHILD.format(src=src, passes=passes)],
+def _child(src: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", CHILD.format(src=src, passes=PASSES)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -76,15 +78,14 @@ def main(argv=None) -> None:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--rounds", type=int, default=25)
-    ap.add_argument("--passes", type=int, default=5)
     args = ap.parse_args(argv)
     runs = {"parent": [], "change": []}
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(_rows(_child(getattr(args, side), args.passes)))
+            runs[side].append(_rows(_child(getattr(args, side))))
         print(f"round {r + 1}/{args.rounds}", file=sys.stderr)
-    print(f"{args.rounds} rounds, {args.passes} passes per child; times in us\n")
+    print(f"{args.rounds} rounds, {PASSES} passes per child; times in us\n")
     print("| check | parent | change | ratio | change faster |")
     print("|---|---:|---:|---:|---:|")
     for key in runs["parent"][0]:
