@@ -337,9 +337,10 @@ def reaction_solve(N0: int, t_order: int) -> CoeffSeries:
 def reaction_modes(N0: int, t_order: int) -> CoeffSeries:
     """reaction_solve expanded over the (-1,-1) eigenfamily with eigenvalues
     -n(n-1): x^N0 = sum_n A_{N0,n} p_n, so c_j = sum_n A_{N0,n}
-    (-n(n-1))^j / j! p_n.  Each c_j is one integer pass over the stored
-    integers of the p_n (Poly._sum_over).  A cross-check for
-    verify.reaction."""
+    (-n(n-1))^j / j! p_n.  The modes' stored integers are brought over
+    one common denominator once, and each mode adds its numerators times
+    its weight and eigenvalue powers into every c_j in one pass.  A
+    cross-check for verify.reaction."""
     if N0 < 0 or t_order < 0:
         raise ParamError("need N0 >= 0 and t_order >= 0")
     modes = []  # (den, {(k,): numerator}, A_{N0,n}'s numerator, -n(n-1))
@@ -348,12 +349,18 @@ def reaction_modes(N0: int, t_order: int) -> CoeffSeries:
         num, den = _sj_weight(N0, n)
         modes.append((d * den, nums, num, -n * (n - 1)))
     top = lcm(*[m[0] for m in modes])
-    modes = [(nums, num * (top // d), lam) for d, nums, num, lam in modes]
-    coeffs = [
-        Poly._sum_over(("x",), [(0, top * factorial(j), nums, m * lam**j)
-                                for nums, m, lam in modes])
-        for j in range(t_order + 1)
-    ]
+    totals = [{} for _ in range(t_order + 1)]  # j! top c_j, per x exponent
+    for d, nums, num, lam in modes:
+        m = num * (top // d)  # A_{N0,n} (-n(n-1))^j, p_n's numerators over top
+        for total in totals:
+            if not m:
+                break
+            get = total.get
+            for e, x in nums.items():
+                total[e] = get(e, 0) + x * m
+            m *= lam
+    coeffs = [Poly._over(("x",), 0, top * factorial(j), total)
+              for j, total in enumerate(totals)]
     return CoeffSeries(coeffs, t_order)
 
 
