@@ -114,19 +114,15 @@ def _check_index(name: str, value: int) -> None:
         raise ParamError(f"{name} must be >= 0, got {value}")
 
 
-def _weight_term(w, vars: tuple):
+def _weight_terms(w, vars: tuple) -> list:
     """A weight A_{M,n} as a row's connection gives it, an ExactScalar or
-    a Poly of one term, as that term's integers (key over vars, num, den,
-    grade), or None when it is zero."""
+    a Poly, as the integers (key over vars, num, den, grade) of each of
+    its stored terms: none when it is zero, and one for the weights the
+    rows build."""
     if not isinstance(w, Poly):
-        return ((0,) * len(vars), w.num, w.den, w.sqrt_pi_pow) if w.num else None
-    parts = w._by_grade()
-    if not parts:
-        return None
-    (g, d, nums), = parts
-    (e, num), = nums.items()
-    exps = dict(zip(w.vars, e))
-    return tuple([exps.get(v, 0) for v in vars]), num, d, g
+        return [((0,) * len(vars), w.num, w.den, w.sqrt_pi_pow)] if w.num else []
+    return [(e, num, d, g)
+            for g, d, nums in w._by_grade(vars) for e, num in nums.items()]
 
 
 def _vars_of(*names, polys=()) -> tuple:
@@ -155,12 +151,26 @@ def reconstruct_monomial(M: int, family: str) -> Poly:
     vars = _vars_of("x", polys=[q for pair in members for q in pair])
     pieces = []
     for p, w in members:
-        w = _weight_term(w, vars)
-        if w is not None:
-            key, num, den, wg = w
+        for key, num, den, wg in _weight_terms(w, vars):
             for g, d, nums in p._by_grade(vars):
                 pieces.append((g + wg, d * den, _shifted(nums, key), num))
     return Poly._sum_over(vars, pieces)
+
+
+def _by_exponent(p: Poly, var: str, vars: tuple) -> list:
+    """p's stored terms grouped by their exponent of var, the other
+    exponents re-keyed onto vars (which holds the others of p.vars): per
+    sqrt(pi) grade, (grade, den, {exponent of var: {key: numerator}})."""
+    src = [p.vars.index(v) if v in p.vars else -1 for v in vars]
+    i = p.vars.index(var) if var in p.vars else -1
+    out = []
+    for g, d, nums in p._by_grade():
+        by = {}
+        for e, n in nums.items():
+            read = (e + (0,)).__getitem__  # position -1 reads an absent variable's 0
+            by.setdefault(read(i), {})[tuple(map(read, src))] = n
+        out.append((g, d, by))
+    return out
 
 
 def biorthogonality_check(top: int, family: str) -> list:
@@ -177,44 +187,23 @@ def biorthogonality_check(top: int, family: str) -> list:
     sources = [row.source(n) for n in range(top)]
     weights = [[row.connection(M, n) for n in range(M % 2, M + 1, 2)]
                for M in range(top)]
-    vars = _vars_of("x", polys=[*sources, *(w for ws in weights for w in ws)])
-    i = vars.index("x")
-    cols = []  # cols[n]: (L, grade, den, the terms of [x^L] p_n with x^0)
-    for p in sources:
-        col = []
-        for g, d, nums in p._by_grade(vars):
-            by_power = {}
-            for e, num in nums.items():
-                by_power.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = num
-            col += [(L, g, d, terms) for L, terms in by_power.items()]
-        cols.append(col)
+    # the contraction's variables: x is summed out
+    vars = _vars_of(polys=[*sources, *(w for ws in weights for w in ws)])
+    vars = tuple(v for v in vars if v != "x")
+    cols = [  # cols[n]: (L, grade, den, the terms of [x^L] p_n)
+        [(L, g, d, terms) for g, d, by in _by_exponent(p, "x", vars)
+         for L, terms in by.items()]
+        for p in sources
+    ]
     out = []
     for M in range(top):
         pieces = [[] for _ in range(top)]  # per L, the pieces of Poly._sum_over
         for n, w in zip(range(M % 2, M + 1, 2), weights[M]):
-            w = _weight_term(w, vars)
-            if w is not None:
-                key, num, den, wg = w
+            for key, num, den, wg in _weight_terms(w, vars):
                 for L, g, d, terms in cols[n]:
                     pieces[L].append((g + wg, d * den, _shifted(terms, key), num))
         out.append([Poly._sum_over(vars, ps).as_scalar() if ps else ZERO
                     for ps in pieces])
-    return out
-
-
-def _by_exponent(p: Poly, var: str, vars: tuple) -> list:
-    """p's stored terms grouped by their exponent of var, the other
-    exponents re-keyed onto vars: per sqrt(pi) grade, (grade, den,
-    {exponent of var: [(key, numerator)]})."""
-    src = [p.vars.index(v) if v in p.vars else -1 for v in vars]
-    i = p.vars.index(var) if var in p.vars else -1
-    out = []
-    for g, d, nums in p._by_grade():
-        by = {}
-        for e, n in nums.items():
-            read = (e + (0,)).__getitem__  # position -1 reads an absent variable's 0
-            by.setdefault(read(i), []).append((tuple(map(read, src)), n))
-        out.append((g, d, by))
     return out
 
 
@@ -235,8 +224,8 @@ def gaussian_pair(F: Poly, G: Poly) -> Poly:
                 g_terms = gs.get(r)
                 if g_terms:
                     k = factorial(r)
-                    for e1, n1 in f_terms:
-                        for e2, n2 in g_terms:
+                    for e1, n1 in f_terms.items():
+                        for e2, n2 in g_terms.items():
                             key = tuple(map(add, e1, e2))
                             nums[key] = get(key, 0) + k * n1 * n2
             pieces.append((gf + gg, df * dg, nums, 1))
@@ -262,9 +251,7 @@ def pair_factors(order: int, family: str):
     ia, iw = vars.index("alpha"), vars.index("w")
     pieces = []
     for M, n, w in weights:
-        w = _weight_term(w, vars)
-        if w is not None:
-            key, num, den, g = w
+        for key, num, den, g in _weight_terms(w, vars):
             key = list(key)
             key[ia], key[iw] = M, n
             pieces.append((g, den * factorial(M), {tuple(key): num}, 1))

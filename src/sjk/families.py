@@ -51,7 +51,7 @@ from .scalar import (
     _text,
     recip_gamma,
 )
-from .umbral import GenMonomial, GenSeries, _letter, itransform_scalar
+from .umbral import GenMonomial, GenSeries, itransform_scalar
 
 HERMITE_SECOND_VAR = "z"
 _HERMITE_VARS = ("x", HERMITE_SECOND_VAR)
@@ -267,13 +267,13 @@ def sj_umbral(n: int) -> Poly:
         raise ParamError("degree must be >= 0")
     terms = []
     vars = ("x",) if n else ()  # sj_umbral(0) is the constant 1, over no variable
-    v = _letter("v", 2 * n - 1)  # n - 1/2, one map for every term
+    v_exps = {"v": HalfInt(2 * n - 1)}  # n - 1/2
     for m, c in enumerate(_matching_numbers(n)):
         # the one term (-1)^m c_m / 4^m x^(n-2m), c_m the matching number
         exps = (n - 2 * m,) if n else ()
         coeff = Poly._term_over(vars, 0, exps, -c if m % 2 else c, 4**m)
-        u = _letter("u", 2 * n - 1 - 2 * m)  # n - 1/2 - m
-        terms.append(GenMonomial._made(coeff, u, v))
+        u_exps = {"u": HalfInt(2 * n - 1 - 2 * m)}  # n - 1/2 - m
+        terms.append(GenMonomial(coeff, u_exps=u_exps, v_exps=v_exps))
     return itransform_scalar(GenSeries(terms, lambda_order=0))
 
 

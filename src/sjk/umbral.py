@@ -8,13 +8,10 @@ integral.  Terms whose v-exponent lands on a non-positive integer vanish
 (the reciprocal gamma function's zeros); u-exponents there are a domain
 error.  A term's weight, the product of its Gamma(a) over its Gamma(b), is
 an integer numerator, denominator and sqrt(pi) grade built from scalar's
-one Gamma table, its v-part made once for the terms that share one
-cleaned v-map, and each power of lambda is summed in one pass over its
+one Gamma table, and each power of lambda is summed in one pass over its
 terms' stored integers times their weights, with no Poly per term.  A
 generalized monomial keeps its exponents as sorted (name, HalfInt) pairs
-and, for GenSeries to combine like terms by, as (name, twice) int pairs;
-a map is cleaned into that form once (_clean_exps or _letter, and
-GenMonomial._made).
+and, for GenSeries to combine like terms by, as (name, twice) int pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ log = logging.getLogger(__name__)
 MU = "mu"  # variable name carrying the mu grading after transforming
 
 _name = itemgetter(0)  # sort key of a (name, exponent) pair
-_new = object.__new__
 
 
 def _clean_exps(exps) -> tuple:
@@ -55,13 +51,6 @@ def _clean_exps(exps) -> tuple:
     return tuple(out), tuple(key)
 
 
-def _letter(name: str, twice: int) -> tuple:
-    """The map {name: twice / 2} as _clean_exps cleans it."""
-    if not twice:
-        return (), ()
-    return ((name, HalfInt(twice)),), ((name, twice),)
-
-
 class GenMonomial:
     """coeff * u1^a1... * v1^b1... * lambda^k * mu^l with half-integer a, b."""
 
@@ -78,21 +67,6 @@ class GenMonomial:
         self.lambda_pow = lambda_pow
         self.mu_pow = mu_pow
         self._key = (u_key, v_key, lambda_pow, mu_pow)
-
-    @classmethod
-    def _made(cls, coeff: Poly, u: tuple, v: tuple, lambda_pow: int = 0,
-              mu_pow: int = 0) -> "GenMonomial":
-        """The term over exponent maps already cleaned, u and v each the
-        (pairs, key) of _clean_exps or _letter, and a Poly coeff: no map
-        is cleaned twice, and one cleaned map may serve many terms."""
-        t = _new(cls)
-        t.coeff = coeff
-        t.u_exps, u_key = u
-        t.v_exps, v_key = v
-        t.lambda_pow = lambda_pow
-        t.mu_pow = mu_pow
-        t._key = (u_key, v_key, lambda_pow, mu_pow)
-        return t
 
     def key(self):
         """The letters' exponents (as twice their values) and the grading
@@ -156,11 +130,10 @@ class GenSeries:
                 continue
             if mu_order is not None and t.mu_pow > mu_order:
                 continue
-            groups.setdefault(t._key, []).append(t)
+            groups.setdefault(t.key(), []).append(t)
         merged = (
-            g[0] if len(g) == 1 else GenMonomial._made(
-                Poly.sum([t.coeff for t in g]), (g[0].u_exps, k[0]),
-                (g[0].v_exps, k[1]), *k[2:])
+            g[0] if len(g) == 1 else GenMonomial(
+                Poly.sum([t.coeff for t in g]), g[0].u_exps, g[0].v_exps, *k[2:])
             for k, g in groups.items()
         )
         self.terms = [t for t in merged if not t.coeff.is_zero()]
@@ -214,53 +187,46 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
     return GenSeries(terms, lam, mu)
 
 
-def _v_weight(t: GenMonomial):
-    """prod 1 / Gamma(b) over the v-exponents b of t, as integers (num,
-    den, grade) from scalar's Gamma table; None when a b lies on a zero of
+def _weight(t: GenMonomial):
+    """The transform's weight prod Gamma(a) / prod Gamma(b) over the u- and
+    v-exponents of t, as integers (num, den, grade) in lowest terms from
+    scalar's Gamma table; None when a v-exponent lies on a zero of
     1/Gamma."""
     num, den, grade = 1, 1, 0
+    for name, e in t.u_exps:
+        if e.twice <= 0 and not e.twice % 2:  # a non-positive integer
+            raise DomainError(
+                f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
+            )
+        a, b, g = _gamma_parts(e)
+        num, den, grade = num * a, den * b, grade + g
     for _, e in t.v_exps:
         if e.twice <= 0 and not e.twice % 2:
             log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
             return None
         a, b, g = _gamma_parts(e)
         num, den, grade = num * b, den * a, grade - g
-    return num, den, grade
+    g = gcd(num, den)
+    return num // g, den // g, grade
 
 
 def itransform(s: GenSeries) -> CoeffSeries:
     """Apply the transform to every term and collect by lambda power.
 
     mu powers are folded into the coefficient polynomials as the variable
-    ``mu``.  Returns a series exact through s.lambda_order.  A term's
-    weight, the product of its Gamma(a) over its Gamma(b), is its
-    u-weight (DomainError where an a lies in Z_<=0) times its v-weight
-    (_v_weight), taken in lowest terms; terms in a row that share one
-    cleaned v-map (GenMonomial._made), as sj_umbral's do, share one
-    v-weight, made once.  Each lambda power's coefficient is summed in
-    one pass over its terms' stored integers (_weighted_sum).
+    ``mu``.  Returns a series exact through s.lambda_order.  Each lambda
+    power's coefficient is summed in one pass over its terms' stored
+    integers (_weighted_sum).
     """
     if s.lambda_order is not None:
         order = s.lambda_order
     else:
         order = max((t.lambda_pow for t in s.terms), default=0)
     rows = [[] for _ in range(order + 1)]
-    v_exps = v = None  # the v-map of the term before and its v-weight
     for t in s.terms:
-        num, den, grade = 1, 1, 0  # the u-weight, prod Gamma(a)
-        for name, e in t.u_exps:
-            if e.twice <= 0 and not e.twice % 2:  # a non-positive integer
-                raise DomainError(
-                    f"u-exponent {e} of {name!r} lies in Z_<=0 in term {t!r}"
-                )
-            a, b, g = _gamma_parts(e)
-            num, den, grade = num * a, den * b, grade + g
-        if t.v_exps is not v_exps:
-            v_exps, v = t.v_exps, _v_weight(t)
-        if v is not None:
-            num, den = num * v[0], den * v[1]
-            g = gcd(num, den)
-            rows[t.lambda_pow].append((t, (num // g, den // g, grade + v[2])))
+        w = _weight(t)
+        if w is not None:
+            rows[t.lambda_pow].append((t, w))
     return CoeffSeries([_weighted_sum(r) for r in rows], order)
 
 

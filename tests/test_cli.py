@@ -384,6 +384,25 @@ class TestExitCodes:
         assert ("[FAIL] connect: Gaussian pairing: Gaussian pairing misses "
                 "exp(alpha beta) (hermite)\n") in out
 
+    def test_verify_catches_a_two_term_hermite_weight(self, monkeypatch):
+        # A_{2,0} = -2 z read as -2 z + 1, a weight of two terms: the z
+        # powers of the contraction at (2, 0) cancel and leave 1
+        real = connect.hermite_connection
+
+        def broken(M, n):
+            w = real(M, n)
+            return w + 1 if (M, n) == (2, 0) else w
+
+        monkeypatch.setattr(connect, "hermite_connection", broken)
+        code, out, _ = run_cli("verify", "--suite", "connect")
+        assert code == 2
+        assert ("[FAIL] connect: monomial reconstruction: x^2 reconstruction "
+                "fails (hermite)\n") in out
+        assert ("[FAIL] connect: biorthogonality: contraction != delta at "
+                "(M,L)=(2,0), hermite\n") in out
+        assert ("[FAIL] connect: Gaussian pairing: Gaussian pairing misses "
+                "exp(alpha beta) (hermite)\n") in out
+
     def test_verify_catches_a_broken_diagonal_rule(self, monkeypatch):
         # the resolvent factor of degree 4 at (-1, -1) takes -9 for -10 at d = 2
         real = opcalc._resolvent_factor
@@ -409,9 +428,10 @@ class TestExitCodes:
         assert ("[FAIL] opcalc: four-way construction equality: constructions "
                 "disagree at n=4\n") in out
 
-    def test_verify_catches_a_broken_umbral_v_weight(self, monkeypatch):
-        # 1/Gamma(9/2), the v-weight of every term of sj_umbral(5), off by one
-        real = umbral._v_weight
+    def test_verify_catches_a_broken_sj_umbral_weight(self, monkeypatch):
+        # the transform weight of every term of sj_umbral(5), the ones with
+        # the v-exponent 9/2, off by one
+        real = umbral._weight
 
         def broken(t):
             w = real(t)
@@ -420,14 +440,14 @@ class TestExitCodes:
             num, den, grade = w
             return num + den, den, grade
 
-        monkeypatch.setattr(umbral, "_v_weight", broken)
+        monkeypatch.setattr(umbral, "_weight", broken)
         code, out, _ = run_cli("verify", "--suite", "opcalc")
         assert code == 2
         assert ("[FAIL] opcalc: four-way construction equality: constructions "
                 "disagree at n=5\n") in out
 
     def test_verify_catches_a_broken_transform_weight(self, monkeypatch):
-        real = umbral._v_weight
+        real = umbral._weight
 
         def broken(t):
             w = real(t)
@@ -436,7 +456,7 @@ class TestExitCodes:
             num, den, grade = w
             return num + den, den, grade  # the weight of v^3 is off by one
 
-        monkeypatch.setattr(umbral, "_v_weight", broken)
+        monkeypatch.setattr(umbral, "_weight", broken)
         code, out, _ = run_cli("verify", "--suite", "umbral")
         assert code == 2
         assert ("[FAIL] umbral: Bessel umbral image: Bessel image truncation "

@@ -1,18 +1,19 @@
 """Per-check times of `sjk verify` on two source trees.
 
-    python3 tools/checktimes.py PARENT_SRC CHANGE_SRC [--rounds 25]
+    python3 tools/checktimes.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the package (for
-example ``src`` of two checkouts).  Each round starts one child process
-per tree, alternating which tree runs first.  A child imports sjk from its
-tree and makes PASSES (5) passes over every check of every suite, in the
-order `sjk verify` runs them, with the family caches cleared at the start
-of each pass; a check's time in the round is its least CPU time
-(time.thread_time) over the passes, so a later check finds the caches
-that the earlier ones of its pass filled, as in one `sjk verify`.  The
-garbage collector is off in the child: a collection falls wherever the
-allocation count happens to cross its threshold, so with it on, a change
-that allocates less in one check moves collections into another.
+example ``src`` of two checkouts).  Each of ROUNDS (25) rounds starts
+one child process per tree, alternating which tree runs first.  A child
+imports sjk from its tree and makes PASSES (5) passes over every check
+of every suite, in the order `sjk verify` runs them, with the family
+caches cleared at the start of each pass; a check's time in the round is
+its least CPU time (time.thread_time) over the passes, so a later check
+finds the caches that the earlier ones of its pass filled, as in one
+`sjk verify`.  The garbage collector is off in the child: a collection
+falls wherever the allocation count happens to cross its threshold, so
+with it on, a change that allocates less in one check moves collections
+into another.
 
 Prints a markdown table: per check, per suite (the sum of its checks) and
 for all checks, the median over the rounds on each tree in microseconds,
@@ -24,12 +25,12 @@ change took less time.  Needs only the standard library.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
 import sys
 
+ROUNDS = 25
 PASSES = 5
 
 CHILD = """\
@@ -73,19 +74,17 @@ def _rows(times: dict) -> dict:
     return rows
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
-    ap.add_argument("--rounds", type=int, default=25)
-    args = ap.parse_args(argv)
+def main() -> None:
+    if len(sys.argv) != 3:
+        raise SystemExit("usage: python3 tools/checktimes.py PARENT_SRC CHANGE_SRC")
+    trees = {"parent": sys.argv[1], "change": sys.argv[2]}
     runs = {"parent": [], "change": []}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(_rows(_child(getattr(args, side))))
-        print(f"round {r + 1}/{args.rounds}", file=sys.stderr)
-    print(f"{args.rounds} rounds, {PASSES} passes per child; times in us\n")
+            runs[side].append(_rows(_child(trees[side])))
+        print(f"round {r + 1}/{ROUNDS}", file=sys.stderr)
+    print(f"{ROUNDS} rounds, {PASSES} passes per child; times in us\n")
     print("| check | parent | change | ratio | change faster |")
     print("|---|---:|---:|---:|---:|")
     for key in runs["parent"][0]:
@@ -94,7 +93,7 @@ def main(argv=None) -> None:
         pairs = list(zip(runs["parent"], runs["change"]))
         ratio = statistics.median(b[key] / a[key] for a, b in pairs)
         wins = sum(b[key] < a[key] for a, b in pairs)
-        print(f"| {key} | {p:,.0f} | {c:,.0f} | {ratio:.2f} | {wins}/{args.rounds} |")
+        print(f"| {key} | {p:,.0f} | {c:,.0f} | {ratio:.2f} | {wins}/{ROUNDS} |")
 
 
 if __name__ == "__main__":
