@@ -9,12 +9,13 @@ for the contraction, the n >= L whose p_n has an x^L term); a negative
 index names no polynomial and is refused with ParamError.
 
 The checks run on stored integers: a weight is read from the row's
-public connection(M, n) as its integers, a member's terms through
-Poly._by_grade, and each result is one integer pass, Poly._sum_over, with
-no Poly product or Poly.sum per member or term.  The contraction reads
-each weight and each p_n once for a whole family and size, and the
-Gaussian pairing groups each side's stored terms by their exponent of w
-and of wbar.
+public connection(M, n) as the integers of its stored terms, a member's
+terms through Poly._by_grade, and each result is one integer pass,
+Poly._sum_over, with no Poly product or Poly.sum per member or term.  The
+contraction reads each weight and each p_n once for a whole family and
+size, and takes [x^L] p_n by grouping p_n's stored terms by their
+exponent of x; the Gaussian pairing groups each side's stored terms the
+same way (_by_exponent), by their exponent of w and of wbar.
 """
 
 from __future__ import annotations
