@@ -176,13 +176,13 @@ def _by_exponent(p: Poly, var: str, vars: tuple) -> list:
 
 def biorthogonality_check(top: int, family: str) -> list:
     """Contraction of backward (connection) against forward (expansion)
-    coefficients: the rows M < top of sum_n A_{M,n} [x^L] p_n for L < top,
-    as ExactScalars; the defining identity forces delta_{M,L}.  Each
-    A_{M,n} and each p_n is read once, and each [x^L] p_n is taken from
-    its stored terms.  Only the n of M's parity with L <= n <= M can
-    contribute: the other weights are zero, and p_n has no x^L term below
-    degree L.  An entry that keeps a power of another variable raises the
-    ValueError of Poly.as_scalar: the Hermite family's z powers cancel."""
+    coefficients less the delta it must equal: the rows M < top of
+    sum_n A_{M,n} [x^L] p_n - delta_{M,L} for L < top, as Polys in the
+    variables other than x, each zero when the dual pair holds (the
+    Hermite family's z powers cancel).  Each A_{M,n} and each p_n is read
+    once, and each [x^L] p_n is taken from its stored terms.  Only the n
+    of M's parity with L <= n <= M can contribute: the other weights are
+    zero, and p_n has no x^L term below degree L."""
     _check_index("top", top)
     row = lookup(family)
     sources = [row.source(n) for n in range(top)]
@@ -197,14 +197,16 @@ def biorthogonality_check(top: int, family: str) -> list:
         for p in sources
     ]
     out = []
+    zero = Poly.zero(vars)
+    delta = (0, 1, {(0,) * len(vars): 1}, -1)  # the piece -delta_{M,M}
     for M in range(top):
         pieces = [[] for _ in range(top)]  # per L, the pieces of Poly._sum_over
+        pieces[M].append(delta)
         for n, w in zip(range(M % 2, M + 1, 2), weights[M]):
             for key, num, den, wg in _weight_terms(w, vars):
                 for L, g, d, terms in cols[n]:
                     pieces[L].append((g + wg, d * den, _shifted(terms, key), num))
-        out.append([Poly._sum_over(vars, ps).as_scalar() if ps else ZERO
-                    for ps in pieces])
+        out.append([Poly._sum_over(vars, ps) if ps else zero for ps in pieces])
     return out
 
 

@@ -22,14 +22,16 @@ tree with each Poly replaced by its poly_to_obj block.  It is a writer
 for this fixed schema: every term of a Poly comes from one template, and
 the series and connection envelopes around it from a short recursive
 writer of dicts, lists, strings and ints, which also writes a
-poly_to_obj dict, to the same bytes.
+poly_to_obj dict, to the same bytes.  Strings are escaped by
+``_json.encode_basestring_ascii``, the C function that ``json.dumps``
+calls, taken from ``_json`` so that the ``json`` package is not imported.
 """
 
 from __future__ import annotations
 
 import re
+from _json import encode_basestring_ascii as _string
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _string
 
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar

@@ -33,9 +33,9 @@ printed parameter lists so the two conventions can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ParamError
 from .families import (
@@ -72,8 +72,7 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
     )
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(NamedTuple):
     """One (beta, s) cell of the closed Hermite lacunary series: base_scale
     times the hypergeometric series in upper, lower, at
     x^(K s - 2 beta) y^beta lambda^s; its argument and the powers of lambda

@@ -16,15 +16,12 @@ and, for GenSeries to combine like terms by, as (name, twice) int pairs.
 
 from __future__ import annotations
 
-import logging
 from math import factorial, gcd
 from operator import itemgetter
 
 from .errors import DomainError, ExpansionError
 from .poly import CoeffSeries, Poly
 from .scalar import HalfInt, _gamma_parts, _pair, half
-
-log = logging.getLogger(__name__)
 
 MU = "mu"  # variable name carrying the mu grading after transforming
 
@@ -202,7 +199,9 @@ def _weight(t: GenMonomial):
         num, den, grade = num * a, den * b, grade + g
     for _, e in t.v_exps:
         if e.twice <= 0 and not e.twice % 2:
-            log.debug("term %r vanishes: v-exponent at a 1/Gamma zero", t)
+            import logging
+            logging.getLogger(__name__).debug(
+                "term %r vanishes: v-exponent at a 1/Gamma zero", t)
             return None
         a, b, g = _gamma_parts(e)
         num, den, grade = num * b, den * a, grade - g

@@ -256,8 +256,8 @@ def biorthogonality(top, fams=connect.FAMILIES):
     """The contraction of the dual pair is the Kronecker delta for M, L < top."""
     for fam in fams:
         for M, row in enumerate(connect.biorthogonality_check(top, fam)):
-            for L, c in enumerate(row):
-                if c != (scalar.ONE if M == L else scalar.ZERO):
+            for L, residual in enumerate(row):
+                if residual:
                     return f"contraction != delta at (M,L)=({M},{L}), {fam}"
 
 

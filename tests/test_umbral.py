@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 from math import comb
@@ -40,10 +41,15 @@ class TestItransform:
         with pytest.raises(DomainError):
             itransform(const_series(t, lam=0))
 
-    def test_v_zero_drops_term(self):
-        # 1/Gamma at a non-positive integer kills the whole term
+    def test_v_zero_drops_term(self, caplog):
+        # 1/Gamma at a non-positive integer kills the whole term; _weight
+        # makes a debug record of it, importing logging only there
         t = GenMonomial(1, v_exps={"v": -1})
-        assert itransform_scalar(const_series(t, lam=0)).is_zero()
+        with caplog.at_level(logging.DEBUG, logger="sjk.umbral"):
+            assert itransform_scalar(const_series(t, lam=0)).is_zero()
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("sjk.umbral", logging.DEBUG,
+             f"term {t!r} vanishes: v-exponent at a 1/Gamma zero")]
 
     def test_lambda_and_mu_bookkeeping(self):
         t = GenMonomial(Poly.var("x"), lambda_pow=2, mu_pow=1)
