@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple
 
 from . import lacunary
 from .errors import ParamError
-from .families import HERMITE_SECOND_VAR, hermite_egf, hermite_family, hermite_image
-from .families import sj_egf, sj_family
+from .families import HERMITE_SECOND_VAR, _image_grade, hermite_egf, hermite_family
+from .families import image_by_grade, sj_egf, sj_family
 from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
@@ -68,8 +68,9 @@ def hermite_connection(M: int, n: int) -> Poly:
 class Family(NamedTuple):
     """A row of the family table: the source n -> p_n, the EGF truncation,
     the weight (M, n) -> A_{M,n} of p_n in x^M (an ExactScalar, or a Poly
-    in z),
-    the closed lacunary form (a cross-check) and the image map H_n -> p_n."""
+    in z), the closed lacunary form (a cross-check) and the image map
+    H_n -> p_n on one sqrt(pi) grade's integers, (vars, den, nums) ->
+    (vars', den', nums') (families._image_grade, or the identity)."""
 
     source: Callable
     egf: Callable
@@ -78,8 +79,10 @@ class Family(NamedTuple):
     image: Callable
 
     def image_of(self, series: CoeffSeries) -> CoeffSeries:
-        """The image of a Hermite series, such as a lacunary slice."""
-        return CoeffSeries([self.image(c) for c in series.coeffs], series.order)
+        """The image of a Hermite series, such as a lacunary shift
+        generator, coefficient by coefficient."""
+        return CoeffSeries(
+            [image_by_grade(self.image, c) for c in series.coeffs], series.order)
 
 
 # Each row is built on each lookup from the module globals, so a builder
@@ -88,12 +91,12 @@ class Family(NamedTuple):
 
 def _sj_row() -> Family:
     return Family(sj_family, sj_egf, sj_connection,
-                  lacunary.sj_lacunary_closed, hermite_image)
+                  lacunary.sj_lacunary_closed, _image_grade)
 
 
 def _hermite_row() -> Family:
     return Family(hermite_family, hermite_egf, hermite_connection,
-                  lacunary.hermite_lacunary_closed, lambda p: p)
+                  lacunary.hermite_lacunary_closed, lambda *grade: grade)
 
 
 _ROWS = {"sj": _sj_row, "hermite": _hermite_row}

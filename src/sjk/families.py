@@ -24,7 +24,9 @@ Poly brings them to lowest terms once.
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image under hermite_image) builds each coefficient from integers: the
 matching numbers by their integer ratio recurrence over n!, and the image
-as those numerators times integer weights over one denominator.
+as those numerators times integer weights over one denominator
+(_image_grade, one sqrt(pi) grade's integers at a time, which is also
+the image column of connect's family table).
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -284,35 +286,50 @@ def _image_weight(a: int, m: int) -> int:
     return -w if m % 2 else w
 
 
-def hermite_image(p: Poly) -> Poly:
-    """The (-1,-1) image of a Hermite polynomial under the integral
-    transform: x^a z^m goes to (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a,
-    the transform of (uv)^(a+2m-1/2) x^a (-1/(4u))^m.  Other variables
-    (such as mu) are carried through; the image of H_N is p_N.  That
-    factor is 1 / W, W the integer _image_weight, so per sqrt(pi) grade the
-    image is the numerators times w / W over the denominator times w, w the
-    lcm of the W of the grade's terms; the terms that land on one key are
-    summed there, and the grades are summed as Poly.sum sums them."""
-    vars = p.vars
+def _image_grade(vars: tuple, den: int, nums: dict) -> tuple:
+    """The (-1,-1) image of the terms nums[e] / den x^e over vars at one
+    sqrt(pi) grade, as (vars without z, den', nums'): x^a z^m goes to
+    (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a, the transform of
+    (uv)^(a+2m-1/2) x^a (-1/(4u))^m, and other variables (such as mu) are
+    carried through.  That factor is 1 / W, W the integer _image_weight,
+    so the image is the numerators times w / W over den times w, w the
+    lcm of the terms' W; the terms that land on one key are summed there.
+    nums is only read, and zeros in it are allowed.  The image column of
+    connect's family table for the (-1,-1) row."""
     ia = vars.index("x") if "x" in vars else None
     im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
     out_vars = vars if im is None else vars[:im] + vars[im + 1 :]
-    images = []
-    for g, d, nums in p._by_grade():
-        terms = []
-        for exps, n in nums.items():
-            a = 0 if ia is None else exps[ia]
-            if im is None:
-                terms.append((exps, n, _image_weight(a, 0)))
-            else:
-                key = exps[:im] + exps[im + 1 :]
-                terms.append((key, n, _image_weight(a, exps[im])))
-        w = lcm(*[t[2] for t in terms])
-        image = {}
-        for key, n, W in terms:
-            image[key] = image.get(key, 0) + n * (w // W)
-        images.append(Poly._over(out_vars, g, d * w, image))
-    return Poly.sum(images, out_vars)
+    terms = []
+    for exps, n in nums.items():
+        a = 0 if ia is None else exps[ia]
+        if im is None:
+            terms.append((exps, n, _image_weight(a, 0)))
+        else:
+            key = exps[:im] + exps[im + 1 :]
+            terms.append((key, n, _image_weight(a, exps[im])))
+    w = lcm(*[t[2] for t in terms])
+    image = {}
+    for key, n, W in terms:
+        image[key] = image.get(key, 0) + n * (w // W)
+    return out_vars, den * w, image
+
+
+def image_by_grade(image, p: Poly) -> Poly:
+    """The Poly that image, a per-grade map (vars, den, nums) -> (vars',
+    den', nums') such as _image_grade, makes of p: each sqrt(pi) grade
+    mapped on its stored integers and the grades summed as Poly.sum sums
+    them, over the vars' that image gives for p.vars."""
+    vars = image(p.vars, 1, {})[0]
+    return Poly.sum([
+        Poly._over(vars, g, *image(p.vars, d, nums)[1:]) for g, d, nums in p._by_grade()
+    ], vars)
+
+
+def hermite_image(p: Poly) -> Poly:
+    """The (-1,-1) image of a Hermite polynomial under the integral
+    transform, _image_grade on each sqrt(pi) grade; the image of H_N is
+    p_N, and a sum across sqrt(pi) grades raises as Poly.sum raises it."""
+    return image_by_grade(_image_grade, p)
 
 
 def sj_egf_coeff(N: int) -> Poly:

@@ -3,10 +3,13 @@
 A HyperSpec is a (upper parameters, lower parameters, argument scale)
 descriptor; coefficients are Pochhammer quotients and always exact
 rationals times powers of the scale.  Series are purely formal: no
-convergence questions arise and none are asked.  pfq_terms takes an
-optional first term, so a scaled series is made with one reduced integer
-pair per term.  Its recurrence is _pair_terms, which takes the parameters
-as integer pairs; the lacunary cells call it directly, without a HyperSpec.
+convergence questions arise and none are asked.  The term recurrence is
+written once, _pair_terms: the parameters, the argument and the first
+term are integer pairs, the parameters' numerators are stepped by their
+denominators, and each term is yielded as a reduced integer pair.
+pfq_terms makes ExactScalars from those pairs (read from a HyperSpec by
+_spec_pairs), each with its sqrt(pi) grade; the lacunary cells read the
+pairs directly, without a HyperSpec or an ExactScalar per term.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, prod
+from operator import add
 
 from .errors import ParamError, PoleError
 from .scalar import (
@@ -68,36 +72,57 @@ class HyperSpec:
 
 def pfq_terms(spec: HyperSpec, start=1):
     """The series coefficients start * scale^m / m! * prod (a)_m / prod (b)_m
-    for m = 0, 1, 2, ... without end (_pair_terms).  start is the m = 0
-    term, an ExactScalar (or an int or Fraction), whose sqrt(pi) grade is
-    added to every term's."""
-    yield from _pair_terms(
-        [(a.numerator, a.denominator) for a in spec.upper],
-        [(b.numerator, b.denominator) for b in spec.lower],
-        spec.arg_scale,
-        ExactScalar.coerce(start),
+    for m = 0, 1, 2, ... without end, as ExactScalars made from the pairs
+    of _pair_terms.  start is the m = 0 term, an ExactScalar (or an int or
+    Fraction), whose sqrt(pi) grade is added to every term's."""
+    start = ExactScalar.coerce(start)
+    g, step = start.sqrt_pi_pow, spec.arg_scale.sqrt_pi_pow
+    for m, (num, den) in enumerate(_spec_pairs(spec, start)):
+        yield _pair(num, den, g + step * m)
+
+
+def _spec_pairs(spec: HyperSpec, start: ExactScalar):
+    """The terms of pfq_terms(spec, start) as the reduced integer pairs of
+    _pair_terms, without their sqrt(pi) grades."""
+    up, lo, scale = spec.upper, spec.lower, spec.arg_scale
+    return _pair_terms(
+        ([a.numerator for a in up], [a.denominator for a in up]),
+        ([b.numerator for b in lo], [b.denominator for b in lo]),
+        (scale.num, scale.den),
+        (start.num, start.den),
     )
 
 
-def _pair_terms(up, lo, scale: ExactScalar, t: ExactScalar):
-    """The terms t * scale^m / m! * prod (a)_m / prod (b)_m of pfq_terms,
-    the parameters given as integer pairs (num, den), den > 0 and not
-    necessarily reduced, and the lower ones off Z_<=0; each term from the
-    one before by the ratio scale * prod (a+m) / ((m+1) prod (b+m)).  The
-    ratio is taken on integers, with a + m = (num a + m den a) / den a:
-    the term's numerator and denominator are multiplied by integer
-    products, and the one reduced pair made per term divides them by
-    their gcd."""
-    num_k = scale.num * prod(d for _, d in lo)
-    den_k = scale.den * prod(d for _, d in up)
-    g, pi_pow, m = t.sqrt_pi_pow, scale.sqrt_pi_pow, 0
+def _pair_terms(up: tuple, lo: tuple, scale: tuple, start: tuple):
+    """The terms start * scale^m / m! * prod (a)_m / prod (b)_m, m = 0, 1,
+    2, ..., as reduced integer pairs (num, den), den > 0, the sqrt(pi)
+    grades left to the caller.  up and lo give the parameters as two
+    sequences, their integer numerators and their denominators (> 0, not
+    necessarily in lowest terms), the lower ones off Z_<=0; scale is an
+    integer pair with den > 0, and start one in lowest terms with den > 0.
+    Each term comes from the one before by the ratio
+    scale * prod (a+m) / ((m+1) prod (b+m)) on integers: with
+    a + m = (num a + m den a) / den a, the parameters' numerators are
+    stepped by their dens (map(add, ...)), the pair is multiplied by the
+    integer products and divided by its gcd."""
+    num, den = start
+    yield num, den
+    up_nums, up_dens = up
+    lo_nums, lo_dens = lo
+    num_k = scale[0] * prod(lo_dens)
+    den_k = scale[1] * prod(up_dens)
+    m = 1
     while True:
-        yield t
-        t = _ratio(
-            t.num * num_k * prod(p + m * d for p, d in up),
-            t.den * den_k * (m + 1) * prod(p + m * d for p, d in lo),
-            g + pi_pow * (m + 1),
-        )
+        num *= num_k * prod(up_nums)
+        den *= den_k * m * prod(lo_nums)
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num //= g
+        den //= g
+        yield num, den
+        up_nums = [*map(add, up_nums, up_dens)]
+        lo_nums = [*map(add, lo_nums, lo_dens)]
         m += 1
 
 

@@ -8,22 +8,27 @@ family, the closed forms for the (-1,-1) family obtained from the Hermite
 ones by Pochhammer proliferation, and the shifted generators for both.
 The shifted Hermite generator is exp(mu (x + 2z d/dx)) applied to the
 closed form, so its mu^L slice, which the CLI checks against the oracle,
-is the closed form raised L times by the Hermite raising operator
-(hermite_lacunary_slice).  The (-1,-1) slice and shifted generator are the
-Hermite ones mapped termwise by families.hermite_image (the image column of
-connect's family table), the paper's transform after lambda -> lambda (uv)^K,
-mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a,
-so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
+is the closed form raised L times by the Hermite raising operator.  The
+(-1,-1) slice and shifted generator are the Hermite ones mapped termwise
+by the image column of connect's family table (families._image_grade),
+the paper's transform after lambda -> lambda (uv)^K, mu -> mu uv,
+z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a, so it
+gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
 generators and mu_slice stay as cross-checks for tests and verify.
 
-Every stage of that check runs on integers: the closed form starts each
-cell's hypergeometric series at the cell's scale and sums each
-coefficient's terms over the lcm of their denominators, the raising runs
-on the stored integer numerators, the image multiplies them by integer
-weights and the oracle scales each source by 1/n!.  A cell's parameters
-are integer pairs, fed to hyper's pair-level term generator; a HyperSpec
-is built from them only for the (-1,-1) closed forms, which are
-cross-checks.
+The check (verify.lacunary_slices) is one integer pass per power of
+lambda, with no ExactScalar, HyperSpec or Poly per term.  The closed form
+comes from one kernel, _closed_nums: each cell's hypergeometric series,
+read as reduced integer pairs from hyper._pair_terms and started at the
+cell's scale, lands on its coefficients, and each coefficient is its
+terms' numerators over the lcm of their denominators (_gather).  Those
+numerators are raised L times on the same integer form (_raise_nums),
+mapped by the table's image and compared, cross-multiplied, with the
+oracle's stored integers; the oracle scales each source by 1/n!.
+hermite_lacunary_closed builds its Polys from the same kernel, and
+_hermite_raise is _raise_nums on a Poly's stored integers.  The (-1,-1)
+closed forms go through _gather too; a HyperSpec is built from a cell's
+integer parameters only for them, and they are cross-checks.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -34,18 +39,18 @@ printed parameter lists so the two conventions can be compared.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import ParamError
 from .families import (
-    HERMITE_SECOND_VAR,
+    _HERMITE_VARS,
     hermite_family,
     hermite_image,
     matching_coeff,
     sj_family,
 )
-from .hyper import HyperSpec, _pair_terms, pfq_terms, pochhammer_proliferate
+from .hyper import HyperSpec, _pair_terms, _spec_pairs, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
 from .scalar import ExactScalar, HalfInt, _pair, _ratio, gamma_ratio
 
@@ -73,119 +78,139 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
 
 
 class _Cell(NamedTuple):
-    """One (beta, s) cell of the closed Hermite lacunary series: base_scale
+    """One (beta, s) cell of the closed Hermite lacunary series: scale
     times the hypergeometric series in upper, lower, at
     x^(K s - 2 beta) y^beta lambda^s; its argument and the powers of lambda
-    and y per series index depend on K alone (_steps).  The parameters are
-    integer pairs (num, den), den > 0, not reduced."""
+    and y per series index depend on K alone (_steps).  scale is an integer
+    pair in lowest terms, and upper and lower give the parameters as
+    hyper._pair_terms takes them: (numerators, denominators), den > 0,
+    not reduced."""
 
     beta: int
     s: int
-    base_scale: ExactScalar
+    scale: tuple
     upper: tuple
     lower: tuple
 
     def spec(self, arg) -> HyperSpec:
         """The cell's series as a HyperSpec at argument arg."""
-        return HyperSpec([Fraction(*a) for a in self.upper],
-                         [Fraction(*b) for b in self.lower], arg)
+        return HyperSpec([Fraction(*a) for a in zip(*self.upper)],
+                         [Fraction(*b) for b in zip(*self.lower)], arg)
 
 
 def _steps(K: int):
     """(lam_step, y_step, arg) at K: index m of a Hermite cell's hypergeometric
-    series, at argument arg, carries lambda^(lam_step m) y^(y_step m)."""
+    series, at the argument arg, an integer pair, carries
+    lambda^(lam_step m) y^(y_step m)."""
     if K % 2 == 0:
-        return 1, K // 2, _pair((2 * K) ** (K // 2), 1, 0)
-    return 2, K, _ratio((4 * K) ** K, 4, 0)
+        return 1, K // 2, ((2 * K) ** (K // 2), 1)
+    return 2, K, ((4 * K) ** K // 4, 1)  # (4K)^K / 4 = 4^(K-1) K^K
 
 
 def _hermite_cells(K: int, order: int):
     """The (beta, s) cells of the closed Hermite lacunary series, split by
-    the parity of K (K = 2T or K = 2T + 1; K = 1 rides the odd branch)."""
-    cells = []
+    the parity of K (K = 2T or K = 2T + 1; K = 1 rides the odd branch).
+    The upper parameters depend on s alone and the lower on beta alone,
+    so each is made once and shared by the cells."""
     T = K // 2
-    for beta in range(T if K % 2 == 0 else K):
+    if K % 2 == 0:  # upper s + (j + 1)/K
+        betas = range(T)
+        uppers = [(tuple(K * s + j + 1 for j in range(K - 1)), (K,) * (K - 1))
+                  for s in range(order + 1)]
+        lowers = [(tuple(beta + ell + 1 for ell in range(T) if ell != T - 1 - beta),
+                   (T,) * (T - 1)) for beta in betas]
+    else:  # upper s/2 + (j + 1)/(2K)
+        betas = range(K)
+        uppers = [(tuple(K * s + j + 1 for j in range(2 * K - 1) if j != K - 1),
+                   (2 * K,) * (2 * K - 2)) for s in range(order + 1)]
+        lowers = [(tuple(beta + ell + 1 for ell in range(K) if ell != K - 1 - beta),
+                   (K,) * (K - 1)) for beta in betas]
+    cells = []
+    for beta in betas:
         for s in range(order + 1):
             h = matching_coeff(K * s, beta)
             if h == 0:
                 continue
-            if K % 2 == 0:  # upper s + (j + 1)/K
-                upper = tuple((K * s + j + 1, K) for j in range(K - 1))
-                lower = tuple(
-                    (beta + ell + 1, T) for ell in range(T) if ell != T - 1 - beta
-                )
-            else:  # upper s/2 + (j + 1)/(2K)
-                upper = tuple(
-                    (K * s + j + 1, 2 * K) for j in range(2 * K - 1) if j != K - 1
-                )
-                lower = tuple(
-                    (beta + ell + 1, K) for ell in range(K) if ell != K - 1 - beta
-                )
-            cells.append(_Cell(beta, s, _ratio(h, factorial(s), 0), upper, lower))
+            f = factorial(s)
+            g = gcd(h, f)
+            cells.append(_Cell(beta, s, (h // g, f // g), uppers[s], lowers[beta]))
     return cells
 
 
-def _sum_cells(terms, K: int, order: int, vars) -> CoeffSeries:
+def _gather(terms, K: int, order: int) -> list:
     """Sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, series) terms and over m, up to
-    lambda^order, series being the cell's hypergeometric terms started at
-    its scale; each coefficient is its terms over the lcm of their
-    denominators, summed per key.  vars is ("x", y) for the Hermite forms
-    and ("x",) for the (-1,-1) forms, whose y the transform has integrated
-    out."""
+    lambda^order, series being the cell's hypergeometric terms as the
+    reduced integer pairs of hyper._pair_terms, started at its scale.  Per
+    power of lambda it gives (den, nums): the lcm of the terms'
+    denominators and each term's numerator over it, keyed by the exponents
+    of x and y.  No two terms of one power share a key: the exponent of x
+    fixes s and beta (beta < K), and then the power fixes m."""
     lam_step, y_step, _ = _steps(K)
-    pairs = [[] for _ in range(order + 1)]
+    rows = [[] for _ in range(order + 1)]
     for cell, series in terms:
-        x_pow = K * cell.s - 2 * cell.beta
-        ks = range(cell.s, order + 1, lam_step)
-        for m, (k, c) in enumerate(zip(ks, series)):
-            key = (x_pow, cell.beta + y_step * m)[: len(vars)]
-            pairs[k].append((key, c))
-    return CoeffSeries([Poly._from_terms(vars, p) for p in pairs], order)
+        x_pow, y = K * cell.s - 2 * cell.beta, cell.beta
+        for k, (num, den) in zip(range(cell.s, order + 1, lam_step), series):
+            rows[k].append(((x_pow, y), num, den))
+            y += y_step
+    out = []
+    for row in rows:
+        den = lcm(*[d for _, _, d in row])
+        out.append((den, {key: num * (den // d) for key, num, d in row}))
+    return out
+
+
+def _closed_nums(K: int, order: int) -> list:
+    """The closed Hermite lacunary form as integers: per power of lambda up
+    to order, (den, nums) over (x, z), each cell's terms read as integer
+    pairs from hyper._pair_terms (_gather).  A new dict per power."""
+    arg = _steps(K)[2]
+    return _gather(
+        ((cell, _pair_terms(cell.upper, cell.lower, arg, cell.scale))
+         for cell in _hermite_cells(K, order)),
+        K, order,
+    )
+
+
+def _series(rows: list, vars: tuple, order: int) -> CoeffSeries:
+    """The CoeffSeries of the (den, nums) rows of _gather, at grade 0, over
+    (x, y) or, the exponent of y dropped, over (x,)."""
+    if len(vars) == 1:
+        rows = [(den, {e[:1]: n for e, n in nums.items()}) for den, nums in rows]
+    return CoeffSeries([Poly._over(vars, 0, den, nums) for den, nums in rows], order)
 
 
 def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
     """Closed hypergeometric form of the K-tuple Hermite lacunary series."""
     if K < 1:
         raise ParamError("K must be >= 1")
-    arg = _steps(K)[2]
-    terms = (
-        (cell, _pair_terms(cell.upper, cell.lower, arg, cell.base_scale))
-        for cell in _hermite_cells(K, order)
-    )
-    return _sum_cells(terms, K, order, ("x", HERMITE_SECOND_VAR))
+    return _series(_closed_nums(K, order), _HERMITE_VARS, order)
 
 
-_RAISE_VARS = ("x", HERMITE_SECOND_VAR)
+def _raise_nums(nums: dict, L: int) -> dict:
+    """(x + 2z d/dx)^L on the numerators nums of a Poly in x and z over one
+    denominator, the raising operator of H_{n+1} = (x + 2z d/dx) H_n applied
+    L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
+    nums is only read (and given back for L = 0); numerators that cancel
+    are left as zeros."""
+    for _ in range(L):
+        step = {(e + 1, m): n for (e, m), n in nums.items()}
+        for (e, m), n in nums.items():
+            if e:
+                k = e - 1, m + 1
+                step[k] = step.get(k, 0) + 2 * e * n
+        nums = step
+    return nums
 
 
 def _hermite_raise(c: Poly, L: int) -> Poly:
-    """(x + 2z d/dx)^L c, the raising operator of H_{n+1} = (x + 2z d/dx) H_n
-    applied L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
-    c is a Poly in x and z, such as a coefficient of the Hermite closed
-    form; the steps run on its stored integer numerators, over its
-    denominator, one sqrt(pi) grade at a time."""
-    raised = []
-    for g, d, nums in c._by_grade(_RAISE_VARS):
-        for _ in range(L):
-            step = {(e + 1, m): n for (e, m), n in nums.items()}
-            for (e, m), n in nums.items():
-                if e:
-                    k = e - 1, m + 1
-                    step[k] = step.get(k, 0) + 2 * e * n
-            nums = step
-        raised.append(Poly._over(_RAISE_VARS, g, d, nums))
-    return Poly.sum(raised, _RAISE_VARS)
-
-
-def hermite_lacunary_slice(K: int, L: int, order: int) -> CoeffSeries:
-    """The (K, L) Hermite lacunary series: L! times the mu^L coefficient of
-    hermite_lacunary_shift, which is exp(mu (x + 2z d/dx)) applied to the
-    closed form, so the closed form raised L times (_hermite_raise)."""
-    closed = hermite_lacunary_closed(K, order)
-    if not L:
-        return closed
-    return CoeffSeries([_hermite_raise(c, L) for c in closed.coeffs], order)
+    """(x + 2z d/dx)^L c, c a Poly in x and z such as a coefficient of the
+    Hermite closed form: _raise_nums on its stored integers, one sqrt(pi)
+    grade at a time."""
+    return Poly.sum([
+        Poly._over(_HERMITE_VARS, g, d, _raise_nums(nums, L))
+        for g, d, nums in c._by_grade(_HERMITE_VARS)
+    ], _HERMITE_VARS)
 
 
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
@@ -196,7 +221,7 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     H_{K,0}(lambda; x, z): L! times its coefficient of mu^L is the closed
     form raised L times (_hermite_raise), the (K, L) lacunary series.
     """
-    vars = ("mu", "x", HERMITE_SECOND_VAR)
+    vars = ("mu", *_HERMITE_VARS)
     out = []
     for c in hermite_lacunary_closed(K, order).coeffs:
         slices = []
@@ -204,7 +229,7 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
             f = factorial(L)
             slices += [
                 Poly._over(vars, g, d * f, {(L, *key): n for key, n in nums.items()})
-                for g, d, nums in c._by_grade(_RAISE_VARS)
+                for g, d, nums in c._by_grade(_HERMITE_VARS)
             ]
             c = _hermite_raise(c, 1)
         out.append(Poly.sum(slices, vars))
@@ -215,11 +240,22 @@ def _sj_cells(K: int, order: int):
     """Each Hermite cell after the substitutions lambda -> lambda (u v)^K
     and y -> -1/(4u), as (cell, alpha, beta', scale): the cell carries
     u^alpha v^beta' and, before the transform's Gamma(alpha)/Gamma(beta'),
-    the scale (-1/4)^beta base_scale."""
+    the scale (-1/4)^beta times its scale."""
     for c in _hermite_cells(K, order):
         alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
         beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
-        yield c, alpha, beta_p, c.base_scale * _pair((-1) ** c.beta, 4**c.beta, 0)
+        num, den = c.scale
+        yield c, alpha, beta_p, _ratio((-1) ** c.beta * num, 4**c.beta * den, 0)
+
+
+def _rational_pairs(spec: HyperSpec, start: ExactScalar):
+    """The terms of pfq_terms(spec, start) as integer pairs
+    (hyper._spec_pairs), for the (-1,-1) cells, whose argument and start
+    are rational: Gamma(alpha)/Gamma(beta') is, alpha - beta' = -beta being
+    an integer."""
+    if start.sqrt_pi_pow or spec.arg_scale.sqrt_pi_pow:
+        raise ValueError(f"start {start} or argument {spec.arg_scale} is not rational")
+    return _spec_pairs(spec, start)
 
 
 def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -234,8 +270,8 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     terms = []
     for cell, alpha, beta_p, scale in _sj_cells(K, order):
         pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, 2 * r, cell.spec(arg))
-        terms.append((cell, pfq_terms(new_spec, pref * scale)))
-    return _sum_cells(terms, K, order, ("x",))
+        terms.append((cell, _rational_pairs(new_spec, pref * scale)))
+    return _series(_gather(terms, K, order), ("x",), order)
 
 
 def sj_lacunary_closed_printed(
@@ -276,8 +312,8 @@ def sj_lacunary_closed_printed(
             )
             arg = Fraction(-1, 4 ** (K + 1))
         spec = HyperSpec(upper, lower, arg)
-        terms.append((cell, pfq_terms(spec, gamma_ratio(alpha, beta_p) * scale)))
-    return _sum_cells(terms, K, order, ("x",))
+        terms.append((cell, _rational_pairs(spec, gamma_ratio(alpha, beta_p) * scale)))
+    return _series(_gather(terms, K, order), ("x",), order)
 
 
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:

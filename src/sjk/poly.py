@@ -25,7 +25,8 @@ integer kernels.  Only this module reads or writes the stored parts: the
 integer kernels of the other modules read them through Poly._by_grade
 and build their results through Poly._over, Poly._term_over and
 Poly._sum_over (a sum of scaled pieces in one pass), which bring any
-integers over any nonzero denominator to lowest terms.
+integers over any nonzero denominator to lowest terms; Poly._equals_over
+compares such integers with a Poly without building one.
 
 A CoeffSeries is a list of Poly coefficients of one formal series
 parameter, truncated at an explicit order; every operation records the
@@ -48,7 +49,7 @@ from math import factorial, gcd, inf, lcm
 from operator import add, index, itemgetter
 from typing import Callable, NamedTuple
 
-from .scalar import ExactScalar, ZERO, _grade_clash, _pair, _ratio
+from .scalar import ExactScalar, ZERO, _grade_clash, _ratio
 from .scalar import _operand as _scalar_operand
 
 
@@ -350,10 +351,7 @@ class Poly:
         tuples already checked.  Over several grades it is the sum of the
         one-term Polys (_fold); at one grade, each numerator brought over
         the lcm of the denominators and summed per key in one pass over
-        the pairs, in lowest terms where no key repeats (see _sum_grade).
-        Made of one-term parts through _sum_grade, the lacunary closed
-        forms, which sum their cells' terms here, took about 10% longer
-        (2-core x86_64, CPython 3.11.7)."""
+        the pairs, in lowest terms where no key repeats (see _sum_grade)."""
         grades = {c.sqrt_pi_pow for _, c in pairs if c.num}
         if len(grades) > 1:
             return Poly._of(vars, _fold([_term(e, c) for e, c in pairs]))
@@ -382,6 +380,32 @@ class Poly:
         it is given.  The dicts are shared and not to be changed: a kernel
         builds its result through Poly._over."""
         return self._parts if vars is None else self._remap(vars)
+
+    def _equals_over(self, vars: tuple, grade: int, den: int, nums: dict) -> bool:
+        """Whether self equals Poly._over(vars, grade, den, nums), from any
+        integer numerators (zeros allowed, only read) over a nonzero den,
+        without building it: each nonzero numerator must have a stored
+        one at its key, and each pair is compared cross-multiplied with
+        the denominators."""
+        parts = self._parts
+        if self.vars != vars:
+            extra = [i for i, v in enumerate(self.vars) if v not in vars]
+            if extra and any(e[i] for _, _, ns in parts for e in ns for i in extra):
+                return False
+            parts = self._remap(vars)
+        count = len(nums) - [*nums.values()].count(0)
+        if not parts:
+            return not count
+        if len(parts) > 1 or parts[0][0] != grade:
+            return False
+        _, d, stored = parts[0]
+        if len(stored) != count:
+            return False
+        get = stored.get
+        for e, n in nums.items():
+            if get(e, 0) * den != n * d:
+                return False
+        return True
 
     def _renamed(self, vars: tuple) -> "Poly":
         """The same terms over vars, one new name for each of self.vars in
@@ -629,17 +653,6 @@ class Poly:
             if n is not None:
                 return _ratio(n, d, g)
         return ZERO
-
-    def as_scalar(self) -> ExactScalar:
-        """The value of a constant polynomial; raises if non-constant.  A
-        nonzero constant is one stored term, already in lowest terms."""
-        if any(any(e) for _, _, nums in self._parts for e in nums):
-            raise ValueError(f"polynomial is not constant: {self}")
-        if not self._parts:
-            return ZERO
-        (g, d, nums), = self._parts
-        (n,) = nums.values()
-        return _pair(n, d, g)
 
     def _rows(self) -> list:
         """Each term once, in graded-lexicographic descending order, as

@@ -219,15 +219,22 @@ def lacunary_closed(cases):
 
 
 def lacunary_slices(cases):
-    """The mu^L slice that `lacunary --check` builds equals the oracle for
-    each (family, K, L, order), else the first coefficient that differs."""
+    """The mu^L slice that `lacunary --check` checks, the Hermite closed form
+    raised L times and taken through the family's image, equals the oracle
+    for each (family, K, L, order), else the first coefficient that
+    differs.  Each power of lambda is one integer pass: the closed form's
+    numerators over one denominator (lacunary._closed_nums), raised
+    (lacunary._raise_nums), mapped by the table's image and compared with
+    the oracle's stored integers; a Poly is built only for the message."""
     for family, K, L, order in cases:
-        oracle = lacunary_oracle(family, K, L, order).coeffs
-        got = connect.lookup(family).image_of(
-            lacunary.hermite_lacunary_slice(K, L, order))
-        for k, c in enumerate(got.coeffs):
-            if c != oracle[k]:
-                return (f"first mismatch at lambda^{k}: closed={c.text()} "
+        row = connect.lookup(family)
+        oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs
+        for k, (den, nums) in enumerate(lacunary._closed_nums(K, order)):
+            vars, den, nums = row.image(
+                families._HERMITE_VARS, den, lacunary._raise_nums(nums, L))
+            if not oracle[k]._equals_over(vars, 0, den, nums):
+                closed = Poly._over(vars, 0, den, nums)
+                return (f"first mismatch at lambda^{k}: closed={closed.text()} "
                         f"oracle={oracle[k].text()}")
 
 

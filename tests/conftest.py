@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from sjk import opcalc
+from sjk import connect, lacunary, opcalc
 from sjk.families import HERMITE_SECOND_VAR
 from sjk.hyper import HyperSpec
-from sjk.poly import Poly
+from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, _parts
 
 DATA = Path(__file__).parent / "data"
@@ -170,3 +170,25 @@ def inverse_step(op, t, vars, ba, scale):
     if not terms:
         return Poly.zero(t.vars)
     return Poly._over(t.vars, g, *opcalc._gather(den * bd * sd, terms))
+
+
+def as_scalar(p):
+    """The value of a constant Poly; ValueError if it is not constant."""
+    if any(any(e) for e in p.terms):
+        raise ValueError(f"polynomial is not constant: {p}")
+    return p.scalar_coeff()
+
+
+def reference_slices(family, K, L, order):
+    """verify.lacunary_slices at one (family, K, L, order) as the Poly
+    composition it replaced: the Hermite closed form, each coefficient
+    raised L times, the family's image, and == against the oracle."""
+    row = connect.lookup(family)
+    oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs
+    closed = lacunary.hermite_lacunary_closed(K, order)
+    got = row.image_of(CoeffSeries(
+        [lacunary._hermite_raise(c, L) for c in closed.coeffs], order))
+    for k, c in enumerate(got.coeffs):
+        if c != oracle[k]:
+            return (f"first mismatch at lambda^{k}: closed={c.text()} "
+                    f"oracle={oracle[k].text()}")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cli_oracle
 from sjk import cli, connect, families, jsonio, lacunary, opcalc, umbral, verify
-from sjk.poly import CoeffSeries, Poly
+from sjk.poly import Poly
 from sjk.scalar import ExactScalar, HalfInt
 
 GRID = ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
@@ -231,15 +231,15 @@ class TestLacunaryVerb:
         assert (code, out, err) == (0, "closed-form == oracle: PASS\n", "")
 
     def test_check_failure_reports_first_mismatch(self, monkeypatch):
-        real = lacunary.hermite_lacunary_closed
+        real = lacunary._closed_nums
 
         def one_wrong_coefficient(K, order):
-            s = real(K, order)
-            return CoeffSeries(
-                [c + 1 if k == 2 else c for k, c in enumerate(s.coeffs)], s.order
-            )
+            rows = real(K, order)
+            den, nums = rows[2]
+            nums[(0, 0)] = nums.get((0, 0), 0) + den  # + 1 at lambda^2
+            return rows
 
-        monkeypatch.setattr(lacunary, "hermite_lacunary_closed", one_wrong_coefficient)
+        monkeypatch.setattr(lacunary, "_closed_nums", one_wrong_coefficient)
         code, out, err = run_cli(
             "lacunary", "--family", "hermite", "--K", "2", "--order", "3", "--check"
         )
@@ -249,6 +249,46 @@ class TestLacunaryVerb:
             "  first mismatch at lambda^2: closed=1/2 x^4 + 6 x^2 z + 6 z^2 + 1 "
             "oracle=1/2 x^4 + 6 x^2 z + 6 z^2\n"
         )
+
+    def test_check_catches_a_broken_raising_step(self, monkeypatch):
+        real = lacunary._raise_nums
+
+        def one_wrong_numerator(nums, L):
+            out = dict(real(nums, L))
+            out[min(out)] += 1
+            return out
+
+        monkeypatch.setattr(lacunary, "_raise_nums", one_wrong_numerator)
+        code, out, err = run_cli(
+            "lacunary", "--family", "hermite", "--K", "2", "--L", "2",
+            "--order", "2", "--check",
+        )
+        assert (code, err) == (2, "")
+        assert out == (
+            "closed-form == oracle: FAIL\n"
+            "  first mismatch at lambda^0: closed=x^2 + 3 z oracle=x^2 + 2 z\n"
+        )
+
+    def test_check_catches_a_broken_sj_image(self, monkeypatch):
+        real = connect._image_grade
+
+        def one_wrong_numerator(vars, den, nums):
+            vars, den, image = real(vars, den, nums)
+            if (2,) in image:
+                image[(2,)] += 1
+            return vars, den, image
+
+        monkeypatch.setattr(connect, "_image_grade", one_wrong_numerator)
+        argv = ("lacunary", "--K", "2", "--L", "2", "--order", "2", "--check")
+        code, out, err = run_cli(*argv, "--family", "sj")
+        assert (code, err) == (2, "")
+        assert out == (
+            "closed-form == oracle: FAIL\n"
+            "  first mismatch at lambda^0: closed=3/2 x^2 - 1 oracle=x^2 - 1\n"
+        )
+        # the family table gives the Hermite row the identity, not this image
+        assert run_cli(*argv, "--family", "hermite") == (
+            0, "closed-form == oracle: PASS\n", "")
 
     @pytest.mark.parametrize("fmt", ["json", "latex"])
     def test_check_refuses_other_formats(self, fmt):

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from sjk import verify
+from sjk import connect, lacunary, verify
 from sjk.connect import lookup
 from sjk.errors import ParamError
 from sjk.families import hermite_closed, hermite_egf, hermite_family, sj_egf
@@ -22,7 +22,7 @@ from sjk.poly import Poly
 from sjk.scalar import ExactScalar
 from sjk.verify import lacunary_oracle as oracle
 
-from conftest import assert_canonical
+from conftest import assert_canonical, reference_slices
 
 X = Poly.var("x")
 
@@ -240,6 +240,69 @@ class TestShiftSlice:
     def test_slice_equals_oracle(self, family, K, L, order):
         assert verify.lacunary_slices([(family, K, L, order)]) is None
 
+    @pytest.mark.parametrize("family", ["hermite", "sj"])
+    @pytest.mark.parametrize("K, L, order", SLICE_SIZES)
+    def test_integer_pass_agrees_with_poly_composition(self, family, K, L, order):
+        case = family, K, L, order
+        assert verify.lacunary_slices([case]) == reference_slices(*case) is None
+
+
+def _break_closed_form(monkeypatch, k):
+    """Make the closed form's kernel add 1 to its lambda^k coefficient."""
+    real = lacunary._closed_nums
+
+    def broken(K, order):
+        rows = real(K, order)
+        den, nums = rows[k]
+        nums[(0, 0)] = nums.get((0, 0), 0) + den
+        return rows
+
+    monkeypatch.setattr(lacunary, "_closed_nums", broken)
+
+
+def _break_raise(monkeypatch, k):
+    """Make the raising step add 1 to one numerator of the degree-k input."""
+    real = lacunary._raise_nums
+
+    def broken(nums, L):
+        out = dict(real(nums, L))
+        if any(sum(e) == k for e in nums):
+            out[min(out)] = out.get(min(out), 0) + 1
+        return out
+
+    monkeypatch.setattr(lacunary, "_raise_nums", broken)
+
+
+def _break_image(monkeypatch, k):
+    """Make the (-1,-1) image add 1 to its numerator of the lowest power of
+    x at or above x^k."""
+    real = connect._image_grade
+
+    def broken(vars, den, nums):
+        vars, den, image = real(vars, den, nums)
+        high = [e for e in image if e[0] >= k]
+        if high:
+            image[min(high)] += 1
+        return vars, den, image
+
+    monkeypatch.setattr(connect, "_image_grade", broken)
+
+
+class TestSliceMutations:
+    # each mutation reaches both the integer pass and the Poly composition,
+    # which must report the same first lambda^k and the same text
+    @pytest.mark.parametrize("family", ["hermite", "sj"])
+    @pytest.mark.parametrize("K, L, order", [(1, 0, 6), (2, 1, 7), (3, 3, 4), (4, 2, 3),
+                                             (2, 20, 22)])
+    @pytest.mark.parametrize("mutate", [_break_closed_form, _break_raise, _break_image])
+    def test_first_mismatch_agrees(self, monkeypatch, mutate, family, K, L, order):
+        mutate(monkeypatch, order // 2 + 1)
+        case = family, K, L, order
+        got = verify.lacunary_slices([case])
+        assert got == reference_slices(*case)
+        if mutate is not _break_image or family == "sj":
+            assert got.startswith("first mismatch at lambda^"), got
+
 
 class TestHermiteRaise:
     def test_raising_steps_through_the_family(self):
@@ -300,7 +363,7 @@ class TestCoeffBridge:
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_closed_form_coefficients_are_canonical(K):
-    # _sum_cells fills one dict per coefficient and drops the zeros
+    # _gather fills one dict per coefficient and Poly._over drops the zeros
     forms = [hermite_lacunary_closed(K, 6)]
     if K >= 2:
         forms += [sj_lacunary_closed(K, 6), sj_lacunary_closed_printed(K, 6)]

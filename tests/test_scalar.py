@@ -502,8 +502,9 @@ def _kernel_outputs(name):
         return [*families.egf_beta_shifted(8, Fraction(1999, 2)).coeffs,
                 families.jacobi_monic(12, Fraction(1, 3), Fraction(-2, 7), lead)]
     if name == "hermite_image":
-        slice_ = lacunary.hermite_lacunary_slice(3, 2, 5)
-        return [*map(families.hermite_image, slice_.coeffs),
+        raised = [lacunary._hermite_raise(c, 2)
+                  for c in lacunary.hermite_lacunary_closed(3, 5).coeffs]
+        return [*map(families.hermite_image, raised),
                 *(families.hermite_image(families.hermite_family(n)) for n in range(13))]
     if name == "pfq_terms":
         spec = hyper.HyperSpec((H, Fraction(-7)), (Fraction(3, 2),),
