@@ -240,22 +240,15 @@ def _sj_cells(K: int, order: int):
     """Each Hermite cell after the substitutions lambda -> lambda (u v)^K
     and y -> -1/(4u), as (cell, alpha, beta', scale): the cell carries
     u^alpha v^beta' and, before the transform's Gamma(alpha)/Gamma(beta'),
-    the scale (-1/4)^beta times its scale."""
+    the scale (-1/4)^beta times its scale.  Gamma(alpha)/Gamma(beta') is
+    rational, alpha - beta' = -beta being an integer, so the (-1,-1)
+    closed forms read their terms as integer pairs (hyper._spec_pairs)
+    at sqrt(pi) grade 0."""
     for c in _hermite_cells(K, order):
         alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
         beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
         num, den = c.scale
         yield c, alpha, beta_p, _ratio((-1) ** c.beta * num, 4**c.beta * den, 0)
-
-
-def _rational_pairs(spec: HyperSpec, start: ExactScalar):
-    """The terms of pfq_terms(spec, start) as integer pairs
-    (hyper._spec_pairs), for the (-1,-1) cells, whose argument and start
-    are rational: Gamma(alpha)/Gamma(beta') is, alpha - beta' = -beta being
-    an integer."""
-    if start.sqrt_pi_pow or spec.arg_scale.sqrt_pi_pow:
-        raise ValueError(f"start {start} or argument {spec.arg_scale} is not rational")
-    return _spec_pairs(spec, start)
 
 
 def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -270,7 +263,7 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     terms = []
     for cell, alpha, beta_p, scale in _sj_cells(K, order):
         pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, 2 * r, cell.spec(arg))
-        terms.append((cell, _rational_pairs(new_spec, pref * scale)))
+        terms.append((cell, _spec_pairs(new_spec, pref * scale)))
     return _series(_gather(terms, K, order), ("x",), order)
 
 
@@ -312,7 +305,7 @@ def sj_lacunary_closed_printed(
             )
             arg = Fraction(-1, 4 ** (K + 1))
         spec = HyperSpec(upper, lower, arg)
-        terms.append((cell, _rational_pairs(spec, gamma_ratio(alpha, beta_p) * scale)))
+        terms.append((cell, _spec_pairs(spec, gamma_ratio(alpha, beta_p) * scale)))
     return _series(_gather(terms, K, order), ("x",), order)
 
 
