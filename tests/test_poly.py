@@ -327,6 +327,36 @@ def test_stored_form_is_rebuilt_by_every_path(w, mixed, data):
         assert_canonical(r)
 
 
+_OVER_VARSETS = ((), ("x",), ("y",), ("x", "y"), ("y", "x"), ("mu", "x", "y"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_grade_polys(_OVER_VARSETS), st.sampled_from(_OVER_VARSETS),
+       st.integers(0, 1), st.integers(1, 6), st.integers(-3, 3), st.data())
+def test_equals_over_is_equality_with_the_built_poly(p, vars, grade, den, k, data):
+    # integers over a denominator, zeros and common factors included,
+    # compare as the Poly that Poly._over builds from them
+    keys = st.tuples(*[st.integers(0, 2)] * len(vars))
+    nums = data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=4))
+    assert p._equals_over(vars, grade, den, nums) == (
+        p == Poly._over(vars, grade, den, dict(nums)))
+    # p's own integers at its one grade, scaled by k, with a zero added
+    if len(p._parts) == 1 and set(p.vars) <= set(vars) and k:
+        (g, d, stored), = p._by_grade(vars)
+        same = {e: n * k for e, n in stored.items()}
+        same.setdefault((0,) * len(vars), 0)
+        assert p._equals_over(vars, g, d * k, same)
+        assert not p._equals_over(vars, g + 1, d * k, same)
+        e = next(iter(stored))
+        assert not p._equals_over(vars, g, d * k, {**same, e: same[e] + 1})
+
+
+def test_equals_over_sees_variables_outside_vars():
+    # x y is not x, though its exponents over (x,) alone would read as x
+    assert not Poly(("x", "y"), {(1, 1): 1})._equals_over(("x",), 0, 1, {(1,): 1})
+    assert Poly(("x", "y"), {(1, 0): 2})._equals_over(("x",), 0, 3, {(1,): 6})
+
+
 def test_sum_takes_the_next_grade_after_a_cancellation():
     pi_x = Poly.monomial(ExactScalar(2, 1), x=1)
     assert_same_poly(Poly.sum([X, -X, pi_x]), pi_x)
