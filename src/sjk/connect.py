@@ -20,7 +20,6 @@ same way (_by_exponent), by their exponent of w and of wbar.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, lcm
 from operator import add
 from typing import Callable, NamedTuple
@@ -29,10 +28,9 @@ from . import lacunary
 from .errors import ParamError
 from .families import HERMITE_SECOND_VAR, _image_grade, hermite_egf, hermite_family
 from .families import image_by_grade, sj_egf, sj_family
-from .hyper import HyperSpec, pfq_terms
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
-from .scalar import ZERO, ExactScalar, _pair, _ratio
+from .scalar import ZERO, ExactScalar, _ratio
 
 
 def _sj_weight(M: int, n: int) -> tuple:
@@ -282,30 +280,6 @@ def exp_product_truncation(order: int) -> Poly:
     return Poly._over(("alpha", "beta"), 0, top, {
         (k, k): top // factorial(k) for k in range(order + 1)
     })
-
-
-def connection_gf_coeff(M: int, order: int):
-    """Coefficients (by power of the first GF variable) of the mu^M slice
-    of the connection generating function, from its hypergeometric form
-    lambda^M / M! 0F1(M + 1/2; lambda^2 / 4)."""
-    _check_index("M", M)
-    _check_index("order", order)
-    spec = HyperSpec((), (Fraction(2 * M + 1, 2),), _pair(1, 4, 0))
-    out = [ExactScalar(0)] * (order + 1)
-    terms = pfq_terms(spec, _pair(1, factorial(M), 0))
-    for j, c in zip(range(M, order + 1, 2), terms):
-        out[j] = c
-    return out
-
-
-def connection_gf_coeff_direct(M: int, order: int):
-    """Same slice assembled from the closed-form coefficients."""
-    out = [ExactScalar(0)] * (order + 1)
-    for j in range(M, order + 1):
-        if (j - M) % 2 == 0:
-            num, den = _sj_weight(j, M)
-            out[j] = _ratio(num, den * factorial(j), 0)
-    return out
 
 
 def reaction_solve(N0: int, t_order: int) -> CoeffSeries:

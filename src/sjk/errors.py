@@ -13,10 +13,6 @@ class DomainError(SjkError):
     """A generalized series lies outside the domain of the integral transform."""
 
 
-class ExpansionError(SjkError):
-    """An exponential expansion was requested without a grading to truncate in."""
-
-
 class ParamError(SjkError):
     """Inadmissible parameters for a series family or hypergeometric spec."""
 

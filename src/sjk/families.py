@@ -12,21 +12,22 @@ forms' coefficients and the EGF scales are integer pairs built from it
 The three Jacobi-type families, and the shifted beta EGF, are served by
 one O(n) coefficient recurrence, jacobi_monic, which runs on integer
 numerators over one denominator; the closed forms
-(jacobi_classical, sj_closed_mm, sj_closed_beta), the umbral
-construction and the Tricomi-Bessel product form of the shifted EGF
-(egf_beta_shifted_tricomi) stay as cross-checks for the tests and the
-verify suites.  The closed forms share _binomial_basis_sum, which sums the
-integer binomial rows of (x-1)^(n-k) (x+1)^k with integer coefficient
-numerators over one denominator, the caller's outer scale folded into it.
-Each kernel hands Poly its integer numerators over one denominator, and
-Poly brings them to lowest terms once.
+(jacobi_classical, sj_closed_mm, sj_closed_beta) and the umbral
+construction stay as cross-checks for the verify suites and the tests.
+The Tricomi-Bessel product form of the shifted EGF, which only the tests
+compare, is in tests/reference.py.  The closed forms share
+_binomial_basis_sum, which sums the integer binomial rows of
+(x-1)^(n-k) (x+1)^k with integer coefficient numerators over one
+denominator, the caller's outer scale folded into it.  Each kernel
+hands Poly its integer numerators over one denominator, and Poly brings
+them to lowest terms once.
 
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
-image under hermite_image) builds each coefficient from integers: the
-matching numbers by their integer ratio recurrence over n!, and the image
-as those numerators times integer weights over one denominator
-(_image_grade, one sqrt(pi) grade's integers at a time, which is also
-the image column of connect's family table).
+image) builds each coefficient from integers: the matching numbers by
+their integer ratio recurrence over n!, and the image as those
+numerators times integer weights over one denominator (_image_grade, one
+sqrt(pi) grade's integers at a time, which is also the image column of
+connect's family table, applied to a Poly by image_by_grade).
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -34,12 +35,10 @@ are parsed by the test suite (tests/conftest.py), not by this package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
 from .errors import ParamError
-from .hyper import tricomi_coeff
 from .opcalc import _jacobi_weights
 from .poly import CoeffSeries, Poly
 from .scalar import (
@@ -75,11 +74,6 @@ def _binom_parts(p: int, q: int, k: int) -> tuple:
     if k < 0:
         return 0, 1
     return _falling(p, q, k)[k], q**k * factorial(k)
-
-
-def binom_general(a, k: int) -> Fraction:
-    """binomial(a, k) for arbitrary rational a: (a-k+1)_k / k!."""
-    return Fraction(*_binom_parts(*_parts(a), k))
 
 
 def _classical_params(alpha, beta) -> tuple:
@@ -213,21 +207,6 @@ def sj_closed_beta(n: int, beta) -> Poly:
     return _binomial_basis_sum(n, nums, _falling((2 * n - 1) * q + p, q, n)[n])
 
 
-def sj_beta_rescaled(n: int, beta) -> Poly:
-    """The rescaled variant binom(2n+beta-1, n) / Gamma(n+beta+1) times the
-    closed form; beta must be a half-integer so the gamma value is exact."""
-    p, q = _parts(beta)
-    if q not in (1, 2):
-        raise ParamError(f"rescaling needs half-integer beta, got {_text(p, q)}")
-    if n == 0:
-        return Poly.const(1)
-    twice = p * (2 // q)
-    scale = _ratio(*_binom_parts((2 * n - 1) * q + p, q, n), 0) * recip_gamma(
-        HalfInt(twice + 2 * (n + 1))
-    )
-    return sj_closed_beta(n, beta) * scale
-
-
 def matching_coeff(n: int, k: int) -> int:
     """n! / ((n-2k)! k!) when 0 <= 2k <= n, else 0."""
     if k < 0 or 2 * k > n:
@@ -325,13 +304,6 @@ def image_by_grade(image, p: Poly) -> Poly:
     ], vars)
 
 
-def hermite_image(p: Poly) -> Poly:
-    """The (-1,-1) image of a Hermite polynomial under the integral
-    transform, _image_grade on each sqrt(pi) grade; the image of H_N is
-    p_N, and a sum across sqrt(pi) grades raises as Poly.sum raises it."""
-    return image_by_grade(_image_grade, p)
-
-
 def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
     (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
@@ -393,11 +365,6 @@ def sj_egf(order: int) -> CoeffSeries:
     return CoeffSeries.build(sj_egf_coeff, order)
 
 
-def tricomi_series(alpha, zpoly: Poly, order: int) -> CoeffSeries:
-    """Series sum_r z^r / (r! Gamma(r+alpha+1)) with z = lambda * zpoly."""
-    return CoeffSeries.build(lambda r: zpoly**r * tricomi_coeff(alpha, r), order)
-
-
 def _half_int_beta(beta) -> int:
     """Twice beta; ParamError unless beta is a half-integer > -1."""
     p, q = _beta_param(beta)
@@ -424,12 +391,3 @@ def egf_beta_shifted(order: int, beta) -> CoeffSeries:
 
     return CoeffSeries.build(coeff, order)
 
-
-def egf_beta_shifted_tricomi(order: int, beta) -> CoeffSeries:
-    """(x-1) C_1(-lambda(x-1)) C_beta(-lambda(x+1)), the Tricomi-Bessel
-    product form of egf_beta_shifted; a cross-check for the tests."""
-    t = _half_int_beta(beta)
-    x = Poly.var("x")
-    c1 = tricomi_series(1, x - 1, order)
-    cb = tricomi_series(HalfInt(t), x + 1, order)
-    return (c1 * cb) * (x - 1)

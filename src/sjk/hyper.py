@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import add
 
-from .errors import ParamError, PoleError
+from .errors import ParamError
 from .scalar import (
     ExactScalar,
     HalfInt,
@@ -32,8 +32,6 @@ from .scalar import (
     gamma_half,
     gamma_ratio,
     half,
-    pochhammer,
-    recip_gamma,
 )
 
 
@@ -133,25 +131,6 @@ def pfq_coeff(spec: HyperSpec, m: int) -> ExactScalar:
     return next(islice(pfq_terms(spec), m, None))
 
 
-def pfq_derivative(spec: HyperSpec, n: int):
-    """n-th formal derivative: prefactor and the spec with parameters + n.
-
-    The prefactor includes scale^n from the chain rule, so the derived
-    series' coefficients match term-wise differentiation of the original.
-    """
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    pref = Fraction(1)
-    for a in spec.upper:
-        pref *= pochhammer(a, n)
-    for b in spec.lower:
-        pref /= pochhammer(b, n)
-    shifted = HyperSpec(
-        [a + n for a in spec.upper], [b + n for b in spec.lower], spec.arg_scale
-    )
-    return spec.arg_scale**n * ExactScalar(pref), shifted
-
-
 def pochhammer_proliferate(alpha, beta, r: int, s: int, spec: HyperSpec):
     """Transform of u^alpha v^beta pFq(z u^r v^s) under the integral
     transform: prefactor Gamma(alpha)/Gamma(beta), r new upper parameters
@@ -193,13 +172,3 @@ def gamma_multiplication(n: int, s: int, x):
         num, den = num * a, den * b
     return lhs, _ratio(num, den, 0) * gamma_half(HalfInt(twice))
 
-
-def tricomi_coeff(alpha, r: int) -> ExactScalar:
-    """r-th series coefficient 1/(r! Gamma(r + alpha + 1)) of the
-    Tricomi-Bessel function at parameter alpha not in Z_<0."""
-    if r < 0:
-        raise ValueError("coefficient index must be >= 0")
-    ha = half(alpha)
-    if ha.is_integer and ha.twice < 0:
-        raise PoleError(f"Tricomi parameter {ha} lies in Z_<0")
-    return recip_gamma(ha + (r + 1)) * _pair(1, factorial(r), 0)

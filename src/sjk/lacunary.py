@@ -2,10 +2,9 @@
 
 The ground truth is the multisection oracle: direct index selection
 p_{K n + L} from a per-degree family source.  Against it are checked the
-lacunary dilatation operator (index selection plus the factorial rescale
-Gamma(n+1)/Gamma(n/K+1)), the closed hypergeometric forms for the Hermite
-family, the closed forms for the (-1,-1) family obtained from the Hermite
-ones by Pochhammer proliferation, and the shifted generators for both.
+closed hypergeometric forms for the Hermite family, the closed forms for
+the (-1,-1) family obtained from the Hermite ones by Pochhammer
+proliferation, and the shifted generators for both.
 The shifted Hermite generator is exp(mu (x + 2z d/dx)) applied to the
 closed form, so its mu^L slice, which the CLI checks against the oracle,
 is the closed form raised L times by the Hermite raising operator.  The
@@ -32,8 +31,8 @@ integer parameters only for them, and they are cross-checks.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
-their final printed shape; sj_lacunary_closed_printed evaluates the
-printed parameter lists so the two conventions can be compared.
+their final printed shape; the tests evaluate the printed parameter lists
+from the same cells (_sj_cells) so the two conventions can be compared.
 """
 
 from __future__ import annotations
@@ -43,16 +42,10 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import ParamError
-from .families import (
-    _HERMITE_VARS,
-    hermite_family,
-    hermite_image,
-    matching_coeff,
-    sj_family,
-)
+from .families import _HERMITE_VARS, matching_coeff
 from .hyper import HyperSpec, _pair_terms, _spec_pairs, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
-from .scalar import ExactScalar, HalfInt, _pair, _ratio, gamma_ratio
+from .scalar import HalfInt, _pair, _ratio
 
 
 def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
@@ -63,18 +56,6 @@ def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
         raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
     return CoeffSeries.build(
         lambda n: source(K * n + L) * _pair(1, factorial(n), 0), order)
-
-
-def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
-    """Extract every K-th coefficient with the Gamma(n+1)/Gamma(n/K+1)
-    rescale; on an EGF this produces the L = 0 lacunary series."""
-    if K < 1:
-        raise ParamError("K must be >= 1")
-    out_order = egf.order // K
-    return CoeffSeries.build(
-        lambda r: egf.coeffs[r * K] * (factorial(r * K) // factorial(r)),
-        out_order,
-    )
 
 
 class _Cell(NamedTuple):
@@ -267,48 +248,6 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     return _series(_gather(terms, K, order), ("x",), order)
 
 
-def sj_lacunary_closed_printed(
-    K: int, order: int, *, even_beta_doubled: bool = False, odd_beta_start: int = 1
-) -> CoeffSeries:
-    """Literal evaluation of the printed closed-form parameter lists.
-
-    For even K the printed second upper group is 2s + (2m - beta - 1)/K;
-    passing even_beta_doubled=True evaluates 2s + (2m - 2 beta - 1)/K
-    instead.  For odd K the printed outer sum starts at beta =
-    odd_beta_start (the companion Hermite formula starts at 0).  Which
-    convention reproduces the oracle is recorded by the test suite.
-    """
-    if K < 2:
-        raise ParamError("closed lacunary form needs K >= 2")
-    terms = []
-    for cell, alpha, beta_p, scale in _sj_cells(K, order):
-        if K % 2 == 1 and cell.beta < odd_beta_start:
-            continue
-        s, beta = cell.s, cell.beta
-        base = cell.spec(1)
-        if K % 2 == 0:
-            T = K // 2
-            mult = 2 if even_beta_doubled else 1
-            upper = base.upper + tuple(
-                2 * s + Fraction(2 * m - mult * beta - 1, K) for m in range(T)
-            )
-            lower = base.lower + tuple(
-                s + Fraction(2 * t - 1, 2 * K) for t in range(K)
-            )
-            arg = Fraction(-1, 4) ** T
-        else:
-            upper = base.upper + tuple(
-                s + Fraction(2 * m - 2 * beta - 1, 2 * K) for m in range(K)
-            )
-            lower = base.lower + tuple(
-                Fraction(s, 2) + Fraction(2 * t - 1, 4 * K) for t in range(2 * K)
-            )
-            arg = Fraction(-1, 4 ** (K + 1))
-        spec = HyperSpec(upper, lower, arg)
-        terms.append((cell, _spec_pairs(spec, gamma_ratio(alpha, beta_p) * scale)))
-    return _series(_gather(terms, K, order), ("x",), order)
-
-
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
     """L! times the coefficient of mu^L, coefficient-wise."""
     scale = factorial(L)
@@ -316,12 +255,3 @@ def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
         [c.coeff_of("mu", L) * scale for c in series.coeffs], series.order
     )
 
-
-def coeff_bridge_check(K: int, L: int, r: int, m: int):
-    """Both sides of the coefficient bridge between the Hermite and
-    (-1,-1) lacunary series: the x^r coefficient of the degree
-    K(r+m)+L member, directly and through the integral transform of the
-    matching Hermite member."""
-    N = K * (r + m) + L
-    g = sj_family(N).scalar_coeff(x=r)
-    return g, hermite_image(hermite_family(N)).scalar_coeff(x=r)

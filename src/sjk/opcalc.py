@@ -3,27 +3,23 @@
 Diagonal operators are rational functions of the total-degree operator:
 they act on a monomial by a rational number determined by its degree.  A
 DiagonalOp holds that as an integer rule, d -> (num, den), and checks its
-declared kernel against the rule's zeros on that pair.  This module holds
-the one degree map, _scale_by_degree, that applies them on a Poly's
-stored integers; the Euler operator D itself is apply_diagonal of the
-rule d -> (d, 1) with kernel {0}.  An inverse is completed by the
-identity on the operator's kernel: a term of a kernel degree passes
-through.
+declared kernel against the rule's zeros on that pair.  An inverse is
+completed by the identity on the operator's kernel: a term of a kernel
+degree passes through.
 
 On top of these sit the terminating resolvent construction for the
 Jacobi-type eigenproblem and the exponential-operator forms of the
-Sobolev-Jacobi and two-variable Hermite polynomials: gp_series,
-exp_resolvent_sj, exp_B_bivariate and hermite_exp are one loop, _series.
-Its term t_m = s_m op^{-1}((d^2 + (beta - alpha) d) t_(m-1)) is carried
-as integers, a denominator and {x exponent: numerator}, and each step,
-_step, maps those numerators and takes op's value at each degree it
-reaches as the rule's integer pair, so no Poly and no scalar is made
-until the sum, one integer pass over the lcm of the terms' denominators
-and one reduction.  The Jacobi operator itself is
-applied in one pass on the stored integers too.  The parameters are read
-once, by _jacobi_weights, as the integer weights q (beta - alpha) and
-q (alpha + beta + 1) over their common denominator q; families'
-coefficient recurrence reads them there too.
+Sobolev-Jacobi polynomials: gp_series, exp_resolvent_sj and
+exp_B_bivariate are one loop, _series.  Its term t_m = s_m
+op^{-1}((d^2 + (beta - alpha) d) t_(m-1)) is carried as integers, a
+denominator and {x exponent: numerator}, and each step, _step, maps
+those numerators and takes op's value at each degree it reaches as the
+rule's integer pair, so no Poly and no scalar is made until the sum, one
+integer pass over the lcm of the terms' denominators and one reduction.
+The Jacobi operator itself is applied in one pass on the stored integers
+too.  The parameters are read once, by _jacobi_weights, as the integer
+weights q (beta - alpha) and q (alpha + beta + 1) over their common
+denominator q; families' coefficient recurrence reads them there too.
 """
 
 from __future__ import annotations
@@ -60,27 +56,6 @@ class DiagonalOp:
             )
         return v
 
-    def shifted(self, p: int, q: int) -> "DiagonalOp":
-        """The rule d -> eval(d + p - q), as produced by commuting past x^p d^q:
-        the normal-ordering shift f(D) x^p d^q = x^p d^q f(D + p - q)."""
-        if p < 0 or q < 0:
-            raise ValueError("shift exponents must be non-negative")
-        s = p - q
-        rule = self.rule
-        return DiagonalOp(
-            lambda d, _rule=rule, _s=s: _rule(d + _s),
-            frozenset(k - s for k in self.kernel),
-        )
-
-
-def _positions(p: Poly, vars):
-    """Positions in p.vars of the variables in vars, or None for all of
-    them (vars None or p.vars)."""
-    if vars is None or vars == p.vars:
-        return None
-    chosen = set(vars)
-    return [i for i, v in enumerate(p.vars) if v in chosen]
-
 
 def _gather(den: int, terms: list) -> tuple:
     """(den', nums) in lowest terms: the terms (key, numerator, den_t),
@@ -100,34 +75,6 @@ def _gather(den: int, terms: list) -> tuple:
     return d // g, {e: n // g for e, n in nums.items()}
 
 
-def _scale_by_degree(p: Poly, vars, factor) -> Poly:
-    """Each term c m of p times factor(d), d the degree of m in vars
-    (default: all), on the stored integers.  factor(d) is an integer pair
-    (num, den), den nonzero, asked once per degree; its zero drops the
-    term.  Per sqrt(pi) grade of p the products are gathered by _gather,
-    and the grades are summed as Poly.sum sums them."""
-    idx = _positions(p, vars)
-    made = {}
-    pieces = []
-    for g, den, nums in p._by_grade():
-        terms = []  # (exps, numerator, factor's den)
-        for exps, n in nums.items():
-            d = sum(exps) if idx is None else sum([exps[i] for i in idx])
-            f = made.get(d)
-            if f is None:
-                f = made[d] = factor(d)
-            if f[0]:
-                terms.append((exps, n * f[0], f[1]))
-        if terms:
-            pieces.append(Poly._over(p.vars, g, *_gather(den, terms)))
-    return Poly.sum(pieces, p.vars)
-
-
-def apply_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
-    """Scale each monomial by op.eval(total degree in vars)."""
-    return _scale_by_degree(p, vars, op.eval)
-
-
 def _inverse_factor(op: DiagonalOp):
     """d -> 1 / op.eval(d) as an integer pair (num, den), and 1 at a kernel
     degree, where op is not evaluated: the identity completion."""
@@ -137,12 +84,6 @@ def _inverse_factor(op: DiagonalOp):
         num, den = op.eval(d)
         return den, num
     return factor
-
-
-def apply_inverse_diagonal(op: DiagonalOp, p: Poly, vars=None) -> Poly:
-    """Divide each monomial by op.eval(degree); a monomial of a kernel
-    degree passes through unchanged."""
-    return _scale_by_degree(p, vars, _inverse_factor(op))
 
 
 def _jacobi_weights(alpha, beta, check: bool = False) -> tuple:
@@ -186,7 +127,7 @@ def _step(nums: dict, r: int, w2: int, w1: int, made: dict, factor) -> list:
 
 
 def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
-            what: str, tag: bool = False) -> Poly:
+            what: str) -> Poly:
     """The terminating sum t_0 + t_1 + ... over vars, on integers: t_0 =
     x^start, x the first of vars, and t_m = s_m op^{-1}((d^2 + ba d)
     t_(m-1)), d = d/dx, op acting on the total degree and completed by the
@@ -194,10 +135,8 @@ def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
     of scales, integer pairs with den > 0.  Each term is kept as (den,
     {x exponent: numerator}) in lowest terms (_gather), at grade 0.
     The sum brings every term over the lcm of the dens, adds per key and
-    reduces once.  With tag the m-th term's keys gain m as a last exponent
-    (hermite_exp's power of z).  InternalError ("<what> failed to
-    terminate") unless a zero term comes within the steps that scales
-    gives."""
+    reduces once.  InternalError ("<what> failed to terminate") unless a
+    zero term comes within the steps that scales gives."""
     bn, bd = ba
     r = sum(start[1:])
     made, factor = {}, _inverse_factor(op)
@@ -214,9 +153,9 @@ def _series(op: DiagonalOp, vars: tuple, start: tuple, ba: tuple, scales,
     top = lcm(*map(itemgetter(0), terms))
     total = {}
     get = total.get
-    for m, (d, nums) in enumerate(terms):
+    tail = start[1:]
+    for d, nums in terms:
         k = top // d
-        tail = start[1:] + (m,) if tag else start[1:]
         for e, n in nums.items():
             key = (e,) + tail
             total[key] = get(key, 0) + n * k
@@ -271,17 +210,6 @@ def exp_B_bivariate(n: int) -> Poly:
         raise ParamError("degree must be >= 0")
     op = DiagonalOp(lambda d: (d - 1, 1), {1})
     return _exp_series(op, ("x", "y"), (n, n), n, "bivariate exponential")
-
-
-def hermite_exp(n: int) -> Poly:
-    """exp(z dx^2) x^n, the operational two-variable Hermite polynomial: its
-    m-th term is (z / m) dx^2 of the one before, _series with the unit
-    operator and each term tagged with its power of z."""
-    if n < 0:
-        raise ParamError("degree must be >= 0")
-    scales = zip(repeat(1), range(1, n // 2 + 2))
-    return _series(DiagonalOp(lambda d: (1, 1)), ("x", "z"), (n,), (0, 1), scales,
-                   "operational Hermite series", True)
 
 
 def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:

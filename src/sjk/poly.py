@@ -30,8 +30,7 @@ compares such integers with a Poly without building one.
 
 A CoeffSeries is a list of Poly coefficients of one formal series
 parameter, truncated at an explicit order; every operation records the
-order that remains valid.  Scaling each term by a function of its
-degree, the Euler operator among them, is opcalc's diagonal-operator map.
+order that remains valid.
 
 Every output format reads one accessor, Poly._rows: the terms in
 graded-lexicographic descending order as (exps, numerator, denominator,
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
-from math import factorial, gcd, inf, lcm
+from math import gcd, inf, lcm
 from operator import add, index, itemgetter
 from typing import Callable, NamedTuple
 
@@ -273,15 +272,15 @@ class Poly:
         self._parts = ()
         if terms:
             width = len(self.vars)
-            pairs = []
+            summands = []
             for exps, c in terms.items():
                 exps = tuple(map(index, exps))  # TypeError unless integers
                 if len(exps) != width:
                     raise ValueError("exponent vector width mismatch")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in Poly")
-                pairs.append((exps, ExactScalar.coerce(c)))
-            self._parts = Poly._from_terms(self.vars, pairs)._parts
+                summands.append(_term(exps, ExactScalar.coerce(c)))
+            self._parts = _sum_parts(summands)
 
     @staticmethod
     def _of(vars: tuple, parts: tuple) -> "Poly":
@@ -344,33 +343,6 @@ class Poly:
             for e, n in nums.items():
                 total[e] = get(e, 0) + n * m
         return Poly._over(vars, grade, den, total)
-
-    @staticmethod
-    def _from_terms(vars: tuple, pairs: list) -> "Poly":
-        """The sum of the (exps, ExactScalar) pairs over vars, the exponent
-        tuples already checked.  Over several grades it is the sum of the
-        one-term Polys (_fold); at one grade, each numerator brought over
-        the lcm of the denominators and summed per key in one pass over
-        the pairs, in lowest terms where no key repeats (see _sum_grade)."""
-        grades = {c.sqrt_pi_pow for _, c in pairs if c.num}
-        if len(grades) > 1:
-            return Poly._of(vars, _fold([_term(e, c) for e, c in pairs]))
-        grade = grades.pop() if grades else 0
-        den = lcm(*{c.den for _, c in pairs})
-        nums = {}
-        get = nums.get
-        met = False
-        for e, c in pairs:
-            n = c.num * (den // c.den)
-            s = get(e)
-            if s is None:
-                nums[e] = n
-            else:
-                nums[e] = s + n
-                met = True
-        if met or not nums or 0 in nums.values():
-            return Poly._over(vars, grade, den, nums)
-        return Poly._of(vars, ((grade, den, nums),))
 
     def _by_grade(self, vars=None) -> tuple:
         """The stored integers, for the kernels that run on them: per
@@ -455,14 +427,6 @@ class Poly:
         if not power:
             return cls._of((), _term((), c))
         return cls._of((name,), _term((power,), c))
-
-    @classmethod
-    def monomial(cls, coeff, **exps):
-        names = tuple(sorted([n for n, e in exps.items() if index(e)]))
-        key = tuple([index(exps[n]) for n in names])
-        if min(key, default=0) < 0:
-            raise ValueError("negative exponent in Poly")
-        return cls._of(names, _term(key, ExactScalar.coerce(coeff)))
 
     # -- alignment ---------------------------------------------------------
 
@@ -566,29 +530,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._parts
 
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self, var: str) -> "Poly":
-        if var not in self.vars:
-            return Poly.zero(self.vars)
-        i = self.vars.index(var)
-        # exps -> exps with e_i - 1 is one-to-one, so no two terms meet
-        return Poly._of(self.vars, tuple(
-            p
-            for g, d, nums in self._parts
-            for p in _reduced(g, d, {
-                exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: n * exps[i]
-                for exps, n in nums.items()
-                if exps[i]
-            })
-        ))
-
-    def shift(self, var: str, c) -> "Poly":
-        """Taylor shift: substitute var -> var + c (c free of var)."""
-        c = c if isinstance(c, Poly) else Poly.const(c)
-        if c.degree(var) > 0:
-            raise ValueError(f"shift offset must not involve {var!r}")
-        return self.substitute(var, Poly.var(var) + c)
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, var: str, value) -> "Poly":
         """Substitute var -> value (Poly or scalar), fully expanded.  A Poly
@@ -806,19 +748,6 @@ class CoeffSeries:
         ], order)
 
     __rmul__ = __mul__
-
-    def lambda_derivative(self, L: int = 1) -> "CoeffSeries":
-        """L-fold derivative in the series parameter; order drops by L."""
-        if L < 0:
-            raise ValueError("derivative order must be >= 0")
-        if L > self.order:
-            raise ValueError("derivative exceeds truncation order")
-        order = self.order - L
-        out = []
-        for k in range(order + 1):
-            scale = factorial(k + L) // factorial(k)
-            out.append(self.coeffs[k + L] * scale)
-        return CoeffSeries(out, order)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffSeries):

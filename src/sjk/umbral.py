@@ -16,12 +16,12 @@ and, for GenSeries to combine like terms by, as (name, twice) int pairs.
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import gcd
 from operator import itemgetter
 
-from .errors import DomainError, ExpansionError
+from .errors import DomainError
 from .poly import CoeffSeries, Poly
-from .scalar import HalfInt, _gamma_parts, _pair, half
+from .scalar import HalfInt, _gamma_parts, half
 
 MU = "mu"  # variable name carrying the mu grading after transforming
 
@@ -96,11 +96,6 @@ class GenMonomial:
             self.mu_pow * k,
         )
 
-    def scaled(self, c) -> "GenMonomial":
-        return GenMonomial(
-            self.coeff * c, self.u_exps, self.v_exps, self.lambda_pow, self.mu_pow
-        )
-
     def __repr__(self):
         us = " ".join(f"{n}^{e}" for n, e in self.u_exps)
         vs = " ".join(f"{n}^{e}" for n, e in self.v_exps)
@@ -142,46 +137,6 @@ class GenSeries:
             f"GenSeries({len(self.terms)} terms, lambda_order="
             f"{self.lambda_order}, mu_order={self.mu_order})"
         )
-
-
-def _min_order(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def gen_product(s1: GenSeries, s2: GenSeries) -> GenSeries:
-    """Truncated product; multiplicative under the transform when the
-    factors' u/v alphabets are disjoint."""
-    lo = _min_order(s1.lambda_order, s2.lambda_order)
-    mo = _min_order(s1.mu_order, s2.mu_order)
-    out = []
-    for a in s1.terms:
-        for b in s2.terms:
-            if lo is not None and a.lambda_pow + b.lambda_pow > lo:
-                continue
-            if mo is not None and a.mu_pow + b.mu_pow > mo:
-                continue
-            out.append(a * b)
-    return GenSeries(out, lo, mo)
-
-
-def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
-    """exp(base) truncated to sum_{k<=order} base^k / k!.
-
-    The base must carry a lambda or mu grading, otherwise no truncation
-    order exists and the expansion is refused.
-    """
-    if base.lambda_pow + base.mu_pow < 1:
-        raise ExpansionError("exponential base carries no lambda/mu grading")
-    terms = []
-    for k in range(order + 1):
-        terms.append((base**k).scaled(_pair(1, factorial(k), 0)))
-    lam = (order + 1) * base.lambda_pow - 1 if base.lambda_pow else None
-    mu = (order + 1) * base.mu_pow - 1 if base.mu_pow else None
-    return GenSeries(terms, lam, mu)
 
 
 def _weight(t: GenMonomial):

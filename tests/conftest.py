@@ -11,6 +11,8 @@ from sjk.hyper import HyperSpec
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, _parts
 
+from reference import apply_inverse_diagonal, derivative, monomial
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -39,11 +41,11 @@ def load_golden(path) -> dict:
                 if family == "hermite":
                     if (n - exp) % 2:
                         raise ValueError(f"bad hermite exponent {exp} at n={n}")
-                    monomials.append(Poly.monomial(
+                    monomials.append(monomial(
                         c, x=exp, **{HERMITE_SECOND_VAR: (n - exp) // 2}
                     ))
                 else:
-                    monomials.append(Poly.monomial(c, x=exp))
+                    monomials.append(monomial(c, x=exp))
             rows[(family, n)] = Poly.sum(monomials, ("x",))
     return rows
 
@@ -125,7 +127,7 @@ def rand_poly(rng, vars=("x",), max_terms=4, max_exp=5):
     p = Poly.zero(vars)
     for _ in range(rng.randint(1, max_terms)):
         exps = {v: rng.randint(0, max_exp) for v in vars}
-        p = p + Poly.monomial(rand_fraction(rng), **exps)
+        p = p + monomial(rand_fraction(rng), **exps)
     return p
 
 
@@ -147,18 +149,18 @@ def inverse_step(op, t, vars, ba, scale):
     sn, sd = _parts(scale)
     parts = t._by_grade()
     if len(parts) != 1 or "x" not in t.vars or (vars is not None and "x" not in vars):
-        d1 = t.derivative("x")
-        summed = (d1.derivative("x") + d1 * Fraction(bn, bd)) * Fraction(sn, sd)
-        return opcalc.apply_inverse_diagonal(op, summed, vars)
+        d1 = derivative(t, "x")
+        summed = (derivative(d1, "x") + d1 * Fraction(bn, bd)) * Fraction(sn, sd)
+        return apply_inverse_diagonal(op, summed, vars)
     (g, den, nums), = parts
     i = t.vars.index("x")
-    idx = opcalc._positions(t, vars)
+    idx = [j for j, v in enumerate(t.vars) if vars is None or v in vars]
     groups = {}  # other exponents -> (their degree in vars, {x exponent: numerator})
     for exps, n in nums.items():
         rest = exps[:i] + exps[i + 1 :]
         group = groups.get(rest)
         if group is None:
-            d = sum(exps) if idx is None else sum([exps[j] for j in idx])
+            d = sum([exps[j] for j in idx])
             group = groups[rest] = (d - exps[i], {})
         group[1][exps[i]] = n
     made, factor = {}, opcalc._inverse_factor(op)

@@ -20,6 +20,7 @@ from sjk import cli, families, opcalc, verify
 from sjk.scalar import HalfInt
 
 from conftest import random_proliferation_cases
+from reference import egf_beta_shifted_tricomi, sj_beta_rescaled
 
 BETAS = (Fraction(0), Fraction(1, 2), Fraction(2))
 
@@ -98,10 +99,10 @@ def test_criterion_08_beta_family_egf():
     bad = []
     for beta in (Fraction(0), Fraction(1, 2)):
         for build in (families.egf_beta_shifted,
-                      families.egf_beta_shifted_tricomi):
+                      egf_beta_shifted_tricomi):
             got = build(6, beta)
             for n in range(7):
-                want = families.sj_beta_rescaled(n + 1, beta) * Fraction(
+                want = sj_beta_rescaled(n + 1, beta) * Fraction(
                     1, factorial(n)
                 )
                 diff = got.coeffs[n] - want

@@ -70,10 +70,10 @@ def test_connection_column_calls_the_public_name(monkeypatch, family, name):
     assert calls == [(4, 0), (4, 2), (4, 4)]
 
 
-def test_tracer_targets_exist_but_four():
+def test_tracer_targets_absent_set():
     # the tracer wraps its targets by module name and skips a name that
     # is gone, so a renamed function would drop out of the spans unseen;
-    # these four are absent from the package today
+    # absent today: four old names and the tests/reference.py cross-checks
     import sjk.cli  # noqa: F401  imports every module the tracer wraps
 
     tracer = SPANS["Tracer"]()
@@ -87,4 +87,22 @@ def test_tracer_targets_exist_but_four():
         "sjk.connect.sj_pair_factors",
         "sjk.connect.hermite_pair_factors",
         "sjk.opcalc.conjugate_shift",
+        "sjk.families.sj_beta_rescaled",
+        "sjk.families.tricomi_series",
+        "sjk.hyper.pfq_derivative",
+        "sjk.hyper.tricomi_coeff",
+        "sjk.umbral.gen_product",
+        "sjk.umbral.expand_exponential",
+        "sjk.lacunary.sj_lacunary_closed_printed",
+        "sjk.lacunary.lacunary_dilate",
+        "sjk.lacunary.coeff_bridge_check",
+        "sjk.connect.connection_gf_coeff",
+        "sjk.connect.connection_gf_coeff_direct",
+        "sjk.opcalc.apply_diagonal",
+        "sjk.opcalc.apply_inverse_diagonal",
+        "sjk.opcalc.hermite_exp",
+        "sjk.jsonio.poly_to_obj",
+        "sjk.jsonio.series_to_obj",
+        "sjk.jsonio.poly_from_obj",
+        "sjk.poly.Poly.shift",
     }

@@ -16,6 +16,8 @@ from sjk import cli, connect, families, jsonio, lacunary, opcalc, umbral, verify
 from sjk.poly import Poly
 from sjk.scalar import ExactScalar, HalfInt
 
+from reference import monomial, poly_from_obj, poly_to_obj, series_to_obj
+
 GRID = ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
 # every grid value once as alpha and once as beta
 JACOBI_PAIRS = tuple(zip(GRID, GRID[3:] + GRID[:3]))
@@ -31,7 +33,7 @@ def run_cli(*argv):
 def render(p, fmt):
     """p as `sjk poly --format fmt` prints it."""
     if fmt == "json":
-        return jsonio.dumps(jsonio.poly_to_obj(p)) + "\n"
+        return jsonio.dumps(poly_to_obj(p)) + "\n"
     return (p.latex() if fmt == "latex" else p.text()) + "\n"
 
 
@@ -118,7 +120,7 @@ class TestOutputMatchesClosedForms:
             "--order", "4", "--format", "json",
         )
         assert code == 0
-        assert out == jsonio.dumps(jsonio.series_to_obj(closed, "lambda")) + "\n"
+        assert out == jsonio.dumps(series_to_obj(closed, "lambda")) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -136,8 +138,8 @@ def test_jacobi_matches_sympy(alpha, beta):
         assert code == 0
         want = Poly.zero(("x",))
         for (k,), c in sympy.Poly(sympy.jacobi(n, a, b, x), x).terms():
-            want = want + Poly.monomial(Fraction(int(c.p), int(c.q)), x=k)
-        assert jsonio.poly_from_obj(json.loads(out)) == want, n
+            want = want + monomial(Fraction(int(c.p), int(c.q)), x=k)
+        assert poly_from_obj(json.loads(out)) == want, n
 
 
 class TestNegativeRationals:
@@ -171,15 +173,15 @@ class TestJsonRoundTrip:
         )
         assert code == 0
         parsed = json.loads(out)
-        rendered = jsonio.dumps(jsonio.poly_to_obj(jsonio.poly_from_obj(parsed)))
+        rendered = jsonio.dumps(poly_to_obj(poly_from_obj(parsed)))
         assert rendered + "\n" == out
 
     def test_pi_carrying_poly_round_trips(self):
-        p = Poly.const(ExactScalar(Fraction(-3, 7), 1)) + Poly.monomial(
+        p = Poly.const(ExactScalar(Fraction(-3, 7), 1)) + monomial(
             Fraction(2, 5), x=3
         )
-        obj = jsonio.poly_to_obj(p)
-        assert jsonio.poly_from_obj(json.loads(jsonio.dumps(obj))) == p
+        obj = poly_to_obj(p)
+        assert poly_from_obj(json.loads(jsonio.dumps(obj))) == p
 
     def test_series_emission(self):
         code, out, _ = run_cli(

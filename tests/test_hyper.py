@@ -11,15 +11,14 @@ from sjk.hyper import (
     HyperSpec,
     gamma_multiplication,
     pfq_coeff,
-    pfq_derivative,
     pfq_terms,
     pochhammer_proliferate,
-    tricomi_coeff,
 )
 from sjk.scalar import ExactScalar, HalfInt, gamma_half, pochhammer
 from sjk.umbral import GenMonomial, GenSeries, itransform
 
 from conftest import as_scalar, random_proliferation_cases
+from reference import pfq_derivative, tricomi_coeff
 
 H = Fraction(1, 2)
 

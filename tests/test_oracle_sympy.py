@@ -1,7 +1,7 @@
 """sympy as an independent oracle for the CLI's verbs.
 
 Each output is read as a user reads it, through ``sjk.cli.run`` with
-``--format json`` and ``jsonio.poly_from_obj``, and compared exactly with
+``--format json`` and ``poly_from_obj`` of tests/reference.py, and compared exactly with
 a polynomial that sympy builds from the classical Jacobi polynomial
 P^(1,beta): for n >= 1 the (-1, beta) Sobolev-Jacobi polynomial is the
 monic (x - 1) P^(1,beta)_(n-1).  The cross-check constructions that
@@ -25,11 +25,13 @@ from sympy.polys.orthopolys import jacobi_poly  # noqa: E402
 from sympy.polys.ring_series import rs_exp  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
-from sjk import cli, jsonio  # noqa: E402
+from sjk import cli  # noqa: E402
 from sjk.families import sj_umbral  # noqa: E402
 from sjk.opcalc import exp_B_bivariate, exp_resolvent_sj, gp_series  # noqa: E402
 from sjk.poly import Poly  # noqa: E402
 from sjk.scalar import ExactScalar  # noqa: E402
+
+from reference import poly_from_obj  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -58,7 +60,7 @@ def _as_poly(p, scale=ExactScalar(1)):
 def test_sj_beta_polys_equal_jacobi_oracle(beta):
     b = sympy.Rational(beta)
     for n in range(65):
-        got = jsonio.poly_from_obj(
+        got = poly_from_obj(
             _json("poly", "--family", "sj-beta", "--n", str(n), f"--beta={beta}"))
         assert got == _as_poly(_monic_sj_beta(n, b)), n
 
@@ -82,7 +84,7 @@ def test_shifted_beta_egf_equals_jacobi_oracle(beta):
     assert obj["order"] == 16
     for n, c in enumerate(obj["coefficients"]):
         want = _as_poly(_monic_sj_beta(n + 1, b), _shifted_scale(n, b))
-        assert jsonio.poly_from_obj(c) == want, n
+        assert poly_from_obj(c) == want, n
 
 
 def _monic_sj(n):
@@ -109,7 +111,7 @@ def test_sj_egf_equals_jacobi_oracle():
     assert obj["order"] == 16
     for n, c in enumerate(obj["coefficients"]):
         want = _monic_sj(n) * sympy.Rational(1, sympy.factorial(n))
-        assert _to_sympy(jsonio.poly_from_obj(c)) == want, n
+        assert _to_sympy(poly_from_obj(c)) == want, n
 
 
 @pytest.mark.parametrize("M", [*range(25), 32, 40, 64])
@@ -159,7 +161,7 @@ def test_hermite_connection_rebuilds_the_monomial(M):
     assert [w["n"] for w in obj["weights"]] == list(range(M + 1))
     total = R(0)
     for w in obj["weights"]:
-        total += _in_ring(R, jsonio.poly_from_obj(w["poly"])) * H[w["n"]]
+        total += _in_ring(R, poly_from_obj(w["poly"])) * H[w["n"]]
     assert total == R.gens[0] ** M
 
 
@@ -169,7 +171,7 @@ def test_react_solves_its_equation(N0):
     t_order = 8
     obj = _json("react", "--N0", str(N0), "--t-order", str(t_order))
     assert (obj["parameter"], obj["order"]) == ("t", t_order)
-    c = [_to_sympy(jsonio.poly_from_obj(p)) for p in obj["coefficients"]]
+    c = [_to_sympy(poly_from_obj(p)) for p in obj["coefficients"]]
     assert c[0] == sympy.Poly(X**N0, X, domain="QQ")
     one_minus_x2 = sympy.Poly(1 - X**2, X, domain="QQ")
     for j in range(t_order):
@@ -205,7 +207,7 @@ def test_sj_lacunary_equals_multisection_oracle(K, L, order):
     assert (obj["parameter"], obj["order"]) == ("lambda", order)
     for n, c in enumerate(obj["coefficients"]):
         want = _monic_sj(K * n + L) * sympy.Rational(1, sympy.factorial(n))
-        assert _to_sympy(jsonio.poly_from_obj(c)) == want, n
+        assert _to_sympy(poly_from_obj(c)) == want, n
     out, err = io.StringIO(), io.StringIO()
     argv = ["lacunary", "--family", "sj", "--K", str(K), "--L", str(L),
             "--order", str(order), "--check"]

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import factorial
 
@@ -25,6 +26,7 @@ from sjk.scalar import (
 )
 
 from conftest import assert_canonical, assert_reduced, inverse_step
+from reference import monomial
 
 H = Fraction(1, 2)
 MODULUS = sys.hash_info.modulus
@@ -504,15 +506,16 @@ def _kernel_outputs(name):
     if name == "hermite_image":
         raised = [lacunary._hermite_raise(c, 2)
                   for c in lacunary.hermite_lacunary_closed(3, 5).coeffs]
-        return [*map(families.hermite_image, raised),
-                *(families.hermite_image(families.hermite_family(n)) for n in range(13))]
+        image = partial(families.image_by_grade, families._image_grade)
+        return [*map(image, raised),
+                *(image(families.hermite_family(n)) for n in range(13))]
     if name == "pfq_terms":
         spec = hyper.HyperSpec((H, Fraction(-7)), (Fraction(3, 2),),
                                ExactScalar(Fraction(-3, 8), 1))
         return list(islice(hyper.pfq_terms(spec, ExactScalar(Fraction(5, 6), -1)), 20))
     if name == "itransform":
         terms = [
-            umbral.GenMonomial(Poly.monomial(Fraction(4, 21), x=2, z=1),
+            umbral.GenMonomial(monomial(Fraction(4, 21), x=2, z=1),
                                {"u": HalfInt(5)}, {"v": HalfInt(-3)}, 1),
             umbral.GenMonomial(Poly.var("x", 3, Fraction(-5, 6)),
                                {"u": HalfInt(7)}, {"v": HalfInt(9)}, 2),
