@@ -52,15 +52,6 @@ class HyperSpec:
                 raise ParamError(f"lower parameter {b} lies in Z_<=0")
         self.arg_scale = ExactScalar.coerce(arg_scale)
 
-    def __eq__(self, other):
-        if not isinstance(other, HyperSpec):
-            return NotImplemented
-        return (
-            self.upper == other.upper
-            and self.lower == other.lower
-            and self.arg_scale == other.arg_scale
-        )
-
     def __repr__(self):
         up = ", ".join(map(str, self.upper))
         lo = ", ".join(map(str, self.lower))

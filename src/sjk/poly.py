@@ -180,28 +180,19 @@ def _scaled(parts: tuple, c: ExactScalar) -> tuple:
 
 def _product(a: tuple, b: tuple) -> tuple:
     """The parts of the product of two Polys over one variable tuple, given
-    as their parts.  Over several grades, each operand's numerators are
-    brought over the lcm of its denominators and the products are summed
-    per key in the schoolbook order, pairs of terms in the operands'
-    order: a key takes the grade of its first product, or of the next one
-    after its sum cancels, and a product of another grade at a key whose
-    sum is not zero raises the ValueError of ExactScalar addition."""
+    as their parts.  Each operand's numerators are brought over the lcm of
+    its denominators and the products are summed per key in the
+    schoolbook order, pairs of terms in the operands' order: a key takes
+    the grade of its first product, or of the next one after its sum
+    cancels, and a product of another grade at a key whose sum is not
+    zero raises the ValueError of ExactScalar addition."""
     if not (a and b):
         return ()
-    nums = {}
-    get = nums.get
-    if len(a) == len(b) == 1:
-        (ga, da, na), = a
-        (gb, db, nb), = b
-        for e1, n1 in na.items():
-            for e2, n2 in nb.items():
-                key = tuple(map(add, e1, e2))
-                nums[key] = get(key, 0) + n1 * n2
-        return _reduced(ga + gb, da * db, nums)
     da, ta = _common(a)
     db, tb = _common(b)
     d = da * db
-    grades = {}
+    nums, grades = {}, {}
+    get = nums.get
     for e1, n1, g1 in ta:
         for e2, n2, g2 in tb:
             key = tuple(map(add, e1, e2))
@@ -727,11 +718,6 @@ class CoeffSeries:
         return CoeffSeries(
             [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, CoeffSeries):
-            return NotImplemented
-        return self + other * -1
 
     def __mul__(self, other):
         if not isinstance(other, CoeffSeries):

@@ -42,8 +42,9 @@ from .errors import PoleError
 class HalfInt:
     """An exact half-integer, stored as twice its value.
 
-    Ordering, integer-ness and integer-difference tests are all exact
-    integer comparisons on ``twice``.
+    Sums, equality and integer-ness are exact integer operations on
+    ``twice``; there is no order or difference, so callers compare and
+    subtract ``twice`` itself.
     """
 
     __slots__ = ("twice",)
@@ -66,18 +67,6 @@ class HalfInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _half_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.twice - other.twice)
-
-    def __rsub__(self, other):
-        other = _half_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(other.twice - self.twice)
-
     def __mul__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
@@ -90,18 +79,6 @@ class HalfInt:
             return self.twice == half(other).twice
         except (TypeError, ValueError):
             return NotImplemented
-
-    def __lt__(self, other):
-        other = _half_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.twice < other.twice
-
-    def __le__(self, other):
-        other = _half_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.twice <= other.twice
 
     def __hash__(self):
         t = self.twice
@@ -191,9 +168,6 @@ class ExactScalar:
         if isinstance(x, HalfInt):
             return _ratio(x.twice, 2, 0)
         raise TypeError(f"cannot interpret {x!r} as an exact scalar")
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self):
         return bool(self.num)

@@ -70,32 +70,6 @@ class GenMonomial:
         powers: equal for terms that combine."""
         return self._key
 
-    def __mul__(self, other: "GenMonomial") -> "GenMonomial":
-        def merge(a, b):
-            m = {n: e for n, e in a}
-            for n, e in b:
-                m[n] = m.get(n, HalfInt(0)) + e
-            return m
-
-        return GenMonomial(
-            self.coeff * other.coeff,
-            merge(self.u_exps, other.u_exps),
-            merge(self.v_exps, other.v_exps),
-            self.lambda_pow + other.lambda_pow,
-            self.mu_pow + other.mu_pow,
-        )
-
-    def __pow__(self, k: int) -> "GenMonomial":
-        if k < 0:
-            raise ValueError("GenMonomial powers must be non-negative")
-        return GenMonomial(
-            self.coeff**k,
-            {n: e * k for n, e in self.u_exps},
-            {n: e * k for n, e in self.v_exps},
-            self.lambda_pow * k,
-            self.mu_pow * k,
-        )
-
     def __repr__(self):
         us = " ".join(f"{n}^{e}" for n, e in self.u_exps)
         vs = " ".join(f"{n}^{e}" for n, e in self.v_exps)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -14,6 +17,43 @@ from sjk.scalar import ExactScalar, HalfInt, _parts
 from reference import apply_inverse_diagonal, derivative, monomial
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+
+# python -c _PROFILED OUT SCRIPT ARG... runs SCRIPT as __main__ and writes
+# to OUT "file TAB first line" of every Python function that started.
+_PROFILED = """
+import runpy, sys
+ran = set()
+def hook(frame, event, arg):
+    if event == "call":
+        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+out, sys.argv = sys.argv[1], sys.argv[2:]
+sys.setprofile(hook)
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+finally:
+    sys.setprofile(None)
+    with open(out, "w") as fh:
+        fh.writelines(f"{f}\\t{n}\\n" for f, n in ran)
+"""
+
+
+@pytest.fixture(scope="session")
+def corpus_run(tmp_path_factory):
+    """tools/corpus.py over src, run once in a fresh process under _PROFILED:
+    (the finished process, the set of (file, first line) that ran)."""
+    # The raised-cap requests fail on CPython's 4,300-digit limit for int
+    # to str conversion, which older versions do not have.
+    if sys.version_info < (3, 11):
+        pytest.skip("needs the int digit limit")
+    out = tmp_path_factory.mktemp("corpus") / "ran.txt"
+    # the requests without a setting of their own run at the default cap
+    env = {k: v for k, v in os.environ.items() if k != "SJK_MAX_ORDER"}
+    argv = [str(out), str(ROOT / "tools" / "corpus.py"), str(ROOT / "src")]
+    proc = subprocess.run([sys.executable, "-c", _PROFILED, *argv],
+                          capture_output=True, text=True, env=env)
+    rows = (line.rsplit("\t", 1) for line in out.read_text().splitlines())
+    return proc, {(f, int(n)) for f, n in rows}
 
 
 # Golden-data file format: one record per line,

@@ -149,13 +149,24 @@ def _min_order(a, b):
     return min([o for o in (a, b) if o is not None], default=None)
 
 
+def gen_mul(a: GenMonomial, b: GenMonomial) -> GenMonomial:
+    """The product of two generalized monomials: the coefficients
+    multiplied, each letter's exponents and the gradings added."""
+    u, v = dict(a.u_exps), dict(a.v_exps)
+    for exps, more in ((u, b.u_exps), (v, b.v_exps)):
+        for n, e in more:
+            exps[n] = exps.get(n, HalfInt(0)) + e
+    return GenMonomial(a.coeff * b.coeff, u, v, a.lambda_pow + b.lambda_pow,
+                       a.mu_pow + b.mu_pow)
+
+
 def gen_product(s1: GenSeries, s2: GenSeries) -> GenSeries:
     """Truncated product; multiplicative under the transform when the
     factors' u/v alphabets are disjoint."""
     lo = _min_order(s1.lambda_order, s2.lambda_order)
     mo = _min_order(s1.mu_order, s2.mu_order)
     return GenSeries([
-        a * b for a in s1.terms for b in s2.terms
+        gen_mul(a, b) for a in s1.terms for b in s2.terms
         if (lo is None or a.lambda_pow + b.lambda_pow <= lo)
         and (mo is None or a.mu_pow + b.mu_pow <= mo)
     ], lo, mo)
@@ -166,7 +177,10 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
     the base carries a lambda or mu grading to truncate in."""
     if base.lambda_pow + base.mu_pow < 1:
         raise ValueError("exponential base carries no lambda/mu grading")
-    terms = [GenMonomial(Fraction(1, factorial(k))) * base**k for k in range(order + 1)]
+    terms, power = [], GenMonomial(1)  # power = base^k
+    for k in range(order + 1):
+        terms.append(gen_mul(GenMonomial(Fraction(1, factorial(k))), power))
+        power = gen_mul(power, base)
     lam = (order + 1) * base.lambda_pow - 1 if base.lambda_pow else None
     mu = (order + 1) * base.mu_pow - 1 if base.mu_pow else None
     return GenSeries(terms, lam, mu)

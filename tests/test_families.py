@@ -153,12 +153,12 @@ class TestSjUmbral:
         # equals the construction from Poly.var times two scalar products,
         # variables included
         for n in range(31):
-            nh = half(Fraction(2 * n - 1, 2))
             terms = [
                 GenMonomial(
                     Poly.var("x", n - 2 * m) * Fraction(-1, 4) ** m
                     * matching_coeff(n, m),
-                    u_exps={"u": nh - m}, v_exps={"v": nh},
+                    u_exps={"u": HalfInt(2 * (n - m) - 1)},
+                    v_exps={"v": HalfInt(2 * n - 1)},
                 )
                 for m in range(n // 2 + 1)
             ]

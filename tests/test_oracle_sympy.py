@@ -2,9 +2,10 @@
 
 Each output is read as a user reads it, through ``sjk.cli.run`` with
 ``--format json`` and ``poly_from_obj`` of tests/reference.py, and compared exactly with
-a polynomial that sympy builds from the classical Jacobi polynomial
-P^(1,beta): for n >= 1 the (-1, beta) Sobolev-Jacobi polynomial is the
-monic (x - 1) P^(1,beta)_(n-1).  The cross-check constructions that
+a polynomial that sympy builds from its classical Jacobi polynomials:
+``poly --family jacobi`` prints P^(alpha,beta)_n itself, and for n >= 1
+the (-1, beta) Sobolev-Jacobi polynomial is the monic (x - 1)
+P^(1,beta)_(n-1).  The cross-check constructions that
 ``sjk verify`` compares (the resolvent and exponential series of opcalc
 and the umbral transform) have no verb; they are compared with the same
 sympy polynomials directly.  The two-variable Hermite polynomials are
@@ -14,9 +15,11 @@ ring series exponential.  The module skips itself when sympy is absent.
 
 import io
 import json
+import runpy
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,9 @@ from sjk.scalar import ExactScalar  # noqa: E402
 from reference import poly_from_obj  # noqa: E402
 
 X = sympy.Symbol("x")
+# the corpus's rationals; BIG and NEAR_M1 have a 64-bit numerator and denominator
+CORPUS = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "corpus.py"))
+BIG, NEAR_M1, RATIONALS = (CORPUS[k] for k in ("BIG", "NEAR_M1", "RATIONALS"))
 
 
 def _json(*argv):
@@ -63,6 +69,18 @@ def test_sj_beta_polys_equal_jacobi_oracle(beta):
         got = poly_from_obj(
             _json("poly", "--family", "sj-beta", "--n", str(n), f"--beta={beta}"))
         assert got == _as_poly(_monic_sj_beta(n, b)), n
+
+
+@pytest.mark.parametrize("n, alpha, beta", [
+    *((4, a, b) for a in RATIONALS for b in ("0", "-1/2", BIG, NEAR_M1)),
+    (64, "1/2", "-1/2"), (24, "-1/3", "2"), (32, BIG, NEAR_M1),
+])
+def test_jacobi_polys_equal_sympy_jacobi(n, alpha, beta):
+    # the corpus's poly --family jacobi grid at n = 4, then larger degrees
+    got = poly_from_obj(_json(
+        "poly", "--family", "jacobi", "--n", str(n), f"--alpha={alpha}", f"--beta={beta}"))
+    want = jacobi_poly(n, sympy.Rational(alpha), sympy.Rational(beta), X, polys=True)
+    assert got == _as_poly(want)
 
 
 def _shifted_scale(n, b):

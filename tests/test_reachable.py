@@ -1,100 +1,111 @@
-"""Every definition in src/sjk is reached from what the sjk command runs.
-
-The walk starts from cli.run, cli.main and every module's module-level
-code.  A function, method or class is reached when a reached body refers
-to it by a name, an attribute or an identifier string (not by an import).
-A reached class brings its dunder methods, so the data model of Poly,
-ExactScalar and the rest stays public API.  One reference reaches every
-definition of that name, so the walk errs towards reaching.
+"""Every function and method in src/sjk runs in the corpus of
+tools/corpus.py, or is one of the names that KEPT lists.  A definition ran
+when its first line, decorators included, is among the (file, first line)
+pairs that the corpus_run fixture (conftest.py) recorded; each method is
+its own code object, so operators and shared names are told apart exactly.
 """
 
 import ast
+import re
+from functools import cache
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sjk"
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sjk"
+
+# What the corpus does not run but src/sjk keeps, as module.qualified.name.
+KEPT = (
+    # Public names, the README's "Library API" list; each has a test.
+    # perfbench reads Poly.terms and ExactScalar.rat.
+    "cli.main",  # the sjk console script; the corpus calls cli.run
+    "scalar.HalfInt.__eq__", "scalar.HalfInt.__hash__", "scalar.HalfInt.__repr__",
+    "scalar.HalfInt.__str__",
+    "scalar.ExactScalar.rat", "scalar.ExactScalar.__bool__",
+    "scalar.ExactScalar.__neg__", "scalar.ExactScalar.__sub__",
+    "scalar.ExactScalar.__rsub__", "scalar.ExactScalar.__truediv__",
+    "scalar.ExactScalar.__rtruediv__", "scalar.ExactScalar.__hash__",
+    "scalar.ExactScalar.__repr__", "scalar.ExactScalar.__str__",
+    "poly.Poly.terms", "poly.Poly.degree", "poly.Poly.scalar_coeff",
+    "poly.Poly.__neg__", "poly.Poly.__sub__", "poly.Poly.__rsub__", "poly.Poly.__pow__",
+    "poly.Poly.__hash__", "poly.Poly.__repr__",
+    "poly.CoeffSeries.__add__", "poly.CoeffSeries.__mul__", "poly.CoeffSeries.__repr__",
+    "hyper.HyperSpec.__repr__", "umbral.GenMonomial.__repr__",
+    "umbral.GenSeries.__repr__",
+    # Private helpers that only the public names run: Poly * Poly, a Poly
+    # sum over several sqrt(pi) grades, the hashes, ExactScalar repr and str.
+    "poly._product", "poly._common", "poly._fold", "scalar._rat_hash",
+    "scalar.ExactScalar._rat_text",
+    # Guards, run only on input that the command never passes on.
+    "scalar._grade_clash",  # a scalar sum over two sqrt(pi) grades
+)
 
 
-def _definitions(src: Path):
-    """(defs, roots): defs maps sjk.module[.Class].name to (name, the nodes
-    run when it is reached, its dunder methods); roots are the statements
-    run at import: module-level code, decorators, defaults and bases."""
-    defs, roots = {}, []
-
-    def visit(body, prefix, owner):
-        for node in body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if not isinstance(node, DEFS):
-                if owner is None:
-                    roots.append(node)
-                continue
-            qual = f"{prefix}.{node.name}"
-            roots.extend(node.decorator_list)
-            if isinstance(node, ast.ClassDef):
-                roots.extend(node.bases + node.keywords)
-                stmts = [n for n in node.body if not isinstance(n, DEFS)]
-                defs[qual] = (node.name, stmts, [])
-                visit(node.body, qual, qual)
-                continue
-            roots.extend(node.args.defaults + node.args.kw_defaults)
-            defs[qual] = (node.name, node.body, [])
-            if owner and node.name.startswith("__") and node.name.endswith("__"):
-                defs[owner][2].append(qual)
-
-    for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text()).body, f"sjk.{path.stem}", None)
-    return defs, roots
+def sources() -> dict:
+    """{module name: source text} of the modules of src/sjk."""
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
-def _names(nodes) -> set:
-    """The names that the code of nodes refers to."""
-    out = set()
-    for node in (n for root in nodes for n in ast.walk(root)):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                out.add(node.value)
+def definitions(texts: dict) -> dict:
+    """{(module, first line): module.qualified.name} of every function and
+    method, nested ones included, in texts, a map {module name: text}."""
+    out = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    lines = [child.lineno] + [d.lineno for d in child.decorator_list]
+                    out[module, min(lines)] = f"{module}.{name}"
+                visit(child, module, name + ".")
+            elif isinstance(child, (ast.stmt, ast.excepthandler, ast.match_case)):
+                visit(child, module, prefix)  # a def can sit in a block
+
+    for module, text in texts.items():
+        visit(_parse(text), module, "")
     return out
 
 
-def unreached(src: Path = SRC) -> list:
-    """The qualified names of the definitions in src that the walk from
-    the entry points and the module-level code does not reach."""
-    defs, roots = _definitions(src)
-    by_name = {}
-    for qual, (name, _, _) in defs.items():
-        by_name.setdefault(name, []).append(qual)
-    todo, reached, seen = ["sjk.cli.run", "sjk.cli.main"], set(), set()
-    pending = [roots]
-    while todo or pending:
-        if pending:
-            for name in _names(pending.pop()) - seen:
-                seen.add(name)
-                todo += by_name.get(name, [])
-        while todo:
-            qual = todo.pop()
-            if qual not in reached:
-                reached.add(qual)
-                pending.append(defs[qual][1])
-                todo += defs[qual][2]
-    return sorted(set(defs) - reached)
+_parse = cache(ast.parse)  # each edited copy parses only the module it changes
 
 
-def test_every_definition_is_reached_from_the_cli():
-    missing = unreached()
-    assert not missing, "reached only from outside the sjk command:\n" + "\n".join(
-        missing)
+def ran_names(ran: set) -> set:
+    """The names of the definitions in src/sjk whose (file, first line) ran."""
+    lines = {(Path(f).stem, n) for f, n in ran if Path(f).parent == SRC}
+    return {name for key, name in definitions(sources()).items() if key in lines}
 
 
-def test_the_walk_names_an_unused_definition(tmp_path):
-    # each module in turn gains one function that nothing refers to
-    modules = sorted(SRC.glob("*.py"))
-    for target in modules:
-        for path in modules:
-            extra = "\n\ndef _unused():\n    pass\n" if path == target else ""
-            (tmp_path / path.name).write_text(path.read_text() + extra)
-        assert unreached(tmp_path) == [f"sjk.{target.stem}._unused"]
+def unrun(ran: set, texts: dict) -> list:
+    """The names defined in texts that neither ran nor are kept."""
+    return sorted(set(definitions(texts).values()) - ran - set(KEPT))
+
+
+def test_every_definition_is_reached_from_the_cli(corpus_run):
+    ran = ran_names(corpus_run[1])
+    assert unrun(ran, sources()) == []
+    # a kept name is defined and does not run: no entry outlives its reason
+    assert set(KEPT) - (set(definitions(sources()).values()) - ran) == set()
+
+
+def test_the_walk_names_an_unused_definition(corpus_run):
+    # the walk over edited copies of the text, against the real run's names
+    ran = ran_names(corpus_run[1])
+    texts = sources()
+    for module, text in texts.items():
+        edited = {**texts, module: text + "\n\ndef _unused():\n    pass\n"}
+        assert unrun(ran, edited) == [f"{module}._unused"]
+    # an operator that nothing calls, in a class whose other operators run
+    anchor = "    def __pow__(self, k):\n"
+    matmul = "    def __matmul__(self, other):\n        return self\n\n"
+    poly = texts["poly"].replace(anchor, matmul + anchor)
+    assert unrun(ran, {**texts, "poly": poly}) == ["poly.Poly.__matmul__"]
+
+
+def test_readme_lists_the_public_kept_names():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^- `sjk\.([\w.]+)`: (.*)$", section, re.M)
+    listed = [f"{owner}.{name}" for owner, names in rows
+              for name in re.findall(r"`(\w+)`", names)]
+    public = [k for k in KEPT if not re.search(r"(^|\.)_(?!_)", k)]  # dunders too
+    assert sorted(listed) == sorted(public)

@@ -47,8 +47,11 @@ class TestHalfInt:
             half(Fraction(1, 3))
 
     def test_ordering_and_diff(self):
-        assert HalfInt(3) < HalfInt(4)
-        assert (HalfInt(5) - HalfInt(1)).twice == 4
+        # there is no order or difference of HalfInts: callers read twice
+        with pytest.raises(TypeError):
+            HalfInt(3) < HalfInt(4)
+        with pytest.raises(TypeError):
+            HalfInt(5) - HalfInt(1)
         assert HalfInt(4).is_integer
         assert not HalfInt(3).is_integer
         assert HalfInt(0).is_nonpositive_integer()
@@ -63,9 +66,7 @@ class TestHalfInt:
         assert HalfInt(1) - ExactScalar(1) == ExactScalar(Fraction(-1, 2))
         assert ExactScalar(1) - HalfInt(1) == ExactScalar(H)
 
-    @pytest.mark.parametrize(
-        "method", ["__add__", "__radd__", "__sub__", "__rsub__", "__lt__", "__le__"]
-    )
+    @pytest.mark.parametrize("method", ["__add__", "__radd__"])
     def test_unknown_operand_returns_not_implemented(self, method):
         assert getattr(HalfInt(1), method)(ExactScalar(1)) is NotImplemented
         assert getattr(HalfInt(1), method)("x") is NotImplemented
@@ -74,16 +75,14 @@ class TestHalfInt:
         with pytest.raises(TypeError):
             HalfInt(1) < "x"
 
-    @pytest.mark.parametrize("method", ["__add__", "__sub__", "__rsub__", "__lt__", "__le__"])
+    @pytest.mark.parametrize("method", ["__add__"])
     def test_finer_rational_still_refused(self, method):
         with pytest.raises(ValueError, match="is not a half-integer"):
             getattr(HalfInt(1), method)(Fraction(1, 3))
 
     def test_half_integer_arithmetic_unchanged(self):
         assert HalfInt(1) + 1 == 1 + HalfInt(1) == HalfInt(3)
-        assert 1 - HalfInt(1) == HalfInt(1)
-        assert HalfInt(3) - H == HalfInt(2)
-        assert HalfInt(1) < 1 and HalfInt(2) <= 1
+        assert HalfInt(3) + H == HalfInt(4)
 
     # twice next to 0 and next to plus and minus twice the hash modulus
     @pytest.mark.parametrize("twice", [
@@ -210,7 +209,7 @@ def test_zero_is_canonical_across_grades(a, k, j):
     for r in results:
         assert _plain(r) == (0, 0)
         assert r == ZERO == 0 and hash(r) == hash(0)
-        assert not r and r.is_zero()
+        assert not r
 
 
 @settings(max_examples=150, deadline=None)
