@@ -49,11 +49,13 @@ def _max_order() -> int:
     return cap
 
 
-def _check_cap(value: int, label: str):
+def _check_cap(*checks):
+    """checks[0]'s value; UsageError at a value over SJK_MAX_ORDER, read once."""
     cap = _max_order()
-    if value > cap:
-        raise UsageError(f"{label} {value} exceeds SJK_MAX_ORDER = {cap}")
-    return value
+    for value, label in checks:
+        if value > cap:
+            raise UsageError(f"{label} {value} exceeds SJK_MAX_ORDER = {cap}")
+    return checks[0][0]
 
 
 def _rat(text: str) -> Fraction:
@@ -94,7 +96,7 @@ def _emit_series(s: CoeffSeries, fmt: str, out, parameter="lambda"):
 
 
 def _cmd_poly(args, out):
-    n = _check_cap(args.n, "degree")
+    n = _check_cap((args.n, "degree"))
     fam = args.family
     if fam == "sj" and n == 1:
         # degree one is the only member with a free constant
@@ -110,7 +112,7 @@ def _cmd_poly(args, out):
 
 
 def _cmd_egf(args, out):
-    order = _check_cap(args.order, "order")
+    order = _check_cap((args.order, "order"))
     if args.family in FAMILIES:
         s = lookup(args.family).egf(order)
     elif args.beta > MAX_SHIFTED_BETA:
@@ -123,9 +125,8 @@ def _cmd_egf(args, out):
 
 
 def _cmd_lacunary(args, out):
-    order = _check_cap(args.order, "order")
-    _check_cap(args.K * order + args.L, "K*order+L")
-    _check_cap(args.K, "K")
+    order = _check_cap((args.order, "order"),
+                       (args.K * args.order + args.L, "K*order+L"), (args.K, "K"))
     if args.check and args.format != "text":
         raise UsageError("--check prints a text PASS/FAIL line; --format applies "
                          "only to the oracle table")
@@ -141,7 +142,7 @@ def _cmd_lacunary(args, out):
 
 
 def _cmd_connect(args, out):
-    M = _check_cap(args.M, "M")
+    M = _check_cap((args.M, "M"))
     connection = lookup(args.family).connection
     weights = [connection(M, n) for n in range(M + 1)]
     if args.format == "json":
@@ -159,15 +160,14 @@ def _cmd_connect(args, out):
 
 
 def _cmd_react(args, out):
-    N0 = _check_cap(args.N0, "N0")
-    t_order = _check_cap(args.t_order, "t-order")
-    sol = reaction_solve(N0, t_order)
+    _check_cap((args.N0, "N0"), (args.t_order, "t-order"))
+    sol = reaction_solve(args.N0, args.t_order)
     _emit_series(sol, args.format, out, parameter="t")
     return 0
 
 
 def _cmd_table(args, out):
-    top = _check_cap(args.max_n, "max-n")
+    top = _check_cap((args.max_n, "max-n"))
     fn = lookup(args.family).source
     for n in range(top + 1):
         print(f"{n}: {_render(fn(n), args.format)}", file=out)

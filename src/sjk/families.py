@@ -207,13 +207,6 @@ def sj_closed_beta(n: int, beta) -> Poly:
     return _binomial_basis_sum(n, nums, _falling((2 * n - 1) * q + p, q, n)[n])
 
 
-def matching_coeff(n: int, k: int) -> int:
-    """n! / ((n-2k)! k!) when 0 <= 2k <= n, else 0."""
-    if k < 0 or 2 * k > n:
-        return 0
-    return factorial(n) // (factorial(n - 2 * k) * factorial(k))
-
-
 def _matching_numbers(n: int):
     """n!/((n-2m)! m!) for m = 0 .. n//2, each from the one before by the
     integer ratio (n-2m)(n-2m-1)/(m+1)."""
@@ -225,7 +218,7 @@ def _matching_numbers(n: int):
 
 def hermite_closed(n: int) -> Poly:
     """Two-variable Hermite polynomial, combinatorial closed form:
-    the sum over m of matching_coeff(n, m) x^(n-2m) z^m."""
+    the sum over m of the matching numbers x^(n-2m) z^m."""
     if n < 0:
         raise ParamError("degree must be >= 0")
     return Poly._over(_HERMITE_VARS, 0, 1, {

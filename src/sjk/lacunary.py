@@ -15,19 +15,20 @@ z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a, so it
 gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
 generators and mu_slice stay as cross-checks for tests and verify.
 
-The check (verify.lacunary_slices) is one integer pass per power of
-lambda, with no ExactScalar, HyperSpec or Poly per term.  The closed form
-comes from one kernel, _closed_nums: each cell's hypergeometric series,
-read as reduced integer pairs from hyper._pair_terms and started at the
-cell's scale, lands on its coefficients, and each coefficient is its
-terms' numerators over the lcm of their denominators (_gather).  Those
-numerators are raised L times on the same integer form (_raise_nums),
-mapped by the table's image and compared, cross-multiplied, with the
-oracle's stored integers; the oracle scales each source by 1/n!.
-hermite_lacunary_closed builds its Polys from the same kernel, and
-_hermite_raise is _raise_nums on a Poly's stored integers.  The (-1,-1)
-closed forms go through _gather too; a HyperSpec is built from a cell's
-integer parameters only for them, and they are cross-checks.
+The check (verify.lacunary_slices) is one integer pass per request, with
+no ExactScalar, HyperSpec or Poly per term.  The closed form comes from
+one kernel, _closed_nums: each cell's hypergeometric series, read as
+reduced integer pairs from hyper._pair_terms and started at the cell's
+scale, lands on its coefficients, all of them numerators over the lcm of
+their denominators, keyed by the power of lambda and then the exponents
+(_gather).  Those numerators are raised L times on the same integer form
+(_raise_nums, which the shift generator also runs), mapped once by the
+table's image with lambda carried as a variable, and compared,
+cross-multiplied, with the stored integers of each p_{K k + L} times k!,
+the oracle's own terms (_selected).  hermite_lacunary_closed and the
+(-1,-1) closed forms split the same gathered integers by power
+(_series); a HyperSpec is built from a cell's integer parameters only for
+the (-1,-1) ones, and they are cross-checks.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -38,24 +39,32 @@ from the same cells (_sj_cells) so the two conventions can be compared.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import ParamError
-from .families import _HERMITE_VARS, matching_coeff
+from .families import _HERMITE_VARS, _matching_numbers
 from .hyper import HyperSpec, _pair_terms, _spec_pairs, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
 from .scalar import HalfInt, _pair, _ratio
+
+_LAMBDA_VARS = ("lambda", *_HERMITE_VARS)  # of _closed_nums' integers
+
+
+def _selected(source, K: int, L: int, order: int) -> list:
+    """p_{K n + L} for n = 0 .. order: one source call per power of lambda."""
+    if K < 1 or L < 0 or order < 0:
+        raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
+    return [source(K * n + L) for n in range(order + 1)]
 
 
 def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
     """sum_n lambda^n / n! p_{K n + L}, by direct index selection; each
     p_{K n + L} is scaled by 1/n! on its stored integers, keeping its
     sqrt(pi) grades and its variables."""
-    if K < 1 or L < 0 or order < 0:
-        raise ParamError(f"bad lacunary parameters K={K}, L={L}, order={order}")
-    return CoeffSeries.build(
-        lambda n: source(K * n + L) * _pair(1, factorial(n), 0), order)
+    return CoeffSeries([p * _pair(1, factorial(n), 0)
+                        for n, p in enumerate(_selected(source, K, L, order))], order)
 
 
 class _Cell(NamedTuple):
@@ -92,59 +101,59 @@ def _hermite_cells(K: int, order: int):
     """The (beta, s) cells of the closed Hermite lacunary series, split by
     the parity of K (K = 2T or K = 2T + 1; K = 1 rides the odd branch).
     The upper parameters depend on s alone and the lower on beta alone,
-    so each is made once and shared by the cells."""
+    so each is made once and shared by the cells.  Cell (beta, s) has scale
+    (K s)! / ((K s - 2 beta)! beta! s!), if 2 beta <= K s: per s, the first
+    matching numbers of K s (families._matching_numbers), s! carried."""
     T = K // 2
     if K % 2 == 0:  # upper s + (j + 1)/K
         betas = range(T)
-        uppers = [(tuple(K * s + j + 1 for j in range(K - 1)), (K,) * (K - 1))
+        uppers = [(tuple(range(K * s + 1, K * s + K)), (K,) * (K - 1))
                   for s in range(order + 1)]
         lowers = [(tuple(beta + ell + 1 for ell in range(T) if ell != T - 1 - beta),
                    (T,) * (T - 1)) for beta in betas]
     else:  # upper s/2 + (j + 1)/(2K)
         betas = range(K)
-        uppers = [(tuple(K * s + j + 1 for j in range(2 * K - 1) if j != K - 1),
+        uppers = [((*range(K * s + 1, K * s + K), *range(K * s + K + 1, K * s + 2 * K)),
                    (2 * K,) * (2 * K - 2)) for s in range(order + 1)]
         lowers = [(tuple(beta + ell + 1 for ell in range(K) if ell != K - 1 - beta),
                    (K,) * (K - 1)) for beta in betas]
+    scales, f = [], 1  # per s: the matching numbers of K s at beta in betas, s!
+    for s in range(order + 1):
+        f *= s or 1
+        scales.append((list(islice(_matching_numbers(K * s), len(betas))), f))
     cells = []
     for beta in betas:
-        for s in range(order + 1):
-            h = matching_coeff(K * s, beta)
-            if h == 0:
-                continue
-            f = factorial(s)
-            g = gcd(h, f)
-            cells.append(_Cell(beta, s, (h // g, f // g), uppers[s], lowers[beta]))
+        for s, (h, f) in enumerate(scales):
+            if beta < len(h):
+                g = gcd(h[beta], f)
+                scale = h[beta] // g, f // g
+                cells.append(_Cell(beta, s, scale, uppers[s], lowers[beta]))
     return cells
 
 
-def _gather(terms, K: int, order: int) -> list:
+def _gather(terms, K: int, order: int) -> tuple:
     """Sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
     lambda^(s + lam_step m) over the (cell, series) terms and over m, up to
     lambda^order, series being the cell's hypergeometric terms as the
-    reduced integer pairs of hyper._pair_terms, started at its scale.  Per
-    power of lambda it gives (den, nums): the lcm of the terms'
-    denominators and each term's numerator over it, keyed by the exponents
-    of x and y.  No two terms of one power share a key: the exponent of x
-    fixes s and beta (beta < K), and then the power fixes m."""
+    reduced integer pairs of hyper._pair_terms, started at its scale, as
+    (den, nums): the lcm of all the terms' denominators and each numerator
+    over it, keyed (k, x exponent, y exponent), k the power of lambda.  No
+    two terms share a key: the exponent of x fixes s and beta (beta < K),
+    and then k fixes m."""
     lam_step, y_step, _ = _steps(K)
-    rows = [[] for _ in range(order + 1)]
+    rows = []
     for cell, series in terms:
         x_pow, y = K * cell.s - 2 * cell.beta, cell.beta
         for k, (num, den) in zip(range(cell.s, order + 1, lam_step), series):
-            rows[k].append(((x_pow, y), num, den))
+            rows.append(((k, x_pow, y), num, den))
             y += y_step
-    out = []
-    for row in rows:
-        den = lcm(*[d for _, _, d in row])
-        out.append((den, {key: num * (den // d) for key, num, d in row}))
-    return out
+    den = lcm(*[d for _, _, d in rows])
+    return den, {key: num * (den // d) for key, num, d in rows}
 
 
-def _closed_nums(K: int, order: int) -> list:
-    """The closed Hermite lacunary form as integers: per power of lambda up
-    to order, (den, nums) over (x, z), each cell's terms read as integer
-    pairs from hyper._pair_terms (_gather).  A new dict per power."""
+def _closed_nums(K: int, order: int) -> tuple:
+    """The closed Hermite lacunary form up to lambda^order over _LAMBDA_VARS,
+    each cell's terms read from hyper._pair_terms and _gather'ed."""
     arg = _steps(K)[2]
     return _gather(
         ((cell, _pair_terms(cell.upper, cell.lower, arg, cell.scale))
@@ -153,12 +162,16 @@ def _closed_nums(K: int, order: int) -> list:
     )
 
 
-def _series(rows: list, vars: tuple, order: int) -> CoeffSeries:
-    """The CoeffSeries of the (den, nums) rows of _gather, at grade 0, over
-    (x, y) or, the exponent of y dropped, over (x,)."""
-    if len(vars) == 1:
-        rows = [(den, {e[:1]: n for e, n in nums.items()}) for den, nums in rows]
-    return CoeffSeries([Poly._over(vars, 0, den, nums) for den, nums in rows], order)
+def _series(gathered: tuple, vars: tuple, order: int) -> CoeffSeries:
+    """The CoeffSeries of integers (den, nums) at grade 0, each key a power
+    of the series parameter and then exponents, the first len(vars) of them
+    kept: over (x,), _gather's exponent of y is dropped."""
+    den, nums = gathered
+    rows = [{} for _ in range(order + 1)]
+    width = len(vars) + 1
+    for key, n in nums.items():
+        rows[key[0]][key[1:width]] = n
+    return CoeffSeries([Poly._over(vars, 0, den, row) for row in rows], order)
 
 
 def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
@@ -169,29 +182,19 @@ def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
 
 
 def _raise_nums(nums: dict, L: int) -> dict:
-    """(x + 2z d/dx)^L on the numerators nums of a Poly in x and z over one
-    denominator, the raising operator of H_{n+1} = (x + 2z d/dx) H_n applied
-    L times: a step sends x^e z^m to x^(e+1) z^m + 2e x^(e-1) z^(m+1).
-    nums is only read (and given back for L = 0); numerators that cancel
-    are left as zeros."""
+    """(x + 2z d/dx)^L, the raising operator of H_{n+1} = (x + 2z d/dx) H_n,
+    on numerators nums keyed (j, e, m) over one denominator: a step sends
+    lambda^j x^e z^m to lambda^j (x^(e+1) z^m + 2e x^(e-1) z^(m+1)).  nums
+    is only read (and given back for L = 0); cancelled numerators stay 0."""
     for _ in range(L):
-        step = {(e + 1, m): n for (e, m), n in nums.items()}
-        for (e, m), n in nums.items():
+        step = {(j, e + 1, m): n for (j, e, m), n in nums.items()}
+        get = step.get
+        for (j, e, m), n in nums.items():
             if e:
-                k = e - 1, m + 1
-                step[k] = step.get(k, 0) + 2 * e * n
+                k = j, e - 1, m + 1
+                step[k] = get(k, 0) + 2 * e * n
         nums = step
     return nums
-
-
-def _hermite_raise(c: Poly, L: int) -> Poly:
-    """(x + 2z d/dx)^L c, c a Poly in x and z such as a coefficient of the
-    Hermite closed form: _raise_nums on its stored integers, one sqrt(pi)
-    grade at a time."""
-    return Poly.sum([
-        Poly._over(_HERMITE_VARS, g, d, _raise_nums(nums, L))
-        for g, d, nums in c._by_grade(_HERMITE_VARS)
-    ], _HERMITE_VARS)
 
 
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
@@ -200,21 +203,16 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
 
     Since [x, 2z d/dx] = -2z is central, it equals exp(mu (x + 2z d/dx))
     H_{K,0}(lambda; x, z): L! times its coefficient of mu^L is the closed
-    form raised L times (_hermite_raise), the (K, L) lacunary series.
+    form raised L times (_raise_nums), the (K, L) lacunary series: over
+    the closed form's denominator times mu_order!, its numerators raised one
+    step per power of mu and times mu_order! / L!.
     """
-    vars = ("mu", *_HERMITE_VARS)
-    out = []
-    for c in hermite_lacunary_closed(K, order).coeffs:
-        slices = []
-        for L in range(mu_order + 1):
-            f = factorial(L)
-            slices += [
-                Poly._over(vars, g, d * f, {(L, *key): n for key, n in nums.items()})
-                for g, d, nums in c._by_grade(_HERMITE_VARS)
-            ]
-            c = _hermite_raise(c, 1)
-        out.append(Poly.sum(slices, vars))
-    return CoeffSeries(out, order)
+    den, nums = _closed_nums(K, order)
+    shifted, f = {}, factorial(mu_order)  # f = mu_order! / L!
+    for L in range(mu_order + 1):
+        shifted.update({(k, L, e, m): n * f for (k, e, m), n in nums.items()})
+        nums, f = _raise_nums(nums, 1), f // (L + 1)
+    return _series((den * factorial(mu_order), shifted), ("mu", *_HERMITE_VARS), order)
 
 
 def _sj_cells(K: int, order: int):

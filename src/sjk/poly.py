@@ -25,8 +25,8 @@ integer kernels.  Only this module reads or writes the stored parts: the
 integer kernels of the other modules read them through Poly._by_grade
 and build their results through Poly._over, Poly._term_over and
 Poly._sum_over (a sum of scaled pieces in one pass), which bring any
-integers over any nonzero denominator to lowest terms; Poly._equals_over
-compares such integers with a Poly without building one.
+integers over any nonzero denominator to lowest terms; Poly._first_unequal
+compares such integers at all powers of a series with Polys, building none.
 
 A CoeffSeries is a list of Poly coefficients of one formal series
 parameter, truncated at an explicit order; every operation records the
@@ -344,31 +344,38 @@ class Poly:
         builds its result through Poly._over."""
         return self._parts if vars is None else self._remap(vars)
 
-    def _equals_over(self, vars: tuple, grade: int, den: int, nums: dict) -> bool:
-        """Whether self equals Poly._over(vars, grade, den, nums), from any
-        integer numerators (zeros allowed, only read) over a nonzero den,
-        without building it: each nonzero numerator must have a stored
-        one at its key, and each pair is compared cross-multiplied with
-        the denominators."""
-        parts = self._parts
-        if self.vars != vars:
-            extra = [i for i, v in enumerate(self.vars) if v not in vars]
-            if extra and any(e[i] for _, _, ns in parts for e in ns for i in extra):
-                return False
-            parts = self._remap(vars)
-        count = len(nums) - [*nums.values()].count(0)
-        if not parts:
-            return not count
-        if len(parts) > 1 or parts[0][0] != grade:
-            return False
-        _, d, stored = parts[0]
-        if len(stored) != count:
-            return False
-        get = stored.get
-        for e, n in nums.items():
-            if get(e, 0) * den != n * d:
-                return False
-        return True
+    @staticmethod
+    def _first_unequal(polys: list, vars: tuple, den: int, nums: dict):
+        """The first k at which polys[k] differs from k! times the Poly sum
+        nums[(k, *e)] / den x^e over vars at grade 0, else None, from any
+        integers (zeros allowed, only read) over a nonzero den: each nonzero
+        numerator needs a stored one at its key, cross-multiplied with den
+        and d k!, d the stored denominator, and polys[k] no other terms."""
+        checks, f = [], 1  # per k: (stored.get, d k!, the number stored)
+        for k, p in enumerate(polys):
+            f *= k or 1
+            extra = [i for i, v in enumerate(p.vars) if v not in vars]
+            if extra and any(e[i] for _, _, ns in p._parts for e in ns for i in extra):
+                break
+            parts = p._remap(vars)
+            if len(parts) > 1 or parts and parts[0][0]:
+                break
+            _, d, stored = parts[0] if parts else (0, 1, {})
+            checks.append((stored.get, d * f, len(stored)))
+        top = len(checks)  # the first k found unequal, or past the last
+        counts = [0] * top
+        for key, n in nums.items():
+            k = key[0]
+            if k < top:
+                get, scale, _ = checks[k]
+                if get(key[1:], 0) * den != n * scale:
+                    top = k
+                elif n:
+                    counts[k] += 1
+        for k in range(top):
+            if counts[k] != checks[k][2]:
+                return k
+        return None if top == len(polys) else top
 
     def _renamed(self, vars: tuple) -> "Poly":
         """The same terms over vars, one new name for each of self.vars in

@@ -222,20 +222,22 @@ def lacunary_slices(cases):
     """The mu^L slice that `lacunary --check` checks, the Hermite closed form
     raised L times and taken through the family's image, equals the oracle
     for each (family, K, L, order), else the first coefficient that
-    differs.  Each power of lambda is one integer pass: the closed form's
-    numerators over one denominator (lacunary._closed_nums), raised
-    (lacunary._raise_nums), mapped by the table's image and compared with
-    the oracle's stored integers; a Poly is built only for the message."""
+    differs.  Each request is one integer pass over all powers of lambda
+    (see sjk.lacunary): _closed_nums, _raise_nums, the table's image once
+    and Poly._first_unequal against the oracle's p_{K k + L}; the oracle
+    and the closed Polys are built only for the mismatch message."""
     for family, K, L, order in cases:
         row = connect.lookup(family)
-        oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs
-        for k, (den, nums) in enumerate(lacunary._closed_nums(K, order)):
-            vars, den, nums = row.image(
-                families._HERMITE_VARS, den, lacunary._raise_nums(nums, L))
-            if not oracle[k]._equals_over(vars, 0, den, nums):
-                closed = Poly._over(vars, 0, den, nums)
-                return (f"first mismatch at lambda^{k}: closed={closed.text()} "
-                        f"oracle={oracle[k].text()}")
+        sources = lacunary._selected(row.source, K, L, order)
+        den, nums = lacunary._closed_nums(K, order)
+        vars, den, nums = row.image(
+            lacunary._LAMBDA_VARS, den, lacunary._raise_nums(nums, L))
+        k = Poly._first_unequal(sources, vars[1:], den, nums)
+        if k is not None:
+            closed = lacunary._series((den, nums), vars[1:], order).coeffs[k]
+            oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs[k]
+            return (f"first mismatch at lambda^{k}: closed={closed.text()} "
+                    f"oracle={oracle.text()}")
 
 
 def lacunary_shifts(cases):

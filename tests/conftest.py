@@ -14,7 +14,7 @@ from sjk.hyper import HyperSpec
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, _parts
 
-from reference import apply_inverse_diagonal, derivative, monomial
+from reference import apply_inverse_diagonal, derivative, hermite_raise, monomial
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -229,7 +229,7 @@ def reference_slices(family, K, L, order):
     oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs
     closed = lacunary.hermite_lacunary_closed(K, order)
     got = row.image_of(CoeffSeries(
-        [lacunary._hermite_raise(c, L) for c in closed.coeffs], order))
+        [hermite_raise(c, L) for c in closed.coeffs], order))
     for k, c in enumerate(got.coeffs):
         if c != oracle[k]:
             return (f"first mismatch at lambda^{k}: closed={c.text()} "

@@ -6,7 +6,7 @@ terms) or Poly's arithmetic, never through its stored integers.
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import index
 
 from sjk import connect, families, lacunary
@@ -109,6 +109,13 @@ def tricomi_coeff(alpha, r: int) -> ExactScalar:
 
 
 # -- families -----------------------------------------------------------------
+def matching_coeff(n: int, k: int) -> int:
+    """n! / ((n-2k)! k!) when 0 <= 2k <= n, else 0."""
+    if k < 0 or 2 * k > n:
+        return 0
+    return factorial(n) // (factorial(n - 2 * k) * factorial(k))
+
+
 def binom_general(a, k: int) -> Fraction:
     """binomial(a, k) for arbitrary rational a: (a-k+1)_k / k!."""
     return Fraction(*families._binom_parts(*_parts(a), k))
@@ -194,6 +201,22 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
         lambda r: egf.coeffs[r * K] * (factorial(r * K) // factorial(r)),
         egf.order // K,
     )
+
+
+def hermite_raise(c: Poly, L: int) -> Poly:
+    """(x + 2z d/dx)^L c, c a Poly in x and z: lacunary._raise_nums, keyed
+    (0, x, z), on the numerators of c's terms over their lcm, one sqrt(pi)
+    grade at a time."""
+    out, terms = Poly(("x", "z")), c.terms
+    for g in {t.sqrt_pi_pow for t in terms.values()}:
+        grade = {e: t for e, t in terms.items() if t.sqrt_pi_pow == g}
+        den = lcm(*[t.den for t in grade.values()])
+        nums = {(0, *e): t.num * (den // t.den) for e, t in grade.items()}
+        out += Poly(("x", "z"), {
+            e[1:]: ExactScalar(Fraction(n, den), g)
+            for e, n in lacunary._raise_nums(nums, L).items()
+        })
+    return out
 
 
 def sj_lacunary_closed_printed(K: int, order: int, *, even_beta_doubled=False,

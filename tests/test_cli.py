@@ -236,10 +236,9 @@ class TestLacunaryVerb:
         real = lacunary._closed_nums
 
         def one_wrong_coefficient(K, order):
-            rows = real(K, order)
-            den, nums = rows[2]
-            nums[(0, 0)] = nums.get((0, 0), 0) + den  # + 1 at lambda^2
-            return rows
+            den, nums = real(K, order)
+            nums[2, 0, 0] = nums.get((2, 0, 0), 0) + den  # + 1 at lambda^2
+            return den, nums
 
         monkeypatch.setattr(lacunary, "_closed_nums", one_wrong_coefficient)
         code, out, err = run_cli(
@@ -253,13 +252,19 @@ class TestLacunaryVerb:
         )
 
     def test_check_catches_a_broken_raising_step(self, monkeypatch):
-        real = lacunary._raise_nums
+        real, real_closed, dens = lacunary._raise_nums, lacunary._closed_nums, []
+
+        def closed(K, order):
+            den, nums = real_closed(K, order)
+            dens.append(den)
+            return den, nums
 
         def one_wrong_numerator(nums, L):
             out = dict(real(nums, L))
-            out[min(out)] += 1
+            out[min(out)] += dens[-1]  # + 1 at the least key, lambda^0 z
             return out
 
+        monkeypatch.setattr(lacunary, "_closed_nums", closed)
         monkeypatch.setattr(lacunary, "_raise_nums", one_wrong_numerator)
         code, out, err = run_cli(
             "lacunary", "--family", "hermite", "--K", "2", "--L", "2",
@@ -276,8 +281,7 @@ class TestLacunaryVerb:
 
         def one_wrong_numerator(vars, den, nums):
             vars, den, image = real(vars, den, nums)
-            if (2,) in image:
-                image[(2,)] += 1
+            image[0, 2] += den // 2  # + 1/2 at lambda^0 x^2
             return vars, den, image
 
         monkeypatch.setattr(connect, "_image_grade", one_wrong_numerator)
@@ -547,6 +551,25 @@ class TestMaxOrderCap:
         assert run_cli(
             "lacunary", "--family", "hermite", "--K", "65", "--order", "0", "--check"
         ) == (1, "", "error: K 65 exceeds SJK_MAX_ORDER = 64\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("lacunary", "--family", "sj", "--K", "2", "--L", "1", "--order", "3", "--check"),
+        ("lacunary", "--family", "hermite", "--K", "65", "--order", "0"),
+        ("react", "--N0", "4", "--t-order", "3"),
+        ("react", "--N0", "4", "--t-order", "65"),
+    ])
+    def test_cap_is_read_once_per_request(self, monkeypatch, argv):
+        # every check of one request compares with the one value read
+        reads = []
+
+        def counting():
+            reads.append(1)
+            return real()
+
+        real = cli._max_order
+        monkeypatch.setattr(cli, "_max_order", counting)
+        run_cli(*argv)
+        assert reads == [1]
 
     def test_default_cap_allows_normal_use(self, monkeypatch):
         monkeypatch.delenv("SJK_MAX_ORDER", raising=False)

@@ -16,7 +16,6 @@ from sjk.families import (
     jacobi_classical,
     jacobi_family,
     jacobi_monic,
-    matching_coeff,
     sj_beta_family,
     sj_closed_beta,
     sj_closed_mm,
@@ -31,7 +30,7 @@ from sjk.umbral import GenMonomial, GenSeries, itransform_scalar
 
 from conftest import assert_canonical
 from reference import binom_general, derivative, egf_beta_shifted_tricomi
-from reference import hermite_exp, sj_beta_rescaled
+from reference import hermite_exp, matching_coeff, sj_beta_rescaled
 
 H = Fraction(1, 2)
 X = Poly.var("x")

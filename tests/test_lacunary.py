@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -8,19 +8,19 @@ from sjk.connect import lookup
 from sjk.errors import ParamError
 from sjk.families import hermite_closed, hermite_egf, hermite_family, sj_egf
 from sjk.lacunary import (
-    _hermite_raise,
     hermite_lacunary_closed,
     hermite_lacunary_shift,
     mu_slice,
     multisection_oracle,
     sj_lacunary_closed,
 )
-from sjk.poly import Poly
+from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar
 from sjk.verify import lacunary_oracle as oracle
 
 from conftest import assert_canonical, reference_slices
-from reference import coeff_bridge_check, lacunary_dilate, lambda_derivative
+from reference import coeff_bridge_check, hermite_raise, lacunary_dilate
+from reference import lambda_derivative, matching_coeff
 from reference import sj_lacunary_closed_printed
 
 X = Poly.var("x")
@@ -230,7 +230,7 @@ class TestSjShiftGen:
 # (K, L) at every size series-warm sends (family degree 16), then shapes
 # whose full mu-generator is too slow to build
 SLICE_SIZES = [(K, L, (16 - L) // K) for K in (1, 2, 3, 4) for L in (0, 1, 2, 3)]
-SLICE_SIZES += [(1, 1, 63), (1, 32, 32), (2, 20, 22), (4, 3, 15)]
+SLICE_SIZES += [(1, 1, 63), (1, 32, 32), (2, 20, 22), (4, 3, 15), (1, 63, 1), (1, 0, 40)]
 
 
 class TestShiftSlice:
@@ -245,46 +245,93 @@ class TestShiftSlice:
         case = family, K, L, order
         assert verify.lacunary_slices([case]) == reference_slices(*case) is None
 
+    @pytest.mark.parametrize("family", ["hermite", "sj"])
+    @pytest.mark.parametrize("K, L, order", [(1, 0, 8), (2, 3, 6), (3, 1, 5), (4, 3, 15)])
+    def test_a_pass_reads_each_source_once_and_builds_no_series(
+            self, monkeypatch, family, K, L, order):
+        # the oracle is read as the stored integers of each p_{K k + L}: one
+        # source call per power of lambda, and no CoeffSeries, which only
+        # the mismatch message builds
+        built, calls = [], []
+        init = CoeffSeries.__init__
 
-def _break_closed_form(monkeypatch, k):
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        real = getattr(connect, f"{family}_family")
+
+        def counting_source(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(CoeffSeries, "__init__", counting_init)
+        monkeypatch.setattr(connect, f"{family}_family", counting_source)
+        assert verify.lacunary_slices([(family, K, L, order)]) is None
+        assert (built, calls) == ([], [K * k + L for k in range(order + 1)])
+        # the counter sees the oracle series when it is built
+        verify.lacunary_oracle(family, K, L, order)
+        assert len(built) == 1
+
+
+def _break_closed_form(monkeypatch, K, L, k):
     """Make the closed form's kernel add 1 to its lambda^k coefficient."""
     real = lacunary._closed_nums
 
     def broken(K, order):
-        rows = real(K, order)
-        den, nums = rows[k]
-        nums[(0, 0)] = nums.get((0, 0), 0) + den
-        return rows
+        den, nums = real(K, order)
+        nums[k, 0, 0] = nums.get((k, 0, 0), 0) + den
+        return den, nums
 
     monkeypatch.setattr(lacunary, "_closed_nums", broken)
 
 
-def _break_raise(monkeypatch, k):
-    """Make the raising step add 1 to one numerator of the degree-k input."""
+def _break_raise(monkeypatch, K, L, k):
+    """Make the raising step double one numerator at lambda^k: the least
+    key among the nonzero ones whose last two entries (e, m) have
+    e + 2m = K k + L.  The batched pass keys them (k, e, m), the
+    reference's one coefficient at a time (0, e, m)."""
     real = lacunary._raise_nums
 
-    def broken(nums, L):
-        out = dict(real(nums, L))
-        if any(sum(e) == k for e in nums):
-            out[min(out)] = out.get(min(out), 0) + 1
+    def broken(nums, steps):
+        out = dict(real(nums, steps))
+        hit = [key for key, n in out.items() if n and key[-2] + 2 * key[-1] == K * k + L]
+        if hit:
+            out[min(hit)] *= 2
         return out
 
     monkeypatch.setattr(lacunary, "_raise_nums", broken)
 
 
-def _break_image(monkeypatch, k):
-    """Make the (-1,-1) image add 1 to its numerator of the lowest power of
-    x at or above x^k."""
+def _break_image(monkeypatch, K, L, k):
+    """Make the (-1,-1) image double its numerator at the lowest power of x
+    among the nonzero images of the terms x^e z^m with e + 2m = K k + L,
+    the lambda^k coefficient, whether lambda is among the variables or
+    the terms are one coefficient's."""
     real = connect._image_grade
 
     def broken(vars, den, nums):
-        vars, den, image = real(vars, den, nums)
-        high = [e for e in image if e[0] >= k]
-        if high:
-            image[min(high)] += 1
-        return vars, den, image
+        out_vars, den, image = real(vars, den, nums)
+        ix, iz = vars.index("x"), vars.index("z")
+        hit = [e[:iz] + e[iz + 1 :] for e in nums if e[ix] + 2 * e[iz] == K * k + L]
+        hit = [e for e in hit if image[e]]
+        if hit:
+            image[min(hit)] *= 2
+        return out_vars, den, image
 
     monkeypatch.setattr(connect, "_image_grade", broken)
+
+
+def _break_source(monkeypatch, K, L, k):
+    """Make each family's source double the leading term of its member of
+    degree K k + L, which the oracle divides by k! at lambda^k."""
+    for name in ("sj_family", "hermite_family"):
+        real = getattr(connect, name)
+
+        def broken(n, real=real):
+            return real(n) + Poly.var("x", n) if n == K * k + L else real(n)
+
+        monkeypatch.setattr(connect, name, broken)
 
 
 class TestSliceMutations:
@@ -293,32 +340,34 @@ class TestSliceMutations:
     @pytest.mark.parametrize("family", ["hermite", "sj"])
     @pytest.mark.parametrize("K, L, order", [(1, 0, 6), (2, 1, 7), (3, 3, 4), (4, 2, 3),
                                              (2, 20, 22)])
-    @pytest.mark.parametrize("mutate", [_break_closed_form, _break_raise, _break_image])
+    @pytest.mark.parametrize("mutate", [_break_closed_form, _break_raise, _break_image,
+                                        _break_source])
     def test_first_mismatch_agrees(self, monkeypatch, mutate, family, K, L, order):
-        mutate(monkeypatch, order // 2 + 1)
+        k = order // 2 + 1
+        mutate(monkeypatch, K, L, k)
         case = family, K, L, order
         got = verify.lacunary_slices([case])
         assert got == reference_slices(*case)
         if mutate is not _break_image or family == "sj":
-            assert got.startswith("first mismatch at lambda^"), got
+            assert got.startswith(f"first mismatch at lambda^{k}: "), got
 
 
 class TestHermiteRaise:
     def test_raising_steps_through_the_family(self):
         for n in range(25):
             for L in range(7):
-                got = _hermite_raise(hermite_closed(n), L)
+                got = hermite_raise(hermite_closed(n), L)
                 want = hermite_closed(n + L)
                 assert (got.vars, got.terms) == (want.vars, want.terms), (n, L)
 
     def test_cancelled_terms_are_dropped(self):
         # (x + 2z d/dx)(x^2 - 4z) = x^3 + 4xz - 4xz
         c = Poly(("x", "z"), {(2, 0): 1, (0, 1): -4})
-        got = _hermite_raise(c, 1)
+        got = hermite_raise(c, 1)
         assert (got.vars, got.terms) == (("x", "z"), {(3, 0): ExactScalar(1)})
 
     def test_zero_stays_zero(self):
-        got = _hermite_raise(Poly.zero(("x", "z")), 3)
+        got = hermite_raise(Poly.zero(("x", "z")), 3)
         assert (got.vars, got.terms) == (("x", "z"), {})
 
 
@@ -358,6 +407,21 @@ class TestCoeffBridge:
                     for m in range(4 - r):
                         g, rhs = coeff_bridge_check(K, L, r, m)
                         assert g == rhs, (K, L, r, m)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_cells_scale_by_the_matching_numbers(K):
+    # cell (beta, s) is kept where the matching number of (K s, beta) is
+    # not zero, and its scale is that number over s! in lowest terms
+    betas = range(K // 2) if K % 2 == 0 else range(K)
+    for order in range(14):
+        cells = lacunary._hermite_cells(K, order)
+        assert [(c.beta, c.s) for c in cells] == [
+            (beta, s) for beta in betas for s in range(order + 1)
+            if matching_coeff(K * s, beta)]
+        for c in cells:
+            h, f = matching_coeff(K * c.s, c.beta), factorial(c.s)
+            assert c.scale == (h // gcd(h, f), f // gcd(h, f))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])

@@ -329,31 +329,58 @@ def test_stored_form_is_rebuilt_by_every_path(w, mixed, data):
 _OVER_VARSETS = ((), ("x",), ("y",), ("x", "y"), ("y", "x"), ("mu", "x", "y"))
 
 
+def _first_unequal_built(polys, vars, den, nums):
+    """Poly._first_unequal as == against the Poly that Poly._over builds
+    from the numerators at each power j, times j!."""
+    for j, p in enumerate(polys):
+        row = {e[1:]: n * math.factorial(j) for e, n in nums.items() if e[0] == j}
+        if p != Poly._over(vars, 0, den, row):
+            return j
+
+
 @settings(max_examples=200, deadline=None)
-@given(mixed_grade_polys(_OVER_VARSETS), st.sampled_from(_OVER_VARSETS),
-       st.integers(0, 1), st.integers(1, 6), st.integers(-3, 3), st.data())
-def test_equals_over_is_equality_with_the_built_poly(p, vars, grade, den, k, data):
-    # integers over a denominator, zeros and common factors included,
-    # compare as the Poly that Poly._over builds from them
-    keys = st.tuples(*[st.integers(0, 2)] * len(vars))
-    nums = data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=4))
-    assert p._equals_over(vars, grade, den, nums) == (
-        p == Poly._over(vars, grade, den, dict(nums)))
-    # p's own integers at its one grade, scaled by k, with a zero added
-    if len(p._parts) == 1 and set(p.vars) <= set(vars) and k:
-        (g, d, stored), = p._by_grade(vars)
-        same = {e: n * k for e, n in stored.items()}
-        same.setdefault((0,) * len(vars), 0)
-        assert p._equals_over(vars, g, d * k, same)
-        assert not p._equals_over(vars, g + 1, d * k, same)
-        e = next(iter(stored))
-        assert not p._equals_over(vars, g, d * k, {**same, e: same[e] + 1})
+@given(st.lists(mixed_grade_polys(_OVER_VARSETS), min_size=1, max_size=3),
+       st.sampled_from(_OVER_VARSETS), st.integers(1, 6), st.integers(-3, 3), st.data())
+def test_first_unequal_is_equality_with_the_built_polys(polys, vars, den, k, data):
+    # integers keyed by the power and the exponents over vars, zeros and
+    # common factors included, compare as the Polys that Poly._over builds
+    keys = st.tuples(st.integers(0, len(polys) - 1), *[st.integers(0, 2)] * len(vars))
+    nums = data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
+    got = Poly._first_unequal(polys, vars, den, nums)
+    assert got == _first_unequal_built(polys, vars, den, dict(nums))
+    # the grade-0 parts' own integers over ("mu", "x", "y"), over one den
+    # scaled by k, with a zero added: equal, until one numerator moves
+    same = [Poly(p.vars, {e: c for e, c in p.terms.items() if not c.sqrt_pi_pow})
+            for p in polys]
+    wide = ("mu", "x", "y")
+    d = 2 * k * math.lcm(1, *[c.den for p in same for c in p.terms.values()])
+    if d:
+        wide_nums = {(0,) * 4: 0}
+        for j, p in enumerate(same):
+            for e, c in p.terms.items():
+                at = dict(zip(p.vars, e))
+                key = (j, *[at.get(v, 0) for v in wide])
+                wide_nums[key] = c.num * (d // c.den) // math.factorial(j)
+        assert Poly._first_unequal(same, wide, d, wide_nums) is None
+        key = max(wide_nums)
+        moved = {**wide_nums, key: wide_nums[key] + 1}
+        assert Poly._first_unequal(same, wide, d, moved) == key[0]
 
 
-def test_equals_over_sees_variables_outside_vars():
+def test_first_unequal_sees_variables_outside_vars():
     # x y is not x, though its exponents over (x,) alone would read as x
-    assert not Poly(("x", "y"), {(1, 1): 1})._equals_over(("x",), 0, 1, {(1,): 1})
-    assert Poly(("x", "y"), {(1, 0): 2})._equals_over(("x",), 0, 3, {(1,): 6})
+    two_x, x_y = Poly(("x", "y"), {(1, 0): 2}), Poly(("x", "y"), {(1, 1): 1})
+    assert Poly._first_unequal([two_x], ("x",), 3, {(0, 1): 6}) is None
+    assert Poly._first_unequal([two_x, x_y], ("x",), 3, {(0, 1): 6, (1, 1): 3}) == 1
+
+
+def test_first_unequal_reads_grade_zero_only():
+    # sqrt(pi) x stores the integers of x, at grade 1
+    pi_x = Poly(("x",), {(1,): ExactScalar(1, 1)})
+    nums = {(0, 1): 1, (1, 1): 1}
+    assert Poly._first_unequal([Poly.var("x"), Poly.var("x")], ("x",), 1, nums) is None
+    assert Poly._first_unequal([Poly.var("x"), pi_x], ("x",), 1, nums) == 1
+    assert Poly._first_unequal([pi_x + 1, pi_x], ("x",), 1, nums) == 0
 
 
 def test_sum_takes_the_next_grade_after_a_cancellation():

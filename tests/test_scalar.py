@@ -26,7 +26,7 @@ from sjk.scalar import (
 )
 
 from conftest import assert_canonical, assert_reduced, inverse_step
-from reference import monomial
+from reference import hermite_raise, monomial
 
 H = Fraction(1, 2)
 MODULUS = sys.hash_info.modulus
@@ -503,7 +503,7 @@ def _kernel_outputs(name):
         return [*families.egf_beta_shifted(8, Fraction(1999, 2)).coeffs,
                 families.jacobi_monic(12, Fraction(1, 3), Fraction(-2, 7), lead)]
     if name == "hermite_image":
-        raised = [lacunary._hermite_raise(c, 2)
+        raised = [hermite_raise(c, 2)
                   for c in lacunary.hermite_lacunary_closed(3, 5).coeffs]
         image = partial(families.image_by_grade, families._image_grade)
         return [*map(image, raised),
