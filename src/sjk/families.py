@@ -25,9 +25,9 @@ them to lowest terms once.
 The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image) builds each coefficient from integers: the matching numbers by
 their integer ratio recurrence over n!, and the image as those
-numerators times integer weights over one denominator (_image_grade, one
-sqrt(pi) grade's integers at a time, which is also the image column of
-connect's family table, applied to a Poly by image_by_grade).
+numerators times the integer weights of one running product per chain
+a + 2m = N (_image_ratios), read by sj_egf_coeff and by _image_grade, the
+image column of connect's family table, applied to a Poly by image_by_grade.
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -216,22 +216,19 @@ def _matching_numbers(n: int):
         c = c * (n - 2 * m) * (n - 2 * m - 1) // (m + 1)
 
 
+def _hermite_over(n: int, den: int) -> Poly:
+    """The sum over m of the matching numbers x^(n-2m) z^m over den: H_n
+    at den = 1, and its EGF coefficient H_n / n! at den = n!."""
+    return Poly._over(_HERMITE_VARS, 0, den, {
+        (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
+    })
+
+
 def hermite_closed(n: int) -> Poly:
-    """Two-variable Hermite polynomial, combinatorial closed form:
-    the sum over m of the matching numbers x^(n-2m) z^m."""
+    """Two-variable Hermite polynomial, the closed form sum_m c_m x^(n-2m) z^m."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    return Poly._over(_HERMITE_VARS, 0, 1, {
-        (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
-    })
-
-
-def _hermite_egf_coeff(n: int) -> Poly:
-    """H_n / n!, the sum over m of x^(n-2m) z^m / ((n-2m)! m!): the
-    matching numbers over n!."""
-    return Poly._over(_HERMITE_VARS, 0, factorial(n), {
-        (n - 2 * m, m): c for m, c in enumerate(_matching_numbers(n))
-    })
+    return _hermite_over(n, 1)
 
 
 def sj_umbral(n: int) -> Poly:
@@ -251,11 +248,16 @@ def sj_umbral(n: int) -> Poly:
     return itransform_scalar(GenSeries(terms, lambda_order=0))
 
 
-def _image_weight(a: int, m: int) -> int:
-    """The signed integer W = 1 / ((-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2))
-    = (-1)^m 2^m prod_{j<m} (2a+2m-1+2j); the factors are odd."""
-    w = prod(range(2 * a + 2 * m - 1, 2 * a + 4 * m - 1, 2)) << m
-    return -w if m % 2 else w
+def _image_ratios(N: int, M: int) -> list:
+    """W_M / W_m for m = 0 .. M, W_m the signed integer 1 / ((-1/4)^m
+    Gamma(N-m-1/2)/Gamma(N-1/2)), the inverse weight of x^(N-2m) z^m; the
+    first entry is W_M, as W_0 = 1.  W_m = -2 (2N-2m-1) W_(m-1), so the
+    list is one running product from its end."""
+    r = [1]
+    for k in range(2 * N - 2 * M - 1, 2 * N - 2, 2):  # k = 2N-2m-1, m = M .. 1
+        r.append(r[-1] * -2 * k)
+    r.reverse()
+    return r
 
 
 def _image_grade(vars: tuple, den: int, nums: dict) -> tuple:
@@ -263,27 +265,30 @@ def _image_grade(vars: tuple, den: int, nums: dict) -> tuple:
     sqrt(pi) grade, as (vars without z, den', nums'): x^a z^m goes to
     (-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2) x^a, the transform of
     (uv)^(a+2m-1/2) x^a (-1/(4u))^m, and other variables (such as mu) are
-    carried through.  That factor is 1 / W, W the integer _image_weight,
-    so the image is the numerators times w / W over den times w, w the
-    lcm of the terms' W; the terms that land on one key are summed there.
-    nums is only read, and zeros in it are allowed.  The image column of
-    connect's family table for the (-1,-1) row."""
+    carried through.  That factor is 1 / W_m on the chain N = a + 2m, so
+    the image is the numerators times w / W_m over den times w, w the lcm
+    of each chain's W_M (M its largest m), which every W_m of it divides;
+    the terms that land on one key are summed there.  nums is only read,
+    and zeros in it are allowed.  The image column of connect's family
+    table for the (-1,-1) row."""
+    if HERMITE_SECOND_VAR not in vars:
+        return vars, den, dict(nums)  # x^a alone has weight 1
     ia = vars.index("x") if "x" in vars else None
-    im = vars.index(HERMITE_SECOND_VAR) if HERMITE_SECOND_VAR in vars else None
-    out_vars = vars if im is None else vars[:im] + vars[im + 1 :]
-    terms = []
+    im = vars.index(HERMITE_SECOND_VAR)
+    top, terms = {}, []  # top[N]: the largest m on the chain N
     for exps, n in nums.items():
-        a = 0 if ia is None else exps[ia]
-        if im is None:
-            terms.append((exps, n, _image_weight(a, 0)))
-        else:
-            key = exps[:im] + exps[im + 1 :]
-            terms.append((key, n, _image_weight(a, exps[im])))
-    w = lcm(*[t[2] for t in terms])
+        m = exps[im]
+        N = (0 if ia is None else exps[ia]) + 2 * m
+        if top.get(N, -1) < m:
+            top[N] = m
+        terms.append((exps[:im] + exps[im + 1 :], n, N, m))
+    ratios = {N: _image_ratios(N, M) for N, M in top.items()}
+    w = lcm(*[r[0] for r in ratios.values()])
+    scale = {N: w // r[0] for N, r in ratios.items()}  # w / W_m = scale[N] r[m]
     image = {}
-    for key, n, W in terms:
-        image[key] = image.get(key, 0) + n * (w // W)
-    return out_vars, den * w, image
+    for key, n, N, m in terms:
+        image[key] = image.get(key, 0) + n * scale[N] * ratios[N][m]
+    return vars[:im] + vars[im + 1 :], den * w, image
 
 
 def image_by_grade(image, p: Poly) -> Poly:
@@ -300,20 +305,15 @@ def image_by_grade(image, p: Poly) -> Poly:
 def sj_egf_coeff(N: int) -> Poly:
     """Coefficient of the N-th power of the series parameter in the
     (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
-    sj_umbral(N)/N!.  The image of its term x^(N-2m) z^m c_m / N!, c_m the
-    matching number, is c_m / (N! W_m) x^(N-2m), W_m = _image_weight(N-2m,
-    m); W_m = -2 (2N-2m-1) W_(m-1), so with M = N // 2 the coefficient is
-    the c_m W_M / W_m over N! W_M."""
+    sj_umbral(N)/N!.  Its terms x^(N-2m) z^m c_m / N!, c_m the matching
+    number, lie on the one chain N of _image_ratios, so with M = N // 2
+    the coefficient is the c_m W_M / W_m over N! W_M."""
     if N < 0:
         raise ParamError("order must be >= 0")
     M = N // 2
-    c = list(_matching_numbers(N))
-    nums = {}
-    r = 1  # W_M / W_m
-    for m in range(M, -1, -1):
-        nums[(N - 2 * m,)] = c[m] * r
-        r *= -2 * (2 * N - 2 * m - 1)
-    return Poly._over(("x",), 0, factorial(N) * _image_weight(N - 2 * M, M), nums)
+    r, c = _image_ratios(N, M), list(_matching_numbers(N))
+    nums = {(N - 2 * m,): c[m] * r[m] for m in range(M, -1, -1)}
+    return Poly._over(("x",), 0, factorial(N) * r[0], nums)
 
 
 # Canonical per-degree sources, the source column of connect's family table.
@@ -350,7 +350,7 @@ def hermite_family(n: int) -> Poly:
 
 def hermite_egf(order: int) -> CoeffSeries:
     """EGF truncation: coefficient of the n-th power is H_n / n!."""
-    return CoeffSeries.build(_hermite_egf_coeff, order)
+    return CoeffSeries.build(lambda n: _hermite_over(n, factorial(n)), order)
 
 
 def sj_egf(order: int) -> CoeffSeries:

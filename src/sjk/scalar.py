@@ -22,9 +22,9 @@ and makes an ExactScalar only where one is read.  A rational parameter
 package, as a reduced integer pair by _parts, and all parameter
 arithmetic is done on ints.  Fraction parses only input that is none of
 these, such as a decimal string, and is built once from ints where a
-public type is one: the values of pochhammer and families.binom_general,
-and a HyperSpec's parameters.  A float is refused wherever a rational is
-taken, since its binary value is not the decimal one written.  HalfInt
+public type is one: the values of pochhammer and a HyperSpec's
+parameters.  A float is refused wherever a rational is taken, since its
+binary value is not the decimal one written.  HalfInt
 and a rational ExactScalar hash as the equal Fraction does, by CPython's
 rule for rationals computed from the integers (_rat_hash).
 """

@@ -6,7 +6,7 @@ terms) or Poly's arithmetic, never through its stored integers.
 
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import index
 
 from sjk import connect, families, lacunary
@@ -119,6 +119,47 @@ def matching_coeff(n: int, k: int) -> int:
 def binom_general(a, k: int) -> Fraction:
     """binomial(a, k) for arbitrary rational a: (a-k+1)_k / k!."""
     return Fraction(*families._binom_parts(*_parts(a), k))
+
+
+def image_weight(a: int, m: int) -> int:
+    """The signed integer W = 1 / ((-1/4)^m Gamma(a+m-1/2)/Gamma(a+2m-1/2))
+    = (-1)^m 2^m prod_{j<m} (2a+2m-1+2j), one product per term."""
+    w = prod(range(2 * a + 2 * m - 1, 2 * a + 4 * m - 1, 2)) << m
+    return -w if m % 2 else w
+
+
+def image_grade(vars: tuple, den: int, nums: dict) -> tuple:
+    """families._image_grade written term by term: each term's own
+    image_weight W, the numerators times w / W over den times w, w the lcm
+    of all the terms' W, the terms that land on one key summed there."""
+    ia = vars.index("x") if "x" in vars else None
+    im = vars.index("z") if "z" in vars else None
+    out_vars = vars if im is None else vars[:im] + vars[im + 1 :]
+    terms = []
+    for exps, n in nums.items():
+        a = 0 if ia is None else exps[ia]
+        if im is None:
+            terms.append((exps, n, image_weight(a, 0)))
+        else:
+            key = exps[:im] + exps[im + 1 :]
+            terms.append((key, n, image_weight(a, exps[im])))
+    w = lcm(*[t[2] for t in terms])
+    image = {}
+    for key, n, W in terms:
+        image[key] = image.get(key, 0) + n * (w // W)
+    return out_vars, den * w, image
+
+
+def sj_egf_coeff_nums(N: int) -> tuple:
+    """The integers of the (-1,-1) EGF coefficient p_N / N!, one
+    image_weight per term: with M = N // 2 and c_m the matching numbers,
+    (N! W_M, {(N-2m,): c_m W_M / W_m}), not brought to lowest terms."""
+    M = N // 2
+    top = image_weight(N - 2 * M, M)
+    return factorial(N) * top, {
+        (N - 2 * m,): matching_coeff(N, m) * (top // image_weight(N - 2 * m, m))
+        for m in range(M + 1)
+    }
 
 
 def sj_beta_rescaled(n: int, beta) -> Poly:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -295,6 +296,27 @@ class TestLacunaryVerb:
         # the family table gives the Hermite row the identity, not this image
         assert run_cli(*argv, "--family", "hermite") == (
             0, "closed-form == oracle: PASS\n", "")
+
+    def test_one_image_factor_reaches_the_check_and_the_egf(self, monkeypatch):
+        # the running product's m = 1 factor -2 (2N-3) made -2 (2N-1); of
+        # W_M / W_m only W_M / W_0 carries it
+        real = families._image_ratios
+
+        def one_factor_off(N, M):
+            r = real(N, M)
+            if M:
+                r[0] = r[0] // (2 * N - 3) * (2 * N - 1)
+            return r
+
+        monkeypatch.setattr(families, "_image_ratios", one_factor_off)
+        argv = ("lacunary", "--K", "2", "--L", "1", "--order", "4", "--check")
+        assert run_cli(*argv, "--family", "sj") == (2, (
+            "closed-form == oracle: FAIL\n"
+            "  first mismatch at lambda^1: closed=x^3 - 3/5 x oracle=x^3 - x\n"
+        ), "")
+        for N in range(2, 13):
+            umbral_form = families.sj_umbral(N) * Fraction(1, math.factorial(N))
+            assert families.sj_egf_coeff(N) != umbral_form, N
 
     @pytest.mark.parametrize("fmt", ["json", "latex"])
     def test_check_refuses_other_formats(self, fmt):

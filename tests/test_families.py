@@ -30,7 +30,8 @@ from sjk.umbral import GenMonomial, GenSeries, itransform_scalar
 
 from conftest import assert_canonical
 from reference import binom_general, derivative, egf_beta_shifted_tricomi
-from reference import hermite_exp, matching_coeff, sj_beta_rescaled
+from reference import hermite_exp, image_grade, matching_coeff, sj_beta_rescaled
+from reference import sj_egf_coeff_nums
 
 H = Fraction(1, 2)
 X = Poly.var("x")
@@ -181,9 +182,15 @@ class TestSjEgfCoeff:
     def test_equals_image_of_hermite_coefficient(self):
         for N in range(65):
             got = sj_egf_coeff(N)
-            want = hermite_image(families._hermite_egf_coeff(N))
+            want = hermite_image(families._hermite_over(N, factorial(N)))
             assert got.vars == want.vars == ("x",) and got.terms == want.terms, N
             assert_canonical(got)
+
+    def test_stores_the_per_term_integers(self):
+        # the running product against one image weight per term, reduced
+        for N in range(65):
+            want = Poly._over(("x",), 0, *sj_egf_coeff_nums(N))
+            assert sj_egf_coeff(N)._by_grade() == want._by_grade(), N
 
     def test_equals_umbral_over_factorial(self):
         for N in range(13):
@@ -500,6 +507,31 @@ class TestHermiteImageTerms:
             got, want = hermite_image(p), _image_reference(p)
             assert got.vars == want.vars and got.terms == want.terms
             assert_canonical(got)
+
+
+# the variable tuples of the image column: the lacunary check carries
+# lambda, the shifted forms mu, and a coefficient alone has x and z
+IMAGE_VARS = (("lambda", "x", "z"), ("mu", "x", "z"), ("x", "z"), ("x",), ("z",))
+
+
+def _assert_same_triple(vars, den, nums):
+    # the same vars, den and numerators, key for key in the same order
+    got, want = families._image_grade(vars, den, nums), image_grade(vars, den, nums)
+    assert got == want
+    assert list(got[2].items()) == list(want[2].items())
+
+
+@pytest.mark.parametrize("vars", IMAGE_VARS)
+def test_image_grade_is_the_per_term_triple(rng, vars):
+    # each call has a zero numerator at the sum a + 2m = 0, a term at
+    # another sum, and random terms, some on one key once z is dropped
+    for _ in range(40):
+        nums = {(0,) * len(vars): 0, (1,) * len(vars): rng.randint(1, 10**30)}
+        for _ in range(rng.randint(0, 20)):
+            e = tuple(rng.randint(0, 8) for _ in vars)
+            nums[e] = rng.choice((0, rng.randint(-(10**30), 10**30)))
+        _assert_same_triple(vars, rng.randint(1, 10**20), nums)
+    _assert_same_triple(vars, 7, {})
 
 
 # integer numerators and denominators of the size the closed forms make

@@ -61,6 +61,8 @@ def requests() -> list:
         for N0 in (0, 1, 4, 7):
             for t in (0, 3):
                 reqs.append(f"react --N0 {N0} --t-order {t} {f}")
+    # the largest sj EGF of the emit-large mix; test_cli pins its text form
+    reqs += [f"egf --family sj --order 24 --format {fmt}" for fmt in ("latex", "json")]
     for fam in ("sj", "hermite"):
         for K in range(1, 5):
             for L in range(4):
