@@ -15,10 +15,9 @@ from __future__ import annotations
 import io
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
-from . import families, jsonio, verify
+from . import families, jsonio, scalar, verify
 from .connect import FAMILIES, lookup, reaction_solve
 from .errors import SjkError
 from .poly import CoeffSeries, Poly
@@ -58,13 +57,14 @@ def _check_cap(*checks):
     return checks[0][0]
 
 
-def _rat(text: str) -> Fraction:
+def _rat(text: str):
+    """text parsed as a Fraction (scalar._fraction imports fractions once)."""
     # Fraction would expand exponent notation such as '1e999999999' into
     # an integer of unbounded size, so it is refused before parsing.
     try:
         if "e" in text.lower():
             raise ValueError(text)
-        q = Fraction(text)
+        q = scalar._fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"expected a rational like '-3/2', got {text!r}")
     if max(abs(q.numerator), q.denominator).bit_length() > RATIONAL_BITS:
@@ -204,9 +204,8 @@ def _cmd_help(args, out):
 # Each verb's options, in the order errors list them.  An option takes a str
 # from a tuple of choices, or a value that int or _rat converts, or a str that
 # may repeat (list); bool marks a flag.  It is required unless it has a default.
-_ZERO = Fraction(0)
 _FORMAT = ("text", "json", "latex")
-_DEFAULTS = {"--alpha": _ZERO, "--beta": _ZERO, "--gamma": _ZERO, "--L": 0,
+_DEFAULTS = {"--alpha": 0, "--beta": 0, "--gamma": 0, "--L": 0,
              "--t-order": 6, "--check": False, "--format": "text", "--suite": None}
 _VERBS = {
     "poly": (_cmd_poly, "print one family polynomial", {

@@ -6,15 +6,17 @@ rationals times powers of the scale.  Series are purely formal: no
 convergence questions arise and none are asked.  The term recurrence is
 written once, _pair_terms: the parameters, the argument and the first
 term are integer pairs, the parameters' numerators are stepped by their
-denominators, and each term is yielded as a reduced integer pair.
-pfq_terms makes ExactScalars from those pairs (read from a HyperSpec by
-_spec_pairs), each with its sqrt(pi) grade; the lacunary cells read the
-pairs directly, without a HyperSpec or an ExactScalar per term.
+denominators, and each term is yielded as a reduced integer pair.  A
+HyperSpec stores each group of parameters as the reduced pair
+(numerators, denominators) that _pair_terms reads, and
+pochhammer_proliferate extends those pairs from the integers of its
+half-integer exponents.  pfq_terms makes ExactScalars from the terms,
+each with its sqrt(pi) grade; the lacunary cells read the pairs
+directly, without an ExactScalar per term.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import gcd, prod
 from operator import add
@@ -23,7 +25,7 @@ from .errors import ParamError
 from .scalar import (
     ExactScalar,
     HalfInt,
-    _as_fraction,
+    _new,
     _pair,
     _parts,
     _pochhammer_parts,
@@ -35,28 +37,41 @@ from .scalar import (
 )
 
 
-def _is_nonpos_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q <= 0
-
-
 class HyperSpec:
-    """Parameters of a formal pFq series; the argument carries a scale."""
+    """Parameters of a formal pFq series, the rationals upper and lower,
+    each group stored as the reduced pair (numerators, denominators),
+    denominators > 0; the argument carries a scale."""
 
     __slots__ = ("upper", "lower", "arg_scale")
 
     def __init__(self, upper, lower, arg_scale=1):
-        self.upper = tuple(_as_fraction(a) for a in upper)
-        self.lower = tuple(_as_fraction(b) for b in lower)
-        for b in self.lower:
-            if _is_nonpos_int(b):
-                raise ParamError(f"lower parameter {b} lies in Z_<=0")
+        self.upper = _lowest(map(_parts, upper))
+        self.lower = _lowest(map(_parts, lower))
+        for n, d in zip(*self.lower):
+            if d == 1 and n <= 0:
+                raise ParamError(f"lower parameter {n} lies in Z_<=0")
         self.arg_scale = ExactScalar.coerce(arg_scale)
 
     def __repr__(self):
-        up = ", ".join(map(str, self.upper))
-        lo = ", ".join(map(str, self.lower))
-        pq = f"{len(self.upper)}F{len(self.lower)}"
+        up = ", ".join(map(_text, *self.upper))
+        lo = ", ".join(map(_text, *self.lower))
+        pq = f"{len(self.upper[0])}F{len(self.lower[0])}"
         return f"HyperSpec({pq}; [{up}]; [{lo}]; scale={self.arg_scale})"
+
+
+def _lowest(pairs) -> tuple:
+    """The rationals p/q, q > 0, of the integer pairs (p, q) as the reduced
+    pair (numerators, denominators) that a HyperSpec stores."""
+    pairs = [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _spec(upper, lower, arg_scale: ExactScalar) -> HyperSpec:
+    """The HyperSpec of integer pairs (p, q), q > 0, brought to lowest terms;
+    the caller has kept the lower ones off Z_<=0."""
+    spec = _new(HyperSpec)
+    spec.upper, spec.lower, spec.arg_scale = _lowest(upper), _lowest(lower), arg_scale
+    return spec
 
 
 def pfq_terms(spec: HyperSpec, start=1):
@@ -64,22 +79,12 @@ def pfq_terms(spec: HyperSpec, start=1):
     for m = 0, 1, 2, ... without end, as ExactScalars made from the pairs
     of _pair_terms.  start is the m = 0 term, an ExactScalar (or an int or
     Fraction), whose sqrt(pi) grade is added to every term's."""
-    start = ExactScalar.coerce(start)
-    g, step = start.sqrt_pi_pow, spec.arg_scale.sqrt_pi_pow
-    for m, (num, den) in enumerate(_spec_pairs(spec, start)):
+    start, scale = ExactScalar.coerce(start), spec.arg_scale
+    g, step = start.sqrt_pi_pow, scale.sqrt_pi_pow
+    terms = _pair_terms(spec.upper, spec.lower, (scale.num, scale.den),
+                        (start.num, start.den))
+    for m, (num, den) in enumerate(terms):
         yield _pair(num, den, g + step * m)
-
-
-def _spec_pairs(spec: HyperSpec, start: ExactScalar):
-    """The terms of pfq_terms(spec, start) as the reduced integer pairs of
-    _pair_terms, without their sqrt(pi) grades."""
-    up, lo, scale = spec.upper, spec.lower, spec.arg_scale
-    return _pair_terms(
-        ([a.numerator for a in up], [a.denominator for a in up]),
-        ([b.numerator for b in lo], [b.denominator for b in lo]),
-        (scale.num, scale.den),
-        (start.num, start.den),
-    )
 
 
 def _pair_terms(up: tuple, lo: tuple, scale: tuple, start: tuple):
@@ -132,11 +137,12 @@ def pochhammer_proliferate(alpha, beta, r: int, s: int, spec: HyperSpec):
     ha, hb = half(alpha), half(beta)
     if ha.is_nonpositive_integer() or hb.is_nonpositive_integer():
         raise ParamError(f"parameters ({ha}, {hb}) must avoid Z_<=0")
-    # (alpha + k) / r = (2 alpha + 2k) / 2r, read from alpha's twice
-    new_upper = [*spec.upper, *(Fraction(ha.twice + 2 * k, 2 * r) for k in range(r))]
-    new_lower = [*spec.lower, *(Fraction(hb.twice + 2 * t, 2 * s) for t in range(s))]
+    # (alpha + k) / r = (2 alpha + 2k) / 2r, read from alpha's twice; a
+    # (beta + t) / s in Z_<=0 would put beta there
+    upper = [*zip(*spec.upper), *((ha.twice + 2 * k, 2 * r) for k in range(r))]
+    lower = [*zip(*spec.lower), *((hb.twice + 2 * t, 2 * s) for t in range(s))]
     scale = spec.arg_scale * _ratio(r**r, s**s, 0)
-    return gamma_ratio(ha, hb), HyperSpec(new_upper, new_lower, scale)
+    return gamma_ratio(ha, hb), _spec(upper, lower, scale)
 
 
 def gamma_multiplication(n: int, s: int, x):

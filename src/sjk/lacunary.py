@@ -27,8 +27,9 @@ table's image with lambda carried as a variable, and compared,
 cross-multiplied, with the stored integers of each p_{K k + L} times k!,
 the oracle's own terms (_selected).  hermite_lacunary_closed and the
 (-1,-1) closed forms split the same gathered integers by power
-(_series); a HyperSpec is built from a cell's integer parameters only for
-the (-1,-1) ones, and they are cross-checks.
+(_series).  The (-1,-1) closed forms, cross-checks, put a cell's integer
+parameters into a HyperSpec (hyper._spec), with no Fraction, for the
+proliferation to extend.
 
 The (-1,-1) closed forms are *constructed* here by applying the
 proliferation transform to the Hermite cells rather than transcribed from
@@ -38,14 +39,13 @@ from the same cells (_sj_cells) so the two conventions can be compared.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import ParamError
 from .families import _HERMITE_VARS, _matching_numbers
-from .hyper import HyperSpec, _pair_terms, _spec_pairs, pochhammer_proliferate
+from .hyper import _pair_terms, _spec, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries, Poly
 from .scalar import HalfInt, _pair, _ratio
 
@@ -81,11 +81,6 @@ class _Cell(NamedTuple):
     scale: tuple
     upper: tuple
     lower: tuple
-
-    def spec(self, arg) -> HyperSpec:
-        """The cell's series as a HyperSpec at argument arg."""
-        return HyperSpec([Fraction(*a) for a in zip(*self.upper)],
-                         [Fraction(*b) for b in zip(*self.lower)], arg)
 
 
 def _steps(K: int):
@@ -221,8 +216,7 @@ def _sj_cells(K: int, order: int):
     u^alpha v^beta' and, before the transform's Gamma(alpha)/Gamma(beta'),
     the scale (-1/4)^beta times its scale.  Gamma(alpha)/Gamma(beta') is
     rational, alpha - beta' = -beta being an integer, so the (-1,-1)
-    closed forms read their terms as integer pairs (hyper._spec_pairs)
-    at sqrt(pi) grade 0."""
+    closed forms read their terms as integer pairs at sqrt(pi) grade 0."""
     for c in _hermite_cells(K, order):
         alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
         beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
@@ -241,8 +235,9 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
         r, arg = K, _ratio((-K) ** K, 4, 0)
     terms = []
     for cell, alpha, beta_p, scale in _sj_cells(K, order):
-        pref, new_spec = pochhammer_proliferate(alpha, beta_p, r, 2 * r, cell.spec(arg))
-        terms.append((cell, _spec_pairs(new_spec, pref * scale)))
+        spec = _spec(zip(*cell.upper), zip(*cell.lower), arg)
+        pref, new = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
+        terms.append((cell, ((t.num, t.den) for t in pfq_terms(new, pref * scale))))
     return _series(_gather(terms, K, order), ("x",), order)
 
 

@@ -43,7 +43,6 @@ gcd of the Poly's long denominators (_decimal_dens).
 from __future__ import annotations
 
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
 from math import gcd, inf, lcm
 from operator import add, index, itemgetter
 from typing import Callable, NamedTuple
@@ -226,7 +225,6 @@ _new = object.__new__
 # sj-beta-shifted and Hermite EGF coefficients, above it the route won by
 # up to 4x (2-core x86_64, CPython 3.11.7).
 _DECIMAL_FLOOR = 10**600
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 def _decimal_dens(dens: list) -> list:
@@ -236,14 +234,18 @@ def _decimal_dens(dens: list) -> list:
     the long denominators of one Poly share most of their digits in G, so
     each is written as the exact decimal product of G and its short
     cofactor.  One of more than sys.get_int_max_str_digits() digits is
-    refused by str(d) itself, with the ValueError that str(d) raises."""
+    refused by str(d) itself, with the ValueError that str(d) raises.
+    decimal is imported here, so that importing the package does not load it."""
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
     g = gcd(*[d for d in dens if d >= _DECIMAL_FLOOR])
-    g_dec = _EXACT.create_decimal(g)
+    g_dec = exact.create_decimal(g)
     limit = sys.get_int_max_str_digits()
     out = []
     for d in dens:
         if d >= _DECIMAL_FLOOR:
-            s = str(_EXACT.multiply(g_dec, _EXACT.create_decimal(d // g)))
+            s = str(exact.multiply(g_dec, exact.create_decimal(d // g)))
             d = str(d) if limit and len(s) > limit else s  # str(d) raises
         out.append(d)
     return out

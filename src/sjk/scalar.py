@@ -20,19 +20,20 @@ which stores integer numerators over one denominator per sqrt(pi) grade
 and makes an ExactScalar only where one is read.  A rational parameter
 (an int, a Fraction or a HalfInt) is read once, where it enters the
 package, as a reduced integer pair by _parts, and all parameter
-arithmetic is done on ints.  Fraction parses only input that is none of
-these, such as a decimal string, and is built once from ints where a
-public type is one: the values of pochhammer and a HyperSpec's
-parameters.  A float is refused wherever a rational is taken, since its
-binary value is not the decimal one written.  HalfInt
-and a rational ExactScalar hash as the equal Fraction does, by CPython's
-rule for rationals computed from the integers (_rat_hash).
+arithmetic is done on ints.  An int and a Fraction are read through the
+numerator and denominator they share, so recognising one imports no
+fractions module.  A Fraction is made, by _fraction, only to parse input
+that is no rational, such as a decimal string (cli._rat parses each
+rational option so), and for the public values that are one:
+ExactScalar.rat and pochhammer.  A float is refused wherever a rational
+is taken, since its binary value is not the decimal one written.
+HalfInt and a rational ExactScalar hash as the equal Fraction does, by
+CPython's rule for rationals computed from the integers (_rat_hash).
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import index
 
@@ -97,15 +98,12 @@ def half(x) -> HalfInt:
     """Coerce an int, Fraction or HalfInt to HalfInt; reject anything finer."""
     if isinstance(x, HalfInt):
         return x
-    if isinstance(x, int):
-        return HalfInt(2 * x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return HalfInt(2 * x.numerator)
-        if x.denominator == 2:
-            return HalfInt(x.numerator)
+    den = getattr(x, "denominator", None)  # an int's or a Fraction's
+    if den is None:
+        raise TypeError(f"cannot interpret {x!r} as a half-integer")
+    if den > 2:
         raise ValueError(f"{x} is not a half-integer")
-    raise TypeError(f"cannot interpret {x!r} as a half-integer")
+    return HalfInt(x.numerator * (2 // den))
 
 
 def _half_operand(x):
@@ -135,24 +133,15 @@ class ExactScalar:
     __slots__ = ("num", "den", "sqrt_pi_pow")
 
     def __init__(self, rat, sqrt_pi_pow: int = 0):
-        t = type(rat)
-        if t is int:
-            num, den = rat, 1
-        elif t is Fraction:
-            num, den = rat.numerator, rat.denominator
-        elif isinstance(rat, float):
-            raise TypeError(f"cannot interpret {rat!r} as an exact scalar")
-        else:
-            rat = Fraction(rat)
-            num, den = rat.numerator, rat.denominator
+        num, den = _parts(rat)
         sqrt_pi_pow = index(sqrt_pi_pow)
         self.num, self.den = num, den
         self.sqrt_pi_pow = sqrt_pi_pow if num else 0
 
     @property
-    def rat(self) -> Fraction:
+    def rat(self):
         """The rational factor as a Fraction, built on each read."""
-        return Fraction(self.num, self.den)
+        return _fraction(self.num, self.den)
 
     @classmethod
     def coerce(cls, x) -> "ExactScalar":
@@ -161,13 +150,11 @@ class ExactScalar:
             return x
         if t is int:
             return _pair(x, 1, 0)
-        if t is Fraction:
-            return _pair(x.numerator, x.denominator, 0)
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
         if isinstance(x, HalfInt):
             return _ratio(x.twice, 2, 0)
-        raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+        if not hasattr(x, "denominator"):  # a float has none
+            raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+        return _pair(x.numerator, x.denominator, 0)
 
     def __bool__(self):
         return bool(self.num)
@@ -299,7 +286,7 @@ class ExactScalar:
     def __str__(self):
         if self.sqrt_pi_pow == 0:
             return self._rat_text()
-        return f"{self._rat_text()}*pi^({Fraction(self.sqrt_pi_pow, 2)})"
+        return f"{self._rat_text()}*pi^({HalfInt(self.sqrt_pi_pow)})"
 
 
 _new = object.__new__
@@ -345,8 +332,8 @@ def _ratio(num: int, den: int, sqrt_pi_pow: int) -> ExactScalar:
     return s
 
 
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
+ZERO = _pair(0, 1, 0)
+ONE = _pair(1, 1, 0)
 
 _MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
@@ -374,20 +361,29 @@ def _text(num: int, den: int) -> str:
 
 
 def _parts(a) -> tuple:
-    """a as (numerator, denominator) in lowest terms, denominator > 0: a
-    HalfInt is read from twice; a float is refused, as ExactScalar refuses
-    it, since its binary value is not the one meant."""
-    t = type(a)
-    if t is int:
-        return a, 1
-    if t is not Fraction:
-        if isinstance(a, HalfInt):
-            t = a.twice
-            return (t // 2, 1) if t % 2 == 0 else (t, 2)
-        if isinstance(a, float):
-            raise TypeError(f"cannot interpret {a!r} as an exact rational")
-        a = Fraction(a)
+    """a as (numerator, denominator) in lowest terms, denominator > 0: an
+    int or a Fraction is read from the pair they share, a HalfInt from
+    twice, and other input, such as a string, is parsed by Fraction; a
+    float is refused, since its binary value is not the one meant."""
+    if isinstance(a, HalfInt):
+        t = a.twice
+        return (t // 2, 1) if t % 2 == 0 else (t, 2)
+    if isinstance(a, float):
+        raise TypeError(f"cannot interpret {a!r} as an exact rational")
+    if not hasattr(a, "denominator"):
+        a = _fraction(a)
     return a.numerator, a.denominator
+
+
+def _fraction(*args):
+    """Fraction(*args), where a Fraction is made: the first call imports
+    fractions and rebinds this name to Fraction itself, so importing the
+    package does not load the module and no later call pays an import."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(*args)
 
 
 def _over_lcm(a, b) -> tuple:
@@ -397,13 +393,6 @@ def _over_lcm(a, b) -> tuple:
     bn, bd = _parts(b)
     q = lcm(ad, bd)
     return q, an * (q // ad), bn * (q // bd)
-
-
-def _as_fraction(a) -> Fraction:
-    """a as a Fraction: a Fraction is returned as it is; see _parts."""
-    if type(a) is Fraction:
-        return a
-    return Fraction(*_parts(a))
 
 
 def _pochhammer_parts(p: int, q: int, n: int) -> tuple:
@@ -418,9 +407,10 @@ def _pochhammer_parts(p: int, q: int, n: int) -> tuple:
     return num, q**n
 
 
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0."""
-    return Fraction(*_pochhammer_parts(*_parts(a), n))
+def pochhammer(a, n: int):
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), a Fraction; empty
+    product for n = 0."""
+    return _fraction(*_pochhammer_parts(*_parts(a), n))
 
 
 def _gamma_parts(h: HalfInt):

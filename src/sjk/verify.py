@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 from math import comb, factorial
 
 from . import connect, families, hyper, lacunary, opcalc, scalar, umbral
 from .poly import Poly
-from .scalar import ExactScalar, HalfInt
+from .scalar import ExactScalar, HalfInt, _ratio
 
 
 # --- scalar ---------------------------------------------------------------
@@ -131,14 +130,14 @@ def bessel_image(ns, tops):
             terms = [
                 umbral.GenMonomial(
                     Poly.var("x", n + 2 * r)
-                    * Fraction((-1) ** r, factorial(r) * 2 ** (n + 2 * r)),
+                    * _ratio((-1) ** r, factorial(r) * 2 ** (n + 2 * r), 0),
                     v_exps={"v": n + r + 1},
                 )
                 for r in range(top + 1)
             ]
             want = Poly.sum((
-                Poly.var("x", n + 2 * r) * Fraction(
-                    (-1) ** r, factorial(n + r) * factorial(r) * 2 ** (n + 2 * r)
+                Poly.var("x", n + 2 * r) * _ratio(
+                    (-1) ** r, factorial(n + r) * factorial(r) * 2 ** (n + 2 * r), 0
                 )
                 for r in range(top + 1)
             ), ("x",))
@@ -181,7 +180,7 @@ def multiplication_formula(ns, ss, nums):
     for n in ns:
         for s in ss:
             for num in nums:
-                x = Fraction(num, 2 * n)
+                x = scalar._fraction(num, 2 * n)
                 lhs, rhs = hyper.gamma_multiplication(n, s, x)
                 if lhs != rhs:
                     return f"multiplication formula fails at n={n}, s={s}, x={x}"
@@ -308,7 +307,7 @@ def _suite_scalar():
 
 
 def _suite_opcalc():
-    a, b = Fraction(1, 2), Fraction(-1, 3)
+    a, b = scalar._fraction(1, 2), scalar._fraction(-1, 3)
     return [
         ("resolvent equals closed form",
          lambda: resolvent_closed_form((2, 3, 4, 5, 8))),
@@ -328,7 +327,7 @@ def _suite_umbral():
 
 
 def _suite_hyper():
-    spec = hyper.HyperSpec((Fraction(1, 2),), (Fraction(3, 2),))
+    spec = hyper.HyperSpec((HalfInt(1),), (HalfInt(3),))
     return [
         ("Gauss-Legendre multiplication",
          lambda: multiplication_formula((2, 3), (0, 1, 2), range(1, 7))),

@@ -11,7 +11,7 @@ from operator import index
 
 from sjk import connect, families, lacunary
 from sjk.errors import ParamError, PoleError
-from sjk.hyper import HyperSpec, _spec_pairs, pfq_terms
+from sjk.hyper import HyperSpec, pfq_terms
 from sjk.opcalc import DiagonalOp, _inverse_factor
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, _pair, _parts, _ratio, _text
@@ -89,13 +89,13 @@ def hermite_exp(n: int) -> Poly:
 def pfq_derivative(spec: HyperSpec, n: int):
     """The n-th formal derivative, n >= 1: the prefactor, scale^n from the
     chain rule included, and the spec with its parameters + n."""
+    upper, lower = ([Fraction(*a) for a in zip(*ps)] for ps in (spec.upper, spec.lower))
     pref = Fraction(1)
-    for a in spec.upper:
+    for a in upper:
         pref *= pochhammer(a, n)
-    for b in spec.lower:
+    for b in lower:
         pref /= pochhammer(b, n)
-    new = HyperSpec([a + n for a in spec.upper], [b + n for b in spec.lower],
-                    spec.arg_scale)
+    new = HyperSpec([a + n for a in upper], [b + n for b in lower], spec.arg_scale)
     return spec.arg_scale**n * ExactScalar(pref), new
 
 
@@ -272,21 +272,21 @@ def sj_lacunary_closed_printed(K: int, order: int, *, even_beta_doubled=False,
         if K % 2 == 1 and cell.beta < odd_beta_start:
             continue
         s, beta = cell.s, cell.beta
-        base = cell.spec(1)
+        upper = [Fraction(*a) for a in zip(*cell.upper)]
+        lower = [Fraction(*b) for b in zip(*cell.lower)]
         if K % 2 == 0:
             mult = 2 if even_beta_doubled else 1
-            upper = base.upper + tuple(
-                2 * s + Fraction(2 * m - mult * beta - 1, K) for m in range(K // 2))
-            lower = base.lower + tuple(s + Fraction(2 * t - 1, 2 * K) for t in range(K))
+            upper += [2 * s + Fraction(2 * m - mult * beta - 1, K)
+                      for m in range(K // 2)]
+            lower += [s + Fraction(2 * t - 1, 2 * K) for t in range(K)]
             arg = Fraction(-1, 4) ** (K // 2)
         else:
-            upper = base.upper + tuple(
-                s + Fraction(2 * m - 2 * beta - 1, 2 * K) for m in range(K))
-            lower = base.lower + tuple(
-                Fraction(s, 2) + Fraction(2 * t - 1, 4 * K) for t in range(2 * K))
+            upper += [s + Fraction(2 * m - 2 * beta - 1, 2 * K) for m in range(K)]
+            lower += [Fraction(s, 2) + Fraction(2 * t - 1, 4 * K) for t in range(2 * K)]
             arg = Fraction(-1, 4 ** (K + 1))
-        spec = HyperSpec(upper, lower, arg)
-        terms.append((cell, _spec_pairs(spec, gamma_ratio(alpha, beta_p) * scale)))
+        start = gamma_ratio(alpha, beta_p) * scale
+        series = pfq_terms(HyperSpec(upper, lower, arg), start)
+        terms.append((cell, ((c.num, c.den) for c in series)))
     return lacunary._series(lacunary._gather(terms, K, order), ("x",), order)
 
 

@@ -827,17 +827,26 @@ def test_no_option_string_is_a_prefix_of_another():
 
 def test_cli_import_keeps_heavy_stdlib_modules_out():
     # a fresh `import sjk.cli` is the cold-start cost of every shell call,
-    # and each of these modules would add milliseconds to it
+    # and each of these modules would add milliseconds to it; requests that
+    # take no rational option run without fractions too
     root = Path(__file__).resolve().parent.parent
-    code = (f"import sys; sys.path.insert(0, {str(root / 'src')!r}); "
+    requests = ["egf --family sj --order 8",
+                "lacunary --family sj --K 3 --L 1 --order 6 --check",
+                "connect --family hermite --M 6", "table --family sj --max-n 5"]
+    code = (f"import io, sys; sys.path.insert(0, {str(root / 'src')!r}); "
             "before = set(sys.modules); import sjk.cli; "
-            "print(*sorted(set(sys.modules) - before), sep='\\n')")
+            "print(*sorted(set(sys.modules) - before)); "
+            f"codes = [sjk.cli.run(r.split(), io.StringIO()) for r in {requests!r}]; "
+            "print(*codes, 'fractions' in sys.modules)")
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    imported, ran = proc.stdout.splitlines()
+    loaded = {name.partition(".")[0] for name in imported.split()}
     assert "sjk" in loaded
-    assert not loaded & {"argparse", "logging", "dataclasses", "json", "inspect"}
+    assert not loaded & {"argparse", "logging", "dataclasses", "json", "inspect",
+                         "fractions", "decimal", "numbers"}
+    assert ran == "0 0 0 0 False"
 
 
 class TestSharedParser:

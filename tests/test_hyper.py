@@ -50,9 +50,12 @@ class TestPfqCoeff:
             HyperSpec((), (bad,))
 
     def test_parameters_kept_exact(self):
-        spec = HyperSpec((Fraction(1, 3), 2, HalfInt(3), "1/10"), ())
-        assert spec.upper == (Fraction(1, 3), 2, Fraction(3, 2), Fraction(1, 10))
-        assert all(type(a) is Fraction for a in spec.upper)
+        # each group is the reduced pair (numerators, denominators) of ints
+        spec = HyperSpec((Fraction(1, 3), 2, HalfInt(3), "1/10"), (Fraction(-4, 6),))
+        assert spec.upper == ((1, 2, 3, 1), (3, 1, 2, 10))
+        assert spec.lower == ((-2,), (3,))
+        groups = (*spec.upper, *spec.lower)
+        assert all(type(n) is int for group in groups for n in group)
 
     def test_arg_scale_powers(self):
         spec = HyperSpec((), (), Fraction(2))
@@ -115,6 +118,9 @@ def test_reprs():
     assert (repr(HalfInt(3)), repr(HalfInt(4))) == ("HalfInt(3/2)", "HalfInt(2)")
     spec = HyperSpec((H,), (2,), Fraction(-1, 4))
     assert repr(spec) == "HyperSpec(1F1; [1/2]; [2]; scale=-1/4)"
+    # the new parameters (alpha + k) / r and (beta + t) / s, each reduced
+    _, new = pochhammer_proliferate(HalfInt(2), HalfInt(3), 2, 2, spec)
+    assert repr(new) == "HyperSpec(3F3; [1/2, 1/2, 1]; [2, 3/4, 5/4]; scale=-1/4)"
     s = GenSeries([GenMonomial(3, {"u": H}, lambda_pow=1)], 2)
     assert repr(s) == "GenSeries(1 terms, lambda_order=2, mu_order=None)"
     assert repr(s.terms[0]) == "GenMonomial(3 | u^1/2 |  | lambda^1 mu^0)"
@@ -125,12 +131,12 @@ class TestPfqDerivative:
         spec = HyperSpec((), ())
         pref, new = pfq_derivative(spec, 5)
         assert pref == ExactScalar(1)
-        assert (new.upper, new.lower, new.arg_scale) == ((), (), 1)
+        assert (new.upper, new.lower, new.arg_scale) == (((), ()), ((), ()), 1)
 
     def test_kummer_shift(self):
         pref, new = pfq_derivative(HyperSpec((1,), (2,)), 1)
         assert pref == ExactScalar(H)
-        assert (new.upper, new.lower, new.arg_scale) == ((2,), (3,), 1)
+        assert (new.upper, new.lower, new.arg_scale) == (((2,), (1,)), ((3,), (1,)), 1)
 
     @pytest.mark.parametrize(
         "spec,n",

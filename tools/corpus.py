@@ -12,9 +12,10 @@ A request is a CLI argument line, optionally led by NAME=value
 environment settings that hold for that request only.  Diffing the output
 of two checkouts shows every request whose stdout, stderr or exit code
 changed.  The list covers every verb in every format, the alpha/beta grid
-(64-bit and half-integer values included), lacunary K 1-4 x L 0-3 with and
-without --check and --check at large L, verify with each suite, and the
-usage errors.
+(64-bit and half-integer values included), other spellings of a rational
+option (0.5, -.5, +3/2, 2/4), lacunary K 1-4 x L 0-3 with and without
+--check and --check at large L, verify with each suite, and the usage
+errors.
 """
 
 from __future__ import annotations
@@ -119,6 +120,15 @@ def requests() -> list:
         "SJK_MAX_ORDER=0 egf --family hermite --order 0",
         "SJK_MAX_ORDER=100 table --family hermite --max-n 80",
     ]
+    # rational spellings that reach the parser of cli._rat: a decimal point,
+    # a leading '+' and an unreduced fraction
+    for fmt in FORMATS:
+        reqs += [
+            f"poly --family sj-beta --n 5 --beta 0.5 --format {fmt}",
+            f"egf --family sj-beta-shifted --order 6 --beta -.5 --format {fmt}",
+            f"poly --family sj --n 1 --gamma +3/2 --format {fmt}",
+            f"poly --family jacobi --n 4 --alpha 2/4 --beta 0 --format {fmt}",
+        ]
     # past the digits CPython prints, reachable only with a raised cap
     reqs += [
         f"SJK_MAX_ORDER=1000 poly --family jacobi --n 220 --alpha {BIG} "
