@@ -17,7 +17,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import families, jsonio, scalar, verify
+from . import families, jsonio, lacunary, scalar, verify
 from .connect import FAMILIES, lookup, reaction_solve
 from .errors import SjkError
 from .poly import CoeffSeries, Poly
@@ -136,7 +136,8 @@ def _cmd_lacunary(args, out):
         if detail:
             print(f"  {detail}", file=out)
         return 2 if detail else 0
-    oracle = verify.lacunary_oracle(args.family, args.K, args.L, order)
+    source = lookup(args.family).source
+    oracle = lacunary.multisection_oracle(source, args.K, args.L, order)
     _emit_series(oracle, args.format, out)
     return 0
 

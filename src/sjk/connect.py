@@ -15,7 +15,8 @@ Poly._sum_over, with no Poly product or Poly.sum per member or term.  The
 contraction reads each weight and each p_n once for a whole family and
 size, and takes [x^L] p_n by grouping p_n's stored terms by their
 exponent of x; the Gaussian pairing groups each side's stored terms the
-same way (_by_exponent), by their exponent of w and of wbar.
+same way (_by_exponent), by their exponent of w and of wbar.  The family
+table's closed lacunary column gives integers too, for verify to compare.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import lacunary
 from .errors import ParamError
 from .families import HERMITE_SECOND_VAR, _image_grade, hermite_egf, hermite_family
-from .families import image_by_grade, sj_egf, sj_family
+from .families import sj_egf, sj_family
 from .opcalc import jacobi_operator_apply
 from .poly import CoeffSeries, Poly
 from .scalar import ZERO, ExactScalar, _ratio
@@ -66,21 +67,17 @@ def hermite_connection(M: int, n: int) -> Poly:
 class Family(NamedTuple):
     """A row of the family table: the source n -> p_n, the EGF truncation,
     the weight (M, n) -> A_{M,n} of p_n in x^M (an ExactScalar, or a Poly
-    in z), the closed lacunary form (a cross-check) and the image map
-    H_n -> p_n on one sqrt(pi) grade's integers, (vars, den, nums) ->
-    (vars', den', nums') (families._image_grade, or the identity)."""
+    in z), the closed lacunary form (K, order) -> (vars, den, nums), its
+    integers up to lambda^order keyed (k, *exps) over vars, lambda first
+    (a cross-check), and the image map H_n -> p_n on one sqrt(pi) grade's
+    integers, (vars, den, nums) -> (vars', den', nums')
+    (families._image_grade, or the identity)."""
 
     source: Callable
     egf: Callable
     connection: Callable
     lacunary_closed: Callable
     image: Callable
-
-    def image_of(self, series: CoeffSeries) -> CoeffSeries:
-        """The image of a Hermite series, such as a lacunary shift
-        generator, coefficient by coefficient."""
-        return CoeffSeries(
-            [image_by_grade(self.image, c) for c in series.coeffs], series.order)
 
 
 # Each row is built on each lookup from the module globals, so a builder
@@ -89,12 +86,14 @@ class Family(NamedTuple):
 
 def _sj_row() -> Family:
     return Family(sj_family, sj_egf, sj_connection,
-                  lacunary.sj_lacunary_closed, _image_grade)
+                  lacunary._sj_closed_nums, _image_grade)
 
 
 def _hermite_row() -> Family:
     return Family(hermite_family, hermite_egf, hermite_connection,
-                  lacunary.hermite_lacunary_closed, lambda *grade: grade)
+                  lambda K, order: (lacunary._LAMBDA_VARS,
+                                    *lacunary._closed_nums(K, order)),
+                  lambda *grade: grade)
 
 
 _ROWS = {"sj": _sj_row, "hermite": _hermite_row}

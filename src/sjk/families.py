@@ -27,7 +27,8 @@ image) builds each coefficient from integers: the matching numbers by
 their integer ratio recurrence over n!, and the image as those
 numerators times the integer weights of one running product per chain
 a + 2m = N (_image_ratios), read by sj_egf_coeff and by _image_grade, the
-image column of connect's family table, applied to a Poly by image_by_grade.
+image column of connect's family table, which maps one sqrt(pi) grade's
+integers, lambda and mu carried, for the lacunary checks.
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -289,17 +290,6 @@ def _image_grade(vars: tuple, den: int, nums: dict) -> tuple:
     for key, n, N, m in terms:
         image[key] = image.get(key, 0) + n * scale[N] * ratios[N][m]
     return vars[:im] + vars[im + 1 :], den * w, image
-
-
-def image_by_grade(image, p: Poly) -> Poly:
-    """The Poly that image, a per-grade map (vars, den, nums) -> (vars',
-    den', nums') such as _image_grade, makes of p: each sqrt(pi) grade
-    mapped on its stored integers and the grades summed as Poly.sum sums
-    them, over the vars' that image gives for p.vars."""
-    vars = image(p.vars, 1, {})[0]
-    return Poly.sum([
-        Poly._over(vars, g, *image(p.vars, d, nums)[1:]) for g, d, nums in p._by_grade()
-    ], vars)
 
 
 def sj_egf_coeff(N: int) -> Poly:

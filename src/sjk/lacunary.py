@@ -1,40 +1,36 @@
 """Lacunary exponential generating functions.
 
 The ground truth is the multisection oracle: direct index selection
-p_{K n + L} from a per-degree family source.  Against it are checked the
-closed hypergeometric forms for the Hermite family, the closed forms for
-the (-1,-1) family obtained from the Hermite ones by Pochhammer
-proliferation, and the shifted generators for both.
-The shifted Hermite generator is exp(mu (x + 2z d/dx)) applied to the
-closed form, so its mu^L slice, which the CLI checks against the oracle,
-is the closed form raised L times by the Hermite raising operator.  The
-(-1,-1) slice and shifted generator are the Hermite ones mapped termwise
-by the image column of connect's family table (families._image_grade),
-the paper's transform after lambda -> lambda (uv)^K, mu -> mu uv,
-z -> -1/(4u): at lambda^j mu^a each x^b z^m has b + 2m = Kj + a, so it
-gains (uv)^(b+2m-1/2) (-1/(4u))^m.  sj_lacunary_closed, the full
-generators and mu_slice stay as cross-checks for tests and verify.
+p_{K n + L} from a per-degree family source (_selected, one source call
+per power of lambda and the one guard on K, L and order).  Against it are
+checked the closed hypergeometric forms for the Hermite family, the closed
+forms for the (-1,-1) family obtained from the Hermite ones by Pochhammer
+proliferation, and the shifted generators for both, each built here as
+integers (vars, den, nums): numerators over one denominator, keyed by the
+power of lambda and then the exponents over vars.  verify compares them,
+cross-multiplied, with the stored integers of each p_{K k + L} times k!
+(Poly._first_unequal); the tests build their CoeffSeries
+(tests/reference.py).
 
-The check (verify.lacunary_slices) is one integer pass per request, with
-no ExactScalar, HyperSpec or Poly per term.  The closed form comes from
-one kernel, _closed_nums: each cell's hypergeometric series, read as
-reduced integer pairs from hyper._pair_terms and started at the cell's
-scale, lands on its coefficients, all of them numerators over the lcm of
-their denominators, keyed by the power of lambda and then the exponents
-(_gather).  Those numerators are raised L times on the same integer form
-(_raise_nums, which the shift generator also runs), mapped once by the
-table's image with lambda carried as a variable, and compared,
-cross-multiplied, with the stored integers of each p_{K k + L} times k!,
-the oracle's own terms (_selected).  hermite_lacunary_closed and the
-(-1,-1) closed forms split the same gathered integers by power
-(_series).  The (-1,-1) closed forms, cross-checks, put a cell's integer
-parameters into a HyperSpec (hyper._spec), with no Fraction, for the
-proliferation to extend.
+The Hermite closed form is one kernel, _closed_nums: each cell's
+hypergeometric series, read as reduced integer pairs from
+hyper._pair_terms and started at the cell's scale, lands on its
+coefficients over the lcm of their denominators (_gather).  The shifted
+Hermite generator is exp(mu (x + 2z d/dx)) applied to the closed form,
+so its mu^L slice, which the CLI checks, is the closed form raised L
+times by the Hermite raising operator (_raise_nums).  The (-1,-1) slice
+and shifted generator are the Hermite ones mapped once by the image
+column of connect's family table (families._image_grade), lambda and mu
+carried: the paper's transform after lambda -> lambda (uv)^K,
+mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has
+b + 2m = Kj + a, so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.
 
-The (-1,-1) closed forms are *constructed* here by applying the
-proliferation transform to the Hermite cells rather than transcribed from
-their final printed shape; the tests evaluate the printed parameter lists
-from the same cells (_sj_cells) so the two conventions can be compared.
+The (-1,-1) closed forms, a cross-check, are *constructed* by applying
+the proliferation transform to the Hermite cells, their integer
+parameters put into a HyperSpec (hyper._spec), rather than transcribed
+from their final printed shape; the tests evaluate the printed parameter
+lists from the same cells (_sj_cells) so the two conventions can be
+compared.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import NamedTuple
 from .errors import ParamError
 from .families import _HERMITE_VARS, _matching_numbers
 from .hyper import _pair_terms, _spec, pfq_terms, pochhammer_proliferate
-from .poly import CoeffSeries, Poly
+from .poly import CoeffSeries
 from .scalar import HalfInt, _pair, _ratio
 
 _LAMBDA_VARS = ("lambda", *_HERMITE_VARS)  # of _closed_nums' integers
@@ -157,25 +153,6 @@ def _closed_nums(K: int, order: int) -> tuple:
     )
 
 
-def _series(gathered: tuple, vars: tuple, order: int) -> CoeffSeries:
-    """The CoeffSeries of integers (den, nums) at grade 0, each key a power
-    of the series parameter and then exponents, the first len(vars) of them
-    kept: over (x,), _gather's exponent of y is dropped."""
-    den, nums = gathered
-    rows = [{} for _ in range(order + 1)]
-    width = len(vars) + 1
-    for key, n in nums.items():
-        rows[key[0]][key[1:width]] = n
-    return CoeffSeries([Poly._over(vars, 0, den, row) for row in rows], order)
-
-
-def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
-    """Closed hypergeometric form of the K-tuple Hermite lacunary series."""
-    if K < 1:
-        raise ParamError("K must be >= 1")
-    return _series(_closed_nums(K, order), _HERMITE_VARS, order)
-
-
 def _raise_nums(nums: dict, L: int) -> dict:
     """(x + 2z d/dx)^L, the raising operator of H_{n+1} = (x + 2z d/dx) H_n,
     on numerators nums keyed (j, e, m) over one denominator: a step sends
@@ -192,22 +169,21 @@ def _raise_nums(nums: dict, L: int) -> dict:
     return nums
 
 
-def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
-    """Generating function of the L-shifted Hermite lacunary series,
-    exp(mu x + mu^2 z) H_{K,0}(lambda; x + 2 mu z, z) truncated in mu.
-
-    Since [x, 2z d/dx] = -2z is central, it equals exp(mu (x + 2z d/dx))
-    H_{K,0}(lambda; x, z): L! times its coefficient of mu^L is the closed
-    form raised L times (_raise_nums), the (K, L) lacunary series: over
-    the closed form's denominator times mu_order!, its numerators raised one
-    step per power of mu and times mu_order! / L!.
-    """
+def _shift_nums(K: int, mu_order: int, order: int) -> tuple:
+    """The shifted Hermite generator exp(mu x + mu^2 z) H_{K,0}(lambda;
+    x + 2 mu z, z) to mu^mu_order and lambda^order, as integers (vars, den,
+    nums) keyed (k, l, e, m) for lambda^k mu^l x^e z^m.  As [x, 2z d/dx] =
+    -2z is central, it is exp(mu (x + 2z d/dx)) H_{K,0}(lambda; x, z): L!
+    times its mu^L coefficient is the closed form raised L times, so over
+    the closed form's denominator times mu_order!, its numerators are
+    raised one step per power of mu and times mu_order! / L!."""
     den, nums = _closed_nums(K, order)
     shifted, f = {}, factorial(mu_order)  # f = mu_order! / L!
     for L in range(mu_order + 1):
+        if L:
+            nums, f = _raise_nums(nums, 1), f // L
         shifted.update({(k, L, e, m): n * f for (k, e, m), n in nums.items()})
-        nums, f = _raise_nums(nums, 1), f // (L + 1)
-    return _series((den * factorial(mu_order), shifted), ("mu", *_HERMITE_VARS), order)
+    return ("lambda", "mu", *_HERMITE_VARS), den * factorial(mu_order), shifted
 
 
 def _sj_cells(K: int, order: int):
@@ -224,9 +200,12 @@ def _sj_cells(K: int, order: int):
         yield c, alpha, beta_p, _ratio((-1) ** c.beta * num, 4**c.beta * den, 0)
 
 
-def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
-    """Closed form of the K-tuple (-1,-1) lacunary series, built from the
-    Hermite cells via Pochhammer proliferation (K >= 2; K = 1 is the EGF)."""
+def _sj_closed_nums(K: int, order: int) -> tuple:
+    """The closed K-tuple (-1,-1) lacunary form up to lambda^order, built
+    from the Hermite cells via Pochhammer proliferation (K >= 2; K = 1 is
+    the EGF), as integers (vars, den, nums) keyed (k, x exponent): the
+    exponent of y that _gather keys too is fixed by k and the exponent of
+    x, so dropping it merges no two terms."""
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
     if K % 2 == 0:
@@ -238,13 +217,5 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
         spec = _spec(zip(*cell.upper), zip(*cell.lower), arg)
         pref, new = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
         terms.append((cell, ((t.num, t.den) for t in pfq_terms(new, pref * scale))))
-    return _series(_gather(terms, K, order), ("x",), order)
-
-
-def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
-    """L! times the coefficient of mu^L, coefficient-wise."""
-    scale = factorial(L)
-    return CoeffSeries(
-        [c.coeff_of("mu", L) * scale for c in series.coeffs], series.order
-    )
-
+    den, nums = _gather(terms, K, order)
+    return ("lambda", "x"), den, {key[:2]: n for key, n in nums.items()}

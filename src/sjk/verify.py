@@ -4,7 +4,8 @@ Each public function below is the one definition of an identity of the
 paper.  It takes the inputs to check, sweeps them and returns a
 counterexample string on failure, None on success.  A suite is a list of
 (label, fn) pairs that call them at desk scale; the test suite calls the
-same functions at larger sizes.
+same functions at larger sizes.  The three lacunary checks share one
+integer compare with the oracle's stored terms, _first_mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import comb, factorial
 
 from . import connect, families, hyper, lacunary, opcalc, scalar, umbral
 from .poly import Poly
-from .scalar import ExactScalar, HalfInt, _ratio
+from .scalar import ExactScalar, HalfInt, _pair, _ratio
 
 
 # --- scalar ---------------------------------------------------------------
@@ -204,16 +205,26 @@ def proliferation(cases, ms):
 
 # --- lacunary -------------------------------------------------------------
 
-def lacunary_oracle(family, K, L, order):
-    """sum_n lambda^n/n! p_{Kn+L} for a family of connect.FAMILIES."""
-    return lacunary.multisection_oracle(connect.lookup(family).source, K, L, order)
+def _first_mismatch(sources, vars, den, nums):
+    """The first lambda^k at which the integers nums / den, keyed (k, *exps)
+    over vars, lambda first, differ from sources[k] / k!, in one pass
+    (Poly._first_unequal), with both sides' coefficient as text; else None."""
+    k = Poly._first_unequal(sources, vars[1:], den, nums)
+    if k is not None:
+        closed = Poly._over(
+            vars[1:], 0, den, {key[1:]: n for key, n in nums.items() if key[0] == k})
+        oracle = sources[k] * _pair(1, factorial(k), 0)
+        return (f"first mismatch at lambda^{k}: closed={closed.text()} "
+                f"oracle={oracle.text()}")
 
 
 def lacunary_closed(cases):
-    """The closed lacunary form equals the oracle for each (family, K, order)."""
+    """The closed lacunary form, the integers of the family table's
+    closed-form column, equals the oracle for each (family, K, order)."""
     for family, K, order in cases:
-        closed = connect.lookup(family).lacunary_closed(K, order)
-        if closed != lacunary_oracle(family, K, 0, order):
+        row = connect.lookup(family)
+        sources = lacunary._selected(row.source, K, 0, order)
+        if _first_mismatch(sources, *row.lacunary_closed(K, order)):
             return f"{family} closed form != oracle at K={K}, order={order}"
 
 
@@ -221,31 +232,29 @@ def lacunary_slices(cases):
     """The mu^L slice that `lacunary --check` checks, the Hermite closed form
     raised L times and taken through the family's image, equals the oracle
     for each (family, K, L, order), else the first coefficient that
-    differs.  Each request is one integer pass over all powers of lambda
-    (see sjk.lacunary): _closed_nums, _raise_nums, the table's image once
-    and Poly._first_unequal against the oracle's p_{K k + L}; the oracle
-    and the closed Polys are built only for the mismatch message."""
+    differs: _closed_nums, _raise_nums and the table's image once, over all
+    powers of lambda."""
     for family, K, L, order in cases:
         row = connect.lookup(family)
         sources = lacunary._selected(row.source, K, L, order)
         den, nums = lacunary._closed_nums(K, order)
-        vars, den, nums = row.image(
-            lacunary._LAMBDA_VARS, den, lacunary._raise_nums(nums, L))
-        k = Poly._first_unequal(sources, vars[1:], den, nums)
-        if k is not None:
-            closed = lacunary._series((den, nums), vars[1:], order).coeffs[k]
-            oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs[k]
-            return (f"first mismatch at lambda^{k}: closed={closed.text()} "
-                    f"oracle={oracle.text()}")
+        detail = _first_mismatch(sources, *row.image(
+            lacunary._LAMBDA_VARS, den, lacunary._raise_nums(nums, L)))
+        if detail:
+            return detail
 
 
 def lacunary_shifts(cases):
     """The mu^L slice of the shift generator equals the oracle for each
-    (family, K, mu_order, order, L)."""
+    (family, K, mu_order, order, L): the generator's integers through the
+    family's image once, and their terms at mu^L times L!."""
     for family, K, mu_order, order, L in cases:
-        gen = lacunary.hermite_lacunary_shift(K, mu_order, order)
-        got = lacunary.mu_slice(connect.lookup(family).image_of(gen), L)
-        if got != lacunary_oracle(family, K, L, order):
+        row = connect.lookup(family)
+        sources = lacunary._selected(row.source, K, L, order)
+        vars, den, nums = row.image(*lacunary._shift_nums(K, mu_order, order))
+        f = factorial(L)
+        sliced = {key[:1] + key[2:]: n * f for key, n in nums.items() if key[1] == L}
+        if _first_mismatch(sources, vars[:1] + vars[2:], den, sliced):
             return f"{family} shifted generator != oracle at K={K}, L={L}"
 
 

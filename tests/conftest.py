@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from sjk import connect, lacunary, opcalc
+from sjk import opcalc
 from sjk.families import HERMITE_SECOND_VAR
 from sjk.hyper import HyperSpec
-from sjk.poly import CoeffSeries, Poly
+from sjk.poly import Poly
 from sjk.scalar import ExactScalar, HalfInt, _parts
 
-from reference import apply_inverse_diagonal, derivative, hermite_raise, monomial
+from reference import apply_inverse_diagonal, derivative, monomial
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -220,17 +220,3 @@ def as_scalar(p):
         raise ValueError(f"polynomial is not constant: {p}")
     return p.scalar_coeff()
 
-
-def reference_slices(family, K, L, order):
-    """verify.lacunary_slices at one (family, K, L, order) as the Poly
-    composition it replaced: the Hermite closed form, each coefficient
-    raised L times, the family's image, and == against the oracle."""
-    row = connect.lookup(family)
-    oracle = lacunary.multisection_oracle(row.source, K, L, order).coeffs
-    closed = lacunary.hermite_lacunary_closed(K, order)
-    got = row.image_of(CoeffSeries(
-        [hermite_raise(c, L) for c in closed.coeffs], order))
-    for k, c in enumerate(got.coeffs):
-        if c != oracle[k]:
-            return (f"first mismatch at lambda^{k}: closed={c.text()} "
-                    f"oracle={oracle[k].text()}")

@@ -287,15 +287,115 @@ def sj_lacunary_closed_printed(K: int, order: int, *, even_beta_doubled=False,
         start = gamma_ratio(alpha, beta_p) * scale
         series = pfq_terms(HyperSpec(upper, lower, arg), start)
         terms.append((cell, ((c.num, c.den) for c in series)))
-    return lacunary._series(lacunary._gather(terms, K, order), ("x",), order)
+    den, nums = lacunary._gather(terms, K, order)
+    return lacunary_series(("lambda", "x"), den, {k[:2]: n for k, n in nums.items()},
+                           order)
 
 
 def coeff_bridge_check(K: int, L: int, r: int, m: int):
     """The x^r coefficient of the (-1,-1) member of degree K(r+m)+L, directly
     and as the image of the Hermite member: the coefficient bridge."""
     N = K * (r + m) + L
-    image = families.image_by_grade(families._image_grade, families.hermite_family(N))
+    image = image_by_grade(families._image_grade, families.hermite_family(N))
     return families.sj_family(N).scalar_coeff(x=r), image.scalar_coeff(x=r)
+
+
+# The Poly forms of the integers that sjk's lacunary checks compare, and
+# the Poly compositions those checks replaced: each check's verdict and
+# text must equal its composition's (tests/test_lacunary.py).
+def lacunary_series(vars: tuple, den: int, nums: dict, order: int) -> CoeffSeries:
+    """The CoeffSeries of the integers nums / den at sqrt(pi) grade 0, each
+    key (k, *exps) over vars, the series parameter first: the series'
+    coefficient of its k-th power holds those terms, up to order."""
+    rows = [{} for _ in range(order + 1)]
+    for key, n in nums.items():
+        rows[key[0]][key[1:]] = Fraction(n, den)
+    return CoeffSeries([Poly(vars[1:], row) for row in rows], order)
+
+
+def hermite_lacunary_closed(K: int, order: int) -> CoeffSeries:
+    """Closed hypergeometric form of the K-tuple Hermite lacunary series."""
+    return lacunary_series(lacunary._LAMBDA_VARS, *lacunary._closed_nums(K, order),
+                           order)
+
+
+def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
+    """Closed form of the K-tuple (-1,-1) lacunary series (K >= 2), built
+    from the Hermite cells via Pochhammer proliferation."""
+    return lacunary_series(*lacunary._sj_closed_nums(K, order), order)
+
+
+def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
+    """The shifted Hermite generator exp(mu x + mu^2 z) H_{K,0}(lambda;
+    x + 2 mu z, z) over (mu, x, z), truncated at mu^mu_order."""
+    return lacunary_series(*lacunary._shift_nums(K, mu_order, order), order)
+
+
+def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
+    """L! times the coefficient of mu^L, coefficient-wise."""
+    return CoeffSeries(
+        [c.coeff_of("mu", L) * factorial(L) for c in series.coeffs], series.order)
+
+
+def image_by_grade(image, p: Poly) -> Poly:
+    """The Poly that image, a per-grade map (vars, den, nums) -> (vars',
+    den', nums') such as families._image_grade, makes of p: each sqrt(pi)
+    grade's terms as numerators over their lcm, mapped, and the grades
+    summed by + (a sum across grades at one key raises)."""
+    terms = p.terms
+    vars = image(p.vars, 1, {})[0]
+    out = Poly(vars)
+    for g in sorted({t.sqrt_pi_pow for t in terms.values()}):
+        grade = {e: t for e, t in terms.items() if t.sqrt_pi_pow == g}
+        den = lcm(*[t.den for t in grade.values()])
+        nums = {e: t.num * (den // t.den) for e, t in grade.items()}
+        _, den, nums = image(p.vars, den, nums)
+        out += Poly(vars, {
+            e: ExactScalar(Fraction(n, den), g) for e, n in nums.items()})
+    return out
+
+
+def image_of(row, series: CoeffSeries) -> CoeffSeries:
+    """The image of a Hermite series by a family table row's image map,
+    coefficient by coefficient."""
+    return CoeffSeries([image_by_grade(row.image, c) for c in series.coeffs],
+                       series.order)
+
+
+def lacunary_oracle(family: str, K: int, L: int, order: int) -> CoeffSeries:
+    """sum_n lambda^n/n! p_{Kn+L} for a family of connect.FAMILIES."""
+    return lacunary.multisection_oracle(connect.lookup(family).source, K, L, order)
+
+
+def reference_closed(family, K, order):
+    """verify.lacunary_closed at one (family, K, order): the row's closed
+    form as a CoeffSeries, == against the oracle series."""
+    closed = lacunary_series(*connect.lookup(family).lacunary_closed(K, order), order)
+    if closed != lacunary_oracle(family, K, 0, order):
+        return f"{family} closed form != oracle at K={K}, order={order}"
+
+
+def reference_slices(family, K, L, order):
+    """verify.lacunary_slices at one (family, K, L, order): the Hermite
+    closed form, each coefficient raised L times, the family's image, and
+    == against the oracle."""
+    oracle = lacunary_oracle(family, K, L, order).coeffs
+    closed = hermite_lacunary_closed(K, order)
+    got = image_of(connect.lookup(family), CoeffSeries(
+        [hermite_raise(c, L) for c in closed.coeffs], order))
+    for k, c in enumerate(got.coeffs):
+        if c != oracle[k]:
+            return (f"first mismatch at lambda^{k}: closed={c.text()} "
+                    f"oracle={oracle[k].text()}")
+
+
+def reference_shifts(family, K, mu_order, order, L):
+    """verify.lacunary_shifts at one (family, K, mu_order, order, L): the
+    generator's image coefficient by coefficient, its mu^L slice, and ==
+    against the oracle."""
+    gen = image_of(connect.lookup(family), hermite_lacunary_shift(K, mu_order, order))
+    if mu_slice(gen, L) != lacunary_oracle(family, K, L, order):
+        return f"{family} shifted generator != oracle at K={K}, L={L}"
 
 
 # -- connect ------------------------------------------------------------------

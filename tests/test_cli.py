@@ -224,9 +224,9 @@ class TestLacunaryVerb:
         # the L = 0 slice is the closed form; the proliferated sj closed
         # form is a cross-check, never the production path
         def refuse(K, order):
-            raise AssertionError("sj_lacunary_closed called")
+            raise AssertionError("sj closed form built")
 
-        monkeypatch.setattr(lacunary, "sj_lacunary_closed", refuse)
+        monkeypatch.setattr(lacunary, "_sj_closed_nums", refuse)
         code, out, err = run_cli(
             "lacunary", "--family", "sj", "--K", "3", "--L", "0",
             "--order", "4", "--check",
@@ -427,7 +427,8 @@ class TestExitCodes:
         monkeypatch.setattr(connect, "_sj_weight", broken)
         code, out, _ = run_cli("verify", "--suite", "connect")
         assert code == 2
-        assert "[FAIL] connect: monomial reconstruction: x^4 reconstruction fails (sj)\n" in out
+        assert ("[FAIL] connect: monomial reconstruction: "
+                "x^4 reconstruction fails (sj)\n") in out
         assert ("[FAIL] connect: biorthogonality: contraction != delta at "
                 "(M,L)=(4,0), sj\n") in out
         assert ("[FAIL] connect: Gaussian pairing: Gaussian pairing misses "
@@ -575,7 +576,8 @@ class TestMaxOrderCap:
         ) == (1, "", "error: K 65 exceeds SJK_MAX_ORDER = 64\n")
 
     @pytest.mark.parametrize("argv", [
-        ("lacunary", "--family", "sj", "--K", "2", "--L", "1", "--order", "3", "--check"),
+        ("lacunary", "--family", "sj", "--K", "2", "--L", "1", "--order", "3",
+         "--check"),
         ("lacunary", "--family", "hermite", "--K", "65", "--order", "0"),
         ("react", "--N0", "4", "--t-order", "3"),
         ("react", "--N0", "4", "--t-order", "65"),

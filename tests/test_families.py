@@ -31,12 +31,12 @@ from sjk.umbral import GenMonomial, GenSeries, itransform_scalar
 from conftest import assert_canonical
 from reference import binom_general, derivative, egf_beta_shifted_tricomi
 from reference import hermite_exp, image_grade, matching_coeff, sj_beta_rescaled
-from reference import sj_egf_coeff_nums
+from reference import image_by_grade, sj_egf_coeff_nums
 
 H = Fraction(1, 2)
 X = Poly.var("x")
 # the (-1,-1) image of a Hermite polynomial: the sj row's image map
-hermite_image = partial(families.image_by_grade, families._image_grade)
+hermite_image = partial(image_by_grade, families._image_grade)
 GRID = tuple(
     Fraction(v) for v in ("-1/2", "-1/3", "0", "1/3", "1/2", "1", "3/2", "2")
 )
@@ -438,7 +438,8 @@ def test_hermite_path_against_the_matching_numbers():
     for n in range(65):
         h = hermite_closed(n)
         assert h.vars == ("x", "z")
-        assert h.terms == {(n - 2 * m, m): matching_coeff(n, m) for m in range(n // 2 + 1)}
+        assert h.terms == {
+            (n - 2 * m, m): matching_coeff(n, m) for m in range(n // 2 + 1)}
         inv = Fraction(1, factorial(n))
         assert egf.coeffs[n].vars == ("x", "z") and egf.coeffs[n] == h * inv, n
         sj = sj_egf_coeff(n)
@@ -457,7 +458,8 @@ def test_hermite_image_weight_grid():
     for a in range(65):
         for m in range(33):
             got = hermite_image(Poly(("x", "z"), {(a, m): 1}))
-            assert got.vars == ("x",) and got.terms == {(a,): _image_weight(a, m)}, (a, m)
+            assert got.vars == ("x",), (a, m)
+            assert got.terms == {(a,): _image_weight(a, m)}, (a, m)
 
 
 def _image_reference(p):
@@ -468,7 +470,8 @@ def _image_reference(p):
     for exps, c in p.terms.items():
         e = dict(zip(p.vars, exps))
         key = tuple(e[v] for v in rest)
-        out[key] = out.get(key, ExactScalar(0)) + c * _image_weight(e.get("x", 0), e.get("z", 0))
+        weight = _image_weight(e.get("x", 0), e.get("z", 0))
+        out[key] = out.get(key, ExactScalar(0)) + c * weight
     return Poly(rest, out)
 
 
@@ -495,12 +498,14 @@ class TestHermiteImageTerms:
         assert got.terms == {(1,): ExactScalar(-1, 1)}
 
     @pytest.mark.parametrize("vars", [
-        ("mu", "x", "z"), ("z", "x", "mu"), ("x", "z"), ("z", "x"), ("x",), ("z",), ("mu",),
+        ("mu", "x", "z"), ("z", "x", "mu"), ("x", "z"), ("z", "x"), ("x",), ("z",),
+        ("mu",),
     ])
     def test_random_polys(self, rng, vars):
         for _ in range(25):
             terms = {
-                tuple(rng.randint(0, 6) for _ in vars): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                tuple(rng.randint(0, 6) for _ in vars):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(rng.randint(0, 8))
             }
             p = Poly(vars, terms)

@@ -18,7 +18,8 @@ def oracle(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "), indent=2)
 
 
-VARSETS = ((), ("x",), ("z", "x"), ("x", "z"), ("mu",), ("lambda", "x"), ("x", "mu", "z"))
+VARSETS = ((), ("x",), ("z", "x"), ("x", "z"), ("mu",), ("lambda", "x"),
+           ("x", "mu", "z"))
 rationals = st.builds(
     Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)
 ) | st.fractions(min_value=-5, max_value=5, max_denominator=9)

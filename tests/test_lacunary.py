@@ -1,27 +1,24 @@
+import io
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 
-from sjk import connect, lacunary, verify
+from sjk import cli, connect, families, lacunary, verify
 from sjk.connect import lookup
 from sjk.errors import ParamError
 from sjk.families import hermite_closed, hermite_egf, hermite_family, sj_egf
-from sjk.lacunary import (
-    hermite_lacunary_closed,
-    hermite_lacunary_shift,
-    mu_slice,
-    multisection_oracle,
-    sj_lacunary_closed,
-)
+from sjk.lacunary import multisection_oracle
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar
-from sjk.verify import lacunary_oracle as oracle
 
-from conftest import assert_canonical, reference_slices
-from reference import coeff_bridge_check, hermite_raise, lacunary_dilate
-from reference import lambda_derivative, matching_coeff
-from reference import sj_lacunary_closed_printed
+from conftest import assert_canonical
+from reference import coeff_bridge_check, hermite_lacunary_closed
+from reference import hermite_lacunary_shift, hermite_raise, image_of, lacunary_dilate
+from reference import lambda_derivative
+from reference import lacunary_oracle as oracle
+from reference import matching_coeff, mu_slice, reference_closed, reference_shifts
+from reference import reference_slices, sj_lacunary_closed, sj_lacunary_closed_printed
 
 X = Poly.var("x")
 
@@ -108,7 +105,8 @@ class TestHermiteClosed:
         assert got.coeffs[1] == golden[("hermite", 2)]
 
     def test_k2_against_sympy_generating_function(self):
-        # sum_n H_2n(x, z) lambda^n / n! = (1-4z lambda)^(-1/2) exp(x^2 lambda/(1-4z lambda)),
+        # sum_n H_2n(x, z) lambda^n / n!
+        #     = (1-4z lambda)^(-1/2) exp(x^2 lambda/(1-4z lambda)),
         # expanded in exact rationals from the binomial, geometric and
         # exponential series, each truncated after lambda^N
         sympy = pytest.importorskip("sympy")
@@ -208,11 +206,11 @@ class TestHermiteShift:
 class TestSjShiftGen:
     def test_mu_zero_matches_closed(self):
         for K in (2, 3):
-            gen = lookup("sj").image_of(hermite_lacunary_shift(K, 0, 4))
+            gen = image_of(lookup("sj"), hermite_lacunary_shift(K, 0, 4))
             assert mu_slice(gen, 0) == sj_lacunary_closed(K, 4)
 
     def test_specific_values(self, golden):
-        gen = lookup("sj").image_of(hermite_lacunary_shift(2, 1, 1))
+        gen = image_of(lookup("sj"), hermite_lacunary_shift(2, 1, 1))
         sliced = mu_slice(gen, 1)
         assert sliced.coeffs[0] == golden[("sj", 1)]
         assert sliced.coeffs[1] == golden[("sj", 3)]
@@ -230,7 +228,8 @@ class TestSjShiftGen:
 # (K, L) at every size series-warm sends (family degree 16), then shapes
 # whose full mu-generator is too slow to build
 SLICE_SIZES = [(K, L, (16 - L) // K) for K in (1, 2, 3, 4) for L in (0, 1, 2, 3)]
-SLICE_SIZES += [(1, 1, 63), (1, 32, 32), (2, 20, 22), (4, 3, 15), (1, 63, 1), (1, 0, 40)]
+SLICE_SIZES += [(1, 1, 63), (1, 32, 32), (2, 20, 22), (4, 3, 15), (1, 63, 1),
+                (1, 0, 40)]
 
 
 class TestShiftSlice:
@@ -246,12 +245,14 @@ class TestShiftSlice:
         assert verify.lacunary_slices([case]) == reference_slices(*case) is None
 
     @pytest.mark.parametrize("family", ["hermite", "sj"])
-    @pytest.mark.parametrize("K, L, order", [(1, 0, 8), (2, 3, 6), (3, 1, 5), (4, 3, 15)])
+    @pytest.mark.parametrize("K, L, order",
+                             [(1, 0, 8), (2, 3, 6), (3, 1, 5), (4, 3, 15)])
     def test_a_pass_reads_each_source_once_and_builds_no_series(
             self, monkeypatch, family, K, L, order):
         # the oracle is read as the stored integers of each p_{K k + L}: one
         # source call per power of lambda, and no CoeffSeries, which only
-        # the mismatch message builds
+        # the tests' Poly forms build; so for the slice, the shift
+        # generator's slice and (L = 0, and K >= 2 for sj) the closed form
         built, calls = [], []
         init = CoeffSeries.__init__
 
@@ -267,10 +268,16 @@ class TestShiftSlice:
 
         monkeypatch.setattr(CoeffSeries, "__init__", counting_init)
         monkeypatch.setattr(connect, f"{family}_family", counting_source)
-        assert verify.lacunary_slices([(family, K, L, order)]) is None
-        assert (built, calls) == ([], [K * k + L for k in range(order + 1)])
+        checks = [(verify.lacunary_slices, (family, K, L, order), L),
+                  (verify.lacunary_shifts, (family, K, L, order, L), L)]
+        if family == "hermite" or K >= 2:
+            checks.append((verify.lacunary_closed, (family, K, order), 0))
+        for check, case, shift in checks:
+            calls.clear()
+            assert check([case]) is None
+            assert (built, calls) == ([], [K * k + shift for k in range(order + 1)])
         # the counter sees the oracle series when it is built
-        verify.lacunary_oracle(family, K, L, order)
+        oracle(family, K, L, order)
         assert len(built) == 1
 
 
@@ -295,7 +302,8 @@ def _break_raise(monkeypatch, K, L, k):
 
     def broken(nums, steps):
         out = dict(real(nums, steps))
-        hit = [key for key, n in out.items() if n and key[-2] + 2 * key[-1] == K * k + L]
+        hit = [key for key, n in out.items()
+               if n and key[-2] + 2 * key[-1] == K * k + L]
         if hit:
             out[min(hit)] *= 2
         return out
@@ -350,6 +358,158 @@ class TestSliceMutations:
         assert got == reference_slices(*case)
         if mutate is not _break_image or family == "sj":
             assert got.startswith(f"first mismatch at lambda^{k}: "), got
+
+
+# (check, its case less the family) with K < 1, L < 0 or order < 0
+BAD_PARAMS = [
+    ("lacunary_closed", (0, 3)), ("lacunary_closed", (2, -1)),
+    ("lacunary_slices", (0, 0, 3)), ("lacunary_slices", (1, -1, 3)),
+    ("lacunary_slices", (1, 0, -1)),
+    ("lacunary_shifts", (0, 1, 3, 0)), ("lacunary_shifts", (2, 1, 3, -1)),
+    ("lacunary_shifts", (2, 1, -1, 1)),
+]
+
+
+class TestParameterGuard:
+    @pytest.mark.parametrize("family", ["hermite", "sj"])
+    @pytest.mark.parametrize("check, params", BAD_PARAMS)
+    def test_refused_by_the_source_read(self, monkeypatch, check, params, family):
+        # each check reads its sources by lacunary._selected before it
+        # builds a closed form, so that one ParamError refuses them all
+        def refuse(*args):
+            raise AssertionError("closed form built")
+
+        monkeypatch.setattr(lacunary, "_closed_nums", refuse)
+        monkeypatch.setattr(lacunary, "_sj_closed_nums", refuse)
+        with pytest.raises(ParamError, match="^bad lacunary parameters K="):
+            getattr(verify, check)([(family, *params)])
+
+    def test_sj_closed_form_needs_k2(self):
+        # K = 1 is the EGF: the sj row's closed column refuses it, and the
+        # slice and the shift generator, which do not read it, pass
+        with pytest.raises(ParamError, match="^closed lacunary form needs K >= 2$"):
+            verify.lacunary_closed([("sj", 1, 3)])
+        assert verify.lacunary_slices([("sj", 1, 2, 3)]) is None
+        assert verify.lacunary_shifts([("sj", 1, 2, 3, 2)]) is None
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_sj_closed_keys_drop_no_term(monkeypatch, K):
+    # the sj column keys _gather's integers (k, x exponent): no two of the
+    # proliferated cells' keys (k, x exponent, y exponent) may share the
+    # first two, or dropping y would lose a term
+    gathered = []
+    real = lacunary._gather
+
+    def recording(*args):
+        gathered.append(real(*args))
+        return gathered[-1]
+
+    monkeypatch.setattr(lacunary, "_gather", recording)
+    for order in range(11):
+        gathered.clear()
+        vars, den, nums = lacunary._sj_closed_nums(K, order)
+        (g_den, g_nums), = gathered
+        assert len({key[:2] for key in g_nums}) == len(g_nums), order
+        assert (vars, den) == (("lambda", "x"), g_den)
+        assert nums == {key[:2]: n for key, n in g_nums.items()}
+
+
+def _double_last(nums: dict) -> dict:
+    """nums with the numerator at its largest nonzero key doubled."""
+    nums = dict(nums)
+    key = max(k for k, n in nums.items() if n)
+    nums[key] *= 2
+    return nums
+
+
+def _double_closed_nums(monkeypatch):
+    real = lacunary._closed_nums
+
+    def broken(K, order):
+        den, nums = real(K, order)
+        return den, _double_last(nums)
+
+    monkeypatch.setattr(lacunary, "_closed_nums", broken)
+
+
+def _double_sj_closed(monkeypatch):
+    real = lacunary._sj_closed_nums
+
+    def broken(K, order):
+        vars, den, nums = real(K, order)
+        return vars, den, _double_last(nums)
+
+    monkeypatch.setattr(lacunary, "_sj_closed_nums", broken)
+
+
+def _break_raise_step(monkeypatch):
+    real = lacunary._raise_nums
+
+    def broken(nums, L):
+        return _double_last(real(nums, L)) if L else nums
+
+    monkeypatch.setattr(lacunary, "_raise_nums", broken)
+
+
+def _break_image_ratio(monkeypatch):
+    # W_M / W_M, the factor of the terms at the largest m of a chain
+    real = families._image_ratios
+
+    def broken(N, M):
+        r = real(N, M)
+        if M:
+            r[M] *= 3
+        return r
+
+    monkeypatch.setattr(families, "_image_ratios", broken)
+
+
+def _double_source(monkeypatch):
+    # the leading numerator of each family's member of degree 2
+    _break_source(monkeypatch, 1, 0, 2)
+
+
+CLOSED = "closed lacunary forms equal oracle"
+SHIFTS = "shift generators equal oracle"
+MUTATIONS = [
+    (_double_closed_nums, {CLOSED: "hermite closed form != oracle at K=2, order=3",
+                           SHIFTS: "sj shifted generator != oracle at K=2, L=1"}),
+    (_double_sj_closed, {CLOSED: "sj closed form != oracle at K=2, order=3"}),
+    (_break_raise_step, {SHIFTS: "sj shifted generator != oracle at K=2, L=1"}),
+    (_break_image_ratio, {SHIFTS: "sj shifted generator != oracle at K=2, L=1"}),
+    (_double_source, {CLOSED: "sj closed form != oracle at K=2, order=3",
+                      SHIFTS: "sj shifted generator != oracle at K=3, L=2"}),
+]
+MUTATION_IDS = [m.__name__.strip("_") for m, _ in MUTATIONS]
+
+
+class TestClosedAndShiftMutations:
+    @pytest.mark.parametrize("mutate, failing", MUTATIONS, ids=MUTATION_IDS)
+    def test_verify_prints_the_fail_line_it_reaches(self, monkeypatch, mutate, failing):
+        mutate(monkeypatch)
+        out = io.StringIO()
+        assert cli.run(["verify", "--suite", "lacunary"], out=out) == 2
+        want = [f"[FAIL] lacunary: {label}: {failing[label]}" if label in failing
+                else f"[PASS] lacunary: {label}" for label in (CLOSED, SHIFTS)]
+        want.append(f"{2 - len(failing)}/2 checks passed")
+        assert out.getvalue().splitlines() == want
+
+    @pytest.mark.parametrize("mutate", [m for m, _ in MUTATIONS], ids=MUTATION_IDS)
+    @pytest.mark.parametrize("family", ["hermite", "sj"])
+    def test_verdicts_agree_with_the_poly_compositions(
+            self, monkeypatch, mutate, family):
+        # each integer check says what its composition of Polys says
+        mutate(monkeypatch)
+        for K in (2, 3, 4):
+            for order in (1, 3, 4):
+                case = family, K, order
+                assert verify.lacunary_closed([case]) == reference_closed(*case), case
+                for L in (0, 1, 2):
+                    for mu_order in (L, 3):
+                        case = family, K, mu_order, order, L
+                        got = verify.lacunary_shifts([case])
+                        assert got == reference_shifts(*case), case
 
 
 class TestHermiteRaise:

@@ -78,7 +78,8 @@ def test_sj_beta_polys_equal_jacobi_oracle(beta):
 def test_jacobi_polys_equal_sympy_jacobi(n, alpha, beta):
     # the corpus's poly --family jacobi grid at n = 4, then larger degrees
     got = poly_from_obj(_json(
-        "poly", "--family", "jacobi", "--n", str(n), f"--alpha={alpha}", f"--beta={beta}"))
+        "poly", "--family", "jacobi", "--n", str(n), f"--alpha={alpha}",
+        f"--beta={beta}"))
     want = jacobi_poly(n, sympy.Rational(alpha), sympy.Rational(beta), X, polys=True)
     assert got == _as_poly(want)
 
@@ -230,4 +231,23 @@ def test_sj_lacunary_equals_multisection_oracle(K, L, order):
     argv = ["lacunary", "--family", "sj", "--K", str(K), "--L", str(L),
             "--order", str(order), "--check"]
     assert cli.run(argv, out=out, err=err) == 0, out.getvalue() + err.getvalue()
+    assert out.getvalue() == "closed-form == oracle: PASS\n"
+
+
+@pytest.mark.parametrize("K, L, order",
+                         [(3, 0, 21), (2, 1, 31), (1, 3, 20), (4, 2, 15)])
+def test_hermite_lacunary_equals_multisection_oracle(K, L, order):
+    # sum_n lambda^n / n! H_(K n + L) against sympy's H_n from their
+    # generating function; --check holds its closed form to the same series
+    R, H = _hermite_ring(64)
+    args = ["lacunary", "--family", "hermite", "--K", str(K), "--L", str(L),
+            "--order", str(order)]
+    obj = _json(*args)
+    assert (obj["parameter"], obj["order"]) == ("lambda", order)
+    for n, c in enumerate(obj["coefficients"]):
+        want = H[K * n + L] * sympy.QQ(1, factorial(n))
+        assert _in_ring(R, poly_from_obj(c)) == want, n
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run([*args, "--check"], out=out, err=err)
+    assert code == 0, out.getvalue() + err.getvalue()
     assert out.getvalue() == "closed-form == oracle: PASS\n"

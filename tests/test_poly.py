@@ -98,6 +98,14 @@ class TestSeriesProduct:
         b = CoeffSeries([Poly.const(1)] * 4, 3)
         assert (a * b).order == 3
 
+    def test_equality(self):
+        # the same order and equal coefficients, each Poly compared by ==
+        a = CoeffSeries([X, Poly.const(1)])
+        assert a == CoeffSeries([X + 0, monomial(1, y=0)], 1)
+        assert a != CoeffSeries([X, Poly.const(2)])
+        assert a != CoeffSeries([X, Poly.const(1), Poly.zero()])
+        assert (a == X) is False and a.__eq__(X) is NotImplemented
+
 
 class TestSeriesCalculus:
     def test_lambda_derivative(self):
@@ -565,7 +573,8 @@ class TestRendering:
         if k:
             assert p.text() == f"-3/2 {pt} mu x^2 + {pt} lambda + 5/7 {pt}"
             assert p.latex() == (
-                rf"-\frac{{3}}{{2}} {pl} \mu x^{{2}} + {pl} \lambda + \frac{{5}}{{7}} {pl}"
+                rf"-\frac{{3}}{{2}} {pl} \mu x^{{2}} + {pl} \lambda"
+                rf" + \frac{{5}}{{7}} {pl}"
             )
             assert q.text() == f"-{pt} x^3 - 2 {pt}"
             assert q.latex() == rf"-{pl} x^{{3}} - 2 {pl}"
@@ -730,7 +739,8 @@ def render_polys(draw):
         ((), ("x",), ("x", "z"), ("z", "x"), ("mu", "x"), ("lambda", "mu", "x"))
     ))
     keys = st.tuples(*[st.integers(0, 3)] * len(vars))
-    coeffs = st.builds(ExactScalar, _render_rationals, st.sampled_from(sorted(_PI_SPELLING)))
+    coeffs = st.builds(ExactScalar, _render_rationals,
+                       st.sampled_from(sorted(_PI_SPELLING)))
     return Poly(vars, draw(st.dictionaries(keys, coeffs, max_size=5)))
 
 

@@ -26,9 +26,11 @@ KEPT = (
     "scalar.ExactScalar.__rtruediv__", "scalar.ExactScalar.__hash__",
     "scalar.ExactScalar.__repr__", "scalar.ExactScalar.__str__",
     "poly.Poly.terms", "poly.Poly.degree", "poly.Poly.scalar_coeff",
+    "poly.Poly.coeff_of",
     "poly.Poly.__neg__", "poly.Poly.__sub__", "poly.Poly.__rsub__", "poly.Poly.__pow__",
     "poly.Poly.__hash__", "poly.Poly.__repr__",
-    "poly.CoeffSeries.__add__", "poly.CoeffSeries.__mul__", "poly.CoeffSeries.__repr__",
+    "poly.CoeffSeries.__add__", "poly.CoeffSeries.__mul__", "poly.CoeffSeries.__eq__",
+    "poly.CoeffSeries.__repr__",
     "hyper.HyperSpec.__repr__", "umbral.GenMonomial.__repr__",
     "umbral.GenSeries.__repr__",
     # Private helpers that only the public names run: Poly * Poly, a Poly
