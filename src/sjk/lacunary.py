@@ -12,10 +12,14 @@ cross-multiplied, with the stored integers of each p_{K k + L} times k!
 (Poly._first_unequal); the tests build their CoeffSeries
 (tests/reference.py).
 
-The Hermite closed form is one kernel, _closed_nums: each cell's
-hypergeometric series, read as reduced integer pairs from
-hyper._pair_terms and started at the cell's scale, lands on its
-coefficients over the lcm of their denominators (_gather).  The shifted
+The Hermite closed form is one kernel, _closed_nums, one pass over the
+cells of one generator (_hermite_cells, s outer and beta inner, each cell
+a plain tuple whose start pair is a running matching-number product over
+a running s!): each cell's hypergeometric series, read as reduced integer
+pairs from hyper._pair_terms and started at the cell's start pair, is
+written term by term into one dict, and its numerators are brought over
+the lcm of the distinct denominators; a cell with one power of lambda in
+range is written from its start pair, with no series made.  The shifted
 Hermite generator is exp(mu (x + 2z d/dx)) applied to the closed form,
 so its mu^L slice, which the CLI checks, is the closed form raised L
 times by the Hermite raising operator (_raise_nums).  The (-1,-1) slice
@@ -29,18 +33,17 @@ The (-1,-1) closed forms, a cross-check, are *constructed* by applying
 the proliferation transform to the Hermite cells, their integer
 parameters put into a HyperSpec (hyper._spec), rather than transcribed
 from their final printed shape; the tests evaluate the printed parameter
-lists from the same cells (_sj_cells) so the two conventions can be
-compared.
+lists from the same cells, as the cell list of tests/reference.py builds
+them (the construction that _hermite_cells replaced, kept as its
+cross-check), so the two conventions can be compared.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from math import factorial, gcd, lcm
-from typing import NamedTuple
 
 from .errors import ParamError
-from .families import _HERMITE_VARS, _matching_numbers
+from .families import _HERMITE_VARS
 from .hyper import _pair_terms, _spec, pfq_terms, pochhammer_proliferate
 from .poly import CoeffSeries
 from .scalar import HalfInt, _pair, _ratio
@@ -63,22 +66,6 @@ def multisection_oracle(source, K: int, L: int, order: int) -> CoeffSeries:
                         for n, p in enumerate(_selected(source, K, L, order))], order)
 
 
-class _Cell(NamedTuple):
-    """One (beta, s) cell of the closed Hermite lacunary series: scale
-    times the hypergeometric series in upper, lower, at
-    x^(K s - 2 beta) y^beta lambda^s; its argument and the powers of lambda
-    and y per series index depend on K alone (_steps).  scale is an integer
-    pair in lowest terms, and upper and lower give the parameters as
-    hyper._pair_terms takes them: (numerators, denominators), den > 0,
-    not reduced."""
-
-    beta: int
-    s: int
-    scale: tuple
-    upper: tuple
-    lower: tuple
-
-
 def _steps(K: int):
     """(lam_step, y_step, arg) at K: index m of a Hermite cell's hypergeometric
     series, at the argument arg, an integer pair, carries
@@ -89,68 +76,66 @@ def _steps(K: int):
 
 
 def _hermite_cells(K: int, order: int):
-    """The (beta, s) cells of the closed Hermite lacunary series, split by
-    the parity of K (K = 2T or K = 2T + 1; K = 1 rides the odd branch).
-    The upper parameters depend on s alone and the lower on beta alone,
-    so each is made once and shared by the cells.  Cell (beta, s) has scale
-    (K s)! / ((K s - 2 beta)! beta! s!), if 2 beta <= K s: per s, the first
-    matching numbers of K s (families._matching_numbers), s! carried."""
-    T = K // 2
-    if K % 2 == 0:  # upper s + (j + 1)/K
-        betas = range(T)
-        uppers = [(tuple(range(K * s + 1, K * s + K)), (K,) * (K - 1))
-                  for s in range(order + 1)]
-        lowers = [(tuple(beta + ell + 1 for ell in range(T) if ell != T - 1 - beta),
-                   (T,) * (T - 1)) for beta in betas]
-    else:  # upper s/2 + (j + 1)/(2K)
-        betas = range(K)
-        uppers = [((*range(K * s + 1, K * s + K), *range(K * s + K + 1, K * s + 2 * K)),
-                   (2 * K,) * (2 * K - 2)) for s in range(order + 1)]
-        lowers = [(tuple(beta + ell + 1 for ell in range(K) if ell != K - 1 - beta),
-                   (K,) * (K - 1)) for beta in betas]
-    scales, f = [], 1  # per s: the matching numbers of K s at beta in betas, s!
+    """The (beta, s) cells of the closed Hermite lacunary series, s outer and
+    beta inner, each the plain tuple (beta, s, start, upper, lower): start
+    times the hypergeometric series in upper, lower, at
+    x^(K s - 2 beta) y^beta lambda^s; its argument and the powers of lambda
+    and y per series index depend on K alone (_steps).  By the parity of K
+    (K = 1 rides the odd branch), beta < K/2 or beta < K, and the upper
+    parameters are s + (j + 1)/K or s/2 + (j + 1)/(2K); they are made once
+    per s and the lower ones once per beta, as hyper._pair_terms takes
+    them: (numerators, denominators), den > 0, not reduced.  start is
+    (K s)! / ((K s - 2 beta)! beta! s!) in lowest terms, for 2 beta <= K s:
+    the matching number of K s at beta, a running product by the ratio
+    (K s - 2 beta)(K s - 2 beta - 1) / (beta + 1), over a running s!,
+    reduced by one gcd."""
+    betas, top = (K // 2, K) if K % 2 == 0 else (K, 2 * K)
+    lowers = [(tuple(beta + ell + 1 for ell in range(betas) if ell != betas - 1 - beta),
+               (betas,) * (betas - 1)) for beta in range(betas)]
+    dens = (top,) * (top - 1 - K % 2)  # K - 1 upper parameters, or 2K - 2
+    f = 1  # s!
     for s in range(order + 1):
         f *= s or 1
-        scales.append((list(islice(_matching_numbers(K * s), len(betas))), f))
-    cells = []
-    for beta in betas:
-        for s, (h, f) in enumerate(scales):
-            if beta < len(h):
-                g = gcd(h[beta], f)
-                scale = h[beta] // g, f // g
-                cells.append(_Cell(beta, s, scale, uppers[s], lowers[beta]))
-    return cells
+        Ks = K * s
+        upper = (*range(Ks + 1, Ks + K), *range(Ks + K + 1, Ks + top)), dens
+        c = 1  # the matching number of K s at beta
+        for beta in range(min(betas, Ks // 2 + 1)):
+            g = gcd(c, f)
+            yield beta, s, (c // g, f // g), upper, lowers[beta]
+            c = c * (Ks - 2 * beta) * (Ks - 2 * beta - 1) // (beta + 1)
 
 
-def _gather(terms, K: int, order: int) -> tuple:
-    """Sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
-    lambda^(s + lam_step m) over the (cell, series) terms and over m, up to
-    lambda^order, series being the cell's hypergeometric terms as the
-    reduced integer pairs of hyper._pair_terms, started at its scale, as
-    (den, nums): the lcm of all the terms' denominators and each numerator
-    over it, keyed (k, x exponent, y exponent), k the power of lambda.  No
-    two terms share a key: the exponent of x fixes s and beta (beta < K),
-    and then k fixes m."""
-    lam_step, y_step, _ = _steps(K)
-    rows = []
-    for cell, series in terms:
-        x_pow, y = K * cell.s - 2 * cell.beta, cell.beta
-        for k, (num, den) in zip(range(cell.s, order + 1, lam_step), series):
-            rows.append(((k, x_pow, y), num, den))
-            y += y_step
-    den = lcm(*[d for _, _, d in rows])
-    return den, {key: num * (den // d) for key, num, d in rows}
+def _over_lcm(terms: dict) -> tuple:
+    """(den, nums): the lcm of the distinct denominators of terms, a map
+    from keys to integer pairs (num, den), and each numerator over it."""
+    den = lcm(*{d for _, d in terms.values()})
+    return den, {key: n * (den // d) for key, (n, d) in terms.items()}
 
 
 def _closed_nums(K: int, order: int) -> tuple:
     """The closed Hermite lacunary form up to lambda^order over _LAMBDA_VARS,
-    each cell's terms read from hyper._pair_terms and _gather'ed."""
-    arg = _steps(K)[2]
-    return _gather(
-        ((cell, _pair_terms(cell.upper, cell.lower, arg, cell.scale))
-         for cell in _hermite_cells(K, order)),
-        K, order,
-    )
+    as (den, nums): sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
+    lambda^(s + lam_step m) over the cells and m, series the cell's terms
+    from hyper._pair_terms started at its start pair, each written under
+    the key (k, x exponent, y exponent), k the power of lambda, and brought
+    over one denominator (_over_lcm).  No two terms share a key: the
+    exponent of x fixes s and beta (beta < K), and then k fixes m.  A cell
+    with s > order - lam_step has only its start pair in range, and is
+    written from it with no series made."""
+    lam_step, y_step, arg = _steps(K)
+    last = order - lam_step  # the last s whose cells have two terms in range
+    terms = {}
+    for beta, s, start, upper, lower in _hermite_cells(K, order):
+        x_pow = K * s - 2 * beta
+        if s > last:
+            terms[s, x_pow, beta] = start
+            continue
+        y = beta
+        for k, t in zip(range(s, order + 1, lam_step),
+                        _pair_terms(upper, lower, arg, start)):
+            terms[k, x_pow, y] = t
+            y += y_step
+    return _over_lcm(terms)
 
 
 def _raise_nums(nums: dict, L: int) -> dict:
@@ -190,32 +175,35 @@ def _sj_cells(K: int, order: int):
     """Each Hermite cell after the substitutions lambda -> lambda (u v)^K
     and y -> -1/(4u), as (cell, alpha, beta', scale): the cell carries
     u^alpha v^beta' and, before the transform's Gamma(alpha)/Gamma(beta'),
-    the scale (-1/4)^beta times its scale.  Gamma(alpha)/Gamma(beta') is
+    the scale (-1/4)^beta times its start.  Gamma(alpha)/Gamma(beta') is
     rational, alpha - beta' = -beta being an integer, so the (-1,-1)
     closed forms read their terms as integer pairs at sqrt(pi) grade 0."""
-    for c in _hermite_cells(K, order):
-        alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
-        beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
-        num, den = c.scale
-        yield c, alpha, beta_p, _ratio((-1) ** c.beta * num, 4**c.beta * den, 0)
+    for cell in _hermite_cells(K, order):
+        beta, s, (num, den), _, _ = cell
+        alpha = HalfInt(2 * (K * s - beta) - 1)  # K s - beta - 1/2
+        beta_p = HalfInt(2 * K * s - 1)  # K s - 1/2
+        yield cell, alpha, beta_p, _ratio((-1) ** beta * num, 4**beta * den, 0)
 
 
 def _sj_closed_nums(K: int, order: int) -> tuple:
     """The closed K-tuple (-1,-1) lacunary form up to lambda^order, built
     from the Hermite cells via Pochhammer proliferation (K >= 2; K = 1 is
-    the EGF), as integers (vars, den, nums) keyed (k, x exponent): the
-    exponent of y that _gather keys too is fixed by k and the exponent of
-    x, so dropping it merges no two terms."""
+    the EGF), as integers (vars, den, nums) keyed (k, x exponent), over
+    one denominator as _closed_nums brings its terms: the exponent of y
+    that _closed_nums keys too is fixed by k and the exponent of x, so
+    leaving it out merges no two terms."""
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
     if K % 2 == 0:
         r, arg = K // 2, _ratio((-K) ** (K // 2), 2 ** (K // 2), 0)
     else:
         r, arg = K, _ratio((-K) ** K, 4, 0)
-    terms = []
-    for cell, alpha, beta_p, scale in _sj_cells(K, order):
-        spec = _spec(zip(*cell.upper), zip(*cell.lower), arg)
+    lam_step = _steps(K)[0]
+    terms = {}
+    for (beta, s, _, upper, lower), alpha, beta_p, scale in _sj_cells(K, order):
+        spec = _spec(zip(*upper), zip(*lower), arg)
         pref, new = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
-        terms.append((cell, ((t.num, t.den) for t in pfq_terms(new, pref * scale))))
-    den, nums = _gather(terms, K, order)
-    return ("lambda", "x"), den, {key[:2]: n for key, n in nums.items()}
+        x_pow = K * s - 2 * beta
+        for k, t in zip(range(s, order + 1, lam_step), pfq_terms(new, pref * scale)):
+            terms[k, x_pow] = t.num, t.den
+    return ("lambda", "x"), *_over_lcm(terms)

@@ -352,14 +352,19 @@ class Poly:
         nums[(k, *e)] / den x^e over vars at grade 0, else None, from any
         integers (zeros allowed, only read) over a nonzero den: each nonzero
         numerator needs a stored one at its key, cross-multiplied with den
-        and d k!, d the stored denominator, and polys[k] no other terms."""
+        and d k!, d the stored denominator, and polys[k] no other terms.  A
+        Poly over vars itself is read as stored; any other is re-keyed onto
+        vars, unless one of its other variables has a nonzero exponent."""
         checks, f = [], 1  # per k: (stored.get, d k!, the number stored)
         for k, p in enumerate(polys):
             f *= k or 1
-            extra = [i for i, v in enumerate(p.vars) if v not in vars]
-            if extra and any(e[i] for _, _, ns in p._parts for e in ns for i in extra):
-                break
-            parts = p._remap(vars)
+            if p.vars == vars:
+                parts = p._parts
+            else:
+                extra = [i for i, v in enumerate(p.vars) if v not in vars]
+                if any(e[i] for _, _, ns in p._parts for e in ns for i in extra):
+                    break
+                parts = p._remap(vars)
             if len(parts) > 1 or parts and parts[0][0]:
                 break
             _, d, stored = parts[0] if parts else (0, 1, {})

@@ -246,15 +246,15 @@ def lacunary_slices(cases):
 
 def lacunary_shifts(cases):
     """The mu^L slice of the shift generator equals the oracle for each
-    (family, K, mu_order, order, L): the generator's integers through the
-    family's image once, and their terms at mu^L times L!."""
+    (family, K, mu_order, order, L): the generator's terms at mu^L times L!,
+    through the family's image, which maps each term alone."""
     for family, K, mu_order, order, L in cases:
         row = connect.lookup(family)
         sources = lacunary._selected(row.source, K, L, order)
-        vars, den, nums = row.image(*lacunary._shift_nums(K, mu_order, order))
+        vars, den, nums = lacunary._shift_nums(K, mu_order, order)
         f = factorial(L)
         sliced = {key[:1] + key[2:]: n * f for key, n in nums.items() if key[1] == L}
-        if _first_mismatch(sources, vars[:1] + vars[2:], den, sliced):
+        if _first_mismatch(sources, *row.image(vars[:1] + vars[2:], den, sliced)):
             return f"{family} shifted generator != oracle at K={K}, L={L}"
 
 

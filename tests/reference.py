@@ -6,12 +6,15 @@ terms) or Poly's arithmetic, never through its stored integers.
 
 import re
 from fractions import Fraction
-from math import factorial, lcm, prod
+from itertools import islice
+from math import factorial, gcd, lcm, prod
 from operator import index
+from typing import NamedTuple
 
 from sjk import connect, families, lacunary
 from sjk.errors import ParamError, PoleError
-from sjk.hyper import HyperSpec, pfq_terms
+from sjk.hyper import HyperSpec, _pair_terms, _spec, pfq_terms
+from sjk.hyper import pochhammer_proliferate
 from sjk.opcalc import DiagonalOp, _inverse_factor
 from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar, HalfInt, _pair, _parts, _ratio, _text
@@ -260,6 +263,110 @@ def hermite_raise(c: Poly, L: int) -> Poly:
     return out
 
 
+# The cell construction that lacunary's one pass replaced, a cross-check
+# of it (tests/test_lacunary.py): a list of cell objects, the scales read
+# from families._matching_numbers, and the terms gathered into rows before
+# the lcm of all their denominators.
+class _Cell(NamedTuple):
+    """One (beta, s) cell of the closed Hermite lacunary series: scale
+    times the hypergeometric series in upper, lower, at
+    x^(K s - 2 beta) y^beta lambda^s."""
+
+    beta: int
+    s: int
+    scale: tuple
+    upper: tuple
+    lower: tuple
+
+
+def _hermite_cells(K: int, order: int) -> list:
+    """The cells, beta outer and s inner, split by the parity of K; cell
+    (beta, s) has scale (K s)! / ((K s - 2 beta)! beta! s!), if
+    2 beta <= K s: per s, the first matching numbers of K s, s! carried."""
+    T = K // 2
+    if K % 2 == 0:  # upper s + (j + 1)/K
+        betas = range(T)
+        uppers = [(tuple(range(K * s + 1, K * s + K)), (K,) * (K - 1))
+                  for s in range(order + 1)]
+        lowers = [(tuple(beta + ell + 1 for ell in range(T) if ell != T - 1 - beta),
+                   (T,) * (T - 1)) for beta in betas]
+    else:  # upper s/2 + (j + 1)/(2K)
+        betas = range(K)
+        uppers = [((*range(K * s + 1, K * s + K), *range(K * s + K + 1, K * s + 2 * K)),
+                   (2 * K,) * (2 * K - 2)) for s in range(order + 1)]
+        lowers = [(tuple(beta + ell + 1 for ell in range(K) if ell != K - 1 - beta),
+                   (K,) * (K - 1)) for beta in betas]
+    scales, f = [], 1  # per s: the matching numbers of K s at beta in betas, s!
+    for s in range(order + 1):
+        f *= s or 1
+        scales.append((list(islice(families._matching_numbers(K * s), len(betas))), f))
+    cells = []
+    for beta in betas:
+        for s, (h, f) in enumerate(scales):
+            if beta < len(h):
+                g = gcd(h[beta], f)
+                cells.append(_Cell(beta, s, (h[beta] // g, f // g), uppers[s],
+                                   lowers[beta]))
+    return cells
+
+
+def _gather(terms, K: int, order: int) -> tuple:
+    """Sum series[m] x^(K s - 2 beta) y^(beta + y_step m)
+    lambda^(s + lam_step m) over the (cell, series) terms and over m, up to
+    lambda^order, as (den, nums): the lcm of all the terms' denominators
+    and each numerator over it, keyed (k, x exponent, y exponent)."""
+    lam_step, y_step, _ = lacunary._steps(K)
+    rows = []
+    for cell, series in terms:
+        x_pow, y = K * cell.s - 2 * cell.beta, cell.beta
+        for k, (num, den) in zip(range(cell.s, order + 1, lam_step), series):
+            rows.append(((k, x_pow, y), num, den))
+            y += y_step
+    den = lcm(*[d for _, _, d in rows])
+    return den, {key: num * (den // d) for key, num, d in rows}
+
+
+def cells_closed_nums(K: int, order: int) -> tuple:
+    """lacunary._closed_nums(K, order) from the cell list and _gather."""
+    arg = lacunary._steps(K)[2]
+    return _gather(
+        ((cell, _pair_terms(cell.upper, cell.lower, arg, cell.scale))
+         for cell in _hermite_cells(K, order)),
+        K, order,
+    )
+
+
+def _sj_cells(K: int, order: int):
+    """Each cell as (cell, alpha, beta', scale), as lacunary._sj_cells."""
+    for c in _hermite_cells(K, order):
+        alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
+        beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2
+        num, den = c.scale
+        yield c, alpha, beta_p, _ratio((-1) ** c.beta * num, 4**c.beta * den, 0)
+
+
+def cells_sj_gathered(K: int, order: int) -> tuple:
+    """The proliferated cells' terms _gather'ed, keyed (k, x exponent,
+    y exponent), K >= 2."""
+    if K % 2 == 0:
+        r, arg = K // 2, _ratio((-K) ** (K // 2), 2 ** (K // 2), 0)
+    else:
+        r, arg = K, _ratio((-K) ** K, 4, 0)
+    terms = []
+    for cell, alpha, beta_p, scale in _sj_cells(K, order):
+        spec = _spec(zip(*cell.upper), zip(*cell.lower), arg)
+        pref, new = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
+        terms.append((cell, ((t.num, t.den) for t in pfq_terms(new, pref * scale))))
+    return _gather(terms, K, order)
+
+
+def cells_sj_closed_nums(K: int, order: int) -> tuple:
+    """lacunary._sj_closed_nums(K, order) from cells_sj_gathered, the
+    exponent of y dropped from each key."""
+    den, nums = cells_sj_gathered(K, order)
+    return ("lambda", "x"), den, {key[:2]: n for key, n in nums.items()}
+
+
 def sj_lacunary_closed_printed(K: int, order: int, *, even_beta_doubled=False,
                                odd_beta_start=1) -> CoeffSeries:
     """The printed (-1,-1) closed-form parameter lists, K >= 2, evaluated
@@ -268,7 +375,7 @@ def sj_lacunary_closed_printed(K: int, order: int, *, even_beta_doubled=False,
     odd K the printed outer sum starts at beta = odd_beta_start (the
     Hermite formula starts at 0)."""
     terms = []
-    for cell, alpha, beta_p, scale in lacunary._sj_cells(K, order):
+    for cell, alpha, beta_p, scale in _sj_cells(K, order):
         if K % 2 == 1 and cell.beta < odd_beta_start:
             continue
         s, beta = cell.s, cell.beta
@@ -287,7 +394,7 @@ def sj_lacunary_closed_printed(K: int, order: int, *, even_beta_doubled=False,
         start = gamma_ratio(alpha, beta_p) * scale
         series = pfq_terms(HyperSpec(upper, lower, arg), start)
         terms.append((cell, ((c.num, c.den) for c in series)))
-    den, nums = lacunary._gather(terms, K, order)
+    den, nums = _gather(terms, K, order)
     return lacunary_series(("lambda", "x"), den, {k[:2]: n for k, n in nums.items()},
                            order)
 

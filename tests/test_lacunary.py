@@ -1,6 +1,11 @@
 import io
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from sjk.poly import CoeffSeries, Poly
 from sjk.scalar import ExactScalar
 
 from conftest import assert_canonical
+from reference import cells_closed_nums, cells_sj_closed_nums, cells_sj_gathered
 from reference import coeff_bridge_check, hermite_lacunary_closed
 from reference import hermite_lacunary_shift, hermite_raise, image_of, lacunary_dilate
 from reference import lambda_derivative
@@ -21,6 +27,7 @@ from reference import matching_coeff, mu_slice, reference_closed, reference_shif
 from reference import reference_slices, sj_lacunary_closed, sj_lacunary_closed_printed
 
 X = Poly.var("x")
+SRC = Path(__file__).resolve().parent.parent / "src" / "sjk"
 
 
 class TestOracle:
@@ -394,25 +401,24 @@ class TestParameterGuard:
 
 
 @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
-def test_sj_closed_keys_drop_no_term(monkeypatch, K):
-    # the sj column keys _gather's integers (k, x exponent): no two of the
+def test_sj_closed_keys_drop_no_term(K):
+    # the sj column keys its integers (k, x exponent): no two of the
     # proliferated cells' keys (k, x exponent, y exponent) may share the
-    # first two, or dropping y would lose a term
-    gathered = []
-    real = lacunary._gather
-
-    def recording(*args):
-        gathered.append(real(*args))
-        return gathered[-1]
-
-    monkeypatch.setattr(lacunary, "_gather", recording)
+    # first two, or leaving y out would lose a term
     for order in range(11):
-        gathered.clear()
-        vars, den, nums = lacunary._sj_closed_nums(K, order)
-        (g_den, g_nums), = gathered
-        assert len({key[:2] for key in g_nums}) == len(g_nums), order
-        assert (vars, den) == (("lambda", "x"), g_den)
-        assert nums == {key[:2]: n for key, n in g_nums.items()}
+        _, nums = cells_sj_gathered(K, order)
+        assert len({key[:2] for key in nums}) == len(nums), order
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_one_pass_equals_the_cell_list(K):
+    # the one-pass cells and kernels give the integers, den and every
+    # numerator, of the cell list and _gather they replaced
+    for order in range(22):
+        assert lacunary._closed_nums(K, order) == cells_closed_nums(K, order), order
+        if K >= 2:
+            got = lacunary._sj_closed_nums(K, order)
+            assert got == cells_sj_closed_nums(K, order), order
 
 
 def _double_last(nums: dict) -> dict:
@@ -512,6 +518,59 @@ class TestClosedAndShiftMutations:
                         assert got == reference_shifts(*case), case
 
 
+# One-token mutants of the one-pass stages, each applied to a copy of the
+# package: (module, text, its mutant, the lacunary --check request that
+# must print FAIL, and whether the mutant is of the cell generator that
+# both closed forms read, so that `sjk verify` must fail too)
+ONE_PASS_MUTANTS = [
+    # the running matching-number product and the running s!
+    pytest.param("lacunary", "// (beta + 1)", "// (beta + 2)", ("hermite", 3, 0, 3),
+                 True, id="matching-ratio-den"),
+    pytest.param("lacunary", "(Ks - 2 * beta - 1)", "(Ks - 2 * beta - 2)",
+                 ("hermite", 3, 0, 3), True, id="matching-ratio-num"),
+    pytest.param("lacunary", "f *= s or 1", "f *= s or 2", ("sj", 2, 1, 3), True,
+                 id="running-factorial"),
+    # the one-term cells: a cell with two terms in range read as one
+    pytest.param("lacunary", "last = order - lam_step", "last = order - lam_step - 1",
+                 ("hermite", 2, 0, 3), False, id="one-term-even"),
+    pytest.param("lacunary", "last = order - lam_step", "last = order - lam_step - 1",
+                 ("sj", 1, 0, 3), False, id="one-term-odd"),
+    # Poly._first_unequal's fast path: the sj degree-0 constant over () read
+    # as stored, or a source over the compare vars read without its part
+    pytest.param("poly", "if p.vars == vars:", "if p.vars != vars:", ("sj", 2, 0, 3),
+                 False, id="fast-path-test"),
+    pytest.param("poly", "parts = p._parts\n", "parts = p._parts[1:]\n",
+                 ("hermite", 2, 1, 3), False, id="fast-path-parts"),
+]
+
+
+class TestOnePassMutations:
+    @pytest.mark.parametrize("module, text, mutant, case, shared", ONE_PASS_MUTANTS)
+    def test_check_prints_fail(self, tmp_path, module, text, mutant, case, shared):
+        pkg = tmp_path / "sjk"
+        shutil.copytree(SRC, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+        path = pkg / f"{module}.py"
+        source = path.read_text()
+        assert source.count(text) == 1, text
+        path.write_text(source.replace(text, mutant))
+
+        def sjk(*argv):
+            env = dict(os.environ, PYTHONPATH=str(tmp_path))
+            return subprocess.run([sys.executable, "-m", "sjk", *map(str, argv)],
+                                  env=env, capture_output=True, text=True)
+
+        family, K, L, order = case
+        proc = sjk("lacunary", "--family", family, "--K", K, "--L", L,
+                   "--order", order, "--check")
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout.splitlines()[0] == "closed-form == oracle: FAIL"
+        if shared:
+            proc = sjk("verify")
+            assert proc.returncode == 2
+            assert any(line.startswith(f"[FAIL] lacunary: {CLOSED}: ")
+                       for line in proc.stdout.splitlines()), proc.stdout
+
+
 class TestHermiteRaise:
     def test_raising_steps_through_the_family(self):
         for n in range(25):
@@ -571,17 +630,22 @@ class TestCoeffBridge:
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_cells_scale_by_the_matching_numbers(K):
-    # cell (beta, s) is kept where the matching number of (K s, beta) is
-    # not zero, and its scale is that number over s! in lowest terms
+    # cell (beta, s), s outer and beta inner, is kept where the matching
+    # number of (K s, beta) is not zero, and its start is that number over
+    # s! in lowest terms
     betas = range(K // 2) if K % 2 == 0 else range(K)
     for order in range(14):
-        cells = lacunary._hermite_cells(K, order)
-        assert [(c.beta, c.s) for c in cells] == [
-            (beta, s) for beta in betas for s in range(order + 1)
+        cells = list(lacunary._hermite_cells(K, order))
+        assert [(beta, s) for beta, s, *_ in cells] == [
+            (beta, s) for s in range(order + 1) for beta in betas
             if matching_coeff(K * s, beta)]
-        for c in cells:
-            h, f = matching_coeff(K * c.s, c.beta), factorial(c.s)
-            assert c.scale == (h // gcd(h, f), f // gcd(h, f))
+        uppers = {s: upper for _, s, _, upper, _ in cells}
+        lowers = {beta: lower for beta, _, _, _, lower in cells}
+        for beta, s, start, upper, lower in cells:
+            h, f = matching_coeff(K * s, beta), factorial(s)
+            assert start == (h // gcd(h, f), f // gcd(h, f))
+            # the parameters are made once per s and once per beta
+            assert upper is uppers[s] and lower is lowers[beta]
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])

@@ -171,6 +171,24 @@ def _in_ring(R, p):
     return out
 
 
+def test_hermite_polys_equal_the_generating_function():
+    # poly --family hermite prints H_n(x, z), n! times the lambda^n
+    # coefficient of exp(x lambda + z lambda^2), for every n up to the cap
+    R, H = _hermite_ring(64)
+    for n in range(65):
+        got = poly_from_obj(_json("poly", "--family", "hermite", "--n", str(n)))
+        assert _in_ring(R, got) == H[n], n
+
+
+def test_hermite_egf_equals_the_generating_function():
+    # egf --family hermite prints the lambda^n coefficients H_n / n!
+    R, H = _hermite_ring(64)
+    obj = _json("egf", "--family", "hermite", "--order", "64")
+    assert (obj["parameter"], obj["order"]) == ("lambda", 64)
+    for n, c in enumerate(obj["coefficients"]):
+        assert _in_ring(R, poly_from_obj(c)) == H[n] * sympy.QQ(1, factorial(n)), n
+
+
 @pytest.mark.parametrize("M", range(21))
 def test_hermite_connection_rebuilds_the_monomial(M):
     # sum_n w_n H_n = x^M, with the weights, polynomials in z, read from the

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sjk import jsonio
+from sjk.families import sj_family
 from sjk.opcalc import DiagonalOp
 from sjk.poly import CoeffSeries, Poly, _decimal_dens
 from sjk.scalar import ZERO, ExactScalar
@@ -380,6 +381,40 @@ def test_first_unequal_sees_variables_outside_vars():
     two_x, x_y = Poly(("x", "y"), {(1, 0): 2}), Poly(("x", "y"), {(1, 1): 1})
     assert Poly._first_unequal([two_x], ("x",), 3, {(0, 1): 6}) is None
     assert Poly._first_unequal([two_x, x_y], ("x",), 3, {(0, 1): 6, (1, 1): 3}) == 1
+
+
+class TestFirstUnequalBranches:
+    # a source over the compare vars is read as stored, with no re-keying;
+    # any other is re-keyed, unless another variable has a nonzero exponent
+    def test_a_source_over_vars_is_read_as_stored(self, monkeypatch):
+        def refuse(self, vars):
+            raise AssertionError("re-keyed")
+
+        monkeypatch.setattr(Poly, "_remap", refuse)
+        vars = ("x", "z")
+        polys = [Poly(vars, {(0, 0): 1}), Poly(vars, {(2, 0): 1, (0, 1): 2})]
+        nums = {(0, 0, 0): 3, (1, 2, 0): 3, (1, 0, 1): 6}
+        assert Poly._first_unequal(polys, vars, 3, nums) is None
+        assert Poly._first_unequal(polys, vars, 3, {**nums, (1, 0, 1): 3}) == 1
+
+    def test_the_sj_degree_zero_constant_over_no_variable(self):
+        # sj_family(0) is the constant 1 over (); every other member is
+        # over (x,), such as sj_family(2) = x^2 - 1
+        polys = [sj_family(0), sj_family(2)]
+        assert polys[0].vars == () and polys[1].vars == ("x",)
+        nums = {(0, 0): 2, (1, 2): 2, (1, 0): -2}
+        assert Poly._first_unequal(polys, ("x",), 2, nums) is None
+        assert Poly._first_unequal(polys, ("x",), 2, {**nums, (0, 0): 4}) == 0
+
+    def test_an_extra_variable_at_a_nonzero_exponent_is_unequal_at_its_k(self):
+        # x + w over (x, w) against x over (x,): unequal at k = 2, though
+        # the sources before it and its x term compare equal
+        polys = [Poly.var("x"), Poly.var("x"), Poly(("x", "w"), {(1, 0): 2, (0, 1): 2})]
+        nums = {(0, 1): 1, (1, 1): 1, (2, 1): 1}
+        assert Poly._first_unequal(polys, ("x",), 1, nums) == 2
+        # at a zero exponent the extra variable is re-keyed away
+        polys[2] = Poly(("x", "w"), {(1, 0): 2})
+        assert Poly._first_unequal(polys, ("x",), 1, nums) is None
 
 
 def test_first_unequal_reads_grade_zero_only():
