@@ -18,8 +18,7 @@ a plain tuple whose start pair is a running matching-number product over
 a running s!): each cell's hypergeometric series, read as reduced integer
 pairs from hyper._pair_terms and started at the cell's start pair, is
 written term by term into one dict, and its numerators are brought over
-the lcm of the distinct denominators; a cell with one power of lambda in
-range is written from its start pair, with no series made.  The shifted
+the lcm of the distinct denominators.  The shifted
 Hermite generator is exp(mu (x + 2z d/dx)) applied to the closed form,
 so its mu^L slice, which the CLI checks, is the closed form raised L
 times by the Hermite raising operator (_raise_nums).  The (-1,-1) slice
@@ -119,17 +118,11 @@ def _closed_nums(K: int, order: int) -> tuple:
     from hyper._pair_terms started at its start pair, each written under
     the key (k, x exponent, y exponent), k the power of lambda, and brought
     over one denominator (_over_lcm).  No two terms share a key: the
-    exponent of x fixes s and beta (beta < K), and then k fixes m.  A cell
-    with s > order - lam_step has only its start pair in range, and is
-    written from it with no series made."""
+    exponent of x fixes s and beta (beta < K), and then k fixes m."""
     lam_step, y_step, arg = _steps(K)
-    last = order - lam_step  # the last s whose cells have two terms in range
     terms = {}
     for beta, s, start, upper, lower in _hermite_cells(K, order):
         x_pow = K * s - 2 * beta
-        if s > last:
-            terms[s, x_pow, beta] = start
-            continue
         y = beta
         for k, t in zip(range(s, order + 1, lam_step),
                         _pair_terms(upper, lower, arg, start)):
@@ -171,27 +164,17 @@ def _shift_nums(K: int, mu_order: int, order: int) -> tuple:
     return ("lambda", "mu", *_HERMITE_VARS), den * factorial(mu_order), shifted
 
 
-def _sj_cells(K: int, order: int):
-    """Each Hermite cell after the substitutions lambda -> lambda (u v)^K
-    and y -> -1/(4u), as (cell, alpha, beta', scale): the cell carries
-    u^alpha v^beta' and, before the transform's Gamma(alpha)/Gamma(beta'),
-    the scale (-1/4)^beta times its start.  Gamma(alpha)/Gamma(beta') is
-    rational, alpha - beta' = -beta being an integer, so the (-1,-1)
-    closed forms read their terms as integer pairs at sqrt(pi) grade 0."""
-    for cell in _hermite_cells(K, order):
-        beta, s, (num, den), _, _ = cell
-        alpha = HalfInt(2 * (K * s - beta) - 1)  # K s - beta - 1/2
-        beta_p = HalfInt(2 * K * s - 1)  # K s - 1/2
-        yield cell, alpha, beta_p, _ratio((-1) ** beta * num, 4**beta * den, 0)
-
-
 def _sj_closed_nums(K: int, order: int) -> tuple:
     """The closed K-tuple (-1,-1) lacunary form up to lambda^order, built
     from the Hermite cells via Pochhammer proliferation (K >= 2; K = 1 is
     the EGF), as integers (vars, den, nums) keyed (k, x exponent), over
     one denominator as _closed_nums brings its terms: the exponent of y
     that _closed_nums keys too is fixed by k and the exponent of x, so
-    leaving it out merges no two terms."""
+    leaving it out merges no two terms.  After lambda -> lambda (u v)^K and
+    y -> -1/(4u), a cell carries u^alpha v^beta' and, before the
+    transform's Gamma(alpha)/Gamma(beta'), the scale (-1/4)^beta times its
+    start; Gamma(alpha)/Gamma(beta') is rational, alpha - beta' = -beta
+    being an integer, so the terms are integer pairs at sqrt(pi) grade 0."""
     if K < 2:
         raise ParamError("closed lacunary form needs K >= 2")
     if K % 2 == 0:
@@ -200,7 +183,10 @@ def _sj_closed_nums(K: int, order: int) -> tuple:
         r, arg = K, _ratio((-K) ** K, 4, 0)
     lam_step = _steps(K)[0]
     terms = {}
-    for (beta, s, _, upper, lower), alpha, beta_p, scale in _sj_cells(K, order):
+    for beta, s, (num, den), upper, lower in _hermite_cells(K, order):
+        alpha = HalfInt(2 * (K * s - beta) - 1)  # K s - beta - 1/2
+        beta_p = HalfInt(2 * K * s - 1)  # K s - 1/2
+        scale = _ratio((-1) ** beta * num, 4**beta * den, 0)
         spec = _spec(zip(*upper), zip(*lower), arg)
         pref, new = pochhammer_proliferate(alpha, beta_p, r, 2 * r, spec)
         x_pow = K * s - 2 * beta

@@ -353,18 +353,16 @@ class Poly:
         integers (zeros allowed, only read) over a nonzero den: each nonzero
         numerator needs a stored one at its key, cross-multiplied with den
         and d k!, d the stored denominator, and polys[k] no other terms.  A
-        Poly over vars itself is read as stored; any other is re-keyed onto
-        vars, unless one of its other variables has a nonzero exponent."""
+        Poly over other variables is re-keyed onto vars, unless one of the
+        variables outside vars has a nonzero exponent."""
         checks, f = [], 1  # per k: (stored.get, d k!, the number stored)
         for k, p in enumerate(polys):
             f *= k or 1
-            if p.vars == vars:
-                parts = p._parts
-            else:
+            if p.vars != vars:
                 extra = [i for i, v in enumerate(p.vars) if v not in vars]
                 if any(e[i] for _, _, ns in p._parts for e in ns for i in extra):
                     break
-                parts = p._remap(vars)
+            parts = p._remap(vars)
             if len(parts) > 1 or parts and parts[0][0]:
                 break
             _, d, stored = parts[0] if parts else (0, 1, {})

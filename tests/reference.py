@@ -337,7 +337,8 @@ def cells_closed_nums(K: int, order: int) -> tuple:
 
 
 def _sj_cells(K: int, order: int):
-    """Each cell as (cell, alpha, beta', scale), as lacunary._sj_cells."""
+    """Each cell as (cell, alpha, beta', scale): its u^alpha v^beta' and
+    (-1/4)^beta times its start, as lacunary._sj_closed_nums reads them."""
     for c in _hermite_cells(K, order):
         alpha = HalfInt(2 * (K * c.s - c.beta) - 1)  # K s - beta - 1/2
         beta_p = HalfInt(2 * K * c.s - 1)  # K s - 1/2

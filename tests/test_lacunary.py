@@ -518,38 +518,26 @@ class TestClosedAndShiftMutations:
                         assert got == reference_shifts(*case), case
 
 
-# One-token mutants of the one-pass stages, each applied to a copy of the
-# package: (module, text, its mutant, the lacunary --check request that
-# must print FAIL, and whether the mutant is of the cell generator that
-# both closed forms read, so that `sjk verify` must fail too)
+# One-token mutants of the cell generator that both closed forms read,
+# each applied to a copy of the package: (text, its mutant, the
+# lacunary --check request that must print FAIL); `sjk verify` must fail too
 ONE_PASS_MUTANTS = [
     # the running matching-number product and the running s!
-    pytest.param("lacunary", "// (beta + 1)", "// (beta + 2)", ("hermite", 3, 0, 3),
-                 True, id="matching-ratio-den"),
-    pytest.param("lacunary", "(Ks - 2 * beta - 1)", "(Ks - 2 * beta - 2)",
-                 ("hermite", 3, 0, 3), True, id="matching-ratio-num"),
-    pytest.param("lacunary", "f *= s or 1", "f *= s or 2", ("sj", 2, 1, 3), True,
+    pytest.param("// (beta + 1)", "// (beta + 2)", ("hermite", 3, 0, 3),
+                 id="matching-ratio-den"),
+    pytest.param("(Ks - 2 * beta - 1)", "(Ks - 2 * beta - 2)",
+                 ("hermite", 3, 0, 3), id="matching-ratio-num"),
+    pytest.param("f *= s or 1", "f *= s or 2", ("sj", 2, 1, 3),
                  id="running-factorial"),
-    # the one-term cells: a cell with two terms in range read as one
-    pytest.param("lacunary", "last = order - lam_step", "last = order - lam_step - 1",
-                 ("hermite", 2, 0, 3), False, id="one-term-even"),
-    pytest.param("lacunary", "last = order - lam_step", "last = order - lam_step - 1",
-                 ("sj", 1, 0, 3), False, id="one-term-odd"),
-    # Poly._first_unequal's fast path: the sj degree-0 constant over () read
-    # as stored, or a source over the compare vars read without its part
-    pytest.param("poly", "if p.vars == vars:", "if p.vars != vars:", ("sj", 2, 0, 3),
-                 False, id="fast-path-test"),
-    pytest.param("poly", "parts = p._parts\n", "parts = p._parts[1:]\n",
-                 ("hermite", 2, 1, 3), False, id="fast-path-parts"),
 ]
 
 
 class TestOnePassMutations:
-    @pytest.mark.parametrize("module, text, mutant, case, shared", ONE_PASS_MUTANTS)
-    def test_check_prints_fail(self, tmp_path, module, text, mutant, case, shared):
+    @pytest.mark.parametrize("text, mutant, case", ONE_PASS_MUTANTS)
+    def test_check_prints_fail(self, tmp_path, text, mutant, case):
         pkg = tmp_path / "sjk"
         shutil.copytree(SRC, pkg, ignore=shutil.ignore_patterns("__pycache__"))
-        path = pkg / f"{module}.py"
+        path = pkg / "lacunary.py"
         source = path.read_text()
         assert source.count(text) == 1, text
         path.write_text(source.replace(text, mutant))
@@ -564,11 +552,10 @@ class TestOnePassMutations:
                    "--order", order, "--check")
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout.splitlines()[0] == "closed-form == oracle: FAIL"
-        if shared:
-            proc = sjk("verify")
-            assert proc.returncode == 2
-            assert any(line.startswith(f"[FAIL] lacunary: {CLOSED}: ")
-                       for line in proc.stdout.splitlines()), proc.stdout
+        proc = sjk("verify")
+        assert proc.returncode == 2
+        assert any(line.startswith(f"[FAIL] lacunary: {CLOSED}: ")
+                   for line in proc.stdout.splitlines()), proc.stdout
 
 
 class TestHermiteRaise:

@@ -384,19 +384,8 @@ def test_first_unequal_sees_variables_outside_vars():
 
 
 class TestFirstUnequalBranches:
-    # a source over the compare vars is read as stored, with no re-keying;
-    # any other is re-keyed, unless another variable has a nonzero exponent
-    def test_a_source_over_vars_is_read_as_stored(self, monkeypatch):
-        def refuse(self, vars):
-            raise AssertionError("re-keyed")
-
-        monkeypatch.setattr(Poly, "_remap", refuse)
-        vars = ("x", "z")
-        polys = [Poly(vars, {(0, 0): 1}), Poly(vars, {(2, 0): 1, (0, 1): 2})]
-        nums = {(0, 0, 0): 3, (1, 2, 0): 3, (1, 0, 1): 6}
-        assert Poly._first_unequal(polys, vars, 3, nums) is None
-        assert Poly._first_unequal(polys, vars, 3, {**nums, (1, 0, 1): 3}) == 1
-
+    # a source over other variables than the compare vars is re-keyed,
+    # unless a variable outside them has a nonzero exponent
     def test_the_sj_degree_zero_constant_over_no_variable(self):
         # sj_family(0) is the constant 1 over (); every other member is
         # over (x,), such as sj_family(2) = x^2 - 1
