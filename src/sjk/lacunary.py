@@ -5,12 +5,12 @@ p_{K n + L} from a per-degree family source (_selected, one source call
 per power of lambda and the one guard on K, L and order).  Against it are
 checked the closed hypergeometric forms for the Hermite family, the closed
 forms for the (-1,-1) family obtained from the Hermite ones by Pochhammer
-proliferation, and the shifted generators for both, each built here as
-integers (vars, den, nums): numerators over one denominator, keyed by the
-power of lambda and then the exponents over vars.  verify compares them,
-cross-multiplied, with the stored integers of each p_{K k + L} times k!
-(Poly._first_unequal); the tests build their CoeffSeries
-(tests/reference.py).
+proliferation, and the mu^L slices of the shifted generators for both,
+each built here as integers (vars, den, nums): numerators over one
+denominator, keyed by the power of lambda and then the exponents over
+vars.  verify compares them, cross-multiplied, with the stored integers
+of each p_{K k + L} times k! (Poly._first_unequal); the tests build
+their CoeffSeries (tests/reference.py).
 
 The Hermite closed form is one kernel, _closed_nums, one pass over the
 cells of one generator (_hermite_cells, s outer and beta inner, each cell
@@ -20,13 +20,13 @@ pairs from hyper._pair_terms and started at the cell's start pair, is
 written term by term into one dict, and its numerators are brought over
 the lcm of the distinct denominators.  The shifted
 Hermite generator is exp(mu (x + 2z d/dx)) applied to the closed form,
-so its mu^L slice, which the CLI checks, is the closed form raised L
-times by the Hermite raising operator (_raise_nums).  The (-1,-1) slice
-and shifted generator are the Hermite ones mapped once by the image
-column of connect's family table (families._image_grade), lambda and mu
-carried: the paper's transform after lambda -> lambda (uv)^K,
-mu -> mu uv, z -> -1/(4u): at lambda^j mu^a each x^b z^m has
-b + 2m = Kj + a, so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.
+so L! times its mu^L slice, which the CLI and verify check, is the
+closed form raised L times by the Hermite raising operator (_raise_nums);
+the whole generator is built only by the tests.  The (-1,-1) slice is
+the Hermite one mapped once by the image column of connect's family
+table (families._image_grade): the paper's transform after
+lambda -> lambda (uv)^K, mu -> mu uv, z -> -1/(4u): at lambda^j mu^a
+each x^b z^m has b + 2m = Kj + a, so it gains (uv)^(b+2m-1/2) (-1/(4u))^m.
 
 The (-1,-1) closed forms, a cross-check, are *constructed* by applying
 the proliferation transform to the Hermite cells, their integer
@@ -145,23 +145,6 @@ def _raise_nums(nums: dict, L: int) -> dict:
                 step[k] = get(k, 0) + 2 * e * n
         nums = step
     return nums
-
-
-def _shift_nums(K: int, mu_order: int, order: int) -> tuple:
-    """The shifted Hermite generator exp(mu x + mu^2 z) H_{K,0}(lambda;
-    x + 2 mu z, z) to mu^mu_order and lambda^order, as integers (vars, den,
-    nums) keyed (k, l, e, m) for lambda^k mu^l x^e z^m.  As [x, 2z d/dx] =
-    -2z is central, it is exp(mu (x + 2z d/dx)) H_{K,0}(lambda; x, z): L!
-    times its mu^L coefficient is the closed form raised L times, so over
-    the closed form's denominator times mu_order!, its numerators are
-    raised one step per power of mu and times mu_order! / L!."""
-    den, nums = _closed_nums(K, order)
-    shifted, f = {}, factorial(mu_order)  # f = mu_order! / L!
-    for L in range(mu_order + 1):
-        if L:
-            nums, f = _raise_nums(nums, 1), f // L
-        shifted.update({(k, L, e, m): n * f for (k, e, m), n in nums.items()})
-    return ("lambda", "mu", *_HERMITE_VARS), den * factorial(mu_order), shifted
 
 
 def _sj_closed_nums(K: int, order: int) -> tuple:

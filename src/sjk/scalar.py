@@ -61,10 +61,19 @@ class HalfInt:
         return self.is_integer and self.twice <= 0
 
     def __add__(self, other):
-        other = _half_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.twice + other.twice)
+        t = type(other)
+        if t is int:
+            twice = 2 * other
+        elif t is HalfInt:
+            twice = other.twice
+        else:  # another rational, through half: a finer one raises ValueError
+            try:
+                twice = half(other).twice
+            except TypeError:  # a type that half does not know
+                return NotImplemented
+        h = _new(HalfInt)
+        h.twice = self.twice + twice
+        return h
 
     __radd__ = __add__
 
@@ -104,15 +113,6 @@ def half(x) -> HalfInt:
     if den > 2:
         raise ValueError(f"{x} is not a half-integer")
     return HalfInt(x.numerator * (2 // den))
-
-
-def _half_operand(x):
-    """x as a HalfInt for an operator, or NotImplemented for a type that half
-    does not know; a finer rational still raises ValueError."""
-    try:
-        return half(x)
-    except TypeError:
-        return NotImplemented
 
 
 class ExactScalar:
@@ -465,9 +465,14 @@ def gamma_ratio(a, b) -> ExactScalar:
 
 
 def beta_fn(a, b) -> ExactScalar:
-    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
+    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b), from three
+    reads of the integer table _gamma_parts over one reduction."""
     ha, hb = half(a), half(b)
-    for arg in (ha, hb, ha + hb):
+    hc = ha + hb
+    for arg in (ha, hb, hc):
         if arg.is_nonpositive_integer():
             raise PoleError(f"beta function pole at argument {arg}")
-    return gamma_half(ha) * gamma_half(hb) * recip_gamma(ha + hb)
+    na, da, ga = _gamma_parts(ha)
+    nb, db, gb = _gamma_parts(hb)
+    nc, dc, gc = _gamma_parts(hc)
+    return _ratio(na * nb * dc, da * db * nc, ga + gb - gc)

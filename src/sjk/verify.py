@@ -6,17 +6,53 @@ counterexample string on failure, None on success.  A suite is a list of
 (label, fn) pairs that call them at desk scale; the test suite calls the
 same functions at larger sizes.  The three lacunary checks share one
 integer compare with the oracle's stored terms, _first_mismatch.
+
+One run_suites call is one run (_one_run): inside it, a construction that
+several checks compare, gp_series(n, -1, beta) or sj_closed_mm(n, 0), is
+built once per distinct argument (_shared) and handed to each check that
+reads it; the memo is dropped when the run ends, so nothing outlives it,
+and a check called outside a run builds its own.  A build that raises is
+not stored, so each check that reads it raises in turn.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from math import comb, factorial
 
 from . import connect, families, hyper, lacunary, opcalc, scalar, umbral
 from .poly import Poly
 from .scalar import ExactScalar, HalfInt, _pair, _ratio
+
+
+_memo = None  # {(fn, args): value} while a run is open, else None
+
+
+@contextmanager
+def _one_run():
+    """The scope of one verify run: _shared builds each (fn, args) once
+    within it; the memo is dropped on exit, however the run ends."""
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _shared(fn, *args):
+    """fn(*args), built once per (fn, args) within a run and on every call
+    outside one; a raising build is not stored.  Callers pass the builder as
+    read from its module at the call (opcalc.gp_series), so a wrapper put
+    there, such as a tracer's, is the one called."""
+    if _memo is None:
+        return fn(*args)
+    key = fn, args
+    if key not in _memo:
+        _memo[key] = fn(*args)
+    return _memo[key]
 
 
 # --- scalar ---------------------------------------------------------------
@@ -70,7 +106,8 @@ def duplication(twices):
 def resolvent_closed_form(ns):
     """The (-1,-1) resolvent series equals the closed form."""
     for n in ns:
-        if opcalc.gp_series(n, -1, -1) != families.sj_closed_mm(n, 0):
+        if (_shared(opcalc.gp_series, n, -1, -1)
+                != _shared(families.sj_closed_mm, n, 0)):
             return f"resolvent vs closed form differ at n={n}"
 
 
@@ -79,7 +116,7 @@ def _recurrence_and_closed(n, alpha, beta):
         return families.jacobi_family(n, alpha, beta), families.jacobi_classical(
             n, alpha, beta)
     if beta == -1:
-        return families.sj_family(n), families.sj_closed_mm(n, 0)
+        return families.sj_family(n), _shared(families.sj_closed_mm, n, 0)
     return families.sj_beta_family(n, beta), families.sj_closed_beta(n, beta)
 
 
@@ -100,7 +137,7 @@ def eigenequation(ns, betas=(-1,)):
     (1-x^2) d^2."""
     for beta in betas:
         for n in ns:
-            p = opcalc.gp_series(n, -1, beta)
+            p = _shared(opcalc.gp_series, n, -1, beta)
             if opcalc.jacobi_operator_apply(p, -1, beta) != p * (-n * (n + beta)):
                 return f"eigenequation fails at n={n}, beta={beta}"
 
@@ -109,7 +146,7 @@ def four_way(ns):
     """Resolvent, exponential resolvent, umbral and bivariate constructions
     of the (-1,-1) family agree."""
     for n in ns:
-        a = opcalc.gp_series(n, -1, -1)
+        a = _shared(opcalc.gp_series, n, -1, -1)
         b = opcalc.exp_resolvent_sj(n)
         c = families.sj_umbral(n)
         d = opcalc.exp_B_bivariate(n).substitute("y", 1)
@@ -228,33 +265,36 @@ def lacunary_closed(cases):
             return f"{family} closed form != oracle at K={K}, order={order}"
 
 
+def _slice_mismatch(family, K, L, order):
+    """_first_mismatch of the mu^L slice that `lacunary --check` checks at
+    (family, K, L, order): the Hermite closed form raised L times
+    (_closed_nums, _raise_nums) and taken through the family's image once,
+    over all powers of lambda."""
+    row = connect.lookup(family)
+    sources = lacunary._selected(row.source, K, L, order)
+    den, nums = lacunary._closed_nums(K, order)
+    return _first_mismatch(sources, *row.image(
+        lacunary._LAMBDA_VARS, den, lacunary._raise_nums(nums, L)))
+
+
 def lacunary_slices(cases):
-    """The mu^L slice that `lacunary --check` checks, the Hermite closed form
-    raised L times and taken through the family's image, equals the oracle
-    for each (family, K, L, order), else the first coefficient that
-    differs: _closed_nums, _raise_nums and the table's image once, over all
-    powers of lambda."""
+    """The mu^L slice that `lacunary --check` checks equals the oracle for
+    each (family, K, L, order), else the first coefficient that differs."""
     for family, K, L, order in cases:
-        row = connect.lookup(family)
-        sources = lacunary._selected(row.source, K, L, order)
-        den, nums = lacunary._closed_nums(K, order)
-        detail = _first_mismatch(sources, *row.image(
-            lacunary._LAMBDA_VARS, den, lacunary._raise_nums(nums, L)))
+        detail = _slice_mismatch(family, K, L, order)
         if detail:
             return detail
 
 
 def lacunary_shifts(cases):
-    """The mu^L slice of the shift generator equals the oracle for each
-    (family, K, mu_order, order, L): the generator's terms at mu^L times L!,
-    through the family's image, which maps each term alone."""
+    """The mu^L slice of the shift generator exp(mu x + mu^2 z) H_{K,0}(lambda;
+    x + 2 mu z, z), truncated at mu^mu_order, equals the oracle for each
+    (family, K, mu_order, order, L).  As [x, 2z d/dx] = -2z is central, the
+    generator is exp(mu (x + 2z d/dx)) H_{K,0}, so L! times its mu^L slice is
+    the closed form raised L times: that slice alone is built, and a
+    generator truncated below mu^L, whose slice is zero, never matches."""
     for family, K, mu_order, order, L in cases:
-        row = connect.lookup(family)
-        sources = lacunary._selected(row.source, K, L, order)
-        vars, den, nums = lacunary._shift_nums(K, mu_order, order)
-        f = factorial(L)
-        sliced = {key[:1] + key[2:]: n * f for key, n in nums.items() if key[1] == L}
-        if _first_mismatch(sources, *row.image(vars[:1] + vars[2:], den, sliced)):
+        if _slice_mismatch(family, K, L, order) or L > mu_order:
             return f"{family} shifted generator != oracle at K={K}, L={L}"
 
 
@@ -382,15 +422,16 @@ def run_suites(names=None, out=None):
         for label, fn in SUITES[name]()
     ]
     failures = 0
-    for suite, label, fn in checks:
-        try:
-            detail = fn()
-        except Exception as exc:  # surfaced as a failure with the message
-            detail = f"raised {type(exc).__name__}: {exc}"
-        if detail is None:
-            print(f"[PASS] {suite}: {label}", file=out)
-        else:
-            failures += 1
-            print(f"[FAIL] {suite}: {label}: {detail}", file=out)
+    with _one_run():
+        for suite, label, fn in checks:
+            try:
+                detail = fn()
+            except Exception as exc:  # surfaced as a failure with the message
+                detail = f"raised {type(exc).__name__}: {exc}"
+            if detail is None:
+                print(f"[PASS] {suite}: {label}", file=out)
+            else:
+                failures += 1
+                print(f"[FAIL] {suite}: {label}: {detail}", file=out)
     print(f"{len(checks) - failures}/{len(checks)} checks passed", file=out)
     return failures

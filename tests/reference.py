@@ -433,10 +433,29 @@ def sj_lacunary_closed(K: int, order: int) -> CoeffSeries:
     return lacunary_series(*lacunary._sj_closed_nums(K, order), order)
 
 
+def shift_nums(K: int, mu_order: int, order: int) -> tuple:
+    """The shifted Hermite generator exp(mu x + mu^2 z) H_{K,0}(lambda;
+    x + 2 mu z, z) to mu^mu_order and lambda^order, as integers (vars, den,
+    nums) keyed (k, l, e, m) for lambda^k mu^l x^e z^m.  As [x, 2z d/dx] =
+    -2z is central, it is exp(mu (x + 2z d/dx)) H_{K,0}(lambda; x, z): L!
+    times its mu^L coefficient is the closed form raised L times, so over
+    the closed form's denominator times mu_order!, its numerators are
+    raised one step per power of mu and times mu_order! / L!.
+    verify.lacunary_shifts builds the mu^L slice alone."""
+    vars = "lambda", "mu", *families._HERMITE_VARS
+    den, nums = lacunary._closed_nums(K, order)
+    shifted, f = {}, factorial(mu_order)  # f = mu_order! / L!
+    for L in range(mu_order + 1):
+        if L:
+            nums, f = lacunary._raise_nums(nums, 1), f // L
+        shifted.update({(k, L, e, m): n * f for (k, e, m), n in nums.items()})
+    return vars, den * factorial(mu_order), shifted
+
+
 def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
     """The shifted Hermite generator exp(mu x + mu^2 z) H_{K,0}(lambda;
     x + 2 mu z, z) over (mu, x, z), truncated at mu^mu_order."""
-    return lacunary_series(*lacunary._shift_nums(K, mu_order, order), order)
+    return lacunary_series(*shift_nums(K, mu_order, order), order)
 
 
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:

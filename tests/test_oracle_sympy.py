@@ -10,11 +10,14 @@ P^(1,beta)_(n-1).  The cross-check constructions that
 and the umbral transform) have no verb; they are compared with the same
 sympy polynomials directly.  The two-variable Hermite polynomials are
 taken from their generating function exp(x lambda + z lambda^2), sympy's
-ring series exponential.  The module skips itself when sympy is absent.
+ring series exponential.  ``table`` prints text rows in every format, so
+its rows are read from the text.  The module skips itself when sympy is
+absent.
 """
 
 import io
 import json
+import re
 import runpy
 from fractions import Fraction
 from functools import lru_cache
@@ -187,6 +190,45 @@ def test_hermite_egf_equals_the_generating_function():
     assert (obj["parameter"], obj["order"]) == ("lambda", 64)
     for n, c in enumerate(obj["coefficients"]):
         assert _in_ring(R, poly_from_obj(c)) == H[n] * sympy.QQ(1, factorial(n)), n
+
+
+def _table_rows(R, family):
+    """The rows of `table --family family --max-n 64` as elements of
+    sympy's ring R, read from the text: "n: " and terms "c v^e ..." joined
+    by " + " and " - ", c a signed integer or p/q, 1 when left out."""
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["table", "--family", family, "--max-n", "64"], out=out, err=err)
+    assert (code, err.getvalue()) == (0, "")
+    gens = {str(g): g for g in R.gens}
+    rows = []
+    for n, line in enumerate(out.getvalue().splitlines()):
+        label, text = line.split(": ", 1)
+        assert label == str(n)
+        row = R(0)
+        for term in re.split(r" (?=[+-] )", text):
+            sign, term = (-1, term[2:]) if term[:2] == "- " else (1, term.lstrip("+ "))
+            coeff, *powers = term.split(" ")
+            if not re.fullmatch(r"-?\d+(/\d+)?", coeff):
+                coeff, powers = "1", [coeff, *powers]
+            value = R(sign * sympy.QQ(*map(int, coeff.split("/"))))
+            for power in powers:
+                var, _, e = power.partition("^")
+                value *= gens[var] ** int(e or 1)
+            row += value
+        rows.append(row)
+    assert len(rows) == 65
+    return rows
+
+
+def test_hermite_table_equals_the_generating_function():
+    R, H = _hermite_ring(64)
+    assert _table_rows(R, "hermite") == H
+
+
+def test_sj_table_equals_jacobi_oracle():
+    R, x = ring("x", sympy.QQ)
+    want = [R(_monic_sj(n).as_expr()) for n in range(65)]
+    assert _table_rows(R, "sj") == want
 
 
 @pytest.mark.parametrize("M", range(21))

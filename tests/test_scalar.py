@@ -1,8 +1,12 @@
+import os
+import shutil
+import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +34,7 @@ from reference import hermite_lacunary_closed, hermite_raise, image_by_grade, mo
 
 H = Fraction(1, 2)
 MODULUS = sys.hash_info.modulus
+SRC = Path(__file__).resolve().parent.parent / "src" / "sjk"
 
 
 class TestHalfInt:
@@ -84,6 +89,27 @@ class TestHalfInt:
     def test_half_integer_arithmetic_unchanged(self):
         assert HalfInt(1) + 1 == 1 + HalfInt(1) == HalfInt(3)
         assert HalfInt(3) + H == HalfInt(4)
+
+    @pytest.mark.parametrize("twice", range(-7, 8))
+    def test_sums_read_twice_as_half_does(self, twice):
+        # an int or a HalfInt operand is read directly, not through half
+        h = HalfInt(twice)
+        for other in (*range(-3, 4), *map(HalfInt, range(-5, 6))):
+            want = twice + half(other).twice
+            for got in (h + other, other + h):
+                assert type(got) is HalfInt and got.twice == want, (h, other)
+
+    def test_other_operands_go_through_half(self):
+        # a bool is read as half reads it, a Fraction too, and a finer
+        # rational is refused with half's ValueError
+        for got in (HalfInt(3) + True, True + HalfInt(3)):
+            assert type(got) is HalfInt and got.twice == 5
+        assert (HalfInt(3) + False).twice == 3
+        assert (HalfInt(3) + Fraction(-5, 2)).twice == -2
+        with pytest.raises(ValueError, match="^1/3 is not a half-integer$"):
+            HalfInt(3) + Fraction(1, 3)
+        with pytest.raises(ValueError, match="^1/3 is not a half-integer$"):
+            Fraction(1, 3) + HalfInt(3)
 
     # twice next to 0 and next to plus and minus twice the hash modulus
     @pytest.mark.parametrize("twice", [
@@ -433,6 +459,48 @@ class TestBeta:
             beta_fn(0, 1)
         with pytest.raises(PoleError):
             beta_fn(H, Fraction(-1, 2))  # a + b = 0
+
+    @pytest.mark.parametrize("a, b, arg", [
+        (0, 1, "0"), (1, -2, "-2"), (HalfInt(-3), HalfInt(-1), "-2"),
+        (Fraction(5, 2), -3, "-3"), (-1, -3, "-1"), (HalfInt(5), HalfInt(-7), "-1"),
+    ])
+    def test_pole_text(self, a, b, arg):
+        # the first of a, b and a + b at a pole is named
+        with pytest.raises(PoleError, match=f"^beta function pole at argument {arg}$"):
+            beta_fn(a, b)
+
+    @pytest.mark.parametrize("ta", range(-9, 12))
+    def test_equals_the_gamma_product(self, ta):
+        # B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) over half-integers,
+        # negative half-odd ones included; a pole names its argument
+        a = HalfInt(ta)
+        for b in map(HalfInt, range(-9, 12)):
+            poles = [h for h in (a, b, a + b) if h.is_nonpositive_integer()]
+            if poles:
+                with pytest.raises(PoleError) as info:
+                    beta_fn(a, b)
+                assert str(info.value) == f"beta function pole at argument {poles[0]}"
+            else:
+                want = gamma_half(a) * gamma_half(b) * recip_gamma(a + b)
+                assert beta_fn(a, b) == want, (a, b)
+
+    def test_a_one_factor_mutant_fails_verify(self, tmp_path):
+        # Gamma(a + b)'s denominator read for its numerator: `sjk verify`
+        # prints the beta Pascal identity's [FAIL] line and exits 2
+        shutil.copytree(SRC, tmp_path / "sjk",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = tmp_path / "sjk" / "scalar.py"
+        text, mutant = "na * nb * dc", "na * nb * nc"
+        source = path.read_text()
+        assert source.count(text) == 1
+        path.write_text(source.replace(text, mutant))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        proc = subprocess.run([sys.executable, "-m", "sjk", "verify"], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        failed = [line for line in proc.stdout.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("[FAIL] scalar: beta Pascal identity: ")
 
     def test_pascal_identity_random(self):
         # negative half-integers too; pairs at a pole are skipped

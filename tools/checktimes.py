@@ -6,14 +6,17 @@ PARENT_SRC and CHANGE_SRC are directories that hold the package (for
 example ``src`` of two checkouts).  Each of ROUNDS (25) rounds starts
 one child process per tree, alternating which tree runs first.  A child
 imports sjk from its tree and makes PASSES (5) passes over every check
-of every suite, in the order `sjk verify` runs them, with the family
-caches cleared at the start of each pass; a check's time in the round is
-its least CPU time (time.thread_time) over the passes, so a later check
-finds the caches that the earlier ones of its pass filled, as in one
-`sjk verify`.  The garbage collector is off in the child: a collection
-falls wherever the allocation count happens to cross its threshold, so
-with it on, a change that allocates less in one check moves collections
-into another.
+of every suite, in the order `sjk verify` runs them.  Each pass is one
+`sjk verify` run: it clears the family caches, builds the checks anew
+from verify.SUITES and runs them inside the scope of one run_suites call
+(verify._one_run, where the tree has it), so a later check finds the
+caches and the run-scoped builds that the earlier ones of its pass made,
+and a build that several checks share is charged to the first check
+that makes it.  A check's time in the round is its least CPU time
+(time.thread_time) over the passes.  The garbage collector is off in the
+child: a collection falls wherever the allocation count happens to cross
+its threshold, so with it on, a change that allocates less in one check
+moves collections into another.
 
 Prints a markdown table: per check, per suite (the sum of its checks) and
 for all checks, the median over the rounds on each tree in microseconds,
@@ -34,26 +37,28 @@ ROUNDS = 25
 PASSES = 5
 
 CHILD = """\
-import gc, json, sys, time
+import contextlib, gc, json, sys, time
 sys.path.insert(0, {src!r})
 from sjk import families, verify
 
 gc.disable()
 
-checks = [(f"{{name}}: {{label}}", fn)
-          for name in sorted(verify.SUITES) for label, fn in verify.SUITES[name]()]
+one_run = getattr(verify, "_one_run", contextlib.nullcontext)
 caches = [f for f in vars(families).values() if hasattr(f, "cache_clear")]
 best = {{}}
 for _ in range({passes}):
     for f in caches:
         f.cache_clear()
-    for key, fn in checks:
-        t0 = time.thread_time()
-        detail = fn()
-        t = time.thread_time() - t0
-        if detail is not None:
-            raise SystemExit(f"{{key}} failed: {{detail}}")
-        best[key] = min(t, best.get(key, t))
+    checks = [(f"{{name}}: {{label}}", fn) for name in sorted(verify.SUITES)
+              for label, fn in verify.SUITES[name]()]
+    with one_run():
+        for key, fn in checks:
+            t0 = time.thread_time()
+            detail = fn()
+            t = time.thread_time() - t0
+            if detail is not None:
+                raise SystemExit(f"{{key}} failed: {{detail}}")
+            best[key] = min(t, best.get(key, t))
 print(json.dumps(best))
 """
 
