@@ -10,7 +10,7 @@ index names no polynomial and is refused with ParamError.
 
 The checks run on stored integers: a weight is read from the row's
 public connection(M, n) as the integers of its stored terms, a member's
-terms through Poly._by_grade, and each result is one integer pass,
+terms through Poly._integers, and each result is one integer pass,
 Poly._sum_over, with no Poly product or Poly.sum per member or term.  The
 contraction reads each weight and each p_n once for a whole family and
 size, and takes [x^L] p_n by grouping p_n's stored terms by their
@@ -122,8 +122,8 @@ def _weight_terms(w, vars: tuple) -> list:
     rows build."""
     if not isinstance(w, Poly):
         return [((0,) * len(vars), w.num, w.den, w.sqrt_pi_pow)] if w.num else []
-    return [(e, num, d, g)
-            for g, d, nums in w._by_grade(vars) for e, num in nums.items()]
+    g, d, nums = w._integers(vars)
+    return [(e, num, d, g) for e, num in nums.items()]
 
 
 def _vars_of(*names, polys=()) -> tuple:
@@ -152,26 +152,24 @@ def reconstruct_monomial(M: int, family: str) -> Poly:
     vars = _vars_of("x", polys=[q for pair in members for q in pair])
     pieces = []
     for p, w in members:
+        g, d, nums = p._integers(vars)
         for key, num, den, wg in _weight_terms(w, vars):
-            for g, d, nums in p._by_grade(vars):
-                pieces.append((g + wg, d * den, _shifted(nums, key), num))
+            pieces.append((g + wg, d * den, _shifted(nums, key), num))
     return Poly._sum_over(vars, pieces)
 
 
-def _by_exponent(p: Poly, var: str, vars: tuple) -> list:
+def _by_exponent(p: Poly, var: str, vars: tuple) -> tuple:
     """p's stored terms grouped by their exponent of var, the other
-    exponents re-keyed onto vars (which holds the others of p.vars): per
-    sqrt(pi) grade, (grade, den, {exponent of var: {key: numerator}})."""
+    exponents re-keyed onto vars (which holds the others of p.vars), as
+    (grade, den, {exponent of var: {key: numerator}})."""
     src = [p.vars.index(v) if v in p.vars else -1 for v in vars]
     i = p.vars.index(var) if var in p.vars else -1
-    out = []
-    for g, d, nums in p._by_grade():
-        by = {}
-        for e, n in nums.items():
-            read = (e + (0,)).__getitem__  # position -1 reads an absent variable's 0
-            by.setdefault(read(i), {})[tuple(map(read, src))] = n
-        out.append((g, d, by))
-    return out
+    g, d, nums = p._integers()
+    by = {}
+    for e, n in nums.items():
+        read = (e + (0,)).__getitem__  # position -1 reads an absent variable's 0
+        by.setdefault(read(i), {})[tuple(map(read, src))] = n
+    return g, d, by
 
 
 def biorthogonality_check(top: int, family: str) -> list:
@@ -191,11 +189,10 @@ def biorthogonality_check(top: int, family: str) -> list:
     # the contraction's variables: x is summed out
     vars = _vars_of(polys=[*sources, *(w for ws in weights for w in ws)])
     vars = tuple(v for v in vars if v != "x")
-    cols = [  # cols[n]: (L, grade, den, the terms of [x^L] p_n)
-        [(L, g, d, terms) for g, d, by in _by_exponent(p, "x", vars)
-         for L, terms in by.items()]
-        for p in sources
-    ]
+    cols = []  # cols[n]: (L, grade, den, the terms of [x^L] p_n)
+    for p in sources:
+        g, d, by = _by_exponent(p, "x", vars)
+        cols.append([(L, g, d, terms) for L, terms in by.items()])
     out = []
     zero = Poly.zero(vars)
     delta = (0, 1, {(0,) * len(vars): 1}, -1)  # the piece -delta_{M,M}
@@ -218,21 +215,19 @@ def gaussian_pair(F: Poly, G: Poly) -> Poly:
     if not (F and G):
         return Poly.zero()
     vars = tuple(sorted((set(F.vars) - {"w"}) | (set(G.vars) - {"wbar"})))
-    pieces = []
-    for gf, df, fs in _by_exponent(F, "w", vars):
-        for gg, dg, gs in _by_exponent(G, "wbar", vars):
-            nums = {}
-            get = nums.get
-            for r, f_terms in fs.items():
-                g_terms = gs.get(r)
-                if g_terms:
-                    k = factorial(r)
-                    for e1, n1 in f_terms.items():
-                        for e2, n2 in g_terms.items():
-                            key = tuple(map(add, e1, e2))
-                            nums[key] = get(key, 0) + k * n1 * n2
-            pieces.append((gf + gg, df * dg, nums, 1))
-    return Poly._sum_over(vars, pieces)
+    gf, df, fs = _by_exponent(F, "w", vars)
+    gg, dg, gs = _by_exponent(G, "wbar", vars)
+    nums = {}
+    get = nums.get
+    for r, f_terms in fs.items():
+        g_terms = gs.get(r)
+        if g_terms:
+            k = factorial(r)
+            for e1, n1 in f_terms.items():
+                for e2, n2 in g_terms.items():
+                    key = tuple(map(add, e1, e2))
+                    nums[key] = get(key, 0) + k * n1 * n2
+    return Poly._over(vars, gf + gg, df * dg, nums)
 
 
 def pair_factors(order: int, family: str):
@@ -267,8 +262,8 @@ def pair_factors(order: int, family: str):
     pieces = []
     for n, p in enumerate(sources):
         key = tuple(n if v == "wbar" else 0 for v in vars)
-        pieces += [(g, d * factorial(n), _shifted(nums, key), 1)
-                   for g, d, nums in p._by_grade(vars)]
+        g, d, nums = p._integers(vars)
+        pieces.append((g, d * factorial(n), _shifted(nums, key), 1))
     return A, Poly._sum_over(vars, pieces)
 
 
@@ -311,7 +306,7 @@ def reaction_modes(N0: int, t_order: int) -> CoeffSeries:
         raise ParamError("need N0 >= 0 and t_order >= 0")
     modes = []  # (den, {(k,): numerator}, A_{N0,n}'s numerator, -n(n-1))
     for n in range(N0 % 2, N0 + 1, 2):
-        (_, d, nums), = sj_family(n)._by_grade(("x",))  # monic, so one part
+        _, d, nums = sj_family(n)._integers(("x",))
         num, den = _sj_weight(N0, n)
         modes.append((d * den, nums, num, -n * (n - 1)))
     top = lcm(*[m[0] for m in modes])

@@ -217,22 +217,20 @@ def jacobi_operator_apply(p: Poly, alpha, beta) -> Poly:
     sorted union of ("x",) and p.vars, in one pass over the terms: c x^e
     gives c e(e-1) x^(e-2) + c (beta - alpha) e x^(e-1) - c e(e + alpha +
     beta + 1) x^e.  Times q = lcm(den alpha, den beta) the three weights
-    are integers (_jacobi_weights), so per sqrt(pi) grade the stored
-    numerators times the weights, summed per key, go over the denominator
-    times q; the grades are summed as Poly.sum sums them."""
+    are integers (_jacobi_weights), so the stored numerators times the
+    weights, summed per key, go over the denominator times q, at the
+    input's sqrt(pi) grade."""
     q, ba, sh = _jacobi_weights(alpha, beta)
     vars = tuple(sorted({"x", *p.vars}))
     i = vars.index("x")
-    pieces = []
-    for g, den, nums in p._by_grade(vars):
-        out = {}
-        get = out.get
-        for exps, n in nums.items():
-            e = exps[i]
-            weights = (e - 2, q * e * (e - 1)), (e - 1, ba * e), (e, -e * (e * q + sh))
-            for k, w in weights:
-                if w:
-                    key = exps[:i] + (k,) + exps[i + 1 :]
-                    out[key] = get(key, 0) + n * w
-        pieces.append(Poly._over(vars, g, den * q, out))
-    return pieces[0] if len(pieces) == 1 else Poly.sum(pieces, vars)
+    g, den, nums = p._integers(vars)
+    out = {}
+    get = out.get
+    for exps, n in nums.items():
+        e = exps[i]
+        weights = (e - 2, q * e * (e - 1)), (e - 1, ba * e), (e, -e * (e * q + sh))
+        for k, w in weights:
+            if w:
+                key = exps[:i] + (k,) + exps[i + 1 :]
+                out[key] = get(key, 0) + n * w
+    return Poly._over(vars, g, den * q, out)

@@ -2,28 +2,31 @@
 
 A Poly keeps an explicit variable tuple and stores its coefficients as
 FLINT's fmpq_poly stores one variable's: integers over one denominator.
-For each sqrt(pi) grade present it holds one positive integer denominator
+Every term of a Poly carries one power of sqrt(pi), its grade, so a Poly
+is stored as one form (grade, den, nums): a positive integer denominator
 and a map from exponent vectors to nonzero integer numerators, with the
-gcd of the denominator and all the numerators equal to one; no exponent
-vector appears in two grades.  These parts are sorted by grade, so equal
-Polys over one variable tuple store equal parts.
+gcd of the denominator and all the numerators equal to one.  Zero is
+(0, 1, {}) and has no grade of its own: it adds to a Poly of any grade.
 
 Binary operations align variable sets by union, so polynomials over
 different alphabets combine freely.  Arithmetic runs on the stored
-integers: a sum is one lcm and one integer sum per grade, a scaling one
-product of the numerators, a product one integer convolution, and each
-result is brought to lowest terms by one gcd of its denominator and
-numerators.  Two grades meeting at one exponent vector raise the
-ValueError that ExactScalar addition raises; a sum or product over
-several grades meets them as the left fold of its summands and the
-schoolbook loop over its pairs of terms do (Poly.sum, Poly.__mul__).
+integers: a sum is one lcm and one integer sum, a scaling one product of
+the numerators, a product one integer convolution at the sum of the
+grades, and each result is brought to lowest terms by one gcd of its
+denominator and numerators.  A sum whose nonzero terms would land in two
+grades raises the ValueError that ExactScalar addition raises for two
+such scalars, naming the leading term of each side: so do the
+constructor, +, Poly.sum (the left fold of its summands, in one pass),
+Poly._sum_over and a scalar substitution of a graded value.  So no Poly
+holds x + sqrt(pi) y: an API change from the per-grade parts of earlier
+versions, which refused a sum only where two grades met at one monomial.
 
 ``Poly(vars, terms)`` checks its input, a map from exponent vectors to
 exact scalars, and ``Poly.terms`` gives such a map back: a new dict of
 ExactScalars, each term reduced as it is read, for readers outside the
-integer kernels.  Only this module reads or writes the stored parts: the
-integer kernels of the other modules read them through Poly._by_grade
-and build their results through Poly._over, Poly._term_over and
+integer kernels.  Only this module reads or writes the stored form: the
+integer kernels of the other modules read it through Poly._integers and
+build their results through Poly._over, Poly._term_over and
 Poly._sum_over (a sum of scaled pieces in one pass), which bring any
 integers over any nonzero denominator to lowest terms; Poly._first_unequal
 compares such integers at all powers of a series with Polys, building none.
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import sys
 from math import gcd, inf, lcm
-from operator import add, index, itemgetter
+from operator import add, index
 from typing import Callable, NamedTuple
 
 from .scalar import ExactScalar, ZERO, _grade_clash, _ratio
@@ -62,22 +65,24 @@ def _operand(x):
     return c if c is NotImplemented else Poly.const(c)
 
 
+_ZERO = (0, 1, {})  # the stored form of every zero Poly; nothing changes it
+
+
 def _reduced(grade: int, den: int, nums: dict) -> tuple:
-    """The parts of the Poly sum nums[e] / den x^e at one sqrt(pi) grade:
-    () when every numerator is zero, else the one part (grade, den, nums)
-    with the zeros dropped, den > 0 and the gcd of den and the numerators
-    divided out.  den is a nonzero int; nums may be kept as it is, so the
-    caller hands it over."""
+    """The form of the Poly sum nums[e] / den x^e at one sqrt(pi) grade:
+    the zeros dropped, den > 0 and the gcd of den and the numerators
+    divided out, or _ZERO when every numerator is zero.  den is a nonzero
+    int; nums may be kept as it is, so the caller hands it over."""
     if 0 in nums.values():
         nums = {e: n for e, n in nums.items() if n}
     if not nums:
-        return ()
+        return _ZERO
     g = gcd(den, *nums.values())
     if den < 0:
         g = -g
     elif g == 1:
-        return ((grade, den, nums),)
-    return ((grade, den // g, {e: n // g for e, n in nums.items()}),)
+        return grade, den, nums
+    return grade, den // g, {e: n // g for e, n in nums.items()}
 
 
 def _grlex(row):
@@ -86,27 +91,32 @@ def _grlex(row):
 
 
 def _term(exps: tuple, c: ExactScalar) -> tuple:
-    """The parts of the one term c x^exps."""
-    return ((c.sqrt_pi_pow, c.den, {exps: c.num}),) if c.num else ()
+    """The form of the one term c x^exps."""
+    return (c.sqrt_pi_pow, c.den, {exps: c.num}) if c.num else _ZERO
 
 
-_den = itemgetter(1)  # the denominator of a part
+def _lead(grade: int, den: int, nums: dict, m: int = 1) -> ExactScalar:
+    """The leading nonzero term nums[e] m / den of some integers at a
+    grade, the first as Poly._rows writes them, as the scalar that a
+    refused sum names."""
+    e = max([e for e, n in nums.items() if n], key=lambda e: (sum(e), e))
+    return _ratio(nums[e] * m, den, grade)
 
 
-def _sum_grade(parts: list) -> tuple:
-    """The parts of the sum of the parts, two or more of one grade: each
-    one's numerators brought over the lcm of the denominators and summed
-    per key, the first one's dict copied and the others added into it.
-    Where no two parts share a key the union needs no gcd: a prime's top
-    power in the lcm is that of one part's denominator, and that part, in
-    lowest terms, has a numerator the prime does not divide."""
-    den = lcm(*map(_den, parts))
-    grade, d, ns = parts[0]
+def _sum_grade(forms: list) -> tuple:
+    """The form of the sum of nonzero forms of one grade: each one's
+    numerators brought over the lcm of the denominators and summed per
+    key, the first one's dict copied and the others added into it.  Where
+    no two forms share a key the union needs no gcd: a prime's top power
+    in the lcm is that of one form's denominator, and that form, in lowest
+    terms, has a numerator the prime does not divide."""
+    den = lcm(*[f[1] for f in forms])
+    grade, d, ns = forms[0]
     m = den // d
     nums = dict(ns) if m == 1 else {e: n * m for e, n in ns.items()}
     get = nums.get
     met = False
-    for _, d, ns in parts[1:]:
+    for _, d, ns in forms[1:]:
         m = den // d
         for e, n in ns.items():
             s = get(e)
@@ -115,106 +125,58 @@ def _sum_grade(parts: list) -> tuple:
             else:
                 nums[e] = s + n * m
                 met = True
-    return _reduced(grade, den, nums) if met else ((grade, den, nums),)
+    return _reduced(grade, den, nums) if met else (grade, den, nums)
 
 
-def _sum_parts(summands: list) -> tuple:
-    """The parts of the sum of Polys over one variable tuple, given as
-    their parts.  At one grade this is _sum_grade; over several, the left
-    fold of the summands, where a key of the next summand that the sum so
-    far holds at another grade raises the ValueError of ExactScalar
-    addition for the two coefficients there, the first such key in the
-    summand's order being the one named."""
-    parts = []
-    for t in summands:
-        if t:
-            if len(t) != 1 or parts and t[0][0] != parts[0][0]:
-                return _fold(summands)
-            parts.append(t[0])
-    if len(parts) < 2:
-        return tuple(parts)
-    return _sum_grade(parts)
+def _sum(summands: list) -> tuple:
+    """The form of the sum of Polys over one variable tuple, given as their
+    forms, equal to their left fold: a zero summand is skipped, and a
+    nonzero one at another grade than the sum so far starts the sum
+    afresh when that sum is zero, else raises the ValueError of
+    ExactScalar addition for the leading term of each."""
+    forms = []
+    for f in summands:
+        if f[2]:
+            if forms and f[0] != forms[0][0]:
+                held = _sum_grade(forms)
+                if held[2]:
+                    raise _grade_clash(_lead(*held), _lead(*f))
+                forms = []
+            forms.append(f)
+    if len(forms) < 2:
+        return forms[0] if forms else _ZERO
+    return _sum_grade(forms)
 
 
-def _fold(summands: list) -> tuple:
-    """_sum_parts over several grades."""
-    out = ()
-    for t in summands:
-        held = {e: (g, d, n) for g, d, nums in out for e, n in nums.items()}
-        for g, d, nums in t:
-            for e, n in nums.items():
-                h = held.get(e)
-                if h is not None and h[0] != g:
-                    raise _grade_clash(_ratio(h[2], h[1], h[0]), _ratio(n, d, g))
-        by_grade = {g: [(g, d, nums)] for g, d, nums in out}
-        for part in t:
-            by_grade.setdefault(part[0], []).append(part)
-        out = tuple(
-            p
-            for g in sorted(by_grade)
-            for p in (by_grade[g] if len(by_grade[g]) == 1 else _sum_grade(by_grade[g]))
-        )
-    return out
-
-
-def _scaled(parts: tuple, c: ExactScalar) -> tuple:
-    """The parts of a Poly times the scalar c: per grade, c's numerator is
-    cancelled against the denominator and c's denominator against the
-    numerators, which leaves the product in lowest terms."""
-    cn, cd, cg = c.num, c.den, c.sqrt_pi_pow
-    if not cn:
-        return ()
-    out = []
-    for g, d, nums in parts:
-        g1 = gcd(cn, d)
-        g2 = gcd(cd, *nums.values()) if cd != 1 else 1
-        m = cn // g1
-        if g2 != 1:
-            nums = {e: n // g2 * m for e, n in nums.items()}
-        elif m != 1:
-            nums = {e: n * m for e, n in nums.items()}
-        out.append((g + cg, d // g1 * (cd // g2), nums))
-    return tuple(out)
+def _scaled(form: tuple, c: ExactScalar) -> tuple:
+    """The form of a Poly times the scalar c: c's numerator is cancelled
+    against the denominator and c's denominator against the numerators,
+    which leaves the product in lowest terms."""
+    g, d, nums = form
+    cn, cd = c.num, c.den
+    if not (cn and nums):
+        return _ZERO
+    g1 = gcd(cn, d)
+    g2 = gcd(cd, *nums.values()) if cd != 1 else 1
+    m = cn // g1
+    if g2 != 1:
+        nums = {e: n // g2 * m for e, n in nums.items()}
+    elif m != 1:
+        nums = {e: n * m for e, n in nums.items()}
+    return g + c.sqrt_pi_pow, d // g1 * (cd // g2), nums
 
 
 def _product(a: tuple, b: tuple) -> tuple:
-    """The parts of the product of two Polys over one variable tuple, given
-    as their parts.  Each operand's numerators are brought over the lcm of
-    its denominators and the products are summed per key in the
-    schoolbook order, pairs of terms in the operands' order: a key takes
-    the grade of its first product, or of the next one after its sum
-    cancels, and a product of another grade at a key whose sum is not
-    zero raises the ValueError of ExactScalar addition."""
-    if not (a and b):
-        return ()
-    da, ta = _common(a)
-    db, tb = _common(b)
-    d = da * db
-    nums, grades = {}, {}
+    """The form of the product of two Polys over one variable tuple, given
+    as their forms: the numerators' products summed per key over the
+    product of the denominators, at the sum of the grades."""
+    nums = {}
     get = nums.get
-    for e1, n1, g1 in ta:
-        for e2, n2, g2 in tb:
+    for e1, n1 in a[2].items():
+        for e2, n2 in b[2].items():
             key = tuple(map(add, e1, e2))
-            g = g1 + g2
-            s = get(key)
-            if s and grades[key] != g:
-                raise _grade_clash(_ratio(s, d, grades[key]), _ratio(n1 * n2, d, g))
-            nums[key] = (s or 0) + n1 * n2
-            if not s:
-                grades[key] = g
-    by_grade = {}
-    for key, n in nums.items():
-        by_grade.setdefault(grades[key], {})[key] = n
-    return tuple(p for g in sorted(by_grade) for p in _reduced(g, d, by_grade[g]))
-
-
-def _common(parts: tuple) -> tuple:
-    """(d, [(exps, numerator, grade)]): every term of the parts as an
-    integer numerator over d, the lcm of their denominators."""
-    d = lcm(*[den for _, den, _ in parts])
-    return d, [
-        (e, n * (d // den), g) for g, den, nums in parts for e, n in nums.items()
-    ]
+            nums[key] = get(key, 0) + n1 * n2
+    return _reduced(a[0] + b[0], a[1] * b[1], nums)
 
 
 _new = object.__new__
@@ -253,16 +215,16 @@ def _decimal_dens(dens: list) -> list:
 
 class Poly:
     """``Poly(vars, terms)`` checks the variables and every term; the
-    results of arithmetic on Polys are built by ``Poly._of`` from parts
+    results of arithmetic on Polys are built by ``Poly._of`` from forms
     that are canonical by construction and are not checked again."""
 
-    __slots__ = ("vars", "_parts")
+    __slots__ = ("vars", "_form")
 
     def __init__(self, vars=(), terms=None):
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError(f"repeated variable in {self.vars}")
-        self._parts = ()
+        self._form = _ZERO
         if terms:
             width = len(self.vars)
             summands = []
@@ -273,18 +235,18 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in Poly")
                 summands.append(_term(exps, ExactScalar.coerce(c)))
-            self._parts = _sum_parts(summands)
+            self._form = _sum(summands)
 
     @staticmethod
-    def _of(vars: tuple, parts: tuple) -> "Poly":
-        """A Poly over parts that are already canonical: a tuple, sorted by
-        grade, of (grade, den, nums) with den > 0 and nums a nonempty dict
-        from exponent tuples of width len(vars) to nonzero ints, coprime
-        to den as a whole, no key in two parts.  The dicts are shared, not
-        copied: no Poly changes its parts."""
+    def _of(vars: tuple, form: tuple) -> "Poly":
+        """A Poly over a form that is already canonical: _ZERO, or
+        (grade, den, nums) with den > 0 and nums a nonempty dict from
+        exponent tuples of width len(vars) to nonzero ints, coprime to den
+        as a whole.  The dict is shared, not copied: no Poly changes its
+        form."""
         p = _new(Poly)
         p.vars = vars
-        p._parts = parts
+        p._form = form
         return p
 
     @staticmethod
@@ -294,7 +256,7 @@ class Poly:
         taken over."""
         p = _new(Poly)
         p.vars = vars
-        p._parts = _reduced(grade, den, nums)
+        p._form = _reduced(grade, den, nums)
         return p
 
     @staticmethod
@@ -307,9 +269,9 @@ class Poly:
         p.vars = vars
         if num:
             g = gcd(num, den) if den > 0 else -gcd(num, den)
-            p._parts = ((grade, den // g, {exps: num // g}),)
+            p._form = grade, den // g, {exps: num // g}
         else:
-            p._parts = ()
+            p._form = _ZERO
         return p
 
     @staticmethod
@@ -317,34 +279,33 @@ class Poly:
         """The sum over vars of the pieces (grade, den, nums, m), each the
         terms nums[e] m / den x^e at that sqrt(pi) grade, from integers
         over a nonzero den, a key free to recur in several pieces; the
-        dicts are only read.  At one grade it is one pass: every numerator
-        times its m brought over the lcm of the dens, summed per key and
-        reduced once.  Over several it is the sum of the one-piece Polys
-        in the pieces' order, so a clash of grades raises as Poly.sum
-        raises it."""
+        dicts are only read.  One pass: every numerator times its m
+        brought over the lcm of the dens, summed per key and reduced once.
+        It is the left fold of the one-piece Polys: a piece with a nonzero
+        term at another grade than the sum so far raises, as Poly.sum
+        raises, unless that sum is zero; a piece of zeros has no grade."""
         grade = pieces[0][0] if pieces else 0
         den = lcm(*[p[1] for p in pieces])
         total = {}
         get = total.get
         for g, d, nums, m in pieces:
-            if g != grade:
-                return Poly.sum([
-                    Poly._over(vars, g, d, {e: n * m for e, n in nums.items()})
-                    for g, d, nums, m in pieces
-                ], vars)
+            if g != grade and m and any(nums.values()):
+                if any(total.values()):
+                    raise _grade_clash(_lead(grade, den, total), _lead(g, d, nums, m))
+                grade = g
             m *= den // d
             for e, n in nums.items():
                 total[e] = get(e, 0) + n * m
         return Poly._over(vars, grade, den, total)
 
-    def _by_grade(self, vars=None) -> tuple:
-        """The stored integers, for the kernels that run on them: per
-        sqrt(pi) grade, in increasing order, (grade, den, nums), nums a
-        dict from exponent tuples to the nonzero numerators over den > 0,
-        in lowest terms; re-keyed onto vars, a superset of self.vars, when
-        it is given.  The dicts are shared and not to be changed: a kernel
-        builds its result through Poly._over."""
-        return self._parts if vars is None else self._remap(vars)
+    def _integers(self, vars=None) -> tuple:
+        """The stored integers, for the kernels that run on them: (grade,
+        den, nums), nums a dict from exponent tuples to the nonzero
+        numerators over den > 0, in lowest terms, and (0, 1, {}) for zero;
+        re-keyed onto vars, a superset of self.vars, when it is given.  The
+        dict is shared and not to be changed: a kernel builds its result
+        through Poly._over."""
+        return self._form if vars is None else self._remap(vars)
 
     @staticmethod
     def _first_unequal(polys: list, vars: tuple, den: int, nums: dict):
@@ -360,12 +321,11 @@ class Poly:
             f *= k or 1
             if p.vars != vars:
                 extra = [i for i, v in enumerate(p.vars) if v not in vars]
-                if any(e[i] for _, _, ns in p._parts for e in ns for i in extra):
+                if any(e[i] for e in p._form[2] for i in extra):
                     break
-            parts = p._remap(vars)
-            if len(parts) > 1 or parts and parts[0][0]:
+            g, d, stored = p._remap(vars)
+            if g:
                 break
-            _, d, stored = parts[0] if parts else (0, 1, {})
             checks.append((stored.get, d * f, len(stored)))
         top = len(checks)  # the first k found unequal, or past the last
         counts = [0] * top
@@ -385,16 +345,15 @@ class Poly:
     def _renamed(self, vars: tuple) -> "Poly":
         """The same terms over vars, one new name for each of self.vars in
         its place; the stored integers are shared."""
-        return Poly._of(tuple(vars), self._parts)
+        return Poly._of(tuple(vars), self._form)
 
     @property
     def terms(self) -> dict:
         """A new dict from exponent tuples to nonzero ExactScalars, each
         coefficient reduced as it is read; the view for readers outside
         the integer kernels."""
-        return {
-            e: _ratio(n, d, g) for g, d, nums in self._parts for e, n in nums.items()
-        }
+        g, d, nums = self._form
+        return {e: _ratio(n, d, g) for e, n in nums.items()}
 
     # -- construction -----------------------------------------------------
 
@@ -405,16 +364,17 @@ class Poly:
     @classmethod
     def sum(cls, polys, vars=()) -> "Poly":
         """The sum of the Polys, equal to the left fold
-        Poly.zero(vars) + p1 + p2 + ...: over vars when every summand is,
-        else over the sorted union of all the variables (see _sum_parts)."""
+        Poly.zero(vars) + p1 + p2 + ..., raising where it raises: over vars
+        when every summand is, else over the sorted union of all the
+        variables (see _sum)."""
         polys = list(polys)
         vars = tuple(vars)
         for p in polys:
             if p.vars != vars:
                 vars = tuple(sorted(set(vars).union(*[p.vars for p in polys])))
                 break
-        return cls._of(vars, _sum_parts([
-            p._parts if p.vars == vars else p._remap(vars) for p in polys
+        return cls._of(vars, _sum([
+            p._form if p.vars == vars else p._remap(vars) for p in polys
         ]))
 
     @classmethod
@@ -434,22 +394,20 @@ class Poly:
     # -- alignment ---------------------------------------------------------
 
     def _remap(self, vars) -> tuple:
-        """The parts re-keyed onto a superset variable tuple."""
+        """The form re-keyed onto a superset variable tuple."""
         if vars == self.vars:
-            return self._parts
+            return self._form
         # position of each new variable in an old key padded by one 0
         src = [self.vars.index(v) if v in self.vars else -1 for v in vars]
-        return tuple(
-            (g, d, {tuple(map((e + (0,)).__getitem__, src)): n
-                    for e, n in nums.items()})
-            for g, d, nums in self._parts
-        )
+        g, d, nums = self._form
+        return g, d, {tuple(map((e + (0,)).__getitem__, src)): n
+                      for e, n in nums.items()}
 
     def _aligned(self, other):
-        """(vars, parts of self, parts of other) over the sorted union of
+        """(vars, form of self, form of other) over the sorted union of
         their variables, or over their one variable tuple."""
         if self.vars == other.vars:
-            return self.vars, self._parts, other._parts
+            return self.vars, self._form, other._form
         vars = tuple(sorted(set(self.vars) | set(other.vars)))
         return vars, self._remap(vars), other._remap(vars)
 
@@ -460,14 +418,13 @@ class Poly:
         if other is NotImplemented:
             return other
         vars, a, b = self._aligned(other)
-        return Poly._of(vars, _sum_parts([a, b]))
+        return Poly._of(vars, _sum([a, b]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(self.vars, tuple(
-            (g, d, {e: -n for e, n in nums.items()}) for g, d, nums in self._parts
-        ))
+        g, d, nums = self._form
+        return Poly._of(self.vars, (g, d, {e: -n for e, n in nums.items()}))
 
     def __sub__(self, other):
         other = _operand(other)
@@ -486,7 +443,7 @@ class Poly:
             c = _scalar_operand(other)
             if c is NotImplemented:
                 return c
-            return Poly._of(self.vars, _scaled(self._parts, c))
+            return Poly._of(self.vars, _scaled(self._form, c))
         vars, a, b = self._aligned(other)
         return Poly._of(vars, _product(a, b))
 
@@ -517,21 +474,21 @@ class Poly:
     def __hash__(self):
         # Equal Polys may differ in unused or reordered variables, and a
         # constant equals its scalar, so hash the canonical form: the
-        # stored integers are canonical within a grade.
-        if not any(any(e) for _, _, nums in self._parts for e in nums):
+        # stored integers are canonical.
+        g, d, nums = self._form
+        if not any(any(e) for e in nums):
             return hash(self.scalar_coeff())
         vars = self.vars
-        return hash(frozenset(
-            (tuple(sorted((v, e) for v, e in zip(vars, exps) if e)), g, d, n)
-            for g, d, nums in self._parts
+        return hash((g, d, frozenset(
+            (tuple(sorted((v, e) for v, e in zip(vars, exps) if e)), n)
             for exps, n in nums.items()
-        ))
+        )))
 
     def __bool__(self):
-        return bool(self._parts)
+        return bool(self._form[2])
 
     def is_zero(self) -> bool:
-        return not self._parts
+        return not self._form[2]
 
     # -- substitution --------------------------------------------------------
 
@@ -539,51 +496,54 @@ class Poly:
         """Substitute var -> value (Poly or scalar), fully expanded.  A Poly
         value gives the sum over the powers e of var of the coefficient of
         var^e times value^e.  A scalar p/q scales each term's numerator by
-        p^e q^(E-e) over its grade's denominator times q^E, E the grade's
-        top power of var, and shifts its grade by e times the value's."""
+        p^e q^(E-e) over the denominator times q^E, E the top power of var,
+        and shifts the grade by E times the value's.  Either sums over the
+        powers of var in increasing order, so a value with a sqrt(pi) power
+        refuses two powers of var, whose terms would land in two grades."""
         if var not in self.vars:
             return self
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
+        g, d, nums = self._form
+        powers = sorted({e[i] for e in nums})
         if isinstance(value, Poly):
-            powers = dict.fromkeys(e[i] for _, _, nums in self._parts for e in nums)
             return Poly.sum((self.coeff_of(var, e) * value**e for e in powers), rest)
         value = ExactScalar.coerce(value)
         vn, vd, vg = value.num, value.den, value.sqrt_pi_pow
-        pieces = []
-        for g, d, nums in self._parts:
-            top = max([exps[i] for exps in nums])
-            by_grade = {}
-            for exps, n in nums.items():
-                e = exps[i]
-                out = by_grade.setdefault(g + vg * e, {})
-                key = exps[:i] + exps[i + 1 :]
-                out[key] = out.get(key, 0) + n * vn**e * vd ** (top - e)
-            for h, out in by_grade.items():
-                pieces.append(Poly._over(rest, h, d * vd**top, out))
-        return pieces[0] if len(pieces) == 1 else Poly.sum(pieces, rest)
+        if vg and len(powers) > 1:  # the sum over the powers meets two grades
+            raise _grade_clash(*[
+                _lead(g + vg * e, d * vd**e, {x[:i] + x[i + 1 :]: n * vn**e
+                                             for x, n in nums.items() if x[i] == e})
+                for e in powers[:2]
+            ])
+        top = powers[-1] if powers else 0
+        out = {}
+        for exps, n in nums.items():
+            e = exps[i]
+            key = exps[:i] + exps[i + 1 :]
+            out[key] = out.get(key, 0) + n * vn**e * vd ** (top - e)
+        return Poly._over(rest, g + vg * top, d * vd**top, out)
 
     # -- structure ------------------------------------------------------------
 
     def degree(self, var: str):
-        if not self._parts:
+        nums = self._form[2]
+        if not nums:
             return -inf
         if var not in self.vars:
             return 0
         i = self.vars.index(var)
-        return max(e[i] for _, _, nums in self._parts for e in nums)
+        return max(e[i] for e in nums)
 
     def coeff_of(self, var: str, k: int) -> "Poly":
         """Polynomial coefficient of var**k, as a Poly in the other variables."""
         if var not in self.vars:
             return self if k == 0 else Poly.zero(self.vars)
         i = self.vars.index(var)
-        parts = []
-        for g, d, nums in self._parts:
-            parts += _reduced(g, d, {
-                exps[:i] + exps[i + 1 :]: n for exps, n in nums.items() if exps[i] == k
-            })
-        return Poly._of(self.vars[:i] + self.vars[i + 1 :], tuple(parts))
+        g, d, nums = self._form
+        return Poly._over(self.vars[:i] + self.vars[i + 1 :], g, d, {
+            exps[:i] + exps[i + 1 :]: n for exps, n in nums.items() if exps[i] == k
+        })
 
     def scalar_coeff(self, **exps) -> ExactScalar:
         """Coefficient of the stated monomial; unstated variables at power 0."""
@@ -592,12 +552,9 @@ class Poly:
             key.append(exps.pop(v, 0))
         if any(exps.values()):
             return ZERO
-        key = tuple(key)
-        for g, d, nums in self._parts:
-            n = nums.get(key)
-            if n is not None:
-                return _ratio(n, d, g)
-        return ZERO
+        g, d, nums = self._form
+        n = nums.get(tuple(key))
+        return ZERO if n is None else _ratio(n, d, g)
 
     def _rows(self) -> list:
         """Each term once, in graded-lexicographic descending order, as
@@ -607,16 +564,13 @@ class Poly:
         _decimal_dens when it has more than 600 digits; either formats the
         same under str, %s and f-strings.
 
-        A term n / d of a part reduces by gcd(n, d); the one term of a
-        one-term part is in lowest terms already."""
-        rows = []
-        top = 0
-        for g, d, nums in self._parts:
-            top = max(top, d)
-            if d == 1 or len(nums) == 1:
-                rows += [(e, n, d, g) for e, n in nums.items()]
-                continue
-            rows += [
+        A term n / d reduces by gcd(n, d); the one term of a one-term
+        Poly is in lowest terms already."""
+        g, d, nums = self._form
+        if d == 1 or len(nums) == 1:
+            rows = [(e, n, d, g) for e, n in nums.items()]
+        else:
+            rows = [
                 (e, n, d, g) if (r := gcd(n, d)) == 1 else (e, n // r, d // r, g)
                 for e, n in nums.items()
             ]
@@ -624,7 +578,7 @@ class Poly:
             rows.sort(key=_grlex, reverse=True)
         else:  # one variable: its exponent alone orders the terms
             rows.sort(reverse=True)
-        if top >= _DECIMAL_FLOOR:
+        if d >= _DECIMAL_FLOOR:
             dens = _decimal_dens([r[2] for r in rows])
             rows = [(e, n, d, g) for (e, n, _, g), d in zip(rows, dens)]
         return rows
@@ -638,7 +592,7 @@ class Poly:
         return self._render(_LATEX)
 
     def _render(self, style) -> str:
-        if not self._parts:
+        if not self._form[2]:
             return "0"
         names = [style.names.get(v, v) for v in self.vars]
         open_, close = style.power_open, style.power_close

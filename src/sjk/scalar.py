@@ -16,7 +16,7 @@ den > 0, and does its arithmetic on those ints with math.gcd, by the
 cross-gcd product and sum of the stdlib's Fraction; results are built
 from integers through _ratio, which reduces, or _pair, for a pair coprime
 by construction.  ExactScalar is the public coefficient type of a Poly,
-which stores integer numerators over one denominator per sqrt(pi) grade
+which stores integer numerators over one denominator at one sqrt(pi) grade
 and makes an ExactScalar only where one is read.  A rational parameter
 (an int, a Fraction or a HalfInt) is read once, where it enters the
 package, as a reduced integer pair by _parts, and all parameter

@@ -162,9 +162,8 @@ def _weighted_sum(rows: list) -> Poly:
     """The sum of c w mu^l over the (term, weight) rows, c the term's
     coefficient Poly, w = (num, den, grade) its weight and l its mu power,
     over the sorted union of the coefficients' variables and, where some
-    l > 0, mu: each part of c is a piece of Poly._sum_over, its numerators
-    times num over its denominator times den at its grade plus the
-    weight's."""
+    l > 0, mu: each c is a piece of Poly._sum_over, its numerators times
+    num over its denominator times den at its grade plus the weight's."""
     names = set()
     mu = False
     for t, _ in rows:
@@ -178,10 +177,10 @@ def _weighted_sum(rows: list) -> Poly:
     pieces = []
     for t, (wn, wd, wg) in rows:
         k = t.mu_pow
-        for g, d, nums in t.coeff._by_grade(vars):
-            if k:
-                nums = {e[:j] + (e[j] + k,) + e[j + 1 :]: n for e, n in nums.items()}
-            pieces.append((g + wg, d * wd, nums, wn))
+        g, d, nums = t.coeff._integers(vars)
+        if k:
+            nums = {e[:j] + (e[j] + k,) + e[j + 1 :]: n for e, n in nums.items()}
+        pieces.append((g + wg, d * wd, nums, wn))
     return Poly._sum_over(vars, pieces)
 
 

@@ -130,22 +130,17 @@ def assert_reduced(c):
 
 
 def assert_stored_form(p):
-    """The stored integers: for each sqrt(pi) grade, in increasing order,
-    one positive denominator and nonzero integer numerators whose gcd with
-    it is 1; no exponent vector in two grades."""
-    width = len(p.vars)
-    grades = [g for g, _, _ in p._parts]
-    assert grades == sorted(set(grades))
-    keys = set()
-    for g, den, nums in p._parts:
-        assert type(g) is int and type(den) is int and den > 0
-        assert type(nums) is dict and nums
-        for exps, n in nums.items():
-            assert type(exps) is tuple and len(exps) == width
-            assert type(n) is int and n
-        assert gcd(den, *nums.values()) == 1
-        assert keys.isdisjoint(nums)
-        keys.update(nums)
+    """The stored integers: one sqrt(pi) grade, one positive denominator
+    and nonzero integer numerators whose gcd with it is 1; zero as
+    (0, 1, {})."""
+    g, den, nums = p._integers()
+    assert type(g) is int and type(den) is int and den > 0 and type(nums) is dict
+    if not nums:
+        assert (g, den) == (0, 1)
+    for exps, n in nums.items():
+        assert type(exps) is tuple and len(exps) == len(p.vars)
+        assert type(n) is int and n
+    assert gcd(den, *nums.values()) == 1
 
 
 def assert_canonical(p):
@@ -159,7 +154,7 @@ def assert_canonical(p):
         assert c
     again = Poly(p.vars, p.terms)
     assert again.vars == p.vars and again.terms == p.terms
-    assert again._parts == p._parts
+    assert again._integers() == p._integers()
     assert p == again and hash(p) == hash(again)
 
 
@@ -180,19 +175,17 @@ def inverse_step(op, t, vars, ba, scale):
     """op^{-1}(scale (d^2 + ba d) t), d = d/dx and op acting on the total
     degree in vars, for the rationals ba and scale, scale nonzero: the
     step of opcalc._series on a Poly, which the tests hold to the
-    composition it replaced.  At one sqrt(pi) grade, with x among the
-    variables in vars, the terms are grouped by their other exponents and
-    each group takes opcalc._step, as the series does; otherwise it is the
-    composition, so a clash of grades raises as the sum t'' + ba t'
-    raises it."""
+    composition it replaced.  For a nonzero t, with x among the variables
+    in vars, the terms are grouped by their other exponents and each group
+    takes opcalc._step, as the series does; otherwise it is the
+    composition."""
     bn, bd = _parts(ba)
     sn, sd = _parts(scale)
-    parts = t._by_grade()
-    if len(parts) != 1 or "x" not in t.vars or (vars is not None and "x" not in vars):
+    g, den, nums = t._integers()
+    if not nums or "x" not in t.vars or (vars is not None and "x" not in vars):
         d1 = derivative(t, "x")
         summed = (derivative(d1, "x") + d1 * Fraction(bn, bd)) * Fraction(sn, sd)
         return apply_inverse_diagonal(op, summed, vars)
-    (g, den, nums), = parts
     i = t.vars.index("x")
     idx = [j for j, v in enumerate(t.vars) if vars is None or v in vars]
     groups = {}  # other exponents -> (their degree in vars, {x exponent: numerator})

@@ -247,20 +247,24 @@ def lacunary_dilate(egf: CoeffSeries, K: int) -> CoeffSeries:
     )
 
 
+def terms_over_lcm(p: Poly) -> tuple:
+    """(grade, den, nums): p's terms, read from Poly.terms, as integer
+    numerators over their lcm at p's one sqrt(pi) grade."""
+    terms = p.terms
+    grade = next(iter(terms.values())).sqrt_pi_pow if terms else 0
+    den = lcm(1, *[t.den for t in terms.values()])
+    return grade, den, {e: t.num * (den // t.den) for e, t in terms.items()}
+
+
 def hermite_raise(c: Poly, L: int) -> Poly:
     """(x + 2z d/dx)^L c, c a Poly in x and z: lacunary._raise_nums, keyed
-    (0, x, z), on the numerators of c's terms over their lcm, one sqrt(pi)
-    grade at a time."""
-    out, terms = Poly(("x", "z")), c.terms
-    for g in {t.sqrt_pi_pow for t in terms.values()}:
-        grade = {e: t for e, t in terms.items() if t.sqrt_pi_pow == g}
-        den = lcm(*[t.den for t in grade.values()])
-        nums = {(0, *e): t.num * (den // t.den) for e, t in grade.items()}
-        out += Poly(("x", "z"), {
-            e[1:]: ExactScalar(Fraction(n, den), g)
-            for e, n in lacunary._raise_nums(nums, L).items()
-        })
-    return out
+    (0, x, z), on the numerators of c's terms over their lcm."""
+    grade, den, nums = terms_over_lcm(c)
+    nums = {(0, *e): n for e, n in nums.items()}
+    return Poly(("x", "z"), {
+        e[1:]: ExactScalar(Fraction(n, den), grade)
+        for e, n in lacunary._raise_nums(nums, L).items()
+    })
 
 
 # The cell construction that lacunary's one pass replaced, a cross-check
@@ -404,7 +408,7 @@ def coeff_bridge_check(K: int, L: int, r: int, m: int):
     """The x^r coefficient of the (-1,-1) member of degree K(r+m)+L, directly
     and as the image of the Hermite member: the coefficient bridge."""
     N = K * (r + m) + L
-    image = image_by_grade(families._image_grade, families.hermite_family(N))
+    image = image_poly(families._image_grade, families.hermite_family(N))
     return families.sj_family(N).scalar_coeff(x=r), image.scalar_coeff(x=r)
 
 
@@ -464,28 +468,21 @@ def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
         [c.coeff_of("mu", L) * factorial(L) for c in series.coeffs], series.order)
 
 
-def image_by_grade(image, p: Poly) -> Poly:
-    """The Poly that image, a per-grade map (vars, den, nums) -> (vars',
-    den', nums') such as families._image_grade, makes of p: each sqrt(pi)
-    grade's terms as numerators over their lcm, mapped, and the grades
-    summed by + (a sum across grades at one key raises)."""
-    terms = p.terms
-    vars = image(p.vars, 1, {})[0]
-    out = Poly(vars)
-    for g in sorted({t.sqrt_pi_pow for t in terms.values()}):
-        grade = {e: t for e, t in terms.items() if t.sqrt_pi_pow == g}
-        den = lcm(*[t.den for t in grade.values()])
-        nums = {e: t.num * (den // t.den) for e, t in grade.items()}
-        _, den, nums = image(p.vars, den, nums)
-        out += Poly(vars, {
-            e: ExactScalar(Fraction(n, den), g) for e, n in nums.items()})
-    return out
+def image_poly(image, p: Poly) -> Poly:
+    """The Poly that image, a map on one sqrt(pi) grade's integers (vars,
+    den, nums) -> (vars', den', nums') such as families._image_grade,
+    makes of p: p's terms as numerators over their lcm, mapped, at p's
+    grade."""
+    grade, den, nums = terms_over_lcm(p)
+    vars, den, nums = image(p.vars, den, nums)
+    return Poly(vars, {e: ExactScalar(Fraction(n, den), grade)
+                       for e, n in nums.items()})
 
 
 def image_of(row, series: CoeffSeries) -> CoeffSeries:
     """The image of a Hermite series by a family table row's image map,
     coefficient by coefficient."""
-    return CoeffSeries([image_by_grade(row.image, c) for c in series.coeffs],
+    return CoeffSeries([image_poly(row.image, c) for c in series.coeffs],
                        series.order)
 
 

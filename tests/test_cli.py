@@ -179,7 +179,7 @@ class TestJsonRoundTrip:
 
     def test_pi_carrying_poly_round_trips(self):
         p = Poly.const(ExactScalar(Fraction(-3, 7), 1)) + monomial(
-            Fraction(2, 5), x=3
+            ExactScalar(Fraction(2, 5), 1), x=3
         )
         obj = poly_to_obj(p)
         assert poly_from_obj(json.loads(jsonio.dumps(obj))) == p

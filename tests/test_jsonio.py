@@ -27,13 +27,14 @@ rationals = st.builds(
 
 @st.composite
 def polys(draw):
-    """A Poly with sqrt(pi) grades that may differ from term to term; the
-    zero Poly and constants over no variables included."""
+    """A Poly at a sqrt(pi) grade from -3 to 3; the zero Poly and constants
+    over no variables included."""
     vars = draw(st.sampled_from(VARSETS))
+    grade = draw(st.integers(-3, 3))
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         key = tuple(draw(st.integers(0, 12)) for _ in vars)
-        terms[key] = ExactScalar(draw(rationals), draw(st.integers(-3, 3)))
+        terms[key] = ExactScalar(draw(rationals), grade)
     return Poly(vars, terms)
 
 
@@ -111,8 +112,8 @@ def test_poly_leaves_are_written_as_their_object_form(tree):
     Poly(("x", "z")),
     Poly.const(ExactScalar(Fraction(-3, 7), 1)),
     Poly.const(1),
-    Poly(("x", "z"), {(2, 0): -1, (0, 1): ExactScalar(Fraction(5, 3), -2)}),
-    Poly(("mu",), {(3,): ExactScalar(Fraction(-10**40, 3**50), 3), (0,): 2}),
+    Poly(("x", "z"), {(2, 0): -1, (0, 1): Fraction(5, 3)}) * ExactScalar(1, -2),
+    Poly(("mu",), {(3,): Fraction(-10**40, 3**50), (0,): 2}) * ExactScalar(1, 3),
 ], ids=["zero", "zero-over-variables", "graded-constant", "one", "negative-lead",
         "graded-long-terms"])
 def test_poly_leaf_cases(p):

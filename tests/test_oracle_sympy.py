@@ -192,30 +192,40 @@ def test_hermite_egf_equals_the_generating_function():
         assert _in_ring(R, poly_from_obj(c)) == H[n] * sympy.QQ(1, factorial(n)), n
 
 
+def _read_text(R, text):
+    """A Poly written as text, terms "c v^e ..." joined by " + " and " - ",
+    c a signed integer or p/q, 1 when left out, as an element of sympy's
+    ring R."""
+    gens = {str(g): g for g in R.gens}
+    row = R(0)
+    for term in re.split(r" (?=[+-] )", text):
+        sign, term = (-1, term[2:]) if term[:2] == "- " else (1, term.lstrip("+ "))
+        coeff, *powers = term.split(" ")
+        if not re.fullmatch(r"-?\d+(/\d+)?", coeff):
+            coeff, powers = "1", [coeff, *powers]
+        value = R(sign * sympy.QQ(*map(int, coeff.split("/"))))
+        for power in powers:
+            var, _, e = power.partition("^")
+            value *= gens[var] ** int(e or 1)
+        row += value
+    return row
+
+
+def _text(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert (cli.run(list(argv), out=out, err=err), err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
 def _table_rows(R, family):
     """The rows of `table --family family --max-n 64` as elements of
-    sympy's ring R, read from the text: "n: " and terms "c v^e ..." joined
-    by " + " and " - ", c a signed integer or p/q, 1 when left out."""
-    out, err = io.StringIO(), io.StringIO()
-    code = cli.run(["table", "--family", family, "--max-n", "64"], out=out, err=err)
-    assert (code, err.getvalue()) == (0, "")
-    gens = {str(g): g for g in R.gens}
+    sympy's ring R, read from the text: "n: " and then the Poly."""
     rows = []
-    for n, line in enumerate(out.getvalue().splitlines()):
+    for n, line in enumerate(_text("table", "--family", family, "--max-n", "64")
+                             .splitlines()):
         label, text = line.split(": ", 1)
         assert label == str(n)
-        row = R(0)
-        for term in re.split(r" (?=[+-] )", text):
-            sign, term = (-1, term[2:]) if term[:2] == "- " else (1, term.lstrip("+ "))
-            coeff, *powers = term.split(" ")
-            if not re.fullmatch(r"-?\d+(/\d+)?", coeff):
-                coeff, powers = "1", [coeff, *powers]
-            value = R(sign * sympy.QQ(*map(int, coeff.split("/"))))
-            for power in powers:
-                var, _, e = power.partition("^")
-                value *= gens[var] ** int(e or 1)
-            row += value
-        rows.append(row)
+        rows.append(_read_text(R, text))
     assert len(rows) == 65
     return rows
 
@@ -229,6 +239,17 @@ def test_sj_table_equals_jacobi_oracle():
     R, x = ring("x", sympy.QQ)
     want = [R(_monic_sj(n).as_expr()) for n in range(65)]
     assert _table_rows(R, "sj") == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 33, 64])
+def test_sj_poly_text_equals_jacobi_oracle(n):
+    # poly --family sj --n n read from its text; degree 0 is the constant 1
+    # over no variable, degree 1 is x
+    R, x = ring("x", sympy.QQ)
+    text = _text("poly", "--family", "sj", "--n", str(n))
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert _read_text(R, text[:-1]) == R(_monic_sj(n).as_expr())
+    assert (n > 0) == ("x" in text)
 
 
 @pytest.mark.parametrize("M", range(21))

@@ -180,16 +180,19 @@ def test_derivative_is_linear_against_doubling(p):
 
 
 @st.composite
-def graded_polys(draw, pi_weight, varsets=(("x", "y"), ("y", "x"), ("x",), ("y",))):
-    """A Poly whose term x^a y^b carries sqrt(pi)^(pi_weight * b), so the
-    sum and product of two of them never add across grades."""
+def graded_polys(draw, grade, varsets=(("x", "y"), ("y", "x"), ("x",), ("y",))):
+    """A Poly whose every term carries sqrt(pi)^grade."""
     vars = draw(st.sampled_from(varsets))
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
         key = tuple(draw(st.integers(0, 3)) for _ in vars)
-        grade = pi_weight * dict(zip(vars, key)).get("y", 0)
         terms[key] = ExactScalar(draw(small_fracs), grade)
     return Poly(vars, terms)
+
+
+def two_grade_polys(varsets):
+    """A Poly at sqrt(pi) grade 0 or 1, so that two of them may meet in a sum."""
+    return st.integers(0, 1).flatmap(lambda g: graded_polys(g, varsets))
 
 
 @settings(max_examples=120, deadline=None)
@@ -197,7 +200,7 @@ def graded_polys(draw, pi_weight, varsets=(("x", "y"), ("y", "x"), ("x",), ("y",
 def test_arithmetic_results_are_canonical(w, data):
     p, q = data.draw(graded_polys(w)), data.draw(graded_polys(w))
     c = ExactScalar(data.draw(small_fracs), data.draw(st.integers(-3, 3)))
-    # a grade-0 value free of y keeps the y-weighted grades consistent
+    # a grade-0 value keeps a substitution at p's grade
     v = data.draw(graded_polys(0, (("t",), ("x", "t"), ("x",))))
     results = [
         p + q, p - q, p * q, p * c, 3 * p, -p, p + (-p), p * p,
@@ -251,25 +254,15 @@ def test_product_matches_the_schoolbook_loop(w, data):
         assert_same_poly(a * b, _reference_product(a, b))
 
 
-@st.composite
-def mixed_grade_polys(draw, varsets=(("x",), ("x", "y"), ("y", "x"))):
-    """A Poly whose terms carry unrelated sqrt(pi) grades."""
-    vars = draw(st.sampled_from(varsets))
-    keys = st.tuples(*[st.integers(0, 2)] * len(vars))
-    coeffs = st.builds(ExactScalar, small_fracs, st.integers(0, 1))
-    return Poly(vars, draw(st.dictionaries(keys, coeffs, max_size=4)))
-
-
 @settings(max_examples=150, deadline=None)
-@given(mixed_grade_polys(), mixed_grade_polys())
-def test_product_meets_grades_as_the_schoolbook_loop(p, q):
-    try:
-        want = _reference_product(p, q)
-    except ValueError:
-        with pytest.raises(ValueError):
-            p * q
-    else:
-        assert_same_poly(p * q, want)
+@given(st.integers(-2, 2), st.integers(-2, 2), st.data())
+def test_product_meets_grades_as_the_schoolbook_loop(g1, g2, data):
+    # a product of Polys at grades g1 and g2 is at g1 + g2: it cannot clash
+    p = data.draw(graded_polys(g1, _PRODUCT_VARSETS))
+    q = data.draw(graded_polys(g2, _PRODUCT_VARSETS))
+    got = p * q
+    assert_same_poly(got, _reference_product(p, q))
+    assert got._integers()[0] == (g1 + g2 if p and q else 0)
 
 
 def _left_fold(polys, vars):
@@ -281,11 +274,14 @@ def _left_fold(polys, vars):
 
 def assert_sum_is_the_left_fold(polys, vars):
     """Poly.sum(polys, vars) is the fold in terms, .vars and hash, or
-    raises the fold's ValueError; returns whether the fold succeeded."""
+    raises where the fold raises; returns whether the fold succeeded.  The
+    two name the leading terms under their own variable orders, which
+    differ where the fold has not yet met every summand's variables."""
     try:
         want = _left_fold(polys, vars)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
+        assert "different powers of sqrt(pi)" in str(exc)
+        with pytest.raises(ValueError, match=r"different powers of sqrt\(pi\)"):
             Poly.sum(polys, vars)
         return False
     got = Poly.sum(iter(polys), vars)  # one pass, as a generator gives
@@ -301,8 +297,11 @@ _SUM_VARSETS = ((), ("x",), ("z",), ("mu",), ("x", "z"), ("z", "x"), ("mu", "x",
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_SUM_VARSETS), st.booleans(), st.data())
 def test_sum_is_the_left_fold(vars, shared, data):
+    # each summand at grade 0 or 1: the fold raises where a summand meets
+    # a nonzero sum at the other grade, and a sum cancelled to zero takes
+    # the next summand's grade
     varsets = (vars,) if shared else _SUM_VARSETS
-    polys = data.draw(st.lists(mixed_grade_polys(varsets), max_size=5))
+    polys = data.draw(st.lists(two_grade_polys(varsets), max_size=5))
     assert_sum_is_the_left_fold([], vars)
     if assert_sum_is_the_left_fold(polys, vars):
         # each summand taken back off, last first: the sum cancels to zero
@@ -315,23 +314,28 @@ def test_sum_is_the_left_fold(vars, shared, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(-2, 2), st.booleans(), st.data())
-def test_stored_form_is_rebuilt_by_every_path(w, mixed, data):
+@given(st.integers(-2, 2), st.data())
+def test_stored_form_is_rebuilt_by_every_path(w, data):
     # the checking constructor, arithmetic and the JSON round trip all
     # arrive at the one stored form: equal, hashing equal, same terms
-    # (a Poly operand over other variables would realign an unsorted tuple)
-    p = data.draw(mixed_grade_polys() if mixed else graded_polys(w))
+    # (a Poly operand over other variables would realign an unsorted tuple);
+    # a zero, however made, has no grade and adds to p at any grade
+    p = data.draw(graded_polys(w))
+    other = Poly(p.vars, {(0,) * len(p.vars): ExactScalar(3, w + 1)})
+    zeros = [Poly.zero(p.vars), other - other]
     rebuilt = [
         Poly(p.vars, p.terms),
         poly_from_obj(json.loads(jsonio.dumps(p))),
-        -(-p), p * 1, p - Poly.zero(p.vars), Poly.sum([p], p.vars),
+        -(-p), p * 1, p - zeros[0], *(z + p for z in zeros), *(p + z for z in zeros),
+        Poly.sum([p], p.vars), Poly.sum([*zeros, p, *zeros], p.vars),
         (p * 3) * Fraction(1, 3), (p + p) * Fraction(1, 2),
         Poly.sum([p, p, -p], p.vars), p * Poly(p.vars, {(0,) * len(p.vars): 1}),
         p * ExactScalar(5, 1) * ExactScalar(Fraction(1, 5), -1),
     ]
     for r in rebuilt:
         assert r == p and hash(r) == hash(p)
-        assert r.vars == p.vars and r.terms == p.terms and r._parts == p._parts
+        assert r.vars == p.vars and r.terms == p.terms
+        assert r._integers() == p._integers()
         assert_canonical(r)
 
 
@@ -348,7 +352,7 @@ def _first_unequal_built(polys, vars, den, nums):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(mixed_grade_polys(_OVER_VARSETS), min_size=1, max_size=3),
+@given(st.lists(two_grade_polys(_OVER_VARSETS), min_size=1, max_size=3),
        st.sampled_from(_OVER_VARSETS), st.integers(1, 6), st.integers(-3, 3), st.data())
 def test_first_unequal_is_equality_with_the_built_polys(polys, vars, den, k, data):
     # integers keyed by the power and the exponents over vars, zeros and
@@ -357,7 +361,7 @@ def test_first_unequal_is_equality_with_the_built_polys(polys, vars, den, k, dat
     nums = data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
     got = Poly._first_unequal(polys, vars, den, nums)
     assert got == _first_unequal_built(polys, vars, den, dict(nums))
-    # the grade-0 parts' own integers over ("mu", "x", "y"), over one den
+    # the grade-0 sources' own integers over ("mu", "x", "y"), over one den
     # scaled by k, with a zero added: equal, until one numerator moves
     same = [Poly(p.vars, {e: c for e, c in p.terms.items() if not c.sqrt_pi_pow})
             for p in polys]
@@ -412,7 +416,9 @@ def test_first_unequal_reads_grade_zero_only():
     nums = {(0, 1): 1, (1, 1): 1}
     assert Poly._first_unequal([Poly.var("x"), Poly.var("x")], ("x",), 1, nums) is None
     assert Poly._first_unequal([Poly.var("x"), pi_x], ("x",), 1, nums) == 1
-    assert Poly._first_unequal([pi_x + 1, pi_x], ("x",), 1, nums) == 0
+    assert Poly._first_unequal([pi_x, Poly.var("x")], ("x",), 1, nums) == 0
+    # zero has no grade: it is stored at grade 0 and compares equal to zero
+    assert Poly._first_unequal([pi_x - pi_x], ("x",), 1, {(0, 1): 0}) is None
 
 
 def test_sum_takes_the_next_grade_after_a_cancellation():
@@ -424,19 +430,13 @@ def test_sum_takes_the_next_grade_after_a_cancellation():
 
 class TestProductGrades:
     def test_cross_grade_collision_raises(self):
-        # x * 1 and sqrt(pi) * x meet at x while the sum there is nonzero
-        p = Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
-        for f in (operator.mul, _reference_product):
-            with pytest.raises(ValueError, match="sqrt\\(pi\\)"):
-                f(p, X + 1)
-
-    def test_cancelled_sum_takes_the_next_grade(self):
-        # at x y: x * y, then y * (-x) cancel, then sqrt(pi) * x y arrives
-        p = Poly(("x", "y"), {(1, 0): 1, (0, 1): 1, (0, 0): ExactScalar(1, 1)})
-        q = Poly(("x", "y"), {(0, 1): 1, (1, 0): -1, (1, 1): 1})
-        got = p * q
-        assert_same_poly(got, _reference_product(p, q))
-        assert got.terms[(1, 1)] == ExactScalar(1, 1)
+        # x * 1 and sqrt(pi) * x would meet at x in p * (x + 1); p itself,
+        # x + sqrt(pi), is refused where it is built
+        with pytest.raises(ValueError, match="sqrt\\(pi\\)"):
+            Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
+        # the product of its two one-grade pieces by x + 1 is one grade each
+        for part in (X, Poly.const(ExactScalar(1, 1))):
+            assert_same_poly(part * (X + 1), _reference_product(part, X + 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -624,6 +624,13 @@ class TestRendering:
         (Poly.const(ExactScalar(2, 1)), ExactScalar(2, 1)),
         (ExactScalar(1), 1),
         (ExactScalar(Fraction(-3, 4)), Fraction(-3, 4)),
+        # non-constant graded Polys over reordered and unused variables
+        (Poly(("y", "x"), {(0, 1): ExactScalar(1, -1)}),
+         monomial(ExactScalar(1, -1), x=1)),
+        (Poly(("y", "x"), {(0, 1): ExactScalar(1, 2)}),
+         monomial(ExactScalar(1, 2), x=1)),
+        (Poly(("z", "x", "y"), {(0, 2, 1): ExactScalar(Fraction(-5, 3), 2)}),
+         monomial(ExactScalar(Fraction(-5, 3), 2), x=2, y=1)),
     ],
 )
 def test_equal_values_hash_equal(a, b):
@@ -763,8 +770,8 @@ def render_polys(draw):
         ((), ("x",), ("x", "z"), ("z", "x"), ("mu", "x"), ("lambda", "mu", "x"))
     ))
     keys = st.tuples(*[st.integers(0, 3)] * len(vars))
-    coeffs = st.builds(ExactScalar, _render_rationals,
-                       st.sampled_from(sorted(_PI_SPELLING)))
+    grade = draw(st.sampled_from(sorted(_PI_SPELLING)))
+    coeffs = st.builds(ExactScalar, _render_rationals, st.just(grade))
     return Poly(vars, draw(st.dictionaries(keys, coeffs, max_size=5)))
 
 
@@ -790,14 +797,14 @@ class TestLongDenominators:
     @staticmethod
     def shared(digits):
         # denominators sharing a factor of `digits` digits, with short
-        # cofactors, beside one unrelated denominator
+        # cofactors, beside one unrelated denominator, times sqrt(pi)
         g = 10 ** (digits - 1) + 7
         return Poly(("x", "z"), {
             (3, 0): Fraction(-5, g * 3),
             (1, 1): Fraction(2, g * 11),
-            (0, 2): ExactScalar(Fraction(1, g), 1),
+            (0, 2): Fraction(1, g),
             (0, 0): Fraction(1, 7),
-        })
+        }) * ExactScalar(1, 1)
 
     @pytest.mark.parametrize("digits", [2, 598, 599, 600, 601, 602, 1500, 4299])
     def test_rows_read_as_str(self, digits):
@@ -837,9 +844,9 @@ class TestLongDenominators:
 
 class TestScalarSubstitute:
     P = Poly(("z", "y", "x"), {
-        (1, 2, 0): Fraction(3, 4), (1, 0, 0): -2, (0, 1, 3): ExactScalar(5, 1),
-        (0, 3, 3): ExactScalar(Fraction(-1, 6), 1), (0, 0, 1): 1,
-    })
+        (1, 2, 0): Fraction(3, 4), (1, 0, 0): -2, (0, 1, 3): 5,
+        (0, 3, 3): Fraction(-1, 6), (0, 0, 1): 1,
+    }) * ExactScalar(1, 1)
 
     @pytest.mark.parametrize("value", [1, 0, -2, Fraction(3, 5), ExactScalar(2)])
     def test_equals_the_poly_valued_path(self, value):
@@ -849,15 +856,22 @@ class TestScalarSubstitute:
         assert_canonical(got)
 
     def test_graded_value(self):
-        p = Poly(("x", "y"), {(1, 2): 3, (0, 0): 1})
+        # one power of y: the grade moves by its power times the value's
+        p = Poly(("x", "y"), {(1, 2): 3, (0, 2): 1})
         got = p.substitute("y", ExactScalar(2, 1))
-        assert got.terms == {(1,): ExactScalar(12, 2), (0,): ExactScalar(1)}
+        assert got.terms == {(1,): ExactScalar(12, 2), (0,): ExactScalar(4, 2)}
+        assert_canonical(got)
 
     def test_grade_clash_still_raises(self):
-        # x y and sqrt(pi) x both land on x
-        p = Poly(("x", "y"), {(1, 1): 1, (1, 0): ExactScalar(1, 1)})
-        with pytest.raises(ValueError, match=r"different powers of sqrt\(pi\)"):
-            p.substitute("y", 1)
+        # x lands at grade 0 and x y at grade 1; the scalar path raises as
+        # the Poly-valued path's sum over the powers of y does
+        p = Poly(("x", "y"), {(1, 1): 1, (1, 0): 1, (2, 2): 1})
+        with pytest.raises(ValueError) as want:
+            ExactScalar(1) + ExactScalar(1, 1)
+        for value in (ExactScalar(1, 1), Poly.const(ExactScalar(1, 1))):
+            with pytest.raises(ValueError) as got:
+                p.substitute("y", value)
+            assert str(got.value) == str(want.value)
 
     def test_cancelling_terms_are_dropped(self):
         p = Poly(("x", "y"), {(1, 1): 2, (1, 0): -4, (0, 0): 1})
@@ -865,11 +879,72 @@ class TestScalarSubstitute:
 
 
 def test_product_grade_clash_reads_as_the_sum():
-    # x^1 meets 1 from x * 1 and then sqrt(pi) from sqrt(pi) * x
-    p = Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
-    q = Poly(("x",), {(0,): 1, (1,): 1})
+    # x^1 would meet 1 from x * 1 and sqrt(pi) from sqrt(pi) * x in p * q;
+    # p, x + sqrt(pi), is refused where it is built, with the sum's text
     with pytest.raises(ValueError) as want:
         ExactScalar(1) + ExactScalar(1, 1)
     with pytest.raises(ValueError) as got:
-        p * q
+        Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
     assert str(got.value) == str(want.value)
+
+
+PI_Y = Poly.var("y") * ExactScalar(1, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly(("x", "y"), {(1, 0): 1, (0, 1): ExactScalar(1, 1)}),
+    lambda: X + PI_Y,
+    lambda: Poly.sum([X, PI_Y]),
+    lambda: Poly._sum_over(("x", "y"), [(0, 1, {(1, 0): 1}, 1),
+                                        (1, 1, {(0, 1): 1}, 1)]),
+    lambda: Poly(("x", "y"), {(1, 0): 1, (1, 1): Fraction(1, 2)}).substitute(
+        "y", ExactScalar(2, 1)),
+], ids=["constructor", "add", "sum", "sum_over", "substitute"])
+def test_two_grades_are_refused_as_the_scalar_sum(make):
+    # nonzero terms landing in two sqrt(pi) grades raise ExactScalar's text
+    # for the leading term of each side
+    with pytest.raises(ValueError) as want:
+        ExactScalar(1) + ExactScalar(1, 1)
+    with pytest.raises(ValueError) as got:
+        make()
+    assert str(got.value) == str(want.value)
+
+
+def test_a_refused_sum_names_the_leading_term_of_each_side():
+    # the terms that text() writes first: 3 x^2 and 7 sqrt(pi) x y^2
+    p = Poly(("x", "y"), {(1, 0): 2, (2, 0): 3})
+    q = Poly(("x", "y"), {(0, 1): 5, (1, 2): 7}) * ExactScalar(1, 1)
+    assert p.text().startswith("3 x^2") and q.text().startswith("7 sqrt(pi) x y^2")
+    with pytest.raises(ValueError) as want:
+        ExactScalar(3) + ExactScalar(7, 1)
+    for make in (lambda: p + q, lambda: Poly.sum([p, q])):
+        with pytest.raises(ValueError) as got:
+            make()
+        assert str(got.value) == str(want.value)
+
+
+def _pieces_fold(vars, pieces):
+    """Poly._sum_over as the left fold by + of the one-piece Polys."""
+    out = Poly.zero(vars)
+    for g, d, nums, m in pieces:
+        out = out + Poly._over(vars, g, d, {e: n * m for e, n in nums.items()})
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(((), ("x",), ("x", "y"))), st.data())
+def test_sum_over_is_the_left_fold_of_its_pieces(vars, data):
+    # pieces at grades 0 and 1, with zero numerators, zero multipliers and
+    # keys recurring across pieces
+    keys = st.tuples(*[st.integers(0, 2)] * len(vars))
+    piece = st.tuples(st.integers(0, 1), st.integers(-4, 4).filter(bool),
+                      st.dictionaries(keys, st.integers(-3, 3), max_size=3),
+                      st.integers(-2, 2))
+    pieces = data.draw(st.lists(piece, max_size=5))
+    try:
+        want = _pieces_fold(vars, pieces)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            Poly._sum_over(vars, pieces)
+        return
+    assert_same_poly(Poly._sum_over(vars, pieces), want)

@@ -10,6 +10,8 @@ import re
 from functools import cache
 from pathlib import Path
 
+from sjk.poly import Poly
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sjk"
 
@@ -33,12 +35,12 @@ KEPT = (
     "poly.CoeffSeries.__repr__",
     "hyper.HyperSpec.__repr__", "umbral.GenMonomial.__repr__",
     "umbral.GenSeries.__repr__",
-    # Private helpers that only the public names run: Poly * Poly, a Poly
-    # sum over several sqrt(pi) grades, the hashes, ExactScalar repr and str.
-    "poly._product", "poly._common", "poly._fold", "scalar._rat_hash",
-    "scalar.ExactScalar._rat_text",
+    # Private helpers that only the public names run: Poly * Poly, the
+    # hashes, ExactScalar repr and str.
+    "poly._product", "scalar._rat_hash", "scalar.ExactScalar._rat_text",
     # Guards, run only on input that the command never passes on.
     "scalar._grade_clash",  # a scalar sum over two sqrt(pi) grades
+    "poly._lead",  # the term that a Poly sum over two grades names
 )
 
 
@@ -101,6 +103,35 @@ def test_the_walk_names_an_unused_definition(corpus_run):
     matmul = "    def __matmul__(self, other):\n        return self\n\n"
     poly = texts["poly"].replace(anchor, matmul + anchor)
     assert unrun(ran, {**texts, "poly": poly}) == ["poly.Poly.__matmul__"]
+
+
+# The attribute that holds a Poly's stored integers; no module but poly.py
+# reads it, so that the form it holds can change in one place.
+STORED = "_form"
+
+
+def stored_form_reads(texts: dict) -> list:
+    """(module, line) of each read of a Poly's stored form outside poly.py
+    in texts: the attribute, or its name as a string (getattr)."""
+    return sorted(
+        (module, node.lineno)
+        for module, text in texts.items() if module != "poly"
+        for node in ast.walk(_parse(text))
+        if isinstance(node, ast.Attribute) and node.attr == STORED
+        or isinstance(node, ast.Constant) and node.value == STORED
+    )
+
+
+def test_only_poly_reads_the_stored_form():
+    assert STORED in Poly.__slots__
+    texts = sources()  # scalar._parts, a function that hyper reads, is not it
+    assert stored_form_reads(texts) == []
+    # a read is found, as an attribute or through getattr
+    for module, read in (("connect", "Poly.var('x')._form"),
+                         ("umbral", "getattr(Poly(), '_form')")):
+        edited = {**texts, module: texts[module] + f"x = {read}\n"}
+        line = texts[module].count("\n") + 1
+        assert stored_form_reads(edited) == [(module, line)]
 
 
 def test_readme_lists_the_public_kept_names():

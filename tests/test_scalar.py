@@ -30,7 +30,7 @@ from sjk.scalar import (
 )
 
 from conftest import assert_canonical, assert_reduced, inverse_step
-from reference import hermite_lacunary_closed, hermite_raise, image_by_grade, monomial
+from reference import hermite_lacunary_closed, hermite_raise, image_poly, monomial
 
 H = Fraction(1, 2)
 MODULUS = sys.hash_info.modulus
@@ -573,7 +573,7 @@ def _kernel_outputs(name):
                 families.jacobi_monic(12, Fraction(1, 3), Fraction(-2, 7), lead)]
     if name == "hermite_image":
         raised = [hermite_raise(c, 2) for c in hermite_lacunary_closed(3, 5).coeffs]
-        image = partial(image_by_grade, families._image_grade)
+        image = partial(image_poly, families._image_grade)
         return [*map(image, raised),
                 *(image(families.hermite_family(n)) for n in range(13))]
     if name == "pfq_terms":

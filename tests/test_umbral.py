@@ -76,15 +76,16 @@ class TestGenProduct:
         rng = random.Random(99)
 
         def rand_series(uname, vname, marker, lam_top):
-            # distinct marker powers keep terms of different sqrt(pi)
-            # grade on distinct monomials
+            # one parity of twice the u and of twice the v exponent per
+            # series, so that every weight has one sqrt(pi) grade
             terms = []
+            up, vp = rng.randint(0, 1), rng.randint(0, 1)
             for i in range(rng.randint(1, 3)):
                 while True:
-                    ut = rng.randint(-5, 9)
+                    ut = 2 * rng.randint(-3, 4) + up
                     if not (ut % 2 == 0 and ut <= 0):
                         break
-                vt = rng.randint(-5, 9)
+                vt = 2 * rng.randint(-3, 4) + vp
                 terms.append(
                     GenMonomial(
                         Poly.var(marker, i)
