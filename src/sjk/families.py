@@ -9,11 +9,10 @@ exact.  Each rational parameter is read once as a reduced integer pair
 forms' coefficients and the EGF scales are integer pairs built from it
 (_binom_parts).
 
-The three Jacobi-type families, and the shifted beta EGF, are served by
-one O(n) coefficient recurrence, jacobi_monic, which runs on integer
-numerators over one denominator; the closed forms
-(jacobi_classical, sj_closed_mm, sj_closed_beta) and the umbral
-construction stay as cross-checks for the verify suites and the tests.
+The classical and (-1, beta) families and the shifted beta EGF are built by
+one O(n) recurrence on integer numerators, jacobi_monic; the (-1,-1) family
+by the image chain below.  The recurrence at (-1,-1), the closed forms
+(jacobi_classical, sj_closed_mm, sj_closed_beta) and sj_umbral are cross-checks.
 The Tricomi-Bessel product form of the shifted EGF, which only the tests
 compare, is in tests/reference.py.  The closed forms share
 _binomial_basis_sum, which sums the integer binomial rows of
@@ -26,9 +25,10 @@ The two-variable Hermite path (H_n, its EGF coefficient and its (-1,-1)
 image) builds each coefficient from integers: the matching numbers by
 their integer ratio recurrence over n!, and the image as those
 numerators times the integer weights of one running product per chain
-a + 2m = N (_image_ratios), read by sj_egf_coeff and by _image_grade, the
-image column of connect's family table, which maps one sqrt(pi) grade's
-integers, lambda and mu carried, for the lacunary checks.
+a + 2m = N (_image_ratios), read by _sj_over (p_N over 1 for sj_family, over
+N! for sj_egf_coeff) and by _image_grade, the image column of connect's
+family table, which maps one sqrt(pi) grade's integers, lambda and mu
+carried, for the lacunary checks.
 
 The reference rows that these families reproduce, tests/data/table_a1.txt,
 are parsed by the test suite (tests/conftest.py), not by this package.
@@ -292,18 +292,23 @@ def _image_grade(vars: tuple, den: int, nums: dict) -> tuple:
     return vars[:im] + vars[im + 1 :], den * w, image
 
 
-def sj_egf_coeff(N: int) -> Poly:
-    """Coefficient of the N-th power of the series parameter in the
-    (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
-    sj_umbral(N)/N!.  Its terms x^(N-2m) z^m c_m / N!, c_m the matching
-    number, lie on the one chain N of _image_ratios, so with M = N // 2
-    the coefficient is the c_m W_M / W_m over N! W_M."""
-    if N < 0:
-        raise ParamError("order must be >= 0")
+def _sj_over(N: int, den: int) -> Poly:
+    """The image of H_N over den, p_N at den 1 and p_N / N! at den N!: the
+    terms c_m x^(N-2m) z^m of H_N, c_m the matching numbers, lie on the one
+    chain N of _image_ratios, so it is the c_m W_M / W_m over den W_M."""
     M = N // 2
     r, c = _image_ratios(N, M), list(_matching_numbers(N))
     nums = {(N - 2 * m,): c[m] * r[m] for m in range(M, -1, -1)}
-    return Poly._over(("x",), 0, factorial(N) * r[0], nums)
+    return Poly._over(("x",), 0, den * r[0], nums)
+
+
+def sj_egf_coeff(N: int) -> Poly:
+    """Coefficient of the N-th power of the series parameter in the
+    (-1,-1) EGF at y = 1: the image of H_N / N!, which equals
+    sj_umbral(N)/N!."""
+    if N < 0:
+        raise ParamError("order must be >= 0")
+    return _sj_over(N, factorial(N))
 
 
 # Canonical per-degree sources, the source column of connect's family table.
@@ -311,7 +316,9 @@ def sj_egf_coeff(N: int) -> Poly:
 @lru_cache(maxsize=None)
 def sj_family(n: int) -> Poly:
     """(-1,-1) family with the degree-one constant fixed to zero."""
-    return jacobi_monic(n, -1, -1)
+    if n < 0:
+        raise ParamError("degree must be >= 0")
+    return _sj_over(n, 1) if n else Poly.const(1)  # 1 over no variable
 
 
 def sj_beta_family(n: int, beta) -> Poly:

@@ -121,7 +121,7 @@ def _recurrence_and_closed(n, alpha, beta):
 
 
 def recurrence(ns, params):
-    """The production recurrence equals the closed form, variables included,
+    """The production construction equals the closed form, variables included,
     for each (alpha, beta): (-1, -1), (-1, beta) or classical Jacobi."""
     for n in ns:
         for alpha, beta in params:

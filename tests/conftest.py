@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sjk import opcalc
+from sjk import families, opcalc
 from sjk.families import HERMITE_SECOND_VAR
 from sjk.hyper import HyperSpec
 from sjk.poly import Poly
@@ -164,6 +164,16 @@ def rand_poly(rng, vars=("x",), max_terms=4, max_exp=5):
         exps = {v: rng.randint(0, max_exp) for v in vars}
         p = p + monomial(rand_fraction(rng), **exps)
     return p
+
+
+@pytest.fixture
+def cold_sj_family():
+    """The sj_family cache empty when the test starts and when it ends: a
+    test that patches what the (-1,-1) members are built from reads the
+    patched members, and none of them outlives it."""
+    families.sj_family.cache_clear()
+    yield
+    families.sj_family.cache_clear()
 
 
 @pytest.fixture

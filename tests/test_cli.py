@@ -25,6 +25,10 @@ JACOBI_PAIRS = tuple(zip(GRID, GRID[3:] + GRID[:3]))
 FORMATS = ("text", "latex", "json")
 
 
+RECURRENCE_FAIL = ("[FAIL] opcalc: coefficient recurrence equals closed forms: "
+                   "(-1,-1) recurrence vs closed form differ at n=2")
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(list(argv), out=out, err=err)
@@ -297,9 +301,12 @@ class TestLacunaryVerb:
         assert run_cli(*argv, "--family", "hermite") == (
             0, "closed-form == oracle: PASS\n", "")
 
-    def test_one_image_factor_reaches_the_check_and_the_egf(self, monkeypatch):
+    def test_one_image_factor_reaches_the_check_and_the_egf(
+            self, monkeypatch, cold_sj_family):
         # the running product's m = 1 factor -2 (2N-3) made -2 (2N-1); of
-        # W_M / W_m only W_M / W_0 carries it
+        # W_M / W_m only W_M / W_0 carries it.  lacunary --check reads the
+        # chain on both sides, the closed form's image and the oracle's
+        # sj_family, so the recurrence check is the one that sees it
         real = families._image_ratios
 
         def one_factor_off(N, M):
@@ -309,14 +316,25 @@ class TestLacunaryVerb:
             return r
 
         monkeypatch.setattr(families, "_image_ratios", one_factor_off)
-        argv = ("lacunary", "--K", "2", "--L", "1", "--order", "4", "--check")
-        assert run_cli(*argv, "--family", "sj") == (2, (
-            "closed-form == oracle: FAIL\n"
-            "  first mismatch at lambda^1: closed=x^3 - 3/5 x oracle=x^3 - x\n"
-        ), "")
+        assert run_cli("poly", "--family", "sj", "--n", "4") == (
+            0, "x^4 - 6/7 x^2 + 1/7\n", "")  # x^4 - 6/5 x^2 + 1/5 unpatched
+        code, out, err = run_cli("verify", "--suite", "opcalc")
+        assert (code, err) == (2, "") and RECURRENCE_FAIL in out.splitlines()
         for N in range(2, 13):
             umbral_form = families.sj_umbral(N) * Fraction(1, math.factorial(N))
             assert families.sj_egf_coeff(N) != umbral_form, N
+
+    def test_every_image_factor_reaches_the_recurrence_check(
+            self, monkeypatch, cold_sj_family):
+        # every factor -2 (2N-2m-1) of the running product made -3 (2N-2m-1),
+        # so W_M / W_m gains (3/2)^(M-m): a chain that is wrong yet consistent
+        real = families._image_ratios
+        monkeypatch.setattr(families, "_image_ratios", lambda N, M: [
+            w * 3 ** (M - m) // 2 ** (M - m) for m, w in enumerate(real(N, M))])
+        assert run_cli("poly", "--family", "sj", "--n", "4") == (
+            0, "x^4 - 4/5 x^2 + 4/45\n", "")
+        code, out, err = run_cli("verify")
+        assert (code, err) == (2, "") and RECURRENCE_FAIL in out.splitlines()
 
     @pytest.mark.parametrize("fmt", ["json", "latex"])
     def test_check_refuses_other_formats(self, fmt):
@@ -753,6 +771,37 @@ def test_request_makes_no_fraction(argv, monkeypatch):
     monkeypatch.undo()
     assert (code, err) == (0, "") and out
     assert made == []
+
+
+# (-1,-1) requests of every verb but egf and verify; poly, table and
+# lacunary read the members from sj_family
+SJ_MEMBER_REQUESTS = [
+    *(("poly", "--family", "sj", "--n", n) for n in ("0", "4", "64")),
+    ("poly", "--family", "sj", "--n", "0", "--format", "json"),  # over no variable
+    ("table", "--family", "sj", "--max-n", "12"),
+    ("connect", "--family", "sj", "--M", "13"),
+    ("react", "--N0", "7", "--t-order", "3"),
+    ("lacunary", "--family", "sj", "--K", "2", "--L", "1", "--order", "8"),
+    *(("lacunary", "--family", "sj", "--K", K, "--L", L, "--order", "6", "--check")
+      for K, L in (("1", "3"), ("2", "1"), ("3", "2"))),
+]
+
+
+@pytest.mark.parametrize("argv", SJ_MEMBER_REQUESTS, ids=" ".join)
+def test_sj_members_are_not_the_recurrence(argv, monkeypatch, cold_sj_family):
+    # the (-1,-1) members have one production construction, the image
+    # chain; jacobi_monic at (-1, -1) is a cross-check that no request runs
+    want = run_cli(*argv)
+    families.sj_family.cache_clear()
+    real = families.jacobi_monic
+
+    def refuse(n, alpha, beta, *lead):
+        if (alpha, beta) == (-1, -1):
+            raise AssertionError("jacobi_monic(n, -1, -1) ran")
+        return real(n, alpha, beta, *lead)
+
+    monkeypatch.setattr(families, "jacobi_monic", refuse)
+    assert run_cli(*argv) == want
 
 
 @pytest.mark.parametrize("line", sorted(LARGE_OUTPUT_DIGESTS))

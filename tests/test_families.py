@@ -196,6 +196,12 @@ class TestSjEgfCoeff:
         for N in range(13):
             assert sj_egf_coeff(N) == sj_umbral(N) * Fraction(1, factorial(N))
 
+    def test_is_the_family_over_factorial(self):
+        # one chain read over N! and over 1
+        for N in range(1, 65):
+            got, want = sj_egf_coeff(N), sj_family(N) * Fraction(1, factorial(N))
+            assert (got.vars, got.terms) == (want.vars, want.terms), N
+
 
 class TestHermiteStructure:
     def test_ladder_identities(self):
@@ -310,11 +316,21 @@ def test_benchmark_family_caches_exist():
 
 
 class TestCoefficientRecurrence:
-    """The O(n) recurrence serves production; the closed forms are its
-    reference.  JSON output prints Poly.vars, so those must agree too."""
+    """The O(n) recurrence serves the classical and (-1, beta) families in
+    production, and at (-1, -1) is a cross-check of the image chain; the
+    closed forms are the reference of both.  JSON output prints Poly.vars,
+    so those must agree too."""
 
     def test_sj_family_equals_closed_form(self):
         assert verify.recurrence(range(25), [(-1, -1)]) is None
+
+    def test_sj_recurrence_equals_closed_form(self):
+        # the recurrence no production path runs at (-1, -1); degree 0 is
+        # over no variable
+        for n in range(65):
+            got, want = jacobi_monic(n, -1, -1), sj_closed_mm(n)
+            assert (got.vars, got) == (want.vars, want), n
+        assert jacobi_monic(0, -1, -1).vars == ()
 
     @pytest.mark.parametrize("beta", GRID, ids=str)
     def test_sj_beta_family_equals_closed_form(self, beta):
@@ -367,6 +383,10 @@ class TestCoefficientRecurrence:
             sj_beta_family(2, -1)
         with pytest.raises(ParamError, match="classical Jacobi"):
             jacobi_family(2, -1, 0)
+        with pytest.raises(ParamError, match="degree must be >= 0"):
+            sj_family(-1)
+        with pytest.raises(ParamError, match="order must be >= 0"):
+            sj_egf_coeff(-1)
 
     def test_eigenequation_at_cap(self):
         n = 64

@@ -38,7 +38,7 @@ def requests() -> list:
     reqs = []
     for fmt in FORMATS:
         f = f"--format {fmt}"
-        for n in (0, 1, 2, 5, 9):
+        for n in (0, 1, 2, 5, 9, 33, 64):
             reqs.append(f"poly --family sj --n {n} {f}")
         reqs += [f"poly --family sj --n 1 --gamma {g} {f}" for g in ("1/2", "-3/2")]
         for n in (0, 1, 6, 12):
