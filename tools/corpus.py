@@ -64,6 +64,8 @@ def requests() -> list:
                 reqs.append(f"react --N0 {N0} --t-order {t} {f}")
     # the largest sj EGF of the emit-large mix; test_cli pins its text form
     reqs += [f"egf --family sj --order 24 --format {fmt}" for fmt in ("latex", "json")]
+    # the degree-0 sj-beta member; only JSON writes its variables
+    reqs.append("poly --family sj-beta --n 0 --format json")
     for fam in ("sj", "hermite"):
         for K in range(1, 5):
             for L in range(4):
