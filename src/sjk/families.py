@@ -104,8 +104,7 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
         c_k (k-n)(k+n+alpha+beta+1) = (k+2)(k+1) c_{k+2} + (beta-alpha)(k+1) c_{k+1}.
     At beta = alpha only c_{k+2} enters, so c_{n-1}, c_{n-3}, ... are zero
     and only every other step is taken; the one zero factor, at n = 1,
-    (-1, -1), k = 0, is then never met.  Degree 0 is the constant Poly
-    with no variables, as the closed forms return it.
+    (-1, -1), k = 0, is then never met.
 
     The steps run on integers: times q = lcm(den alpha, den beta) the
     factor f_k and the right-hand side have integer coefficients, read by
@@ -119,8 +118,6 @@ def jacobi_monic(n: int, alpha, beta, lead: ExactScalar = ONE) -> Poly:
     q, ba, sh = _jacobi_weights(alpha, beta, check=True)
     if n < 0:
         raise ParamError("degree must be >= 0")
-    if n == 0:
-        return Poly.const(lead)
     ks = range(n - 1, -1, -1) if ba else range(n - 2, -1, -2)
     f = {k: (k - n) * ((k + n) * q + sh) for k in ks}
     P = prod(f.values())
@@ -176,10 +173,8 @@ def sj_closed_mm(n: int, gamma=0) -> Poly:
     the free constant gamma.  Cross-check for sj_family."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    if n == 0:
-        return Poly.const(1)
-    if n == 1:
-        return Poly.var("x") + _pair(*_parts(gamma), 0)
+    if n < 2:  # 1, and x + gamma
+        return Poly(("x",), {(n,): 1}) + _pair(*_parts(gamma), 0) * n
     # the k = 0 and k = n coefficients are binom(n-1, n) = 0
     return _binomial_basis_sum(
         n, [comb(n - 1, k) * comb(n - 1, n - k) for k in range(n + 1)],
@@ -198,11 +193,9 @@ def sj_closed_beta(n: int, beta) -> Poly:
     p, q = _beta_param(beta)
     if n < 0:
         raise ParamError("degree must be >= 0")
-    if n == 0:
-        return Poly.const(1)
     B = _falling(n * q + p, q, n)
-    nums = [
-        comb(n - 1, k) * B[n - k] * q**k * (factorial(n) // factorial(n - k))
+    nums = [  # binom(n - 1, k) is 1 at n = k = 0
+        comb(max(n - 1, 0), k) * B[n - k] * q**k * (factorial(n) // factorial(n - k))
         for k in range(n + 1)
     ]
     return _binomial_basis_sum(n, nums, _falling((2 * n - 1) * q + p, q, n)[n])
@@ -238,12 +231,10 @@ def sj_umbral(n: int) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     terms = []
-    vars = ("x",) if n else ()  # sj_umbral(0) is the constant 1, over no variable
     v_exps = {"v": HalfInt(2 * n - 1)}  # n - 1/2
     for m, c in enumerate(_matching_numbers(n)):
         # the one term (-1)^m c_m / 4^m x^(n-2m), c_m the matching number
-        exps = (n - 2 * m,) if n else ()
-        coeff = Poly._term_over(vars, 0, exps, -c if m % 2 else c, 4**m)
+        coeff = Poly._term_over(("x",), 0, (n - 2 * m,), -c if m % 2 else c, 4**m)
         u_exps = {"u": HalfInt(2 * n - 1 - 2 * m)}  # n - 1/2 - m
         terms.append(GenMonomial(coeff, u_exps=u_exps, v_exps=v_exps))
     return itransform_scalar(GenSeries(terms, lambda_order=0))
@@ -318,7 +309,7 @@ def sj_family(n: int) -> Poly:
     """(-1,-1) family with the degree-one constant fixed to zero."""
     if n < 0:
         raise ParamError("degree must be >= 0")
-    return _sj_over(n, 1) if n else Poly.const(1)  # 1 over no variable
+    return _sj_over(n, 1)
 
 
 def sj_beta_family(n: int, beta) -> Poly:
@@ -335,9 +326,7 @@ def jacobi_family(n: int, alpha, beta) -> Poly:
     if n < 0:
         raise ParamError("degree must be >= 0")
     num, den = _binom_parts(2 * n * q + a + b, q, n)
-    monic = jacobi_monic(n, alpha, beta, _ratio(num, den << n, 0))
-    # the zero keeps the variable x at degree 0, as jacobi_classical does
-    return Poly.zero(("x",)) + monic
+    return jacobi_monic(n, alpha, beta, _ratio(num, den << n, 0))
 
 
 @lru_cache(maxsize=None)

@@ -9,17 +9,17 @@ gcd of the denominator and all the numerators equal to one.  Zero is
 (0, 1, {}) and has no grade of its own: it adds to a Poly of any grade.
 
 Binary operations align variable sets by union, so polynomials over
-different alphabets combine freely.  Arithmetic runs on the stored
-integers: a sum is one lcm and one integer sum, a scaling one product of
-the numerators, a product one integer convolution at the sum of the
-grades, and each result is brought to lowest terms by one gcd of its
-denominator and numerators.  A sum whose nonzero terms would land in two
-grades raises the ValueError that ExactScalar addition raises for two
-such scalars, naming the leading term of each side: so do the
-constructor, +, Poly.sum (the left fold of its summands, in one pass),
-Poly._sum_over and a scalar substitution of a graded value.  So no Poly
-holds x + sqrt(pi) y: an API change from the per-grade parts of earlier
-versions, which refused a sum only where two grades met at one monomial.
+different alphabets combine freely.  A Poly is a vector over the exact
+scalars: it adds to a Poly and scales by a scalar, and multiplies no
+Poly.  Arithmetic runs on the stored integers: a sum is one lcm and one
+integer sum, a scaling one product of the numerators, and each result is
+brought to lowest terms by one gcd of its denominator and numerators.  A
+sum whose nonzero terms would land in two grades raises the ValueError
+that ExactScalar addition raises for two such scalars, naming the leading
+term of each side: so do the constructor, +, Poly.sum (the left fold of
+its summands, in one pass) and Poly._sum_over.  So no Poly holds x +
+sqrt(pi) y: an API change from the per-grade parts of earlier versions,
+which refused a sum only where two grades met at one monomial.
 
 ``Poly(vars, terms)`` checks its input, a map from exponent vectors to
 exact scalars, and ``Poly.terms`` gives such a map back: a new dict of
@@ -32,8 +32,7 @@ integers over any nonzero denominator to lowest terms; Poly._first_unequal
 compares such integers at all powers of a series with Polys, building none.
 
 A CoeffSeries is a list of Poly coefficients of one formal series
-parameter, truncated at an explicit order; every operation records the
-order that remains valid.
+parameter, truncated at an explicit order.
 
 Every output format reads one accessor, Poly._rows: the terms in
 graded-lexicographic descending order as (exps, numerator, denominator,
@@ -46,8 +45,8 @@ gcd of the Poly's long denominators (_decimal_dens).
 from __future__ import annotations
 
 import sys
-from math import gcd, inf, lcm
-from operator import add, index
+from math import gcd, lcm
+from operator import index
 from typing import Callable, NamedTuple
 
 from .scalar import ExactScalar, ZERO, _grade_clash, _ratio
@@ -164,19 +163,6 @@ def _scaled(form: tuple, c: ExactScalar) -> tuple:
     elif m != 1:
         nums = {e: n * m for e, n in nums.items()}
     return g + c.sqrt_pi_pow, d // g1 * (cd // g2), nums
-
-
-def _product(a: tuple, b: tuple) -> tuple:
-    """The form of the product of two Polys over one variable tuple, given
-    as their forms: the numerators' products summed per key over the
-    product of the denominators, at the sum of the grades."""
-    nums = {}
-    get = nums.get
-    for e1, n1 in a[2].items():
-        for e2, n2 in b[2].items():
-            key = tuple(map(add, e1, e2))
-            nums[key] = get(key, 0) + n1 * n2
-    return _reduced(a[0] + b[0], a[1] * b[1], nums)
 
 
 _new = object.__new__
@@ -411,7 +397,7 @@ class Poly:
         vars = tuple(sorted(set(self.vars) | set(other.vars)))
         return vars, self._remap(vars), other._remap(vars)
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
         other = _operand(other)
@@ -439,30 +425,12 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = _scalar_operand(other)
-            if c is NotImplemented:
-                return c
-            return Poly._of(self.vars, _scaled(self._form, c))
-        vars, a, b = self._aligned(other)
-        return Poly._of(vars, _product(a, b))
+        c = _scalar_operand(other)
+        if c is NotImplemented:
+            return c
+        return Poly._of(self.vars, _scaled(self._form, c))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("Poly powers must be non-negative integers")
-        out = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def __eq__(self, other):
         other = _operand(other)
@@ -487,63 +455,29 @@ class Poly:
     def __bool__(self):
         return bool(self._form[2])
 
-    def is_zero(self) -> bool:
-        return not self._form[2]
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, var: str, value) -> "Poly":
-        """Substitute var -> value (Poly or scalar), fully expanded.  A Poly
-        value gives the sum over the powers e of var of the coefficient of
-        var^e times value^e.  A scalar p/q scales each term's numerator by
-        p^e q^(E-e) over the denominator times q^E, E the top power of var,
-        and shifts the grade by E times the value's.  Either sums over the
-        powers of var in increasing order, so a value with a sqrt(pi) power
-        refuses two powers of var, whose terms would land in two grades."""
+        """Substitute var -> value, a rational p/q: each term's numerator is
+        scaled by p^e q^(E-e) over the denominator times q^E, E the top
+        power of var.  A value with a sqrt(pi) power is refused."""
+        value = ExactScalar.coerce(value)
+        if value.sqrt_pi_pow:
+            raise ValueError(f"substitute takes a rational value, not {value}")
         if var not in self.vars:
             return self
         i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1 :]
+        vn, vd = value.num, value.den
         g, d, nums = self._form
-        powers = sorted({e[i] for e in nums})
-        if isinstance(value, Poly):
-            return Poly.sum((self.coeff_of(var, e) * value**e for e in powers), rest)
-        value = ExactScalar.coerce(value)
-        vn, vd, vg = value.num, value.den, value.sqrt_pi_pow
-        if vg and len(powers) > 1:  # the sum over the powers meets two grades
-            raise _grade_clash(*[
-                _lead(g + vg * e, d * vd**e, {x[:i] + x[i + 1 :]: n * vn**e
-                                             for x, n in nums.items() if x[i] == e})
-                for e in powers[:2]
-            ])
-        top = powers[-1] if powers else 0
+        top = max([e[i] for e in nums], default=0)
         out = {}
         for exps, n in nums.items():
             e = exps[i]
             key = exps[:i] + exps[i + 1 :]
             out[key] = out.get(key, 0) + n * vn**e * vd ** (top - e)
-        return Poly._over(rest, g + vg * top, d * vd**top, out)
+        return Poly._over(self.vars[:i] + self.vars[i + 1 :], g, d * vd**top, out)
 
     # -- structure ------------------------------------------------------------
-
-    def degree(self, var: str):
-        nums = self._form[2]
-        if not nums:
-            return -inf
-        if var not in self.vars:
-            return 0
-        i = self.vars.index(var)
-        return max(e[i] for e in nums)
-
-    def coeff_of(self, var: str, k: int) -> "Poly":
-        """Polynomial coefficient of var**k, as a Poly in the other variables."""
-        if var not in self.vars:
-            return self if k == 0 else Poly.zero(self.vars)
-        i = self.vars.index(var)
-        g, d, nums = self._form
-        return Poly._over(self.vars[:i] + self.vars[i + 1 :], g, d, {
-            exps[:i] + exps[i + 1 :]: n for exps, n in nums.items() if exps[i] == k
-        })
 
     def scalar_coeff(self, **exps) -> ExactScalar:
         """Coefficient of the stated monomial; unstated variables at power 0."""
@@ -662,44 +596,13 @@ class CoeffSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order=None):
-        coeffs = [c if isinstance(c, Poly) else Poly.const(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        coeffs = coeffs[: order + 1]
-        coeffs += [Poly.zero() for _ in range(order + 1 - len(coeffs))]
+    def __init__(self, coeffs: list, order: int):
         self.order = order
         self.coeffs = coeffs
 
     @classmethod
     def build(cls, fn, order: int) -> "CoeffSeries":
         return cls([fn(k) for k in range(order + 1)], order)
-
-    def __add__(self, other):
-        if not isinstance(other, CoeffSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return CoeffSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, CoeffSeries):
-            if not isinstance(other, Poly):
-                other = _scalar_operand(other)
-                if other is NotImplemented:
-                    return other
-            return CoeffSeries([c * other for c in self.coeffs], self.order)
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return CoeffSeries([
-            Poly.sum(a[i] * b[k - i] for i in range(k + 1) if a[i] and b[k - i])
-            for k in range(order + 1)
-        ], order)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, CoeffSeries):

@@ -102,7 +102,7 @@ class GenSeries:
                 Poly.sum([t.coeff for t in g]), g[0].u_exps, g[0].v_exps, *k[2:])
             for k, g in groups.items()
         )
-        self.terms = [t for t in merged if not t.coeff.is_zero()]
+        self.terms = [t for t in merged if t.coeff]
         self.lambda_order = lambda_order
         self.mu_order = mu_order
 

@@ -196,7 +196,7 @@ def null_identity(ps, twices):
                 )
                 for k in range(p + 1)
             ]
-            if not _transform_value(terms).is_zero():
+            if _transform_value(terms):
                 return f"null identity fails at N={N}, p={p}"
 
 

@@ -1,7 +1,10 @@
 """The paper's cross-check constructions and identities that only the
 tests run, one section per sjk module they check.  They read a Poly
 through Poly.terms and build one through the validating Poly(vars,
-terms) or Poly's arithmetic, never through its stored integers.
+terms) or Poly's arithmetic, never through its stored integers.  Poly
+adds and scales; the products, powers, coefficients of a variable and
+substitutions of a Poly that the tests need are the schoolbook loops of
+the poly section.
 """
 
 import re
@@ -17,7 +20,7 @@ from sjk.hyper import HyperSpec, _pair_terms, _spec, pfq_terms
 from sjk.hyper import pochhammer_proliferate
 from sjk.opcalc import DiagonalOp, _inverse_factor
 from sjk.poly import CoeffSeries, Poly
-from sjk.scalar import ExactScalar, HalfInt, _pair, _parts, _ratio, _text
+from sjk.scalar import ZERO, ExactScalar, HalfInt, _pair, _parts, _ratio, _text
 from sjk.scalar import gamma_ratio, half, pochhammer, recip_gamma
 from sjk.umbral import GenMonomial, GenSeries
 
@@ -39,9 +42,60 @@ def derivative(p: Poly, var: str) -> Poly:
     })
 
 
+def product(p: Poly, q: Poly) -> Poly:
+    """p q by the schoolbook loop: one ExactScalar product and running sum
+    per pair of terms, over p's variables when q has the same, else over
+    the sorted union of both."""
+    vars = p.vars if p.vars == q.vars else tuple(sorted({*p.vars, *q.vars}))
+    a, b = Poly.sum([p], vars).terms, Poly.sum([q], vars).terms
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return Poly(vars, out)
+
+
+def power(p: Poly, k: int) -> Poly:
+    """p^k, k >= 0, as k products from the constant 1."""
+    out = Poly.const(1)
+    for _ in range(k):
+        out = product(out, p)
+    return out
+
+
+def coeff_of(p: Poly, var: str, k: int) -> Poly:
+    """The coefficient of var^k in p, a Poly over p's other variables."""
+    if var not in p.vars:
+        return p if k == 0 else Poly(p.vars)
+    i = p.vars.index(var)
+    return Poly(p.vars[:i] + p.vars[i + 1 :],
+                {e[:i] + e[i + 1 :]: c for e, c in p.terms.items() if e[i] == k})
+
+
+def substitute(p: Poly, var: str, value: Poly) -> Poly:
+    """p with var -> value, a Poly: the sum over the powers e of var of
+    its coefficient in p times value^e."""
+    if var not in p.vars:
+        return p
+    i = p.vars.index(var)
+    return Poly.sum([product(coeff_of(p, var, e), power(value, e))
+                     for e in sorted({e[i] for e in p.terms})],
+                    p.vars[:i] + p.vars[i + 1 :])
+
+
+def series_product(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
+    """The Cauchy product of two series, to the smaller of their orders."""
+    order = min(a.order, b.order)
+    return CoeffSeries([
+        Poly.sum(product(a.coeffs[i], b.coeffs[k - i]) for i in range(k + 1))
+        for k in range(order + 1)
+    ], order)
+
+
 def shift(p: Poly, var: str, c) -> Poly:
     """Taylor shift: var -> var + c, c a scalar or a Poly free of var."""
-    return p.substitute(var, Poly.var(var) + c)
+    return substitute(p, var, Poly.var(var) + c)
 
 
 def lambda_derivative(s: CoeffSeries, L: int = 1) -> CoeffSeries:
@@ -83,7 +137,7 @@ def hermite_exp(n: int) -> Poly:
     """The operational Hermite exp(z dx^2) x^n = sum_m z^m / m! dx^(2m) x^n."""
     total, t = Poly(("x", "z")), Poly.var("x", n)
     for m in range(n // 2 + 1):
-        total += t * Poly.var("z", m) * Fraction(1, factorial(m))
+        total += product(t, Poly.var("z", m)) * Fraction(1, factorial(m))
         t = derivative(derivative(t, "x"), "x")
     return total
 
@@ -181,7 +235,7 @@ def sj_beta_rescaled(n: int, beta) -> Poly:
 
 def tricomi_series(alpha, zpoly: Poly, order: int) -> CoeffSeries:
     """Series sum_r z^r / (r! Gamma(r+alpha+1)) with z = lambda * zpoly."""
-    return CoeffSeries.build(lambda r: zpoly**r * tricomi_coeff(alpha, r), order)
+    return CoeffSeries.build(lambda r: power(zpoly, r) * tricomi_coeff(alpha, r), order)
 
 
 def egf_beta_shifted_tricomi(order: int, beta) -> CoeffSeries:
@@ -191,7 +245,8 @@ def egf_beta_shifted_tricomi(order: int, beta) -> CoeffSeries:
     x = Poly.var("x")
     c1 = tricomi_series(1, x - 1, order)
     cb = tricomi_series(HalfInt(t), x + 1, order)
-    return (c1 * cb) * (x - 1)
+    return CoeffSeries([product(c, x - 1) for c in series_product(c1, cb).coeffs],
+                       order)
 
 
 # -- umbral -------------------------------------------------------------------
@@ -207,7 +262,7 @@ def gen_mul(a: GenMonomial, b: GenMonomial) -> GenMonomial:
     for exps, more in ((u, b.u_exps), (v, b.v_exps)):
         for n, e in more:
             exps[n] = exps.get(n, HalfInt(0)) + e
-    return GenMonomial(a.coeff * b.coeff, u, v, a.lambda_pow + b.lambda_pow,
+    return GenMonomial(product(a.coeff, b.coeff), u, v, a.lambda_pow + b.lambda_pow,
                        a.mu_pow + b.mu_pow)
 
 
@@ -228,10 +283,10 @@ def expand_exponential(base: GenMonomial, order: int) -> GenSeries:
     the base carries a lambda or mu grading to truncate in."""
     if base.lambda_pow + base.mu_pow < 1:
         raise ValueError("exponential base carries no lambda/mu grading")
-    terms, power = [], GenMonomial(1)  # power = base^k
+    terms, term = [], GenMonomial(1)  # term = base^k
     for k in range(order + 1):
-        terms.append(gen_mul(GenMonomial(Fraction(1, factorial(k))), power))
-        power = gen_mul(power, base)
+        terms.append(gen_mul(GenMonomial(Fraction(1, factorial(k))), term))
+        term = gen_mul(term, base)
     lam = (order + 1) * base.lambda_pow - 1 if base.lambda_pow else None
     mu = (order + 1) * base.mu_pow - 1 if base.mu_pow else None
     return GenSeries(terms, lam, mu)
@@ -465,7 +520,7 @@ def hermite_lacunary_shift(K: int, mu_order: int, order: int) -> CoeffSeries:
 def mu_slice(series: CoeffSeries, L: int) -> CoeffSeries:
     """L! times the coefficient of mu^L, coefficient-wise."""
     return CoeffSeries(
-        [c.coeff_of("mu", L) * factorial(L) for c in series.coeffs], series.order)
+        [coeff_of(c, "mu", L) * factorial(L) for c in series.coeffs], series.order)
 
 
 def image_poly(image, p: Poly) -> Poly:

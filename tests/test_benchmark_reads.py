@@ -73,7 +73,7 @@ def test_connection_column_calls_the_public_name(monkeypatch, family, name):
 def test_tracer_targets_absent_set():
     # the tracer wraps its targets by module name and skips a name that
     # is gone, so a renamed function would drop out of the spans unseen;
-    # absent today: four old names and the tests/reference.py cross-checks,
+    # absent today: removed names and the tests/reference.py cross-checks,
     # the lacunary Poly forms among them
     import sjk.cli  # noqa: F401  imports every module the tracer wraps
 
@@ -106,6 +106,7 @@ def test_tracer_targets_absent_set():
         "sjk.jsonio.series_to_obj",
         "sjk.jsonio.poly_from_obj",
         "sjk.poly.Poly.shift",
+        "sjk.poly.Poly.__pow__",
         "sjk.lacunary.hermite_lacunary_closed",
         "sjk.lacunary.hermite_lacunary_shift",
         "sjk.lacunary.sj_lacunary_closed",

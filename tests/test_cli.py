@@ -777,7 +777,7 @@ def test_request_makes_no_fraction(argv, monkeypatch):
 # lacunary read the members from sj_family
 SJ_MEMBER_REQUESTS = [
     *(("poly", "--family", "sj", "--n", n) for n in ("0", "4", "64")),
-    ("poly", "--family", "sj", "--n", "0", "--format", "json"),  # over no variable
+    ("poly", "--family", "sj", "--n", "0", "--format", "json"),  # over x
     ("table", "--family", "sj", "--max-n", "12"),
     ("connect", "--family", "sj", "--M", "13"),
     ("react", "--N0", "7", "--t-order", "3"),

@@ -41,7 +41,7 @@ def polys(draw):
 @st.composite
 def series(draw):
     coeffs = draw(st.lists(polys(), min_size=1, max_size=4))
-    return CoeffSeries(coeffs)
+    return CoeffSeries(coeffs, len(coeffs) - 1)
 
 
 @st.composite
@@ -138,7 +138,7 @@ def test_any_tree_of_the_schema_types_equals_the_oracle(obj):
     poly_to_obj(Poly()),
     poly_to_obj(Poly(("x",))),
     poly_to_obj(Poly.const(ExactScalar(Fraction(-3, 7), 1))),
-    series_to_obj(CoeffSeries([Poly()])),
+    series_to_obj(CoeffSeries([Poly()], 0)),
     {"family": "sj", "M": 0, "weights": []},
     {}, [], "", 0,
 ])

@@ -18,7 +18,7 @@ from sjk.scalar import ExactScalar
 
 from conftest import assert_canonical, inverse_step
 from reference import apply_diagonal, apply_inverse_diagonal, derivative
-from reference import hermite_exp, monomial, shifted
+from reference import hermite_exp, monomial, product, shifted
 
 X = Poly.var("x")
 
@@ -26,12 +26,12 @@ X = Poly.var("x")
 class TestApplyDiagonal:
     def test_kernel_annihilates(self):
         op = DiagonalOp(lambda d: (d - 2, 1), {2})
-        assert apply_diagonal(op, Poly.var("x", 2)).is_zero()
+        assert not apply_diagonal(op, Poly.var("x", 2))
 
     def test_eigenoperator_kills_top_monomial(self):
         # -(d - 4)(d + 3) at degree 4, the (n, alpha, beta) = (4, -1, -1) factor
         op = DiagonalOp(lambda d: (-(d - 4) * (d + 3), 1), {4})
-        assert apply_diagonal(op, Poly.var("x", 4)).is_zero()
+        assert not apply_diagonal(op, Poly.var("x", 4))
 
     def test_identity_rule(self):
         op = DiagonalOp(lambda d: (1, 1))
@@ -75,7 +75,7 @@ class TestConjugateShift:
         def x_p_d_q(poly):
             for _ in range(q):
                 poly = derivative(poly, "x")
-            return poly * Poly.var("x", p) if p else poly
+            return product(poly, Poly.var("x", p)) if p else poly
 
         for _ in range(20):
             m = Poly.var("x", rng.randint(0, 8)) * rng.randint(1, 5)
@@ -103,7 +103,7 @@ class TestGpSeries:
         for n in (1, 3, 6):
             p = gp_series(n, -1, Fraction(1, 2))
             assert p.scalar_coeff(x=n) == ExactScalar(1)
-            assert p.degree("x") == n
+            assert p.vars == ("x",) and max(p.terms) == (n,)
 
     def test_parameter_range(self):
         with pytest.raises(ParamError):
@@ -224,7 +224,7 @@ def test_b_commutation_with_matched_powers(rng):
                 def ypdxp(poly):
                     for _ in range(p):
                         poly = derivative(poly, "x")
-                    return poly * Poly.var("y", p) if p else poly
+                    return product(poly, Poly.var("y", p)) if p else poly
 
                 assert b(ypdxp(mono)) == ypdxp(b(mono))
 
@@ -291,8 +291,9 @@ def test_inverse_step_passes_kernel_terms_as_composition():
 def _jacobi_operator_oracle(p, alpha, beta):
     # the two Poly products that the one-pass map replaced
     d1 = derivative(p, "x")
-    out = Poly(("x",), {(0,): 1, (2,): -1}) * derivative(d1, "x")
-    return out + Poly(("x",), {(0,): beta - alpha, (1,): -(alpha + beta + 2)}) * d1
+    out = product(Poly(("x",), {(0,): 1, (2,): -1}), derivative(d1, "x"))
+    return out + product(Poly(("x",), {(0,): beta - alpha, (1,): -(alpha + beta + 2)}),
+                         d1)
 
 
 @st.composite

@@ -243,8 +243,8 @@ def test_sj_table_equals_jacobi_oracle():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 33, 64])
 def test_sj_poly_text_equals_jacobi_oracle(n):
-    # poly --family sj --n n read from its text; degree 0 is the constant 1
-    # over no variable, degree 1 is x
+    # poly --family sj --n n read from its text; degree 0 is the constant 1,
+    # whose text names no variable, and degree 1 is x
     R, x = ring("x", sympy.QQ)
     text = _text("poly", "--family", "sj", "--n", str(n))
     assert text.endswith("\n") and text.count("\n") == 1

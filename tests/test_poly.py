@@ -12,11 +12,11 @@ from sjk import jsonio
 from sjk.families import sj_family
 from sjk.opcalc import DiagonalOp
 from sjk.poly import CoeffSeries, Poly, _decimal_dens
-from sjk.scalar import ZERO, ExactScalar
+from sjk.scalar import ExactScalar
 
 from conftest import assert_canonical, rand_poly
 from reference import apply_diagonal, derivative, lambda_derivative, monomial
-from reference import poly_from_obj, shift
+from reference import poly_from_obj, product, shift, substitute
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -33,8 +33,8 @@ class TestDerivative:
         assert derivative(p, "x") == X * 2
 
     def test_constant(self):
-        assert derivative(Poly.const(5), "x").is_zero()
-        assert derivative(Y * 3, "x").is_zero()
+        assert not derivative(Poly.const(5), "x")
+        assert not derivative(Y * 3, "x")
 
 
 class TestEuler:
@@ -48,12 +48,12 @@ class TestEuler:
         assert apply_diagonal(EULER, p, ("x",)) == p * 2
 
     def test_kills_constants(self):
-        assert apply_diagonal(EULER, Poly.const(1), ("x",)).is_zero()
+        assert not apply_diagonal(EULER, Poly.const(1), ("x",))
 
 
 class TestShift:
     def test_square(self):
-        assert shift(Poly.var("x", 2), "x", 1) == X * X + X * 2 + 1
+        assert shift(Poly.var("x", 2), "x", 1) == Poly.var("x", 2) + X * 2 + 1
 
     def test_linear_symbolic_offset(self):
         c = monomial(Fraction(-1, 2), mu=1)
@@ -65,46 +65,12 @@ class TestShift:
 
 
 class TestSeriesProduct:
-    def test_binomial_square(self):
-        one_plus = CoeffSeries([Poly.const(1), Poly.const(1), Poly.zero()])
-        sq = one_plus * one_plus
-        assert sq.coeffs == [Poly.const(1), Poly.const(2), Poly.const(1)]
-
-    def test_inverse_exponentials(self):
-        e_plus = CoeffSeries.build(
-            lambda n: Poly.var("x", n) * Fraction(1, math.factorial(n)), 2
-        )
-        e_minus = CoeffSeries.build(
-            lambda n: Poly.var("x", n) * Fraction((-1) ** n, math.factorial(n)), 2
-        )
-        prod = e_plus * e_minus
-        assert prod.coeffs[0] == Poly.const(1)
-        assert prod.coeffs[1].is_zero()
-        assert prod.coeffs[2].is_zero()
-
-    def test_exp_square_lambda_cubed(self):
-        # independent oracle: coefficient of lambda^3 in (sum x^n lambda^n/n!)^2
-        # is x^3 * sum_{i+j=3} 1/(i! j!) = (4/3) x^3
-        e = CoeffSeries.build(
-            lambda n: Poly.var("x", n) * Fraction(1, math.factorial(n)), 3
-        )
-        expect = sum(
-            Fraction(1, math.factorial(i) * math.factorial(3 - i)) for i in range(4)
-        )
-        assert expect == Fraction(4, 3)
-        assert (e * e).coeffs[3] == Poly.var("x", 3) * expect
-
-    def test_truncation_to_min_order(self):
-        a = CoeffSeries([Poly.const(1)] * 6, 5)
-        b = CoeffSeries([Poly.const(1)] * 4, 3)
-        assert (a * b).order == 3
-
     def test_equality(self):
         # the same order and equal coefficients, each Poly compared by ==
-        a = CoeffSeries([X, Poly.const(1)])
+        a = CoeffSeries([X, Poly.const(1)], 1)
         assert a == CoeffSeries([X + 0, monomial(1, y=0)], 1)
-        assert a != CoeffSeries([X, Poly.const(2)])
-        assert a != CoeffSeries([X, Poly.const(1), Poly.zero()])
+        assert a != CoeffSeries([X, Poly.const(2)], 1)
+        assert a != CoeffSeries([X, Poly.const(1), Poly.zero()], 2)
         assert (a == X) is False and a.__eq__(X) is NotImplemented
 
 
@@ -125,7 +91,7 @@ class TestSeriesCalculus:
 def test_heisenberg_weyl_30_random(rng):
     for _ in range(30):
         p = rand_poly(rng, ("x", "y"))
-        lhs = derivative(X * p, "x") - X * derivative(p, "x")
+        lhs = derivative(product(X, p), "x") - product(X, derivative(p, "x"))
         assert lhs == p
 
 
@@ -135,18 +101,19 @@ def test_euler_square_identity(rng):
         p = rand_poly(rng, ("x",), max_terms=5, max_exp=7)
         dp = apply_diagonal(EULER, p, ("x",))
         lhs = apply_diagonal(EULER, dp, ("x",))
-        rhs = Poly.var("x", 2) * derivative(derivative(p, "x"), "x") + dp
+        rhs = product(Poly.var("x", 2), derivative(derivative(p, "x"), "x")) + dp
         assert lhs == rhs
 
 
 def test_ring_axioms_random(rng):
+    # the axioms of the sums and scalings that Poly keeps
     for _ in range(15):
         a = rand_poly(rng, ("x", "y"))
         b = rand_poly(rng, ("x",), max_terms=3)
         c = rand_poly(rng, ("y", "z"), max_terms=3)
         assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
+        assert (b + c) * Fraction(-2, 3) == b * Fraction(-2, 3) + c * Fraction(-2, 3)
+        assert (a * 3) * Fraction(1, 6) == a * Fraction(1, 2)
 
 
 small_fracs = st.fractions(
@@ -170,7 +137,7 @@ def small_polys(draw):
 @given(small_polys(), small_polys())
 def test_commutativity_property(p, q):
     assert p + q == q + p
-    assert p * q == q * p
+    assert p * 3 == 3 * p
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,16 +167,11 @@ def two_grade_polys(varsets):
 def test_arithmetic_results_are_canonical(w, data):
     p, q = data.draw(graded_polys(w)), data.draw(graded_polys(w))
     c = ExactScalar(data.draw(small_fracs), data.draw(st.integers(-3, 3)))
-    # a grade-0 value keeps a substitution at p's grade
-    v = data.draw(graded_polys(0, (("t",), ("x", "t"), ("x",))))
     results = [
-        p + q, p - q, p * q, p * c, 3 * p, -p, p + (-p), p * p,
-        (p + q) * (p - q),  # the p q cross terms cancel inside one product
+        p + q, p - q, p * c, 3 * p, -p, p + (-p), (p + q) * 2 - q * 2,
         derivative(p, "x"), derivative(p, "y"), apply_diagonal(EULER, p),
-        apply_diagonal(EULER, p, ("y",)),
-        p.coeff_of("y", 1), p.coeff_of("x", 0), p.substitute("x", v),
-        p.substitute("x", 2), shift(p, "x", v.substitute("x", 0)),
-        Poly.sum([p, q, -p]),
+        apply_diagonal(EULER, p, ("y",)), p.substitute("x", 2),
+        p.substitute("y", Fraction(-1, 3)), Poly.sum([p, q, -p]),
     ]
     for r in results:
         assert_canonical(r)
@@ -217,52 +179,9 @@ def test_arithmetic_results_are_canonical(w, data):
     assert (p * 0).terms == {} and (p * 0).vars == p.vars
 
 
-def _reference_product(p, q):
-    """p * q by the schoolbook loop: one ExactScalar product and running
-    sum per pair of terms, a sum that cancels dropped at once, the terms
-    of each operand in the order Poly.terms gives them."""
-    vars = p.vars if p.vars == q.vars else tuple(sorted({*p.vars, *q.vars}))
-    a, b = Poly.sum([p], vars).terms, Poly.sum([q], vars).terms
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(key, ZERO) + c1 * c2
-            if not s:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Poly(vars, out)
-
-
 def assert_same_poly(got, want):
     assert got.vars == want.vars and got.terms == want.terms
     assert_canonical(got)
-
-
-# the zero Poly and constants over no variables, unsorted and differing tuples
-_PRODUCT_VARSETS = ((), ("x",), ("y",), ("x", "y"), ("y", "x"), ("t", "y", "x"))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(-2, 2), st.data())
-def test_product_matches_the_schoolbook_loop(w, data):
-    p = data.draw(graded_polys(w, _PRODUCT_VARSETS))
-    q = data.draw(graded_polys(w, _PRODUCT_VARSETS))
-    # (p + q)(p - q): the p q cross terms cancel to zero inside the product
-    for a, b in ((p, q), (q, p), (p, p), (p + q, p - q), (p, Poly.zero())):
-        assert_same_poly(a * b, _reference_product(a, b))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(-2, 2), st.integers(-2, 2), st.data())
-def test_product_meets_grades_as_the_schoolbook_loop(g1, g2, data):
-    # a product of Polys at grades g1 and g2 is at g1 + g2: it cannot clash
-    p = data.draw(graded_polys(g1, _PRODUCT_VARSETS))
-    q = data.draw(graded_polys(g2, _PRODUCT_VARSETS))
-    got = p * q
-    assert_same_poly(got, _reference_product(p, q))
-    assert got._integers()[0] == (g1 + g2 if p and q else 0)
 
 
 def _left_fold(polys, vars):
@@ -307,7 +226,7 @@ def test_sum_is_the_left_fold(vars, shared, data):
         # each summand taken back off, last first: the sum cancels to zero
         cancelled = polys + [-p for p in reversed(polys)]
         assert assert_sum_is_the_left_fold(cancelled, vars)
-        assert Poly.sum(cancelled, vars).is_zero()
+        assert not Poly.sum(cancelled, vars)
     for p in polys:
         if p:  # p and sqrt(pi) p meet at every key of p with two grades
             assert not assert_sum_is_the_left_fold([p, p * ExactScalar(1, 1)], vars)
@@ -329,7 +248,7 @@ def test_stored_form_is_rebuilt_by_every_path(w, data):
         -(-p), p * 1, p - zeros[0], *(z + p for z in zeros), *(p + z for z in zeros),
         Poly.sum([p], p.vars), Poly.sum([*zeros, p, *zeros], p.vars),
         (p * 3) * Fraction(1, 3), (p + p) * Fraction(1, 2),
-        Poly.sum([p, p, -p], p.vars), p * Poly(p.vars, {(0,) * len(p.vars): 1}),
+        Poly.sum([p, p, -p], p.vars),
         p * ExactScalar(5, 1) * ExactScalar(Fraction(1, 5), -1),
     ]
     for r in rebuilt:
@@ -390,14 +309,16 @@ def test_first_unequal_sees_variables_outside_vars():
 class TestFirstUnequalBranches:
     # a source over other variables than the compare vars is re-keyed,
     # unless a variable outside them has a nonzero exponent
-    def test_the_sj_degree_zero_constant_over_no_variable(self):
-        # sj_family(0) is the constant 1 over (); every other member is
-        # over (x,), such as sj_family(2) = x^2 - 1
+    def test_the_sj_degree_zero_constant_over_x(self):
+        # every sj member is over (x,), as sj_family(0) = 1 and
+        # sj_family(2) = x^2 - 1 are; the constant 1 over no variable is
+        # re-keyed and compares as sj_family(0)
         polys = [sj_family(0), sj_family(2)]
-        assert polys[0].vars == () and polys[1].vars == ("x",)
+        assert polys[0].vars == polys[1].vars == ("x",)
         nums = {(0, 0): 2, (1, 2): 2, (1, 0): -2}
         assert Poly._first_unequal(polys, ("x",), 2, nums) is None
         assert Poly._first_unequal(polys, ("x",), 2, {**nums, (0, 0): 4}) == 0
+        assert Poly._first_unequal([Poly.const(1), polys[1]], ("x",), 2, nums) is None
 
     def test_an_extra_variable_at_a_nonzero_exponent_is_unequal_at_its_k(self):
         # x + w over (x, w) against x over (x,): unequal at k = 2, though
@@ -426,43 +347,6 @@ def test_sum_takes_the_next_grade_after_a_cancellation():
     assert_same_poly(Poly.sum([X, -X, pi_x]), pi_x)
     with pytest.raises(ValueError, match="sqrt\\(pi\\)"):
         Poly.sum([X, pi_x])
-
-
-class TestProductGrades:
-    def test_cross_grade_collision_raises(self):
-        # x * 1 and sqrt(pi) * x would meet at x in p * (x + 1); p itself,
-        # x + sqrt(pi), is refused where it is built
-        with pytest.raises(ValueError, match="sqrt\\(pi\\)"):
-            Poly(("x",), {(1,): 1, (0,): ExactScalar(1, 1)})
-        # the product of its two one-grade pieces by x + 1 is one grade each
-        for part in (X, Poly.const(ExactScalar(1, 1))):
-            assert_same_poly(part * (X + 1), _reference_product(part, X + 1))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(-1, 1), st.data())
-def test_power_matches_repeated_multiplication(w, data):
-    p = data.draw(graded_polys(w, _PRODUCT_VARSETS))
-    want = Poly.const(1)
-    for k in range(10):
-        assert_same_poly(p**k, want)
-        want = want * p
-
-
-def test_power_squares_no_further_than_its_top_bit(monkeypatch):
-    calls = []
-    mul = Poly.__mul__
-
-    def counted(a, b):
-        calls.append(b)
-        return mul(a, b)
-
-    monkeypatch.setattr(Poly, "__mul__", counted)
-    for k in range(1, 33):
-        calls.clear()
-        (X - 1) ** k
-        squares = k.bit_length() - 1
-        assert len(calls) == squares + bin(k).count("1"), k
 
 
 class TestConstructorValidates:
@@ -517,14 +401,11 @@ class TestConstructorValidates:
         q = Poly._term_over(("x", "z"), 0, (1, 2), 6, -4)
         assert q == monomial(Fraction(-3, 2), x=1, z=2)
         assert_canonical(q)
-        assert Poly._term_over(("x",), 0, (1,), 0, 7).is_zero()
-        assert Poly._over(("x",), 0, 3, {(1,): 0}).is_zero()
+        assert not Poly._term_over(("x",), 0, (1,), 0, 7)
+        assert not Poly._over(("x",), 0, 3, {(1,): 0})
 
 
 class TestStructure:
-    def test_zero_degree_sentinel(self):
-        assert Poly.zero().degree("x") == -math.inf
-
     def test_alignment_equality(self):
         assert Poly.zero(("x",)) == Poly.zero(("x", "y"))
         assert monomial(2, x=1) == Poly(("x", "y"), {(1, 0): ExactScalar(2)})
@@ -535,17 +416,14 @@ class TestStructure:
         assert p.scalar_coeff() == ExactScalar(7)
         assert p.scalar_coeff(x=1) == ExactScalar(0)
 
-    def test_coeff_of(self):
-        p = monomial(3, x=2, y=1) + monomial(5, y=1) + Poly.const(1)
-        assert p.coeff_of("y", 1) == Poly.var("x", 2) * 3 + 5
-
     def test_no_zero_terms_stored(self):
         p = X - X
         assert p.terms == {}
 
     def test_substitute(self):
-        p = Poly.var("x", 2) + 1
-        assert p.substitute("x", Y + 1) == Y * Y + Y * 2 + 2
+        p = Poly.var("x", 2) + Y
+        assert p.substitute("x", 3) == Y + 9 and p.substitute("x", 3).vars == ("y",)
+        assert p.substitute("y", Fraction(1, 2)) == Poly.var("x", 2) + Fraction(1, 2)
 
 
 class TestRendering:
@@ -689,12 +567,22 @@ class TestOperandsOutsideTheRing:
         for k in (0.5, Fraction(1, 2), "2", None):
             with pytest.raises(TypeError, match="unsupported operand"):
                 X**k
-        with pytest.raises(ValueError, match="non-negative"):
-            X**-1
-        assert X ** Fraction(2) == X**2  # Fraction.__rpow__ hands back an int
+
+    def test_products_powers_and_series_arithmetic_are_unsupported(self):
+        # a Poly adds and scales; it multiplies no Poly and has no power,
+        # and a series has no operator but ==
+        s = CoeffSeries([X, Poly.const(1)], 1)
+        for make in (lambda: X * Y, lambda: X**2, lambda: X ** Fraction(2),
+                     lambda: s + s, lambda: s * s, lambda: s * 2, lambda: 2 * s):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                make()
+        with pytest.raises(ValueError, match="rational value"):
+            X.substitute("x", ExactScalar(1, 1))
+        for name in ("degree", "coeff_of", "is_zero"):
+            assert not hasattr(Poly, name)
 
     def test_series_with_a_non_series_operand_is_unsupported(self):
-        s = CoeffSeries([X, Poly.const(1)])
+        s = CoeffSeries([X, Poly.const(1)], 1)
         for other in (1, Fraction(1, 2), X, None):
             with pytest.raises(TypeError, match="unsupported operand"):
                 s + other
@@ -711,10 +599,6 @@ class TestOperandsOutsideTheRing:
                 return "rmul"
 
         assert s * Other() == "rmul"
-        assert (s + s).coeffs == [X * 2, Poly.const(2)]
-        for c in (2, Fraction(2), ExactScalar(2), Poly.const(2)):
-            assert (s * c).coeffs == (c * s).coeffs == [X * 2, Poly.const(2)]
-        assert (s * X).coeffs == (X * s).coeffs == [X * X, X]
 
     def test_exact_operands_still_combine(self):
         assert X + 1 == 1 + X == Poly(("x",), {(1,): 1, (0,): 1})
@@ -850,28 +734,27 @@ class TestScalarSubstitute:
 
     @pytest.mark.parametrize("value", [1, 0, -2, Fraction(3, 5), ExactScalar(2)])
     def test_equals_the_poly_valued_path(self, value):
+        # the schoolbook substitution of the constant Poly value
         got = self.P.substitute("y", value)
         assert got.vars == ("z", "x")
-        assert got == self.P.substitute("y", Poly.const(value))
+        assert got == substitute(self.P, "y", Poly.const(value))
         assert_canonical(got)
 
     def test_graded_value(self):
-        # one power of y: the grade moves by its power times the value's
-        p = Poly(("x", "y"), {(1, 2): 3, (0, 2): 1})
-        got = p.substitute("y", ExactScalar(2, 1))
-        assert got.terms == {(1,): ExactScalar(12, 2), (0,): ExactScalar(4, 2)}
-        assert_canonical(got)
+        # a value with a sqrt(pi) power is refused, whatever the powers of
+        # y: one, none, or y not a variable at all
+        for p in (Poly(("x", "y"), {(1, 2): 3, (0, 2): 1}), Poly(("y",), {(0,): 2}), X):
+            with pytest.raises(ValueError, match=r"rational value, not 2\*pi\^\(1/2\)"):
+                p.substitute("y", ExactScalar(2, 1))
 
     def test_grade_clash_still_raises(self):
-        # x lands at grade 0 and x y at grade 1; the scalar path raises as
-        # the Poly-valued path's sum over the powers of y does
+        # x would land at grade 0 and x y at grade 1: the refusal of the
+        # value comes first, and a Poly value is no scalar
         p = Poly(("x", "y"), {(1, 1): 1, (1, 0): 1, (2, 2): 1})
-        with pytest.raises(ValueError) as want:
-            ExactScalar(1) + ExactScalar(1, 1)
-        for value in (ExactScalar(1, 1), Poly.const(ExactScalar(1, 1))):
-            with pytest.raises(ValueError) as got:
-                p.substitute("y", value)
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="rational value"):
+            p.substitute("y", ExactScalar(1, 1))
+        with pytest.raises(TypeError, match="exact scalar"):
+            p.substitute("y", Poly.const(ExactScalar(1, 1)))
 
     def test_cancelling_terms_are_dropped(self):
         p = Poly(("x", "y"), {(1, 1): 2, (1, 0): -4, (0, 0): 1})
@@ -897,9 +780,7 @@ PI_Y = Poly.var("y") * ExactScalar(1, 1)
     lambda: Poly.sum([X, PI_Y]),
     lambda: Poly._sum_over(("x", "y"), [(0, 1, {(1, 0): 1}, 1),
                                         (1, 1, {(0, 1): 1}, 1)]),
-    lambda: Poly(("x", "y"), {(1, 0): 1, (1, 1): Fraction(1, 2)}).substitute(
-        "y", ExactScalar(2, 1)),
-], ids=["constructor", "add", "sum", "sum_over", "substitute"])
+], ids=["constructor", "add", "sum", "sum_over"])
 def test_two_grades_are_refused_as_the_scalar_sum(make):
     # nonzero terms landing in two sqrt(pi) grades raise ExactScalar's text
     # for the leading term of each side

@@ -17,7 +17,7 @@ from sjk.umbral import (
 )
 
 from conftest import as_scalar
-from reference import expand_exponential, gen_product, monomial
+from reference import expand_exponential, gen_product, monomial, series_product
 
 H = Fraction(1, 2)
 
@@ -47,7 +47,7 @@ class TestItransform:
         # makes a debug record of it, importing logging only there
         t = GenMonomial(1, v_exps={"v": -1})
         with caplog.at_level(logging.DEBUG, logger="sjk.umbral"):
-            assert itransform_scalar(const_series(t, lam=0)).is_zero()
+            assert not itransform_scalar(const_series(t, lam=0))
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("sjk.umbral", logging.DEBUG,
              f"term {t!r} vanishes: v-exponent at a 1/Gamma zero")]
@@ -100,7 +100,8 @@ class TestGenProduct:
         for _ in range(50):
             s1 = rand_series("u1", "v1", "x", 3)
             s2 = rand_series("u2", "v2", "y", 3)
-            assert itransform(gen_product(s1, s2)) == itransform(s1) * itransform(s2)
+            want = series_product(itransform(s1), itransform(s2))
+            assert itransform(gen_product(s1, s2)) == want
 
 
 class TestExpandExponential:
@@ -184,5 +185,6 @@ def test_tricomi_factorization_step():
     m2 = const_series(GenMonomial(1, v_exps={"v2": beta + 1}), lam=order)
     joint = gen_product(gen_product(m1, e1), gen_product(m2, e2))
     lhs = itransform(joint)
-    rhs = itransform(gen_product(m1, e1)) * itransform(gen_product(m2, e2))
+    rhs = series_product(itransform(gen_product(m1, e1)),
+                         itransform(gen_product(m2, e2)))
     assert lhs == rhs
